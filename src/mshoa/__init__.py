@@ -4,7 +4,7 @@ and sweet-spot evaluation."""
 
 from .basis import CoefficientVector, pack_index, sph_harm, unpack_index
 from .config import ExperimentConfig, load_config, validate_config
-from .encode import Encoder, hoa_encoder, mshoa_encoder, single_scattering_encoder
+from .encode import Encoder, hoa_encoder, mshoa_encoder
 from .fields import FieldGrid, GridSpec, SdrReport, ground_truth_field, reconstruct_field, sdr_map
 from .runner import RunSummary, run_experiment
 from .scatter import ForwardOperator, ScatterSolution, forward_operator, forward_solve
@@ -39,7 +39,6 @@ __all__ = [
     "rr_translation",
     "run_experiment",
     "sdr_map",
-    "single_scattering_encoder",
     "sph_harm",
     "sr_translation",
     "unpack_index",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import lpmv, spherical_jn, spherical_yn
+from scipy.special import spherical_jn, spherical_yn
 
 SQRT_4PI = np.sqrt(4.0 * np.pi)
 
@@ -90,14 +90,6 @@ class CoefficientVector:
     def zeros(cls, k: float, n_max: int) -> "CoefficientVector":
         return cls(k=k, n_max=n_max, values=np.zeros(num_coeffs(n_max), complex))
 
-    def truncate(self, n_max: int) -> "CoefficientVector":
-        """Drop all entries with degree above ``n_max`` (must not exceed self.n_max)."""
-        if n_max > self.n_max:
-            raise ValueError(f"cannot truncate degree {self.n_max} up to {n_max}")
-        return CoefficientVector(
-            k=self.k, n_max=n_max, values=self.values[: num_coeffs(n_max)].copy()
-        )
-
     def __getitem__(self, nm: tuple[int, int]) -> complex:
         return self.values[pack_index(*nm)]
 
@@ -127,28 +119,9 @@ def sph_hankel1(n, x, derivative: bool = False):
     )
 
 
-def sph_bessel_deriv(kind: str, n, x):
-    """Derivative of j_n or h_n with respect to the argument."""
-    if kind == "j":
-        return sph_bessel_j(n, x, derivative=True)
-    if kind == "h":
-        return sph_hankel1(n, x, derivative=True)
-    raise ValueError(f"kind must be 'j' or 'h', got {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # angular functions
 # ---------------------------------------------------------------------------
-
-def assoc_legendre(n: int, m: int, x):
-    """Associated Legendre P_n^m(x) with the Condon-Shortley phase, 0 <= m <= n."""
-    if not 0 <= m <= n:
-        raise IndexError_(f"need 0 <= m <= n, got (n={n}, m={m})")
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1):
-        raise BasisDomainError("associated Legendre argument must be in [-1, 1]")
-    return lpmv(m, n, x)
-
 
 def norm_legendre_triangle(n_max: int, x: np.ndarray) -> np.ndarray:
     """Orthonormalized associated Legendre values for all 0 <= m <= n <= n_max.
@@ -262,7 +235,8 @@ def regular_basis_matrix(n_max: int, k: float, points: np.ndarray, center) -> np
     r, theta, phi = cart_to_sph(rel)
     ymat = sph_harm_matrix(n_max, theta, phi)
     jr = spherical_jn(np.arange(n_max + 1)[:, None], k * r[None, :])  # (n, P)
-    return ymat * jr[degrees_upto(n_max)].T
+    ymat *= jr[degrees_upto(n_max)].T  # in place: one basis-sized buffer per call
+    return ymat
 
 
 def singular_basis_matrix(n_max: int, k: float, points: np.ndarray, center) -> np.ndarray:
@@ -274,24 +248,8 @@ def singular_basis_matrix(n_max: int, k: float, points: np.ndarray, center) -> n
     ymat = sph_harm_matrix(n_max, theta, phi)
     ns = np.arange(n_max + 1)[:, None]
     hr = spherical_jn(ns, k * r[None, :]) + 1j * spherical_yn(ns, k * r[None, :])
-    return ymat * hr[degrees_upto(n_max)].T
-
-
-def eval_regular_basis(n: int, m: int, k: float, r, center) -> complex:
-    """Single regular basis function R_n^m about ``center`` at point ``r``."""
-    rel = np.asarray(r, float) - np.asarray(center, float)
-    if np.linalg.norm(rel) == 0.0:
-        # j_n(0) Y_n^m: only n = 0 survives
-        if abs(m) > n:
-            raise IndexError_(f"invalid harmonic index (n={n}, m={m})")
-        return 1.0 / SQRT_4PI + 0j if n == 0 else 0j
-    return complex(regular_basis_matrix(n, k, rel[None, :], 0.0)[0, pack_index(n, m)])
-
-
-def eval_singular_basis(n: int, m: int, k: float, r, center) -> complex:
-    """Single singular basis function S_n^m about ``center`` at point ``r``."""
-    rel = np.asarray(r, float) - np.asarray(center, float)
-    return complex(singular_basis_matrix(n, k, rel[None, :], 0.0)[0, pack_index(n, m)])
+    ymat *= hr[degrees_upto(n_max)].T
+    return ymat
 
 
 def basis_gradient_matrix(

@@ -28,7 +28,8 @@ def main(verbose: bool):
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", default="out", show_default=True, help="Output directory.")
-@click.option("--threads", type=int, default=None, help="Parallelism hint (recorded only).")
+@click.option("--threads", type=int, default=None,
+              help="Parallelism hint; recorded in summary.json, changes no result.")
 @click.option("--export-forward", type=click.Path(dir_okay=False), default=None,
               help="Write the forward operator matrix to this path.")
 @click.option("--import-forward", type=click.Path(exists=True, dir_okay=False), default=None,

@@ -159,8 +159,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             sound_speed=sound_speed,
             n_in=n_in,
             n_fwd=n_fwd,
-            incident_eval=scene_raw.get("incident_eval", "direct"),
-            n_rr_assembly=scene_raw.get("n_rr_assembly"),
         )
     except SceneError as exc:
         raise ConfigError(f"invalid scene: {exc}")
@@ -196,6 +194,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("sigma_search.points must be at least 1")
     if sigma is not None and float(sigma) < 0:
         raise ConfigError("sigma must be non-negative")
+    if method == "HOA" and sigma_search is not None:
+        raise ConfigError("HOA searches the truncation n_c, not sigma; give a fixed 'sigma'")
 
     hoa_raw = raw.get("hoa", {})
     hoa = HoaSettings(

@@ -9,9 +9,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .basis import CoefficientVector, num_coeffs
-from .scatter import ForwardOperator, forward_operator
-from .scene import RsmaSpec, SceneConfig
-from .scatter import surface_response_matrix
+from .scatter import ForwardOperator, surface_response_matrix
+from .scene import RsmaSpec
 
 log = logging.getLogger(__name__)
 
@@ -77,11 +76,3 @@ def mshoa_encoder(forward: ForwardOperator, sigma: float) -> Encoder:
         n_out=forward.scene.n_in,
     )
 
-
-def single_scattering_encoder(scene: SceneConfig, sigma: float) -> Encoder:
-    """Same pipeline with inter-sphere coupling switched off in the forward model."""
-    return mshoa_encoder(forward_operator(scene, include_coupling=False), sigma)
-
-
-def apply_encoder(encoder: Encoder, pressures: np.ndarray) -> CoefficientVector:
-    return encoder.apply(pressures)

@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .basis import CoefficientVector, regular_basis_matrix
-from .scene import IncidentSource, RsmaSpec, SceneError
+from .scene import IncidentSource, RsmaSpec
 
 SDR_CAP_DB = 150.0
 SDR_FLOOR_DB = -300.0
@@ -148,66 +148,23 @@ def sdr_map(
     return SdrReport(sdr_map=sdr, ssa=ssa, threshold=threshold, mask=mask)
 
 
-def best_truncation_search(
-    sphere: RsmaSpec,
-    source: IncidentSource,
-    k: float,
-    n_range: Iterable[int],
-    spec: GridSpec,
-    sigma: float = 0.0,
-    threshold: float = DEFAULT_THRESHOLD_DB,
-    reference_margin: int = 12,
-) -> tuple[int, SdrReport]:
-    """Pick the encoding truncation with the largest sweet-spot area.
-
-    Simulates the lone sphere: capsule pressures come from a high-degree
-    reference expansion of the incident field about the sphere center; each
-    candidate truncation is encoded, reconstructed about the sphere center,
-    and scored by sweet-spot area.  Ties break toward the smaller truncation.
-    """
-    from .encode import hoa_encoder
-    from .scatter import surface_response_matrix
-
-    n_list = sorted(set(int(n) for n in n_range))
-    if not n_list:
-        raise ValueError("truncation search range is empty")
-    n_ref = max(n_list) + max(reference_margin, int(np.ceil(np.e * k * sphere.radius)))
-    a_ref = source.coefficients(k, n_ref, center=sphere.center)
-    pressures = surface_response_matrix(sphere, k, n_ref) @ a_ref.values
-    truth = ground_truth_field(source, k, spec)
-    mask = sphere_mask(spec, [sphere])
-
-    best: tuple[int, SdrReport] | None = None
-    for n_c in n_list:
-        enc = hoa_encoder(sphere, k, n_c, sigma)
-        est = reconstruct_field(enc.apply(pressures), k, spec, center=sphere.center)
-        report = sdr_map(est, truth, mask=mask, threshold=threshold)
-        if best is None or report.ssa > best[1].ssa:
-            best = (n_c, report)
-    return best
-
-
 def regularization_search(
-    encoder_builder: Callable[[float], object],
-    sigma_grid: Iterable[float],
+    candidates: Iterable,
+    build: Callable[[object], object],
     evaluate: Callable[[object], SdrReport],
-) -> tuple[float, SdrReport]:
-    """Pick the regularization with the largest sweet-spot area.
+) -> tuple[object, object, SdrReport]:
+    """Pick the candidate whose build scores the largest sweet-spot area.
 
-    Ties break toward the larger (more stable) value.
+    Candidates are tried in the caller's order of preference and the first
+    strict maximum is kept, so a tie goes to the earlier candidate.  Returns
+    the chosen candidate, what ``build`` made of it and its report.
     """
-    sigmas = sorted(set(float(s) for s in sigma_grid))
-    if not sigmas:
-        raise ValueError("regularization grid is empty")
-    best: tuple[float, SdrReport] | None = None
-    for sigma in sigmas:
-        report = evaluate(encoder_builder(sigma))
-        if best is None or report.ssa >= best[1].ssa:
-            best = (sigma, report)
+    best: tuple[object, object, SdrReport] | None = None
+    for candidate in candidates:
+        built = build(candidate)
+        report = evaluate(built)
+        if best is None or report.ssa > best[2].ssa:
+            best = (candidate, built, report)
+    if best is None:
+        raise ValueError("search has no candidates")
     return best
-
-
-def default_sigma_grid(forward_matrix: np.ndarray, points: int = 21) -> np.ndarray:
-    """Log-spaced ridge grid, 1e-8 .. 1e2 times the squared spectral norm."""
-    scale = np.linalg.norm(forward_matrix, 2) ** 2
-    return scale * np.logspace(-8.0, 2.0, points)

@@ -10,22 +10,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import CoefficientVector
+from .basis import num_coeffs
 from .config import ExperimentConfig
 from .encode import hoa_encoder, mshoa_encoder
 from .fields import (
-    FieldGrid,
-    SdrReport,
-    best_truncation_search,
-    default_sigma_grid,
     ground_truth_field,
     reconstruct_field,
     regularization_search,
     sdr_map,
     sphere_mask,
 )
-from .matio import export_matrix, import_matrix, write_field_csv, write_real_csv
-from .scatter import ForwardOperator, forward_operator, surface_response_matrix
+from .matio import (
+    MatrixFormatError,
+    export_matrix,
+    import_matrix,
+    write_field_csv,
+    write_real_csv,
+)
+from .scatter import (
+    ForwardOperator,
+    eval_total_field,
+    forward_operator,
+    forward_solve,
+    surface_response_matrix,
+)
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +53,7 @@ class RunSummary:
     wall_time_s: float
     system_rcond: float | None
     config_hash: str
+    threads: int | None
 
 
 def _hoa_run(cfg: ExperimentConfig):
@@ -53,8 +62,6 @@ def _hoa_run(cfg: ExperimentConfig):
     The capsule pressures are the physical capture (all spheres present, full
     multiple scattering); the encoder models only the chosen sphere.
     """
-    from .scatter import eval_total_field, forward_solve
-
     scene = cfg.scene
     k = scene.k
     if cfg.hoa.sphere_index is not None:
@@ -64,7 +71,6 @@ def _hoa_run(cfg: ExperimentConfig):
             np.argmin([np.linalg.norm(s.center) for s in scene.spheres])
         )
     sphere = scene.spheres[idx]
-    sigma = cfg.sigma if cfg.sigma is not None else 0.0
     truth = ground_truth_field(scene.source, k, cfg.grid)
     mask = sphere_mask(cfg.grid, scene.spheres)
 
@@ -78,23 +84,19 @@ def _hoa_run(cfg: ExperimentConfig):
         sol = forward_solve(scene, a_in)
         pressures = eval_total_field(scene, sol, a_in, sphere.capsule_positions())
 
-    def score(n_c):
-        enc = hoa_encoder(sphere, k, n_c, sigma)
-        est = reconstruct_field(enc.apply(pressures), k, cfg.grid, center=sphere.center)
-        return enc, est, sdr_map(est, truth, mask=mask, threshold=cfg.threshold_db)
+    def build(n_c):
+        coeffs = hoa_encoder(sphere, k, n_c, cfg.sigma).apply(pressures)
+        return coeffs, reconstruct_field(coeffs, k, cfg.grid, center=sphere.center)
+
+    def evaluate(built):
+        return sdr_map(built[1], truth, mask=mask, threshold=cfg.threshold_db)
 
     if cfg.hoa.n_c is not None:
-        n_c = cfg.hoa.n_c
-        enc, estimated, report = score(n_c)
+        candidates = [cfg.hoa.n_c]
     else:
-        best = None
-        for cand in range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1):
-            enc, est, rep = score(cand)
-            if best is None or rep.ssa > best[3].ssa:
-                best = (cand, enc, est, rep)
-        n_c, enc, estimated, report = best
-    coeffs = enc.apply(pressures)
-    return truth, estimated, report, coeffs, sigma, n_c, None
+        candidates = range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1)  # ties go to the smaller n_c
+    n_c, (coeffs, estimated), report = regularization_search(candidates, build, evaluate)
+    return truth, estimated, report, coeffs, cfg.sigma, n_c, None
 
 
 def _grid_run(cfg: ExperimentConfig, forward: ForwardOperator):
@@ -112,26 +114,36 @@ def _grid_run(cfg: ExperimentConfig, forward: ForwardOperator):
         model = forward
 
     def build(sigma):
-        return mshoa_encoder(model, sigma)
+        return mshoa_encoder(model, sigma).apply(pressures)
 
-    def evaluate(encoder):
-        est = reconstruct_field(encoder.apply(pressures), k, cfg.grid)
+    def evaluate(coeffs):
+        est = reconstruct_field(coeffs, k, cfg.grid)
         return sdr_map(est, truth, mask=mask, threshold=cfg.threshold_db)
 
     if cfg.sigma is not None:
-        sigma = cfg.sigma
-        report = evaluate(build(sigma))
+        candidates = [cfg.sigma]
     else:
         search = cfg.sigma_search
         scale = np.linalg.norm(model.matrix, 2) ** 2
         grid = scale * np.logspace(
             np.log10(search.min_factor), np.log10(search.max_factor), search.points
         )
-        sigma, report = regularization_search(build, grid, evaluate)
-    encoder = build(sigma)
-    coeffs = encoder.apply(pressures)
+        candidates = sorted(grid, reverse=True)  # ties go to the larger, more stable sigma
+    sigma, coeffs, report = regularization_search(candidates, build, evaluate)
     estimated = reconstruct_field(coeffs, k, cfg.grid)
-    return truth, estimated, report, coeffs, sigma, None, model.rcond
+    return truth, estimated, report, coeffs, float(sigma), None, model.rcond
+
+
+def _import_forward(cfg: ExperimentConfig, path) -> ForwardOperator:
+    """A previously exported forward operator, checked against the scene's shape."""
+    matrix = import_matrix(path)
+    expected = (cfg.scene.total_capsules, num_coeffs(cfg.scene.n_in))
+    if matrix.shape != expected:
+        raise MatrixFormatError(
+            f"{path}: forward matrix has shape {matrix.shape}, the scene needs "
+            f"{expected} (capsules x incident coefficients)"
+        )
+    return ForwardOperator(scene=cfg.scene, matrix=matrix, include_coupling=True)
 
 
 def run_experiment(
@@ -144,8 +156,8 @@ def run_experiment(
 ) -> RunSummary:
     """Run one configured experiment and write all output artifacts.
 
-    The ``threads`` hint is recorded but does not influence any numeric path,
-    so identical configurations produce bit-identical grids.
+    The ``threads`` hint is written to ``summary.json`` but does not influence
+    any numeric path, so identical configurations produce bit-identical grids.
     """
     t0 = time.perf_counter()
     out = Path(out_dir)
@@ -156,8 +168,7 @@ def run_experiment(
         truth, estimated, report, coeffs, sigma, n_c, rcond = _hoa_run(cfg)
     else:
         if import_forward is not None:
-            matrix = import_matrix(import_forward)
-            forward = ForwardOperator(scene=cfg.scene, matrix=matrix, include_coupling=True)
+            forward = _import_forward(cfg, import_forward)
         else:
             forward = forward_operator(cfg.scene, include_coupling=True)
         if export_forward is not None:
@@ -185,6 +196,7 @@ def run_experiment(
         wall_time_s=time.perf_counter() - t0,
         system_rcond=None if rcond is None or not np.isfinite(rcond) else float(rcond),
         config_hash=chash,
+        threads=threads,
     )
     (out / "summary.json").write_text(json.dumps(asdict(summary), indent=2) + "\n")
     log.info(

@@ -128,14 +128,10 @@ def _local_incident_matrices(scene: SceneConfig) -> list[np.ndarray]:
     """Per-sphere (L_fwd x L_in) maps from global to truncated local coefficients."""
     from .translation import rr_translation
 
-    k = scene.k
-    n_asm = scene.n_rr_assembly if scene.n_rr_assembly is not None else scene.n_in
-    lf = num_coeffs(scene.n_fwd)
-    mats = []
-    for sph in scene.spheres:
-        t = rr_translation(sph.center, k, scene.n_in, n_asm)
-        mats.append(t.entries[:lf, :])
-    return mats
+    return [
+        rr_translation(sph.center, scene.k, scene.n_in, scene.n_fwd).entries
+        for sph in scene.spheres
+    ]
 
 
 def _factor_system(system: np.ndarray):
@@ -229,9 +225,7 @@ def eval_radial_derivative(
 def forward_operator(scene: SceneConfig, include_coupling: bool = True) -> ForwardOperator:
     """Assemble the dense capsule-pressure response to every incident basis."""
     k = scene.k
-    lf = num_coeffs(scene.n_fwd)
-    locmats = _local_incident_matrices(scene)
-    a_local_all = np.vstack(locmats)  # (N_S * L_fwd, L_in)
+    a_local_all = np.vstack(_local_incident_matrices(scene))  # (N_S * L_fwd, L_in)
     system = assemble_system_matrix(scene, include_coupling=include_coupling)
     lu, piv, rcond = _factor_system(system)
     b_all = sla.lu_solve((lu, piv), a_local_all)
@@ -243,17 +237,5 @@ def forward_operator(scene: SceneConfig, include_coupling: bool = True) -> Forwa
             for sph in scene.spheres
         ]
     )  # (Q_total, N_S * L_fwd)
-    matrix = sing @ b_all
-
-    if scene.incident_eval == "direct":
-        matrix = matrix + regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0])
-    else:
-        row = 0
-        for s, sph in enumerate(scene.spheres):
-            q = sph.num_capsules
-            reg = regular_basis_matrix(
-                scene.n_fwd, k, sph.capsule_positions(), sph.center
-            )
-            matrix[row : row + q, :] += reg @ locmats[s]
-            row += q
+    matrix = sing @ b_all + regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0])
     return ForwardOperator(scene=scene, matrix=matrix, include_coupling=include_coupling, rcond=rcond)

@@ -197,9 +197,6 @@ class SceneConfig:
     n_in: int
     n_fwd: int
     sound_speed: float = DEFAULT_SOUND_SPEED
-    sigma: float = 0.0
-    incident_eval: str = "direct"  # or "translated"
-    n_rr_assembly: int | None = None  # R|R assembled at this degree, then truncated
 
     def __post_init__(self):
         if not self.spheres:
@@ -212,10 +209,6 @@ class SceneConfig:
             raise SceneError(
                 f"forward truncation {self.n_fwd} exceeds incident truncation {self.n_in}"
             )
-        if self.sigma < 0:
-            raise SceneError("regularization must be non-negative")
-        if self.incident_eval not in ("direct", "translated"):
-            raise SceneError(f"unknown incident_eval mode {self.incident_eval!r}")
         for i, a in enumerate(self.spheres):
             for j in range(i + 1, len(self.spheres)):
                 bb = self.spheres[j]
@@ -244,10 +237,3 @@ class SceneConfig:
     def capsule_positions(self) -> np.ndarray:
         return np.vstack([s.capsule_positions() for s in self.spheres])
 
-    def contains_point(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of points strictly inside any sphere."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = np.zeros(points.shape[0], dtype=bool)
-        for s in self.spheres:
-            inside |= np.linalg.norm(points - s.center[None, :], axis=1) < s.radius
-        return inside

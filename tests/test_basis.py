@@ -13,14 +13,11 @@ from mshoa.basis import (
     CoefficientVector,
     basis_gradient_matrix,
     cart_to_sph,
-    eval_regular_basis,
-    eval_singular_basis,
     norm_legendre_triangle,
     num_coeffs,
     pack_index,
     regular_basis_matrix,
     singular_basis_matrix,
-    sph_bessel_deriv,
     sph_bessel_j,
     sph_bessel_y,
     sph_hankel1,
@@ -70,8 +67,6 @@ def test_bessel_domain_errors():
         sph_bessel_y(0, 0.0)
     with pytest.raises(BasisDomainError):
         sph_hankel1(2, -1.0)
-    with pytest.raises(ValueError):
-        sph_bessel_deriv("q", 1, 1.0)
 
 
 def test_wronskian_identity():
@@ -174,9 +169,6 @@ def test_cart_to_sph_axis_convention():
 def test_coefficient_vector_validation():
     cv = CoefficientVector.zeros(k=2.0, n_max=3)
     assert cv.values.shape == (16,)
-    assert cv.truncate(1).values.shape == (4,)
-    with pytest.raises(ValueError):
-        cv.truncate(5)
     with pytest.raises(ValueError):
         CoefficientVector(k=2.0, n_max=2, values=np.zeros(5))
     with pytest.raises(ValueError):
@@ -192,19 +184,20 @@ def test_basis_matrices_match_scalar_eval(rng):
     for n in range(4):
         for m in range(-n, n + 1):
             for i, p in enumerate(pts):
+                r, theta, phi = cart_to_sph(p - center)
+                y = sph_harm(n, m, theta, phi)
                 assert reg[i, pack_index(n, m)] == pytest.approx(
-                    eval_regular_basis(n, m, k, p, center), abs=1e-14
+                    sph_bessel_j(n, k * r) * y, abs=1e-14
                 )
                 assert sing[i, pack_index(n, m)] == pytest.approx(
-                    eval_singular_basis(n, m, k, p, center), abs=1e-14
+                    sph_hankel1(n, k * r) * y, abs=1e-14
                 )
 
 
 def test_regular_basis_at_center():
-    assert eval_regular_basis(0, 0, 2.0, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == (
-        pytest.approx(1.0 / np.sqrt(4 * np.pi))
-    )
-    assert eval_regular_basis(3, 1, 2.0, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0j
+    at_center = regular_basis_matrix(3, 2.0, [[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0])[0]
+    assert at_center[pack_index(0, 0)] == pytest.approx(1.0 / np.sqrt(4 * np.pi))
+    assert not at_center[1:].any()
     with pytest.raises(BasisDomainError):
         singular_basis_matrix(2, 2.0, np.zeros((1, 3)), [0, 0, 0])
 

@@ -86,6 +86,10 @@ def test_config_rejections():
         validate_config(MINIMAL + "sigma: 1e-6\nsigma_search: {points: 5}\n")
     with pytest.raises(ConfigError, match="sigma"):
         validate_config(MINIMAL + "sigma: -1.0\n")
+    with pytest.raises(ConfigError, match="sigma"):
+        validate_config(
+            MINIMAL.replace("method: MSHOA", "method: HOA") + "sigma_search: {points: 5}\n"
+        )
     with pytest.raises(ConfigError, match="sphere_index"):
         validate_config(MINIMAL + "hoa: {sphere_index: 5}\n")
 

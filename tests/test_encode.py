@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from mshoa.basis import num_coeffs
-from mshoa.encode import (
-    EncoderError,
-    apply_encoder,
-    hoa_encoder,
-    mshoa_encoder,
-    single_scattering_encoder,
-)
+from mshoa.encode import EncoderError, hoa_encoder, mshoa_encoder
 from mshoa.scatter import forward_operator, surface_response_matrix
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig
 
@@ -69,7 +63,7 @@ def test_shrinkage_is_monotone_in_sigma(rng):
 def test_single_equals_mshoa_for_one_sphere():
     scene = _scene([[0.0, 0.0, 0.0]])
     full = mshoa_encoder(forward_operator(scene, include_coupling=True), 1e-6)
-    single = single_scattering_encoder(scene, 1e-6)
+    single = mshoa_encoder(forward_operator(scene, include_coupling=False), 1e-6)
     assert full.kind == "MSHOA"
     assert single.kind == "Single"
     np.testing.assert_allclose(full.matrix, single.matrix, atol=1e-13)
@@ -81,7 +75,7 @@ def test_encoder_metadata_and_apply(rng):
     assert enc.n_out == scene.n_in
     assert enc.k == pytest.approx(scene.k)
     p = rng.normal(size=80) + 1j * rng.normal(size=80)
-    cv = apply_encoder(enc, p)
+    cv = enc.apply(p)
     assert cv.n_max == scene.n_in
     assert cv.values.shape == (num_coeffs(scene.n_in),)
 

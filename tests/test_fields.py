@@ -9,8 +9,7 @@ from mshoa.fields import (
     SDR_FLOOR_DB,
     FieldGrid,
     GridSpec,
-    best_truncation_search,
-    default_sigma_grid,
+    SdrReport,
     ground_truth_field,
     reconstruct_field,
     regularization_search,
@@ -134,46 +133,31 @@ def test_ground_truth_is_direct_evaluation():
     np.testing.assert_allclose(g.values, 1.0)  # z = 0 plane
 
 
+def _scored(ssa_of):
+    built = []
+
+    def build(candidate):
+        built.append(candidate)
+        return candidate
+
+    def evaluate(candidate):
+        return SdrReport(sdr_map=np.zeros((1, 1)), ssa=ssa_of[candidate])
+
+    return built, build, evaluate
+
+
 def test_regularization_search_prefers_larger_tie():
-    calls = []
-
-    def build(s):
-        calls.append(s)
-        return s
-
-    def evaluate(s):
-        from mshoa.fields import SdrReport
-
-        return SdrReport(sdr_map=np.zeros((1, 1)), ssa={1.0: 5.0, 2.0: 5.0, 3.0: 1.0}[s])
-
-    sigma, report = regularization_search(build, [3.0, 1.0, 2.0], evaluate)
-    assert sigma == 2.0  # tie between 1.0 and 2.0 goes to the larger value
-    assert report.ssa == 5.0
+    # sigma candidates come largest first, so a tie keeps the larger value
+    built, build, evaluate = _scored({3.0: 1.0, 2.0: 5.0, 1.0: 5.0})
+    sigma, kept, report = regularization_search([3.0, 2.0, 1.0], build, evaluate)
+    assert (sigma, kept, report.ssa) == (2.0, 2.0, 5.0)
+    assert built == [3.0, 2.0, 1.0]  # each candidate is built exactly once
     with pytest.raises(ValueError):
-        regularization_search(build, [], evaluate)
+        regularization_search([], build, evaluate)
 
 
-def test_best_truncation_search_on_lone_sphere():
-    sphere = RsmaSpec.fibonacci([0.0, 0.0, 0.0], 0.08, 162)
-    src = IncidentSource(kind="plane_wave", direction=[0.0, 1.0, 0.0])
-    k = 2 * np.pi * 1000 / 343.0
-    spec = GridSpec(plane="xy", extent=(1.0, 1.0), resolution=0.02)
-    n_c, report = best_truncation_search(sphere, src, k, range(1, 9), spec, sigma=1e-9)
-    assert 1 <= n_c <= 8
-    assert report.ssa > 0
-    # the chosen truncation is at least as good as the extremes of the range
-    for other in (1, 8):
-        _, rep = best_truncation_search(sphere, src, k, [other], spec, sigma=1e-9)
-        assert report.ssa >= rep.ssa
-    with pytest.raises(ValueError):
-        best_truncation_search(sphere, src, k, [], spec)
-
-
-def test_default_sigma_grid_scaling(rng):
-    m = rng.normal(size=(20, 10))
-    grid = default_sigma_grid(m, points=11)
-    scale = np.linalg.norm(m, 2) ** 2
-    assert grid.shape == (11,)
-    assert grid[0] == pytest.approx(scale * 1e-8)
-    assert grid[-1] == pytest.approx(scale * 1e2)
-    assert np.all(np.diff(np.log(grid)) > 0)
+def test_regularization_search_prefers_smaller_truncation_tie():
+    # truncation candidates come smallest first, so a tie keeps the smaller n_c
+    _, build, evaluate = _scored({1: 0.5, 2: 3.0, 3: 3.0, 4: 2.0})
+    n_c, _, report = regularization_search(range(1, 5), build, evaluate)
+    assert (n_c, report.ssa) == (2, 3.0)

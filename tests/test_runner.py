@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from mshoa.cli import main
 from mshoa.config import validate_config
-from mshoa.matio import import_matrix, read_field_csv
+from mshoa.matio import export_matrix, import_matrix, read_field_csv
 from mshoa.runner import run_experiment
 
 TINY = """
@@ -26,6 +26,18 @@ grid: {plane: xy, extent: [0.8, 0.8], resolution: 0.05}
 """
 
 TINY_HOA = TINY.replace("method: MSHOA\nsigma: 1e-9", "method: HOA\nhoa: {n_c: 4}")
+
+LONE_HOA = """
+scene:
+  spheres: [{center: [0, 0, 0], radius: 0.08, capsules: 162}]
+  source: {kind: plane_wave, direction: [0, 1, 0]}
+  frequency: 1000
+  n_in: 8
+method: HOA
+sigma: 1e-9
+hoa: {n_c_min: 1, n_c_max: 8}
+grid: {plane: xy, extent: [1, 1], resolution: 0.02}
+"""
 
 
 def _artifacts(out):
@@ -51,6 +63,7 @@ def test_run_writes_all_artifacts(tmp_path):
     meta = json.loads((out / "summary.json").read_text())
     assert meta["ssa"] == summary.ssa
     assert meta["config_hash"] == cfg.config_hash
+    assert meta["threads"] is None
     coeffs = import_matrix(out / "coefficients.bin")
     assert coeffs.shape == (1, (cfg.scene.n_in + 1) ** 2)
     grid, header = read_field_csv(out / "estimated.csv")
@@ -67,6 +80,16 @@ def test_hoa_run_selects_truncation(tmp_path):
     s2 = run_experiment(searched, tmp_path / "out2")
     assert 1 <= s2.n_c <= 5
     assert s2.ssa >= summary.ssa or s2.n_c != 4
+
+
+def test_hoa_run_searches_lone_sphere_truncation(tmp_path):
+    searched = run_experiment(validate_config(LONE_HOA), tmp_path / "searched")
+    assert 1 <= searched.n_c <= 8
+    assert searched.ssa > 0
+    # the chosen truncation is at least as good as the extremes of the range
+    for n_c in (1, 8):
+        fixed = validate_config(LONE_HOA.replace("n_c_min: 1, n_c_max: 8", f"n_c: {n_c}"))
+        assert searched.ssa >= run_experiment(fixed, tmp_path / str(n_c)).ssa
 
 
 def test_determinism_across_thread_hints(tmp_path):
@@ -104,7 +127,7 @@ def test_cli_validate_and_run(tmp_path):
     )
     assert res.exit_code == 0, res.output
     assert "MSHOA @ 1000 Hz" in res.output
-    assert (tmp_path / "out" / "summary.json").exists()
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["threads"] == 2
 
 
 def test_cli_rejects_bad_config(tmp_path):
@@ -125,19 +148,19 @@ def test_cli_bad_forward_file(tmp_path):
     cfg_path.write_text(TINY)
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"not a matrix file at all")
-    res = runner.invoke(
-        main,
-        [
-            "run",
-            str(cfg_path),
-            "--out",
-            str(tmp_path / "out"),
-            "--import-forward",
-            str(garbage),
-        ],
-    )
-    assert res.exit_code == 4
-    assert "runtime error" in res.output
+    # TINY needs 80 capsules x 81 incident coefficients
+    too_few_cols, too_few_rows = tmp_path / "80x10.bin", tmp_path / "70x81.bin"
+    export_matrix(too_few_cols, np.ones((80, 10), complex))
+    export_matrix(too_few_rows, np.ones((70, 81), complex))
+    for bad in (garbage, too_few_cols, too_few_rows):
+        out = tmp_path / bad.stem
+        res = runner.invoke(
+            main,
+            ["run", str(cfg_path), "--out", str(out), "--import-forward", str(bad)],
+        )
+        assert res.exit_code == 4, res.output
+        assert "runtime error" in res.output
+        assert not (out / "summary.json").exists()
 
 
 def test_summary_reports_field_statistics(tmp_path):

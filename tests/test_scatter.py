@@ -159,20 +159,25 @@ def test_forward_operator_matches_solve_route(rng):
     np.testing.assert_allclose(via_matrix, via_eval, atol=1e-11)
 
 
-def test_incident_eval_variants_agree():
-    """Direct incident evaluation and the translated local expansion agree when
-    the assembly degree is generous."""
-    scene_d = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], n_in=16, n_fwd=12)
-    scene_t = _scene(
-        [[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]],
-        n_in=16,
-        n_fwd=12,
-        incident_eval="translated",
-        n_rr_assembly=24,
+def test_local_incident_at_forward_degree_matches_truncated_build():
+    """Building each sphere's R|R at n_fwd gives the operator that building it
+    at n_in and keeping the first (n_fwd+1)^2 rows gives."""
+    import scipy.linalg as sla
+
+    from mshoa.basis import singular_basis_matrix
+    from mshoa.translation import rr_translation
+
+    scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], n_in=16, n_fwd=12)
+    k, lf = scene.k, num_coeffs(scene.n_fwd)
+    a_local = np.vstack(
+        [rr_translation(s.center, k, scene.n_in, scene.n_in).entries[:lf] for s in scene.spheres]
     )
-    m_d = forward_operator(scene_d).matrix
-    m_t = forward_operator(scene_t).matrix
-    assert np.max(np.abs(m_d - m_t)) / np.max(np.abs(m_d)) < 1e-6
+    b_all = sla.solve(assemble_system_matrix(scene), a_local)
+    caps = scene.capsule_positions()
+    sing = np.hstack([singular_basis_matrix(scene.n_fwd, k, caps, s.center) for s in scene.spheres])
+    reference = sing @ b_all + regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0])
+    matrix = forward_operator(scene).matrix
+    assert np.max(np.abs(matrix - reference)) / np.max(np.abs(reference)) < 1e-10
 
 
 def test_eval_rejects_interior_points():

@@ -176,17 +176,11 @@ def test_scene_validation():
         )
     with pytest.raises(SceneError):
         _two_sphere_scene(frequency=-10.0)
-    with pytest.raises(SceneError):
-        _two_sphere_scene(incident_eval="mystery")
 
 
 def test_scene_queries():
     scene = _two_sphere_scene()
     caps = scene.capsule_positions()
     assert caps.shape == (40, 3)
-    inside = scene.contains_point(
-        np.array([[0.0, 0.125, 0.0], [1.0, 0.0, 0.0], [0.0, -0.1, 0.0]])
-    )
-    np.testing.assert_array_equal(inside, [True, False, True])
     cv = scene.incident_coeffs()
     assert cv.n_max == scene.n_in
