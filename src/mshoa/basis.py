@@ -235,7 +235,8 @@ def regular_basis_matrix(n_max: int, k: float, points: np.ndarray, center) -> np
     r, theta, phi = cart_to_sph(rel)
     ymat = sph_harm_matrix(n_max, theta, phi)
     jr = spherical_jn(np.arange(n_max + 1)[:, None], k * r[None, :])  # (n, P)
-    ymat *= jr[degrees_upto(n_max)].T  # in place: one basis-sized buffer per call
+    for n in range(n_max + 1):  # in place, one degree at a time: no second (P, L) buffer
+        ymat[:, n * n : (n + 1) ** 2] *= jr[n][:, None]
     return ymat
 
 
@@ -248,7 +249,8 @@ def singular_basis_matrix(n_max: int, k: float, points: np.ndarray, center) -> n
     ymat = sph_harm_matrix(n_max, theta, phi)
     ns = np.arange(n_max + 1)[:, None]
     hr = spherical_jn(ns, k * r[None, :]) + 1j * spherical_yn(ns, k * r[None, :])
-    ymat *= hr[degrees_upto(n_max)].T
+    for n in range(n_max + 1):
+        ymat[:, n * n : (n + 1) ** 2] *= hr[n][:, None]
     return ymat
 
 

@@ -60,6 +60,34 @@ class ExperimentConfig:
         return hash_config(self.raw)
 
 
+def _mapping(value, allowed: tuple, context: str) -> dict:
+    """``value`` as a mapping whose keys all lie in ``allowed``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be a mapping, got {value!r}")
+    for key in value:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} in {context} (expected one of {', '.join(allowed)})")
+    return value
+
+
+def _number(value, context: str) -> float:
+    """``value`` as a finite float; YAML reads '1e-6' (no dot) as a string."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = np.nan
+    if not np.isfinite(number):
+        raise ConfigError(f"{context} must be a finite number, got {value!r}")
+    return number
+
+
+def _integer(value, context: str, minimum: int = 0) -> int:
+    number = _number(value, context)
+    if not number.is_integer() or number < minimum:
+        raise ConfigError(f"{context} must be an integer >= {minimum}, got {value!r}")
+    return int(number)
+
+
 def _require(mapping: dict, key: str, context: str) -> Any:
     if key not in mapping:
         raise ConfigError(f"missing required field '{key}' in {context}")
@@ -74,7 +102,13 @@ def _vector3(value, context: str) -> np.ndarray:
     return v
 
 
-def _parse_source(raw: dict) -> IncidentSource:
+LAYOUT_KEYS = ("type", "count", "spacing", "axis", "rows", "cols", "plane")
+TOP_KEYS = ("scene", "method", "grid", "threshold_db", "sigma", "sigma_search", "hoa", "output", "threads")
+SCENE_KEYS = ("layout", "spheres", "radius", "capsules", "source", "frequency", "sound_speed", "n_in", "n_fwd")
+
+
+def _parse_source(raw) -> IncidentSource:
+    _mapping(raw, ("kind", "direction", "position", "amplitude"), "scene.source")
     kind = _require(raw, "kind", "scene.source")
     try:
         if kind == "plane_wave":
@@ -100,28 +134,32 @@ def _parse_spheres(raw: dict) -> list[RsmaSpec]:
         if "spheres" in raw:
             specs = []
             for i, entry in enumerate(raw["spheres"]):
+                ctx = f"scene.spheres[{i}]"
+                _mapping(entry, ("center", "radius", "capsules"), ctx)
                 specs.append(
                     RsmaSpec.fibonacci(
-                        center=_vector3(_require(entry, "center", f"spheres[{i}]"), "center"),
-                        radius=float(_require(entry, "radius", f"spheres[{i}]")),
-                        q=int(_require(entry, "capsules", f"spheres[{i}]")),
+                        center=_vector3(_require(entry, "center", ctx), "center"),
+                        radius=_number(_require(entry, "radius", ctx), f"{ctx}.radius"),
+                        q=_integer(_require(entry, "capsules", ctx), f"{ctx}.capsules"),
                     )
                 )
             return specs
-        layout = _require(raw, "layout", "scene")
-        radius = float(_require(raw, "radius", "scene"))
-        capsules = int(_require(raw, "capsules", "scene"))
+        layout = _mapping(_require(raw, "layout", "scene"), LAYOUT_KEYS, "scene.layout")
+        radius = _number(_require(raw, "radius", "scene"), "scene.radius")
+        capsules = _integer(_require(raw, "capsules", "scene"), "scene.capsules")
         ltype = _require(layout, "type", "scene.layout")
         if ltype == "linear":
-            spacing = float(_require(layout, "spacing", "scene.layout"))
+            spacing = _number(_require(layout, "spacing", "scene.layout"), "scene.layout.spacing")
             centers = layout_linear(
-                int(_require(layout, "count", "scene.layout")), spacing, layout.get("axis", "y")
+                _integer(_require(layout, "count", "scene.layout"), "scene.layout.count"),
+                spacing,
+                layout.get("axis", "y"),
             )
         elif ltype == "cartesian":
-            spacing = float(_require(layout, "spacing", "scene.layout"))
+            spacing = _number(_require(layout, "spacing", "scene.layout"), "scene.layout.spacing")
             centers = layout_cartesian(
-                int(_require(layout, "rows", "scene.layout")),
-                int(_require(layout, "cols", "scene.layout")),
+                _integer(_require(layout, "rows", "scene.layout"), "scene.layout.rows"),
+                _integer(_require(layout, "cols", "scene.layout"), "scene.layout.cols"),
                 spacing,
                 layout.get("plane", "xy"),
             )
@@ -137,17 +175,16 @@ def _parse_spheres(raw: dict) -> list[RsmaSpec]:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Build a validated :class:`ExperimentConfig` from a parsed mapping."""
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be a mapping")
-    scene_raw = _require(raw, "scene", "configuration")
+    """Build a validated :class:`ExperimentConfig` from a parsed mapping; unknown keys are errors."""
+    _mapping(raw, TOP_KEYS, "configuration")
+    scene_raw = _mapping(_require(raw, "scene", "configuration"), SCENE_KEYS, "scene")
     spheres = _parse_spheres(scene_raw)
     source = _parse_source(_require(scene_raw, "source", "scene"))
-    frequency = float(_require(scene_raw, "frequency", "scene"))
-    sound_speed = float(scene_raw.get("sound_speed", DEFAULT_SOUND_SPEED))
-    n_in = int(_require(scene_raw, "n_in", "scene"))
+    frequency = _number(_require(scene_raw, "frequency", "scene"), "scene.frequency")
+    sound_speed = _number(scene_raw.get("sound_speed", DEFAULT_SOUND_SPEED), "scene.sound_speed")
+    n_in = _integer(_require(scene_raw, "n_in", "scene"), "scene.n_in")
     if "n_fwd" in scene_raw:
-        n_fwd = int(scene_raw["n_fwd"])
+        n_fwd = _integer(scene_raw["n_fwd"], "scene.n_fwd")
     else:
         k = 2.0 * np.pi * frequency / sound_speed
         n_fwd = min(n_in, recommended_forward_truncation(k, max(s.radius for s in spheres)))
@@ -167,7 +204,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
 
-    grid_raw = raw.get("grid", {})
+    grid_raw = _mapping(raw.get("grid", {}), ("plane", "extent", "resolution", "center", "normal_offset"), "grid")
     try:
         grid = GridSpec(
             plane=grid_raw.get("plane", "xy"),
@@ -176,36 +213,40 @@ def parse_config(raw: dict) -> ExperimentConfig:
             center=tuple(grid_raw.get("center", (0.0, 0.0))),
             normal_offset=float(grid_raw.get("normal_offset", 0.0)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid evaluation grid: {exc}")
 
-    sigma = raw.get("sigma")
+    sigma = None if raw.get("sigma") is None else _number(raw["sigma"], "sigma")
     search_raw = raw.get("sigma_search")
     sigma_search = None
     if search_raw is not None:
         if sigma is not None:
             raise ConfigError("specify either 'sigma' or 'sigma_search', not both")
+        _mapping(search_raw, ("points", "min_factor", "max_factor"), "sigma_search")
         sigma_search = SigmaSearch(
-            points=int(search_raw.get("points", 21)),
-            min_factor=float(search_raw.get("min_factor", 1e-8)),
-            max_factor=float(search_raw.get("max_factor", 1e2)),
+            points=_integer(search_raw.get("points", 21), "sigma_search.points", minimum=1),
+            min_factor=_number(search_raw.get("min_factor", 1e-8), "sigma_search.min_factor"),
+            max_factor=_number(search_raw.get("max_factor", 1e2), "sigma_search.max_factor"),
         )
-        if sigma_search.points < 1:
-            raise ConfigError("sigma_search.points must be at least 1")
-    if sigma is not None and float(sigma) < 0:
+        if min(sigma_search.min_factor, sigma_search.max_factor) <= 0:
+            raise ConfigError("sigma_search factors must be positive (the grid is logarithmic)")
+    if sigma is not None and sigma < 0:
         raise ConfigError("sigma must be non-negative")
     if method == "HOA" and sigma_search is not None:
         raise ConfigError("HOA searches the truncation n_c, not sigma; give a fixed 'sigma'")
 
-    hoa_raw = raw.get("hoa", {})
+    hoa_raw = _mapping(raw.get("hoa", {}), ("sphere_index", "n_c", "n_c_min", "n_c_max"), "hoa")
+    index, n_c = hoa_raw.get("sphere_index"), hoa_raw.get("n_c")
     hoa = HoaSettings(
-        sphere_index=hoa_raw.get("sphere_index"),
-        n_c=hoa_raw.get("n_c"),
-        n_c_min=int(hoa_raw.get("n_c_min", 1)),
-        n_c_max=int(hoa_raw.get("n_c_max", 14)),
+        sphere_index=None if index is None else _integer(index, "hoa.sphere_index"),
+        n_c=None if n_c is None else _integer(n_c, "hoa.n_c"),
+        n_c_min=_integer(hoa_raw.get("n_c_min", 1), "hoa.n_c_min"),
+        n_c_max=_integer(hoa_raw.get("n_c_max", 14), "hoa.n_c_max"),
     )
-    if hoa.sphere_index is not None and not 0 <= hoa.sphere_index < len(spheres):
+    if hoa.sphere_index is not None and hoa.sphere_index >= len(spheres):
         raise ConfigError(f"hoa.sphere_index {hoa.sphere_index} out of range")
+    if hoa.n_c_min > hoa.n_c_max:
+        raise ConfigError(f"hoa.n_c_min {hoa.n_c_min} exceeds hoa.n_c_max {hoa.n_c_max}")
     if method == "HOA" and sigma is None and sigma_search is None:
         sigma = 0.0  # the single-sphere baseline is conventionally unregularized
     if method in ("Single", "MSHOA") and sigma is None and sigma_search is None:
@@ -215,8 +256,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         scene=scene,
         method=method,
         grid=grid,
-        threshold_db=float(raw.get("threshold_db", DEFAULT_THRESHOLD_DB)),
-        sigma=None if sigma is None else float(sigma),
+        threshold_db=_number(raw.get("threshold_db", DEFAULT_THRESHOLD_DB), "threshold_db"),
+        sigma=sigma,
         sigma_search=sigma_search,
         hoa=hoa,
         raw=raw,

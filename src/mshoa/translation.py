@@ -17,8 +17,10 @@ with f = j for R|R and f = h for S|R, and G the overlap integrals of a
 Legendre polynomial with two orthonormalized associated Legendre functions.
 The G integrals are polynomial and evaluated exactly by Gauss-Legendre
 quadrature; they are cached per truncation pair.  General displacements are
-handled by conjugating with per-degree spherical-harmonic rotation matrices,
-themselves computed by exact quadrature projection.
+handled by conjugating with per-degree spherical-harmonic rotation matrices
+(Wigner D), evaluated in closed form as the exponential of the tridiagonal
+angular-momentum matrix through its exact eigendecomposition (Feng et al.,
+Phys. Rev. E 92, 043307, 2015).
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
-from .basis import (
-    cart_to_sph,
-    norm_legendre_triangle,
-    num_coeffs,
-    pack_index,
-    sph_harm_matrix,
-)
+from .basis import cart_to_sph, norm_legendre_triangle, num_coeffs
 
 
 class DegenerateDisplacementError(ValueError):
@@ -125,66 +121,25 @@ def _coaxial_matrix(kind: str, dist: float, k: float, n_src: int, n_dst: int) ->
     return out
 
 
-def _rotation_to_z(that: np.ndarray) -> np.ndarray:
-    """Proper rotation Q with Q @ zhat = that."""
-    that = np.asarray(that, dtype=float)
-    aux = np.array([0.0, 0.0, 1.0]) if abs(that[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(aux, that)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(that, e1)
-    return np.column_stack([e1, e2, that])
+def rotation_blocks(n_max: int, theta: float, phi: float) -> list[np.ndarray]:
+    """Per-degree rotation matrices D_n of Rz(phi) Ry(theta), which takes +z
+    to the direction (theta, phi).
 
-
-@lru_cache(maxsize=64)
-def _rotation_blocks_cached(n_max: int, q_key: tuple) -> tuple:
-    q = np.array(q_key).reshape(3, 3)
-    return tuple(rotation_blocks(n_max, q))
-
-
-def rotation_blocks(n_max: int, q: np.ndarray) -> list[np.ndarray]:
-    """Per-degree rotation matrices D_n for the 3x3 rotation ``q``.
-
-    D_n satisfies Y_n^m(q @ v) = sum_m' D_n[m'+n, m+n] Y_n^m'(v); stacking the
-    blocks diagonally rotates a coefficient vector into the frame where a
-    field f(r) is re-read as f(q @ u).  Computed by orthonormal projection on
-    an exact product quadrature grid.
+    D_n satisfies Y_n^m(q @ v) = sum_m' D_n[m'+n, m+n] Y_n^m'(v) for that
+    rotation q; stacking the blocks diagonally rotates a coefficient vector
+    into the frame where a field f(r) is re-read as f(q @ u).  The closed
+    form is D_n = exp(i theta L_y) diag(e^{i m phi}), with L_y the Hermitian
+    angular-momentum matrix of degree n, exponentiated exactly through its
+    eigendecomposition L_y = V diag(mu) V^H.
     """
-    xg, wg = leggauss(n_max + 1 + (n_max == 0))
-    n_phi = 2 * n_max + 1
-    phig = np.arange(n_phi) * 2.0 * np.pi / n_phi
-    th = np.arccos(xg)
-    TH, PH = np.meshgrid(th, phig, indexing="ij")
-    W = (np.repeat(wg[:, None], n_phi, axis=1) * (2.0 * np.pi / n_phi)).ravel()
-    pts = np.stack(
-        [
-            np.sin(TH) * np.cos(PH),
-            np.sin(TH) * np.sin(PH),
-            np.cos(TH) * np.ones_like(PH),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
-    rot = pts @ np.asarray(q, dtype=float).T
-    _, th_r, ph_r = cart_to_sph(rot)
-    y_orig = sph_harm_matrix(n_max, TH.ravel(), PH.ravel())
-    y_rot = sph_harm_matrix(n_max, th_r, ph_r)
     blocks = []
     for n in range(n_max + 1):
-        sl = slice(n * n, (n + 1) ** 2)
-        blocks.append((y_orig[:, sl].conj() * W[:, None]).T @ y_rot[:, sl])
+        m = np.arange(-n, n)
+        raise_op = np.diag(np.sqrt((n - m) * (n + m + 1.0)), -1)  # L+, m -> m+1
+        mu, v = np.linalg.eigh((raise_op - raise_op.T) / 2j)
+        ry = (v * np.exp(1j * theta * mu)) @ v.conj().T
+        blocks.append(ry * np.exp(1j * np.arange(-n, n + 1) * phi))
     return blocks
-
-
-def _apply_rotation(blocks, mat: np.ndarray, side: str, adjoint: bool) -> np.ndarray:
-    """Multiply by the block-diagonal rotation from the left or right."""
-    out = np.empty_like(mat)
-    for n, d in enumerate(blocks):
-        b = d.conj().T if adjoint else d
-        sl = slice(n * n, (n + 1) ** 2)
-        if side == "left":
-            out[sl, :] = b @ mat[sl, :]
-        else:
-            out[:, sl] = mat[:, sl] @ b
-    return out
 
 
 def _translation(kind: str, t, k: float, n_src: int, n_dst: int) -> TranslationMatrix:
@@ -205,16 +160,16 @@ def _translation(kind: str, t, k: float, n_src: int, n_dst: int) -> TranslationM
         return TranslationMatrix(kind, t, k, n_src, n_dst, entries)
 
     that = t / dist
-    coax = _coaxial_matrix(kind, dist, k, n_src, n_dst)
-    if abs(that[2] - 1.0) < 1e-15:
-        entries = coax
-    else:
-        q = _rotation_to_z(that)
-        q_key = tuple(np.round(q.ravel(), 15))
-        d_src = _rotation_blocks_cached(n_src, q_key)
-        d_dst = d_src if n_dst == n_src else _rotation_blocks_cached(n_dst, q_key)
-        entries = _apply_rotation(d_src, coax, "right", adjoint=False)
-        entries = _apply_rotation(d_dst, entries, "left", adjoint=True)
+    entries = _coaxial_matrix(kind, dist, k, n_src, n_dst)
+    if abs(that[2] - 1.0) >= 1e-15:
+        # conjugate by the block-diagonal rotation, D^H coax D, one degree at a time
+        _, theta, phi = cart_to_sph(that)
+        for n, d in enumerate(rotation_blocks(max(n_src, n_dst), theta, phi)):
+            sl = slice(n * n, (n + 1) ** 2)
+            if n <= n_src:
+                entries[:, sl] = entries[:, sl] @ d
+            if n <= n_dst:
+                entries[sl, :] = d.conj().T @ entries[sl, :]
     return TranslationMatrix(kind, t, k, n_src, n_dst, entries)
 
 

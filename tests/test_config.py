@@ -92,6 +92,41 @@ def test_config_rejections():
         )
     with pytest.raises(ConfigError, match="sphere_index"):
         validate_config(MINIMAL + "hoa: {sphere_index: 5}\n")
+    for text, msg in [
+        # malformed values
+        (MINIMAL + "hoa: {n_c_min: 5, n_c_max: 3}\n", "n_c_min"),
+        (MINIMAL + "hoa: {n_c: -1}\n", "n_c"),
+        (MINIMAL + "hoa: {n_c: 2.7}\n", "n_c"),
+        (MINIMAL + "hoa: {sphere_index: 1.5}\n", "sphere_index"),
+        (MINIMAL + "sigma_search: {min_factor: 0}\n", "factor"),
+        (MINIMAL + "sigma_search: {min_factor: -1e-8}\n", "factor"),
+        (MINIMAL + "sigma_search: 5\n", "sigma_search"),
+        (MINIMAL + "sigma: abc\n", "sigma"),
+        (MINIMAL + "sigma: .nan\n", "sigma"),
+        (MINIMAL + "threshold_db: abc\n", "threshold_db"),
+        (MINIMAL.replace("frequency: 2000", "frequency: abc"), "frequency"),
+        (MINIMAL.replace("capsules: 32", "capsules: 16.5"), "capsules"),
+        # unknown keys, misspelt or retired, at every level
+        (MINIMAL + "sigma_serch: {points: 3}\n", "sigma_serch"),
+        (MINIMAL + "incident_eval: translated\n", "incident_eval"),
+        (MINIMAL.replace("n_in: 10", "n_in: 10\n  n_rr_assembly: 4"), "n_rr_assembly"),
+        (MINIMAL.replace("axis: y", "axis: y, spacng: 1"), "spacng"),
+        (MINIMAL.replace("direction: [0, 0, 1]", "direction: [0, 0, 1], phase: 1"), "phase"),
+        (
+            MINIMAL.replace(
+                "layout: {type: linear, count: 2, spacing: 0.25, axis: y}",
+                "spheres: [{center: [0, 0, 0], radius: 0.08, capsule: 8}]",
+            ),
+            "capsule",
+        ),
+        (MINIMAL + "grid: {plain: xz}\n", "plain"),
+        (MINIMAL + "sigma_search: {points: 3, max: 10}\n", "'max'"),
+        (MINIMAL + "hoa: {nc: 3}\n", "'nc'"),
+    ]:
+        with pytest.raises(ConfigError, match=msg):
+            validate_config(text)
+    # output paths and the threads hint stay accepted (hash_config ignores them)
+    validate_config(MINIMAL + "output: out\nthreads: 2\n")
 
 
 def test_spheres_and_layout_are_exclusive():

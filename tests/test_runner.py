@@ -141,6 +141,12 @@ def test_cli_rejects_bad_config(tmp_path):
     res = runner.invoke(main, ["validate", str(bad)])
     assert res.exit_code == 2
 
+    # a malformed value is a config error too, not a traceback
+    bad.write_text(TINY_HOA.replace("n_c: 4", "n_c: -1"))
+    res = runner.invoke(main, ["run", str(bad), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "config error" in res.output and "n_c" in res.output
+
 
 def test_cli_bad_forward_file(tmp_path):
     runner = CliRunner()

@@ -21,6 +21,11 @@ from mshoa.translation import (
 from tests.conftest import random_unit_vectors
 
 
+# +z takes the coaxial shortcut, -z is the rotation with theta = pi, and the
+# last is a hair off -z
+AXIAL = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-9, 0.0, -1.0]])
+
+
 def _random_singular_coeffs(rng, n_src):
     v = rng.normal(size=num_coeffs(n_src)) + 1j * rng.normal(size=num_coeffs(n_src))
     return v
@@ -95,7 +100,8 @@ def test_rr_preserves_plane_wave_field(rng):
     must still reproduce the plane wave near the new origin."""
     k = 5.0
     n_src = n_dst = 24
-    for khat, t in zip(random_unit_vectors(rng, 4), rng.normal(size=(4, 3)) * 0.4):
+    ts = np.vstack([rng.normal(size=(4, 3)) * 0.4, 0.3 * AXIAL])
+    for khat, t in zip(random_unit_vectors(rng, len(ts)), ts):
         a = plane_wave_coeffs(khat, k, n_src)
         moved = rr_translation(t, k, n_src, n_dst).apply(a.values)
         pts = t + 0.1 * random_unit_vectors(rng, 12) * rng.uniform(0.2, 1, (12, 1))
@@ -109,8 +115,8 @@ def test_sr_matches_direct_singular_field(rng):
     origin reproduces the original field inside the valid sphere."""
     k = 4.0
     n_src, n_dst = 8, 30
-    for _ in range(3):
-        t = random_unit_vectors(rng, 1)[0] * rng.uniform(0.8, 1.5)
+    randoms = random_unit_vectors(rng, 3) * rng.uniform(0.8, 1.5, (3, 1))
+    for t in np.vstack([randoms, 1.2 * AXIAL]):
         a = _random_singular_coeffs(rng, n_src)
         local = sr_translation(t, k, n_src, n_dst).apply(a)
         pts = t + 0.2 * np.linalg.norm(t) * random_unit_vectors(rng, 15)
@@ -131,21 +137,28 @@ def test_rr_inverse_on_inner_block(rng):
 
 
 def test_rotation_blocks_are_unitary_and_consistent(rng):
+    """D_n is unitary and satisfies Y(q v) = Y(v) D for q = Rz(phi) Ry(theta),
+    including the poles theta = 0 and theta = pi."""
     from mshoa.basis import cart_to_sph, sph_harm_matrix
 
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    blocks = rotation_blocks(5, q)
-    pts = random_unit_vectors(rng, 10)
-    _, th, ph = cart_to_sph(pts)
-    _, th_r, ph_r = cart_to_sph(pts @ q.T)
-    y = sph_harm_matrix(5, th, ph)
-    y_rot = sph_harm_matrix(5, th_r, ph_r)
-    for n, d in enumerate(blocks):
-        assert np.max(np.abs(d.conj().T @ d - np.eye(2 * n + 1))) < 1e-12
-        sl = slice(n * n, (n + 1) ** 2)
-        np.testing.assert_allclose(y_rot[:, sl], y[:, sl] @ d, atol=1e-12)
+    for n_max, theta in [(5, 1.1), (45, 1.1), (5, 0.0), (45, 0.0), (5, np.pi), (45, np.pi)]:
+        phi = rng.uniform(0, 2 * np.pi)
+        c, s = np.cos(phi), np.sin(phi)
+        rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        c, s = np.cos(theta), np.sin(theta)
+        ry = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+        q = rz @ ry
+        blocks = rotation_blocks(n_max, theta, phi)
+        assert len(blocks) == n_max + 1
+        pts = random_unit_vectors(rng, 10)
+        _, th, ph = cart_to_sph(pts)
+        _, th_r, ph_r = cart_to_sph(pts @ q.T)
+        y = sph_harm_matrix(n_max, th, ph)
+        y_rot = sph_harm_matrix(n_max, th_r, ph_r)
+        for n, d in enumerate(blocks):
+            assert np.max(np.abs(d.conj().T @ d - np.eye(2 * n + 1))) < 1e-12
+            sl = slice(n * n, (n + 1) ** 2)
+            np.testing.assert_allclose(y_rot[:, sl], y[:, sl] @ d, atol=1e-12)
 
 
 def test_translation_metadata():
