@@ -67,7 +67,8 @@ class CoefficientVector:
     """Spherical-harmonic expansion weights at a fixed wavenumber.
 
     Entry l = n^2 + n + m holds the (n, m) weight; ``values`` has length
-    (n_max + 1)^2.
+    (n_max + 1)^2, or shape ((n_max + 1)^2, n) for a block of n candidate
+    expansions, one per column.
     """
 
     k: float
@@ -80,9 +81,9 @@ class CoefficientVector:
             raise ValueError(f"wavenumber must be positive, got {self.k}")
         if self.n_max < 0:
             raise ValueError(f"truncation degree must be >= 0, got {self.n_max}")
-        if self.values.shape != (num_coeffs(self.n_max),):
+        if self.values.ndim not in (1, 2) or self.values.shape[0] != num_coeffs(self.n_max):
             raise ValueError(
-                f"expected {num_coeffs(self.n_max)} coefficients for degree "
+                f"expected {num_coeffs(self.n_max)} coefficients (rows) for degree "
                 f"{self.n_max}, got shape {self.values.shape}"
             )
 
@@ -92,6 +93,11 @@ class CoefficientVector:
 
     def __getitem__(self, nm: tuple[int, int]) -> complex:
         return self.values[pack_index(*nm)]
+
+    def column(self, j: int, n_max: int | None = None) -> "CoefficientVector":
+        """Candidate ``j`` of a block, truncated to degree ``n_max`` (default: the block's)."""
+        n_max = self.n_max if n_max is None else n_max
+        return CoefficientVector(k=self.k, n_max=n_max, values=self.values[: num_coeffs(n_max), j].copy())
 
 
 # ---------------------------------------------------------------------------

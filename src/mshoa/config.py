@@ -88,6 +88,21 @@ def _integer(value, context: str, minimum: int = 0) -> int:
     return int(number)
 
 
+def _complex(value, context: str) -> complex:
+    """``value`` (a number or [re, im]) as a finite complex number."""
+    try:
+        if isinstance(value, (list, tuple)):
+            re, im = value
+            number = complex(float(re), float(im))
+        else:
+            number = complex(value)
+    except (TypeError, ValueError):
+        number = complex(np.nan)
+    if not np.isfinite(number):
+        raise ConfigError(f"{context} must be a finite number or [re, im], got {value!r}")
+    return number
+
+
 def _require(mapping: dict, key: str, context: str) -> Any:
     if key not in mapping:
         raise ConfigError(f"missing required field '{key}' in {context}")
@@ -102,7 +117,10 @@ def _vector3(value, context: str) -> np.ndarray:
     return v
 
 
-LAYOUT_KEYS = ("type", "count", "spacing", "axis", "rows", "cols", "plane")
+LAYOUT_KEYS = {
+    "linear": ("type", "count", "spacing", "axis"),
+    "cartesian": ("type", "rows", "cols", "spacing", "plane"),
+}
 TOP_KEYS = ("scene", "method", "grid", "threshold_db", "sigma", "sigma_search", "hoa", "output", "threads")
 SCENE_KEYS = ("layout", "spheres", "radius", "capsules", "source", "frequency", "sound_speed", "n_in", "n_fwd")
 
@@ -114,13 +132,10 @@ def _parse_source(raw) -> IncidentSource:
         if kind == "plane_wave":
             return IncidentSource(kind=kind, direction=_vector3(_require(raw, "direction", "scene.source"), "source.direction"))
         if kind == "monopole":
-            amp = raw.get("amplitude", 1.0)
-            if isinstance(amp, (list, tuple)):
-                amp = complex(amp[0], amp[1])
             return IncidentSource(
                 kind=kind,
                 position=_vector3(_require(raw, "position", "scene.source"), "source.position"),
-                amplitude=complex(amp),
+                amplitude=_complex(raw.get("amplitude", 1.0), "scene.source.amplitude"),
             )
     except SceneError as exc:
         raise ConfigError(f"invalid source: {exc}")
@@ -132,6 +147,8 @@ def _parse_spheres(raw: dict) -> list[RsmaSpec]:
         raise ConfigError("scene must use either 'spheres' or 'layout', not both")
     try:
         if "spheres" in raw:
+            if not isinstance(raw["spheres"], list):
+                raise ConfigError(f"scene.spheres must be a list of spheres, got {raw['spheres']!r}")
             specs = []
             for i, entry in enumerate(raw["spheres"]):
                 ctx = f"scene.spheres[{i}]"
@@ -144,10 +161,13 @@ def _parse_spheres(raw: dict) -> list[RsmaSpec]:
                     )
                 )
             return specs
-        layout = _mapping(_require(raw, "layout", "scene"), LAYOUT_KEYS, "scene.layout")
+        layout = _require(raw, "layout", "scene")
+        ltype = layout.get("type") if isinstance(layout, dict) else None
+        if ltype not in ("linear", "cartesian"):
+            raise ConfigError(f"scene.layout needs type linear or cartesian, got {layout!r}")
+        _mapping(layout, LAYOUT_KEYS[ltype], f"scene.layout ({ltype})")
         radius = _number(_require(raw, "radius", "scene"), "scene.radius")
         capsules = _integer(_require(raw, "capsules", "scene"), "scene.capsules")
-        ltype = _require(layout, "type", "scene.layout")
         if ltype == "linear":
             spacing = _number(_require(layout, "spacing", "scene.layout"), "scene.layout.spacing")
             centers = layout_linear(
@@ -155,7 +175,7 @@ def _parse_spheres(raw: dict) -> list[RsmaSpec]:
                 spacing,
                 layout.get("axis", "y"),
             )
-        elif ltype == "cartesian":
+        else:
             spacing = _number(_require(layout, "spacing", "scene.layout"), "scene.layout.spacing")
             centers = layout_cartesian(
                 _integer(_require(layout, "rows", "scene.layout"), "scene.layout.rows"),
@@ -163,8 +183,6 @@ def _parse_spheres(raw: dict) -> list[RsmaSpec]:
                 spacing,
                 layout.get("plane", "xy"),
             )
-        else:
-            raise ConfigError(f"unknown layout type {ltype!r}")
         if len(centers) > 1 and spacing <= 2 * radius:
             raise ConfigError(
                 f"layout spacing {spacing} must exceed the sphere diameter {2 * radius}"

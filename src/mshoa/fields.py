@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,16 +97,22 @@ def reconstruct_field(
     spec: GridSpec,
     center=(0.0, 0.0, 0.0),
     chunk: int = 4096,
-) -> FieldGrid:
-    """Evaluate the regular-basis series of ``coeffs`` at every pixel center."""
+) -> FieldGrid | list[FieldGrid]:
+    """Evaluate the regular-basis series of ``coeffs`` at every pixel center.
+
+    A coefficient block gives one grid per column, from a single basis pass:
+    each pixel chunk's basis is evaluated once and multiplied by the block.
+    """
     pts = spec.points()
-    out = np.empty(pts.shape[0], dtype=complex)
+    out = np.empty((pts.shape[0],) + coeffs.values.shape[1:], dtype=complex)
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
         out[start : start + chunk] = (
             regular_basis_matrix(coeffs.n_max, k, block, center) @ coeffs.values
         )
-    return FieldGrid(spec=spec, values=out.reshape(spec.shape))
+    if out.ndim == 1:
+        return FieldGrid(spec=spec, values=out.reshape(spec.shape))
+    return [FieldGrid(spec=spec, values=column.reshape(spec.shape)) for column in out.T]
 
 
 def ground_truth_field(source: IncidentSource, k: float, spec: GridSpec) -> FieldGrid:
@@ -148,23 +154,50 @@ def sdr_map(
     return SdrReport(sdr_map=sdr, ssa=ssa, threshold=threshold, mask=mask)
 
 
-def regularization_search(
-    candidates: Iterable,
-    build: Callable[[object], object],
-    evaluate: Callable[[object], SdrReport],
-) -> tuple[object, object, SdrReport]:
-    """Pick the candidate whose build scores the largest sweet-spot area.
+@dataclass
+class SearchResult:
+    """Sweet-spot area of every candidate of a search, and the one chosen."""
 
-    Candidates are tried in the caller's order of preference and the first
-    strict maximum is kept, so a tie goes to the earlier candidate.  Returns
-    the chosen candidate, what ``build`` made of it and its report.
+    candidates: list
+    ssa: list[float]
+    index: int
+    report: SdrReport  # of the chosen candidate
+
+    @property
+    def chosen(self):
+        return self.candidates[self.index]
+
+    @property
+    def at_edge(self) -> bool:
+        """True when the winner is the first or last of more than one candidate."""
+        return len(self.candidates) > 1 and self.index in (0, len(self.candidates) - 1)
+
+
+def regularization_search(
+    candidates: Sequence,
+    coeffs: CoefficientVector,
+    truth: FieldGrid,
+    mask: np.ndarray | None = None,
+    threshold: float = DEFAULT_THRESHOLD_DB,
+    center=(0.0, 0.0, 0.0),
+) -> SearchResult:
+    """Pick the candidate whose coefficient column scores the largest sweet-spot area.
+
+    Column j of ``coeffs`` belongs to ``candidates[j]``.  The block is
+    reconstructed in one pass and every column scored against ``truth``.
+    Candidates come in the caller's order of preference and the first strict
+    maximum is kept, so a tie goes to the earlier candidate.
     """
-    best: tuple[object, object, SdrReport] | None = None
-    for candidate in candidates:
-        built = build(candidate)
-        report = evaluate(built)
-        if best is None or report.ssa > best[2].ssa:
-            best = (candidate, built, report)
-    if best is None:
-        raise ValueError("search has no candidates")
-    return best
+    candidates = list(candidates)
+    if not candidates or coeffs.values.shape[1:] != (len(candidates),):
+        raise ValueError(
+            f"a search needs one coefficient column per candidate (and at least one); "
+            f"{len(candidates)} candidates, coefficient shape {coeffs.values.shape}"
+        )
+    ssa, best = [], None
+    for estimated in reconstruct_field(coeffs, coeffs.k, truth.spec, center=center):
+        report = sdr_map(estimated, truth, mask=mask, threshold=threshold)
+        ssa.append(report.ssa)
+        if best is None or report.ssa > best.ssa:
+            best = report
+    return SearchResult(candidates=candidates, ssa=ssa, index=ssa.index(best.ssa), report=best)

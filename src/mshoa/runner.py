@@ -54,6 +54,7 @@ class RunSummary:
     system_rcond: float | None
     config_hash: str
     threads: int | None
+    search: dict  # candidates in search order, the SSA of each, the chosen index, at_edge
 
 
 def _hoa_run(cfg: ExperimentConfig):
@@ -84,19 +85,19 @@ def _hoa_run(cfg: ExperimentConfig):
         sol = forward_solve(scene, a_in)
         pressures = eval_total_field(scene, sol, a_in, sphere.capsule_positions())
 
-    def build(n_c):
-        coeffs = hoa_encoder(sphere, k, n_c, cfg.sigma).apply(pressures)
-        return coeffs, reconstruct_field(coeffs, k, cfg.grid, center=sphere.center)
-
-    def evaluate(built):
-        return sdr_map(built[1], truth, mask=mask, threshold=cfg.threshold_db)
-
     if cfg.hoa.n_c is not None:
         candidates = [cfg.hoa.n_c]
     else:
-        candidates = range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1)  # ties go to the smaller n_c
-    n_c, (coeffs, estimated), report = regularization_search(candidates, build, evaluate)
-    return truth, estimated, report, coeffs, cfg.sigma, n_c, None
+        candidates = list(range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1))  # ties go to the smaller n_c
+    # one encoder at the largest n_c: the first (n_c+1)^2 columns of its response are the response at n_c
+    encoder = hoa_encoder(sphere, k, max(candidates), cfg.sigma)
+    block = encoder.apply(pressures, n_outs=candidates)
+    search = regularization_search(
+        candidates, block, truth, mask=mask, threshold=cfg.threshold_db, center=sphere.center
+    )
+    coeffs = block.column(search.index, n_max=search.chosen)
+    estimated = reconstruct_field(coeffs, k, cfg.grid, center=sphere.center)
+    return truth, estimated, search, coeffs, cfg.sigma, search.chosen, None
 
 
 def _grid_run(cfg: ExperimentConfig, forward: ForwardOperator):
@@ -113,25 +114,20 @@ def _grid_run(cfg: ExperimentConfig, forward: ForwardOperator):
     else:
         model = forward
 
-    def build(sigma):
-        return mshoa_encoder(model, sigma).apply(pressures)
-
-    def evaluate(coeffs):
-        est = reconstruct_field(coeffs, k, cfg.grid)
-        return sdr_map(est, truth, mask=mask, threshold=cfg.threshold_db)
-
+    encoder = mshoa_encoder(model)
     if cfg.sigma is not None:
         candidates = [cfg.sigma]
     else:
-        search = cfg.sigma_search
-        scale = np.linalg.norm(model.matrix, 2) ** 2
-        grid = scale * np.logspace(
-            np.log10(search.min_factor), np.log10(search.max_factor), search.points
+        factors = cfg.sigma_search
+        grid = encoder.scale * np.logspace(
+            np.log10(factors.min_factor), np.log10(factors.max_factor), factors.points
         )
-        candidates = sorted(grid, reverse=True)  # ties go to the larger, more stable sigma
-    sigma, coeffs, report = regularization_search(candidates, build, evaluate)
+        candidates = sorted(map(float, grid), reverse=True)  # ties go to the larger, more stable sigma
+    block = encoder.apply(pressures, sigmas=candidates)
+    search = regularization_search(candidates, block, truth, mask=mask, threshold=cfg.threshold_db)
+    coeffs = block.column(search.index)
     estimated = reconstruct_field(coeffs, k, cfg.grid)
-    return truth, estimated, report, coeffs, float(sigma), None, model.rcond
+    return truth, estimated, search, coeffs, search.chosen, None, model.rcond
 
 
 def _import_forward(cfg: ExperimentConfig, path) -> ForwardOperator:
@@ -165,7 +161,7 @@ def run_experiment(
     chash = cfg.config_hash
 
     if cfg.method == "HOA":
-        truth, estimated, report, coeffs, sigma, n_c, rcond = _hoa_run(cfg)
+        truth, estimated, search, coeffs, sigma, n_c, rcond = _hoa_run(cfg)
     else:
         if import_forward is not None:
             forward = _import_forward(cfg, import_forward)
@@ -173,10 +169,11 @@ def run_experiment(
             forward = forward_operator(cfg.scene, include_coupling=True)
         if export_forward is not None:
             export_matrix(export_forward, forward.matrix)
-        truth, estimated, report, coeffs, sigma, n_c, rcond = _grid_run(cfg, forward)
+        truth, estimated, search, coeffs, sigma, n_c, rcond = _grid_run(cfg, forward)
 
     write_field_csv(out / "ground_truth.csv", truth, chash)
     write_field_csv(out / "estimated.csv", estimated, chash)
+    report = search.report
     write_real_csv(out / "sdr_map.csv", report.sdr_map, cfg.grid, chash)
     if dump_coeffs:
         export_matrix(out / "coefficients.bin", coeffs.values[None, :])
@@ -197,6 +194,12 @@ def run_experiment(
         system_rcond=None if rcond is None or not np.isfinite(rcond) else float(rcond),
         config_hash=chash,
         threads=threads,
+        search={
+            "candidates": search.candidates,
+            "ssa": search.ssa,
+            "index": search.index,
+            "at_edge": search.at_edge,
+        },
     )
     (out / "summary.json").write_text(json.dumps(asdict(summary), indent=2) + "\n")
     log.info(

@@ -106,6 +106,16 @@ def test_config_rejections():
         (MINIMAL + "threshold_db: abc\n", "threshold_db"),
         (MINIMAL.replace("frequency: 2000", "frequency: abc"), "frequency"),
         (MINIMAL.replace("capsules: 32", "capsules: 16.5"), "capsules"),
+        (MINIMAL.replace("direction: [0, 0, 1]", "position: [5, 5, 5], amplitude: abc").replace(
+            "plane_wave", "monopole"), "amplitude"),
+        (MINIMAL.replace("direction: [0, 0, 1]", "position: [5, 5, 5], amplitude: [1, 2, 3]").replace(
+            "plane_wave", "monopole"), "amplitude"),
+        (MINIMAL.replace("layout: {type: linear, count: 2, spacing: 0.25, axis: y}", "spheres: 5"), "spheres"),
+        (MINIMAL.replace("type: linear", "type: hexagonal"), "type"),
+        # a layout takes the keys of its own type only
+        (MINIMAL.replace("axis: y", "axis: y, rows: 3"), "'rows'"),
+        (MINIMAL.replace("layout: {type: linear, count: 2, spacing: 0.25, axis: y}",
+                         "layout: {type: cartesian, rows: 2, cols: 2, spacing: 0.25, count: 4}"), "'count'"),
         # unknown keys, misspelt or retired, at every level
         (MINIMAL + "sigma_serch: {points: 3}\n", "sigma_serch"),
         (MINIMAL + "incident_eval: translated\n", "incident_eval"),

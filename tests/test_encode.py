@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mshoa.basis import num_coeffs
-from mshoa.encode import EncoderError, hoa_encoder, mshoa_encoder
+from mshoa.encode import Encoder, EncoderError, hoa_encoder, mshoa_encoder
 from mshoa.scatter import forward_operator, surface_response_matrix
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig
 
@@ -29,7 +29,7 @@ def test_unregularized_encoder_inverts_response():
     k = 2 * np.pi * 1000 / 343.0
     enc = hoa_encoder(sphere, k, 6, sigma=0.0)
     lam = surface_response_matrix(sphere, k, 6)
-    prod = enc.matrix @ lam
+    prod = np.column_stack([enc.apply(column).values for column in lam.T])  # E @ Lambda
     assert np.max(np.abs(prod - np.eye(num_coeffs(6)))) < 1e-8
 
 
@@ -66,7 +66,47 @@ def test_single_equals_mshoa_for_one_sphere():
     single = mshoa_encoder(forward_operator(scene, include_coupling=False), 1e-6)
     assert full.kind == "MSHOA"
     assert single.kind == "Single"
-    np.testing.assert_allclose(full.matrix, single.matrix, atol=1e-13)
+    np.testing.assert_allclose(_encoder_matrix(full), _encoder_matrix(single), atol=1e-13)
+
+
+def _encoder_matrix(enc):
+    """The capsules-to-coefficients map E, one column per unit capsule pressure."""
+    return np.column_stack([enc.apply(unit).values for unit in np.eye(enc.forward.shape[0])])
+
+
+def test_shared_gram_matches_normal_equations(rng):
+    """One Gram for every sigma reproduces (F^H F + sigma I)^-1 F^H p, and pinv(F) p at 0."""
+    scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], caps=60)
+    forward = forward_operator(scene)
+    f = forward.matrix
+    enc = mshoa_encoder(forward)
+    assert enc.scale == pytest.approx(np.linalg.norm(f, 2) ** 2, rel=1e-12)
+    lone = Encoder(kind="HOA", forward=f[:, :1], k=scene.k, n_out=0)  # too small for ARPACK
+    assert lone.scale == pytest.approx(np.linalg.norm(f[:, 0]) ** 2, rel=1e-12)
+    p = rng.normal(size=120) + 1j * rng.normal(size=120)
+    sigmas = enc.scale * np.array([1e2, 1e-1, 1e-4, 1e-6, 0.0])
+    block = enc.apply(p, sigmas=sigmas)
+    assert block.values.shape == (num_coeffs(scene.n_in), sigmas.size)
+    for column, sigma in zip(block.values.T, sigmas):
+        if sigma:
+            gram = f.conj().T @ f + sigma * np.eye(f.shape[1])
+            reference = np.linalg.solve(gram, f.conj().T @ p)
+        else:
+            reference = np.linalg.pinv(f) @ p
+        assert np.linalg.norm(column - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
+def test_truncation_candidates_match_lower_degree_encoders(rng):
+    """A degree-n column of the n_c_max encoder is the degree-n encoder, zero-padded."""
+    sphere = _sphere(100)
+    k = 2 * np.pi * 2000 / 343.0
+    p = rng.normal(size=100) + 1j * rng.normal(size=100)
+    for sigma in (0.0, 1e-6):
+        block = hoa_encoder(sphere, k, 11, sigma).apply(p, n_outs=[2, 7, 11]).values
+        for column, n_c in zip(block.T, (2, 7, 11)):
+            alone = hoa_encoder(sphere, k, n_c, sigma).apply(p).values
+            np.testing.assert_allclose(column[: alone.size], alone, rtol=0, atol=1e-12 * np.abs(alone).max())
+            assert not column[alone.size :].any()
 
 
 def test_encoder_metadata_and_apply(rng):

@@ -9,7 +9,6 @@ from mshoa.fields import (
     SDR_FLOOR_DB,
     FieldGrid,
     GridSpec,
-    SdrReport,
     ground_truth_field,
     reconstruct_field,
     regularization_search,
@@ -133,31 +132,69 @@ def test_ground_truth_is_direct_evaluation():
     np.testing.assert_allclose(g.values, 1.0)  # z = 0 plane
 
 
-def _scored(ssa_of):
-    built = []
+def test_block_reconstructs_each_column(rng):
+    spec = _grid(res=0.07)
+    k = 9.0
+    block = CoefficientVector(
+        k=k, n_max=4, values=rng.normal(size=(25, 3)) + 1j * rng.normal(size=(25, 3))
+    )
+    fields = reconstruct_field(block, k, spec, chunk=7)
+    assert len(fields) == 3
+    for j, grid in enumerate(fields):
+        single = reconstruct_field(block.column(j), k, spec)
+        err = np.linalg.norm(grid.values - single.values) / np.linalg.norm(single.values)
+        assert err <= 1e-12
 
-    def build(candidate):
-        built.append(candidate)
-        return candidate
 
-    def evaluate(candidate):
-        return SdrReport(sdr_map=np.zeros((1, 1)), ssa=ssa_of[candidate])
+def test_zero_padded_column_is_the_lower_degree_field(rng):
+    spec = _grid(res=0.07)
+    k = 9.0
+    center = (0.1, -0.2, 0.0)
+    low = CoefficientVector(k=k, n_max=2, values=rng.normal(size=9) + 1j * rng.normal(size=9))
+    padded = np.zeros((36, 2), complex)
+    padded[:9, 0] = low.values
+    padded[:, 1] = rng.normal(size=36)
+    fields = reconstruct_field(CoefficientVector(k=k, n_max=5, values=padded), k, spec, center)
+    reference = reconstruct_field(low, k, spec, center).values
+    err = np.linalg.norm(fields[0].values - reference) / np.linalg.norm(reference)
+    assert err <= 1e-12
 
-    return built, build, evaluate
+
+def _tie_scene(columns):
+    """A truth field and a block whose columns are exact (1), zero (0) or halved (0.5)."""
+    spec = _grid(res=0.1)
+    k = 9.0
+    exact = np.zeros(9, complex)
+    exact[0] = 1.0  # j_0(kr): nonzero on this grid
+    truth = reconstruct_field(CoefficientVector(k=k, n_max=2, values=exact), k, spec)
+    block = CoefficientVector(k=k, n_max=2, values=np.outer(exact, columns))
+    return block, truth
 
 
 def test_regularization_search_prefers_larger_tie():
     # sigma candidates come largest first, so a tie keeps the larger value
-    built, build, evaluate = _scored({3.0: 1.0, 2.0: 5.0, 1.0: 5.0})
-    sigma, kept, report = regularization_search([3.0, 2.0, 1.0], build, evaluate)
-    assert (sigma, kept, report.ssa) == (2.0, 2.0, 5.0)
-    assert built == [3.0, 2.0, 1.0]  # each candidate is built exactly once
+    block, truth = _tie_scene([0.0, 1.0, 1.0])
+    result = regularization_search([3.0, 2.0, 1.0], block, truth)
+    assert (result.chosen, result.index) == (2.0, 1)
+    assert result.ssa == [0.0, result.report.ssa, result.report.ssa]
+    assert result.report.ssa == pytest.approx(1.0)  # every pixel of the 1 m^2 window
+    assert not result.at_edge
     with pytest.raises(ValueError):
-        regularization_search([], build, evaluate)
+        regularization_search([], block, truth)
+    with pytest.raises(ValueError):
+        regularization_search([3.0, 2.0], block, truth)  # one column per candidate
 
 
 def test_regularization_search_prefers_smaller_truncation_tie():
     # truncation candidates come smallest first, so a tie keeps the smaller n_c
-    _, build, evaluate = _scored({1: 0.5, 2: 3.0, 3: 3.0, 4: 2.0})
-    n_c, _, report = regularization_search(range(1, 5), build, evaluate)
-    assert (n_c, report.ssa) == (2, 3.0)
+    block, truth = _tie_scene([0.5, 1.0, 1.0, 0.0])
+    result = regularization_search(range(1, 5), block, truth)
+    assert (result.chosen, result.index) == (2, 1)
+    assert result.ssa[1] == result.ssa[2] > result.ssa[0] == result.ssa[3] == 0.0
+
+
+def test_search_flags_a_winner_at_the_edge():
+    block, truth = _tie_scene([1.0, 0.5, 0.0])
+    assert regularization_search([3.0, 2.0, 1.0], block, truth).at_edge
+    single, truth = _tie_scene([1.0])
+    assert not regularization_search([1.0], single, truth).at_edge

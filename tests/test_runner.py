@@ -176,3 +176,18 @@ def test_summary_reports_field_statistics(tmp_path):
     assert summary.max_sdr_db >= summary.mean_sdr_db
     assert summary.wall_time_s > 0
     assert summary.system_rcond is None or summary.system_rcond > 0
+
+
+def test_summary_records_the_search_curve(tmp_path):
+    cfg = validate_config(TINY.replace("sigma: 1e-9", "sigma_search: {points: 9}"))
+    summary = run_experiment(cfg, tmp_path / "out")
+    search = json.loads((tmp_path / "out" / "summary.json").read_text())["search"]
+    assert search == summary.search
+    assert len(search["candidates"]) == len(search["ssa"]) == 9
+    assert search["candidates"] == sorted(search["candidates"], reverse=True)
+    assert max(search["ssa"]) == summary.ssa == search["ssa"][search["index"]]
+    assert search["candidates"][search["index"]] == summary.sigma
+    assert search["at_edge"] == (search["index"] in (0, 8))
+    # a fixed value is a one-candidate search, never at an edge
+    fixed = run_experiment(validate_config(TINY_HOA), tmp_path / "hoa").search
+    assert fixed == {"candidates": [4], "ssa": [fixed["ssa"][0]], "index": 0, "at_edge": False}
