@@ -28,14 +28,12 @@ def main(verbose: bool):
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", default="out", show_default=True, help="Output directory.")
-@click.option("--threads", type=int, default=None,
-              help="Parallelism hint; recorded in summary.json, changes no result.")
 @click.option("--export-forward", type=click.Path(dir_okay=False), default=None,
-              help="Write the forward operator matrix to this path.")
+              help="Write the MSHOA forward operator matrix to this path.")
 @click.option("--import-forward", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Reuse a previously exported forward operator.")
+              help="Reuse a previously exported MSHOA forward operator.")
 @click.option("--dump-coeffs", is_flag=True, help="Also write the estimated coefficients.")
-def run(config_path, out_dir, threads, export_forward, import_forward, dump_coeffs):
+def run(config_path, out_dir, export_forward, import_forward, dump_coeffs):
     """Run the experiment described by CONFIG_PATH and write grids + summary."""
     try:
         cfg = load_config(config_path)
@@ -46,7 +44,6 @@ def run(config_path, out_dir, threads, export_forward, import_forward, dump_coef
         summary = run_experiment(
             cfg,
             out_dir,
-            threads=threads,
             export_forward=export_forward,
             import_forward=import_forward,
             dump_coeffs=dump_coeffs,

@@ -121,7 +121,7 @@ LAYOUT_KEYS = {
     "linear": ("type", "count", "spacing", "axis"),
     "cartesian": ("type", "rows", "cols", "spacing", "plane"),
 }
-TOP_KEYS = ("scene", "method", "grid", "threshold_db", "sigma", "sigma_search", "hoa", "output", "threads")
+TOP_KEYS = ("scene", "method", "grid", "threshold_db", "sigma", "sigma_search", "hoa", "output")
 SCENE_KEYS = ("layout", "spheres", "radius", "capsules", "source", "frequency", "sound_speed", "n_in", "n_fwd")
 
 
@@ -309,6 +309,6 @@ def _canonical(obj):
 
 def hash_config(raw: dict) -> str:
     """Deterministic hash of the experiment definition (output paths excluded)."""
-    payload = {k: v for k, v in raw.items() if k not in ("output", "threads")}
+    payload = {k: v for k, v in raw.items() if k != "output"}
     text = json.dumps(_canonical(payload), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]

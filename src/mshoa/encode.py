@@ -30,7 +30,6 @@ class Encoder:
     solution pinv(F) p.  No capsules-to-coefficients matrix is formed.
     """
 
-    kind: str  # "HOA", "Single" or "MSHOA"
     forward: np.ndarray = field(repr=False)  # F, capsules x (n_out+1)^2
     sigma: float = 0.0
     k: float = 0.0
@@ -102,10 +101,9 @@ def hoa_encoder(sphere: RsmaSpec, k: float, n_c: int, sigma: float = 0.0) -> Enc
             sphere.num_capsules,
             num_coeffs(n_c),
         )
-    return Encoder(kind="HOA", forward=lam, sigma=sigma, k=k, n_out=n_c)
+    return Encoder(forward=lam, sigma=sigma, k=k, n_out=n_c)
 
 
 def mshoa_encoder(forward: ForwardOperator, sigma: float = 0.0) -> Encoder:
     """Encoder inverting the full (or, uncoupled, the single-scattering) forward operator."""
-    kind = "MSHOA" if forward.include_coupling else "Single"
-    return Encoder(kind=kind, forward=forward.matrix, sigma=sigma, k=forward.scene.k, n_out=forward.scene.n_in)
+    return Encoder(forward=forward.matrix, sigma=sigma, k=forward.scene.k, n_out=forward.scene.n_in)

@@ -11,13 +11,12 @@ from pathlib import Path
 import numpy as np
 
 from .basis import num_coeffs
-from .config import ExperimentConfig
-from .encode import hoa_encoder, mshoa_encoder
+from .config import ConfigError, ExperimentConfig
+from .encode import Encoder, hoa_encoder, mshoa_encoder
 from .fields import (
     ground_truth_field,
     reconstruct_field,
     regularization_search,
-    sdr_map,
     sphere_mask,
 )
 from .matio import (
@@ -51,13 +50,31 @@ class RunSummary:
     max_sdr_db: float
     mean_sdr_db: float
     wall_time_s: float
-    system_rcond: float | None
+    system_rcond: float | None  # of the coupled scattering system solved; None if none was
     config_hash: str
-    threads: int | None
     search: dict  # candidates in search order, the SSA of each, the chosen index, at_edge
 
 
-def _hoa_run(cfg: ExperimentConfig):
+@dataclass
+class _Encoding:
+    """A method's encoder, the capture it encodes and the candidates it searches."""
+
+    encoder: Encoder
+    pressures: np.ndarray
+    sigmas: list | None = None  # σ candidates (MSHOA, Single)
+    n_outs: list | None = None  # truncation candidates (HOA, at the fixed cfg.sigma)
+    center: tuple | np.ndarray = (0.0, 0.0, 0.0)  # expansion center of the coefficients
+    rcond: float | None = None  # of the coupled scattering system solved, if any
+
+
+def _full_capture(scene, points) -> tuple[np.ndarray, float]:
+    """Pressure at ``points`` with every sphere present, and the rcond of the coupled solve."""
+    a_in = scene.incident_coeffs()
+    sol = forward_solve(scene, a_in)
+    return eval_total_field(scene, sol, a_in, points), sol.rcond
+
+
+def _hoa_encoding(cfg: ExperimentConfig) -> _Encoding:
     """Conventional encoding of one array's capsules within the full scene.
 
     The capsule pressures are the physical capture (all spheres present, full
@@ -72,18 +89,14 @@ def _hoa_run(cfg: ExperimentConfig):
             np.argmin([np.linalg.norm(s.center) for s in scene.spheres])
         )
     sphere = scene.spheres[idx]
-    truth = ground_truth_field(scene.source, k, cfg.grid)
-    mask = sphere_mask(cfg.grid, scene.spheres)
 
     if scene.num_spheres == 1:
         # lone array: use a generous reference expansion for the capture
         n_ref = cfg.hoa.n_c_max + max(12, int(np.ceil(np.e * k * sphere.radius)))
         a_ref = scene.source.coefficients(k, n_ref, center=sphere.center)
-        pressures = surface_response_matrix(sphere, k, n_ref) @ a_ref.values
+        pressures, rcond = surface_response_matrix(sphere, k, n_ref) @ a_ref.values, None
     else:
-        a_in = scene.incident_coeffs()
-        sol = forward_solve(scene, a_in)
-        pressures = eval_total_field(scene, sol, a_in, sphere.capsule_positions())
+        pressures, rcond = _full_capture(scene, sphere.capsule_positions())
 
     if cfg.hoa.n_c is not None:
         candidates = [cfg.hoa.n_c]
@@ -91,28 +104,24 @@ def _hoa_run(cfg: ExperimentConfig):
         candidates = list(range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1))  # ties go to the smaller n_c
     # one encoder at the largest n_c: the first (n_c+1)^2 columns of its response are the response at n_c
     encoder = hoa_encoder(sphere, k, max(candidates), cfg.sigma)
-    block = encoder.apply(pressures, n_outs=candidates)
-    search = regularization_search(
-        candidates, block, truth, mask=mask, threshold=cfg.threshold_db, center=sphere.center
-    )
-    coeffs = block.column(search.index, n_max=search.chosen)
-    estimated = reconstruct_field(coeffs, k, cfg.grid, center=sphere.center)
-    return truth, estimated, search, coeffs, cfg.sigma, search.chosen, None
+    return _Encoding(encoder, pressures, n_outs=candidates, center=sphere.center, rcond=rcond)
 
 
-def _grid_run(cfg: ExperimentConfig, forward: ForwardOperator):
-    """Single-scattering or full multiple-scattering encoding of the true capture."""
+def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward) -> _Encoding:
+    """Full multiple-scattering (MSHOA) or single-scattering encoding of the true capture.
+
+    MSHOA reads the capture off the T_F it inverts; Single inverts the
+    uncoupled operator, so it takes the capture from one coupled vector solve.
+    """
     scene = cfg.scene
-    k = scene.k
-    truth = ground_truth_field(scene.source, k, cfg.grid)
-    mask = sphere_mask(cfg.grid, scene.spheres)
-    a_in = scene.incident_coeffs()
-    pressures = forward.apply(a_in)
-
-    if cfg.method == "Single":
-        model = forward_operator(scene, include_coupling=False)
+    if cfg.method == "MSHOA":
+        model = forward_operator(scene) if import_forward is None else _import_forward(cfg, import_forward)
+        if export_forward is not None:
+            export_matrix(export_forward, model.matrix)
+        pressures, rcond = model.apply(scene.incident_coeffs()), model.rcond
     else:
-        model = forward
+        model = forward_operator(scene, include_coupling=False)
+        pressures, rcond = _full_capture(scene, scene.capsule_positions())
 
     encoder = mshoa_encoder(model)
     if cfg.sigma is not None:
@@ -123,11 +132,7 @@ def _grid_run(cfg: ExperimentConfig, forward: ForwardOperator):
             np.log10(factors.min_factor), np.log10(factors.max_factor), factors.points
         )
         candidates = sorted(map(float, grid), reverse=True)  # ties go to the larger, more stable sigma
-    block = encoder.apply(pressures, sigmas=candidates)
-    search = regularization_search(candidates, block, truth, mask=mask, threshold=cfg.threshold_db)
-    coeffs = block.column(search.index)
-    estimated = reconstruct_field(coeffs, k, cfg.grid)
-    return truth, estimated, search, coeffs, search.chosen, None, model.rcond
+    return _Encoding(encoder, pressures, sigmas=candidates, rcond=rcond)
 
 
 def _import_forward(cfg: ExperimentConfig, path) -> ForwardOperator:
@@ -139,37 +144,44 @@ def _import_forward(cfg: ExperimentConfig, path) -> ForwardOperator:
             f"{path}: forward matrix has shape {matrix.shape}, the scene needs "
             f"{expected} (capsules x incident coefficients)"
         )
-    return ForwardOperator(scene=cfg.scene, matrix=matrix, include_coupling=True)
+    return ForwardOperator(scene=cfg.scene, matrix=matrix)
 
 
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir,
-    threads: int | None = None,
     export_forward=None,
     import_forward=None,
     dump_coeffs: bool = False,
 ) -> RunSummary:
     """Run one configured experiment and write all output artifacts.
 
-    The ``threads`` hint is written to ``summary.json`` but does not influence
-    any numeric path, so identical configurations produce bit-identical grids.
+    ``export_forward`` / ``import_forward`` save and reuse MSHOA's forward
+    operator T_F; other methods encode with no such matrix and reject them.
     """
     t0 = time.perf_counter()
+    if cfg.method != "MSHOA" and (export_forward, import_forward) != (None, None):
+        raise ConfigError(f"only MSHOA exports or imports a forward operator, not {cfg.method}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash
+    scene = cfg.scene
 
+    truth = ground_truth_field(scene.source, scene.k, cfg.grid)
+    mask = sphere_mask(cfg.grid, scene.spheres)
     if cfg.method == "HOA":
-        truth, estimated, search, coeffs, sigma, n_c, rcond = _hoa_run(cfg)
+        enc = _hoa_encoding(cfg)
     else:
-        if import_forward is not None:
-            forward = _import_forward(cfg, import_forward)
-        else:
-            forward = forward_operator(cfg.scene, include_coupling=True)
-        if export_forward is not None:
-            export_matrix(export_forward, forward.matrix)
-        truth, estimated, search, coeffs, sigma, n_c, rcond = _grid_run(cfg, forward)
+        enc = _grid_encoding(cfg, export_forward, import_forward)
+    by_degree = enc.n_outs is not None
+    block = enc.encoder.apply(enc.pressures, sigmas=enc.sigmas, n_outs=enc.n_outs)
+    candidates = enc.n_outs if by_degree else enc.sigmas
+    search = regularization_search(
+        candidates, block, truth, mask=mask, threshold=cfg.threshold_db, center=enc.center
+    )
+    coeffs = block.column(search.index, n_max=search.chosen if by_degree else None)
+    estimated = reconstruct_field(coeffs, scene.k, cfg.grid, center=enc.center)
+    sigma, n_c = (cfg.sigma, search.chosen) if by_degree else (search.chosen, None)
 
     write_field_csv(out / "ground_truth.csv", truth, chash)
     write_field_csv(out / "estimated.csv", estimated, chash)
@@ -191,9 +203,8 @@ def run_experiment(
         max_sdr_db=float(unmasked.max()),
         mean_sdr_db=float(unmasked.mean()),
         wall_time_s=time.perf_counter() - t0,
-        system_rcond=None if rcond is None or not np.isfinite(rcond) else float(rcond),
+        system_rcond=enc.rcond,
         config_hash=chash,
-        threads=threads,
         search={
             "candidates": search.candidates,
             "ssa": search.ssa,

@@ -31,9 +31,8 @@ class SolverError(RuntimeError):
 
 @dataclass
 class ScatterSolution:
-    """Per-sphere local incident (A) and radiating (B) coefficients."""
+    """Per-sphere radiating (B) coefficients of a coupled solve."""
 
-    incident: list[CoefficientVector]
     radiating: list[CoefficientVector]
     residual: float
     rcond: float
@@ -45,8 +44,7 @@ class ForwardOperator:
 
     scene: SceneConfig
     matrix: np.ndarray = field(repr=False)
-    include_coupling: bool = True
-    rcond: float = np.nan
+    rcond: float | None = None  # of the coupled system solved to build it; None if none was
 
     def apply(self, coeffs: CoefficientVector) -> np.ndarray:
         if coeffs.n_max != self.scene.n_in:
@@ -98,8 +96,8 @@ def single_sphere_total_field(
     return reg @ coeffs.values + sing @ (gain * coeffs.values)
 
 
-def assemble_system_matrix(scene: SceneConfig, include_coupling: bool = True) -> np.ndarray:
-    """Block system relating local incident to radiating coefficients, A' = S B'.
+def assemble_system_matrix(scene: SceneConfig) -> np.ndarray:
+    """Coupled block system relating local incident to radiating coefficients, A' = S B'.
 
     Diagonal blocks are diag(-h'_n(ka_s)/j'_n(ka_s)); the (s, t) off-diagonal
     block is minus the singular-to-regular translation from sphere t to s.
@@ -111,16 +109,13 @@ def assemble_system_matrix(scene: SceneConfig, include_coupling: bool = True) ->
     lf = num_coeffs(n_fwd)
     ns = scene.num_spheres
     out = np.zeros((ns * lf, ns * lf), dtype=complex)
-    for s, sph in enumerate(scene.spheres):
-        diag = 1.0 / rigid_scatter_gain(k, sph.radius, n_fwd)
-        out[s * lf : (s + 1) * lf, s * lf : (s + 1) * lf] = np.diag(diag)
-    if include_coupling:
-        for s, sph_s in enumerate(scene.spheres):
-            for t, sph_t in enumerate(scene.spheres):
-                if s == t:
-                    continue
-                tsr = sr_translation(sph_s.center - sph_t.center, k, n_fwd, n_fwd)
-                out[s * lf : (s + 1) * lf, t * lf : (t + 1) * lf] = -tsr.entries
+    for s, sph_s in enumerate(scene.spheres):
+        for t, sph_t in enumerate(scene.spheres):
+            block = out[s * lf : (s + 1) * lf, t * lf : (t + 1) * lf]
+            if s == t:
+                block[np.diag_indices(lf)] = 1.0 / rigid_scatter_gain(k, sph_s.radius, n_fwd)
+            else:
+                block[:] = -sr_translation(sph_s.center - sph_t.center, k, n_fwd, n_fwd).entries
     return out
 
 
@@ -134,7 +129,9 @@ def _local_incident_matrices(scene: SceneConfig) -> list[np.ndarray]:
     ]
 
 
-def _factor_system(system: np.ndarray):
+def _solve_coupled(scene: SceneConfig, a_local: np.ndarray):
+    """Solve the coupled system for local incident ``a_local``: (system, solution, rcond)."""
+    system = assemble_system_matrix(scene)
     try:
         lu, piv = sla.lu_factor(system)
     except Exception as exc:  # LAPACK failures surface as generic errors
@@ -145,34 +142,23 @@ def _factor_system(system: np.ndarray):
     if info != 0 or not np.isfinite(rcond) or rcond == 0.0:
         raise SolverError(f"system matrix is numerically singular (rcond={rcond})")
     log.info("system matrix size %d, rcond estimate %.3e", system.shape[0], rcond)
-    return lu, piv, float(rcond)
+    return system, sla.lu_solve((lu, piv), a_local), float(rcond)
 
 
-def forward_solve(
-    scene: SceneConfig, a_in: CoefficientVector, include_coupling: bool = True
-) -> ScatterSolution:
+def forward_solve(scene: SceneConfig, a_in: CoefficientVector) -> ScatterSolution:
     """Solve the coupled scattering problem for one incident expansion."""
     if a_in.n_max != scene.n_in:
         raise ValueError(f"incident coefficients must be truncated at {scene.n_in}")
-    k = scene.k
-    lf = num_coeffs(scene.n_fwd)
-    locmats = _local_incident_matrices(scene)
-    a_local = np.concatenate([m @ a_in.values for m in locmats])
-    system = assemble_system_matrix(scene, include_coupling=include_coupling)
-    lu, piv, rcond = _factor_system(system)
-    b_all = sla.lu_solve((lu, piv), a_local)
+    a_local = np.concatenate([m @ a_in.values for m in _local_incident_matrices(scene)])
+    system, b_all, rcond = _solve_coupled(scene, a_local)
     res = np.linalg.norm(a_local - system @ b_all)
     scale = np.linalg.norm(a_local)
     residual = res / scale if scale > 0 else res
-    inc = [
-        CoefficientVector(k=k, n_max=scene.n_fwd, values=a_local[s * lf : (s + 1) * lf])
-        for s in range(scene.num_spheres)
-    ]
     rad = [
-        CoefficientVector(k=k, n_max=scene.n_fwd, values=b_all[s * lf : (s + 1) * lf])
-        for s in range(scene.num_spheres)
+        CoefficientVector(k=scene.k, n_max=scene.n_fwd, values=b)
+        for b in np.split(b_all, scene.num_spheres)
     ]
-    return ScatterSolution(incident=inc, radiating=rad, residual=residual, rcond=rcond)
+    return ScatterSolution(radiating=rad, residual=residual, rcond=rcond)
 
 
 def _check_exterior(scene: SceneConfig, points: np.ndarray):
@@ -223,12 +209,19 @@ def eval_radial_derivative(
 
 
 def forward_operator(scene: SceneConfig, include_coupling: bool = True) -> ForwardOperator:
-    """Assemble the dense capsule-pressure response to every incident basis."""
+    """Assemble the dense capsule-pressure response to every incident basis.
+
+    Without coupling each sphere scatters its local incident field alone: its
+    T-matrix (the diagonal ``rigid_scatter_gain``) times its local incident
+    coefficients, with no system to solve (Gumerov & Duraiswami, 2004, ch. 4).
+    """
     k = scene.k
-    a_local_all = np.vstack(_local_incident_matrices(scene))  # (N_S * L_fwd, L_in)
-    system = assemble_system_matrix(scene, include_coupling=include_coupling)
-    lu, piv, rcond = _factor_system(system)
-    b_all = sla.lu_solve((lu, piv), a_local_all)
+    if include_coupling:
+        _, b_all, rcond = _solve_coupled(scene, np.vstack(_local_incident_matrices(scene)))
+    else:
+        gains = [rigid_scatter_gain(k, sph.radius, scene.n_fwd) for sph in scene.spheres]
+        b_all = np.vstack([g[:, None] * m for g, m in zip(gains, _local_incident_matrices(scene))])
+        rcond = None
 
     caps = scene.capsule_positions()
     sing = np.hstack(
@@ -238,4 +231,4 @@ def forward_operator(scene: SceneConfig, include_coupling: bool = True) -> Forwa
         ]
     )  # (Q_total, N_S * L_fwd)
     matrix = sing @ b_all + regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0])
-    return ForwardOperator(scene=scene, matrix=matrix, include_coupling=include_coupling, rcond=rcond)
+    return ForwardOperator(scene=scene, matrix=matrix, rcond=rcond)

@@ -132,11 +132,12 @@ def test_config_rejections():
         (MINIMAL + "grid: {plain: xz}\n", "plain"),
         (MINIMAL + "sigma_search: {points: 3, max: 10}\n", "'max'"),
         (MINIMAL + "hoa: {nc: 3}\n", "'nc'"),
+        (MINIMAL + "threads: 2\n", "'threads'"),
     ]:
         with pytest.raises(ConfigError, match=msg):
             validate_config(text)
-    # output paths and the threads hint stay accepted (hash_config ignores them)
-    validate_config(MINIMAL + "output: out\nthreads: 2\n")
+    # output paths stay accepted (hash_config ignores them)
+    validate_config(MINIMAL + "output: out\n")
 
 
 def test_spheres_and_layout_are_exclusive():
@@ -159,10 +160,10 @@ def test_monopole_inside_sphere_rejected():
         )
 
 
-def test_hash_ignores_output_and_threads():
+def test_hash_ignores_output():
     raw = {"scene": {"frequency": 2000}, "method": "MSHOA"}
     h = hash_config(raw)
-    assert h == hash_config({**raw, "output": "/somewhere", "threads": 8})
+    assert h == hash_config({**raw, "output": "/somewhere"})
     assert h != hash_config({**raw, "method": "Single"})
     assert len(h) == 16
 

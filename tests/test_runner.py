@@ -26,6 +26,7 @@ grid: {plane: xy, extent: [0.8, 0.8], resolution: 0.05}
 """
 
 TINY_HOA = TINY.replace("method: MSHOA\nsigma: 1e-9", "method: HOA\nhoa: {n_c: 4}")
+TINY_SINGLE = TINY.replace("method: MSHOA", "method: Single")
 
 LONE_HOA = """
 scene:
@@ -63,7 +64,7 @@ def test_run_writes_all_artifacts(tmp_path):
     meta = json.loads((out / "summary.json").read_text())
     assert meta["ssa"] == summary.ssa
     assert meta["config_hash"] == cfg.config_hash
-    assert meta["threads"] is None
+    assert "threads" not in meta
     coeffs = import_matrix(out / "coefficients.bin")
     assert coeffs.shape == (1, (cfg.scene.n_in + 1) ** 2)
     grid, header = read_field_csv(out / "estimated.csv")
@@ -92,11 +93,11 @@ def test_hoa_run_searches_lone_sphere_truncation(tmp_path):
         assert searched.ssa >= run_experiment(fixed, tmp_path / str(n_c)).ssa
 
 
-def test_determinism_across_thread_hints(tmp_path):
+def test_determinism_across_reruns(tmp_path):
     cfg = validate_config(TINY)
     a, b = tmp_path / "a", tmp_path / "b"
-    run_experiment(cfg, a, threads=1)
-    run_experiment(cfg, b, threads=8)
+    run_experiment(cfg, a)
+    run_experiment(cfg, b)
     fa, fb = _artifacts(a), _artifacts(b)
     for name in ("ground_truth.csv", "estimated.csv", "sdr_map.csv"):
         assert fa[name] == fb[name]
@@ -113,6 +114,51 @@ def test_forward_export_import_reuse(tmp_path):
     assert _artifacts(out1)["sdr_map.csv"] == _artifacts(out2)["sdr_map.csv"]
 
 
+def test_single_run_builds_only_the_uncoupled_operator(tmp_path, monkeypatch):
+    from mshoa import runner
+
+    calls = {"forward_operator": [], "forward_solve": 0}
+    build, solve = runner.forward_operator, runner.forward_solve
+
+    def counting_build(scene, include_coupling=True):
+        calls["forward_operator"].append(include_coupling)
+        return build(scene, include_coupling=include_coupling)
+
+    def counting_solve(scene, a_in):
+        calls["forward_solve"] += 1
+        return solve(scene, a_in)
+
+    monkeypatch.setattr(runner, "forward_operator", counting_build)
+    monkeypatch.setattr(runner, "forward_solve", counting_solve)
+    run_experiment(validate_config(TINY_SINGLE), tmp_path / "out")
+    assert calls == {"forward_operator": [False], "forward_solve": 1}
+
+
+def test_system_rcond_is_the_coupled_system_of_every_method(tmp_path):
+    mshoa = run_experiment(validate_config(TINY), tmp_path / "mshoa").system_rcond
+    assert mshoa > 0
+    assert run_experiment(validate_config(TINY_SINGLE), tmp_path / "single").system_rcond == mshoa
+    assert run_experiment(validate_config(TINY_HOA), tmp_path / "hoa").system_rcond == mshoa
+    # a lone array's HOA capture solves no system
+    assert run_experiment(validate_config(LONE_HOA), tmp_path / "lone").system_rcond is None
+
+
+@pytest.mark.parametrize("text", [TINY_HOA, TINY_SINGLE], ids=["HOA", "Single"])
+def test_forward_export_import_is_mshoa_only(tmp_path, text):
+    runner = CliRunner()
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(text)
+    matrix = tmp_path / "forward.bin"
+    export_matrix(matrix, np.ones((80, 81), complex))  # TINY's T_F shape
+    for flag, path in (("--export-forward", tmp_path / "new.bin"), ("--import-forward", matrix)):
+        out = tmp_path / flag.strip("-")
+        res = runner.invoke(main, ["run", str(cfg_path), "--out", str(out), flag, str(path)])
+        assert res.exit_code == 2, res.output
+        assert "config error" in res.output
+        assert not (out / "summary.json").exists()
+    assert not (tmp_path / "new.bin").exists()
+
+
 def test_cli_validate_and_run(tmp_path):
     runner = CliRunner()
     cfg_path = tmp_path / "cfg.yaml"
@@ -122,12 +168,10 @@ def test_cli_validate_and_run(tmp_path):
     assert res.exit_code == 0
     assert "ok: MSHOA, 2 spheres" in res.output
 
-    res = runner.invoke(
-        main, ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--threads", "2"]
-    )
+    res = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "out")])
     assert res.exit_code == 0, res.output
     assert "MSHOA @ 1000 Hz" in res.output
-    assert json.loads((tmp_path / "out" / "summary.json").read_text())["threads"] == 2
+    assert "threads" not in json.loads((tmp_path / "out" / "summary.json").read_text())
 
 
 def test_cli_rejects_bad_config(tmp_path):

@@ -137,14 +137,38 @@ def test_widely_separated_spheres_decouple():
     assert rel < 1e-6
 
 
-def test_uncoupled_system_is_block_diagonal():
+def _reference_operator(scene, system, a_local):
+    """Capsule pressures per incident basis from a dense solve of ``system``."""
+    import scipy.linalg as sla
+
+    from mshoa.basis import singular_basis_matrix
+
+    b_all = sla.solve(system, a_local)
+    caps = scene.capsule_positions()
+    sing = np.hstack(
+        [singular_basis_matrix(scene.n_fwd, scene.k, caps, s.center) for s in scene.spheres]
+    )
+    return sing @ b_all + regular_basis_matrix(scene.n_in, scene.k, caps, [0.0, 0.0, 0.0])
+
+
+def test_uncoupled_operator_matches_the_diagonal_system_solve():
+    """Each sphere's T-matrix times its local incident coefficients gives the
+    operator that solving the block-diagonal system diag(1/gain) B = A gives."""
+    from mshoa.translation import rr_translation
+
     scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]])
-    s = assemble_system_matrix(scene, include_coupling=False)
-    lf = num_coeffs(scene.n_fwd)
-    assert not s[:lf, lf:].any() and not s[lf:, :lf].any()
-    sc = assemble_system_matrix(scene, include_coupling=True)
-    assert sc[:lf, lf:].any()
-    np.testing.assert_array_equal(np.diag(s), np.diag(sc))
+    k = scene.k
+    a_local = np.vstack(
+        [rr_translation(s.center, k, scene.n_in, scene.n_fwd).entries for s in scene.spheres]
+    )
+    system = np.diag(
+        np.concatenate([1.0 / rigid_scatter_gain(k, s.radius, scene.n_fwd) for s in scene.spheres])
+    )
+    reference = _reference_operator(scene, system, a_local)
+    op = forward_operator(scene, include_coupling=False)
+    assert np.max(np.abs(op.matrix - reference)) / np.max(np.abs(reference)) <= 1e-13
+    assert op.rcond is None  # no system was solved
+    assert forward_operator(scene).rcond > 0
 
 
 def test_forward_operator_matches_solve_route(rng):
@@ -162,9 +186,6 @@ def test_forward_operator_matches_solve_route(rng):
 def test_local_incident_at_forward_degree_matches_truncated_build():
     """Building each sphere's R|R at n_fwd gives the operator that building it
     at n_in and keeping the first (n_fwd+1)^2 rows gives."""
-    import scipy.linalg as sla
-
-    from mshoa.basis import singular_basis_matrix
     from mshoa.translation import rr_translation
 
     scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], n_in=16, n_fwd=12)
@@ -172,10 +193,7 @@ def test_local_incident_at_forward_degree_matches_truncated_build():
     a_local = np.vstack(
         [rr_translation(s.center, k, scene.n_in, scene.n_in).entries[:lf] for s in scene.spheres]
     )
-    b_all = sla.solve(assemble_system_matrix(scene), a_local)
-    caps = scene.capsule_positions()
-    sing = np.hstack([singular_basis_matrix(scene.n_fwd, k, caps, s.center) for s in scene.spheres])
-    reference = sing @ b_all + regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0])
+    reference = _reference_operator(scene, assemble_system_matrix(scene), a_local)
     matrix = forward_operator(scene).matrix
     assert np.max(np.abs(matrix - reference)) / np.max(np.abs(reference)) < 1e-10
 
