@@ -186,23 +186,21 @@ def sph_harm_matrix(n_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarra
     """All Y_n^m up to degree n_max at the given angles.
 
     Returns shape (P, (n_max+1)^2) for flat angle arrays of length P, flat
-    index l = n^2 + n + m along the last axis.
+    index l = n^2 + n + m along the last axis.  Each degree is filled in two
+    slices: m >= 0 from the Legendre rows t(n, 0..n) times e^{i m phi}, and
+    m < 0 from the same rows reversed times (-1)^m e^{-i m phi}.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    pbar = norm_legendre_triangle(n_max, np.cos(theta))
-    expp = np.exp(1j * np.outer(np.arange(n_max + 1), phi))  # (m, P)
+    pbar = norm_legendre_triangle(n_max, np.cos(theta)).T  # (P, T)
+    orders = np.arange(n_max + 1)
+    expp = np.exp(1j * np.outer(phi, orders))  # (P, m)
+    expn = expp.conj() * np.where(orders % 2, -1.0, 1.0)  # (-1)^m e^{-i m phi}
     out = np.empty((theta.size, num_coeffs(n_max)), dtype=complex)
     for n in range(n_max + 1):
-        base = n * (n + 1) // 2
-        for m in range(0, n + 1):
-            pos = pbar[base + m] * expp[m]
-            out[:, pack_index(n, m)] = pos
-            if m > 0:
-                neg = pbar[base + m] * np.conj(expp[m])
-                if m % 2:
-                    neg = -neg
-                out[:, pack_index(n, -m)] = neg
+        t, l = n * (n + 1) // 2, n * n + n  # Legendre row and flat index of (n, 0)
+        np.multiply(pbar[:, t : t + n + 1], expp[:, : n + 1], out=out[:, l : l + n + 1])
+        np.multiply(pbar[:, t + n : t : -1], expn[:, n:0:-1], out=out[:, n * n : l])
     return out
 
 
@@ -244,6 +242,48 @@ def regular_basis_matrix(n_max: int, k: float, points: np.ndarray, center) -> np
     for n in range(n_max + 1):  # in place, one degree at a time: no second (P, L) buffer
         ymat[:, n * n : (n + 1) ** 2] *= jr[n][:, None]
     return ymat
+
+
+def regular_real_table(n_max: int, k: float, points: np.ndarray, center) -> np.ndarray:
+    """Real regular basis rows about ``center``, shape ((n_max+1)(n_max+2), P).
+
+    With T = (n_max+1)(n_max+2)/2, row t = n(n+1)/2 + m (0 <= m <= n) holds
+    j_n(kr) Pbar_n^m(cos theta) cos(m phi) and row T + t the same product
+    with sin(m phi).  ``table.T @ real_table_weights(c, n_max)`` equals
+    ``regular_basis_matrix(...) @ c`` at half the entries of the complex
+    basis, because R_n^m and R_n^{-m} share their real factors.
+    """
+    rel = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center, float)
+    r, theta, phi = cart_to_sph(rel)
+    radial_legendre = norm_legendre_triangle(n_max, np.cos(theta))  # (T, P), scaled by j_n below
+    radii, at = np.unique(k * r, return_inverse=True)  # a pixel grid repeats its radii
+    jr = spherical_jn(np.arange(n_max + 1)[:, None], radii[None, :])[:, at]  # (n, P)
+    angles = np.outer(np.arange(n_max + 1), phi)  # (m, P)
+    cos, sin = np.cos(angles), np.sin(angles)
+    half = radial_legendre.shape[0]
+    table = np.empty((2 * half, r.size))
+    for n in range(n_max + 1):
+        rows = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
+        radial_legendre[rows] *= jr[n]
+        np.multiply(radial_legendre[rows], cos[: n + 1], out=table[rows])
+        np.multiply(radial_legendre[rows], sin[: n + 1], out=table[half:][rows])
+    return table
+
+
+def real_table_weights(values: np.ndarray, n_max: int) -> np.ndarray:
+    """Complex weights, shape ((n_max+1)(n_max+2), n), of the rows of :func:`regular_real_table`.
+
+    For 0 <= m <= n the cosine row of (n, m) weighs
+    u = c_{n,m} + (-1)^m c_{n,-m} and the sine row i w with
+    w = c_{n,m} - (-1)^m c_{n,-m}, m = 0 counted once (u = c_{n,0}).
+    ``values`` is a coefficient vector or an (L, n) block of them.
+    """
+    block = np.asarray(values, dtype=complex).reshape(num_coeffs(n_max), -1)
+    n = np.repeat(np.arange(n_max + 1), np.arange(1, n_max + 2))
+    m = np.arange(n.size) - n * (n + 1) // 2
+    positive = block[n * n + n + m]
+    negative = (np.where(m % 2, -1.0, 1.0) * (m > 0))[:, None] * block[n * n + n - m]
+    return np.concatenate([positive + negative, 1j * (positive - negative)])
 
 
 def singular_basis_matrix(n_max: int, k: float, points: np.ndarray, center) -> np.ndarray:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import zhemv, zherk
 
 from .basis import CoefficientVector, num_coeffs
 from .scatter import ForwardOperator, surface_response_matrix
@@ -23,34 +24,59 @@ class EncoderError(RuntimeError):
 class Encoder:
     """Ridge regression from capsule pressures to the coefficients of a forward model F.
 
-    The Gram matrix FᴴF is formed once.  Each σ > 0 then costs one Cholesky
-    factorisation of FᴴF + σI and one solve with the right-hand side Fᴴp
-    (Tikhonov normal equations; Hansen, *Rank-Deficient and Discrete
-    Ill-Posed Problems*, 1998); σ = 0 is the minimum-norm least-squares
-    solution pinv(F) p.  No capsules-to-coefficients matrix is formed.
+    A σ > 0 candidate of degree n inverts F_s, the first s = (n+1)² columns of
+    F, on the smaller side of its Tikhonov normal equations (Hansen,
+    *Rank-Deficient and Discrete Ill-Posed Problems*, 1998):
+    (F_sᴴF_s + σI)⁻¹F_sᴴp, or, when F_s has fewer rows (capsules) than
+    columns, the same estimate F_sᴴ(F_sF_sᴴ + σI)⁻¹p by the push-through
+    identity (Golub & Van Loan, *Matrix Computations*, §6.1).  Each Gram is
+    formed once, on first use, by one Hermitian rank-k update, and each σ then
+    costs one Cholesky factorisation.  σ = 0 is the minimum-norm least-squares
+    solution pinv(F_s) p and forms no Gram.  No capsules-to-coefficients
+    matrix is formed.
     """
 
     forward: np.ndarray = field(repr=False)  # F, capsules x (n_out+1)^2
     sigma: float = 0.0
     k: float = 0.0
     n_out: int = 0
-    gram: np.ndarray = field(init=False, repr=False)
+    # conj(FᴴF) under None, conj(F_sF_sᴴ) under s; upper triangles only
+    _grams: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("regularization must be non-negative")
-        self.gram = self.forward.conj().T @ self.forward
+
+    def _gram(self, size: int) -> tuple[bool, np.ndarray]:
+        """Whether F_s = F[:, :size] is solved on its dual side, and that side's Gram.
+
+        The one place the side is chosen: dual when F_s has fewer rows than
+        columns.  Both Grams are conjugated, because ``zherk`` reads F's
+        row-major memory as the column-major Fᵀ without a copy; only their
+        upper triangles are filled.
+        """
+        dual = self.forward.shape[0] < size
+        key = size if dual else None
+        if key not in self._grams:
+            if dual:  # conj(F_s) F_sᵀ
+                self._grams[key] = zherk(1.0, self.forward[:, :size].T, trans=2)
+            else:  # Fᵀ conj(F)
+                self._grams[key] = zherk(1.0, self.forward.T, trans=0)
+        gram = self._grams[key]
+        return dual, gram if dual else gram[:size, :size]
 
     @property
     def scale(self) -> float:
-        """‖F‖₂², the largest eigenvalue of FᴴF: the unit of a σ search grid."""
-        size = self.gram.shape[0]
+        """‖F‖₂², the largest eigenvalue of FᴴF and of FFᴴ: the unit of a σ search grid."""
+        _, gram = self._gram(self.forward.shape[1])  # the Gram a full-degree σ > 0 solve uses
+        size = gram.shape[0]
         if size < 3:  # below ARPACK's smallest complex problem
-            return float(sla.eigvalsh(self.gram)[-1])
-        from scipy.sparse.linalg import eigsh  # ~40 ms to import; only a σ search needs it
+            return float(sla.eigvalsh(gram, lower=False)[-1])
+        from scipy.sparse.linalg import LinearOperator, eigsh  # ~40 ms to import; only a σ search needs it
 
+        hermitian = LinearOperator(gram.shape, matvec=lambda x: zhemv(1.0, gram, x), dtype=complex)
         start = np.random.default_rng(0).standard_normal(size)  # reproducible
-        return float(eigsh(self.gram, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)[0])
+        return float(eigsh(hermitian, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)[0])
 
     def apply(self, pressures: np.ndarray, sigmas=None, n_outs=None) -> CoefficientVector:
         """Coefficients of ``pressures``; an (L, n) block when candidates are listed.
@@ -75,20 +101,27 @@ class Encoder:
             raise ValueError("regularization must be non-negative")
         if np.any(n_outs < 0) or np.any(n_outs > self.n_out):
             raise ValueError(f"candidate truncation outside 0..{self.n_out}")
-        rhs = (pressures.conj() @ self.forward).conj()  # Fᴴp without a conjugated copy of F
+        conj_p = pressures.conj()
         block = np.zeros((num_coeffs(self.n_out), sigmas.size), dtype=complex)
         for j, (sigma, n) in enumerate(zip(sigmas, n_outs)):
             size = num_coeffs(n)
+            f_s = self.forward[:, :size]
             if sigma == 0.0:
-                block[:size, j] = np.linalg.pinv(self.forward[:, :size]) @ pressures
+                block[:size, j] = np.linalg.pinv(f_s) @ pressures
                 continue
-            normal = self.gram[:size, :size].copy()
-            normal[np.diag_indices(size)] += sigma
+            dual, gram = self._gram(size)
+            normal = np.array(gram, order="F")
+            normal[np.diag_indices(normal.shape[0])] += sigma
             try:
                 factor = sla.cho_factor(normal, overwrite_a=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise EncoderError(f"normal-equations factorisation failed: {exc}")
-            block[:size, j] = sla.cho_solve(factor, rhs[:size], check_finite=False)
+            # the Grams are conjugated, so each solve runs on conjugates: conj(x) = Fᵀ conj(y), etc.
+            if dual:
+                conj_x = sla.cho_solve(factor, conj_p, check_finite=False) @ f_s
+            else:
+                conj_x = sla.cho_solve(factor, conj_p @ f_s, check_finite=False)
+            block[:size, j] = conj_x.conj()
         return CoefficientVector(k=self.k, n_max=self.n_out, values=block if listed else block[:, 0])
 
 

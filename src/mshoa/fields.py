@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import CoefficientVector, regular_basis_matrix
+from .basis import CoefficientVector, real_table_weights, regular_real_table
 from .scene import IncidentSource, RsmaSpec
 
 SDR_CAP_DB = 150.0
@@ -100,18 +100,20 @@ def reconstruct_field(
 ) -> FieldGrid | list[FieldGrid]:
     """Evaluate the regular-basis series of ``coeffs`` at every pixel center.
 
-    A coefficient block gives one grid per column, from a single basis pass:
-    each pixel chunk's basis is evaluated once and multiplied by the block.
+    The coefficients are folded once into real-table weights
+    (:func:`~mshoa.basis.real_table_weights`), and each chunk of pixels is one
+    real table (:func:`~mshoa.basis.regular_real_table`) times those weights,
+    in one real matrix product.  A coefficient block gives one grid per
+    column from that single pass.
     """
     pts = spec.points()
-    out = np.empty((pts.shape[0],) + coeffs.values.shape[1:], dtype=complex)
+    weights = real_table_weights(coeffs.values, coeffs.n_max).view(float)  # real, imaginary interleaved
+    out = np.empty((pts.shape[0], weights.shape[1] // 2), dtype=complex)
     for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]
-        out[start : start + chunk] = (
-            regular_basis_matrix(coeffs.n_max, k, block, center) @ coeffs.values
-        )
-    if out.ndim == 1:
-        return FieldGrid(spec=spec, values=out.reshape(spec.shape))
+        table = regular_real_table(coeffs.n_max, k, pts[start : start + chunk], center)
+        np.matmul(table.T, weights, out=out[start : start + chunk].view(float))
+    if coeffs.values.ndim == 1:
+        return FieldGrid(spec=spec, values=out[:, 0].reshape(spec.shape))
     return [FieldGrid(spec=spec, values=column.reshape(spec.shape)) for column in out.T]
 
 

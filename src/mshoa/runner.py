@@ -28,6 +28,7 @@ from .matio import (
 )
 from .scatter import (
     ForwardOperator,
+    _local_incident_matrices,
     eval_total_field,
     forward_operator,
     forward_solve,
@@ -35,6 +36,8 @@ from .scatter import (
 )
 
 log = logging.getLogger(__name__)
+
+STAGES = ("forward", "encode", "search", "output")  # the steps of a run, timed in summary.json
 
 
 @dataclass
@@ -50,6 +53,7 @@ class RunSummary:
     max_sdr_db: float
     mean_sdr_db: float
     wall_time_s: float
+    stages: dict  # seconds spent in each of STAGES; they add up to wall_time_s
     system_rcond: float | None  # of the coupled scattering system solved; None if none was
     config_hash: str
     search: dict  # candidates in search order, the SSA of each, the chosen index, at_edge
@@ -61,16 +65,19 @@ class _Encoding:
 
     encoder: Encoder
     pressures: np.ndarray
-    sigmas: list | None = None  # σ candidates (MSHOA, Single)
+    sigmas: list | None = None  # fixed σ (MSHOA, Single); a search's grid needs the encoder's scale
     n_outs: list | None = None  # truncation candidates (HOA, at the fixed cfg.sigma)
     center: tuple | np.ndarray = (0.0, 0.0, 0.0)  # expansion center of the coefficients
     rcond: float | None = None  # of the coupled scattering system solved, if any
 
 
-def _full_capture(scene, points) -> tuple[np.ndarray, float]:
-    """Pressure at ``points`` with every sphere present, and the rcond of the coupled solve."""
+def _full_capture(scene, points, local=None) -> tuple[np.ndarray, float]:
+    """Pressure at ``points`` with every sphere present, and the rcond of the coupled solve.
+
+    ``local`` is the scene's per-sphere local incident maps, if already built.
+    """
     a_in = scene.incident_coeffs()
-    sol = forward_solve(scene, a_in)
+    sol = forward_solve(scene, a_in, _local=local)
     return eval_total_field(scene, sol, a_in, points), sol.rcond
 
 
@@ -119,20 +126,17 @@ def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward) -> _En
         if export_forward is not None:
             export_matrix(export_forward, model.matrix)
         pressures, rcond = model.apply(scene.incident_coeffs()), model.rcond
-    else:
-        model = forward_operator(scene, include_coupling=False)
-        pressures, rcond = _full_capture(scene, scene.capsule_positions())
+    else:  # the operator and the capture share each sphere's R|R
+        local = _local_incident_matrices(scene)
+        pressures, rcond = _full_capture(scene, scene.capsule_positions(), local)
+        model = forward_operator(scene, include_coupling=False, _local=local)
+    return _Encoding(mshoa_encoder(model), pressures, sigmas=None if cfg.sigma is None else [cfg.sigma], rcond=rcond)
 
-    encoder = mshoa_encoder(model)
-    if cfg.sigma is not None:
-        candidates = [cfg.sigma]
-    else:
-        factors = cfg.sigma_search
-        grid = encoder.scale * np.logspace(
-            np.log10(factors.min_factor), np.log10(factors.max_factor), factors.points
-        )
-        candidates = sorted(map(float, grid), reverse=True)  # ties go to the larger, more stable sigma
-    return _Encoding(encoder, pressures, sigmas=candidates, rcond=rcond)
+
+def _sigma_grid(search, encoder: Encoder) -> list[float]:
+    """A search's σ candidates, its factors times ‖F‖₂², largest (most stable) first: ties go to it."""
+    grid = encoder.scale * np.logspace(np.log10(search.min_factor), np.log10(search.max_factor), search.points)
+    return sorted(map(float, grid), reverse=True)
 
 
 def _import_forward(cfg: ExperimentConfig, path) -> ForwardOperator:
@@ -159,7 +163,7 @@ def run_experiment(
     ``export_forward`` / ``import_forward`` save and reuse MSHOA's forward
     operator T_F; other methods encode with no such matrix and reject them.
     """
-    t0 = time.perf_counter()
+    marks = [time.perf_counter()]  # the start, then the end of each of STAGES
     if cfg.method != "MSHOA" and (export_forward, import_forward) != (None, None):
         raise ConfigError(f"only MSHOA exports or imports a forward operator, not {cfg.method}")
     out = Path(out_dir)
@@ -173,15 +177,21 @@ def run_experiment(
         enc = _hoa_encoding(cfg)
     else:
         enc = _grid_encoding(cfg, export_forward, import_forward)
+    marks.append(time.perf_counter())
+
     by_degree = enc.n_outs is not None
-    block = enc.encoder.apply(enc.pressures, sigmas=enc.sigmas, n_outs=enc.n_outs)
-    candidates = enc.n_outs if by_degree else enc.sigmas
+    sigmas = enc.sigmas if cfg.sigma_search is None else _sigma_grid(cfg.sigma_search, enc.encoder)
+    block = enc.encoder.apply(enc.pressures, sigmas=sigmas, n_outs=enc.n_outs)
+    marks.append(time.perf_counter())
+
+    candidates = enc.n_outs if by_degree else sigmas
     search = regularization_search(
         candidates, block, truth, mask=mask, threshold=cfg.threshold_db, center=enc.center
     )
     coeffs = block.column(search.index, n_max=search.chosen if by_degree else None)
     estimated = reconstruct_field(coeffs, scene.k, cfg.grid, center=enc.center)
     sigma, n_c = (cfg.sigma, search.chosen) if by_degree else (search.chosen, None)
+    marks.append(time.perf_counter())
 
     write_field_csv(out / "ground_truth.csv", truth, chash)
     write_field_csv(out / "estimated.csv", estimated, chash)
@@ -189,6 +199,8 @@ def run_experiment(
     write_real_csv(out / "sdr_map.csv", report.sdr_map, cfg.grid, chash)
     if dump_coeffs:
         export_matrix(out / "coefficients.bin", coeffs.values[None, :])
+
+    marks.append(time.perf_counter())
 
     unmasked = report.sdr_map if report.mask is None else report.sdr_map[~report.mask]
     summary = RunSummary(
@@ -202,7 +214,8 @@ def run_experiment(
         threshold_db=cfg.threshold_db,
         max_sdr_db=float(unmasked.max()),
         mean_sdr_db=float(unmasked.mean()),
-        wall_time_s=time.perf_counter() - t0,
+        wall_time_s=marks[-1] - marks[0],
+        stages={stage: end - start for stage, start, end in zip(STAGES, marks, marks[1:])},
         system_rcond=enc.rcond,
         config_hash=chash,
         search={

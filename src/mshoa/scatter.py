@@ -145,11 +145,15 @@ def _solve_coupled(scene: SceneConfig, a_local: np.ndarray):
     return system, sla.lu_solve((lu, piv), a_local), float(rcond)
 
 
-def forward_solve(scene: SceneConfig, a_in: CoefficientVector) -> ScatterSolution:
-    """Solve the coupled scattering problem for one incident expansion."""
+def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None) -> ScatterSolution:
+    """Solve the coupled scattering problem for one incident expansion.
+
+    ``_local`` is the scene's per-sphere local incident maps when the caller
+    has already built them (:func:`_local_incident_matrices`).
+    """
     if a_in.n_max != scene.n_in:
         raise ValueError(f"incident coefficients must be truncated at {scene.n_in}")
-    a_local = np.concatenate([m @ a_in.values for m in _local_incident_matrices(scene)])
+    a_local = np.concatenate([m @ a_in.values for m in _local or _local_incident_matrices(scene)])
     system, b_all, rcond = _solve_coupled(scene, a_local)
     res = np.linalg.norm(a_local - system @ b_all)
     scale = np.linalg.norm(a_local)
@@ -208,27 +212,23 @@ def eval_radial_derivative(
     return complex(total @ direction)
 
 
-def forward_operator(scene: SceneConfig, include_coupling: bool = True) -> ForwardOperator:
+def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=None) -> ForwardOperator:
     """Assemble the dense capsule-pressure response to every incident basis.
 
     Without coupling each sphere scatters its local incident field alone: its
     T-matrix (the diagonal ``rigid_scatter_gain``) times its local incident
     coefficients, with no system to solve (Gumerov & Duraiswami, 2004, ch. 4).
+    ``_local`` is as in :func:`forward_solve`.
     """
     k = scene.k
+    # No large temporary outlives its use: not the stacked maps, the system or the singular basis.
     if include_coupling:
-        _, b_all, rcond = _solve_coupled(scene, np.vstack(_local_incident_matrices(scene)))
+        b_all, rcond = _solve_coupled(scene, np.vstack(_local or _local_incident_matrices(scene)))[1:]
     else:
-        gains = [rigid_scatter_gain(k, sph.radius, scene.n_fwd) for sph in scene.spheres]
-        b_all = np.vstack([g[:, None] * m for g, m in zip(gains, _local_incident_matrices(scene))])
-        rcond = None
-
+        gains = np.concatenate([rigid_scatter_gain(k, sph.radius, scene.n_fwd) for sph in scene.spheres])
+        b_all, rcond = np.vstack(_local or _local_incident_matrices(scene)), None
+        np.multiply(gains[:, None], b_all, out=b_all)
     caps = scene.capsule_positions()
-    sing = np.hstack(
-        [
-            singular_basis_matrix(scene.n_fwd, k, caps, sph.center)
-            for sph in scene.spheres
-        ]
-    )  # (Q_total, N_S * L_fwd)
-    matrix = sing @ b_all + regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0])
+    matrix = np.hstack([singular_basis_matrix(scene.n_fwd, k, caps, sph.center) for sph in scene.spheres]) @ b_all
+    matrix += regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0])
     return ForwardOperator(scene=scene, matrix=matrix, rcond=rcond)

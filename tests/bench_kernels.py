@@ -1,0 +1,64 @@
+"""Layer microbenchmarks for the σ search's kernels (pytest-benchmark).
+
+    PYTHONPATH=src python -m pytest tests/bench_kernels.py --benchmark-only
+
+The file name does not match ``test_*.py``, so the test suite does not
+collect it; name it on the command line.  Set ``OPENBLAS_NUM_THREADS=1`` (or
+its equivalent) to compare figures with the benchmark, which runs one BLAS
+thread.  Shapes follow the benchmark workloads: ``sweep_linear2`` encodes
+324 capsules into (25+1)² = 676 coefficients on a 100 x 100 pixel grid, and
+``forward_planar9`` 2268 capsules into (45+1)² = 2116.
+"""
+
+import numpy as np
+import pytest
+from scipy.linalg.blas import zherk
+
+from mshoa.basis import CoefficientVector, num_coeffs, sph_harm_matrix
+from mshoa.encode import Encoder
+from mshoa.fields import GridSpec, reconstruct_field
+
+K = 2 * np.pi * 2000 / 343.0
+GRID = GridSpec(plane="xy", extent=(2.0, 2.0), resolution=0.02)  # 10,000 pixels
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.fixture(scope="module")
+def planar9_shaped():
+    return _complex(np.random.default_rng(0), (2268, num_coeffs(45)))
+
+
+def test_gram_zherk(benchmark, planar9_shaped):
+    f = planar9_shaped
+    benchmark(lambda: zherk(1.0, f.T, trans=0))  # conj(FᴴF), upper triangle, as the encoder forms it
+
+
+def test_gram_gemm(benchmark, planar9_shaped):
+    f = planar9_shaped
+    benchmark(lambda: f.conj().T @ f)
+
+
+@pytest.mark.parametrize("capsules", [324, 1000], ids=["dual", "primal"])
+def test_sigma_solve(benchmark, capsules):
+    """One σ candidate of a 676-coefficient encoder, its Gram already formed."""
+    rng = np.random.default_rng(1)
+    enc = Encoder(forward=_complex(rng, (capsules, num_coeffs(25))), k=K, n_out=25)
+    sigma = 1e-8 * enc.scale
+    p = _complex(rng, capsules)
+    benchmark(enc.apply, p, sigmas=[sigma])
+
+
+@pytest.mark.parametrize("n_max, columns", [(25, 9), (45, 1)])
+def test_reconstruct_field(benchmark, n_max, columns):
+    rng = np.random.default_rng(2)
+    coeffs = CoefficientVector(k=K, n_max=n_max, values=_complex(rng, (num_coeffs(n_max), columns)))
+    benchmark(reconstruct_field, coeffs, K, GRID)
+
+
+def test_sph_harm_matrix(benchmark):
+    rng = np.random.default_rng(3)
+    theta, phi = rng.uniform(0, np.pi, 4096), rng.uniform(0, 2 * np.pi, 4096)
+    benchmark(sph_harm_matrix, 45, theta, phi)

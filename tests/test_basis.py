@@ -131,6 +131,30 @@ def test_norm_legendre_high_degree_normalization():
         assert 2 * np.pi * np.sum(wg * row * row) == pytest.approx(1.0, rel=1e-10)
 
 
+def _sph_harm_matrix_by_column(n_max, theta, phi):
+    """The column-by-column loop sph_harm_matrix replaced: the reference for its vectorised form."""
+    pbar = norm_legendre_triangle(n_max, np.cos(theta))
+    expp = np.exp(1j * np.outer(np.arange(n_max + 1), phi))
+    out = np.empty((theta.size, num_coeffs(n_max)), dtype=complex)
+    for n in range(n_max + 1):
+        base = n * (n + 1) // 2
+        for m in range(0, n + 1):
+            out[:, pack_index(n, m)] = pbar[base + m] * expp[m]
+            if m > 0:
+                neg = pbar[base + m] * np.conj(expp[m])
+                out[:, pack_index(n, -m)] = -neg if m % 2 else neg
+    return out
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 6, 45])
+def test_sph_harm_matrix_is_bit_identical_to_the_column_loop(rng, n_max):
+    theta = np.concatenate([[0.0, np.pi, np.pi / 2], rng.uniform(0, np.pi, size=61)])
+    phi = np.concatenate([[0.0, 1.0, 2 * np.pi - 1e-9], rng.uniform(0, 2 * np.pi, size=61)])
+    fast = sph_harm_matrix(n_max, theta, phi)
+    assert fast.flags["C_CONTIGUOUS"]
+    assert np.array_equal(fast, _sph_harm_matrix_by_column(n_max, theta, phi))
+
+
 def test_sph_harm_matrix_agrees_with_scalar(rng):
     theta = rng.uniform(0.05, np.pi - 0.05, size=7)
     phi = rng.uniform(0, 2 * np.pi, size=7)

@@ -72,35 +72,79 @@ def _encoder_matrix(enc):
     return np.column_stack([enc.apply(unit).values for unit in np.eye(enc.forward.shape[0])])
 
 
-def test_shared_gram_matches_normal_equations(rng):
-    """One Gram for every sigma reproduces (F^H F + sigma I)^-1 F^H p, and pinv(F) p at 0."""
-    scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], caps=60)
-    forward = forward_operator(scene)
-    f = forward.matrix
-    enc = mshoa_encoder(forward)
-    assert enc.scale == pytest.approx(np.linalg.norm(f, 2) ** 2, rel=1e-12)
+def _count_grams(monkeypatch):
+    """Record the shape of every Gram an encoder forms."""
+    from mshoa import encode
+
+    shapes = []
+    herk = encode.zherk
+
+    def counting_herk(*args, **kwargs):
+        gram = herk(*args, **kwargs)
+        shapes.append(gram.shape)
+        return gram
+
+    monkeypatch.setattr(encode, "zherk", counting_herk)
+    return shapes
+
+
+def test_shared_gram_matches_normal_equations(rng, monkeypatch):
+    """One Gram for every sigma reproduces (F^H F + sigma I)^-1 F^H p, and pinv(F) p at 0.
+
+    With 2 x 60 capsules F has more rows than its 81 columns and is solved
+    through F^H F; with 2 x 30 it has fewer, and is solved through F F^H.
+    """
+    grams = _count_grams(monkeypatch)
+    for caps in (60, 30):
+        scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], caps=caps)
+        forward = forward_operator(scene)
+        f = forward.matrix
+        q, size = f.shape
+        grams.clear()
+        enc = mshoa_encoder(forward)
+        assert enc.scale == pytest.approx(np.linalg.norm(f, 2) ** 2, rel=1e-12)
+        p = rng.normal(size=q) + 1j * rng.normal(size=q)
+        factors = np.array([1e2, 1e-1, 1e-4, 1e-6, 1e-8, 0.0])
+        block = enc.apply(p, sigmas=enc.scale * factors)
+        assert block.values.shape == (num_coeffs(scene.n_in), factors.size)
+        assert grams == [(min(q, size),) * 2]  # the scale's Gram, on the smaller side, serves every sigma
+        for column, factor in zip(block.values.T, factors):
+            sigma = factor * enc.scale
+            if sigma:
+                gram = f.conj().T @ f + sigma * np.eye(size)
+                reference = np.linalg.solve(gram, f.conj().T @ p)
+            else:
+                reference = np.linalg.pinv(f) @ p
+            err = np.linalg.norm(column - reference) / np.linalg.norm(reference)
+            # at 1e-8 the normal-equations reference itself carries ~cond * eps error
+            assert err <= (1e-8 if factor == 0 or factor >= 1e-6 else 1e-7)
     lone = Encoder(forward=f[:, :1], k=scene.k, n_out=0)  # too small for ARPACK
     assert lone.scale == pytest.approx(np.linalg.norm(f[:, 0]) ** 2, rel=1e-12)
-    p = rng.normal(size=120) + 1j * rng.normal(size=120)
-    sigmas = enc.scale * np.array([1e2, 1e-1, 1e-4, 1e-6, 0.0])
-    block = enc.apply(p, sigmas=sigmas)
-    assert block.values.shape == (num_coeffs(scene.n_in), sigmas.size)
-    for column, sigma in zip(block.values.T, sigmas):
-        if sigma:
-            gram = f.conj().T @ f + sigma * np.eye(f.shape[1])
-            reference = np.linalg.solve(gram, f.conj().T @ p)
-        else:
-            reference = np.linalg.pinv(f) @ p
-        assert np.linalg.norm(column - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
-def test_truncation_candidates_match_lower_degree_encoders(rng):
-    """A degree-n column of the n_c_max encoder is the degree-n encoder, zero-padded."""
+def test_unregularized_encoder_forms_no_gram(rng, monkeypatch):
+    grams = _count_grams(monkeypatch)
+    sphere = _sphere(100)
+    p = rng.normal(size=100) + 1j * rng.normal(size=100)
+    hoa_encoder(sphere, 2 * np.pi * 2000 / 343.0, 11).apply(p, n_outs=[2, 7, 11])
+    assert grams == []
+
+
+def test_truncation_candidates_match_lower_degree_encoders(rng, monkeypatch):
+    """A degree-n column of the n_c_max encoder is the degree-n encoder, zero-padded.
+
+    With 100 capsules the degree-11 candidate (144 coefficients) is solved on
+    the dual side and the lower ones on the primal side.
+    """
     sphere = _sphere(100)
     k = 2 * np.pi * 2000 / 343.0
     p = rng.normal(size=100) + 1j * rng.normal(size=100)
-    for sigma in (0.0, 1e-6):
+    scale = np.linalg.norm(surface_response_matrix(sphere, k, 11), 2) ** 2
+    grams = _count_grams(monkeypatch)
+    for sigma in (0.0, 1e-6, 1e-4 * scale):
+        grams.clear()
         block = hoa_encoder(sphere, k, 11, sigma).apply(p, n_outs=[2, 7, 11]).values
+        assert sorted(grams) == ([] if sigma == 0 else [(100, 100), (144, 144)])
         for column, n_c in zip(block.T, (2, 7, 11)):
             alone = hoa_encoder(sphere, k, n_c, sigma).apply(p).values
             np.testing.assert_allclose(column[: alone.size], alone, rtol=0, atol=1e-12 * np.abs(alone).max())

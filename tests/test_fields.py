@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mshoa.basis import CoefficientVector
+from mshoa.basis import CoefficientVector, regular_basis_matrix
 from mshoa.fields import (
     SDR_CAP_DB,
     SDR_FLOOR_DB,
@@ -158,6 +158,31 @@ def test_zero_padded_column_is_the_lower_degree_field(rng):
     reference = reconstruct_field(low, k, spec, center).values
     err = np.linalg.norm(fields[0].values - reference) / np.linalg.norm(reference)
     assert err <= 1e-12
+
+
+@pytest.mark.parametrize("n_max", [0, 3, 14])
+@pytest.mark.parametrize("columns", [None, 4], ids=["vector", "block"])
+def test_reconstruct_matches_the_complex_basis(rng, n_max, columns):
+    """The real Legendre-Bessel table reproduces regular_basis_matrix @ c.
+
+    The xz-plane grid has 11 x 13 = 143 pixels (not a multiple of the chunk),
+    and the expansion center is one pixel center, off the origin: a column of
+    pixels lies on the z axis through it, above, below and at the center.
+    """
+    spec = GridSpec(plane="xz", extent=(1.1, 1.3), resolution=0.1, center=(0.3, -0.2), normal_offset=0.15)
+    pts = spec.points()
+    center = pts[6 * 11 + 5]
+    on_axis = ~(pts - center)[:, :2].any(axis=1)
+    assert set(np.sign(pts[on_axis, 2] - center[2])) == {-1.0, 0.0, 1.0}
+    shape = (n_max + 1) ** 2 if columns is None else ((n_max + 1) ** 2, columns)
+    coeffs = CoefficientVector(k=9.0, n_max=n_max, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    fields = reconstruct_field(coeffs, 9.0, spec, center=center, chunk=16)
+    fields = [fields] if columns is None else fields
+    reference = regular_basis_matrix(n_max, 9.0, pts, center) @ coeffs.values.reshape(len(coeffs.values), -1)
+    assert len(fields) == reference.shape[1]
+    for grid, expected in zip(fields, reference.T):
+        err = np.linalg.norm(grid.values.ravel() - expected) / np.linalg.norm(expected)
+        assert err <= 1e-12
 
 
 def _tie_scene(columns):

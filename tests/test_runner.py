@@ -120,18 +120,35 @@ def test_single_run_builds_only_the_uncoupled_operator(tmp_path, monkeypatch):
     calls = {"forward_operator": [], "forward_solve": 0}
     build, solve = runner.forward_operator, runner.forward_solve
 
-    def counting_build(scene, include_coupling=True):
+    def counting_build(scene, include_coupling=True, **shared):
         calls["forward_operator"].append(include_coupling)
-        return build(scene, include_coupling=include_coupling)
+        return build(scene, include_coupling=include_coupling, **shared)
 
-    def counting_solve(scene, a_in):
+    def counting_solve(scene, a_in, **shared):
         calls["forward_solve"] += 1
-        return solve(scene, a_in)
+        return solve(scene, a_in, **shared)
 
     monkeypatch.setattr(runner, "forward_operator", counting_build)
     monkeypatch.setattr(runner, "forward_solve", counting_solve)
     run_experiment(validate_config(TINY_SINGLE), tmp_path / "out")
     assert calls == {"forward_operator": [False], "forward_solve": 1}
+
+
+def test_single_run_builds_each_local_translation_once(tmp_path, monkeypatch):
+    """The uncoupled operator and the capture share one R|R per sphere."""
+    from mshoa import translation
+
+    built = []
+    rr = translation.rr_translation
+
+    def counting_rr(t, *args):
+        built.append(tuple(t))
+        return rr(t, *args)
+
+    monkeypatch.setattr(translation, "rr_translation", counting_rr)
+    cfg = validate_config(TINY_SINGLE)
+    run_experiment(cfg, tmp_path / "out")
+    assert sorted(built) == sorted(tuple(s.center) for s in cfg.scene.spheres)
 
 
 def test_system_rcond_is_the_coupled_system_of_every_method(tmp_path):
@@ -219,6 +236,10 @@ def test_summary_reports_field_statistics(tmp_path):
     assert np.isfinite(summary.max_sdr_db)
     assert summary.max_sdr_db >= summary.mean_sdr_db
     assert summary.wall_time_s > 0
+    meta = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert list(meta["stages"]) == ["forward", "encode", "search", "output"]
+    assert all(seconds >= 0 for seconds in meta["stages"].values())
+    assert sum(meta["stages"].values()) == pytest.approx(meta["wall_time_s"], rel=0.05)
     assert summary.system_rcond is None or summary.system_rcond > 0
 
 
