@@ -40,7 +40,8 @@ class Encoder:
     sigma: float = 0.0
     k: float = 0.0
     n_out: int = 0
-    # conj(FᴴF) under None, conj(F_sF_sᴴ) under s; upper triangles only
+    # conj(F_sᴴF_s) under None, s the largest primal size asked for so far;
+    # conj(F_sF_sᴴ) under s for a dual s; upper triangles only
     _grams: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -51,19 +52,20 @@ class Encoder:
         """Whether F_s = F[:, :size] is solved on its dual side, and that side's Gram.
 
         The one place the side is chosen: dual when F_s has fewer rows than
-        columns.  Both Grams are conjugated, because ``zherk`` reads F's
-        row-major memory as the column-major Fᵀ without a copy; only their
-        upper triangles are filled.
+        columns.  The primal Gram is formed at the first size asked for and
+        sliced for smaller ones, so a caller asks for its largest first.
+        Both Grams are conjugated, because ``zherk`` reads F's row-major
+        memory as the column-major Fᵀ without a copy; only their upper
+        triangles are filled.
         """
-        dual = self.forward.shape[0] < size
-        key = size if dual else None
-        if key not in self._grams:
-            if dual:  # conj(F_s) F_sᵀ
-                self._grams[key] = zherk(1.0, self.forward[:, :size].T, trans=2)
-            else:  # Fᵀ conj(F)
-                self._grams[key] = zherk(1.0, self.forward.T, trans=0)
-        gram = self._grams[key]
-        return dual, gram if dual else gram[:size, :size]
+        f_s = self.forward[:, :size]
+        if self.forward.shape[0] < size:
+            if size not in self._grams:  # conj(F_s) F_sᵀ
+                self._grams[size] = zherk(1.0, f_s.T, trans=2)
+            return True, self._grams[size]
+        if len(self._grams.get(None, ())) < size:  # F_sᵀ conj(F_s)
+            self._grams[None] = zherk(1.0, f_s.T, trans=0)
+        return False, self._grams[None][:size, :size]
 
     @property
     def scale(self) -> float:
@@ -103,8 +105,8 @@ class Encoder:
             raise ValueError(f"candidate truncation outside 0..{self.n_out}")
         conj_p = pressures.conj()
         block = np.zeros((num_coeffs(self.n_out), sigmas.size), dtype=complex)
-        for j, (sigma, n) in enumerate(zip(sigmas, n_outs)):
-            size = num_coeffs(n)
+        for j in np.argsort(-n_outs, kind="stable"):  # largest degree first: see _gram
+            sigma, size = sigmas[j], num_coeffs(n_outs[j])
             f_s = self.forward[:, :size]
             if sigma == 0.0:
                 block[:size, j] = np.linalg.pinv(f_s) @ pressures
@@ -122,6 +124,7 @@ class Encoder:
             else:
                 conj_x = sla.cho_solve(factor, conj_p @ f_s, check_finite=False)
             block[:size, j] = conj_x.conj()
+            del normal, factor  # so the next candidate's copy of the Gram does not coexist with this one
         return CoefficientVector(k=self.k, n_max=self.n_out, values=block if listed else block[:, 0])
 
 

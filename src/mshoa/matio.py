@@ -70,20 +70,26 @@ def _grid_header(spec: GridSpec, config_hash: str) -> list[str]:
     ]
 
 
+def _write_grid(path, spec: GridSpec, config_hash: str, values: np.ndarray, cell: str) -> None:
+    """Header, then one CSV row per grid row, formatted by one ``%`` over every float.
+
+    ``values`` is float64 or complex128; a complex value fills two fields of
+    ``cell`` (real, imaginary).
+    """
+    rows, cols = values.shape
+    floats = np.ascontiguousarray(values).view(float).ravel().tolist()
+    body = "\n".join([",".join([cell] * cols)] * rows) % tuple(floats)
+    Path(path).write_text("\n".join(_grid_header(spec, config_hash)) + "\n" + body + "\n")
+
+
 def write_field_csv(path, grid: FieldGrid, config_hash: str) -> None:
     """Complex grid values as CSV, one row of 're+imj' entries per pixel row."""
-    lines = _grid_header(grid.spec, config_hash)
-    for row in grid.values:
-        lines.append(",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_grid(path, grid.spec, config_hash, np.asarray(grid.values, dtype=complex), "%.17g%+.17gj")
 
 
 def write_real_csv(path, values: np.ndarray, spec: GridSpec, config_hash: str) -> None:
     """Real grid (e.g. an SDR map in dB) as CSV with the same header."""
-    lines = _grid_header(spec, config_hash)
-    for row in np.asarray(values):
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_grid(path, spec, config_hash, np.asarray(values, dtype=float), "%.17g")
 
 
 def read_field_csv(path) -> tuple[np.ndarray, list[str]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import resource
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -54,6 +55,7 @@ class RunSummary:
     mean_sdr_db: float
     wall_time_s: float
     stages: dict  # seconds spent in each of STAGES; they add up to wall_time_s
+    peak_rss_mb: dict  # the process's peak resident set (MB) so far at the end of each of STAGES
     system_rcond: float | None  # of the coupled scattering system solved; None if none was
     config_hash: str
     search: dict  # candidates in search order, the SSA of each, the chosen index, at_edge
@@ -127,7 +129,7 @@ def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward) -> _En
             export_matrix(export_forward, model.matrix)
         pressures, rcond = model.apply(scene.incident_coeffs()), model.rcond
     else:  # the operator and the capture share each sphere's R|R
-        local = _local_incident_matrices(scene)
+        local = list(_local_incident_matrices(scene))
         pressures, rcond = _full_capture(scene, scene.capsule_positions(), local)
         model = forward_operator(scene, include_coupling=False, _local=local)
     return _Encoding(mshoa_encoder(model), pressures, sigmas=None if cfg.sigma is None else [cfg.sigma], rcond=rcond)
@@ -163,7 +165,12 @@ def run_experiment(
     ``export_forward`` / ``import_forward`` save and reuse MSHOA's forward
     operator T_F; other methods encode with no such matrix and reject them.
     """
-    marks = [time.perf_counter()]  # the start, then the end of each of STAGES
+    marks, peaks = [time.perf_counter()], []  # the start, then the end of each of STAGES
+
+    def end_stage():
+        marks.append(time.perf_counter())
+        peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)  # Linux: KiB
+
     if cfg.method != "MSHOA" and (export_forward, import_forward) != (None, None):
         raise ConfigError(f"only MSHOA exports or imports a forward operator, not {cfg.method}")
     out = Path(out_dir)
@@ -177,21 +184,23 @@ def run_experiment(
         enc = _hoa_encoding(cfg)
     else:
         enc = _grid_encoding(cfg, export_forward, import_forward)
-    marks.append(time.perf_counter())
+    end_stage()
 
     by_degree = enc.n_outs is not None
     sigmas = enc.sigmas if cfg.sigma_search is None else _sigma_grid(cfg.sigma_search, enc.encoder)
     block = enc.encoder.apply(enc.pressures, sigmas=sigmas, n_outs=enc.n_outs)
-    marks.append(time.perf_counter())
-
     candidates = enc.n_outs if by_degree else sigmas
+    center, rcond = enc.center, enc.rcond
+    del enc  # frees the encoder's forward model and Gram before the pixel passes
+    end_stage()
+
     search = regularization_search(
-        candidates, block, truth, mask=mask, threshold=cfg.threshold_db, center=enc.center
+        candidates, block, truth, mask=mask, threshold=cfg.threshold_db, center=center
     )
     coeffs = block.column(search.index, n_max=search.chosen if by_degree else None)
-    estimated = reconstruct_field(coeffs, scene.k, cfg.grid, center=enc.center)
+    estimated = reconstruct_field(coeffs, scene.k, cfg.grid, center=center)
     sigma, n_c = (cfg.sigma, search.chosen) if by_degree else (search.chosen, None)
-    marks.append(time.perf_counter())
+    end_stage()
 
     write_field_csv(out / "ground_truth.csv", truth, chash)
     write_field_csv(out / "estimated.csv", estimated, chash)
@@ -199,8 +208,7 @@ def run_experiment(
     write_real_csv(out / "sdr_map.csv", report.sdr_map, cfg.grid, chash)
     if dump_coeffs:
         export_matrix(out / "coefficients.bin", coeffs.values[None, :])
-
-    marks.append(time.perf_counter())
+    end_stage()
 
     unmasked = report.sdr_map if report.mask is None else report.sdr_map[~report.mask]
     summary = RunSummary(
@@ -216,7 +224,8 @@ def run_experiment(
         mean_sdr_db=float(unmasked.mean()),
         wall_time_s=marks[-1] - marks[0],
         stages={stage: end - start for stage, start, end in zip(STAGES, marks, marks[1:])},
-        system_rcond=enc.rcond,
+        peak_rss_mb=dict(zip(STAGES, peaks)),
+        system_rcond=rcond,
         config_hash=chash,
         search={
             "candidates": search.candidates,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +102,9 @@ def assemble_system_matrix(scene: SceneConfig) -> np.ndarray:
 
     Diagonal blocks are diag(-h'_n(ka_s)/j'_n(ka_s)); the (s, t) off-diagonal
     block is minus the singular-to-regular translation from sphere t to s.
+    The system is one Fortran-ordered array, as LAPACK factors it in place,
+    and each distinct displacement c_s - c_t (equal bit for bit) is translated
+    once: a regular grid repeats its displacements.
     """
     from .translation import sr_translation
 
@@ -108,53 +112,62 @@ def assemble_system_matrix(scene: SceneConfig) -> np.ndarray:
     n_fwd = scene.n_fwd
     lf = num_coeffs(n_fwd)
     ns = scene.num_spheres
-    out = np.zeros((ns * lf, ns * lf), dtype=complex)
+    out = np.zeros((ns * lf, ns * lf), dtype=complex, order="F")
+    built = {}  # displacement bytes -> the block already holding its translation
     for s, sph_s in enumerate(scene.spheres):
         for t, sph_t in enumerate(scene.spheres):
             block = out[s * lf : (s + 1) * lf, t * lf : (t + 1) * lf]
             if s == t:
                 block[np.diag_indices(lf)] = 1.0 / rigid_scatter_gain(k, sph_s.radius, n_fwd)
+                continue
+            shift = sph_s.center - sph_t.center
+            key = shift.tobytes()
+            if key in built:
+                block[:] = built[key]
             else:
-                block[:] = -sr_translation(sph_s.center - sph_t.center, k, n_fwd, n_fwd).entries
+                block[:] = -sr_translation(shift, k, n_fwd, n_fwd).entries
+                built[key] = block
     return out
 
 
-def _local_incident_matrices(scene: SceneConfig) -> list[np.ndarray]:
-    """Per-sphere (L_fwd x L_in) maps from global to truncated local coefficients."""
+def _local_incident_matrices(scene: SceneConfig) -> Iterator[np.ndarray]:
+    """Per-sphere (L_fwd x L_in) maps from global to truncated local coefficients, built as consumed."""
     from .translation import rr_translation
 
-    return [
-        rr_translation(sph.center, scene.k, scene.n_in, scene.n_fwd).entries
-        for sph in scene.spheres
-    ]
+    return (rr_translation(sph.center, scene.k, scene.n_in, scene.n_fwd).entries for sph in scene.spheres)
 
 
-def _solve_coupled(scene: SceneConfig, a_local: np.ndarray):
-    """Solve the coupled system for local incident ``a_local``: (system, solution, rcond)."""
-    system = assemble_system_matrix(scene)
+def _solve_coupled(system: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve ``system @ x = rhs``: (x, the 1-norm rcond estimate of ``system``).
+
+    Both arrays belong to the caller and are overwritten: ``system`` by its LU
+    factors and ``rhs`` by the solution, which is returned in its memory when
+    it is a Fortran-ordered complex array.  No copy of either is made.
+    """
+    anorm = sla.get_lapack_funcs("lange", (system,))("1", system)  # max column sum of |a_ij|, no |A| buffer
     try:
-        lu, piv = sla.lu_factor(system)
+        lu, piv = sla.lu_factor(system, overwrite_a=True)
     except Exception as exc:  # LAPACK failures surface as generic errors
         raise SolverError(f"LU factorization of the system matrix failed: {exc}")
-    anorm = np.linalg.norm(system, 1)
-    gecon = sla.get_lapack_funcs("gecon", (system,))
+    gecon = sla.get_lapack_funcs("gecon", (lu,))
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0 or not np.isfinite(rcond) or rcond == 0.0:
         raise SolverError(f"system matrix is numerically singular (rcond={rcond})")
-    log.info("system matrix size %d, rcond estimate %.3e", system.shape[0], rcond)
-    return system, sla.lu_solve((lu, piv), a_local), float(rcond)
+    log.info("system matrix size %d, rcond estimate %.3e", lu.shape[0], rcond)
+    return sla.lu_solve((lu, piv), rhs, overwrite_b=True), float(rcond)
 
 
 def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None) -> ScatterSolution:
     """Solve the coupled scattering problem for one incident expansion.
 
-    ``_local`` is the scene's per-sphere local incident maps when the caller
-    has already built them (:func:`_local_incident_matrices`).
+    ``_local`` is a list of the scene's per-sphere local incident maps when
+    the caller has already built them (:func:`_local_incident_matrices`).
     """
     if a_in.n_max != scene.n_in:
         raise ValueError(f"incident coefficients must be truncated at {scene.n_in}")
     a_local = np.concatenate([m @ a_in.values for m in _local or _local_incident_matrices(scene)])
-    system, b_all, rcond = _solve_coupled(scene, a_local)
+    system = assemble_system_matrix(scene)
+    b_all, rcond = _solve_coupled(system.copy(order="F"), a_local.copy())  # the residual reads both
     res = np.linalg.norm(a_local - system @ b_all)
     scale = np.linalg.norm(a_local)
     residual = res / scale if scale > 0 else res
@@ -215,20 +228,34 @@ def eval_radial_derivative(
 def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=None) -> ForwardOperator:
     """Assemble the dense capsule-pressure response to every incident basis.
 
-    Without coupling each sphere scatters its local incident field alone: its
+    Every sphere's local incident map (its R|R translation) fills its rows of
+    one (spheres x L_fwd, L_in) block, which the coupled solve overwrites
+    with the radiating coefficients, so the system, that block and T_F are
+    the only arrays of their size.  T_F is then filled one sphere's capsules
+    at a time: the incident regular basis plus the singular bases of every
+    sphere at those capsules times the radiating coefficients.  Without
+    coupling each sphere scatters its local incident field alone: its
     T-matrix (the diagonal ``rigid_scatter_gain``) times its local incident
     coefficients, with no system to solve (Gumerov & Duraiswami, 2004, ch. 4).
     ``_local`` is as in :func:`forward_solve`.
     """
-    k = scene.k
-    # No large temporary outlives its use: not the stacked maps, the system or the singular basis.
+    k, n_fwd = scene.k, scene.n_fwd
+    lf = num_coeffs(n_fwd)
+    b_all = np.empty((scene.num_spheres * lf, num_coeffs(scene.n_in)), dtype=complex, order="F")
+    for s, local in enumerate(_local or _local_incident_matrices(scene)):
+        b_all[s * lf : (s + 1) * lf] = local
     if include_coupling:
-        b_all, rcond = _solve_coupled(scene, np.vstack(_local or _local_incident_matrices(scene)))[1:]
+        b_all, rcond = _solve_coupled(assemble_system_matrix(scene), b_all)
     else:
-        gains = np.concatenate([rigid_scatter_gain(k, sph.radius, scene.n_fwd) for sph in scene.spheres])
-        b_all, rcond = np.vstack(_local or _local_incident_matrices(scene)), None
-        np.multiply(gains[:, None], b_all, out=b_all)
-    caps = scene.capsule_positions()
-    matrix = np.hstack([singular_basis_matrix(scene.n_fwd, k, caps, sph.center) for sph in scene.spheres]) @ b_all
-    matrix += regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0])
+        gains = np.concatenate([rigid_scatter_gain(k, sph.radius, n_fwd) for sph in scene.spheres])
+        b_all, rcond = np.multiply(gains[:, None], b_all, out=b_all), None
+    matrix = np.empty((scene.total_capsules, b_all.shape[1]), dtype=complex)
+    start = 0
+    for sphere in scene.spheres:
+        caps = sphere.capsule_positions()
+        rows = slice(start, start + len(caps))
+        singular = np.hstack([singular_basis_matrix(n_fwd, k, caps, sph.center) for sph in scene.spheres])
+        matrix[rows] = regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0])
+        matrix[rows] += singular @ b_all
+        start = rows.stop
     return ForwardOperator(scene=scene, matrix=matrix, rcond=rcond)

@@ -134,12 +134,20 @@ def rotation_blocks(n_max: int, theta: float, phi: float) -> list[np.ndarray]:
     """
     blocks = []
     for n in range(n_max + 1):
-        m = np.arange(-n, n)
-        raise_op = np.diag(np.sqrt((n - m) * (n + m + 1.0)), -1)  # L+, m -> m+1
-        mu, v = np.linalg.eigh((raise_op - raise_op.T) / 2j)
+        mu, v = _ly_eigenbasis(n)
         ry = (v * np.exp(1j * theta * mu)) @ v.conj().T
         blocks.append(ry * np.exp(1j * np.arange(-n, n + 1) * phi))
     return blocks
+
+
+@lru_cache(maxsize=None)  # one entry per degree: at most the size of one rotation's blocks
+def _ly_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the degree-n L_y, which depends on n alone (read-only)."""
+    m = np.arange(-n, n)
+    raise_op = np.diag(np.sqrt((n - m) * (n + m + 1.0)), -1)  # L+, m -> m+1
+    mu, v = np.linalg.eigh((raise_op - raise_op.T) / 2j)
+    mu.flags.writeable = v.flags.writeable = False  # shared by every caller
+    return mu, v
 
 
 def _translation(kind: str, t, k: float, n_src: int, n_dst: int) -> TranslationMatrix:

@@ -1,4 +1,4 @@
-"""Layer microbenchmarks for the σ search's kernels (pytest-benchmark).
+"""Layer microbenchmarks for the σ search's and the forward build's kernels (pytest-benchmark).
 
     PYTHONPATH=src python -m pytest tests/bench_kernels.py --benchmark-only
 
@@ -7,7 +7,9 @@ collect it; name it on the command line.  Set ``OPENBLAS_NUM_THREADS=1`` (or
 its equivalent) to compare figures with the benchmark, which runs one BLAS
 thread.  Shapes follow the benchmark workloads: ``sweep_linear2`` encodes
 324 capsules into (25+1)² = 676 coefficients on a 100 x 100 pixel grid, and
-``forward_planar9`` 2268 capsules into (45+1)² = 2116.
+``forward_planar9`` 2268 capsules into (45+1)² = 2116, with an R|R
+translation at degree 45 per sphere; ``hoa_search_linear2`` writes
+200 x 200 pixel grids.
 """
 
 import numpy as np
@@ -16,7 +18,9 @@ from scipy.linalg.blas import zherk
 
 from mshoa.basis import CoefficientVector, num_coeffs, sph_harm_matrix
 from mshoa.encode import Encoder
-from mshoa.fields import GridSpec, reconstruct_field
+from mshoa.fields import FieldGrid, GridSpec, reconstruct_field
+from mshoa.matio import write_field_csv
+from mshoa.translation import rotation_blocks
 
 K = 2 * np.pi * 2000 / 343.0
 GRID = GridSpec(plane="xy", extent=(2.0, 2.0), resolution=0.02)  # 10,000 pixels
@@ -62,3 +66,14 @@ def test_sph_harm_matrix(benchmark):
     rng = np.random.default_rng(3)
     theta, phi = rng.uniform(0, np.pi, 4096), rng.uniform(0, 2 * np.pi, 4096)
     benchmark(sph_harm_matrix, 45, theta, phi)
+
+
+def test_rotation_blocks(benchmark):
+    """The 46 Wigner-D blocks of one degree-45 translation (L_y eigenbases cached after the first round)."""
+    benchmark(rotation_blocks, 45, 0.7, 1.9)
+
+
+def test_write_field_csv(benchmark, tmp_path):
+    spec = GridSpec(plane="xy", extent=(2.0, 2.0), resolution=0.01)
+    grid = FieldGrid(spec=spec, values=_complex(np.random.default_rng(4), spec.shape))
+    benchmark(write_field_csv, tmp_path / "field.csv", grid, "0123456789abcdef")

@@ -134,7 +134,8 @@ def test_truncation_candidates_match_lower_degree_encoders(rng, monkeypatch):
     """A degree-n column of the n_c_max encoder is the degree-n encoder, zero-padded.
 
     With 100 capsules the degree-11 candidate (144 coefficients) is solved on
-    the dual side and the lower ones on the primal side.
+    the dual side and the lower ones on the primal side, whose one Gram is
+    formed at the largest primal degree, 7 (64 coefficients).
     """
     sphere = _sphere(100)
     k = 2 * np.pi * 2000 / 343.0
@@ -144,7 +145,7 @@ def test_truncation_candidates_match_lower_degree_encoders(rng, monkeypatch):
     for sigma in (0.0, 1e-6, 1e-4 * scale):
         grams.clear()
         block = hoa_encoder(sphere, k, 11, sigma).apply(p, n_outs=[2, 7, 11]).values
-        assert sorted(grams) == ([] if sigma == 0 else [(100, 100), (144, 144)])
+        assert sorted(grams) == ([] if sigma == 0 else [(64, 64), (100, 100)])
         for column, n_c in zip(block.T, (2, 7, 11)):
             alone = hoa_encoder(sphere, k, n_c, sigma).apply(p).values
             np.testing.assert_allclose(column[: alone.size], alone, rtol=0, atol=1e-12 * np.abs(alone).max())

@@ -91,3 +91,31 @@ def test_real_csv_header_and_values(tmp_path):
     assert len(lines) == 5
     assert lines[2] == "# config=cafebabecafebabe"
     assert [float(tok) for tok in lines[3].split(",")] == [1.5, -2.25]
+
+
+def _per_value_csv(header, values):
+    """The grid text as formatted one value at a time."""
+    if np.iscomplexobj(values):
+        rows = [",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) for row in values]
+    else:
+        rows = [",".join(f"{v:.17g}" for v in row) for row in values]
+    return "\n".join(header + rows) + "\n"
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 1)], ids=["3x4", "1x1"])
+def test_grid_csv_bytes_match_per_value_formatting(tmp_path, rng, shape):
+    """One format pass over a grid writes what formatting each value writes,
+    signed zeros, infinities, nan, subnormals and extreme exponents included."""
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e300, -1e-300, 0.1])
+    values = np.empty(shape, dtype=complex)
+    values.real = rng.choice(special, size=shape)
+    values.imag = rng.choice(special, size=shape)
+    if shape == (3, 4):
+        values.flat[:2] = [complex(-0.0, np.nan), complex(np.inf, -0.0)]
+    spec = GridSpec(plane="xy", extent=(0.1 * shape[1], 0.1 * shape[0]), resolution=0.1)
+    assert spec.shape == shape
+    write_field_csv(tmp_path / "f.csv", FieldGrid(spec=spec, values=values), "cafe")
+    write_real_csv(tmp_path / "r.csv", values.real, spec, "cafe")
+    for name, grid in (("f.csv", values), ("r.csv", values.real)):
+        text = (tmp_path / name).read_text()
+        assert text == _per_value_csv(text.splitlines()[:3], grid)

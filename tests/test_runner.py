@@ -151,6 +151,30 @@ def test_single_run_builds_each_local_translation_once(tmp_path, monkeypatch):
     assert sorted(built) == sorted(tuple(s.center) for s in cfg.scene.spheres)
 
 
+def test_encoder_is_released_before_the_pixel_search(tmp_path, monkeypatch):
+    """Nothing holds the encoder, and with it T_F and its Gram, once it has solved."""
+    import weakref
+
+    from mshoa import runner
+
+    refs, alive = [], []
+    build, search = runner.mshoa_encoder, runner.regularization_search
+
+    def tracked_build(*args, **kwargs):
+        encoder = build(*args, **kwargs)
+        refs.append(weakref.ref(encoder))
+        return encoder
+
+    def probing_search(*args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "mshoa_encoder", tracked_build)
+    monkeypatch.setattr(runner, "regularization_search", probing_search)
+    run_experiment(validate_config(TINY.replace("sigma: 1e-9", "sigma_search: {points: 3}")), tmp_path / "out")
+    assert alive == [False]
+
+
 def test_system_rcond_is_the_coupled_system_of_every_method(tmp_path):
     mshoa = run_experiment(validate_config(TINY), tmp_path / "mshoa").system_rcond
     assert mshoa > 0
@@ -240,6 +264,9 @@ def test_summary_reports_field_statistics(tmp_path):
     assert list(meta["stages"]) == ["forward", "encode", "search", "output"]
     assert all(seconds >= 0 for seconds in meta["stages"].values())
     assert sum(meta["stages"].values()) == pytest.approx(meta["wall_time_s"], rel=0.05)
+    peaks = meta["peak_rss_mb"]
+    assert list(peaks) == ["forward", "encode", "search", "output"]
+    assert 0 < peaks["forward"] <= peaks["encode"] <= peaks["search"] <= peaks["output"]
     assert summary.system_rcond is None or summary.system_rcond > 0
 
 

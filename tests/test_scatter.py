@@ -215,3 +215,50 @@ def test_forward_operator_shape_and_guards():
     bad = CoefficientVector.zeros(scene.k, scene.n_in + 1)
     with pytest.raises(ValueError):
         op.apply(bad)
+
+
+def _grid4(**kw):
+    """A 2 x 2 planar grid: 12 ordered sphere pairs over 8 distinct displacements."""
+    return _scene([[x, y, 0.0] for x in (-0.125, 0.125) for y in (-0.125, 0.125)], **kw)
+
+
+def test_forward_operator_holds_one_system_one_block_and_t_f():
+    """The coupled build's traced peak fits in the system, the right-hand-side
+    block and T_F: the LU factors, the solution and T_F's capsule stage reuse
+    or outlive none of them."""
+    import tracemalloc
+
+    scene = _grid4(caps=80, n_in=12, n_fwd=10)
+    forward_operator(scene)  # fill the translation caches outside the trace
+    unknowns, incident = scene.num_spheres * num_coeffs(scene.n_fwd), num_coeffs(scene.n_in)
+    budget = 16 * (unknowns * unknowns + unknowns * incident + scene.total_capsules * incident)
+    tracemalloc.start()
+    try:
+        forward_operator(scene)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+
+
+def test_system_translates_each_distinct_displacement_once(monkeypatch):
+    from mshoa import translation
+
+    shifts = []
+    sr = translation.sr_translation
+
+    def counting_sr(t, *args):
+        shifts.append(tuple(t))
+        return sr(t, *args)
+
+    monkeypatch.setattr(translation, "sr_translation", counting_sr)
+    scene = _grid4(n_fwd=4)
+    system = assemble_system_matrix(scene)
+    assert len(shifts) == len(set(shifts)) == 8
+    monkeypatch.undo()
+    lf = num_coeffs(scene.n_fwd)
+    for s, a in enumerate(scene.spheres):
+        for t, b in enumerate(scene.spheres):
+            if s != t:
+                block = system[s * lf : (s + 1) * lf, t * lf : (t + 1) * lf]
+                np.testing.assert_array_equal(block, -sr(a.center - b.center, scene.k, 4, 4).entries)

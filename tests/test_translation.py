@@ -161,6 +161,29 @@ def test_rotation_blocks_are_unitary_and_consistent(rng):
             np.testing.assert_allclose(y_rot[:, sl], y[:, sl] @ d, atol=1e-12)
 
 
+def test_rotation_blocks_match_the_uncached_eigenbasis(rng):
+    """The per-degree cached L_y eigenbasis gives the blocks the inline
+    eigendecomposition gives, to the bit, and cannot be written through."""
+    from mshoa.translation import _ly_eigenbasis
+
+    def inline(n_max, theta, phi):
+        blocks = []
+        for n in range(n_max + 1):
+            m = np.arange(-n, n)
+            raise_op = np.diag(np.sqrt((n - m) * (n + m + 1.0)), -1)
+            mu, v = np.linalg.eigh((raise_op - raise_op.T) / 2j)
+            ry = (v * np.exp(1j * theta * mu)) @ v.conj().T
+            blocks.append(ry * np.exp(1j * np.arange(-n, n + 1) * phi))
+        return blocks
+
+    for theta, phi in [(0.0, 0.0), (np.pi, 1.3), *zip(rng.uniform(0, np.pi, 3), rng.uniform(0, 2 * np.pi, 3))]:
+        for cached, reference in zip(rotation_blocks(45, theta, phi), inline(45, theta, phi), strict=True):
+            np.testing.assert_array_equal(cached, reference)
+    mu, v = _ly_eigenbasis(3)
+    with pytest.raises(ValueError):
+        v[0, 0] = 1.0
+
+
 def test_translation_metadata():
     t = sr_translation([0.0, 0.4, 0.3], 2.0, 3, 7)
     assert t.kind == "SR"
