@@ -74,7 +74,7 @@ def _number(value, context: str) -> float:
     """``value`` as a finite float; YAML reads '1e-6' (no dot) as a string."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
         number = np.nan
     if not np.isfinite(number):
         raise ConfigError(f"{context} must be a finite number, got {value!r}")
@@ -107,6 +107,14 @@ def _require(mapping: dict, key: str, context: str) -> Any:
     if key not in mapping:
         raise ConfigError(f"missing required field '{key}' in {context}")
     return mapping[key]
+
+
+def _pair(value, context: str) -> tuple:
+    """``value`` as exactly two finite numbers; an int stays an int, as the CSV headers print it."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{context} must be a list of two numbers, got {value!r}")
+    numbers = [_number(v, context) for v in value]
+    return tuple(v if type(v) is int else number for v, number in zip(value, numbers))
 
 
 def _vector3(value, context: str) -> np.ndarray:
@@ -226,10 +234,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     try:
         grid = GridSpec(
             plane=grid_raw.get("plane", "xy"),
-            extent=tuple(grid_raw.get("extent", (2.0, 2.0))),
-            resolution=float(grid_raw.get("resolution", 0.005)),
-            center=tuple(grid_raw.get("center", (0.0, 0.0))),
-            normal_offset=float(grid_raw.get("normal_offset", 0.0)),
+            extent=_pair(grid_raw.get("extent", (2.0, 2.0)), "grid.extent"),
+            resolution=_number(grid_raw.get("resolution", 0.005), "grid.resolution"),
+            center=_pair(grid_raw.get("center", (0.0, 0.0)), "grid.center"),
+            normal_offset=_number(grid_raw.get("normal_offset", 0.0), "grid.normal_offset"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid evaluation grid: {exc}")
@@ -255,6 +263,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     hoa_raw = _mapping(raw.get("hoa", {}), ("sphere_index", "n_c", "n_c_min", "n_c_max"), "hoa")
     index, n_c = hoa_raw.get("sphere_index"), hoa_raw.get("n_c")
+    if n_c is not None and ("n_c_min" in hoa_raw or "n_c_max" in hoa_raw):
+        raise ConfigError("specify either 'hoa.n_c' or the range 'hoa.n_c_min' / 'hoa.n_c_max', not both")
     hoa = HoaSettings(
         sphere_index=None if index is None else _integer(index, "hoa.sphere_index"),
         n_c=None if n_c is None else _integer(n_c, "hoa.n_c"),

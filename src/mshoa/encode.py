@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,16 +38,15 @@ class Encoder:
     """
 
     forward: np.ndarray = field(repr=False)  # F, capsules x (n_out+1)^2
-    sigma: float = 0.0
-    k: float = 0.0
-    n_out: int = 0
+    k: float
     # conj(F_sᴴF_s) under None, s the largest primal size asked for so far;
     # conj(F_sF_sᴴ) under s for a dual s; upper triangles only
     _grams: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("regularization must be non-negative")
+    @property
+    def n_out(self) -> int:
+        """The truncation degree of F's coefficients: F has (n_out+1)² columns."""
+        return math.isqrt(self.forward.shape[1]) - 1
 
     def _gram(self, size: int) -> tuple[bool, np.ndarray]:
         """Whether F_s = F[:, :size] is solved on its dual side, and that side's Gram.
@@ -80,13 +80,13 @@ class Encoder:
         start = np.random.default_rng(0).standard_normal(size)  # reproducible
         return float(eigsh(hermitian, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)[0])
 
-    def apply(self, pressures: np.ndarray, sigmas=None, n_outs=None) -> CoefficientVector:
-        """Coefficients of ``pressures``; an (L, n) block when candidates are listed.
+    def apply(self, pressures: np.ndarray, sigmas, n_outs=None) -> CoefficientVector:
+        """Coefficients of ``pressures``: an (L, n) block, one column per candidate.
 
         ``sigmas`` and ``n_outs`` give each candidate's σ and truncation degree
-        (one value, or an omitted list, stands for every candidate and defaults
-        to the encoder's own).  A degree-n candidate inverts the first (n+1)²
-        columns of F, and its column is zero beyond them.
+        (one value stands for every candidate; ``n_outs`` defaults to the
+        encoder's own).  A degree-n candidate inverts the first (n+1)² columns
+        of F, and its column is zero beyond them.
         """
         pressures = np.asarray(pressures, dtype=complex).reshape(-1)
         if pressures.shape[0] != self.forward.shape[0]:
@@ -94,17 +94,17 @@ class Encoder:
                 f"expected {self.forward.shape[0]} capsule pressures, got "
                 f"{pressures.shape[0]}"
             )
-        listed = sigmas is not None or n_outs is not None
+        n_out = self.n_out
         sigmas, n_outs = np.broadcast_arrays(
-            np.atleast_1d(self.sigma if sigmas is None else sigmas).astype(float),
-            np.atleast_1d(self.n_out if n_outs is None else n_outs).astype(int),
+            np.atleast_1d(sigmas).astype(float),
+            np.atleast_1d(n_out if n_outs is None else n_outs).astype(int),
         )
         if np.any(sigmas < 0):
             raise ValueError("regularization must be non-negative")
-        if np.any(n_outs < 0) or np.any(n_outs > self.n_out):
-            raise ValueError(f"candidate truncation outside 0..{self.n_out}")
+        if np.any(n_outs < 0) or np.any(n_outs > n_out):
+            raise ValueError(f"candidate truncation outside 0..{n_out}")
         conj_p = pressures.conj()
-        block = np.zeros((num_coeffs(self.n_out), sigmas.size), dtype=complex)
+        block = np.zeros((num_coeffs(n_out), sigmas.size), dtype=complex)
         for j in np.argsort(-n_outs, kind="stable"):  # largest degree first: see _gram
             sigma, size = sigmas[j], num_coeffs(n_outs[j])
             f_s = self.forward[:, :size]
@@ -125,10 +125,10 @@ class Encoder:
                 conj_x = sla.cho_solve(factor, conj_p @ f_s, check_finite=False)
             block[:size, j] = conj_x.conj()
             del normal, factor  # so the next candidate's copy of the Gram does not coexist with this one
-        return CoefficientVector(k=self.k, n_max=self.n_out, values=block if listed else block[:, 0])
+        return CoefficientVector(k=self.k, n_max=n_out, values=block)
 
 
-def hoa_encoder(sphere: RsmaSpec, k: float, n_c: int, sigma: float = 0.0) -> Encoder:
+def hoa_encoder(sphere: RsmaSpec, k: float, n_c: int) -> Encoder:
     """Conventional encoder for one rigid spherical array."""
     lam = surface_response_matrix(sphere, k, n_c)
     if sphere.num_capsules < num_coeffs(n_c):
@@ -137,9 +137,9 @@ def hoa_encoder(sphere: RsmaSpec, k: float, n_c: int, sigma: float = 0.0) -> Enc
             sphere.num_capsules,
             num_coeffs(n_c),
         )
-    return Encoder(forward=lam, sigma=sigma, k=k, n_out=n_c)
+    return Encoder(forward=lam, k=k)
 
 
-def mshoa_encoder(forward: ForwardOperator, sigma: float = 0.0) -> Encoder:
+def mshoa_encoder(forward: ForwardOperator) -> Encoder:
     """Encoder inverting the full (or, uncoupled, the single-scattering) forward operator."""
-    return Encoder(forward=forward.matrix, sigma=sigma, k=forward.scene.k, n_out=forward.scene.n_in)
+    return Encoder(forward=forward.matrix, k=forward.scene.k)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,6 +39,11 @@ class GridSpec:
             raise ValueError(f"plane must be one of {sorted(_PLANE_AXES)}, got {self.plane!r}")
         if self.resolution <= 0 or self.extent[0] <= 0 or self.extent[1] <= 0:
             raise ValueError("extent and resolution must be positive")
+        if not all(math.isfinite(e / self.resolution) for e in self.extent) or min(self.shape) < 1:
+            raise ValueError(
+                f"extent {self.extent} at resolution {self.resolution} must give a finite "
+                "number of pixels, at least one per axis"
+            )
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -91,13 +91,3 @@ def write_real_csv(path, values: np.ndarray, spec: GridSpec, config_hash: str) -
     """Real grid (e.g. an SDR map in dB) as CSV with the same header."""
     _write_grid(path, spec, config_hash, np.asarray(values, dtype=float), "%.17g")
 
-
-def read_field_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Read back a complex CSV grid; returns (values, header lines)."""
-    header, rows = [], []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            header.append(line)
-        elif line.strip():
-            rows.append([complex(tok) for tok in line.split(",")])
-    return np.array(rows, dtype=complex), header

@@ -29,7 +29,7 @@ from .matio import (
 )
 from .scatter import (
     ForwardOperator,
-    _local_incident_matrices,
+    _local_incident_block,
     eval_total_field,
     forward_operator,
     forward_solve,
@@ -67,7 +67,6 @@ class _Encoding:
 
     encoder: Encoder
     pressures: np.ndarray
-    sigmas: list | None = None  # fixed σ (MSHOA, Single); a search's grid needs the encoder's scale
     n_outs: list | None = None  # truncation candidates (HOA, at the fixed cfg.sigma)
     center: tuple | np.ndarray = (0.0, 0.0, 0.0)  # expansion center of the coefficients
     rcond: float | None = None  # of the coupled scattering system solved, if any
@@ -76,7 +75,7 @@ class _Encoding:
 def _full_capture(scene, points, local=None) -> tuple[np.ndarray, float]:
     """Pressure at ``points`` with every sphere present, and the rcond of the coupled solve.
 
-    ``local`` is the scene's per-sphere local incident maps, if already built.
+    ``local`` is the scene's local incident block, if already built.
     """
     a_in = scene.incident_coeffs()
     sol = forward_solve(scene, a_in, _local=local)
@@ -112,7 +111,7 @@ def _hoa_encoding(cfg: ExperimentConfig) -> _Encoding:
     else:
         candidates = list(range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1))  # ties go to the smaller n_c
     # one encoder at the largest n_c: the first (n_c+1)^2 columns of its response are the response at n_c
-    encoder = hoa_encoder(sphere, k, max(candidates), cfg.sigma)
+    encoder = hoa_encoder(sphere, k, max(candidates))
     return _Encoding(encoder, pressures, n_outs=candidates, center=sphere.center, rcond=rcond)
 
 
@@ -128,11 +127,11 @@ def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward) -> _En
         if export_forward is not None:
             export_matrix(export_forward, model.matrix)
         pressures, rcond = model.apply(scene.incident_coeffs()), model.rcond
-    else:  # the operator and the capture share each sphere's R|R
-        local = list(_local_incident_matrices(scene))
+    else:  # the capture reads the local incident block that the operator then scales in place
+        local = _local_incident_block(scene)
         pressures, rcond = _full_capture(scene, scene.capsule_positions(), local)
         model = forward_operator(scene, include_coupling=False, _local=local)
-    return _Encoding(mshoa_encoder(model), pressures, sigmas=None if cfg.sigma is None else [cfg.sigma], rcond=rcond)
+    return _Encoding(mshoa_encoder(model), pressures, rcond=rcond)
 
 
 def _sigma_grid(search, encoder: Encoder) -> list[float]:
@@ -187,7 +186,7 @@ def run_experiment(
     end_stage()
 
     by_degree = enc.n_outs is not None
-    sigmas = enc.sigmas if cfg.sigma_search is None else _sigma_grid(cfg.sigma_search, enc.encoder)
+    sigmas = [cfg.sigma] if cfg.sigma_search is None else _sigma_grid(cfg.sigma_search, enc.encoder)
     block = enc.encoder.apply(enc.pressures, sigmas=sigmas, n_outs=enc.n_outs)
     candidates = enc.n_outs if by_degree else sigmas
     center, rcond = enc.center, enc.rcond

@@ -11,7 +11,6 @@ import scipy.linalg as sla
 
 from .basis import (
     CoefficientVector,
-    basis_gradient_matrix,
     degrees_upto,
     num_coeffs,
     regular_basis_matrix,
@@ -35,7 +34,6 @@ class ScatterSolution:
     """Per-sphere radiating (B) coefficients of a coupled solve."""
 
     radiating: list[CoefficientVector]
-    residual: float
     rcond: float
 
 
@@ -80,23 +78,6 @@ def rigid_scatter_gain(k: float, radius: float, n_c: int) -> np.ndarray:
     return ratio[degrees_upto(n_c)]
 
 
-def single_sphere_total_field(
-    coeffs: CoefficientVector, radius: float, k: float, points: np.ndarray
-) -> np.ndarray:
-    """Exact total field around one rigid sphere at the origin.
-
-    p(r) = sum A_n^m [j_n(kr) - h_n(kr) j'_n(kR)/h'_n(kR)] Y_n^m for |r| >= R.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    r = np.linalg.norm(points, axis=1)
-    if np.any(r < radius * (1.0 - 1e-12)):
-        raise SceneError("evaluation point inside the sphere")
-    reg = regular_basis_matrix(coeffs.n_max, k, points, [0.0, 0.0, 0.0])
-    sing = singular_basis_matrix(coeffs.n_max, k, points, [0.0, 0.0, 0.0])
-    gain = rigid_scatter_gain(k, radius, coeffs.n_max)
-    return reg @ coeffs.values + sing @ (gain * coeffs.values)
-
-
 def assemble_system_matrix(scene: SceneConfig) -> np.ndarray:
     """Coupled block system relating local incident to radiating coefficients, A' = S B'.
 
@@ -125,7 +106,7 @@ def assemble_system_matrix(scene: SceneConfig) -> np.ndarray:
             if key in built:
                 block[:] = built[key]
             else:
-                block[:] = -sr_translation(shift, k, n_fwd, n_fwd).entries
+                block[:] = -sr_translation(shift, k, n_fwd, n_fwd)
                 built[key] = block
     return out
 
@@ -134,7 +115,17 @@ def _local_incident_matrices(scene: SceneConfig) -> Iterator[np.ndarray]:
     """Per-sphere (L_fwd x L_in) maps from global to truncated local coefficients, built as consumed."""
     from .translation import rr_translation
 
-    return (rr_translation(sph.center, scene.k, scene.n_in, scene.n_fwd).entries for sph in scene.spheres)
+    return (rr_translation(sph.center, scene.k, scene.n_in, scene.n_fwd) for sph in scene.spheres)
+
+
+def _local_incident_block(scene: SceneConfig) -> np.ndarray:
+    """Every sphere's local incident map (its R|R translation) in its rows of one
+    Fortran-ordered (spheres x L_fwd, L_in) block, filled one sphere at a time."""
+    lf = num_coeffs(scene.n_fwd)
+    block = np.empty((scene.num_spheres * lf, num_coeffs(scene.n_in)), dtype=complex, order="F")
+    for s, local in enumerate(_local_incident_matrices(scene)):
+        block[s * lf : (s + 1) * lf] = local
+    return block
 
 
 def _solve_coupled(system: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -160,22 +151,22 @@ def _solve_coupled(system: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, flo
 def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None) -> ScatterSolution:
     """Solve the coupled scattering problem for one incident expansion.
 
-    ``_local`` is a list of the scene's per-sphere local incident maps when
-    the caller has already built them (:func:`_local_incident_matrices`).
+    ``_local`` is the scene's :func:`_local_incident_block` when the caller
+    has already built it; otherwise each sphere's map is built, applied and
+    dropped in turn.
     """
     if a_in.n_max != scene.n_in:
         raise ValueError(f"incident coefficients must be truncated at {scene.n_in}")
-    a_local = np.concatenate([m @ a_in.values for m in _local or _local_incident_matrices(scene)])
-    system = assemble_system_matrix(scene)
-    b_all, rcond = _solve_coupled(system.copy(order="F"), a_local.copy())  # the residual reads both
-    res = np.linalg.norm(a_local - system @ b_all)
-    scale = np.linalg.norm(a_local)
-    residual = res / scale if scale > 0 else res
+    if _local is None:
+        a_local = np.concatenate([m @ a_in.values for m in _local_incident_matrices(scene)])
+    else:
+        a_local = _local @ a_in.values
+    b_all, rcond = _solve_coupled(assemble_system_matrix(scene), a_local)
     rad = [
         CoefficientVector(k=scene.k, n_max=scene.n_fwd, values=b)
         for b in np.split(b_all, scene.num_spheres)
     ]
-    return ScatterSolution(radiating=rad, residual=residual, rcond=rcond)
+    return ScatterSolution(radiating=rad, rcond=rcond)
 
 
 def _check_exterior(scene: SceneConfig, points: np.ndarray):
@@ -201,30 +192,6 @@ def eval_total_field(
     return out
 
 
-def eval_radial_derivative(
-    scene: SceneConfig,
-    solution: ScatterSolution,
-    a_in: CoefficientVector,
-    sphere_index: int,
-    direction: np.ndarray,
-) -> complex:
-    """Normal derivative of the total field on a sphere surface point.
-
-    Vanishes for a converged solve (rigid boundary condition).
-    """
-    direction = np.asarray(direction, dtype=float).reshape(3)
-    direction = direction / np.linalg.norm(direction)
-    sph = scene.spheres[sphere_index]
-    point = (sph.center + sph.radius * direction)[None, :]
-    k = scene.k
-    grad = basis_gradient_matrix("regular", a_in.n_max, k, point, [0.0, 0.0, 0.0])[0]
-    total = (a_in.values[:, None] * grad).sum(axis=0)
-    for c, rad in zip(scene.spheres, solution.radiating):
-        g = basis_gradient_matrix("singular", rad.n_max, k, point, c.center)[0]
-        total = total + (rad.values[:, None] * g).sum(axis=0)
-    return complex(total @ direction)
-
-
 def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=None) -> ForwardOperator:
     """Assemble the dense capsule-pressure response to every incident basis.
 
@@ -237,13 +204,11 @@ def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=N
     coupling each sphere scatters its local incident field alone: its
     T-matrix (the diagonal ``rigid_scatter_gain``) times its local incident
     coefficients, with no system to solve (Gumerov & Duraiswami, 2004, ch. 4).
-    ``_local`` is as in :func:`forward_solve`.
+    ``_local`` is the scene's :func:`_local_incident_block` when the caller
+    has already built it; it is overwritten.
     """
     k, n_fwd = scene.k, scene.n_fwd
-    lf = num_coeffs(n_fwd)
-    b_all = np.empty((scene.num_spheres * lf, num_coeffs(scene.n_in)), dtype=complex, order="F")
-    for s, local in enumerate(_local or _local_incident_matrices(scene)):
-        b_all[s * lf : (s + 1) * lf] = local
+    b_all = _local_incident_block(scene) if _local is None else _local
     if include_coupling:
         b_all, rcond = _solve_coupled(assemble_system_matrix(scene), b_all)
     else:

@@ -231,8 +231,8 @@ class SceneConfig:
     def total_capsules(self) -> int:
         return sum(s.num_capsules for s in self.spheres)
 
-    def incident_coeffs(self, n_max: int | None = None) -> CoefficientVector:
-        return self.source.coefficients(self.k, self.n_in if n_max is None else n_max)
+    def incident_coeffs(self) -> CoefficientVector:
+        return self.source.coefficients(self.k, self.n_in)
 
     def capsule_positions(self) -> np.ndarray:
         return np.vstack([s.capsule_positions() for s in self.spheres])

@@ -25,7 +25,6 @@ Phys. Rev. E 92, 043307, 2015).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -37,27 +36,6 @@ from .basis import cart_to_sph, norm_legendre_triangle, num_coeffs
 
 class DegenerateDisplacementError(ValueError):
     """S|R translation with zero displacement has no valid region."""
-
-
-@dataclass
-class TranslationMatrix:
-    """Dense re-expansion operator between two spherical expansion origins."""
-
-    kind: str  # "RR" or "SR"
-    t: np.ndarray
-    k: float
-    n_src: int
-    n_dst: int
-    entries: np.ndarray = field(repr=False)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values)
-        if values.shape[0] != num_coeffs(self.n_src):
-            raise ValueError(
-                f"coefficient length {values.shape[0]} does not match source "
-                f"truncation {self.n_src}"
-            )
-        return self.entries @ values
 
 
 @lru_cache(maxsize=32)
@@ -150,7 +128,7 @@ def _ly_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, v
 
 
-def _translation(kind: str, t, k: float, n_src: int, n_dst: int) -> TranslationMatrix:
+def _translation(kind: str, t, k: float, n_src: int, n_dst: int) -> np.ndarray:
     t = np.asarray(t, dtype=float).reshape(3)
     if n_src < 0 or n_dst < 0:
         raise ValueError("truncation degrees must be non-negative")
@@ -165,7 +143,7 @@ def _translation(kind: str, t, k: float, n_src: int, n_dst: int) -> TranslationM
         entries = np.zeros((num_coeffs(n_dst), num_coeffs(n_src)), dtype=complex)
         ncom = num_coeffs(min(n_src, n_dst))
         entries[:ncom, :ncom] = np.eye(ncom)
-        return TranslationMatrix(kind, t, k, n_src, n_dst, entries)
+        return entries
 
     that = t / dist
     entries = _coaxial_matrix(kind, dist, k, n_src, n_dst)
@@ -178,14 +156,14 @@ def _translation(kind: str, t, k: float, n_src: int, n_dst: int) -> TranslationM
                 entries[:, sl] = entries[:, sl] @ d
             if n <= n_dst:
                 entries[sl, :] = d.conj().T @ entries[sl, :]
-    return TranslationMatrix(kind, t, k, n_src, n_dst, entries)
+    return entries
 
 
-def rr_translation(t, k: float, n_src: int, n_dst: int) -> TranslationMatrix:
-    """Regular-to-regular re-expansion about an origin displaced by ``t``."""
+def rr_translation(t, k: float, n_src: int, n_dst: int) -> np.ndarray:
+    """Regular-to-regular re-expansion about an origin displaced by ``t``: the (L_dst, L_src) matrix."""
     return _translation("RR", t, k, n_src, n_dst)
 
 
-def sr_translation(t, k: float, n_src: int, n_dst: int) -> TranslationMatrix:
-    """Singular-to-regular re-expansion, valid for |r - c_dst| < |t|."""
+def sr_translation(t, k: float, n_src: int, n_dst: int) -> np.ndarray:
+    """Singular-to-regular re-expansion, valid for |r - c_dst| < |t|: the (L_dst, L_src) matrix."""
     return _translation("SR", t, k, n_src, n_dst)

@@ -49,7 +49,7 @@ def test_gram_gemm(benchmark, planar9_shaped):
 def test_sigma_solve(benchmark, capsules):
     """One σ candidate of a 676-coefficient encoder, its Gram already formed."""
     rng = np.random.default_rng(1)
-    enc = Encoder(forward=_complex(rng, (capsules, num_coeffs(25))), k=K, n_out=25)
+    enc = Encoder(forward=_complex(rng, (capsules, num_coeffs(25))), k=K)
     sigma = 1e-8 * enc.scale
     p = _complex(rng, capsules)
     benchmark(enc.apply, p, sigmas=[sigma])

@@ -1,0 +1,150 @@
+"""Reference implementations the tests compare the library against.
+
+No experiment runs these: each is the direct, one-value-at-a-time or
+closed-form counterpart of something ``mshoa`` computes another way, or a
+physical check (the rigid-boundary residual) that only the tests evaluate.
+"""
+
+from pathlib import Path
+
+import numpy as np
+from scipy.special import spherical_jn, spherical_yn
+
+from mshoa.basis import (
+    BasisDomainError,
+    cart_to_sph,
+    degrees_upto,
+    norm_legendre_triangle,
+    num_coeffs,
+    regular_basis_matrix,
+    singular_basis_matrix,
+    sph_harm_matrix,
+)
+from mshoa.scatter import rigid_scatter_gain
+from mshoa.scene import SceneError
+
+
+def pack_index(n: int, m: int) -> int:
+    """Flat index l = n^2 + n + m of the (n, m) harmonic."""
+    return n * n + n + m
+
+
+def orders_upto(n_max: int) -> np.ndarray:
+    """Array of length (n_max+1)^2 holding the order m of each flat index."""
+    out = np.empty(num_coeffs(n_max), dtype=int)
+    for n in range(n_max + 1):
+        out[n * n : (n + 1) ** 2] = np.arange(-n, n + 1)
+    return out
+
+
+def sph_harm(n: int, m: int, theta, phi):
+    """Orthonormal complex spherical harmonic Y_n^m(theta, phi), one (n, m) at a time.
+
+    Negative orders follow the conjugation symmetry
+    Y_n^{-m} = (-1)^m conj(Y_n^m).
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    ma = abs(m)
+    pbar = norm_legendre_triangle(n, np.cos(theta))[n * (n + 1) // 2 + ma]
+    val = pbar * np.exp(1j * m * phi)
+    if m < 0 and ma % 2:
+        val = -val
+    return val
+
+
+def basis_gradient_matrix(kind: str, n_max: int, k: float, points: np.ndarray, center) -> np.ndarray:
+    """Cartesian gradients of all basis functions about ``center``.
+
+    ``kind`` selects the radial function: 'regular' (j_n) or 'singular' (h_n).
+    Returns shape (P, (n_max+1)^2, 3).  Points must not coincide with the
+    center; points on the z-axis through the center are rejected (the polar
+    decomposition of the gradient degenerates there).
+    """
+    if kind not in ("regular", "singular"):
+        raise ValueError(f"kind must be 'regular' or 'singular', got {kind!r}")
+    rel = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center, float)
+    r, theta, phi = cart_to_sph(rel)
+    if np.any(r == 0):
+        raise BasisDomainError("gradient evaluated at the expansion center")
+    st = np.sin(theta)
+    if np.any(st < 1e-12):
+        raise BasisDomainError("gradient evaluation on the polar axis is unsupported")
+
+    L = num_coeffs(n_max)
+    degs = degrees_upto(n_max)
+    ords = orders_upto(n_max)
+    ns = np.arange(n_max + 1)[:, None]
+    kr = k * r[None, :]
+    if kind == "regular":
+        f = spherical_jn(ns, kr)
+        fp = spherical_jn(ns, kr, derivative=True)
+    else:
+        f = spherical_jn(ns, kr) + 1j * spherical_yn(ns, kr)
+        fp = spherical_jn(ns, kr, derivative=True) + 1j * spherical_yn(ns, kr, derivative=True)
+
+    # Y and its theta derivative: dY_n^m/dtheta = m cot(theta) Y_n^m
+    #   + sqrt((n-m)(n+m+1)) e^{-i phi} Y_n^{m+1}
+    ymat = sph_harm_matrix(n_max, theta, phi)  # (P, L)
+    dtheta = (ords[None, :] * (np.cos(theta) / st)[:, None]) * ymat
+    eminus = np.exp(-1j * phi)
+    for l in range(L):
+        n, m = degs[l], ords[l]
+        if m < n:
+            c = np.sqrt((n - m) * (n + m + 1.0))
+            dtheta[:, l] += c * eminus * ymat[:, pack_index(n, m + 1)]
+
+    rhat = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    that = np.stack([np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -st], axis=-1)
+    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+
+    fr = f[degs].T  # (P, L)
+    fpr = fp[degs].T
+    radial = (k * fpr * ymat)[:, :, None] * rhat[:, None, :]
+    polar = (fr * dtheta / r[:, None])[:, :, None] * that[:, None, :]
+    azim = (fr * ymat * (1j * ords[None, :]) / (r * st)[:, None])[:, :, None] * phat[:, None, :]
+    return radial + polar + azim
+
+
+def single_sphere_total_field(coeffs, radius: float, k: float, points: np.ndarray) -> np.ndarray:
+    """Exact total field around one rigid sphere at the origin.
+
+    p(r) = sum A_n^m [j_n(kr) - h_n(kr) j'_n(kR)/h'_n(kR)] Y_n^m for |r| >= R.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    r = np.linalg.norm(points, axis=1)
+    if np.any(r < radius * (1.0 - 1e-12)):
+        raise SceneError("evaluation point inside the sphere")
+    reg = regular_basis_matrix(coeffs.n_max, k, points, [0.0, 0.0, 0.0])
+    sing = singular_basis_matrix(coeffs.n_max, k, points, [0.0, 0.0, 0.0])
+    gain = rigid_scatter_gain(k, radius, coeffs.n_max)
+    return reg @ coeffs.values + sing @ (gain * coeffs.values)
+
+
+def eval_radial_derivative(scene, solution, a_in, sphere_index: int, direction: np.ndarray) -> complex:
+    """Normal derivative of the total field on a sphere surface point.
+
+    Vanishes for a converged solve (rigid boundary condition).
+    """
+    direction = np.asarray(direction, dtype=float).reshape(3)
+    direction = direction / np.linalg.norm(direction)
+    sph = scene.spheres[sphere_index]
+    point = (sph.center + sph.radius * direction)[None, :]
+    k = scene.k
+    grad = basis_gradient_matrix("regular", a_in.n_max, k, point, [0.0, 0.0, 0.0])[0]
+    total = (a_in.values[:, None] * grad).sum(axis=0)
+    for c, rad in zip(scene.spheres, solution.radiating):
+        g = basis_gradient_matrix("singular", rad.n_max, k, point, c.center)[0]
+        total = total + (rad.values[:, None] * g).sum(axis=0)
+    return complex(total @ direction)
+
+
+def read_field_csv(path) -> tuple[np.ndarray, list[str]]:
+    """Read back a complex CSV grid; returns (values, header lines)."""
+    header, rows = [], []
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("#"):
+            header.append(line)
+        elif line.strip():
+            rows.append([complex(tok) for tok in line.split(",")])
+    return np.array(rows, dtype=complex), header

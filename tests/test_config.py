@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mshoa.config import (
     ConfigError,
@@ -97,6 +100,8 @@ def test_config_rejections():
         (MINIMAL + "hoa: {n_c_min: 5, n_c_max: 3}\n", "n_c_min"),
         (MINIMAL + "hoa: {n_c: -1}\n", "n_c"),
         (MINIMAL + "hoa: {n_c: 2.7}\n", "n_c"),
+        (MINIMAL + "hoa: {n_c: 3, n_c_max: 5}\n", "n_c"),
+        (MINIMAL + "hoa: {n_c: 3, n_c_min: 2}\n", "n_c"),
         (MINIMAL + "hoa: {sphere_index: 1.5}\n", "sphere_index"),
         (MINIMAL + "sigma_search: {min_factor: 0}\n", "factor"),
         (MINIMAL + "sigma_search: {min_factor: -1e-8}\n", "factor"),
@@ -130,6 +135,17 @@ def test_config_rejections():
             "capsule",
         ),
         (MINIMAL + "grid: {plain: xz}\n", "plain"),
+        # grid values: exact 2-vectors of finite numbers, at least one pixel per axis
+        (MINIMAL + "grid: {extent: [2]}\n", "extent"),
+        (MINIMAL + "grid: {extent: [2, 2, 7]}\n", "extent"),
+        (MINIMAL + "grid: {extent: 2}\n", "extent"),
+        (MINIMAL + "grid: {extent: [2, .inf]}\n", "extent"),
+        (MINIMAL + "grid: {center: [0.5]}\n", "center"),
+        (MINIMAL + "grid: {center: [0, abc]}\n", "center"),
+        (MINIMAL + "grid: {extent: [2, 2], resolution: 5}\n", "pixel"),
+        (MINIMAL + "grid: {extent: [2, 2], resolution: 1e-320}\n", "pixel"),
+        (MINIMAL + "grid: {resolution: abc}\n", "resolution"),
+        (MINIMAL + "grid: {normal_offset: [1]}\n", "normal_offset"),
         (MINIMAL + "sigma_search: {points: 3, max: 10}\n", "'max'"),
         (MINIMAL + "hoa: {nc: 3}\n", "'nc'"),
         (MINIMAL + "threads: 2\n", "'threads'"),
@@ -138,6 +154,28 @@ def test_config_rejections():
             validate_config(text)
     # output paths stay accepted (hash_config ignores them)
     validate_config(MINIMAL + "output: out\n")
+
+
+_GRID_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.floats(), st.integers(-3, 3), st.text(max_size=2), st.none()), max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(["plane", "extent", "resolution", "center", "normal_offset"]), _GRID_VALUES))
+def test_any_grid_parses_to_pixels_or_is_a_config_error(grid):
+    """A grid mapping either gives at least one pixel per axis or is a ConfigError, never another exception."""
+    raw = {**yaml.safe_load(MINIMAL), "grid": grid}
+    try:
+        cfg = parse_config(raw)
+    except ConfigError:
+        return
+    assert min(cfg.grid.shape) >= 1
 
 
 def test_spheres_and_layout_are_exclusive():

@@ -27,9 +27,9 @@ def test_unregularized_encoder_inverts_response():
     """With plenty of capsules and sigma = 0, E @ Lambda = I."""
     sphere = _sphere(162)
     k = 2 * np.pi * 1000 / 343.0
-    enc = hoa_encoder(sphere, k, 6, sigma=0.0)
+    enc = hoa_encoder(sphere, k, 6)
     lam = surface_response_matrix(sphere, k, 6)
-    prod = np.column_stack([enc.apply(column).values for column in lam.T])  # E @ Lambda
+    prod = np.column_stack([enc.apply(column, sigmas=0.0).values[:, 0] for column in lam.T])  # E @ Lambda
     assert np.max(np.abs(prod - np.eye(num_coeffs(6)))) < 1e-8
 
 
@@ -39,9 +39,9 @@ def test_ridge_solution_stationarity(rng):
     k = 2 * np.pi * 2000 / 343.0
     lam = surface_response_matrix(sphere, k, 7)
     sigma = 1e-4 * np.linalg.norm(lam, 2) ** 2
-    enc = hoa_encoder(sphere, k, 7, sigma=sigma)
+    enc = hoa_encoder(sphere, k, 7)
     p = rng.normal(size=100) + 1j * rng.normal(size=100)
-    x = enc.apply(p).values
+    x = enc.apply(p, sigmas=sigma).values[:, 0]
     grad = lam.conj().T @ (lam @ x - p) + sigma * x
     assert np.linalg.norm(grad) / np.linalg.norm(lam.conj().T @ p) < 1e-10
 
@@ -52,7 +52,7 @@ def test_shrinkage_is_monotone_in_sigma(rng):
     scale = np.linalg.norm(surface_response_matrix(sphere, k, 7), 2) ** 2
     p = rng.normal(size=100) + 1j * rng.normal(size=100)
     norms = [
-        np.linalg.norm(hoa_encoder(sphere, k, 7, sigma=scale * f).apply(p).values)
+        np.linalg.norm(hoa_encoder(sphere, k, 7).apply(p, sigmas=scale * f).values)
         for f in (1e-8, 1e-4, 1e-1, 1e1, 1e3)
     ]
     assert all(a >= b for a, b in zip(norms, norms[1:]))
@@ -62,14 +62,14 @@ def test_shrinkage_is_monotone_in_sigma(rng):
 
 def test_single_equals_mshoa_for_one_sphere():
     scene = _scene([[0.0, 0.0, 0.0]])
-    full = mshoa_encoder(forward_operator(scene, include_coupling=True), 1e-6)
-    single = mshoa_encoder(forward_operator(scene, include_coupling=False), 1e-6)
-    np.testing.assert_allclose(_encoder_matrix(full), _encoder_matrix(single), atol=1e-13)
+    full = mshoa_encoder(forward_operator(scene, include_coupling=True))
+    single = mshoa_encoder(forward_operator(scene, include_coupling=False))
+    np.testing.assert_allclose(_encoder_matrix(full, 1e-6), _encoder_matrix(single, 1e-6), atol=1e-13)
 
 
-def _encoder_matrix(enc):
+def _encoder_matrix(enc, sigma):
     """The capsules-to-coefficients map E, one column per unit capsule pressure."""
-    return np.column_stack([enc.apply(unit).values for unit in np.eye(enc.forward.shape[0])])
+    return np.column_stack([enc.apply(unit, sigmas=sigma).values[:, 0] for unit in np.eye(enc.forward.shape[0])])
 
 
 def _count_grams(monkeypatch):
@@ -118,7 +118,7 @@ def test_shared_gram_matches_normal_equations(rng, monkeypatch):
             err = np.linalg.norm(column - reference) / np.linalg.norm(reference)
             # at 1e-8 the normal-equations reference itself carries ~cond * eps error
             assert err <= (1e-8 if factor == 0 or factor >= 1e-6 else 1e-7)
-    lone = Encoder(forward=f[:, :1], k=scene.k, n_out=0)  # too small for ARPACK
+    lone = Encoder(forward=f[:, :1], k=scene.k)  # too small for ARPACK
     assert lone.scale == pytest.approx(np.linalg.norm(f[:, 0]) ** 2, rel=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_unregularized_encoder_forms_no_gram(rng, monkeypatch):
     grams = _count_grams(monkeypatch)
     sphere = _sphere(100)
     p = rng.normal(size=100) + 1j * rng.normal(size=100)
-    hoa_encoder(sphere, 2 * np.pi * 2000 / 343.0, 11).apply(p, n_outs=[2, 7, 11])
+    hoa_encoder(sphere, 2 * np.pi * 2000 / 343.0, 11).apply(p, sigmas=0.0, n_outs=[2, 7, 11])
     assert grams == []
 
 
@@ -144,36 +144,36 @@ def test_truncation_candidates_match_lower_degree_encoders(rng, monkeypatch):
     grams = _count_grams(monkeypatch)
     for sigma in (0.0, 1e-6, 1e-4 * scale):
         grams.clear()
-        block = hoa_encoder(sphere, k, 11, sigma).apply(p, n_outs=[2, 7, 11]).values
+        block = hoa_encoder(sphere, k, 11).apply(p, sigmas=sigma, n_outs=[2, 7, 11]).values
         assert sorted(grams) == ([] if sigma == 0 else [(64, 64), (100, 100)])
         for column, n_c in zip(block.T, (2, 7, 11)):
-            alone = hoa_encoder(sphere, k, n_c, sigma).apply(p).values
+            alone = hoa_encoder(sphere, k, n_c).apply(p, sigmas=sigma).values[:, 0]
             np.testing.assert_allclose(column[: alone.size], alone, rtol=0, atol=1e-12 * np.abs(alone).max())
             assert not column[alone.size :].any()
 
 
 def test_encoder_metadata_and_apply(rng):
     scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]])
-    enc = mshoa_encoder(forward_operator(scene), 1e-8)
+    enc = mshoa_encoder(forward_operator(scene))
     assert enc.n_out == scene.n_in
     assert enc.k == pytest.approx(scene.k)
     p = rng.normal(size=80) + 1j * rng.normal(size=80)
-    cv = enc.apply(p)
+    cv = enc.apply(p, sigmas=[1e-8])
     assert cv.n_max == scene.n_in
-    assert cv.values.shape == (num_coeffs(scene.n_in),)
+    assert cv.values.shape == (num_coeffs(scene.n_in), 1)
 
 
 def test_encoder_input_length_checked():
     sphere = _sphere(50)
-    enc = hoa_encoder(sphere, 10.0, 4, sigma=1e-6)
+    enc = hoa_encoder(sphere, 10.0, 4)
     with pytest.raises(ValueError):
-        enc.apply(np.zeros(49))
+        enc.apply(np.zeros(49), sigmas=1e-6)
 
 
 def test_negative_sigma_rejected():
     sphere = _sphere(50)
     with pytest.raises(ValueError):
-        hoa_encoder(sphere, 10.0, 4, sigma=-1.0)
+        hoa_encoder(sphere, 10.0, 4).apply(np.zeros(50), sigmas=-1.0)
 
 
 def test_underdetermined_encoder_warns(caplog):
@@ -181,5 +181,5 @@ def test_underdetermined_encoder_warns(caplog):
 
     sphere = _sphere(10)
     with caplog.at_level(logging.WARNING, logger="mshoa.encode"):
-        hoa_encoder(sphere, 10.0, 5, sigma=1e-6)
+        hoa_encoder(sphere, 10.0, 5)
     assert any("underdetermined" in r.message for r in caplog.records)

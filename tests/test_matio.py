@@ -9,10 +9,10 @@ from mshoa.matio import (
     MatrixFormatError,
     export_matrix,
     import_matrix,
-    read_field_csv,
     write_field_csv,
     write_real_csv,
 )
+from tests.oracles import read_field_csv
 
 
 def test_matrix_roundtrip_bit_exact(tmp_path, rng):

@@ -8,8 +8,9 @@ from click.testing import CliRunner
 
 from mshoa.cli import main
 from mshoa.config import validate_config
-from mshoa.matio import export_matrix, import_matrix, read_field_csv
+from mshoa.matio import export_matrix, import_matrix
 from mshoa.runner import run_experiment
+from tests.oracles import read_field_csv
 
 TINY = """
 scene:
@@ -151,6 +152,37 @@ def test_single_run_builds_each_local_translation_once(tmp_path, monkeypatch):
     assert sorted(built) == sorted(tuple(s.center) for s in cfg.scene.spheres)
 
 
+def test_single_encoding_holds_no_more_than_the_coupled_build():
+    """A Single encoding (the capture's coupled vector solve, then the
+    uncoupled operator) fits in the traced peak of the coupled T_F build of the
+    same scene: one system, one local incident block, which the operator
+    scales in place, and T_F.  Neither the system nor the block is copied."""
+    import tracemalloc
+
+    from mshoa import runner
+    from mshoa.scatter import forward_operator
+
+    cfg = validate_config(
+        TINY_SINGLE.replace(
+            "layout: {type: linear, count: 2, spacing: 0.25, axis: y}",
+            "layout: {type: cartesian, rows: 2, cols: 2, spacing: 0.25, plane: xy}",
+        )
+        .replace("capsules: 40", "capsules: 80")
+        .replace("n_in: 8\n  n_fwd: 5", "n_in: 12\n  n_fwd: 10")
+    )
+    peaks = []
+    for build in (lambda: forward_operator(cfg.scene), lambda: runner._grid_encoding(cfg, None, None)):
+        build()  # fill the translation caches outside the trace
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    coupled, single = peaks
+    assert single <= 1.05 * coupled
+
+
 def test_encoder_is_released_before_the_pixel_search(tmp_path, monkeypatch):
     """Nothing holds the encoder, and with it T_F and its Gram, once it has solved."""
     import weakref
@@ -226,11 +258,23 @@ def test_cli_rejects_bad_config(tmp_path):
     res = runner.invoke(main, ["validate", str(bad)])
     assert res.exit_code == 2
 
-    # a malformed value is a config error too, not a traceback
-    bad.write_text(TINY_HOA.replace("n_c: 4", "n_c: -1"))
-    res = runner.invoke(main, ["run", str(bad), "--out", str(tmp_path / "out")])
-    assert res.exit_code == 2
-    assert "config error" in res.output and "n_c" in res.output
+    # a malformed value is a config error too, not a traceback, and nothing is run
+    grid = "grid: {plane: xy, extent: [0.8, 0.8], resolution: 0.05}"
+    for text, word in [
+        (TINY_HOA.replace("n_c: 4", "n_c: -1"), "n_c"),
+        (TINY_HOA.replace("n_c: 4", "n_c: 4, n_c_max: 6"), "n_c"),
+        (TINY.replace(grid, "grid: {extent: [2]}"), "extent"),
+        (TINY.replace(grid, "grid: {extent: [2, 2, 7]}"), "extent"),
+        (TINY.replace(grid, "grid: {center: [0.5]}"), "center"),
+        (TINY.replace(grid, "grid: {extent: [2, 2], resolution: 5}"), "pixel"),
+    ]:
+        bad.write_text(text)
+        out = tmp_path / "out-malformed"
+        for command in (["validate", str(bad)], ["run", str(bad), "--out", str(out)]):
+            res = runner.invoke(main, command)
+            assert res.exit_code == 2, (text, res.output)
+            assert "config error" in res.output and word in res.output
+        assert not (out / "summary.json").exists()
 
 
 def test_cli_bad_forward_file(tmp_path):

@@ -1,0 +1,94 @@
+"""The library holds only what a run executes.
+
+Every public function, method and property defined in ``mshoa`` must be
+reached by at least one of a handful of tiny experiments; reference
+implementations that only tests call live in ``tests/oracles.py``.  The
+package's ``__all__`` is the entry-point list README documents.
+"""
+
+import importlib
+import inspect
+import pkgutil
+import re
+import sys
+from pathlib import Path
+
+from click.testing import CliRunner
+
+import mshoa
+from mshoa.cli import main
+from mshoa.config import validate_config
+from mshoa.runner import run_experiment
+from tests.test_runner import LONE_HOA, TINY, TINY_HOA, TINY_SINGLE
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+TINY_CARTESIAN = TINY.replace(
+    "layout: {type: linear, count: 2, spacing: 0.25, axis: y}",
+    "layout: {type: cartesian, rows: 2, cols: 2, spacing: 0.25, plane: xy}",
+)
+
+
+def _public_code() -> dict:
+    """Code object of every public function, method and property of every ``mshoa`` module.
+
+    Click command objects are not functions, so the CLI's commands are not listed.
+    """
+    codes = {}
+    for info in pkgutil.iter_modules(mshoa.__path__):
+        module = importlib.import_module(f"mshoa.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                codes[f"{module.__name__}.{name}"] = obj.__code__
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if attr.startswith("_"):
+                        continue
+                    if isinstance(member, property):
+                        member = member.fget
+                    elif isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    if inspect.isfunction(member):
+                        codes[f"{module.__name__}.{name}.{attr}"] = member.__code__
+    return codes
+
+
+def _tiny_runs(tmp_path):
+    run_experiment(validate_config(TINY.replace("sigma: 1e-9", "sigma_search: {points: 3}")), tmp_path / "search")
+    run_experiment(validate_config(TINY_SINGLE), tmp_path / "single")
+    run_experiment(validate_config(TINY_HOA), tmp_path / "hoa")
+    run_experiment(validate_config(LONE_HOA), tmp_path / "lone")
+    run_experiment(validate_config(TINY_CARTESIAN), tmp_path / "cartesian")
+    forward = tmp_path / "forward.bin"
+    run_experiment(validate_config(TINY), tmp_path / "export", export_forward=forward)
+    run_experiment(validate_config(TINY), tmp_path / "import", import_forward=forward, dump_coeffs=True)
+    config = tmp_path / "tiny.yaml"
+    config.write_text(TINY)
+    assert CliRunner().invoke(main, ["validate", str(config)]).exit_code == 0
+
+
+def test_every_public_name_runs_in_an_experiment(tmp_path):
+    public = _public_code()
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        _tiny_runs(tmp_path)
+    finally:
+        sys.setprofile(None)
+    unreached = sorted(name for name, code in public.items() if code not in called)
+    assert not unreached, f"public names no run reaches (move them to tests/oracles.py or delete them): {unreached}"
+
+
+def test_exports_are_the_documented_entry_points():
+    section = README.read_text().split("## Library entry points", 1)[1]
+    block = re.search(r"from mshoa import \((.*?)\)", section, re.S).group(1)
+    documented = re.findall(r"\w+", re.sub(r"#[^\n]*", "", block))
+    assert sorted(mshoa.__all__) == sorted(documented)
+    assert all(hasattr(mshoa, name) for name in documented)
