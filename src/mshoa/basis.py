@@ -28,10 +28,7 @@ def num_coeffs(n_max: int) -> int:
 
 def degrees_upto(n_max: int) -> np.ndarray:
     """Array of length (n_max+1)^2 holding the degree n of each flat index."""
-    out = np.empty(num_coeffs(n_max), dtype=int)
-    for n in range(n_max + 1):
-        out[n * n : (n + 1) ** 2] = n
-    return out
+    return np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
 
 
 @dataclass

@@ -176,15 +176,14 @@ def _parse_spheres(raw: dict) -> list[RsmaSpec]:
         _mapping(layout, LAYOUT_KEYS[ltype], f"scene.layout ({ltype})")
         radius = _number(_require(raw, "radius", "scene"), "scene.radius")
         capsules = _integer(_require(raw, "capsules", "scene"), "scene.capsules")
+        spacing = _number(_require(layout, "spacing", "scene.layout"), "scene.layout.spacing")
         if ltype == "linear":
-            spacing = _number(_require(layout, "spacing", "scene.layout"), "scene.layout.spacing")
             centers = layout_linear(
                 _integer(_require(layout, "count", "scene.layout"), "scene.layout.count"),
                 spacing,
                 layout.get("axis", "y"),
             )
         else:
-            spacing = _number(_require(layout, "spacing", "scene.layout"), "scene.layout.spacing")
             centers = layout_cartesian(
                 _integer(_require(layout, "rows", "scene.layout"), "scene.layout.rows"),
                 _integer(_require(layout, "cols", "scene.layout"), "scene.layout.cols"),

@@ -14,6 +14,9 @@ from .scene import IncidentSource, RsmaSpec
 SDR_CAP_DB = 150.0
 SDR_FLOOR_DB = -300.0
 DEFAULT_THRESHOLD_DB = 30.0
+MAX_PIXELS = 10**8  # 2.4 GB of pixel coordinates alone; the configs use 1e4 pixels, the benchmark 4e4
+# Real-table entries per pixel chunk: 4096 pixels at degree 25, (25+1)(25+2) rows (23 MB)
+CHUNK_TABLE_ENTRIES = 702 * 4096
 
 _PLANE_AXES = {"xy": (0, 1, 2), "yz": (1, 2, 0), "xz": (0, 2, 1)}
 
@@ -43,6 +46,11 @@ class GridSpec:
             raise ValueError(
                 f"extent {self.extent} at resolution {self.resolution} must give a finite "
                 "number of pixels, at least one per axis"
+            )
+        if self.shape[0] * self.shape[1] > MAX_PIXELS:
+            raise ValueError(
+                f"extent {self.extent} at resolution {self.resolution} gives "
+                f"{self.shape[0] * self.shape[1]:,} pixels, more than the {MAX_PIXELS:,} allowed"
             )
 
     @property
@@ -109,12 +117,15 @@ def reconstruct_field(
     The coefficients are folded once into real-table weights
     (:func:`~mshoa.basis.real_table_weights`), and each chunk of pixels is one
     real table (:func:`~mshoa.basis.regular_real_table`) times those weights,
-    in one real matrix product.  A coefficient block gives one grid per
+    in one real matrix product.  A chunk holds at most ``chunk`` pixels, and
+    fewer at high degree, so that its table has at most
+    ``CHUNK_TABLE_ENTRIES`` entries.  A coefficient block gives one grid per
     column from that single pass.
     """
     pts = spec.points()
     weights = real_table_weights(coeffs.values, coeffs.n_max).view(float)  # real, imaginary interleaved
     out = np.empty((pts.shape[0], weights.shape[1] // 2), dtype=complex)
+    chunk = max(1, min(chunk, CHUNK_TABLE_ENTRIES // ((coeffs.n_max + 1) * (coeffs.n_max + 2))))
     for start in range(0, pts.shape[0], chunk):
         table = regular_real_table(coeffs.n_max, k, pts[start : start + chunk], center)
         np.matmul(table.T, weights, out=out[start : start + chunk].view(float))

@@ -9,18 +9,16 @@ with F the regular basis for R|R, and the regular re-expansion of the
 singular basis for S|R (valid for |r - c_dst| < |t|).
 
 Assembly goes through the coaxial (z-aligned) case, where only equal orders
-couple and the coefficients reduce to finite Gegenbauer-type sums
-
-    T^m_{l,n}(d zhat) = 2 pi i^(l-n) sum_p i^p (2p+1) f_p(kd) G_{p,l,n}^m,
-
-with f = j for R|R and f = h for S|R, and G the overlap integrals of a
-Legendre polynomial with two orthonormalized associated Legendre functions.
-The G integrals are polynomial and evaluated exactly by Gauss-Legendre
-quadrature; they are cached per truncation pair.  General displacements are
-handled by conjugating with per-degree spherical-harmonic rotation matrices
-(Wigner D), evaluated in closed form as the exponential of the tridiagonal
-angular-momentum matrix through its exact eigendecomposition (Feng et al.,
-Phys. Rev. E 92, 043307, 2015).
+couple and T^m_{l,n}(d zhat) = T^{-m}_{l,n}(d zhat).  Those coefficients come
+from the coaxial recurrences of Gumerov & Duraiswami (Fast Multipole Methods
+for the Helmholtz Equation in Three Dimensions, 2004, section 3.2): the
+column T^0_{l,0} = (-1)^l sqrt(2l+1) f_l(kd), with f = j for R|R and f = h
+for S|R, is raised in order by the sectorial recurrence and in source degree
+by the three-term degree recurrence, with no quadrature and no cache.
+General displacements are handled by conjugating with per-degree
+spherical-harmonic rotation matrices (Wigner D), evaluated in closed form as
+the exponential of the tridiagonal angular-momentum matrix through its exact
+eigendecomposition (Feng et al., Phys. Rev. E 92, 043307, 2015).
 """
 
 from __future__ import annotations
@@ -28,74 +26,65 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_legendre, spherical_jn, spherical_yn
+from scipy.special import spherical_jn, spherical_yn
 
-from .basis import cart_to_sph, norm_legendre_triangle, num_coeffs
+from .basis import cart_to_sph, num_coeffs
 
 
 class DegenerateDisplacementError(ValueError):
     """S|R translation with zero displacement has no valid region."""
 
 
-@lru_cache(maxsize=32)
-def _gaunt_tensors(n_dst: int, n_src: int) -> tuple:
-    """Overlap integrals G^m[p, l, n] = int_-1^1 P_p Pbar_l^m Pbar_n^m dx.
+def _coaxial_matrix(kind: str, dist: float, k: float, n_src: int, n_dst: int) -> np.ndarray:
+    """Translation matrix for displacement ``dist`` along +z.
 
-    Returned as a tuple (indexed by m) of arrays with l in m..n_dst and
-    n in m..n_src; p runs over 0..n_dst+n_src.
+    Column n of T^m[n', n] is held for every order m <= n at once, over
+    n' = 0..p_max with p_max = n_src + n_dst.  Each step in n raises the orders below n by the degree
+    recurrence and starts order n from the sectorial one of order n - 1.
+    Column n is exact for n' <= p_max - n and kept zero beyond, so every
+    entry read (n <= n_src, n' <= n_dst) is exact.
     """
     p_max = n_dst + n_src
-    # integrand degree <= 2*(n_dst+n_src); need >= (deg+1)/2 nodes
-    nodes = p_max + 1 + (p_max + 1) % 2
-    xg, wg = leggauss(max(nodes, 2))
-    pleg = eval_legendre(np.arange(p_max + 1)[:, None], xg[None, :])  # (p, j)
-    tri_d = norm_legendre_triangle(n_dst, xg)
-    tri_s = tri_d if n_src == n_dst else norm_legendre_triangle(n_src, xg)
-
-    def row(tri, n, m):
-        return tri[n * (n + 1) // 2 + m]
-
-    out = []
-    for m in range(min(n_dst, n_src) + 1):
-        pl = np.stack([row(tri_d, l, m) for l in range(m, n_dst + 1)])  # (L, j)
-        pn = np.stack([row(tri_s, n, m) for n in range(m, n_src + 1)])  # (N, j)
-        g = np.einsum("pj,lj,nj,j->pln", pleg, pl, pn, wg, optimize=True)
-        # selection rules: |l-n| <= p <= l+n with even p+l+n; quadrature
-        # roundoff outside that window would otherwise be amplified by h_p
-        ps = np.arange(p_max + 1)[:, None, None]
-        ls = np.arange(m, n_dst + 1)[None, :, None]
-        ns = np.arange(m, n_src + 1)[None, None, :]
-        valid = (ps >= np.abs(ls - ns)) & (ps <= ls + ns) & ((ps + ls + ns) % 2 == 0)
-        g[~valid] = 0.0
-        out.append(g)
-    return tuple(out)
-
-
-def _coaxial_matrix(kind: str, dist: float, k: float, n_src: int, n_dst: int) -> np.ndarray:
-    """Translation matrix for displacement ``dist`` along +z."""
-    p_max = n_dst + n_src
+    m_max = min(n_dst, n_src)
     ps = np.arange(p_max + 1)
     x = k * dist
-    if kind == "RR":
-        fp = spherical_jn(ps, x)
-    else:
-        fp = spherical_jn(ps, x) + 1j * spherical_yn(ps, x)
-    weights = 2.0 * np.pi * (1j) ** ps * (2.0 * ps + 1.0) * fp
+    fp = spherical_jn(ps, x)
+    if kind == "SR":
+        fp = fp + 1j * spherical_yn(ps, x)
 
-    gaunt = _gaunt_tensors(n_dst, n_src)
+    ms = np.arange(m_max + 1)[:, None]
+    # a[m, n] = sqrt((n+1+m)(n+1-m)/((2n+1)(2n+3))) for n >= m, zero below
+    a = np.sqrt(np.clip((ps + 1.0 + ms) * (ps + 1.0 - ms), 0.0, None) / ((2.0 * ps + 1.0) * (2.0 * ps + 3.0)))
+    prev = np.zeros((m_max + 1, p_max + 1), dtype=fp.dtype)  # column n - 1, one row per order (real for R|R)
+    col = np.zeros_like(prev)  # column n
+    col[0] = (-1.0) ** ps * np.sqrt(2.0 * ps + 1.0) * fp  # T^0[n', 0]
+
+    # destination entries (l, m), l >= m, sorted by m: column n fills those with m <= n
+    mm, ll = np.nonzero(np.arange(n_dst + 1) >= ms)
+    filled = np.searchsorted(mm, np.arange(n_src + 1), side="right")
     out = np.zeros((num_coeffs(n_dst), num_coeffs(n_src)), dtype=complex)
-    for m in range(min(n_dst, n_src) + 1):
-        ls = np.arange(m, n_dst + 1)
-        ns = np.arange(m, n_src + 1)
-        block = np.einsum("p,pln->ln", weights, gaunt[m], optimize=True)
-        block = block * (1j) ** ls[:, None] * (1j) ** (-ns[None, :])
-        rows = ls * ls + ls + m
-        cols = ns * ns + ns + m
-        out[np.ix_(rows, cols)] = block
-        if m > 0:
-            # coaxial coefficients are identical for +m and -m
-            out[np.ix_(ls * ls + ls - m, ns * ns + ns - m)] = block
+    for n in range(n_src + 1):
+        if n > 0:
+            # a_{n-1} T[n', n] = -a_n' T[n'+1, n-1] + a_{n'-1} T[n'-1, n-1] + a_{n-2} T[n', n-2]
+            r = min(n, m_max + 1)  # the orders m < n
+            nxt = a[:r, n - 2, None] * prev[:r]  # prev is zero at n = 1 (n - 2 wraps) and for m = n - 1
+            nxt[:, :-1] -= a[:r, :-1] * col[:r, 1:]
+            nxt[:, 1:] += a[:r, :-1] * col[:r, :-1]
+            nxt[:, p_max - n + 1 :] = 0.0
+            nxt /= a[:r, n - 1, None]
+            prev[:r] = col[:r]
+            col[:r] = nxt
+            if n <= m_max:
+                # sectorial step: T^n[n', n] from T^{n-1}[n'-1, n-1] and T^{n-1}[n'+1, n-1]
+                q = np.arange(n, p_max - n + 1)
+                beta_lo = np.sqrt((q + n - 1.0) * (q + n) / ((2.0 * q - 1.0) * (2.0 * q + 1.0)))
+                beta_hi = np.sqrt((q - n + 1.0) * (q - n + 2.0) / ((2.0 * q + 1.0) * (2.0 * q + 3.0)))
+                col[n, q] = (beta_lo * prev[n - 1, q - 1] + beta_hi * prev[n - 1, q + 1]) / np.sqrt(
+                    2.0 * n / (2.0 * n + 1.0)
+                )
+        m, l = mm[: filled[n]], ll[: filled[n]]
+        # coaxial coefficients are identical for +m and -m
+        out[l * l + l + m, n * n + n + m] = out[l * l + l - m, n * n + n - m] = col[m, l]
     return out
 
 

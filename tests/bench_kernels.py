@@ -8,7 +8,8 @@ its equivalent) to compare figures with the benchmark, which runs one BLAS
 thread.  Shapes follow the benchmark workloads: ``sweep_linear2`` encodes
 324 capsules into (25+1)² = 676 coefficients on a 100 x 100 pixel grid, and
 ``forward_planar9`` 2268 capsules into (45+1)² = 2116, with an R|R
-translation at degree 45 per sphere; ``hoa_search_linear2`` writes
+translation from degree 45 to 16 per sphere and S|R translations from degree
+16 to 16 between spheres, at 4 kHz; ``hoa_search_linear2`` writes
 200 x 200 pixel grids.
 """
 
@@ -20,7 +21,7 @@ from mshoa.basis import CoefficientVector, num_coeffs, sph_harm_matrix
 from mshoa.encode import Encoder
 from mshoa.fields import FieldGrid, GridSpec, reconstruct_field
 from mshoa.matio import write_field_csv
-from mshoa.translation import rotation_blocks
+from mshoa.translation import _coaxial_matrix, rotation_blocks
 
 K = 2 * np.pi * 2000 / 343.0
 GRID = GridSpec(plane="xy", extent=(2.0, 2.0), resolution=0.02)  # 10,000 pixels
@@ -66,6 +67,14 @@ def test_sph_harm_matrix(benchmark):
     rng = np.random.default_rng(3)
     theta, phi = rng.uniform(0, np.pi, 4096), rng.uniform(0, 2 * np.pi, 4096)
     benchmark(sph_harm_matrix, 45, theta, phi)
+
+
+@pytest.mark.parametrize(
+    "kind, dist, n_src, n_dst", [("RR", 0.354, 45, 16), ("SR", 0.25, 16, 16)], ids=["rr_45_16", "sr_16_16"]
+)
+def test_coaxial_matrix(benchmark, kind, dist, n_src, n_dst):
+    """One coaxial translation block of ``forward_planar9`` (before its rotation)."""
+    benchmark(_coaxial_matrix, kind, dist, 2 * np.pi * 4000 / 343.0, n_src, n_dst)
 
 
 def test_rotation_blocks(benchmark):

@@ -12,6 +12,7 @@ from mshoa.config import (
     parse_config,
     validate_config,
 )
+from mshoa.fields import MAX_PIXELS
 
 MINIMAL = """
 scene:
@@ -135,7 +136,7 @@ def test_config_rejections():
             "capsule",
         ),
         (MINIMAL + "grid: {plain: xz}\n", "plain"),
-        # grid values: exact 2-vectors of finite numbers, at least one pixel per axis
+        # grid values: exact 2-vectors of finite numbers, at least one pixel per axis, at most MAX_PIXELS
         (MINIMAL + "grid: {extent: [2]}\n", "extent"),
         (MINIMAL + "grid: {extent: [2, 2, 7]}\n", "extent"),
         (MINIMAL + "grid: {extent: 2}\n", "extent"),
@@ -144,6 +145,7 @@ def test_config_rejections():
         (MINIMAL + "grid: {center: [0, abc]}\n", "center"),
         (MINIMAL + "grid: {extent: [2, 2], resolution: 5}\n", "pixel"),
         (MINIMAL + "grid: {extent: [2, 2], resolution: 1e-320}\n", "pixel"),
+        (MINIMAL + "grid: {extent: [200000, 200000], resolution: 0.02}\n", "100,000,000,000,000 pixels"),
         (MINIMAL + "grid: {resolution: abc}\n", "resolution"),
         (MINIMAL + "grid: {normal_offset: [1]}\n", "normal_offset"),
         (MINIMAL + "sigma_search: {points: 3, max: 10}\n", "'max'"),
@@ -169,13 +171,14 @@ _GRID_VALUES = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.sampled_from(["plane", "extent", "resolution", "center", "normal_offset"]), _GRID_VALUES))
 def test_any_grid_parses_to_pixels_or_is_a_config_error(grid):
-    """A grid mapping either gives at least one pixel per axis or is a ConfigError, never another exception."""
+    """A grid mapping either gives at least one pixel per axis and at most MAX_PIXELS
+    in all, or is a ConfigError, never another exception."""
     raw = {**yaml.safe_load(MINIMAL), "grid": grid}
     try:
         cfg = parse_config(raw)
     except ConfigError:
         return
-    assert min(cfg.grid.shape) >= 1
+    assert min(cfg.grid.shape) >= 1 and cfg.grid.shape[0] * cfg.grid.shape[1] <= MAX_PIXELS
 
 
 def test_spheres_and_layout_are_exclusive():

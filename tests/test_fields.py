@@ -5,6 +5,7 @@ import pytest
 
 from mshoa.basis import CoefficientVector, regular_basis_matrix
 from mshoa.fields import (
+    CHUNK_TABLE_ENTRIES,
     SDR_CAP_DB,
     SDR_FLOOR_DB,
     FieldGrid,
@@ -123,6 +124,30 @@ def test_reconstruct_chunking_consistent(rng):
     a = reconstruct_field(cv, k, spec)
     b = reconstruct_field(cv, k, spec, chunk=7)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("n_max, pixels", [(25, 4096), (45, 1329), (55, 900)])
+def test_reconstruct_chunk_tables_stay_within_budget(rng, monkeypatch, n_max, pixels):
+    """High degrees evaluate fewer pixels per chunk, so no chunk's real table
+    holds more entries than a 4096-pixel chunk at degree 25."""
+    import mshoa.fields as fields_module
+
+    chunks = []
+
+    def recording_table(n, k, pts, center):
+        chunks.append(len(pts))
+        return real_table(n, k, pts, center)
+
+    real_table = fields_module.regular_real_table
+    monkeypatch.setattr(fields_module, "regular_real_table", recording_table)
+    spec = GridSpec(plane="xy", extent=(1.5, 1.2), resolution=0.02)  # 4500 pixels
+    cv = CoefficientVector(k=9.0, n_max=n_max, values=rng.normal(size=(n_max + 1) ** 2) + 0j)
+    reconstruct_field(cv, 9.0, spec)
+    assert chunks[0] == pixels and sum(chunks) == 4500
+    assert max(chunks) * (n_max + 1) * (n_max + 2) <= CHUNK_TABLE_ENTRIES
+    chunks.clear()
+    reconstruct_field(cv, 9.0, spec, chunk=500)
+    assert max(chunks) == 500
 
 
 def test_ground_truth_is_direct_evaluation():

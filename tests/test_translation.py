@@ -1,8 +1,9 @@
 """Re-expansion (translation) operators, checked against direct field evaluation
-and an independent Wigner-coefficient construction of the overlap integrals."""
+and independent Gaunt-coefficient sums built from Wigner 3-j symbols."""
 
 import numpy as np
 import pytest
+from scipy.special import spherical_jn, spherical_yn
 
 from mshoa.basis import (
     num_coeffs,
@@ -13,7 +14,6 @@ from mshoa.scene import plane_wave_coeffs
 from mshoa.translation import (
     DegenerateDisplacementError,
     _coaxial_matrix,
-    _gaunt_tensors,
     rotation_blocks,
     rr_translation,
     sr_translation,
@@ -31,35 +31,55 @@ def _random_singular_coeffs(rng, n_src):
     return v
 
 
-def test_gaunt_tensor_against_wigner_coefficients():
-    """The overlap integrals G^m[p,l,n] equal the triple-harmonic integrals
-    built from Wigner 3-j symbols: G = (-1)^m sqrt(4 pi/(2p+1))/(2 pi)
-    * int Y_p^0 Y_l^m Y_n^{-m} dOmega."""
+@pytest.mark.parametrize("kind", ["RR", "SR"])
+@pytest.mark.parametrize("n_src, n_dst", [(3, 4), (4, 3)])
+def test_coaxial_matrix_against_wigner_gaunt_sums(kind, n_src, n_dst):
+    """Whole coaxial matrices equal the Gaunt sums
+    T^m_{l,n} = 2 pi i^(l-n) sum_p i^p (2p+1) f_p(kd) G^m_{p,l,n}, with
+    G = (-1)^m sqrt(4 pi/(2p+1))/(2 pi) * int Y_p^0 Y_l^m Y_n^{-m} dOmega
+    from Wigner 3-j symbols, and orders that differ do not couple."""
     from sympy.physics.wigner import gaunt
 
-    n_dst, n_src = 3, 3
-    g = _gaunt_tensors(n_dst, n_src)
-    for m in range(n_src + 1):
-        for p in range(n_dst + n_src + 1):
-            for l in range(m, n_dst + 1):
-                for n in range(m, n_src + 1):
-                    ref = (
-                        float(gaunt(p, l, n, 0, m, -m))
-                        * np.sqrt(4 * np.pi / (2 * p + 1))
-                        * (-1) ** m
-                        / (2 * np.pi)
-                    )
-                    assert g[m][p, l - m, n - m] == pytest.approx(ref, abs=1e-13)
+    k, dist = 3.0, 0.7
+    ps = np.arange(n_src + n_dst + 1)
+    fp = spherical_jn(ps, k * dist)
+    if kind == "SR":
+        fp = fp + 1j * spherical_yn(ps, k * dist)
+    ref = np.zeros((num_coeffs(n_dst), num_coeffs(n_src)), dtype=complex)
+    for l in range(n_dst + 1):
+        for n in range(n_src + 1):
+            for m in range(-min(l, n), min(l, n) + 1):
+                total = sum(
+                    1j**p * (2 * p + 1) * fp[p]
+                    * (-1) ** m * np.sqrt(4 * np.pi / (2 * p + 1)) / (2 * np.pi)
+                    * float(gaunt(p, l, n, 0, m, -m))
+                    for p in ps
+                )
+                ref[l * l + l + m, n * n + n + m] = 2 * np.pi * 1j ** (l - n) * total
+    got = _coaxial_matrix(kind, dist, k, n_src, n_dst)
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
-def test_gaunt_selection_rules_exact_zeros():
-    g = _gaunt_tensors(6, 5)
-    for m in range(6):
-        for p in range(12):
-            for l in range(m, 7):
-                for n in range(m, 6):
-                    if p < abs(l - n) or p > l + n or (p + l + n) % 2:
-                        assert g[m][p, l - m, n - m] == 0.0
+def test_high_order_sr_entry_against_mpmath():
+    """The S|R entry (l, n, m) = (16, 16, 16) of a full-scale planar-grid
+    neighbour pair (f = 4 kHz, d = 0.25 m) against a 60-digit Gaunt sum."""
+    import mpmath as mp
+    from sympy.physics.wigner import gaunt
+
+    l = n = m = 16
+    k = 2 * np.pi * 4000 / 343.0
+    with mp.workdps(60):
+        x = 2 * mp.pi * 4000 / 343 * mp.mpf("0.25")
+        total = mp.mpc(0)
+        for p in range(0, l + n + 1, 2):  # odd p + l + n gives zero
+            hp = mp.sqrt(mp.pi / (2 * x)) * (mp.besselj(p + 0.5, x) + 1j * mp.bessely(p + 0.5, x))
+            g = mp.mpf(gaunt(p, l, n, 0, m, -m).evalf(70))
+            g *= (-1) ** m * mp.sqrt(4 * mp.pi / (2 * p + 1)) / (2 * mp.pi)
+            total += mp.mpc(0, 1) ** p * (2 * p + 1) * hp * g
+        ref = complex(2 * mp.pi * mp.mpc(0, 1) ** (l - n) * total)
+    got = _coaxial_matrix("SR", 0.25, k, 16, 16)[l * l + l + m, n * n + n + m]
+    assert abs(ref) == pytest.approx(3.127e-3, rel=1e-3)
+    assert abs(got - ref) < 1e-12 * abs(ref)
 
 
 def test_zero_translation_is_identity():
