@@ -57,6 +57,10 @@ def run(config_path, out_dir, export_forward, import_forward, dump_coeffs):
     except (EncoderError, MatrixFormatError) as exc:
         click.echo(f"runtime error: {exc}", err=True)
         sys.exit(4)
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        click.echo(f"runtime error: out of memory{detail}; try a smaller scene or grid", err=True)
+        sys.exit(4)
     click.echo(
         f"{summary.method} @ {summary.frequency:.0f} Hz: "
         f"SSA {summary.ssa:.4f} m^2 above {summary.threshold_db:.0f} dB "

@@ -4,23 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import yaml
 
 from .fields import DEFAULT_THRESHOLD_DB, GridSpec
-from .scene import (
-    DEFAULT_SOUND_SPEED,
-    IncidentSource,
-    RsmaSpec,
-    SceneConfig,
-    SceneError,
-    layout_cartesian,
-    layout_linear,
-    recommended_forward_truncation,
-)
+from .scene import IncidentSource, RsmaSpec, SceneConfig, SceneError, layout_cartesian
 
 METHODS = ("HOA", "Single", "MSHOA")
 
@@ -35,39 +26,88 @@ class SigmaSearch:
     min_factor: float = 1e-8
     max_factor: float = 1e2
 
+    def __post_init__(self):
+        if self.points < 1:
+            raise ValueError(f"points must be at least 1, got {self.points}")
+        if min(self.min_factor, self.max_factor) <= 0:
+            raise ValueError("factors must be positive (the grid is logarithmic)")
+
 
 @dataclass
 class HoaSettings:
-    sphere_index: int | None = None
-    n_c: int | None = None
+    sphere_index: int | None = None  # None: the array nearest the origin, filled in by ExperimentConfig
     n_c_min: int = 1
     n_c_max: int = 14
+
+    def __post_init__(self):
+        if self.n_c_min > self.n_c_max:
+            raise ValueError(f"n_c_min {self.n_c_min} exceeds n_c_max {self.n_c_max}")
 
 
 @dataclass
 class ExperimentConfig:
+    """A validated experiment; unset settings take their defaults here and on the types they configure."""
+
     scene: SceneConfig
-    method: str
-    grid: GridSpec
+    method: str = "MSHOA"
+    grid: GridSpec = field(default_factory=GridSpec)
     threshold_db: float = DEFAULT_THRESHOLD_DB
     sigma: float | None = None
     sigma_search: SigmaSearch | None = None
     hoa: HoaSettings = field(default_factory=HoaSettings)
     raw: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.sigma is not None and self.sigma_search is not None:
+            raise ConfigError("specify either 'sigma' or 'sigma_search', not both")
+        if self.sigma is not None and self.sigma < 0:
+            raise ConfigError("sigma must be non-negative")
+        if self.method == "HOA" and self.sigma_search is not None:
+            raise ConfigError("HOA searches the truncation n_c, not sigma; give a fixed 'sigma'")
+        if self.sigma is None and self.sigma_search is None:
+            if self.method == "HOA":
+                self.sigma = 0.0  # the single-sphere baseline is conventionally unregularized
+            else:
+                self.sigma_search = SigmaSearch()
+        spheres = self.scene.spheres
+        if self.hoa.sphere_index is None:
+            nearest = int(np.argmin([np.linalg.norm(s.center) for s in spheres]))
+            self.hoa = replace(self.hoa, sphere_index=nearest)
+        if self.hoa.sphere_index >= len(spheres):
+            raise ConfigError(f"hoa.sphere_index {self.hoa.sphere_index} out of range")
+
     @property
     def config_hash(self) -> str:
         return hash_config(self.raw)
 
 
-def _mapping(value, allowed: tuple, context: str) -> dict:
-    """``value`` as a mapping whose keys all lie in ``allowed``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context} must be a mapping, got {value!r}")
-    for key in value:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {context} (expected one of {', '.join(allowed)})")
-    return value
+def _section(raw, context: str, converters: dict, required: tuple = ()) -> dict:
+    """The keys ``raw`` gives, each converted by its entry in ``converters``.
+
+    A key missing from ``converters`` is an error, as is a missing ``required``
+    one; a key not given is left out, for the constructor to default.
+    """
+    where = context or "the configuration"  # "" at the top level, whose keys are their own paths
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping, got {raw!r}")
+    for key in raw:
+        if key not in converters:
+            raise ConfigError(f"unknown key {key!r} in {where} (expected one of {', '.join(converters)})")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"missing required field '{key}' in {where}")
+    return {key: converters[key](value, f"{context}.{key}" if context else key) for key, value in raw.items()}
+
+
+def _build(make, raw, context: str, converters: dict, required: tuple = ()):
+    """``make`` called with the keys ``raw`` gives, converted; ``make`` supplies every default."""
+    kwargs = _section(raw, context, converters, required)
+    try:
+        return make(**kwargs)
+    except ValueError as exc:  # SceneError and the types' own checks
+        raise ConfigError(f"invalid {context}: {exc}")
 
 
 def _number(value, context: str) -> float:
@@ -81,10 +121,10 @@ def _number(value, context: str) -> float:
     return number
 
 
-def _integer(value, context: str, minimum: int = 0) -> int:
+def _integer(value, context: str) -> int:
     number = _number(value, context)
-    if not number.is_integer() or number < minimum:
-        raise ConfigError(f"{context} must be an integer >= {minimum}, got {value!r}")
+    if not number.is_integer() or number < 0:
+        raise ConfigError(f"{context} must be an integer >= 0, got {value!r}")
     return int(number)
 
 
@@ -103,12 +143,6 @@ def _complex(value, context: str) -> complex:
     return number
 
 
-def _require(mapping: dict, key: str, context: str) -> Any:
-    if key not in mapping:
-        raise ConfigError(f"missing required field '{key}' in {context}")
-    return mapping[key]
-
-
 def _pair(value, context: str) -> tuple:
     """``value`` as exactly two finite numbers; an int stays an int, as the CSV headers print it."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -125,170 +159,110 @@ def _vector3(value, context: str) -> np.ndarray:
     return v
 
 
-LAYOUT_KEYS = {
-    "linear": ("type", "count", "spacing", "axis"),
-    "cartesian": ("type", "rows", "cols", "spacing", "plane"),
+def _text(value, context: str) -> str:
+    """``value`` as a string; the type it configures checks which strings it takes."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{context} must be a string, got {value!r}")
+    return value
+
+
+def _hoa_settings(n_c: int | None = None, **given) -> HoaSettings:
+    """``hoa.n_c`` is the one-degree range n_c_min = n_c_max = n_c."""
+    if n_c is not None:
+        if given.keys() & {"n_c_min", "n_c_max"}:
+            raise ValueError("specify either 'n_c' or the range 'n_c_min' / 'n_c_max', not both")
+        given.update(n_c_min=n_c, n_c_max=n_c)
+    return HoaSettings(**given)
+
+
+SOURCE = {"kind": _text, "direction": _vector3, "position": _vector3, "amplitude": _complex}
+SPHERE = {"center": _vector3, "radius": _number, "capsules": _integer}
+LINEAR = {"type": _text, "count": _integer, "spacing": _number, "axis": _text}
+CARTESIAN = {"type": _text, "rows": _integer, "cols": _integer, "spacing": _number, "plane": _text}
+# A linear layout along an axis is the cartesian grid of one column (y, z) or one row (x) in a plane holding it.
+LINEAR_AXES = {"x": ("cols", "xy"), "y": ("rows", "xy"), "z": ("rows", "yz")}
+GRID = {"plane": _text, "extent": _pair, "resolution": _number, "center": _pair, "normal_offset": _number}
+SIGMA_SEARCH = {"points": _integer, "min_factor": _number, "max_factor": _number}
+HOA = {"sphere_index": _integer, "n_c": _integer, "n_c_min": _integer, "n_c_max": _integer}
+
+
+def _layout(raw, context: str) -> dict:
+    """A layout as the arguments of :func:`~mshoa.scene.layout_cartesian`."""
+    kind = raw.get("type") if isinstance(raw, dict) else None
+    if kind == "cartesian":
+        layout = _section(raw, context, CARTESIAN, required=("rows", "cols", "spacing"))
+    elif kind == "linear":
+        layout = _section(raw, context, LINEAR, required=("count", "spacing"))
+        axis = layout.pop("axis", "y")
+        if axis not in LINEAR_AXES:
+            raise ConfigError(f"{context}.axis must be x, y or z, got {axis!r}")
+        side, layout["plane"] = LINEAR_AXES[axis]
+        layout.update({"rows": 1, "cols": 1, side: layout.pop("count")})
+    else:
+        raise ConfigError(f"{context} needs type linear or cartesian, got {raw!r}")
+    del layout["type"]
+    return layout
+
+
+def _spheres(raw, context: str) -> list[RsmaSpec]:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{context} must be a list of spheres, got {raw!r}")
+    return [
+        _build(RsmaSpec.fibonacci, entry, f"{context}[{i}]", SPHERE, required=tuple(SPHERE))
+        for i, entry in enumerate(raw)
+    ]
+
+
+def _scene(raw, context: str) -> SceneConfig:
+    """The scene; a layout places spheres of the scene's ``radius`` and ``capsules``."""
+    scene = _section(raw, context, SCENE, required=("source", "frequency", "n_in"))
+    if ("layout" in scene) == ("spheres" in scene):
+        raise ConfigError(f"{context} must use either 'spheres' or 'layout' (exactly one)")
+    if "layout" in scene:
+        for key in ("radius", "capsules"):
+            if key not in scene:
+                raise ConfigError(f"missing required field '{key}' in {context} (a layout needs it)")
+        layout, radius, capsules = (scene.pop(key) for key in ("layout", "radius", "capsules"))
+        try:
+            centers = layout_cartesian(**layout)
+            if len(centers) > 1 and layout["spacing"] <= 2 * radius:
+                raise SceneError(f"layout spacing {layout['spacing']} must exceed the sphere diameter {2 * radius}")
+            scene["spheres"] = [RsmaSpec.fibonacci(c, radius, capsules) for c in centers]
+        except SceneError as exc:
+            raise ConfigError(f"invalid sphere geometry in {context}: {exc}")
+    elif scene.keys() & {"radius", "capsules"}:
+        raise ConfigError(f"{context}.radius and .capsules go with a layout; each of {context}.spheres gives its own")
+    try:
+        return SceneConfig(**scene)
+    except SceneError as exc:
+        raise ConfigError(f"invalid {context}: {exc}")
+
+
+SCENE = {
+    "layout": _layout,
+    "spheres": _spheres,
+    "radius": _number,
+    "capsules": _integer,
+    "source": partial(_build, IncidentSource, converters=SOURCE, required=("kind",)),
+    "frequency": _number,
+    "sound_speed": _number,
+    "n_in": _integer,
+    "n_fwd": _integer,
 }
-TOP_KEYS = ("scene", "method", "grid", "threshold_db", "sigma", "sigma_search", "hoa", "output")
-SCENE_KEYS = ("layout", "spheres", "radius", "capsules", "source", "frequency", "sound_speed", "n_in", "n_fwd")
-
-
-def _parse_source(raw) -> IncidentSource:
-    _mapping(raw, ("kind", "direction", "position", "amplitude"), "scene.source")
-    kind = _require(raw, "kind", "scene.source")
-    try:
-        if kind == "plane_wave":
-            return IncidentSource(kind=kind, direction=_vector3(_require(raw, "direction", "scene.source"), "source.direction"))
-        if kind == "monopole":
-            return IncidentSource(
-                kind=kind,
-                position=_vector3(_require(raw, "position", "scene.source"), "source.position"),
-                amplitude=_complex(raw.get("amplitude", 1.0), "scene.source.amplitude"),
-            )
-    except SceneError as exc:
-        raise ConfigError(f"invalid source: {exc}")
-    raise ConfigError(f"unknown source kind {kind!r} (expected plane_wave or monopole)")
-
-
-def _parse_spheres(raw: dict) -> list[RsmaSpec]:
-    if "spheres" in raw and "layout" in raw:
-        raise ConfigError("scene must use either 'spheres' or 'layout', not both")
-    try:
-        if "spheres" in raw:
-            if not isinstance(raw["spheres"], list):
-                raise ConfigError(f"scene.spheres must be a list of spheres, got {raw['spheres']!r}")
-            specs = []
-            for i, entry in enumerate(raw["spheres"]):
-                ctx = f"scene.spheres[{i}]"
-                _mapping(entry, ("center", "radius", "capsules"), ctx)
-                specs.append(
-                    RsmaSpec.fibonacci(
-                        center=_vector3(_require(entry, "center", ctx), "center"),
-                        radius=_number(_require(entry, "radius", ctx), f"{ctx}.radius"),
-                        q=_integer(_require(entry, "capsules", ctx), f"{ctx}.capsules"),
-                    )
-                )
-            return specs
-        layout = _require(raw, "layout", "scene")
-        ltype = layout.get("type") if isinstance(layout, dict) else None
-        if ltype not in ("linear", "cartesian"):
-            raise ConfigError(f"scene.layout needs type linear or cartesian, got {layout!r}")
-        _mapping(layout, LAYOUT_KEYS[ltype], f"scene.layout ({ltype})")
-        radius = _number(_require(raw, "radius", "scene"), "scene.radius")
-        capsules = _integer(_require(raw, "capsules", "scene"), "scene.capsules")
-        spacing = _number(_require(layout, "spacing", "scene.layout"), "scene.layout.spacing")
-        if ltype == "linear":
-            centers = layout_linear(
-                _integer(_require(layout, "count", "scene.layout"), "scene.layout.count"),
-                spacing,
-                layout.get("axis", "y"),
-            )
-        else:
-            centers = layout_cartesian(
-                _integer(_require(layout, "rows", "scene.layout"), "scene.layout.rows"),
-                _integer(_require(layout, "cols", "scene.layout"), "scene.layout.cols"),
-                spacing,
-                layout.get("plane", "xy"),
-            )
-        if len(centers) > 1 and spacing <= 2 * radius:
-            raise ConfigError(
-                f"layout spacing {spacing} must exceed the sphere diameter {2 * radius}"
-            )
-        return [RsmaSpec.fibonacci(c, radius, capsules) for c in centers]
-    except SceneError as exc:
-        raise ConfigError(f"invalid sphere geometry: {exc}")
+TOP = {
+    "scene": _scene,
+    "method": _text,
+    "grid": partial(_build, GridSpec, converters=GRID),
+    "threshold_db": _number,
+    "sigma": _number,
+    "sigma_search": partial(_build, SigmaSearch, converters=SIGMA_SEARCH),
+    "hoa": partial(_build, _hoa_settings, converters=HOA),
+}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Build a validated :class:`ExperimentConfig` from a parsed mapping; unknown keys are errors."""
-    _mapping(raw, TOP_KEYS, "configuration")
-    scene_raw = _mapping(_require(raw, "scene", "configuration"), SCENE_KEYS, "scene")
-    spheres = _parse_spheres(scene_raw)
-    source = _parse_source(_require(scene_raw, "source", "scene"))
-    frequency = _number(_require(scene_raw, "frequency", "scene"), "scene.frequency")
-    sound_speed = _number(scene_raw.get("sound_speed", DEFAULT_SOUND_SPEED), "scene.sound_speed")
-    n_in = _integer(_require(scene_raw, "n_in", "scene"), "scene.n_in")
-    if "n_fwd" in scene_raw:
-        n_fwd = _integer(scene_raw["n_fwd"], "scene.n_fwd")
-    else:
-        k = 2.0 * np.pi * frequency / sound_speed
-        n_fwd = min(n_in, recommended_forward_truncation(k, max(s.radius for s in spheres)))
-    try:
-        scene = SceneConfig(
-            spheres=spheres,
-            source=source,
-            frequency=frequency,
-            sound_speed=sound_speed,
-            n_in=n_in,
-            n_fwd=n_fwd,
-        )
-    except SceneError as exc:
-        raise ConfigError(f"invalid scene: {exc}")
-
-    method = raw.get("method", "MSHOA")
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
-
-    grid_raw = _mapping(raw.get("grid", {}), ("plane", "extent", "resolution", "center", "normal_offset"), "grid")
-    try:
-        grid = GridSpec(
-            plane=grid_raw.get("plane", "xy"),
-            extent=_pair(grid_raw.get("extent", (2.0, 2.0)), "grid.extent"),
-            resolution=_number(grid_raw.get("resolution", 0.005), "grid.resolution"),
-            center=_pair(grid_raw.get("center", (0.0, 0.0)), "grid.center"),
-            normal_offset=_number(grid_raw.get("normal_offset", 0.0), "grid.normal_offset"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid evaluation grid: {exc}")
-
-    sigma = None if raw.get("sigma") is None else _number(raw["sigma"], "sigma")
-    search_raw = raw.get("sigma_search")
-    sigma_search = None
-    if search_raw is not None:
-        if sigma is not None:
-            raise ConfigError("specify either 'sigma' or 'sigma_search', not both")
-        _mapping(search_raw, ("points", "min_factor", "max_factor"), "sigma_search")
-        sigma_search = SigmaSearch(
-            points=_integer(search_raw.get("points", 21), "sigma_search.points", minimum=1),
-            min_factor=_number(search_raw.get("min_factor", 1e-8), "sigma_search.min_factor"),
-            max_factor=_number(search_raw.get("max_factor", 1e2), "sigma_search.max_factor"),
-        )
-        if min(sigma_search.min_factor, sigma_search.max_factor) <= 0:
-            raise ConfigError("sigma_search factors must be positive (the grid is logarithmic)")
-    if sigma is not None and sigma < 0:
-        raise ConfigError("sigma must be non-negative")
-    if method == "HOA" and sigma_search is not None:
-        raise ConfigError("HOA searches the truncation n_c, not sigma; give a fixed 'sigma'")
-
-    hoa_raw = _mapping(raw.get("hoa", {}), ("sphere_index", "n_c", "n_c_min", "n_c_max"), "hoa")
-    index, n_c = hoa_raw.get("sphere_index"), hoa_raw.get("n_c")
-    if n_c is not None and ("n_c_min" in hoa_raw or "n_c_max" in hoa_raw):
-        raise ConfigError("specify either 'hoa.n_c' or the range 'hoa.n_c_min' / 'hoa.n_c_max', not both")
-    hoa = HoaSettings(
-        sphere_index=None if index is None else _integer(index, "hoa.sphere_index"),
-        n_c=None if n_c is None else _integer(n_c, "hoa.n_c"),
-        n_c_min=_integer(hoa_raw.get("n_c_min", 1), "hoa.n_c_min"),
-        n_c_max=_integer(hoa_raw.get("n_c_max", 14), "hoa.n_c_max"),
-    )
-    if hoa.sphere_index is not None and hoa.sphere_index >= len(spheres):
-        raise ConfigError(f"hoa.sphere_index {hoa.sphere_index} out of range")
-    if hoa.n_c_min > hoa.n_c_max:
-        raise ConfigError(f"hoa.n_c_min {hoa.n_c_min} exceeds hoa.n_c_max {hoa.n_c_max}")
-    if method == "HOA" and sigma is None and sigma_search is None:
-        sigma = 0.0  # the single-sphere baseline is conventionally unregularized
-    if method in ("Single", "MSHOA") and sigma is None and sigma_search is None:
-        sigma_search = SigmaSearch()
-
-    return ExperimentConfig(
-        scene=scene,
-        method=method,
-        grid=grid,
-        threshold_db=_number(raw.get("threshold_db", DEFAULT_THRESHOLD_DB), "threshold_db"),
-        sigma=sigma,
-        sigma_search=sigma_search,
-        hoa=hoa,
-        raw=raw,
-    )
+    return ExperimentConfig(**_section(raw, "", TOP, required=("scene",)), raw=raw)
 
 
 def validate_config(text: str) -> ExperimentConfig:
@@ -317,7 +291,6 @@ def _canonical(obj):
 
 
 def hash_config(raw: dict) -> str:
-    """Deterministic hash of the experiment definition (output paths excluded)."""
-    payload = {k: v for k, v in raw.items() if k != "output"}
-    text = json.dumps(_canonical(payload), sort_keys=True, separators=(",", ":"))
+    """Deterministic hash of the experiment definition."""
+    text = json.dumps(_canonical(raw), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]

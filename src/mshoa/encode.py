@@ -18,7 +18,7 @@ log = logging.getLogger(__name__)
 
 
 class EncoderError(RuntimeError):
-    """Encoder construction failed (singular normal equations)."""
+    """Encoding failed: singular normal equations or an SVD that did not converge."""
 
 
 @dataclass
@@ -109,7 +109,10 @@ class Encoder:
             sigma, size = sigmas[j], num_coeffs(n_outs[j])
             f_s = self.forward[:, :size]
             if sigma == 0.0:
-                block[:size, j] = np.linalg.pinv(f_s) @ pressures
+                try:
+                    block[:size, j] = np.linalg.pinv(f_s) @ pressures
+                except np.linalg.LinAlgError as exc:  # e.g. a forward model holding nan from overflowed h_n
+                    raise EncoderError(f"pseudo-inverse failed: {exc}")
                 continue
             dual, gram = self._gram(size)
             normal = np.array(gram, order="F")

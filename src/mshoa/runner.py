@@ -90,13 +90,7 @@ def _hoa_encoding(cfg: ExperimentConfig) -> _Encoding:
     """
     scene = cfg.scene
     k = scene.k
-    if cfg.hoa.sphere_index is not None:
-        idx = cfg.hoa.sphere_index
-    else:
-        idx = int(
-            np.argmin([np.linalg.norm(s.center) for s in scene.spheres])
-        )
-    sphere = scene.spheres[idx]
+    sphere = scene.spheres[cfg.hoa.sphere_index]
 
     if scene.num_spheres == 1:
         # lone array: use a generous reference expansion for the capture
@@ -106,12 +100,9 @@ def _hoa_encoding(cfg: ExperimentConfig) -> _Encoding:
     else:
         pressures, rcond = _full_capture(scene, sphere.capsule_positions())
 
-    if cfg.hoa.n_c is not None:
-        candidates = [cfg.hoa.n_c]
-    else:
-        candidates = list(range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1))  # ties go to the smaller n_c
+    candidates = list(range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1))  # ties go to the smaller n_c
     # one encoder at the largest n_c: the first (n_c+1)^2 columns of its response are the response at n_c
-    encoder = hoa_encoder(sphere, k, max(candidates))
+    encoder = hoa_encoder(sphere, k, cfg.hoa.n_c_max)
     return _Encoding(encoder, pressures, n_outs=candidates, center=sphere.center, rcond=rcond)
 
 

@@ -31,7 +31,7 @@ def fibonacci_grid(q: int) -> np.ndarray:
     ratio, giving near-uniform coverage for capsule layouts.
     """
     if q < 1:
-        raise ValueError(f"need at least one point, got {q}")
+        raise SceneError(f"a capsule grid needs at least one point, got {q}")
     i = np.arange(q)
     z = 1.0 - (2.0 * i + 1.0) / q
     phi = 2.0 * np.pi * i / GOLDEN_RATIO
@@ -57,16 +57,12 @@ class RsmaSpec:
         norms = np.linalg.norm(self.capsule_dirs, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise SceneError("capsule directions must be unit vectors")
-        if self.capsule_dirs.shape[0] > 1:
-            d = self.capsule_dirs[:, None, :] - self.capsule_dirs[None, :, :]
-            dist = np.linalg.norm(d, axis=-1)
-            np.fill_diagonal(dist, np.inf)
-            if dist.min() == 0.0:
-                raise SceneError("capsule positions must be pairwise distinct")
+        if len(np.unique(self.capsule_dirs, axis=0)) < len(self.capsule_dirs):
+            raise SceneError("capsule positions must be pairwise distinct")
 
     @classmethod
-    def fibonacci(cls, center, radius: float, q: int) -> "RsmaSpec":
-        return cls(center=center, radius=radius, capsule_dirs=fibonacci_grid(q))
+    def fibonacci(cls, center, radius: float, capsules: int) -> "RsmaSpec":
+        return cls(center=center, radius=radius, capsule_dirs=fibonacci_grid(capsules))
 
     @property
     def num_capsules(self) -> int:
@@ -151,20 +147,6 @@ def monopole_coeffs(position, amplitude: complex, k: float, n_max: int) -> Coeff
     return CoefficientVector(k=k, n_max=n_max, values=values)
 
 
-def layout_linear(count: int, spacing: float, axis: str = "y") -> np.ndarray:
-    """Equally spaced centers on one axis, centered on the origin."""
-    if count < 1:
-        raise SceneError(f"need at least one sphere, got {count}")
-    if spacing <= 0 and count > 1:
-        raise SceneError("spacing must be positive")
-    idx = {"x": 0, "y": 1, "z": 2}
-    if axis not in idx:
-        raise SceneError(f"axis must be x, y or z, got {axis!r}")
-    centers = np.zeros((count, 3))
-    centers[:, idx[axis]] = (np.arange(count) - (count - 1) / 2.0) * spacing
-    return centers
-
-
 def layout_cartesian(rows: int, cols: int, spacing: float, plane: str = "xy") -> np.ndarray:
     """rows x cols grid of centers in the given coordinate plane, origin-centered."""
     if rows < 1 or cols < 1:
@@ -195,7 +177,7 @@ class SceneConfig:
     source: IncidentSource
     frequency: float
     n_in: int
-    n_fwd: int
+    n_fwd: int | None = None  # None: floor(e k a) for the largest radius a, capped at n_in
     sound_speed: float = DEFAULT_SOUND_SPEED
 
     def __post_init__(self):
@@ -203,6 +185,8 @@ class SceneConfig:
             raise SceneError("scene needs at least one sphere")
         if self.frequency <= 0 or self.sound_speed <= 0:
             raise SceneError("frequency and sound speed must be positive")
+        if self.n_fwd is None:
+            self.n_fwd = min(self.n_in, recommended_forward_truncation(self.k, max(s.radius for s in self.spheres)))
         if self.n_fwd < 0 or self.n_in < 0:
             raise SceneError("truncation degrees must be non-negative")
         if self.n_fwd > self.n_in:

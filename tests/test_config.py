@@ -1,5 +1,7 @@
 """YAML configuration parsing, validation, and hashing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -67,13 +69,29 @@ threshold_db: 25
 def test_hoa_defaults_to_unregularized():
     cfg = validate_config(MINIMAL.replace("method: MSHOA", "method: HOA"))
     assert cfg.sigma == 0.0 and cfg.sigma_search is None
-    assert cfg.hoa.n_c is None and cfg.hoa.n_c_max == 14
+    assert (cfg.hoa.n_c_min, cfg.hoa.n_c_max) == (1, 14)
+    # the encoded array defaults to the one nearest the origin (the first of a tie)
+    assert cfg.hoa.sphere_index == 0
+    off_centre = validate_config(
+        MINIMAL.replace(
+            "layout: {type: linear, count: 2, spacing: 0.25, axis: y}",
+            "spheres: [{center: [0, 1, 0], radius: 0.08, capsules: 8}, {center: [0, 0.5, 0], radius: 0.08, capsules: 8}]",
+        )
+        .replace("  radius: 0.08\n  capsules: 32\n", "")
+        .replace("method: MSHOA", "method: HOA")
+    )
+    assert off_centre.hoa.sphere_index == 1
+    # a fixed truncation is the one-degree range
+    fixed = validate_config(MINIMAL.replace("method: MSHOA", "method: HOA") + "hoa: {n_c: 6}\n")
+    assert (fixed.hoa.n_c_min, fixed.hoa.n_c_max) == (6, 6)
 
 
 def test_config_rejections():
     for patch, msg in [
         (("method: MSHOA", "method: QUANTUM"), "method"),
         (("count: 2", "count: 0"), "geometry"),
+        (("axis: y", "axis: w"), "axis"),
+        (("capsules: 32", "capsules: 0"), "capsule"),
         (("spacing: 0.25", "spacing: 0.1"), "spacing"),
         (("n_in: 10", "n_in: 3\n  n_fwd: 7"), "truncation"),
         (("frequency: 2000", "frequency: -5"), "scene"),
@@ -96,6 +114,7 @@ def test_config_rejections():
         )
     with pytest.raises(ConfigError, match="sphere_index"):
         validate_config(MINIMAL + "hoa: {sphere_index: 5}\n")
+    layout = "layout: {type: linear, count: 2, spacing: 0.25, axis: y}"
     for text, msg in [
         # malformed values
         (MINIMAL + "hoa: {n_c_min: 5, n_c_max: 3}\n", "n_c_min"),
@@ -151,11 +170,21 @@ def test_config_rejections():
         (MINIMAL + "sigma_search: {points: 3, max: 10}\n", "'max'"),
         (MINIMAL + "hoa: {nc: 3}\n", "'nc'"),
         (MINIMAL + "threads: 2\n", "'threads'"),
+        (MINIMAL + "output: out\n", "'output'"),
+        # values of the wrong type, not only of the wrong value
+        (MINIMAL.replace("axis: y", "axis: [1]"), "axis"),
+        (MINIMAL.replace(layout, "layout: {type: cartesian, rows: 2, cols: 1, spacing: 0.25, plane: [1]}"), "plane"),
+        (MINIMAL.replace(layout, "layout: {type: [1], count: 2, spacing: 0.25}"), "type"),
+        (MINIMAL.replace("method: MSHOA", "method: [1]"), "method"),
+        (MINIMAL + "grid: {plane: [1]}\n", "plane"),
+        (MINIMAL.replace(layout, "spheres: [{center: [0, 0, 0], radius: 0.08, capsules: 0}]").replace(
+            "  radius: 0.08\n  capsules: 32\n", ""), "capsule"),
+        # a layout needs the scene's radius and capsules, and explicit spheres take their own
+        (MINIMAL.replace("  radius: 0.08\n", ""), "radius"),
+        (MINIMAL.replace(layout, "spheres: [{center: [0, 0, 0], radius: 0.08, capsules: 8}]"), "layout"),
     ]:
         with pytest.raises(ConfigError, match=msg):
             validate_config(text)
-    # output paths stay accepted (hash_config ignores them)
-    validate_config(MINIMAL + "output: out\n")
 
 
 _GRID_VALUES = st.one_of(
@@ -201,10 +230,10 @@ def test_monopole_inside_sphere_rejected():
         )
 
 
-def test_hash_ignores_output():
+def test_hash_distinguishes_experiments():
     raw = {"scene": {"frequency": 2000}, "method": "MSHOA"}
     h = hash_config(raw)
-    assert h == hash_config({**raw, "output": "/somewhere"})
+    assert h == hash_config(dict(reversed(raw.items())))
     assert h != hash_config({**raw, "method": "Single"})
     assert len(h) == 16
 
@@ -228,3 +257,61 @@ def test_load_config_roundtrip(tmp_path):
     p.write_text(MINIMAL)
     cfg = load_config(p)
     assert cfg.config_hash == validate_config(MINIMAL).config_hash
+
+
+def test_committed_configs_validate():
+    paths = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
+    assert len(paths) == 10
+    for path in paths:
+        validate_config(path.read_text())
+
+
+def _parsed(cfg) -> dict:
+    """Every parsed setting of ``cfg``, arrays as bytes so that signed zeros count."""
+    scene, source = cfg.scene, cfg.scene.source
+    return {
+        "spheres": [(s.center.tobytes(), s.radius, s.capsule_dirs.tobytes()) for s in scene.spheres],
+        "source": (source.kind, *(None if v is None else v.tobytes() for v in (source.direction, source.position)),
+                   source.amplitude),
+        "scene": (scene.frequency, scene.sound_speed, scene.n_in, scene.n_fwd),
+        "rest": (cfg.method, cfg.grid, cfg.threshold_db, cfg.sigma, cfg.sigma_search, cfg.hoa),
+    }
+
+
+def test_spelled_out_defaults_parse_equal_to_the_bare_config():
+    """Each default lives on the type it configures: spelling it out changes nothing."""
+    k = 2 * np.pi * 2000 / 343.0
+    n_fwd = min(10, int(np.floor(np.e * k * 0.08)))
+    spelled = MINIMAL.replace("n_in: 10", f"n_in: 10\n  n_fwd: {n_fwd}\n  sound_speed: 343") + (
+        "grid: {plane: xy, extent: [2.0, 2.0], resolution: 0.005, center: [0.0, 0.0], normal_offset: 0}\n"
+        "threshold_db: 30\n"
+        "sigma_search: {points: 21, min_factor: 1e-8, max_factor: 1e2}\n"
+        "hoa: {sphere_index: 0, n_c_min: 1, n_c_max: 14}\n"
+    )
+    bare = MINIMAL.replace(", axis: y", "").replace("method: MSHOA\n", "")
+    reference = _parsed(validate_config(MINIMAL))
+    assert _parsed(validate_config(spelled)) == reference
+    assert _parsed(validate_config(bare)) == reference
+    hoa = MINIMAL.replace("method: MSHOA", "method: HOA")
+    assert _parsed(validate_config(hoa + "sigma: 0\n")) == _parsed(validate_config(hoa))
+    monopole = MINIMAL.replace("plane_wave, direction: [0, 0, 1]", "monopole, position: [5, 5, 5]")
+    assert _parsed(validate_config(monopole.replace("5, 5]", "5, 5], amplitude: [1, 0]"))) == _parsed(
+        validate_config(monopole)
+    )
+    grid = "layout: {type: cartesian, rows: 2, cols: 3, spacing: 0.25}"
+    cartesian = MINIMAL.replace("layout: {type: linear, count: 2, spacing: 0.25, axis: y}", grid)
+    assert _parsed(validate_config(cartesian.replace("0.25}", "0.25, plane: xy}"))) == _parsed(
+        validate_config(cartesian)
+    )
+
+
+def test_linear_layout_is_a_one_row_grid():
+    """A linear layout is ``count`` origin-centred spheres along its axis, the other coordinates +0."""
+    for axis in "xyz":
+        for count in (1, 2, 5):
+            cfg = validate_config(MINIMAL.replace("count: 2", f"count: {count}").replace("axis: y", f"axis: {axis}"))
+            centers = np.array([s.center for s in cfg.scene.spheres])
+            along = "xyz".index(axis)
+            np.testing.assert_array_equal(centers[:, along], (np.arange(count) - (count - 1) / 2) * 0.25)
+            across = np.delete(centers, along, axis=1)
+            assert not across.any() and not np.signbit(across).any()

@@ -183,3 +183,15 @@ def test_underdetermined_encoder_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="mshoa.encode"):
         hoa_encoder(sphere, 10.0, 5)
     assert any("underdetermined" in r.message for r in caplog.records)
+
+
+def test_failed_pseudo_inverse_is_an_encoder_error():
+    """Above degree ~160 at kR = 1.47, h'_n(kR) overflows, the response holds
+    nan and the σ = 0 SVD cannot converge: an EncoderError, not a LinAlgError."""
+    sphere = RsmaSpec.fibonacci([0.0, 0.125, 0.0], 0.08, 40)
+    k = 2 * np.pi * 1000 / 343.0
+    p = np.ones(sphere.num_capsules, complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        encoder = hoa_encoder(sphere, k, 200)
+        with pytest.raises(EncoderError, match="pseudo-inverse"):
+            encoder.apply(p, sigmas=0.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mshoa.fields as fields_module
 from mshoa.basis import CoefficientVector, regular_basis_matrix
 from mshoa.fields import (
     CHUNK_TABLE_ENTRIES,
@@ -115,14 +116,15 @@ def test_sphere_mask_marks_interior():
     assert mask.any() and not mask.all()
 
 
-def test_reconstruct_chunking_consistent(rng):
+def test_reconstruct_chunking_consistent(rng, monkeypatch):
     spec = _grid(res=0.07)
     k = 9.0
     cv = CoefficientVector(
         k=k, n_max=4, values=rng.normal(size=25) + 1j * rng.normal(size=25)
     )
     a = reconstruct_field(cv, k, spec)
-    b = reconstruct_field(cv, k, spec, chunk=7)
+    monkeypatch.setattr(fields_module, "CHUNK_PIXELS", 7)
+    b = reconstruct_field(cv, k, spec)
     np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -130,8 +132,6 @@ def test_reconstruct_chunking_consistent(rng):
 def test_reconstruct_chunk_tables_stay_within_budget(rng, monkeypatch, n_max, pixels):
     """High degrees evaluate fewer pixels per chunk, so no chunk's real table
     holds more entries than a 4096-pixel chunk at degree 25."""
-    import mshoa.fields as fields_module
-
     chunks = []
 
     def recording_table(n, k, pts, center):
@@ -146,7 +146,8 @@ def test_reconstruct_chunk_tables_stay_within_budget(rng, monkeypatch, n_max, pi
     assert chunks[0] == pixels and sum(chunks) == 4500
     assert max(chunks) * (n_max + 1) * (n_max + 2) <= CHUNK_TABLE_ENTRIES
     chunks.clear()
-    reconstruct_field(cv, 9.0, spec, chunk=500)
+    monkeypatch.setattr(fields_module, "CHUNK_PIXELS", 500)
+    reconstruct_field(cv, 9.0, spec)
     assert max(chunks) == 500
 
 
@@ -157,13 +158,14 @@ def test_ground_truth_is_direct_evaluation():
     np.testing.assert_allclose(g.values, 1.0)  # z = 0 plane
 
 
-def test_block_reconstructs_each_column(rng):
+def test_block_reconstructs_each_column(rng, monkeypatch):
     spec = _grid(res=0.07)
     k = 9.0
     block = CoefficientVector(
         k=k, n_max=4, values=rng.normal(size=(25, 3)) + 1j * rng.normal(size=(25, 3))
     )
-    fields = reconstruct_field(block, k, spec, chunk=7)
+    monkeypatch.setattr(fields_module, "CHUNK_PIXELS", 7)
+    fields = reconstruct_field(block, k, spec)
     assert len(fields) == 3
     for j, grid in enumerate(fields):
         single = reconstruct_field(block.column(j), k, spec)
@@ -187,7 +189,7 @@ def test_zero_padded_column_is_the_lower_degree_field(rng):
 
 @pytest.mark.parametrize("n_max", [0, 3, 14])
 @pytest.mark.parametrize("columns", [None, 4], ids=["vector", "block"])
-def test_reconstruct_matches_the_complex_basis(rng, n_max, columns):
+def test_reconstruct_matches_the_complex_basis(rng, monkeypatch, n_max, columns):
     """The real Legendre-Bessel table reproduces regular_basis_matrix @ c.
 
     The xz-plane grid has 11 x 13 = 143 pixels (not a multiple of the chunk),
@@ -201,7 +203,8 @@ def test_reconstruct_matches_the_complex_basis(rng, n_max, columns):
     assert set(np.sign(pts[on_axis, 2] - center[2])) == {-1.0, 0.0, 1.0}
     shape = (n_max + 1) ** 2 if columns is None else ((n_max + 1) ** 2, columns)
     coeffs = CoefficientVector(k=9.0, n_max=n_max, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    fields = reconstruct_field(coeffs, 9.0, spec, center=center, chunk=16)
+    monkeypatch.setattr(fields_module, "CHUNK_PIXELS", 16)
+    fields = reconstruct_field(coeffs, 9.0, spec, center=center)
     fields = [fields] if columns is None else fields
     reference = regular_basis_matrix(n_max, 9.0, pts, center) @ coeffs.values.reshape(len(coeffs.values), -1)
     assert len(fields) == reference.shape[1]

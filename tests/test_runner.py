@@ -267,6 +267,10 @@ def test_cli_rejects_bad_config(tmp_path):
         (TINY.replace(grid, "grid: {extent: [2, 2, 7]}"), "extent"),
         (TINY.replace(grid, "grid: {center: [0.5]}"), "center"),
         (TINY.replace(grid, "grid: {extent: [2, 2], resolution: 5}"), "pixel"),
+        (TINY.replace("capsules: 40", "capsules: 0"), "capsule"),
+        (TINY.replace("axis: y", "axis: [1]"), "axis"),
+        (TINY.replace("type: linear, count: 2", "type: cartesian, rows: 2, cols: 1").replace("axis: y", "plane: [1]"), "plane"),
+        (TINY + "output: out\n", "output"),
     ]:
         bad.write_text(text)
         out = tmp_path / "out-malformed"
@@ -296,6 +300,28 @@ def test_cli_bad_forward_file(tmp_path):
         assert res.exit_code == 4, res.output
         assert "runtime error" in res.output
         assert not (out / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # from the overflowed radial functions
+def test_cli_runtime_failures_exit_4(tmp_path, monkeypatch):
+    runner = CliRunner()
+    cfg_path = tmp_path / "cfg.yaml"
+    # degree 200 at kR = 1.47 overflows h'_n: the σ = 0 pseudo-inverse of a response holding nan fails
+    cfg_path.write_text(TINY_HOA.replace("hoa: {n_c: 4}", "hoa: {n_c_min: 1, n_c_max: 200}"))
+    res = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "nan")])
+    assert res.exit_code == 4, res.output
+    assert "runtime error" in res.output and "pseudo-inverse" in res.output
+    assert not (tmp_path / "nan" / "summary.json").exists()
+
+    # a scene too large for memory (allocating for real would need tens of GiB)
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 54.5 GiB")
+
+    monkeypatch.setattr("mshoa.cli.run_experiment", out_of_memory)
+    cfg_path.write_text(TINY)
+    res = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "oom")])
+    assert res.exit_code == 4, res.output
+    assert "out of memory" in res.output and "54.5 GiB" in res.output
 
 
 def test_summary_reports_field_statistics(tmp_path):

@@ -11,7 +11,6 @@ from mshoa.scene import (
     SceneError,
     fibonacci_grid,
     layout_cartesian,
-    layout_linear,
     monopole_coeffs,
     plane_wave_coeffs,
     recommended_forward_truncation,
@@ -45,6 +44,25 @@ def test_rsma_spec_validation():
         RsmaSpec.fibonacci([0, 0, 0], -0.1, 10)
     with pytest.raises(SceneError):
         RsmaSpec(center=[0, 0, 0], radius=0.1, capsule_dirs=np.array([[2.0, 0, 0]]))
+    dirs = fibonacci_grid(12)
+    for twins in (np.vstack([dirs, dirs[5]]), np.array([[1.0, 0.0, 0.0], [1.0, -0.0, 0.0]])):  # -0.0 == 0.0
+        with pytest.raises(SceneError, match="distinct"):
+            RsmaSpec(center=[0, 0, 0], radius=0.1, capsule_dirs=twins)
+
+
+def test_many_capsules_need_no_pairwise_arrays():
+    """100 000 capsules are checked for coincidences in far less memory than
+    the 8e10 bytes of their pairwise distances."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        spec = RsmaSpec.fibonacci([0, 0, 0], 0.1, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.num_capsules == 100_000
+    assert peak < 50e6
 
 
 def test_plane_wave_expansion_matches_direct_field(rng):
@@ -105,18 +123,6 @@ def test_source_validation():
     src = IncidentSource(kind="monopole", position=[1.0, 0.0, 0.0])
     with pytest.raises(SceneError):
         src.field_at(2.0, np.array([[1.0, 0.0, 0.0]]))
-
-
-def test_linear_layout_positions():
-    centers = layout_linear(6, 0.25, "y")
-    np.testing.assert_allclose(
-        centers[:, 1], [-0.625, -0.375, -0.125, 0.125, 0.375, 0.625]
-    )
-    assert not centers[:, [0, 2]].any()
-    with pytest.raises(SceneError):
-        layout_linear(3, 0.25, "w")
-    with pytest.raises(SceneError):
-        layout_linear(0, 0.25)
 
 
 def test_cartesian_layout_positions():
