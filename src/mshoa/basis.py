@@ -97,25 +97,22 @@ def norm_legendre_triangle(n_max: int, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    T = (n_max + 1) * (n_max + 2) // 2
-    out = np.empty((T,) + x.shape, dtype=float)
-
-    def t(n, m):
-        return n * (n + 1) // 2 + m
-
+    out = np.empty(((n_max + 1) * (n_max + 2) // 2,) + x.shape, dtype=float)
     out[0] = 1.0 / SQRT_4PI
-    # sectorial: Pbar_m^m
-    for m in range(1, n_max + 1):
-        out[t(m, m)] = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * out[t(m - 1, m - 1)]
-    # first off-sectorial: Pbar_{m+1}^m
-    for m in range(0, n_max):
-        out[t(m + 1, m)] = np.sqrt(2 * m + 3.0) * x * out[t(m, m)]
-    # upward in n
-    for m in range(0, n_max + 1):
-        for n in range(m + 2, n_max + 1):
-            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-            b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
-            out[t(n, m)] = a * (x * out[t(n - 1, m)] - b * out[t(n - 2, m)])
+    for n in range(1, n_max + 1):
+        t, prev = n * (n + 1) // 2, (n - 1) * n // 2  # rows of (n, 0) and (n-1, 0)
+        # sectorial Pbar_n^n, then the first off-sectorial Pbar_n^{n-1}
+        out[t + n] = -np.sqrt((2 * n + 1) / (2.0 * n)) * s * out[prev + n - 1]
+        out[t + n - 1] = np.sqrt(2 * n + 1.0) * x * out[prev + n - 1]
+        if n < 2:
+            continue
+        # upward in n for m = 0..n-2, one slice: rows (n-1, m) and (n-2, m)
+        m = np.arange(n - 1).reshape((-1,) + (1,) * x.ndim)
+        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+        b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
+        rows = np.multiply(x, out[prev : prev + n - 1], out=out[t : t + n - 1])
+        rows -= b * out[prev - n + 1 : prev]
+        rows *= a
     return out
 
 

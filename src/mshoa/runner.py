@@ -57,6 +57,7 @@ class RunSummary:
     stages: dict  # seconds spent in each of STAGES; they add up to wall_time_s
     peak_rss_mb: dict  # the process's peak resident set (MB) so far at the end of each of STAGES
     system_rcond: float | None  # of the coupled scattering system solved; None if none was
+    capsule_residual: float | None  # MSHOA's sampled T_F check against the multipole sum; None otherwise
     config_hash: str
     search: dict  # candidates in search order, the SSA of each, the chosen index, at_edge
 
@@ -70,6 +71,7 @@ class _Encoding:
     n_outs: list | None = None  # truncation candidates (HOA, at the fixed cfg.sigma)
     center: tuple | np.ndarray = (0.0, 0.0, 0.0)  # expansion center of the coefficients
     rcond: float | None = None  # of the coupled scattering system solved, if any
+    capsule_residual: float | None = None  # of a T_F built here from the coupled solve
 
 
 def _full_capture(scene, points, local=None) -> tuple[np.ndarray, float]:
@@ -122,7 +124,7 @@ def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward) -> _En
         local = _local_incident_block(scene)
         pressures, rcond = _full_capture(scene, scene.capsule_positions(), local)
         model = forward_operator(scene, include_coupling=False, _local=local)
-    return _Encoding(mshoa_encoder(model), pressures, rcond=rcond)
+    return _Encoding(mshoa_encoder(model), pressures, rcond=rcond, capsule_residual=model.capsule_residual)
 
 
 def _sigma_grid(search, encoder: Encoder) -> list[float]:
@@ -180,7 +182,7 @@ def run_experiment(
     sigmas = [cfg.sigma] if cfg.sigma_search is None else _sigma_grid(cfg.sigma_search, enc.encoder)
     block = enc.encoder.apply(enc.pressures, sigmas=sigmas, n_outs=enc.n_outs)
     candidates = enc.n_outs if by_degree else sigmas
-    center, rcond = enc.center, enc.rcond
+    center, rcond, capsule_residual = enc.center, enc.rcond, enc.capsule_residual
     del enc  # frees the encoder's forward model and Gram before the pixel passes
     end_stage()
 
@@ -216,6 +218,7 @@ def run_experiment(
         stages={stage: end - start for stage, start, end in zip(STAGES, marks, marks[1:])},
         peak_rss_mb=dict(zip(STAGES, peaks)),
         system_rcond=rcond,
+        capsule_residual=capsule_residual,
         config_hash=chash,
         search={
             "candidates": search.candidates,

@@ -24,6 +24,8 @@ from .scene import RsmaSpec, SceneConfig, SceneError
 
 log = logging.getLogger(__name__)
 
+RESIDUAL_SAMPLES = 16  # capsules per sphere on which the coupled T_F is checked against the multipole sum
+
 
 class SolverError(RuntimeError):
     """Dense solve failed or the system is numerically singular."""
@@ -44,6 +46,7 @@ class ForwardOperator:
     scene: SceneConfig
     matrix: np.ndarray = field(repr=False)
     rcond: float | None = None  # of the coupled system solved to build it; None if none was
+    capsule_residual: float | None = None  # sampled gap to the multipole sum; None if not built from c
 
     def apply(self, coeffs: CoefficientVector) -> np.ndarray:
         if coeffs.n_max != self.scene.n_in:
@@ -66,7 +69,8 @@ def surface_response_matrix(sphere: RsmaSpec, k: float, n_c: int) -> np.ndarray:
     y = sph_harm_matrix(n_c, theta, phi)
     hp = sph_hankel1(np.arange(n_c + 1), kr, derivative=True)
     gain = 1j / (kr * kr * hp[degrees_upto(n_c)])
-    return y * gain[None, :]
+    y *= gain[None, :]
+    return y
 
 
 def rigid_scatter_gain(k: float, radius: float, n_c: int) -> np.ndarray:
@@ -78,35 +82,43 @@ def rigid_scatter_gain(k: float, radius: float, n_c: int) -> np.ndarray:
     return ratio[degrees_upto(n_c)]
 
 
-def assemble_system_matrix(scene: SceneConfig) -> np.ndarray:
-    """Coupled block system relating local incident to radiating coefficients, A' = S B'.
+def _scatter_gains(scene: SceneConfig) -> np.ndarray:
+    """Every sphere's :func:`rigid_scatter_gain` at ``n_fwd``, stacked as the system's unknowns are."""
+    return np.concatenate([rigid_scatter_gain(scene.k, sph.radius, scene.n_fwd) for sph in scene.spheres])
 
-    Diagonal blocks are diag(-h'_n(ka_s)/j'_n(ka_s)); the (s, t) off-diagonal
-    block is minus the singular-to-regular translation from sphere t to s.
-    The system is one Fortran-ordered array, as LAPACK factors it in place,
-    and each distinct displacement c_s - c_t (equal bit for bit) is translated
-    once: a regular grid repeats its displacements.
+
+def assemble_system_matrix(scene: SceneConfig) -> np.ndarray:
+    """Coupled block system (I - SR G) c = a_local for the field each sphere feels.
+
+    c_s holds the local coefficients of the total field incident on sphere s
+    (the incident wave plus every other sphere's scattered wave), and sphere
+    s radiates b_s = G_s c_s with G_s = diag(rigid_scatter_gain).  Diagonal
+    blocks are the identity; the (s, t) off-diagonal block is minus the
+    singular-to-regular translation from sphere t to s with its columns
+    scaled by G_t.  The system is one Fortran-ordered array, as LAPACK
+    factors it in place, and each distinct pair of displacement c_s - c_t
+    (equal bit for bit) and source radius is built once: a regular grid
+    repeats its displacements.
     """
     from .translation import sr_translation
 
-    k = scene.k
-    n_fwd = scene.n_fwd
+    k, n_fwd = scene.k, scene.n_fwd
     lf = num_coeffs(n_fwd)
-    ns = scene.num_spheres
-    out = np.zeros((ns * lf, ns * lf), dtype=complex, order="F")
-    built = {}  # displacement bytes -> the block already holding its translation
+    gains = _scatter_gains(scene)
+    out = np.zeros((gains.size, gains.size), dtype=complex, order="F")
+    out[np.diag_indices(gains.size)] = 1.0
+    built = {}  # (displacement bytes, source radius) -> the block already holding it
     for s, sph_s in enumerate(scene.spheres):
         for t, sph_t in enumerate(scene.spheres):
-            block = out[s * lf : (s + 1) * lf, t * lf : (t + 1) * lf]
             if s == t:
-                block[np.diag_indices(lf)] = 1.0 / rigid_scatter_gain(k, sph_s.radius, n_fwd)
                 continue
+            block = out[s * lf : (s + 1) * lf, t * lf : (t + 1) * lf]
             shift = sph_s.center - sph_t.center
-            key = shift.tobytes()
+            key = (shift.tobytes(), sph_t.radius)
             if key in built:
                 block[:] = built[key]
             else:
-                block[:] = -sr_translation(shift, k, n_fwd, n_fwd)
+                np.multiply(sr_translation(shift, k, n_fwd, n_fwd), -gains[t * lf : (t + 1) * lf], out=block)
                 built[key] = block
     return out
 
@@ -135,25 +147,27 @@ def _solve_coupled(system: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, flo
     factors and ``rhs`` by the solution, which is returned in its memory when
     it is a Fortran-ordered complex array.  No copy of either is made.
     """
-    anorm = sla.get_lapack_funcs("lange", (system,))("1", system)  # max column sum of |a_ij|, no |A| buffer
-    try:
-        lu, piv = sla.lu_factor(system, overwrite_a=True)
-    except Exception as exc:  # LAPACK failures surface as generic errors
-        raise SolverError(f"LU factorization of the system matrix failed: {exc}")
+    lange = sla.get_lapack_funcs("lange", (system,))
+    anorm = lange("1", system)  # max column sum of |a_ij|, no |A| buffer
+    # a NaN or inf entry makes a norm non-finite: the finiteness checks without a boolean copy of either array
+    if not (np.isfinite(anorm) and np.isfinite(lange("M", rhs.reshape(len(rhs), -1)))):
+        raise SolverError("the coupled system or its right-hand side holds a non-finite entry")
+    lu, piv = sla.lu_factor(system, overwrite_a=True, check_finite=False)
     gecon = sla.get_lapack_funcs("gecon", (lu,))
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0 or not np.isfinite(rcond) or rcond == 0.0:
         raise SolverError(f"system matrix is numerically singular (rcond={rcond})")
     log.info("system matrix size %d, rcond estimate %.3e", lu.shape[0], rcond)
-    return sla.lu_solve((lu, piv), rhs, overwrite_b=True), float(rcond)
+    return sla.lu_solve((lu, piv), rhs, overwrite_b=True, check_finite=False), float(rcond)
 
 
 def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None) -> ScatterSolution:
     """Solve the coupled scattering problem for one incident expansion.
 
-    ``_local`` is the scene's :func:`_local_incident_block` when the caller
-    has already built it; otherwise each sphere's map is built, applied and
-    dropped in turn.
+    The system is solved for the field each sphere feels, c; the radiating
+    coefficients are b = G c.  ``_local`` is the scene's
+    :func:`_local_incident_block` when the caller has already built it;
+    otherwise each sphere's map is built, applied and dropped in turn.
     """
     if a_in.n_max != scene.n_in:
         raise ValueError(f"incident coefficients must be truncated at {scene.n_in}")
@@ -161,7 +175,8 @@ def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None) -> S
         a_local = np.concatenate([m @ a_in.values for m in _local_incident_matrices(scene)])
     else:
         a_local = _local @ a_in.values
-    b_all, rcond = _solve_coupled(assemble_system_matrix(scene), a_local)
+    c_all, rcond = _solve_coupled(assemble_system_matrix(scene), a_local)
+    b_all = _scatter_gains(scene) * c_all
     rad = [
         CoefficientVector(k=scene.k, n_max=scene.n_fwd, values=b)
         for b in np.split(b_all, scene.num_spheres)
@@ -192,35 +207,73 @@ def eval_total_field(
     return out
 
 
+def _multipole_field(scene: SceneConfig, points: np.ndarray, coeffs: np.ndarray, gains=None) -> np.ndarray:
+    """The incident regular series plus every sphere's singular series at ``points``.
+
+    Row p, column j is R(p) e_j + sum_t S_t(p) b_t[:, j] with ``coeffs``
+    holding the stacked radiating coefficients b of each incident basis
+    e_j, or, when ``gains`` are given, the local fields c with b = gains * c
+    (the singular bases are scaled instead, so no copy of c is made).
+    """
+    k = scene.k
+    singular = np.hstack([singular_basis_matrix(scene.n_fwd, k, points, sph.center) for sph in scene.spheres])
+    if gains is not None:
+        singular *= gains
+    out = regular_basis_matrix(scene.n_in, k, points, [0.0, 0.0, 0.0])
+    out += singular @ coeffs
+    return out
+
+
+def _capsule_residual(scene: SceneConfig, matrix: np.ndarray, c_all: np.ndarray, gains: np.ndarray) -> float:
+    """Max-abs gap of ``matrix`` to :func:`_multipole_field` of ``c_all`` over its max, on sampled capsules.
+
+    The sample is RESIDUAL_SAMPLES capsules per sphere, a fixed stride
+    through its Fibonacci order, checked one sphere at a time.  The gap is
+    the capsule form's one approximation: the field a sphere feels is cut
+    off at degree n_fwd.
+    """
+    gap, top, start = 0.0, 0.0, 0
+    for sphere in scene.spheres:
+        rows = np.arange(0, sphere.num_capsules, -(-sphere.num_capsules // RESIDUAL_SAMPLES))
+        reference = _multipole_field(scene, sphere.capsule_positions()[rows], c_all, gains)
+        gap = max(gap, np.max(np.abs(matrix[start + rows] - reference)))
+        top = max(top, np.max(np.abs(reference)))
+        start += sphere.num_capsules
+    return float(gap / top)
+
+
 def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=None) -> ForwardOperator:
     """Assemble the dense capsule-pressure response to every incident basis.
 
     Every sphere's local incident map (its R|R translation) fills its rows of
     one (spheres x L_fwd, L_in) block, which the coupled solve overwrites
-    with the radiating coefficients, so the system, that block and T_F are
-    the only arrays of their size.  T_F is then filled one sphere's capsules
-    at a time: the incident regular basis plus the singular bases of every
-    sphere at those capsules times the radiating coefficients.  Without
+    with the field each sphere feels, c, so the system, that block and T_F
+    are the only arrays of their size.  Sphere s's capsule rows of T_F are
+    then its rigid-surface response times c_s, ``surface_response_matrix``
+    at n_fwd (Gumerov & Duraiswami, 2004, ch. 4), and a sample of them is
+    checked against the full multipole sum (``capsule_residual``).  Without
     coupling each sphere scatters its local incident field alone: its
     T-matrix (the diagonal ``rigid_scatter_gain``) times its local incident
-    coefficients, with no system to solve (Gumerov & Duraiswami, 2004, ch. 4).
+    coefficients, with no system to solve, and T_F is the incident regular
+    series plus every sphere's singular series at the capsules.
     ``_local`` is the scene's :func:`_local_incident_block` when the caller
     has already built it; it is overwritten.
     """
     k, n_fwd = scene.k, scene.n_fwd
-    b_all = _local_incident_block(scene) if _local is None else _local
+    block = _local_incident_block(scene) if _local is None else _local
+    gains = _scatter_gains(scene)
     if include_coupling:
-        b_all, rcond = _solve_coupled(assemble_system_matrix(scene), b_all)
+        block, rcond = _solve_coupled(assemble_system_matrix(scene), block)  # c
     else:
-        gains = np.concatenate([rigid_scatter_gain(k, sph.radius, n_fwd) for sph in scene.spheres])
-        b_all, rcond = np.multiply(gains[:, None], b_all, out=b_all), None
-    matrix = np.empty((scene.total_capsules, b_all.shape[1]), dtype=complex)
-    start = 0
-    for sphere in scene.spheres:
-        caps = sphere.capsule_positions()
-        rows = slice(start, start + len(caps))
-        singular = np.hstack([singular_basis_matrix(n_fwd, k, caps, sph.center) for sph in scene.spheres])
-        matrix[rows] = regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0])
-        matrix[rows] += singular @ b_all
+        block, rcond = np.multiply(gains[:, None], block, out=block), None  # b = G a_local
+    matrix = np.empty((scene.total_capsules, block.shape[1]), dtype=complex)
+    lf, start = num_coeffs(n_fwd), 0
+    for s, sphere in enumerate(scene.spheres):
+        rows = slice(start, start + sphere.num_capsules)
+        if include_coupling:
+            np.matmul(surface_response_matrix(sphere, k, n_fwd), block[s * lf : (s + 1) * lf], out=matrix[rows])
+        else:
+            matrix[rows] = _multipole_field(scene, sphere.capsule_positions(), block)
         start = rows.stop
-    return ForwardOperator(scene=scene, matrix=matrix, rcond=rcond)
+    residual = _capsule_residual(scene, matrix, block, gains) if include_coupling else None
+    return ForwardOperator(scene=scene, matrix=matrix, rcond=rcond, capsule_residual=residual)

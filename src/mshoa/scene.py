@@ -24,6 +24,9 @@ class SceneError(ValueError):
     """Invalid scene geometry (overlap, bad source placement, ...)."""
 
 
+MAX_CAPSULES = 10**6  # per sphere; each capsule is a row of T_F, and the configs and the benchmark use at most 252
+
+
 def fibonacci_grid(q: int) -> np.ndarray:
     """Spherical Fibonacci lattice of ``q`` unit vectors.
 
@@ -32,6 +35,8 @@ def fibonacci_grid(q: int) -> np.ndarray:
     """
     if q < 1:
         raise SceneError(f"a capsule grid needs at least one point, got {q}")
+    if q > MAX_CAPSULES:
+        raise SceneError(f"a capsule grid of {q:,} points is more than the {MAX_CAPSULES:,} allowed")
     i = np.arange(q)
     z = 1.0 - (2.0 * i + 1.0) / q
     phi = 2.0 * np.pi * i / GOLDEN_RATIO
@@ -74,7 +79,7 @@ class RsmaSpec:
 
 @dataclass
 class IncidentSource:
-    """Plane wave (unit direction) or monopole (position + complex amplitude)."""
+    """Plane wave (unit direction) or monopole (position), either scaled by a complex amplitude."""
 
     kind: str
     direction: np.ndarray | None = None
@@ -106,14 +111,14 @@ class IncidentSource:
         if self.kind == "plane_wave":
             cv = plane_wave_coeffs(self.direction, k, n_max)
             phase = np.exp(1j * k * float(np.dot(self.direction, center)))
-            return CoefficientVector(k=k, n_max=n_max, values=cv.values * phase)
+            return CoefficientVector(k=k, n_max=n_max, values=cv.values * phase * self.amplitude)
         return monopole_coeffs(self.position - center, self.amplitude, k, n_max)
 
     def field_at(self, k: float, points: np.ndarray) -> np.ndarray:
         """Direct (series-free) evaluation of the incident field."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "plane_wave":
-            return np.exp(1j * k * points @ self.direction)
+            return self.amplitude * np.exp(1j * k * points @ self.direction)
         d = np.linalg.norm(points - self.position[None, :], axis=1)
         if np.any(d == 0.0):
             raise SceneError("field evaluated at the monopole position")

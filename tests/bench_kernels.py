@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import zherk
 
-from mshoa.basis import CoefficientVector, num_coeffs, sph_harm_matrix
+from mshoa.basis import CoefficientVector, norm_legendre_triangle, num_coeffs, sph_harm_matrix
 from mshoa.encode import Encoder
 from mshoa.fields import FieldGrid, GridSpec, reconstruct_field
 from mshoa.matio import write_field_csv
+from mshoa.scatter import surface_response_matrix
+from mshoa.scene import RsmaSpec
 from mshoa.translation import _coaxial_matrix, rotation_blocks
 
 K = 2 * np.pi * 2000 / 343.0
@@ -75,6 +77,21 @@ def test_sph_harm_matrix(benchmark):
 def test_coaxial_matrix(benchmark, kind, dist, n_src, n_dst):
     """One coaxial translation block of ``forward_planar9`` (before its rotation)."""
     benchmark(_coaxial_matrix, kind, dist, 2 * np.pi * 4000 / 343.0, n_src, n_dst)
+
+
+def test_capsule_block(benchmark):
+    """One sphere's rows of the coupled T_F, Lambda_s @ c_s: (252 x 289) @ (289 x 2116)."""
+    rng = np.random.default_rng(5)
+    lam = surface_response_matrix(RsmaSpec.fibonacci([0.0, 0.0, 0.0], 0.08, 252), 2 * np.pi * 4000 / 343.0, 16)
+    c = np.asfortranarray(_complex(rng, (9 * num_coeffs(16), num_coeffs(45))))  # the solved block, 9 spheres
+    out = np.empty((252, num_coeffs(45)), dtype=complex)
+    benchmark(np.matmul, lam, c[num_coeffs(16) : 2 * num_coeffs(16)], out=out)
+
+
+@pytest.mark.parametrize("points", [252, 4096], ids=["capsules", "pixel_chunk"])
+def test_norm_legendre_triangle(benchmark, points):
+    x = np.random.default_rng(6).uniform(-1.0, 1.0, points)
+    benchmark(norm_legendre_triangle, 45, x)
 
 
 def test_rotation_blocks(benchmark):

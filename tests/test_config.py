@@ -179,6 +179,10 @@ def test_config_rejections():
         (MINIMAL + "grid: {plane: [1]}\n", "plane"),
         (MINIMAL.replace(layout, "spheres: [{center: [0, 0, 0], radius: 0.08, capsules: 0}]").replace(
             "  radius: 0.08\n  capsules: 32\n", ""), "capsule"),
+        # at most MAX_CAPSULES capsules per sphere, from a layout or given per sphere
+        (MINIMAL.replace("capsules: 32", "capsules: 10000000000"), "10,000,000,000 points"),
+        (MINIMAL.replace(layout, "spheres: [{center: [0, 0, 0], radius: 0.08, capsules: 10000000000}]").replace(
+            "  radius: 0.08\n  capsules: 32\n", ""), "10,000,000,000 points"),
         # a layout needs the scene's radius and capsules, and explicit spheres take their own
         (MINIMAL.replace("  radius: 0.08\n", ""), "radius"),
         (MINIMAL.replace(layout, "spheres: [{center: [0, 0, 0], radius: 0.08, capsules: 8}]"), "layout"),

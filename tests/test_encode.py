@@ -61,10 +61,17 @@ def test_shrinkage_is_monotone_in_sigma(rng):
 
 
 def test_single_equals_mshoa_for_one_sphere():
-    scene = _scene([[0.0, 0.0, 0.0]])
-    full = mshoa_encoder(forward_operator(scene, include_coupling=True))
-    single = mshoa_encoder(forward_operator(scene, include_coupling=False))
-    np.testing.assert_allclose(_encoder_matrix(full, 1e-6), _encoder_matrix(single, 1e-6), atol=1e-13)
+    """A lone sphere at the origin feels the incident field alone (c = a), so
+    with n_in = n_fwd both operators are its surface response Lambda: MSHOA's
+    as Lambda c, Single's as the regular plus the scattered series."""
+    scene = _scene([[0.0, 0.0, 0.0]], n_in=6, n_fwd=6)
+    lam = surface_response_matrix(scene.spheres[0], scene.k, 6)
+    full = forward_operator(scene, include_coupling=True)
+    single = forward_operator(scene, include_coupling=False)
+    for model in (full, single):
+        assert np.max(np.abs(model.matrix - lam)) <= 1e-13 * np.max(np.abs(lam))
+    e_full, e_single = (_encoder_matrix(mshoa_encoder(m), 1e-6) for m in (full, single))
+    assert np.max(np.abs(e_full - e_single)) <= 1e-9 * np.max(np.abs(e_full))
 
 
 def _encoder_matrix(enc, sigma):

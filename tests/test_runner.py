@@ -216,6 +216,66 @@ def test_system_rcond_is_the_coupled_system_of_every_method(tmp_path):
     assert run_experiment(validate_config(LONE_HOA), tmp_path / "lone").system_rcond is None
 
 
+def test_capsule_residual_recomputed_from_the_multipole_sum(tmp_path):
+    """summary.json's capsule_residual is the max-abs gap, over the max, between
+    T_F = Lambda_s c_s and the regular plus singular series at up to 16
+    capsules of each sphere, a stride through its Fibonacci order.  Only MSHOA
+    builds T_F from c: the other methods and an imported T_F report null."""
+    import scipy.linalg as sla
+
+    from mshoa.basis import regular_basis_matrix, singular_basis_matrix
+    from mshoa.scatter import (
+        _local_incident_block,
+        assemble_system_matrix,
+        rigid_scatter_gain,
+        surface_response_matrix,
+    )
+
+    cfg = validate_config(TINY)
+    run_experiment(cfg, tmp_path / "mshoa", export_forward=tmp_path / "forward.bin")
+    reported = json.loads((tmp_path / "mshoa" / "summary.json").read_text())["capsule_residual"]
+    scene = cfg.scene
+    k, n = scene.k, scene.n_fwd
+    c = np.split(sla.solve(assemble_system_matrix(scene), _local_incident_block(scene)), scene.num_spheres)
+    worst, top = 0.0, 0.0
+    for sphere, c_s in zip(scene.spheres, c):
+        rows = np.arange(0, sphere.num_capsules, int(np.ceil(sphere.num_capsules / 16)))
+        assert len(rows) <= 16
+        caps = sphere.capsule_positions()[rows]
+        t_f = surface_response_matrix(sphere, k, n)[rows] @ c_s
+        total = regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0])
+        for other, c_t in zip(scene.spheres, c):
+            b_t = rigid_scatter_gain(k, other.radius, n)[:, None] * c_t
+            total += singular_basis_matrix(n, k, caps, other.center) @ b_t
+        worst, top = max(worst, np.max(np.abs(t_f - total))), max(top, np.max(np.abs(total)))
+    assert 0 < reported == pytest.approx(worst / top, rel=1e-6)
+    imported = run_experiment(cfg, tmp_path / "imported", import_forward=tmp_path / "forward.bin")
+    assert imported.capsule_residual is None
+    for i, text in enumerate((TINY_SINGLE, TINY_HOA, LONE_HOA)):
+        out = tmp_path / f"other{i}"
+        run_experiment(validate_config(text), out)
+        assert json.loads((out / "summary.json").read_text())["capsule_residual"] is None
+
+
+def test_plane_wave_amplitude_scales_truth_and_capture_not_the_ssa(tmp_path):
+    plane = TINY.replace("kind: monopole, position: [5, 5, 5]", "kind: plane_wave, direction: [1, 1, 0.5]")
+    loud = plane.replace("direction: [1, 1, 0.5]", "direction: [1, 1, 0.5], amplitude: 5")
+    runs = {}
+    for name, text in (("unit", plane), ("loud", loud)):
+        cfg = validate_config(text)
+        summary = run_experiment(cfg, tmp_path / name, dump_coeffs=True)
+        capture = cfg.scene.source.field_at(cfg.scene.k, cfg.scene.capsule_positions())
+        truth, _ = read_field_csv(tmp_path / name / "ground_truth.csv")
+        coeffs = import_matrix(tmp_path / name / "coefficients.bin")
+        runs[name] = summary, cfg.scene.incident_coeffs().values, capture, truth, coeffs
+    (unit, a1, p1, t1, x1), (loud, a5, p5, t5, x5) = runs["unit"], runs["loud"]
+    np.testing.assert_allclose(a5, 5 * a1, rtol=1e-15)
+    np.testing.assert_allclose(p5, 5 * p1, rtol=1e-15)
+    np.testing.assert_allclose(t5, 5 * t1, rtol=1e-15)
+    np.testing.assert_allclose(x5, 5 * x1, rtol=1e-9)
+    assert loud.ssa == unit.ssa and unit.ssa > 0
+
+
 @pytest.mark.parametrize("text", [TINY_HOA, TINY_SINGLE], ids=["HOA", "Single"])
 def test_forward_export_import_is_mshoa_only(tmp_path, text):
     runner = CliRunner()
@@ -268,6 +328,7 @@ def test_cli_rejects_bad_config(tmp_path):
         (TINY.replace(grid, "grid: {center: [0.5]}"), "center"),
         (TINY.replace(grid, "grid: {extent: [2, 2], resolution: 5}"), "pixel"),
         (TINY.replace("capsules: 40", "capsules: 0"), "capsule"),
+        (TINY.replace("capsules: 40", "capsules: 10000000000"), "capsule"),
         (TINY.replace("axis: y", "axis: [1]"), "axis"),
         (TINY.replace("type: linear, count: 2", "type: cartesian, rows: 2, cols: 1").replace("axis: y", "plane: [1]"), "plane"),
         (TINY + "output: out\n", "output"),

@@ -170,31 +170,81 @@ def test_uncoupled_operator_matches_the_diagonal_system_solve():
     assert forward_operator(scene).rcond > 0
 
 
-def test_forward_operator_matches_solve_route(rng):
-    """Applying the assembled operator equals solving and evaluating at the
-    capsules directly (two independent code paths)."""
+def _reference_coupled_operator(scene, a_local):
+    """Lambda_s c_s per sphere, c from a dense solve of (I - SR G) c = a_local.
+
+    The system is assembled here block by block, every S|R translation built
+    anew and its columns scaled by the source sphere's gains.
+    """
+    import scipy.linalg as sla
+
+    from mshoa.translation import sr_translation
+
+    k, n, lf = scene.k, scene.n_fwd, num_coeffs(scene.n_fwd)
+    gains = [rigid_scatter_gain(k, s.radius, n) for s in scene.spheres]
+    system = np.block(
+        [
+            [
+                np.eye(lf) if a is b else -sr_translation(a.center - b.center, k, n, n) * gains[t][None, :]
+                for t, b in enumerate(scene.spheres)
+            ]
+            for a in scene.spheres
+        ]
+    )
+    c = np.split(sla.solve(system, a_local), scene.num_spheres)
+    return np.vstack([surface_response_matrix(s, k, n) @ c_s for s, c_s in zip(scene.spheres, c)])
+
+
+def _local_incident(scene, n_build=None):
+    """Every sphere's R|R map to n_fwd, built at ``n_build`` (default n_fwd) and truncated."""
+    from mshoa.translation import rr_translation
+
+    n_build = scene.n_fwd if n_build is None else n_build
+    lf = num_coeffs(scene.n_fwd)
+    return np.vstack([rr_translation(s.center, scene.k, scene.n_in, n_build)[:lf] for s in scene.spheres])
+
+
+def _rel_gap(matrix, reference):
+    return np.max(np.abs(matrix - reference)) / np.max(np.abs(reference))
+
+
+def test_forward_operator_matches_solve_route():
+    """T_F is each sphere's surface response times the field it feels, Lambda_s c_s:
+    the in-place build equals a dense solve assembled in the test, and applying
+    T_F equals Lambda_s b_s / G_s from the vector solve (two independent routes)."""
     scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], caps=14)
-    a_in = scene.incident_coeffs()
     op = forward_operator(scene)
-    via_matrix = op.apply(a_in)
+    assert _rel_gap(op.matrix, _reference_coupled_operator(scene, _local_incident(scene))) <= 1e-13
+    a_in = scene.incident_coeffs()
     sol = forward_solve(scene, a_in)
-    via_eval = eval_total_field(scene, sol, a_in, scene.capsule_positions())
-    np.testing.assert_allclose(via_matrix, via_eval, atol=1e-11)
+    via_solve = np.concatenate(
+        [
+            surface_response_matrix(s, scene.k, scene.n_fwd) @ (b.values / rigid_scatter_gain(scene.k, s.radius, scene.n_fwd))
+            for s, b in zip(scene.spheres, sol.radiating)
+        ]
+    )
+    assert _rel_gap(op.apply(a_in), via_solve) <= 1e-13
 
 
 def test_local_incident_at_forward_degree_matches_truncated_build():
     """Building each sphere's R|R at n_fwd gives the operator that building it
     at n_in and keeping the first (n_fwd+1)^2 rows gives."""
-    from mshoa.translation import rr_translation
-
     scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], n_in=16, n_fwd=12)
-    k, lf = scene.k, num_coeffs(scene.n_fwd)
-    a_local = np.vstack(
-        [rr_translation(s.center, k, scene.n_in, scene.n_in)[:lf] for s in scene.spheres]
-    )
-    reference = _reference_operator(scene, assemble_system_matrix(scene), a_local)
-    matrix = forward_operator(scene).matrix
-    assert np.max(np.abs(matrix - reference)) / np.max(np.abs(reference)) < 1e-10
+    reference = _reference_coupled_operator(scene, _local_incident(scene, n_build=scene.n_in))
+    assert _rel_gap(forward_operator(scene).matrix, reference) <= 1e-13
+
+
+def test_capsule_form_converges_to_the_multipole_sum():
+    """The capsule form cuts the field each sphere feels off at n_fwd; its gap to
+    the eval_total_field oracle at the capsules shrinks as n_fwd rises."""
+    gaps = []
+    for n_fwd in (4, 8, 12):
+        scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], n_in=18, n_fwd=n_fwd)
+        a_in = scene.incident_coeffs()
+        op = forward_operator(scene)
+        oracle = eval_total_field(scene, forward_solve(scene, a_in), a_in, scene.capsule_positions())
+        gaps.append(_rel_gap(op.apply(a_in), oracle))
+    assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_eval_rejects_interior_points():
@@ -240,7 +290,22 @@ def test_forward_operator_holds_one_system_one_block_and_t_f():
     assert peak <= budget
 
 
-def test_system_translates_each_distinct_displacement_once(monkeypatch):
+def _assert_column_scaled_system(scene, system, sr):
+    """Unit diagonal; block (s, t) is -SR(c_s - c_t) diag(G_t), equal bit for bit."""
+    lf, n = num_coeffs(scene.n_fwd), scene.n_fwd
+    np.testing.assert_array_equal(np.diag(system), np.ones(scene.num_spheres * lf))
+    for s, a in enumerate(scene.spheres):
+        for t, b in enumerate(scene.spheres):
+            block = system[s * lf : (s + 1) * lf, t * lf : (t + 1) * lf]
+            if s == t:
+                np.testing.assert_array_equal(block, np.eye(lf))
+            else:
+                gain = rigid_scatter_gain(scene.k, b.radius, n)
+                np.testing.assert_array_equal(block, sr(a.center - b.center, scene.k, n, n) * -gain[None, :])
+
+
+def _count_sr(monkeypatch):
+    """Record the displacement of every S|R translation built."""
     from mshoa import translation
 
     shifts = []
@@ -251,13 +316,53 @@ def test_system_translates_each_distinct_displacement_once(monkeypatch):
         return sr(t, *args)
 
     monkeypatch.setattr(translation, "sr_translation", counting_sr)
+    return shifts, sr
+
+
+def test_system_translates_each_distinct_displacement_once(monkeypatch):
+    shifts, sr = _count_sr(monkeypatch)
     scene = _grid4(n_fwd=4)
     system = assemble_system_matrix(scene)
     assert len(shifts) == len(set(shifts)) == 8
     monkeypatch.undo()
-    lf = num_coeffs(scene.n_fwd)
-    for s, a in enumerate(scene.spheres):
-        for t, b in enumerate(scene.spheres):
-            if s != t:
-                block = system[s * lf : (s + 1) * lf, t * lf : (t + 1) * lf]
-                np.testing.assert_array_equal(block, -sr(a.center - b.center, scene.k, 4, 4))
+    _assert_column_scaled_system(scene, system, sr)
+
+
+def test_system_reuses_a_displacement_only_from_a_source_of_equal_radius(monkeypatch):
+    """In a row of three spheres each displacement of 0.25 recurs.  Its columns
+    carry the source's gains: -0.25 y (sources 1 and 2, both 0.06) is built
+    once, +0.25 y (sources 0 and 1, radii 0.08 and 0.06) twice."""
+    shifts, sr = _count_sr(monkeypatch)
+    radii = (0.08, 0.06, 0.06)
+    scene = SceneConfig(
+        spheres=[RsmaSpec.fibonacci([0.0, 0.25 * (i - 1), 0.0], r, 20) for i, r in enumerate(radii)],
+        source=IncidentSource(kind="plane_wave", direction=[0.3, -0.2, 0.9]),
+        frequency=2000.0,
+        n_in=8,
+        n_fwd=4,
+    )
+    system = assemble_system_matrix(scene)
+    assert len(shifts) == 5 and len(set(shifts)) == 4
+    monkeypatch.undo()
+    _assert_column_scaled_system(scene, system, sr)
+
+
+@pytest.mark.filterwarnings("ignore:Diagonal number:scipy.linalg.LinAlgWarning")  # the exactly singular case
+def test_coupled_solve_rejects_non_finite_and_singular_systems():
+    from mshoa.scatter import SolverError, _solve_coupled
+
+    def solve(system, rhs):
+        return _solve_coupled(np.asfortranarray(system, dtype=complex), np.asfortranarray(rhs, dtype=complex))
+
+    x, rcond = solve(2 * np.eye(3), np.ones((3, 2)))
+    np.testing.assert_array_equal(x, 0.5 * np.ones((3, 2)))
+    assert rcond == 1.0
+    for system, rhs in (
+        (np.diag([1.0, np.nan, 1.0]), np.ones(3)),
+        (np.diag([1.0, np.inf, 1.0]), np.ones(3)),
+        (np.eye(3), np.array([1.0, np.nan, 1.0])),
+        (np.eye(3), np.array([[1.0, 1.0], [1.0, 1.0], [np.inf, 1.0]])),
+        (np.ones((3, 3)), np.ones(3)),
+    ):
+        with pytest.raises(SolverError):
+            solve(system, rhs)
