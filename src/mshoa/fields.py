@@ -160,11 +160,12 @@ def sdr_map(
         raise ValueError("estimated and ground-truth grids are not congruent")
     if mask is not None and mask.shape != truth.values.shape:
         raise ValueError("mask shape does not match the grid")
-    sig = np.abs(truth.values) ** 2
-    err = np.abs(estimated.values - truth.values) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and nan map to the floor or cap
+        diff = estimated.values - truth.values
+        sig = np.abs(truth.values) ** 2
+        err = np.abs(diff) ** 2
         sdr = 10.0 * np.log10(sig / err)
-    sdr = np.where(err == 0.0, SDR_CAP_DB, sdr)
+    sdr = np.where(diff == 0.0, SDR_CAP_DB, sdr)  # an exact estimate, not an error whose square underflows
     sdr = np.clip(np.nan_to_num(sdr, nan=SDR_FLOOR_DB), SDR_FLOOR_DB, SDR_CAP_DB)
     good = sdr > threshold
     if mask is not None:

@@ -28,11 +28,14 @@ from .matio import (
     write_real_csv,
 )
 from .scatter import (
+    FORWARD_PARTS,
     ForwardOperator,
     _local_incident_block,
+    _timed,
     eval_total_field,
     forward_operator,
     forward_solve,
+    parity_classes,
     surface_response_matrix,
 )
 
@@ -55,8 +58,10 @@ class RunSummary:
     mean_sdr_db: float
     wall_time_s: float
     stages: dict  # seconds spent in each of STAGES; they add up to wall_time_s
+    forward_parts: dict  # seconds of the forward stage spent in each of FORWARD_PARTS
     peak_rss_mb: dict  # the process's peak resident set (MB) so far at the end of each of STAGES
     system_rcond: float | None  # of the coupled scattering system solved; None if none was
+    system_blocks: list | None  # the sizes of its parity-class blocks; None if no system was solved
     capsule_residual: float | None  # MSHOA's sampled T_F check against the multipole sum; None otherwise
     config_hash: str
     search: dict  # candidates in search order, the SSA of each, the chosen index, at_edge
@@ -74,17 +79,19 @@ class _Encoding:
     capsule_residual: float | None = None  # of a T_F built here from the coupled solve
 
 
-def _full_capture(scene, points, local=None) -> tuple[np.ndarray, float]:
+def _full_capture(scene, points, parts=None, local=None) -> tuple[np.ndarray, float]:
     """Pressure at ``points`` with every sphere present, and the rcond of the coupled solve.
 
     ``local`` is the scene's local incident block, if already built.
     """
-    a_in = scene.incident_coeffs()
-    sol = forward_solve(scene, a_in, _local=local)
-    return eval_total_field(scene, sol, a_in, points), sol.rcond
+    with _timed(parts, "capsule"):
+        a_in = scene.incident_coeffs()
+    sol = forward_solve(scene, a_in, _local=local, _parts=parts)
+    with _timed(parts, "capsule"):
+        return eval_total_field(scene, sol, a_in, points), sol.rcond
 
 
-def _hoa_encoding(cfg: ExperimentConfig) -> _Encoding:
+def _hoa_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
     """Conventional encoding of one array's capsules within the full scene.
 
     The capsule pressures are the physical capture (all spheres present, full
@@ -97,33 +104,41 @@ def _hoa_encoding(cfg: ExperimentConfig) -> _Encoding:
     if scene.num_spheres == 1:
         # lone array: use a generous reference expansion for the capture
         n_ref = cfg.hoa.n_c_max + max(12, int(np.ceil(np.e * k * sphere.radius)))
-        a_ref = scene.source.coefficients(k, n_ref, center=sphere.center)
-        pressures, rcond = surface_response_matrix(sphere, k, n_ref) @ a_ref.values, None
+        with _timed(parts, "capsule"):
+            a_ref = scene.source.coefficients(k, n_ref, center=sphere.center)
+            pressures, rcond = surface_response_matrix(sphere, k, n_ref) @ a_ref.values, None
     else:
-        pressures, rcond = _full_capture(scene, sphere.capsule_positions())
+        pressures, rcond = _full_capture(scene, sphere.capsule_positions(), parts)
 
     candidates = list(range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1))  # ties go to the smaller n_c
     # one encoder at the largest n_c: the first (n_c+1)^2 columns of its response are the response at n_c
-    encoder = hoa_encoder(sphere, k, cfg.hoa.n_c_max)
+    with _timed(parts, "capsule"):
+        encoder = hoa_encoder(sphere, k, cfg.hoa.n_c_max)
     return _Encoding(encoder, pressures, n_outs=candidates, center=sphere.center, rcond=rcond)
 
 
-def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward) -> _Encoding:
+def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward, parts=None) -> _Encoding:
     """Full multiple-scattering (MSHOA) or single-scattering encoding of the true capture.
 
     MSHOA reads the capture off the T_F it inverts; Single inverts the
     uncoupled operator, so it takes the capture from one coupled vector solve.
+    Reading or writing a T_F file is not a forward part.
     """
     scene = cfg.scene
     if cfg.method == "MSHOA":
-        model = forward_operator(scene) if import_forward is None else _import_forward(cfg, import_forward)
+        if import_forward is None:
+            model = forward_operator(scene, _parts=parts)
+        else:
+            model = _import_forward(cfg, import_forward)
         if export_forward is not None:
             export_matrix(export_forward, model.matrix)
-        pressures, rcond = model.apply(scene.incident_coeffs()), model.rcond
+        with _timed(parts, "capsule"):
+            pressures, rcond = model.apply(scene.incident_coeffs()), model.rcond
     else:  # the capture reads the local incident block that the operator then scales in place
-        local = _local_incident_block(scene)
-        pressures, rcond = _full_capture(scene, scene.capsule_positions(), local)
-        model = forward_operator(scene, include_coupling=False, _local=local)
+        with _timed(parts, "translation"):
+            local = _local_incident_block(scene)
+        pressures, rcond = _full_capture(scene, scene.capsule_positions(), parts, local)
+        model = forward_operator(scene, include_coupling=False, _local=local, _parts=parts)
     return _Encoding(mshoa_encoder(model), pressures, rcond=rcond, capsule_residual=model.capsule_residual)
 
 
@@ -170,12 +185,11 @@ def run_experiment(
     chash = cfg.config_hash
     scene = cfg.scene
 
-    truth = ground_truth_field(scene.source, scene.k, cfg.grid)
-    mask = sphere_mask(cfg.grid, scene.spheres)
+    parts = dict.fromkeys(FORWARD_PARTS, 0.0)
     if cfg.method == "HOA":
-        enc = _hoa_encoding(cfg)
+        enc = _hoa_encoding(cfg, parts)
     else:
-        enc = _grid_encoding(cfg, export_forward, import_forward)
+        enc = _grid_encoding(cfg, export_forward, import_forward, parts)
     end_stage()
 
     by_degree = enc.n_outs is not None
@@ -186,6 +200,8 @@ def run_experiment(
     del enc  # frees the encoder's forward model and Gram before the pixel passes
     end_stage()
 
+    truth = ground_truth_field(scene.source, scene.k, cfg.grid)
+    mask = sphere_mask(cfg.grid, scene.spheres)
     search = regularization_search(
         candidates, block, truth, mask=mask, threshold=cfg.threshold_db, center=center
     )
@@ -216,8 +232,10 @@ def run_experiment(
         mean_sdr_db=float(unmasked.mean()),
         wall_time_s=marks[-1] - marks[0],
         stages={stage: end - start for stage, start, end in zip(STAGES, marks, marks[1:])},
+        forward_parts=parts,
         peak_rss_mb=dict(zip(STAGES, peaks)),
         system_rcond=rcond,
+        system_blocks=None if rcond is None else [scene.num_spheres * len(local) for local, _ in parity_classes(scene)],
         capsule_residual=capsule_residual,
         config_hash=chash,
         search={

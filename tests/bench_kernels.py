@@ -8,9 +8,9 @@ its equivalent) to compare figures with the benchmark, which runs one BLAS
 thread.  Shapes follow the benchmark workloads: ``sweep_linear2`` encodes
 324 capsules into (25+1)² = 676 coefficients on a 100 x 100 pixel grid, and
 ``forward_planar9`` 2268 capsules into (45+1)² = 2116, with an R|R
-translation from degree 45 to 16 per sphere and S|R translations from degree
-16 to 16 between spheres, at 4 kHz; ``hoa_search_linear2`` writes
-200 x 200 pixel grids.
+translation from degree 45 to 16 per sphere, S|R translations from degree
+16 to 16 between spheres and a 9 x 289 = 2601-unknown coupled system, at
+4 kHz; ``hoa_search_linear2`` writes 200 x 200 pixel grids.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from mshoa.basis import CoefficientVector, norm_legendre_triangle, num_coeffs, s
 from mshoa.encode import Encoder
 from mshoa.fields import FieldGrid, GridSpec, reconstruct_field
 from mshoa.matio import write_field_csv
-from mshoa.scatter import surface_response_matrix
+from mshoa.scatter import _solve_coupled, surface_response_matrix
 from mshoa.scene import RsmaSpec
 from mshoa.translation import _coaxial_matrix, rotation_blocks
 
@@ -86,6 +86,22 @@ def test_capsule_block(benchmark):
     c = np.asfortranarray(_complex(rng, (9 * num_coeffs(16), num_coeffs(45))))  # the solved block, 9 spheres
     out = np.empty((252, num_coeffs(45)), dtype=complex)
     benchmark(np.matmul, lam, c[num_coeffs(16) : 2 * num_coeffs(16)], out=out)
+
+
+@pytest.mark.parametrize(
+    "shapes", [[(2601, 2116)], [(1377, 1081), (1224, 1035)]], ids=["one", "two_blocks"]
+)
+def test_coupled_solve(benchmark, shapes):
+    """``forward_planar9``'s coupled solve, 2601 unknowns against 2116 incident
+    columns, as one system or as its two z-parity classes: LU factor and
+    multi-right-hand-side solve, both in place on fresh arrays each round."""
+    rng = np.random.default_rng(7)
+
+    def fresh():
+        systems = [np.asfortranarray(np.eye(n) + 0.01 * _complex(rng, (n, n))) for n, _ in shapes]
+        return (systems, [np.asfortranarray(_complex(rng, shape)) for shape in shapes]), {}
+
+    benchmark.pedantic(_solve_coupled, setup=fresh, rounds=3)
 
 
 @pytest.mark.parametrize("points", [252, 4096], ids=["capsules", "pixel_chunk"])

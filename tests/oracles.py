@@ -22,6 +22,7 @@ from mshoa.basis import (
 )
 from mshoa.scatter import rigid_scatter_gain
 from mshoa.scene import SceneError
+from mshoa.translation import rr_translation, sr_translation
 
 
 def pack_index(n: int, m: int) -> int:
@@ -104,6 +105,33 @@ def basis_gradient_matrix(kind: str, n_max: int, k: float, points: np.ndarray, c
     polar = (fr * dtheta / r[:, None])[:, :, None] * that[:, None, :]
     azim = (fr * ymat * (1j * ords[None, :]) / (r * st)[:, None])[:, :, None] * phat[:, None, :]
     return radial + polar + azim
+
+
+def coupled_system_matrix(scene) -> np.ndarray:
+    """The whole coupled system I - SR G for the stacked local fields c, as one dense array.
+
+    Assembled block by block, every S|R translation built anew: block (s, t)
+    is -SR(c_s - c_t) diag(G_t) and the diagonal blocks are the identity.
+    The library solves only its parity-class blocks.
+    """
+    k, n, lf = scene.k, scene.n_fwd, num_coeffs(scene.n_fwd)
+    gains = [rigid_scatter_gain(k, s.radius, n) for s in scene.spheres]
+    return np.block(
+        [
+            [
+                np.eye(lf) if a is b else -sr_translation(a.center - b.center, k, n, n) * gains[t][None, :]
+                for t, b in enumerate(scene.spheres)
+            ]
+            for a in scene.spheres
+        ]
+    )
+
+
+def local_incident_matrix(scene, n_build=None) -> np.ndarray:
+    """Every sphere's R|R map to n_fwd stacked, built at ``n_build`` (default n_fwd) and truncated."""
+    n_build = scene.n_fwd if n_build is None else n_build
+    lf = num_coeffs(scene.n_fwd)
+    return np.vstack([rr_translation(s.center, scene.k, scene.n_in, n_build)[:lf] for s in scene.spheres])
 
 
 def single_sphere_total_field(coeffs, radius: float, k: float, points: np.ndarray) -> np.ndarray:

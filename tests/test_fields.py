@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mshoa.fields as fields_module
 from mshoa.basis import CoefficientVector, regular_basis_matrix
@@ -104,6 +107,57 @@ def test_mask_excludes_pixels():
     assert r.ssa == pytest.approx((mask.size - mask.sum()) * spec.pixel_area)
     with pytest.raises(ValueError):
         sdr_map(truth, truth, mask=np.zeros((2, 2), bool))
+
+
+_SDR_SPEC = GridSpec(plane="xy", extent=(1.0, 0.6), resolution=0.2)  # 3 x 5 pixels
+_FINITE = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+def _sdr_field(elements=_FINITE):
+    return hnp.arrays(complex, _SDR_SPEC.shape, elements=elements)
+
+
+def _sdr(estimate, truth, **kw):
+    return sdr_map(FieldGrid(spec=_SDR_SPEC, values=estimate), FieldGrid(spec=_SDR_SPEC, values=truth), **kw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(truth=_sdr_field(st.complex_numbers(allow_nan=False, allow_infinity=False)))
+def test_exact_estimate_gets_the_cap(truth):
+    """err == 0 reads +150 dB at every pixel, a zero truth included."""
+    assert np.all(_sdr(truth.copy(), truth).sdr_map == SDR_CAP_DB)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    estimate=_sdr_field(st.complex_numbers()),
+    truth=st.sampled_from([0.0, np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0, np.nan)]),
+)
+def test_zero_or_non_finite_truth_gets_the_floor(estimate, truth):
+    """A truth of zero (against a non-zero estimate, however small) or a non-finite truth reads -300 dB."""
+    if truth == 0.0:
+        estimate = np.where(estimate == 0.0, 1.0, estimate)
+    assert np.all(_sdr(estimate, np.full(_SDR_SPEC.shape, truth)).sdr_map == SDR_FLOOR_DB)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    truth=_sdr_field(),
+    estimate=_sdr_field(),
+    mask=hnp.arrays(bool, _SDR_SPEC.shape),
+    thresholds=st.lists(st.floats(-300.0, 150.0), min_size=2, max_size=4),
+)
+def test_ssa_counts_unmasked_pixels_above_the_threshold(truth, estimate, mask, thresholds):
+    """SSA is the count of unmasked pixels above the threshold times the pixel
+    area; what a masked pixel holds never counts; SSA never rises with the threshold."""
+    areas = []
+    for threshold in sorted(thresholds):
+        report = _sdr(estimate, truth, mask=mask, threshold=threshold)
+        assert np.all((SDR_FLOOR_DB <= report.sdr_map) & (report.sdr_map <= SDR_CAP_DB))
+        assert report.ssa == np.count_nonzero((report.sdr_map > threshold) & ~mask) * _SDR_SPEC.pixel_area
+        assert _sdr(np.where(mask, truth, estimate), truth, mask=mask, threshold=threshold).ssa == report.ssa
+        areas.append(report.ssa)
+    assert areas == sorted(areas, reverse=True)
 
 
 def test_sphere_mask_marks_interior():

@@ -224,19 +224,15 @@ def test_capsule_residual_recomputed_from_the_multipole_sum(tmp_path):
     import scipy.linalg as sla
 
     from mshoa.basis import regular_basis_matrix, singular_basis_matrix
-    from mshoa.scatter import (
-        _local_incident_block,
-        assemble_system_matrix,
-        rigid_scatter_gain,
-        surface_response_matrix,
-    )
+    from mshoa.scatter import rigid_scatter_gain, surface_response_matrix
+    from tests.oracles import coupled_system_matrix, local_incident_matrix
 
     cfg = validate_config(TINY)
     run_experiment(cfg, tmp_path / "mshoa", export_forward=tmp_path / "forward.bin")
     reported = json.loads((tmp_path / "mshoa" / "summary.json").read_text())["capsule_residual"]
     scene = cfg.scene
     k, n = scene.k, scene.n_fwd
-    c = np.split(sla.solve(assemble_system_matrix(scene), _local_incident_block(scene)), scene.num_spheres)
+    c = np.split(sla.solve(coupled_system_matrix(scene), local_incident_matrix(scene)), scene.num_spheres)
     worst, top = 0.0, 0.0
     for sphere, c_s in zip(scene.spheres, c):
         rows = np.arange(0, sphere.num_capsules, int(np.ceil(sphere.num_capsules / 16)))
@@ -399,6 +395,31 @@ def test_summary_reports_field_statistics(tmp_path):
     assert list(peaks) == ["forward", "encode", "search", "output"]
     assert 0 < peaks["forward"] <= peaks["encode"] <= peaks["search"] <= peaks["output"]
     assert summary.system_rcond is None or summary.system_rcond > 0
+
+
+def test_summary_reports_the_forward_parts_and_system_blocks(tmp_path, caplog):
+    """forward_parts splits the forward stage into its spans, which -v logs, and
+    system_blocks holds the sizes of the coupled systems solved: two parity
+    classes with every sphere on the plane z = 0, one otherwise, none for a
+    lone array."""
+    import logging
+
+    with caplog.at_level(logging.INFO, logger="mshoa"):
+        run_experiment(validate_config(TINY), tmp_path / "tiny")
+    meta = json.loads((tmp_path / "tiny" / "summary.json").read_text())
+    parts = meta["forward_parts"]
+    assert list(parts) == ["translation", "solve", "capsule", "residual"]
+    assert all(seconds > 0 for seconds in parts.values())
+    assert 0.5 * meta["stages"]["forward"] <= sum(parts.values()) <= meta["stages"]["forward"]
+    logged = {r.getMessage().split(":")[0] for r in caplog.records if r.getMessage().startswith("forward ")}
+    assert logged == {f"forward {name}" for name in parts}
+    assert meta["system_blocks"] == [2 * 21, 2 * 15]  # n + m even / odd at n_fwd 5, two spheres
+    off_plane = run_experiment(validate_config(TINY.replace("axis: y", "axis: z")), tmp_path / "z")
+    assert off_plane.system_blocks == [2 * 36]
+    hoa = run_experiment(validate_config(TINY_HOA), tmp_path / "hoa")
+    assert hoa.system_blocks == [42, 30] and hoa.forward_parts["residual"] == 0.0
+    lone = run_experiment(validate_config(LONE_HOA), tmp_path / "lone")
+    assert lone.system_blocks is None and lone.forward_parts["solve"] == 0.0
 
 
 def test_summary_records_the_search_curve(tmp_path):

@@ -10,11 +10,17 @@ from mshoa.scatter import (
     eval_total_field,
     forward_operator,
     forward_solve,
+    parity_classes,
     rigid_scatter_gain,
     surface_response_matrix,
 )
 from tests.conftest import random_unit_vectors
-from tests.oracles import eval_radial_derivative, single_sphere_total_field
+from tests.oracles import (
+    coupled_system_matrix,
+    eval_radial_derivative,
+    local_incident_matrix,
+    single_sphere_total_field,
+)
 
 
 def _scene(centers, radius=0.08, caps=20, freq=2000.0, n_in=12, n_fwd=8, **kw):
@@ -171,37 +177,11 @@ def test_uncoupled_operator_matches_the_diagonal_system_solve():
 
 
 def _reference_coupled_operator(scene, a_local):
-    """Lambda_s c_s per sphere, c from a dense solve of (I - SR G) c = a_local.
-
-    The system is assembled here block by block, every S|R translation built
-    anew and its columns scaled by the source sphere's gains.
-    """
+    """Lambda_s c_s per sphere, c from a dense solve of the whole (I - SR G) c = a_local."""
     import scipy.linalg as sla
 
-    from mshoa.translation import sr_translation
-
-    k, n, lf = scene.k, scene.n_fwd, num_coeffs(scene.n_fwd)
-    gains = [rigid_scatter_gain(k, s.radius, n) for s in scene.spheres]
-    system = np.block(
-        [
-            [
-                np.eye(lf) if a is b else -sr_translation(a.center - b.center, k, n, n) * gains[t][None, :]
-                for t, b in enumerate(scene.spheres)
-            ]
-            for a in scene.spheres
-        ]
-    )
-    c = np.split(sla.solve(system, a_local), scene.num_spheres)
-    return np.vstack([surface_response_matrix(s, k, n) @ c_s for s, c_s in zip(scene.spheres, c)])
-
-
-def _local_incident(scene, n_build=None):
-    """Every sphere's R|R map to n_fwd, built at ``n_build`` (default n_fwd) and truncated."""
-    from mshoa.translation import rr_translation
-
-    n_build = scene.n_fwd if n_build is None else n_build
-    lf = num_coeffs(scene.n_fwd)
-    return np.vstack([rr_translation(s.center, scene.k, scene.n_in, n_build)[:lf] for s in scene.spheres])
+    c = np.split(sla.solve(coupled_system_matrix(scene), a_local), scene.num_spheres)
+    return np.vstack([surface_response_matrix(s, scene.k, scene.n_fwd) @ c_s for s, c_s in zip(scene.spheres, c)])
 
 
 def _rel_gap(matrix, reference):
@@ -214,7 +194,7 @@ def test_forward_operator_matches_solve_route():
     T_F equals Lambda_s b_s / G_s from the vector solve (two independent routes)."""
     scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], caps=14)
     op = forward_operator(scene)
-    assert _rel_gap(op.matrix, _reference_coupled_operator(scene, _local_incident(scene))) <= 1e-13
+    assert _rel_gap(op.matrix, _reference_coupled_operator(scene, local_incident_matrix(scene))) <= 1e-13
     a_in = scene.incident_coeffs()
     sol = forward_solve(scene, a_in)
     via_solve = np.concatenate(
@@ -230,7 +210,7 @@ def test_local_incident_at_forward_degree_matches_truncated_build():
     """Building each sphere's R|R at n_fwd gives the operator that building it
     at n_in and keeping the first (n_fwd+1)^2 rows gives."""
     scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], n_in=16, n_fwd=12)
-    reference = _reference_coupled_operator(scene, _local_incident(scene, n_build=scene.n_in))
+    reference = _reference_coupled_operator(scene, local_incident_matrix(scene, n_build=scene.n_in))
     assert _rel_gap(forward_operator(scene).matrix, reference) <= 1e-13
 
 
@@ -266,9 +246,14 @@ def test_forward_operator_shape_and_guards():
         op.apply(bad)
 
 
-def _grid4(**kw):
-    """A 2 x 2 planar grid: 12 ordered sphere pairs over 8 distinct displacements."""
-    return _scene([[x, y, 0.0] for x in (-0.125, 0.125) for y in (-0.125, 0.125)], **kw)
+def _grid4(lift=0.0, **kw):
+    """A 2 x 2 planar grid: 12 ordered sphere pairs over 8 distinct displacements.
+
+    ``lift`` raises the last sphere off the plane z = 0, which leaves one parity class.
+    """
+    centers = [[x, y, 0.0] for x in (-0.125, 0.125) for y in (-0.125, 0.125)]
+    centers[-1][2] = lift
+    return _scene(centers, **kw)
 
 
 def test_forward_operator_holds_one_system_one_block_and_t_f():
@@ -290,18 +275,19 @@ def test_forward_operator_holds_one_system_one_block_and_t_f():
     assert peak <= budget
 
 
-def _assert_column_scaled_system(scene, system, sr):
-    """Unit diagonal; block (s, t) is -SR(c_s - c_t) diag(G_t), equal bit for bit."""
-    lf, n = num_coeffs(scene.n_fwd), scene.n_fwd
-    np.testing.assert_array_equal(np.diag(system), np.ones(scene.num_spheres * lf))
-    for s, a in enumerate(scene.spheres):
-        for t, b in enumerate(scene.spheres):
-            block = system[s * lf : (s + 1) * lf, t * lf : (t + 1) * lf]
-            if s == t:
-                np.testing.assert_array_equal(block, np.eye(lf))
-            else:
-                gain = rigid_scatter_gain(scene.k, b.radius, n)
-                np.testing.assert_array_equal(block, sr(a.center - b.center, scene.k, n, n) * -gain[None, :])
+def _assert_column_scaled_system(scene, systems):
+    """Each parity class's system is the rows and columns of its class in the
+    whole I - SR G (unit diagonal, block (s, t) -SR(c_s - c_t) diag(G_t)),
+    equal bit for bit; the entries the classes leave out are roundoff."""
+    whole = coupled_system_matrix(scene)
+    kept = np.zeros(whole.shape, dtype=bool)
+    lf = num_coeffs(scene.n_fwd)
+    for system, (local, _) in zip(systems, parity_classes(scene), strict=True):
+        rows = (lf * np.arange(scene.num_spheres)[:, None] + local).ravel()
+        np.testing.assert_array_equal(system, whole[np.ix_(rows, rows)])
+        assert system.flags.f_contiguous
+        kept[np.ix_(rows, rows)] = True
+    assert np.max(np.abs(whole[~kept]), initial=0.0) <= 1e-13 * np.max(np.abs(whole))
 
 
 def _count_sr(monkeypatch):
@@ -316,23 +302,24 @@ def _count_sr(monkeypatch):
         return sr(t, *args)
 
     monkeypatch.setattr(translation, "sr_translation", counting_sr)
-    return shifts, sr
+    return shifts
 
 
 def test_system_translates_each_distinct_displacement_once(monkeypatch):
-    shifts, sr = _count_sr(monkeypatch)
+    shifts = _count_sr(monkeypatch)
     scene = _grid4(n_fwd=4)
-    system = assemble_system_matrix(scene)
+    systems = assemble_system_matrix(scene)
     assert len(shifts) == len(set(shifts)) == 8
     monkeypatch.undo()
-    _assert_column_scaled_system(scene, system, sr)
+    assert [len(system) for system in systems] == [4 * 15, 4 * 10]  # n + m even / odd at n_fwd 4
+    _assert_column_scaled_system(scene, systems)
 
 
 def test_system_reuses_a_displacement_only_from_a_source_of_equal_radius(monkeypatch):
     """In a row of three spheres each displacement of 0.25 recurs.  Its columns
     carry the source's gains: -0.25 y (sources 1 and 2, both 0.06) is built
     once, +0.25 y (sources 0 and 1, radii 0.08 and 0.06) twice."""
-    shifts, sr = _count_sr(monkeypatch)
+    shifts = _count_sr(monkeypatch)
     radii = (0.08, 0.06, 0.06)
     scene = SceneConfig(
         spheres=[RsmaSpec.fibonacci([0.0, 0.25 * (i - 1), 0.0], r, 20) for i, r in enumerate(radii)],
@@ -341,10 +328,10 @@ def test_system_reuses_a_displacement_only_from_a_source_of_equal_radius(monkeyp
         n_in=8,
         n_fwd=4,
     )
-    system = assemble_system_matrix(scene)
+    systems = assemble_system_matrix(scene)
     assert len(shifts) == 5 and len(set(shifts)) == 4
     monkeypatch.undo()
-    _assert_column_scaled_system(scene, system, sr)
+    _assert_column_scaled_system(scene, systems)
 
 
 @pytest.mark.filterwarnings("ignore:Diagonal number:scipy.linalg.LinAlgWarning")  # the exactly singular case
@@ -352,7 +339,9 @@ def test_coupled_solve_rejects_non_finite_and_singular_systems():
     from mshoa.scatter import SolverError, _solve_coupled
 
     def solve(system, rhs):
-        return _solve_coupled(np.asfortranarray(system, dtype=complex), np.asfortranarray(rhs, dtype=complex))
+        system, rhs = (np.asfortranarray(a, dtype=complex) for a in (system, rhs))
+        (x,), rcond = _solve_coupled([system], [rhs])
+        return x, rcond
 
     x, rcond = solve(2 * np.eye(3), np.ones((3, 2)))
     np.testing.assert_array_equal(x, 0.5 * np.ones((3, 2)))
@@ -366,3 +355,34 @@ def test_coupled_solve_rejects_non_finite_and_singular_systems():
     ):
         with pytest.raises(SolverError):
             solve(system, rhs)
+    with pytest.raises(SolverError):  # every class is checked, not only the first
+        _solve_coupled(
+            [np.eye(2, dtype=complex, order="F"), np.diag([1.0, np.nan]).astype(complex, order="F")],
+            [np.ones(2, dtype=complex), np.ones(2, dtype=complex)],
+        )
+
+
+@pytest.mark.parametrize("lift, sizes", [(0.0, [4 * 15, 4 * 10]), (0.05, [4 * 25])], ids=["planar", "lifted"])
+def test_parity_split_matches_the_whole_system(lift, sizes):
+    """On a planar grid the coupled system splits into its n + m even and odd
+    classes; one sphere 0.05 off the plane leaves one class.  Either way T_F,
+    the vector solve and the rcond match a dense solve of the whole system."""
+    import scipy.linalg as sla
+
+    scene = _grid4(lift=lift, caps=14, n_in=8, n_fwd=4)
+    assert [scene.num_spheres * local.size for local, _ in parity_classes(scene)] == sizes
+    whole = coupled_system_matrix(scene)
+    a_local = local_incident_matrix(scene)
+    op = forward_operator(scene)
+    assert _rel_gap(op.matrix, _reference_coupled_operator(scene, a_local)) <= 1e-13
+
+    a_in = scene.incident_coeffs()
+    gains = np.concatenate([rigid_scatter_gain(scene.k, s.radius, scene.n_fwd) for s in scene.spheres])
+    b_ref = gains * sla.solve(whole, a_local @ a_in.values)
+    b = np.concatenate([rad.values for rad in forward_solve(scene, a_in).radiating])
+    assert _rel_gap(b, b_ref) <= 1e-13
+
+    lu, _ = sla.lu_factor(whole)
+    anorm = np.max(np.sum(np.abs(whole), axis=0))
+    rcond, info = sla.get_lapack_funcs("gecon", (lu,))(lu, anorm, norm="1")
+    assert info == 0 and op.rcond == pytest.approx(rcond, rel=1e-10)

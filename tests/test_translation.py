@@ -3,9 +3,12 @@ and independent Gaunt-coefficient sums built from Wigner 3-j symbols."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import spherical_jn, spherical_yn
 
 from mshoa.basis import (
+    degrees_upto,
     num_coeffs,
     regular_basis_matrix,
     singular_basis_matrix,
@@ -204,3 +207,36 @@ def test_rotation_blocks_match_the_uncached_eigenbasis(rng):
 def test_translation_metadata():
     t = sr_translation([0.0, 0.4, 0.3], 2.0, 3, 7)
     assert t.shape == (num_coeffs(7), num_coeffs(3))
+
+
+def _cross_parity(matrix, n_src, n_dst):
+    """The entries of a (L_dst, L_src) translation that couple n + m even to odd, as a flat array."""
+
+    def odd(n):
+        return (np.arange(num_coeffs(n)) - degrees_upto(n) ** 2) % 2  # n + m = l - n^2
+
+    return matrix[odd(n_dst)[:, None] != odd(n_src)[None, :]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    translate=st.sampled_from([rr_translation, sr_translation]),
+    phi=st.floats(0.0, 2 * np.pi),
+    kd=st.floats(0.5, 30.0),
+    n_src=st.integers(0, 12),
+    n_dst=st.integers(0, 12),
+)
+def test_in_plane_translations_keep_z_parity(translate, phi, kd, n_src, n_dst):
+    """A displacement in the plane z = 0 commutes with z -> -z, which
+    multiplies Y_n^m by (-1)^(n+m): it couples no even n + m to an odd one,
+    which is what lets a planar grid's coupled system split in two."""
+    k = 10.0
+    t = kd / k * np.array([np.cos(phi), np.sin(phi), 0.0])
+    matrix = translate(t, k, n_src, n_dst)
+    assert np.max(np.abs(_cross_parity(matrix, n_src, n_dst)), initial=0.0) <= 1e-13 * np.max(np.abs(matrix))
+
+
+@pytest.mark.parametrize("translate", [rr_translation, sr_translation])
+def test_off_plane_translations_couple_the_parities(translate):
+    matrix = translate([0.1, -0.05, 0.2], 10.0, 6, 6)
+    assert np.max(np.abs(_cross_parity(matrix, 6, 6))) >= 0.1 * np.max(np.abs(matrix))
