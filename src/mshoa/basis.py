@@ -176,43 +176,67 @@ def regular_basis_matrix(n_max: int, k: float, points: np.ndarray, center) -> np
     return _basis_matrix(n_max, k, points, center, spherical_jn)
 
 
-def regular_real_table(n_max: int, k: float, points: np.ndarray, center) -> np.ndarray:
-    """Real regular basis rows about ``center``, shape ((n_max+1)(n_max+2), P).
+def triangle_indices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree n and order m of every Legendre-triangle row t = n(n+1)/2 + m, 0 <= m <= n <= n_max."""
+    n = np.repeat(np.arange(n_max + 1), np.arange(1, n_max + 2))
+    return n, np.arange(n.size) - n * (n + 1) // 2
 
-    With T = (n_max+1)(n_max+2)/2, row t = n(n+1)/2 + m (0 <= m <= n) holds
-    j_n(kr) Pbar_n^m(cos theta) cos(m phi) and row T + t the same product
-    with sin(m phi).  ``table.T @ real_table_weights(c, n_max)`` equals
-    ``regular_basis_matrix(...) @ c`` at half the entries of the complex
-    basis, because R_n^m and R_n^{-m} share their real factors.
+
+def regular_real_table(n_max: int, k: float, points: np.ndarray, center) -> tuple[np.ndarray, np.ndarray]:
+    """Real regular basis rows about ``center`` at ``points``, and the weight rows they take.
+
+    R_n^m and R_n^-m share their real factor j_n(kr) Pbar_n^|m|(cos theta)
+    and differ only in cos m phi / sin m phi.  That factor is formed once per
+    distinct (kr, cos theta), the point's key, and gathered to the points;
+    cos theta is (z - c_z) / r, so on a plane through ``center`` it is
+    exactly 0.  A factor that is exactly zero at every key is left out,
+    with its weights: on such a plane, every odd n + m.  Returns
+    ``(table, rows)``: the table holds a cosine row for every kept (n, m), by
+    m then n, then a sine row for each of those with m > 0, one column per
+    point; ``rows`` indexes the matching rows of :func:`real_table_weights`,
+    so ``table.T @ real_table_weights(c, n_max)[rows]`` equals
+    ``regular_basis_matrix(...) @ c``.
     """
     rel = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center, float)
-    r, theta, phi = cart_to_sph(rel)
-    radial_legendre = norm_legendre_triangle(n_max, np.cos(theta))  # (T, P), scaled by j_n below
-    radii, at = np.unique(k * r, return_inverse=True)  # a pixel grid repeats its radii
-    jr = spherical_jn(np.arange(n_max + 1)[:, None], radii[None, :])[:, at]  # (n, P)
-    angles = np.outer(np.arange(n_max + 1), phi)  # (m, P)
-    cos, sin = np.cos(angles), np.sin(angles)
-    half = radial_legendre.shape[0]
-    table = np.empty((2 * half, r.size))
+    x, y, z = rel[:, 0], rel[:, 1], rel[:, 2]
+    r = np.sqrt(x * x + y * y + z * z)
+    cos_theta = np.divide(z, r, out=np.ones_like(r), where=r > 0)
+    # complex keys sort and compare as exact (kr, cos theta) pairs
+    keys, key = np.unique(k * r + 1j * cos_theta, return_inverse=True)
+    radii, at_radius = np.unique(keys.real, return_inverse=True)
+    bessel = spherical_jn(np.arange(n_max + 1)[:, None], radii)[:, at_radius]  # (n, keys)
+    factors = norm_legendre_triangle(n_max, np.ascontiguousarray(keys.imag))  # (T, keys)
     for n in range(n_max + 1):
-        rows = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
-        radial_legendre[rows] *= jr[n]
-        np.multiply(radial_legendre[rows], cos[: n + 1], out=table[rows])
-        np.multiply(radial_legendre[rows], sin[: n + 1], out=table[half:][rows])
-    return table
+        factors[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2] *= bessel[n]
+    degree, order = triangle_indices(n_max)
+    by_order = np.lexsort((degree, order))  # triangle rows by m, then n
+    rows = by_order[factors.any(axis=1)[by_order]]
+    bounds = np.searchsorted(order[rows], np.arange(n_max + 2))  # order m's rows: bounds[m]:bounds[m + 1]
+    table = np.empty((2 * rows.size - bounds[1], r.size))
+    cosine, sine = table[: rows.size], table[rows.size - bounds[1] :]  # sine rows indexed like cosine ones
+    np.take(factors[rows], key, axis=1, out=cosine, mode="clip")  # "raise" would buffer ``out``
+    rho = np.hypot(x, y)
+    turn = np.divide(x + 1j * y, rho, out=np.ones(r.size, complex), where=rho > 0)  # e^{i phi}
+    phase = turn.copy()
+    for m in range(1, n_max + 1):  # order 0: cos 0 = 1 and no sine row
+        block = slice(bounds[m], bounds[m + 1])
+        np.multiply(cosine[block], phase.imag, out=sine[block])
+        cosine[block] *= phase.real
+        phase *= turn  # e^{i (m+1) phi}
+    return table, np.concatenate([rows, degree.size + rows[bounds[1] :]])
 
 
 def real_table_weights(values: np.ndarray, n_max: int) -> np.ndarray:
-    """Complex weights, shape ((n_max+1)(n_max+2), n), of the rows of :func:`regular_real_table`.
+    """Complex weights, shape ((n_max+1)(n_max+2), n), of every row a :func:`regular_real_table` may hold.
 
-    For 0 <= m <= n the cosine row of (n, m) weighs
-    u = c_{n,m} + (-1)^m c_{n,-m} and the sine row i w with
-    w = c_{n,m} - (-1)^m c_{n,-m}, m = 0 counted once (u = c_{n,0}).
-    ``values`` is a coefficient vector or an (L, n) block of them.
+    Row t = n(n+1)/2 + m (0 <= m <= n) weighs the cosine row of (n, m) by
+    u = c_{n,m} + (-1)^m c_{n,-m} and row T + t, T = (n_max+1)(n_max+2)/2,
+    the sine row by i w with w = c_{n,m} - (-1)^m c_{n,-m}, m = 0 counted
+    once (u = c_{n,0}).  ``values`` is a coefficient vector or an (L, n)
+    block of them.
     """
     block = np.asarray(values, dtype=complex).reshape(num_coeffs(n_max), -1)
-    n = np.repeat(np.arange(n_max + 1), np.arange(1, n_max + 2))
-    m = np.arange(n.size) - n * (n + 1) // 2
+    n, m = triangle_indices(n_max)
     positive = block[n * n + n + m]
     negative = (np.where(m % 2, -1.0, 1.0) * (m > 0))[:, None] * block[n * n + n - m]
     return np.concatenate([positive + negative, 1j * (positive - negative)])

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import CoefficientVector, real_table_weights, regular_real_table
+from .basis import CoefficientVector, num_coeffs, real_table_weights, regular_real_table
 from .scene import IncidentSource, RsmaSpec
 
 SDR_CAP_DB = 150.0
@@ -116,19 +116,25 @@ def reconstruct_field(
 
     The coefficients are folded once into real-table weights
     (:func:`~mshoa.basis.real_table_weights`), and each chunk of pixels is one
-    real table (:func:`~mshoa.basis.regular_real_table`) times those weights,
-    in one real matrix product.  A chunk holds at most ``CHUNK_PIXELS``
-    pixels, and fewer at high degree, so that its table has at most
-    ``CHUNK_TABLE_ENTRIES`` entries.  A coefficient block gives one grid per
-    column from that single pass.
+    real table (:func:`~mshoa.basis.regular_real_table`) times its rows of
+    those weights, in one real matrix product.  The pixels are taken by
+    distance to ``center``, then height, so that pixels sharing a table's
+    (kr, cos theta) key share a chunk.  A chunk holds at most
+    ``CHUNK_PIXELS`` pixels, and fewer at high degree, so that its table,
+    of at most (n_max+1)^2 rows, has at most ``CHUNK_TABLE_ENTRIES``
+    entries.  A coefficient block gives one grid per column from that
+    single pass.
     """
     pts = spec.points()
-    weights = real_table_weights(coeffs.values, coeffs.n_max).view(float)  # real, imaginary interleaved
-    out = np.empty((pts.shape[0], weights.shape[1] // 2), dtype=complex)
-    chunk = max(1, min(CHUNK_PIXELS, CHUNK_TABLE_ENTRIES // ((coeffs.n_max + 1) * (coeffs.n_max + 2))))
+    rel = pts - np.asarray(center, float)
+    by_key = np.lexsort((rel[:, 2], np.einsum("pi,pi->p", rel, rel)))
+    weights = real_table_weights(coeffs.values, coeffs.n_max)
+    out = np.empty((pts.shape[0], weights.shape[1]), dtype=complex)
+    chunk = max(1, min(CHUNK_PIXELS, CHUNK_TABLE_ENTRIES // num_coeffs(coeffs.n_max)))
     for start in range(0, pts.shape[0], chunk):
-        table = regular_real_table(coeffs.n_max, k, pts[start : start + chunk], center)
-        np.matmul(table.T, weights, out=out[start : start + chunk].view(float))
+        pixels = by_key[start : start + chunk]
+        table, rows = regular_real_table(coeffs.n_max, k, pts[pixels], center)
+        out[pixels] = (table.T @ weights[rows].view(float)).view(complex)  # real, imaginary interleaved
     if coeffs.values.ndim == 1:
         return FieldGrid(spec=spec, values=out[:, 0].reshape(spec.shape))
     return [FieldGrid(spec=spec, values=column.reshape(spec.shape)) for column in out.T]
@@ -155,17 +161,19 @@ def sdr_map(
     mask: np.ndarray | None = None,
     threshold: float = DEFAULT_THRESHOLD_DB,
 ) -> SdrReport:
-    """Per-pixel 10*log10(|p_true|^2 / |p_est - p_true|^2), capped at +150 dB."""
+    """Per-pixel 20*log10(|p_true| / |p_est - p_true|), capped at +150 dB.
+
+    The magnitudes are divided, not squared, so a finite field of any size
+    reads its relative error.
+    """
     if estimated.spec != truth.spec:
         raise ValueError("estimated and ground-truth grids are not congruent")
     if mask is not None and mask.shape != truth.values.shape:
         raise ValueError("mask shape does not match the grid")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf and nan map to the floor or cap
         diff = estimated.values - truth.values
-        sig = np.abs(truth.values) ** 2
-        err = np.abs(diff) ** 2
-        sdr = 10.0 * np.log10(sig / err)
-    sdr = np.where(diff == 0.0, SDR_CAP_DB, sdr)  # an exact estimate, not an error whose square underflows
+        sdr = 20.0 * np.log10(np.abs(truth.values) / np.abs(diff))
+    sdr = np.where(diff == 0.0, SDR_CAP_DB, sdr)  # an exact estimate, a zero truth included
     sdr = np.clip(np.nan_to_num(sdr, nan=SDR_FLOOR_DB), SDR_FLOOR_DB, SDR_CAP_DB)
     good = sdr > threshold
     if mask is not None:

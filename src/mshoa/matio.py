@@ -52,6 +52,8 @@ def import_matrix(path) -> np.ndarray:
         raise MatrixFormatError(f"{path}: unsupported version {version}")
     if dtype != DTYPE_COMPLEX128:
         raise MatrixFormatError(f"{path}: unsupported dtype tag {dtype}")
+    if max(rows, cols) > np.iinfo(np.intp).max // 16:  # passes the size check when the other is 0
+        raise MatrixFormatError(f"{path}: dimensions {rows} x {cols} exceed what an array can hold")
     expected = _HEADER.size + rows * cols * 16
     if len(data) != expected:
         raise MatrixFormatError(

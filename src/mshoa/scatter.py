@@ -273,27 +273,23 @@ def eval_total_field(
     return out
 
 
-def _multipole_field(scene: SceneConfig, points: np.ndarray, blocks: list, gains=None) -> np.ndarray:
+def _multipole_field(scene: SceneConfig, points: np.ndarray, blocks: list, singular) -> np.ndarray:
     """The incident regular series plus every sphere's singular series at ``points``.
 
     Row p, column j is R(p) e_j + sum_t S_t(p) b_t[:, j], with ``blocks``
     holding the stacked radiating coefficients b of each incident basis e_j
     per :func:`parity_classes` class (class c's block gives the columns
-    ``incident`` and the rows ``local`` of every sphere), or, when ``gains``
-    are given, the local fields c with b = gains * c (the singular bases are
-    scaled instead, so no copy of c is made).  The sum runs one source
-    sphere at a time, so no array spans every sphere's basis.
+    ``incident`` and the rows ``local`` of every sphere).  ``singular``
+    gives each sphere's S_t at ``points`` in turn; when those are scaled by
+    the gains, ``blocks`` may hold the local fields c, with b = gains * c,
+    so no copy of c is made.  The sum runs one source sphere at a time.
     """
-    k, lf = scene.k, num_coeffs(scene.n_fwd)
     classes = parity_classes(scene)
     scattered = [np.zeros((len(points), incident.size), dtype=complex) for _, incident in classes]
-    for t, sphere in enumerate(scene.spheres):
-        singular = singular_basis_matrix(scene.n_fwd, k, points, sphere.center)
-        if gains is not None:
-            singular *= gains[t * lf : (t + 1) * lf]
+    for t, basis in enumerate(singular):
         for field, block, (local, _) in zip(scattered, blocks, classes):
-            field += singular[:, local] @ block[t * local.size : (t + 1) * local.size]
-    out = regular_basis_matrix(scene.n_in, k, points, [0.0, 0.0, 0.0])
+            field += basis[:, local] @ block[t * local.size : (t + 1) * local.size]
+    out = regular_basis_matrix(scene.n_in, scene.k, points, [0.0, 0.0, 0.0])
     for field, (_, incident) in zip(scattered, classes):
         out[:, incident] += field
     return out
@@ -303,14 +299,23 @@ def _capsule_residual(scene: SceneConfig, matrix: np.ndarray, c: list, gains: np
     """Max-abs gap of ``matrix`` to :func:`_multipole_field` of ``c`` over its max, on sampled capsules.
 
     The sample is RESIDUAL_SAMPLES capsules per sphere, a fixed stride
-    through its Fibonacci order, checked one sphere at a time.  The gap is
-    the capsule form's one approximation: the field a sphere feels is cut
-    off at degree n_fwd.
+    through its Fibonacci order, checked one sphere at a time.  Every
+    sphere's singular basis at a sample comes from one evaluation at the
+    sample's offsets from all the centers, so a sphere's check evaluates
+    two bases, not one per sphere plus one.  The gap is the capsule form's
+    one approximation: the field a sphere feels is cut off at degree n_fwd.
     """
+    centers = np.array([s.center for s in scene.spheres])
+    gains = gains.reshape(len(centers), 1, -1)
     gap, top, start = 0.0, 0.0, 0
     for sphere in scene.spheres:
         rows = np.arange(0, sphere.num_capsules, -(-sphere.num_capsules // RESIDUAL_SAMPLES))
-        reference = _multipole_field(scene, sphere.capsule_positions()[rows], c, gains)
+        points = sphere.capsule_positions()[rows]
+        offsets = (points[None, :, :] - centers[:, None, :]).reshape(-1, 3)
+        singular = singular_basis_matrix(scene.n_fwd, scene.k, offsets, [0.0, 0.0, 0.0])
+        singular = singular.reshape(len(centers), len(rows), -1)  # sphere, capsule, (n, m)
+        singular *= gains
+        reference = _multipole_field(scene, points, c, singular)
         gap = max(gap, np.max(np.abs(matrix[start + rows] - reference)))
         top = max(top, np.max(np.abs(reference)))
         start += sphere.num_capsules
@@ -364,7 +369,9 @@ def forward_operator(
                         part = slice(first, first + FILL_ROWS)
                         matrix[rows][part, incident] = response_class[part] @ c_class
             else:
-                matrix[rows] = _multipole_field(scene, sphere.capsule_positions(), blocks)
+                points = sphere.capsule_positions()
+                singular = (singular_basis_matrix(n_fwd, k, points, t.center) for t in scene.spheres)
+                matrix[rows] = _multipole_field(scene, points, blocks, singular)
             start = rows.stop
     residual = None
     if include_coupling:

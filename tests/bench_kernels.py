@@ -58,11 +58,25 @@ def test_sigma_solve(benchmark, capsules):
     benchmark(enc.apply, p, sigmas=[sigma])
 
 
-@pytest.mark.parametrize("n_max, columns", [(25, 9), (45, 1)])
-def test_reconstruct_field(benchmark, n_max, columns):
+@pytest.mark.parametrize(
+    "n_max, columns, spec, center",
+    [
+        (25, 9, GRID, (0.0, 0.0, 0.0)),
+        (45, 1, GRID, (0.0, 0.0, 0.0)),
+        (14, 14, GridSpec(plane="xy", extent=(2.0, 2.0), resolution=0.01), (0.0, 0.125, 0.0)),
+        (14, 14, GridSpec(plane="xz", extent=(1.1, 1.3), resolution=0.01, center=(0.3, -0.2), normal_offset=0.15),
+         (0.0, 0.0, 0.0)),
+    ],
+    ids=["sweep_25x9", "planar9_45x1", "hoa_14x14", "off_center_plane_14x14"],
+)
+def test_reconstruct_field(benchmark, n_max, columns, spec, center):
+    """The σ search's block, the final pass at degree 45, HOA's n_c block about
+    its off-origin center (all three on a plane through the center, where the
+    odd n + m rows drop), and a plane off the center, where no row drops and
+    nearly every pixel is its own (kr, cos θ) key."""
     rng = np.random.default_rng(2)
     coeffs = CoefficientVector(k=K, n_max=n_max, values=_complex(rng, (num_coeffs(n_max), columns)))
-    benchmark(reconstruct_field, coeffs, K, GRID)
+    benchmark(reconstruct_field, coeffs, K, spec, center)
 
 
 def test_sph_harm_matrix(benchmark):

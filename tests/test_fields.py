@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mshoa.fields as fields_module
-from mshoa.basis import CoefficientVector, regular_basis_matrix
+from mshoa.basis import CoefficientVector, regular_basis_matrix, regular_real_table, triangle_indices
 from mshoa.fields import (
     CHUNK_TABLE_ENTRIES,
     SDR_CAP_DB,
@@ -110,7 +110,7 @@ def test_mask_excludes_pixels():
 
 
 _SDR_SPEC = GridSpec(plane="xy", extent=(1.0, 0.6), resolution=0.2)  # 3 x 5 pixels
-_FINITE = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+_FINITE = st.complex_numbers(allow_nan=False, allow_infinity=False)  # any magnitude, up to the float maximum
 
 
 def _sdr_field(elements=_FINITE):
@@ -122,7 +122,28 @@ def _sdr(estimate, truth, **kw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(truth=_sdr_field(st.complex_numbers(allow_nan=False, allow_infinity=False)))
+@given(
+    magnitude=st.floats(1e-290, 1e300),
+    phase=st.floats(-np.pi, np.pi),
+    relative_error=st.sampled_from([1e-3, 1e-6, -1e-3]),
+)
+def test_sdr_reads_the_relative_error_at_any_magnitude(magnitude, phase, relative_error):
+    """A relative error e reads -20 log10 |e| dB whatever the field's size:
+    no squared magnitude overflows to the floor or underflows to the cap."""
+    truth = np.full(_SDR_SPEC.shape, magnitude * np.exp(1j * phase))
+    expected = -20.0 * np.log10(abs(relative_error))
+    np.testing.assert_allclose(_sdr(truth * (1 + relative_error), truth).sdr_map, expected, atol=1e-6)
+
+
+def test_sdr_of_a_field_beyond_the_square_range():
+    """|p|^2 of a 1e200 field overflows; its 0.1 % error still reads 60 dB."""
+    report = _sdr(np.full(_SDR_SPEC.shape, 1.001e200), np.full(_SDR_SPEC.shape, 1e200))
+    np.testing.assert_allclose(report.sdr_map, 60.0, atol=1e-9)
+    assert report.ssa == _SDR_SPEC.shape[0] * _SDR_SPEC.shape[1] * _SDR_SPEC.pixel_area
+
+
+@settings(max_examples=60, deadline=None)
+@given(truth=_sdr_field())
 def test_exact_estimate_gets_the_cap(truth):
     """err == 0 reads +150 dB at every pixel, a zero truth included."""
     assert np.all(_sdr(truth.copy(), truth).sdr_map == SDR_CAP_DB)
@@ -182,27 +203,35 @@ def test_reconstruct_chunking_consistent(rng, monkeypatch):
     np.testing.assert_array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize("n_max, pixels", [(25, 4096), (45, 1329), (55, 900)])
+@pytest.mark.parametrize("n_max, pixels", [(25, 4096), (45, 1358), (55, 916)])
 def test_reconstruct_chunk_tables_stay_within_budget(rng, monkeypatch, n_max, pixels):
     """High degrees evaluate fewer pixels per chunk, so no chunk's real table
-    holds more entries than a 4096-pixel chunk at degree 25."""
-    chunks = []
+    holds more than CHUNK_TABLE_ENTRIES entries.  A chunk is sized for
+    (n_max+1)^2 live rows, a cosine row per (n, m) and a sine row per m > 0:
+    every row of a table off the plane through the center.  On that plane
+    the odd n + m rows drop, and (n_max+1)(n_max+2)/2 rows are left."""
+    shapes = []
 
     def recording_table(n, k, pts, center):
-        chunks.append(len(pts))
-        return real_table(n, k, pts, center)
+        table, rows = real_table(n, k, pts, center)
+        assert table.shape == (rows.size, len(pts))
+        shapes.append(table.shape)
+        return table, rows
 
     real_table = fields_module.regular_real_table
     monkeypatch.setattr(fields_module, "regular_real_table", recording_table)
-    spec = GridSpec(plane="xy", extent=(1.5, 1.2), resolution=0.02)  # 4500 pixels
     cv = CoefficientVector(k=9.0, n_max=n_max, values=rng.normal(size=(n_max + 1) ** 2) + 0j)
-    reconstruct_field(cv, 9.0, spec)
-    assert chunks[0] == pixels and sum(chunks) == 4500
-    assert max(chunks) * (n_max + 1) * (n_max + 2) <= CHUNK_TABLE_ENTRIES
-    chunks.clear()
+    for normal_offset, live in [(0.0, (n_max + 1) * (n_max + 2) // 2), (0.15, (n_max + 1) ** 2)]:
+        spec = GridSpec(plane="xy", extent=(1.5, 1.2), resolution=0.02, normal_offset=normal_offset)  # 4500 pixels
+        shapes.clear()
+        reconstruct_field(cv, 9.0, spec)
+        assert shapes[0][1] == pixels and sum(columns for _, columns in shapes) == 4500
+        assert max(rows * columns for rows, columns in shapes) <= CHUNK_TABLE_ENTRIES
+        assert {rows for rows, _ in shapes} == {live}
+    shapes.clear()
     monkeypatch.setattr(fields_module, "CHUNK_PIXELS", 500)
     reconstruct_field(cv, 9.0, spec)
-    assert max(chunks) == 500
+    assert max(columns for _, columns in shapes) == 500
 
 
 def test_ground_truth_is_direct_evaluation():
@@ -241,6 +270,26 @@ def test_zero_padded_column_is_the_lower_degree_field(rng):
     assert err <= 1e-12
 
 
+# an xy grid through the expansion center, which sits off the origin as HOA's does
+_THROUGH_CENTER = GridSpec(plane="xy", extent=(1.0, 0.8), resolution=0.05, normal_offset=0.05)
+_OFF_ORIGIN_CENTER = (0.1, 0.125, 0.05)
+_XZ_GRID = GridSpec(plane="xz", extent=(1.1, 1.3), resolution=0.1, center=(0.3, -0.2), normal_offset=0.15)
+
+
+def _assert_matches_the_complex_basis(rng, spec, center, n_max, columns):
+    """reconstruct_field of random coefficients against regular_basis_matrix @ c, to 1e-12."""
+    shape = (n_max + 1) ** 2 if columns is None else ((n_max + 1) ** 2, columns)
+    coeffs = CoefficientVector(k=9.0, n_max=n_max, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    fields = reconstruct_field(coeffs, 9.0, spec, center=center)
+    fields = [fields] if columns is None else fields
+    reference = regular_basis_matrix(n_max, 9.0, spec.points(), center)
+    reference = reference @ coeffs.values.reshape(len(coeffs.values), -1)
+    assert len(fields) == reference.shape[1]
+    for grid, expected in zip(fields, reference.T):
+        err = np.linalg.norm(grid.values.ravel() - expected) / np.linalg.norm(expected)
+        assert err <= 1e-12
+
+
 @pytest.mark.parametrize("n_max", [0, 3, 14])
 @pytest.mark.parametrize("columns", [None, 4], ids=["vector", "block"])
 def test_reconstruct_matches_the_complex_basis(rng, monkeypatch, n_max, columns):
@@ -250,21 +299,41 @@ def test_reconstruct_matches_the_complex_basis(rng, monkeypatch, n_max, columns)
     and the expansion center is one pixel center, off the origin: a column of
     pixels lies on the z axis through it, above, below and at the center.
     """
-    spec = GridSpec(plane="xz", extent=(1.1, 1.3), resolution=0.1, center=(0.3, -0.2), normal_offset=0.15)
-    pts = spec.points()
+    pts = _XZ_GRID.points()
     center = pts[6 * 11 + 5]
     on_axis = ~(pts - center)[:, :2].any(axis=1)
     assert set(np.sign(pts[on_axis, 2] - center[2])) == {-1.0, 0.0, 1.0}
-    shape = (n_max + 1) ** 2 if columns is None else ((n_max + 1) ** 2, columns)
-    coeffs = CoefficientVector(k=9.0, n_max=n_max, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
     monkeypatch.setattr(fields_module, "CHUNK_PIXELS", 16)
-    fields = reconstruct_field(coeffs, 9.0, spec, center=center)
-    fields = [fields] if columns is None else fields
-    reference = regular_basis_matrix(n_max, 9.0, pts, center) @ coeffs.values.reshape(len(coeffs.values), -1)
-    assert len(fields) == reference.shape[1]
-    for grid, expected in zip(fields, reference.T):
-        err = np.linalg.norm(grid.values.ravel() - expected) / np.linalg.norm(expected)
-        assert err <= 1e-12
+    _assert_matches_the_complex_basis(rng, _XZ_GRID, center, n_max, columns)
+
+
+@pytest.mark.parametrize("columns", [None, 4], ids=["vector", "block"])
+def test_reconstruct_through_the_center_matches_the_complex_basis(rng, monkeypatch, columns):
+    """With the odd n + m rows left out, the pass still reproduces
+    regular_basis_matrix @ c, whose cos theta is cos(arctan2(rho, z)), not 0."""
+    monkeypatch.setattr(fields_module, "CHUNK_PIXELS", 50)
+    _assert_matches_the_complex_basis(rng, _THROUGH_CENTER, _OFF_ORIGIN_CENTER, 14, columns)
+
+
+@pytest.mark.parametrize(
+    "spec, center, odd_rows_drop",
+    [
+        (_THROUGH_CENTER, _OFF_ORIGIN_CENTER, True),
+        (GridSpec(plane="xy", extent=(1.0, 0.8), resolution=0.05, normal_offset=0.15), _OFF_ORIGIN_CENTER, False),
+        (_XZ_GRID, _XZ_GRID.points()[6 * 11 + 5], False),
+    ],
+    ids=["through_center", "offset_plane", "xz_grid"],
+)
+def test_keyed_table_drops_exactly_the_rows_that_vanish(spec, center, odd_rows_drop):
+    """On a plane through the center cos theta is exactly 0, where Pbar_n^m
+    is exactly 0 for odd n + m: those rows, and no others, are left out.  On
+    any other plane no row is.  A sine row is kept for every kept m > 0."""
+    n_max = 8
+    table, rows = regular_real_table(n_max, 9.0, spec.points(), center)
+    n, m = triangle_indices(n_max)
+    kept = np.flatnonzero((n + m) % 2 == 0) if odd_rows_drop else np.arange(n.size)
+    np.testing.assert_array_equal(np.sort(rows), np.concatenate([kept, n.size + kept[m[kept] > 0]]))
+    assert table.shape == (rows.size, len(spec.points()))
 
 
 def _tie_scene(columns):

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mshoa.fields import FieldGrid, GridSpec
 from mshoa.matio import (
+    _HEADER,
+    DTYPE_COMPLEX128,
     MAGIC,
+    VERSION,
     MatrixFormatError,
     export_matrix,
     import_matrix,
@@ -67,6 +72,48 @@ def test_matrix_header_errors(tmp_path, rng):
     tiny.write_bytes(MAGIC[:4])
     with pytest.raises(MatrixFormatError, match="truncated"):
         import_matrix(tiny)
+
+
+_U32 = st.integers(0, 2**32 - 1)
+_DIM = st.one_of(st.integers(0, 4), st.sampled_from([2**59, 2**63 - 1, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    magic=st.one_of(st.just(MAGIC), st.binary(min_size=8, max_size=8)),
+    version=st.one_of(st.just(VERSION), _U32),
+    dtype=st.one_of(st.just(DTYPE_COMPLEX128), _U32),
+    rows=_DIM,
+    cols=_DIM,
+    header_bytes=st.one_of(st.just(_HEADER.size), st.integers(0, _HEADER.size)),
+    surplus=st.one_of(st.just(0), st.integers(-40, 40)),
+)
+@example(MAGIC, VERSION, DTYPE_COMPLEX128, 0, 2**64 - 1, _HEADER.size, 0)  # no payload: passes the size check
+def test_any_malformed_file_raises_matrix_format_error(
+    tmp_path_factory, magic, version, dtype, rows, cols, header_bytes, surplus
+):
+    """Any magic, version or dtype tag, dimensions up to 2^64 - 1, and a file
+    cut short or running on: a well-formed file imports with its header's
+    shape, and every other one raises MatrixFormatError, never another error."""
+    announced = rows * cols * 16
+    payload = bytes(range(256)) * 2
+    payload = payload[: max(0, announced + surplus)] if announced <= 256 else payload[: max(0, surplus)]
+    data = _HEADER.pack(magic, version, dtype, rows, cols)[:header_bytes]
+    data += payload if header_bytes == _HEADER.size else b""
+    path = tmp_path_factory.getbasetemp() / "any_header.bin"
+    path.write_bytes(data)
+    well_formed = (
+        (magic, version, dtype, header_bytes) == (MAGIC, VERSION, DTYPE_COMPLEX128, _HEADER.size)
+        and len(payload) == announced
+        and max(rows, cols) * 16 <= np.iinfo(np.intp).max
+    )
+    try:
+        matrix = import_matrix(path)
+    except MatrixFormatError:
+        assert not well_formed
+    else:
+        assert well_formed and matrix.shape == (rows, cols)
+        assert matrix.astype("<c16").tobytes() == payload
 
 
 def test_field_csv_roundtrip(tmp_path, rng):
