@@ -16,6 +16,8 @@ from .scene import RsmaSpec
 
 log = logging.getLogger(__name__)
 
+PANEL = 64  # Gram columns copied to the lower triangle per step
+
 
 class EncoderError(RuntimeError):
     """Encoding failed: singular normal equations or an SVD that did not converge."""
@@ -32,7 +34,10 @@ class Encoder:
     columns, the same estimate F_sᴴ(F_sF_sᴴ + σI)⁻¹p by the push-through
     identity (Golub & Van Loan, *Matrix Computations*, §6.1).  Each Gram is
     formed once, on first use, by one Hermitian rank-k update, and each σ then
-    costs one Cholesky factorisation.  σ = 0 is the minimum-norm least-squares
+    costs one Cholesky factorisation in the Gram's own memory: the lower
+    triangle and the diagonal take the shifted matrix and then its factor,
+    and the diagonal is restored, so the upper triangle always holds the
+    Gram and no copy of it is made.  σ = 0 is the minimum-norm least-squares
     solution pinv(F_s) p and forms no Gram.  No capsules-to-coefficients
     matrix is formed.
     """
@@ -40,7 +45,7 @@ class Encoder:
     forward: np.ndarray = field(repr=False)  # F, capsules x (n_out+1)^2
     k: float
     # conj(F_sᴴF_s) under None, s the largest primal size asked for so far;
-    # conj(F_sF_sᴴ) under s for a dual s; upper triangles only
+    # conj(F_sF_sᴴ) under s for a dual s; in the upper triangles, the lower ones are scratch
     _grams: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -115,20 +120,37 @@ class Encoder:
                     raise EncoderError(f"pseudo-inverse failed: {exc}")
                 continue
             dual, gram = self._gram(size)
-            normal = np.array(gram, order="F")
-            normal[np.diag_indices(normal.shape[0])] += sigma
+            diagonal = gram.diagonal().copy()
             try:
-                factor = sla.cho_factor(normal, overwrite_a=True, check_finite=False)
+                shifted = _shifted_lower(gram, diagonal + sigma)
+                factor = sla.cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
+                # the Grams are conjugated, so each solve runs on conjugates: conj(x) = Fᵀ conj(y), etc.
+                if dual:
+                    conj_x = sla.cho_solve(factor, conj_p, check_finite=False) @ f_s
+                else:
+                    conj_x = sla.cho_solve(factor, conj_p @ f_s, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise EncoderError(f"normal-equations factorisation failed: {exc}")
-            # the Grams are conjugated, so each solve runs on conjugates: conj(x) = Fᵀ conj(y), etc.
-            if dual:
-                conj_x = sla.cho_solve(factor, conj_p, check_finite=False) @ f_s
-            else:
-                conj_x = sla.cho_solve(factor, conj_p @ f_s, check_finite=False)
+            finally:
+                np.fill_diagonal(gram, diagonal)  # the upper triangle is the Gram again
             block[:size, j] = conj_x.conj()
-            del normal, factor  # so the next candidate's copy of the Gram does not coexist with this one
         return CoefficientVector(k=self.k, n_max=n_out, values=block)
+
+
+def _shifted_lower(gram: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """``gram`` with its lower triangle made the conjugate of its upper one and ``diagonal`` on its diagonal, in place.
+
+    The copy runs in panels of PANEL columns, so its temporaries stay small;
+    the upper triangle is only read.
+    """
+    size = len(gram)
+    for first in range(0, size, PANEL):
+        last = min(first + PANEL, size)
+        gram[last:, first:last] = gram[first:last, last:].conj().T
+        corner, below = gram[first:last, first:last], np.tril_indices(last - first, -1)
+        corner[below] = corner.T[below].conj()
+    np.fill_diagonal(gram, diagonal)
+    return gram
 
 
 def hoa_encoder(sphere: RsmaSpec, k: float, n_c: int) -> Encoder:

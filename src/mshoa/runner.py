@@ -35,7 +35,7 @@ from .scatter import (
     eval_total_field,
     forward_operator,
     forward_solve,
-    parity_classes,
+    mirror_classes,
     surface_response_matrix,
 )
 
@@ -60,8 +60,8 @@ class RunSummary:
     stages: dict  # seconds spent in each of STAGES; they add up to wall_time_s
     forward_parts: dict  # seconds of the forward stage spent in each of FORWARD_PARTS
     peak_rss_mb: dict  # the process's peak resident set (MB) so far at the end of each of STAGES
-    system_rcond: float | None  # of the coupled scattering system solved; None if none was
-    system_blocks: list | None  # the sizes of its parity-class blocks; None if no system was solved
+    system_rcond: float | None  # of the coupled scattering system solved, as its mirror classes; None if none was
+    system_blocks: list | None  # the sizes of its mirror-class blocks; None if no system was solved
     capsule_residual: float | None  # MSHOA's sampled T_F check against the multipole sum; None otherwise
     config_hash: str
     search: dict  # candidates in search order, the SSA of each, the chosen index, at_edge
@@ -235,7 +235,7 @@ def run_experiment(
         forward_parts=parts,
         peak_rss_mb=dict(zip(STAGES, peaks)),
         system_rcond=rcond,
-        system_blocks=None if rcond is None else [scene.num_spheres * len(local) for local, _ in parity_classes(scene)],
+        system_blocks=None if rcond is None else [cls.size for cls in mirror_classes(scene)],
         capsule_residual=capsule_residual,
         config_hash=chash,
         search={

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from collections.abc import Iterator
@@ -28,9 +29,11 @@ log = logging.getLogger(__name__)
 
 RESIDUAL_SAMPLES = 16  # capsules per sphere on which the coupled T_F is checked against the multipole sum
 FORWARD_PARTS = ("translation", "solve", "capsule", "residual")  # the timed parts of a forward build
-# T_F rows per class product: a product lands in T_F's class columns through a
-# temporary, and one this small reuses free heap instead of growing it
+# T_F rows filled per step, and the slab width of the pair transform: a step's
+# products land in their target through temporaries, and ones this small
+# reuse free heap instead of growing it
 FILL_ROWS = 64
+SQRT_HALF = np.sqrt(0.5)
 
 
 class SolverError(RuntimeError):
@@ -93,23 +96,152 @@ def _scatter_gains(scene: SceneConfig) -> np.ndarray:
     return np.concatenate([rigid_scatter_gain(scene.k, sph.radius, scene.n_fwd) for sph in scene.spheres])
 
 
-def parity_classes(scene: SceneConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The independent blocks of the coupled system, as (local, incident) index pairs.
+def _pair_indices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of every (n, m) with m > 0, and of its (n, -m)."""
+    n = degrees_upto(n_max)
+    m = np.arange(n.size) - n * n - n
+    plus = np.flatnonzero(m > 0)
+    return plus, plus - 2 * m[plus]
 
-    ``local`` indexes one sphere's coefficients at n_fwd, ``incident`` the
-    global incident coefficients at n_in.  When every sphere center lies in
-    the plane z = 0, which holds the expansion origin, the reflection
-    z -> -z maps the scene onto itself and multiplies Y_n^m by (-1)^(n+m),
-    so no S|R or R|R translation between those points couples even and odd
-    n + m (Gumerov & Duraiswami, 2004, section 3.2): class 0 holds the
-    indices with n + m even, class 1 those with n + m odd.  Any other scene
-    has one class holding every index.
+
+def _to_pairs(a: np.ndarray, n_max: int, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """``a`` with its coefficient index ``axis`` taken to the +-m pair basis, into ``out`` (default: ``a``); returns it.
+
+    The pair basis holds e_{n,0} and, for m > 0, (e_{n,m} + e_{n,-m}) / sqrt 2
+    at index (n, m) and (e_{n,m} - e_{n,-m}) / sqrt 2 at index (n, -m).  The
+    change of basis is real, symmetric and orthogonal, so it is its own
+    inverse: applying it again takes pair coordinates back.  With ``out``,
+    ``a`` is left as scratch.
     """
-    if any(sph.center[2] != 0.0 for sph in scene.spheres):
-        return [(np.arange(num_coeffs(scene.n_fwd)), np.arange(num_coeffs(scene.n_in)))]
-    # n + m = l - n^2 at flat index l = n^2 + n + m
-    odd = [(np.arange(num_coeffs(n)) - degrees_upto(n) ** 2) % 2 == 1 for n in (scene.n_fwd, scene.n_in)]
-    return [tuple(np.flatnonzero(o == parity) for o in odd) for parity in (False, True)]
+
+    def coefficients_first(x):  # a view of x with the coefficient axis first and one more after it
+        x = np.moveaxis(x, axis, 0)
+        return x[:, None] if x.ndim == 1 else x
+
+    plus, minus = _pair_indices(n_max)
+    view, target = coefficients_first(a), coefficients_first(a if out is None else out)
+    if out is not None:
+        zero = np.arange(n_max + 1) * np.arange(1, n_max + 2)  # (n, 0) at n^2 + n
+        target[zero] = view[zero]
+    for first in range(0, view.shape[1], FILL_ROWS):  # in slabs of the next axis
+        slab = slice(first, first + FILL_ROWS)
+        p, q = view[plus, slab], view[minus, slab]
+        p *= SQRT_HALF
+        q *= SQRT_HALF
+        target[plus, slab] = p + q
+        p -= q
+        target[minus, slab] = p
+    return a if out is None else out
+
+
+def _reflection_signs(n_max: int) -> np.ndarray:
+    """(3, L) signs of every pair-basis harmonic under the reflections x -> -x, y -> -y, z -> -z.
+
+    In this package's convention Y_n^m(theta, pi - phi) = Y_n^-m,
+    Y_n^m(theta, -phi) = (-1)^m Y_n^-m and Y_n^m(pi - theta, phi) =
+    (-1)^(n+m) Y_n^m, so each reflection is diagonal in the pair basis: the
+    x sign is + at (n, m >= 0) and - at (n, m < 0), the y sign is that times
+    (-1)^m, and the z sign is (-1)^(n+m) (Gumerov & Duraiswami, 2004,
+    section 3.2).
+    """
+    n = degrees_upto(n_max)
+    m = np.arange(n.size) - n * n - n
+    side = np.where(m < 0, -1, 1)
+    return np.stack([side, np.where(m % 2, -side, side), np.where((n + m) % 2, -1, 1)])
+
+
+def _mirror_orbits(scene: SceneConfig) -> tuple[list[int], list[list[tuple[int, list[int]]]]]:
+    """The scene's mirror planes and its spheres' orbits under their reflections.
+
+    A mirror plane is a coordinate plane through the expansion origin whose
+    reflection maps the set of (center, radius) pairs onto itself exactly;
+    coordinates compare with ``==``, so -0.0 equals 0.0.  Each orbit lists
+    (sphere, the planes whose reflections take the orbit's first sphere to
+    it), the first sphere first with none.
+    """
+    place = {(tuple(map(float, s.center)), s.radius): i for i, s in enumerate(scene.spheres)}
+
+    def image(sphere, axes):
+        center = [-x if axis in axes else float(x) for axis, x in enumerate(sphere.center)]
+        return tuple(center), sphere.radius
+
+    planes = [axis for axis in range(3) if all(image(s, [axis]) in place for s in scene.spheres)]
+    orbits, placed = [], set()
+    for r, sphere in enumerate(scene.spheres):
+        if r in placed:
+            continue
+        orbit = {}
+        for chosen in itertools.product((False, True), repeat=len(planes)):
+            axes = [axis for axis, flip in zip(planes, chosen) if flip and sphere.center[axis] != 0.0]
+            orbit.setdefault(place[image(sphere, axes)], axes)
+        orbits.append(list(orbit.items()))
+        placed.update(orbit)
+    return planes, orbits
+
+
+@dataclass(frozen=True)
+class MirrorClass:
+    """One independent block of the coupled system, in the pair basis.
+
+    ``incident`` indexes the pair-basis incident coefficients whose signs
+    under the scene's mirror planes are the class's.  ``members`` gives, per
+    sphere, where its orbit's unknowns sit in the class system (``rows``),
+    which of the sphere's pair-basis coefficients they are (``local``) and
+    the weight each takes at that sphere (``weight``): the class's basis
+    vector for orbit coefficient j is the sum over the orbit's spheres of
+    weight[j] times that sphere's pair-basis coefficient local[j].
+    """
+
+    incident: np.ndarray
+    members: list  # per sphere: (rows, local, weight)
+    size: int  # unknowns
+
+
+def mirror_classes(scene: SceneConfig) -> list[MirrorClass]:
+    """The independent blocks of the coupled system, one per sign pattern of the scene's mirror planes.
+
+    Every reflection in a mirror plane (see :func:`_mirror_orbits`) maps the
+    scene onto itself, and in the per-sphere pair basis of :func:`_to_pairs`
+    it acts on each harmonic as a sign (:func:`_reflection_signs`), so no
+    S|R or R|R translation between the scene's points couples two different
+    sign patterns.  With p mirror planes there are 2^p classes.  An orbit
+    enters a class through the harmonics whose signs under the planes that
+    fix its spheres are the class's, each as the signed, normalised sum over
+    the orbit: weight (class sign x harmonic sign) per plane crossed, over
+    sqrt(orbit size).  These basis vectors are orthonormal, so each class
+    system is unitarily equivalent to its block of I - SR G.  A scene
+    without mirror planes has one class holding every index.
+    """
+    planes, orbits = _mirror_orbits(scene)
+    local_signs, incident_signs = _reflection_signs(scene.n_fwd)[planes], _reflection_signs(scene.n_in)[planes]
+    classes = []
+    for character in itertools.product((1, -1), repeat=len(planes)):
+        signs = np.array(character, dtype=int).reshape(-1, 1)
+        members, size = [None] * scene.num_spheres, 0
+        for orbit in orbits:
+            center = scene.spheres[orbit[0][0]].center
+            fixed = [i for i, axis in enumerate(planes) if center[axis] == 0.0]
+            local = np.flatnonzero(np.all(local_signs[fixed] == signs[fixed], axis=0))
+            rows, size = slice(size, size + local.size), size + local.size
+            for s, axes in orbit:
+                crossed = [planes.index(axis) for axis in axes]
+                weight = np.prod(signs[crossed] * local_signs[crossed][:, local], axis=0) / np.sqrt(len(orbit))
+                members[s] = (rows, local, weight)
+        incident = np.flatnonzero(np.all(incident_signs == signs, axis=0))
+        classes.append(MirrorClass(incident=incident, members=members, size=size))
+    return classes
+
+
+def _class_arrays(shapes: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Fortran-ordered complex arrays of ``shapes``, as views of one buffer.
+
+    One large allocation goes back to the system when it is freed; as many
+    mid-size ones, glibc keeps them resident, and a later stage's peak
+    stacks on them.
+    """
+    sizes = [rows * columns for rows, columns in shapes]
+    buffer, starts = np.empty(sum(sizes), dtype=complex), np.cumsum([0] + sizes)
+    return [buffer[start : start + size].reshape(shape, order="F") for start, size, shape in zip(starts, sizes, shapes)]
 
 
 def assemble_system_matrix(scene: SceneConfig) -> list[np.ndarray]:
@@ -120,63 +252,59 @@ def assemble_system_matrix(scene: SceneConfig) -> list[np.ndarray]:
     s radiates b_s = G_s c_s with G_s = diag(rigid_scatter_gain).  Diagonal
     blocks are the identity; the (s, t) off-diagonal block is minus the
     singular-to-regular translation from sphere t to s with its columns
-    scaled by G_t.  The system is returned as one Fortran-ordered array per
-    :func:`parity_classes` class, as LAPACK factors it in place: class c's
-    system holds the rows and columns ``local`` of every block.  Each
-    distinct pair of displacement c_s - c_t (equal bit for bit) and source
-    radius is translated once, and its class sub-blocks are copied to every
-    sphere pair that repeats it: a regular grid repeats its displacements.
+    scaled by G_t.  The system is returned projected on each
+    :func:`mirror_classes` class, as one Fortran-ordered array per class, as
+    LAPACK factors it in place: every sphere pair's block, taken to the pair
+    basis, adds its class rows and columns, weighted, to the block of the
+    two spheres' orbits.  Each distinct pair of displacement c_s - c_t
+    (equal bit for bit) and source radius is translated once, and serves
+    every sphere pair that repeats it: a regular grid repeats its
+    displacements.
     """
     from .translation import sr_translation
 
     k, n_fwd = scene.k, scene.n_fwd
-    lf = num_coeffs(n_fwd)
-    gains = _scatter_gains(scene)
-    locals_ = [local for local, _ in parity_classes(scene)]
-    systems = [np.eye(scene.num_spheres * local.size, dtype=complex, order="F") for local in locals_]
-    built = {}  # (displacement bytes, source radius) -> the class blocks already holding it
+    classes = mirror_classes(scene)
+    gains = _scatter_gains(scene).reshape(scene.num_spheres, -1)
+    systems = _class_arrays([(cls.size, cls.size) for cls in classes])
+    for system in systems:
+        system[:] = 0.0
+        np.fill_diagonal(system, 1.0)
+    shared = {}  # (displacement bytes, source radius) -> the sphere pairs (s, t) it serves
     for s, sph_s in enumerate(scene.spheres):
         for t, sph_t in enumerate(scene.spheres):
-            if s == t:
-                continue
-            blocks = [
-                system[s * local.size : (s + 1) * local.size, t * local.size : (t + 1) * local.size]
-                for system, local in zip(systems, locals_)
-            ]
-            shift = sph_s.center - sph_t.center
-            key = (shift.tobytes(), sph_t.radius)
-            if key in built:
-                for block, done in zip(blocks, built[key]):
-                    block[:] = done
-            else:
-                sr = sr_translation(shift, k, n_fwd, n_fwd)
-                column_gains = -gains[t * lf : (t + 1) * lf]
-                for block, local in zip(blocks, locals_):
-                    np.multiply(sr[np.ix_(local, local)], column_gains[local], out=block)
-                built[key] = blocks
+            if s != t:
+                shared.setdefault(((sph_s.center - sph_t.center).tobytes(), sph_t.radius), []).append((s, t))
+    for pairs in shared.values():
+        s, t = pairs[0]
+        block = sr_translation(scene.spheres[s].center - scene.spheres[t].center, k, n_fwd, n_fwd)
+        block *= -gains[t]
+        _to_pairs(_to_pairs(block, n_fwd, axis=0), n_fwd, axis=1)
+        for s, t in pairs:
+            for system, cls in zip(systems, classes):
+                (rows, local, weight), (columns, source, source_weight) = cls.members[s], cls.members[t]
+                system[rows, columns] += block[np.ix_(local, source)] * np.outer(weight, source_weight)
     return systems
 
 
-def _local_incident_matrices(scene: SceneConfig) -> Iterator[np.ndarray]:
-    """Per-sphere (L_fwd x L_in) maps from global to truncated local coefficients, built as consumed."""
+def _local_incident_block(scene: SceneConfig) -> list[np.ndarray]:
+    """Every sphere's local incident map (its R|R translation) projected on
+    each :func:`mirror_classes` class: one Fortran-ordered (class unknowns,
+    class incident columns) block per class.  A mirror image's map is its
+    orbit's first map with the signs of the reflection, so only each orbit's
+    first sphere is translated, and its block rows are sqrt(orbit size)
+    times that map's class rows and columns in the pair basis."""
     from .translation import rr_translation
 
-    return (rr_translation(sph.center, scene.k, scene.n_in, scene.n_fwd) for sph in scene.spheres)
-
-
-def _local_incident_block(scene: SceneConfig) -> list[np.ndarray]:
-    """Every sphere's local incident map (its R|R translation), one Fortran-ordered
-    (spheres x |local|, |incident|) block per :func:`parity_classes` class
-    holding each sphere's rows ``local`` and columns ``incident``, filled one
-    sphere at a time."""
-    classes = parity_classes(scene)
-    blocks = [
-        np.empty((scene.num_spheres * local.size, incident.size), dtype=complex, order="F")
-        for local, incident in classes
-    ]
-    for s, matrix in enumerate(_local_incident_matrices(scene)):
-        for block, (local, incident) in zip(blocks, classes):
-            block[s * local.size : (s + 1) * local.size] = matrix[np.ix_(local, incident)]
+    classes = mirror_classes(scene)
+    blocks = _class_arrays([(cls.size, cls.incident.size) for cls in classes])
+    for orbit in _mirror_orbits(scene)[1]:
+        first = orbit[0][0]
+        matrix = rr_translation(scene.spheres[first].center, scene.k, scene.n_in, scene.n_fwd)
+        _to_pairs(_to_pairs(matrix, scene.n_fwd, axis=0), scene.n_in, axis=1)
+        for block, cls in zip(blocks, classes):
+            rows, local, weight = cls.members[first]
+            np.multiply(matrix[np.ix_(local, cls.incident)], len(orbit) * weight[:, None], out=block[rows])
     return blocks
 
 
@@ -190,9 +318,13 @@ def _solve_coupled(systems: list[np.ndarray], rhss: list[np.ndarray]) -> tuple[l
     1-norm is the largest block's, ||M||_1 = max_c ||M_c||_1, and so is its
     inverse's, so rcond = 1 / (max_c ||M_c||_1 * max_c ||M_c^-1||_1), each
     ||M_c^-1||_1 being 1 / (rcond_c ||M_c||_1) from the block's estimate.
+    An empty class has nothing to solve.
     """
     solutions, anorm, inverse_norm = [], 0.0, 0.0
     for system, rhs in zip(systems, rhss):
+        if not len(system):
+            solutions.append(rhs)
+            continue
         lange = sla.get_lapack_funcs("lange", (system,))
         block_norm = lange("1", system)  # max column sum of |a_ij|, no |A| buffer
         # a NaN or inf entry makes a norm non-finite: the finiteness checks without a boolean copy of either array
@@ -225,27 +357,29 @@ def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None, _par
     """Solve the coupled scattering problem for one incident expansion.
 
     The system is solved for the field each sphere feels, c, one
-    :func:`parity_classes` class at a time; the radiating coefficients are
-    b = G c.  ``_local`` is the scene's :func:`_local_incident_block` when
-    the caller has already built it; otherwise each sphere's map is built,
-    applied and dropped in turn.  ``_parts`` gathers the seconds spent per
-    forward part (see :data:`FORWARD_PARTS`).
+    :func:`mirror_classes` class at a time, against the class's incident
+    coefficients in the pair basis; the radiating coefficients are b = G c.
+    ``_local`` is the scene's :func:`_local_incident_block` when the caller
+    has already built it, and is left as it is.  ``_parts`` gathers the
+    seconds spent per forward part (see :data:`FORWARD_PARTS`).
     """
     if a_in.n_max != scene.n_in:
         raise ValueError(f"incident coefficients must be truncated at {scene.n_in}")
-    classes = parity_classes(scene)
+    classes = mirror_classes(scene)
     with _timed(_parts, "translation"):
-        if _local is None:
-            per_sphere = [m @ a_in.values for m in _local_incident_matrices(scene)]
-            a_local = [np.concatenate([v[local] for v in per_sphere]) for local, _ in classes]
-        else:
-            a_local = [block @ a_in.values[incident] for block, (_, incident) in zip(_local, classes)]
+        blocks = _local_incident_block(scene) if _local is None else _local
+        incident = _to_pairs(a_in.values.copy(), scene.n_in)
+        a_local = [block @ incident[cls.incident] for block, cls in zip(blocks, classes)]
+        del blocks
         systems = assemble_system_matrix(scene)
     with _timed(_parts, "solve"):
         c, rcond = _solve_coupled(systems, a_local)
-        b = _scatter_gains(scene).reshape(scene.num_spheres, -1)  # one row per sphere
-        for (local, _), c_class in zip(classes, c):
-            b[:, local] *= c_class.reshape(scene.num_spheres, -1)
+        b = np.zeros((scene.num_spheres, num_coeffs(scene.n_fwd)), dtype=complex)  # one row per sphere
+        for cls, c_class in zip(classes, c):
+            for b_s, (rows, local, weight) in zip(b, cls.members):
+                b_s[local] += weight * c_class[rows]
+        _to_pairs(b, scene.n_fwd)
+        b *= _scatter_gains(scene).reshape(scene.num_spheres, -1)
     rad = [CoefficientVector(k=scene.k, n_max=scene.n_fwd, values=b_s) for b_s in b]
     return ScatterSolution(radiating=rad, rcond=rcond)
 
@@ -273,49 +407,61 @@ def eval_total_field(
     return out
 
 
-def _multipole_field(scene: SceneConfig, points: np.ndarray, blocks: list, singular) -> np.ndarray:
+def _singular_bases(scene: SceneConfig, points: np.ndarray) -> np.ndarray:
+    """Every sphere's singular basis at ``points``, shape (sphere, point, (n, m)).
+
+    One evaluation at the points' offsets from all the centers, not one per
+    sphere.
+    """
+    centers = np.array([s.center for s in scene.spheres])
+    offsets = (points[None, :, :] - centers[:, None, :]).reshape(-1, 3)
+    singular = singular_basis_matrix(scene.n_fwd, scene.k, offsets, [0.0, 0.0, 0.0])
+    return singular.reshape(len(centers), len(points), -1)
+
+
+def _multipole_field(
+    scene: SceneConfig, classes: list, points: np.ndarray, blocks: list, singular: np.ndarray
+) -> np.ndarray:
     """The incident regular series plus every sphere's singular series at ``points``.
 
     Row p, column j is R(p) e_j + sum_t S_t(p) b_t[:, j], with ``blocks``
-    holding the stacked radiating coefficients b of each incident basis e_j
-    per :func:`parity_classes` class (class c's block gives the columns
-    ``incident`` and the rows ``local`` of every sphere).  ``singular``
-    gives each sphere's S_t at ``points`` in turn; when those are scaled by
-    the gains, ``blocks`` may hold the local fields c, with b = gains * c,
-    so no copy of c is made.  The sum runs one source sphere at a time.
+    holding the radiating coefficients b of the incident basis per class of
+    ``classes``, the scene's :func:`mirror_classes`: class c's block gives
+    the pair-basis incident columns ``incident`` and the class unknowns,
+    which make up each sphere's b_t through its ``members`` entry.  ``singular`` is
+    :func:`_singular_bases` at ``points``, and is taken to the pair basis in
+    place; when it is scaled by the gains, ``blocks`` may hold the local
+    fields c, with b = gains * c, so no copy of c is made.  The spheres of an
+    orbit share their class unknowns, so their weighted bases are summed
+    before the one product per orbit and class.
     """
-    classes = parity_classes(scene)
-    scattered = [np.zeros((len(points), incident.size), dtype=complex) for _, incident in classes]
-    for t, basis in enumerate(singular):
-        for field, block, (local, _) in zip(scattered, blocks, classes):
-            field += basis[:, local] @ block[t * local.size : (t + 1) * local.size]
-    out = regular_basis_matrix(scene.n_in, scene.k, points, [0.0, 0.0, 0.0])
-    for field, (_, incident) in zip(scattered, classes):
-        out[:, incident] += field
+    _to_pairs(singular, scene.n_fwd)
+    out = np.zeros((len(points), num_coeffs(scene.n_in)), dtype=complex)  # pair-basis columns
+    for orbit in _mirror_orbits(scene)[1]:
+        for block, cls in zip(blocks, classes):
+            rows, local, _ = cls.members[orbit[0][0]]
+            summed = sum(singular[t][:, local] * cls.members[t][2] for t, _ in orbit)
+            out[:, cls.incident] += summed @ block[rows]
+    _to_pairs(out, scene.n_in)
+    out += regular_basis_matrix(scene.n_in, scene.k, points, [0.0, 0.0, 0.0])
     return out
 
 
-def _capsule_residual(scene: SceneConfig, matrix: np.ndarray, c: list, gains: np.ndarray) -> float:
+def _capsule_residual(scene: SceneConfig, classes: list, matrix: np.ndarray, c: list, gains: np.ndarray) -> float:
     """Max-abs gap of ``matrix`` to :func:`_multipole_field` of ``c`` over its max, on sampled capsules.
 
     The sample is RESIDUAL_SAMPLES capsules per sphere, a fixed stride
-    through its Fibonacci order, checked one sphere at a time.  Every
-    sphere's singular basis at a sample comes from one evaluation at the
-    sample's offsets from all the centers, so a sphere's check evaluates
-    two bases, not one per sphere plus one.  The gap is the capsule form's
-    one approximation: the field a sphere feels is cut off at degree n_fwd.
+    through its Fibonacci order, checked one sphere at a time.  The gap is
+    the capsule form's one approximation: the field a sphere feels is cut
+    off at degree n_fwd.
     """
-    centers = np.array([s.center for s in scene.spheres])
-    gains = gains.reshape(len(centers), 1, -1)
     gap, top, start = 0.0, 0.0, 0
     for sphere in scene.spheres:
         rows = np.arange(0, sphere.num_capsules, -(-sphere.num_capsules // RESIDUAL_SAMPLES))
         points = sphere.capsule_positions()[rows]
-        offsets = (points[None, :, :] - centers[:, None, :]).reshape(-1, 3)
-        singular = singular_basis_matrix(scene.n_fwd, scene.k, offsets, [0.0, 0.0, 0.0])
-        singular = singular.reshape(len(centers), len(rows), -1)  # sphere, capsule, (n, m)
-        singular *= gains
-        reference = _multipole_field(scene, points, c, singular)
+        singular = _singular_bases(scene, points)
+        singular *= gains.reshape(scene.num_spheres, 1, -1)
+        reference = _multipole_field(scene, classes, points, c, singular)
         gap = max(gap, np.max(np.abs(matrix[start + rows] - reference)))
         top = max(top, np.max(np.abs(reference)))
         start += sphere.num_capsules
@@ -327,54 +473,65 @@ def forward_operator(
 ) -> ForwardOperator:
     """Assemble the dense capsule-pressure response to every incident basis.
 
-    Every sphere's local incident map (its R|R translation) fills its rows of
-    one right-hand-side block per :func:`parity_classes` class, which the
+    Every sphere's local incident map (its R|R translation) fills one
+    right-hand-side block per :func:`mirror_classes` class, which the
     coupled solve overwrites with the field each sphere feels, c, so the
     class systems, those blocks and T_F are the only arrays of their size.
     Sphere s's capsule rows of T_F are then its rigid-surface response times
     c_s, ``surface_response_matrix`` at n_fwd (Gumerov & Duraiswami, 2004,
-    ch. 4), class by class into the class's columns, and a sample of them is
-    checked against the full multipole sum (``capsule_residual``).  Without
-    coupling each sphere scatters its local incident field alone: its
-    T-matrix (the diagonal ``rigid_scatter_gain``) times its local incident
-    coefficients, with no system to solve, and T_F is the incident regular
-    series plus every sphere's singular series at the capsules.
-    ``_local`` is the scene's :func:`_local_incident_block` when the caller
-    has already built it; it is overwritten.  ``_parts`` gathers the seconds
-    spent per forward part (see :data:`FORWARD_PARTS`).
+    ch. 4), taken to the pair basis and weighted by s's class entries, class
+    by class into the class's pair-basis columns; a row chunk's columns go
+    back to the standard basis once every class has filled it.  A sample of
+    the rows is checked against the full multipole sum
+    (``capsule_residual``).  Without coupling each sphere scatters its local
+    incident field alone: its T-matrix (the diagonal ``rigid_scatter_gain``)
+    times its local incident coefficients, with no system to solve, and T_F
+    is the incident regular series plus every sphere's singular series at
+    the capsules, summed a few capsules at a time.  ``_local`` is the scene's :func:`_local_incident_block`
+    when the caller has already built it; it is overwritten.  ``_parts``
+    gathers the seconds spent per forward part (see :data:`FORWARD_PARTS`).
     """
     k, n_fwd = scene.k, scene.n_fwd
     with _timed(_parts, "translation"):
-        classes, gains = parity_classes(scene), _scatter_gains(scene)
+        classes, gains = mirror_classes(scene), _scatter_gains(scene)
         blocks = _local_incident_block(scene) if _local is None else _local
         systems = assemble_system_matrix(scene) if include_coupling else None
     with _timed(_parts, "solve"):
         if include_coupling:
             blocks, rcond = _solve_coupled(systems, blocks)  # c
-        else:  # b = G a_local
+        else:  # b = G a_local, one orbit at a time: its spheres share their radius
             rcond = None
-            for block, (local, _) in zip(blocks, classes):
-                block *= gains.reshape(scene.num_spheres, -1)[:, local].reshape(-1, 1)
+            for orbit in _mirror_orbits(scene)[1]:
+                sphere_gains = gains.reshape(scene.num_spheres, -1)[orbit[0][0]]
+                for block, cls in zip(blocks, classes):
+                    rows, local, _ = cls.members[orbit[0][0]]
+                    block[rows] *= sphere_gains[local, None]
         del systems  # the LU factors: freed before T_F is allocated
     with _timed(_parts, "capsule"):
         matrix = np.empty((scene.total_capsules, num_coeffs(scene.n_in)), dtype=complex)
+        if include_coupling:
+            chunk = np.empty((FILL_ROWS, matrix.shape[1]), dtype=complex)  # a row chunk's pair-basis columns
         start = 0
         for s, sphere in enumerate(scene.spheres):
-            rows = slice(start, start + sphere.num_capsules)
+            rows = matrix[start : start + sphere.num_capsules]
             if include_coupling:
-                response = surface_response_matrix(sphere, k, n_fwd)
-                for block, (local, incident) in zip(blocks, classes):
-                    response_class, c_class = response[:, local], block[s * local.size : (s + 1) * local.size]
-                    for first in range(0, sphere.num_capsules, FILL_ROWS):
-                        part = slice(first, first + FILL_ROWS)
-                        matrix[rows][part, incident] = response_class[part] @ c_class
-            else:
-                points = sphere.capsule_positions()
-                singular = (singular_basis_matrix(n_fwd, k, points, t.center) for t in scene.spheres)
-                matrix[rows] = _multipole_field(scene, points, blocks, singular)
-            start = rows.stop
+                response = _to_pairs(surface_response_matrix(sphere, k, n_fwd), n_fwd)
+                for first in range(0, sphere.num_capsules, FILL_ROWS):
+                    part = response[first : first + FILL_ROWS]
+                    pairs = chunk[: len(part)]
+                    for block, cls in zip(blocks, classes):
+                        class_rows, local, weight = cls.members[s]
+                        pairs[:, cls.incident] = (part[:, local] * weight) @ block[class_rows]
+                    _to_pairs(pairs, scene.n_in, out=rows[first : first + FILL_ROWS])
+            else:  # a step's bases at every center are the size of the coupled fill's chunk
+                step = max(1, FILL_ROWS * matrix.shape[1] // (scene.num_spheres * num_coeffs(n_fwd)))
+                for first in range(0, sphere.num_capsules, step):
+                    points = sphere.capsule_positions()[first : first + step]
+                    singular = _singular_bases(scene, points)
+                    rows[first : first + step] = _multipole_field(scene, classes, points, blocks, singular)
+            start += sphere.num_capsules
     residual = None
     if include_coupling:
         with _timed(_parts, "residual"):
-            residual = _capsule_residual(scene, matrix, blocks, gains)
+            residual = _capsule_residual(scene, classes, matrix, blocks, gains)
     return ForwardOperator(scene=scene, matrix=matrix, rcond=rcond, capsule_residual=residual)

@@ -102,13 +102,20 @@ def test_capsule_block(benchmark):
     benchmark(np.matmul, lam, c[num_coeffs(16) : 2 * num_coeffs(16)], out=out)
 
 
+MIRROR8 = [(360, 276), (316, 276), (342, 276), (308, 253), (342, 276), (308, 253), (333, 253), (292, 253)]
+
+
 @pytest.mark.parametrize(
-    "shapes", [[(2601, 2116)], [(1377, 1081), (1224, 1035)]], ids=["one", "two_blocks"]
+    "shapes",
+    [[(2601, 2116)], [(1377, 1081), (1224, 1035)], MIRROR8],
+    ids=["one", "two_blocks", "mirror8"],
 )
 def test_coupled_solve(benchmark, shapes):
     """``forward_planar9``'s coupled solve, 2601 unknowns against 2116 incident
-    columns, as one system or as its two z-parity classes: LU factor and
-    multi-right-hand-side solve, both in place on fresh arrays each round."""
+    columns: as one system, as its two z-parity classes, or as the eight
+    classes of its x, y and z mirror planes, which the build solves.  LU
+    factor and multi-right-hand-side solve, both in place on fresh arrays
+    each round."""
     rng = np.random.default_rng(7)
 
     def fresh():

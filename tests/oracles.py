@@ -3,6 +3,11 @@
 No experiment runs these: each is the direct, one-value-at-a-time or
 closed-form counterpart of something ``mshoa`` computes another way, or a
 physical check (the rigid-boundary residual) that only the tests evaluate.
+The coupled system is built whole, I - SR G with every S|R translation
+built anew, and the mirror classes the library solves instead are given as
+dense bases, with reflections fitted from the harmonics themselves, so a
+test can check that each class is closed under the scene's reflections and
+that its system is the whole system's projection.
 """
 
 from pathlib import Path
@@ -112,7 +117,8 @@ def coupled_system_matrix(scene) -> np.ndarray:
 
     Assembled block by block, every S|R translation built anew: block (s, t)
     is -SR(c_s - c_t) diag(G_t) and the diagonal blocks are the identity.
-    The library solves only its parity-class blocks.
+    The library solves only its projections on the scene's mirror classes
+    (:func:`mirror_class_bases`), W^T (I - SR G) W per class.
     """
     k, n, lf = scene.k, scene.n_fwd, num_coeffs(scene.n_fwd)
     gains = [rigid_scatter_gain(k, s.radius, n) for s in scene.spheres]
@@ -125,6 +131,50 @@ def coupled_system_matrix(scene) -> np.ndarray:
             for a in scene.spheres
         ]
     )
+
+
+def reflection_matrix(n_max: int, axis: int) -> np.ndarray:
+    """The (L, L) matrix M that reflects coefficients across the coordinate plane of ``axis``.
+
+    A field with coefficients a about c, reflected (x -> P x), has
+    coefficients M a about P c: M is fitted from Y(P u) = Y(u) M by least
+    squares on 4L directions, so it holds no assumed sign rule.
+    """
+    dirs = np.random.default_rng(1).standard_normal((4 * num_coeffs(n_max), 3))
+    flipped = dirs.copy()
+    flipped[:, axis] *= -1.0
+    y, y_flipped = (sph_harm_matrix(n_max, *cart_to_sph(d)[1:]) for d in (dirs, flipped))
+    return np.linalg.lstsq(y, y_flipped, rcond=None)[0]
+
+
+def pair_basis(n_max: int) -> np.ndarray:
+    """The orthogonal matrix whose columns are the +-m pair basis, one entry at a time.
+
+    Column (n, 0) is e_{n,0}; for m > 0, column (n, m) is (e_{n,m} + e_{n,-m}) / sqrt 2
+    and column (n, -m) is (e_{n,m} - e_{n,-m}) / sqrt 2.
+    """
+    basis = np.zeros((num_coeffs(n_max), num_coeffs(n_max)))
+    for n in range(n_max + 1):
+        basis[pack_index(n, 0), pack_index(n, 0)] = 1.0
+        for m in range(1, n + 1):
+            plus, minus = pack_index(n, m), pack_index(n, -m)
+            basis[[plus, minus, plus, minus], [plus, plus, minus, minus]] = np.array([1.0, 1.0, 1.0, -1.0]) / np.sqrt(2)
+    return basis
+
+
+def mirror_class_bases(scene, cls) -> tuple[np.ndarray, np.ndarray]:
+    """A mirror class's bases as dense columns: of the stacked unknowns and of the incident coefficients.
+
+    Unknown j of the class is the sum over its orbit's spheres of
+    weight[j] times that sphere's pair-basis vector local[j]; incident
+    column j is the pair-basis vector incident[j].
+    """
+    lf = num_coeffs(scene.n_fwd)
+    local_pairs = pair_basis(scene.n_fwd)
+    unknowns = np.zeros((scene.num_spheres * lf, cls.size))
+    for s, (rows, local, weight) in enumerate(cls.members):
+        unknowns[s * lf : (s + 1) * lf, rows] = local_pairs[:, local] * weight
+    return unknowns, pair_basis(scene.n_in)[:, cls.incident]
 
 
 def local_incident_matrix(scene, n_build=None) -> np.ndarray:

@@ -136,7 +136,9 @@ def test_single_run_builds_only_the_uncoupled_operator(tmp_path, monkeypatch):
 
 
 def test_single_run_builds_each_local_translation_once(tmp_path, monkeypatch):
-    """The uncoupled operator and the capture share one R|R per sphere."""
+    """The uncoupled operator and the capture share one R|R per orbit of
+    mirrored spheres: the pair is one orbit, so only its first sphere's
+    R|R is built."""
     from mshoa import translation
 
     built = []
@@ -149,7 +151,7 @@ def test_single_run_builds_each_local_translation_once(tmp_path, monkeypatch):
     monkeypatch.setattr(translation, "rr_translation", counting_rr)
     cfg = validate_config(TINY_SINGLE)
     run_experiment(cfg, tmp_path / "out")
-    assert sorted(built) == sorted(tuple(s.center) for s in cfg.scene.spheres)
+    assert built == [tuple(cfg.scene.spheres[0].center)]
 
 
 def test_single_encoding_holds_no_more_than_the_coupled_build():
@@ -399,9 +401,9 @@ def test_summary_reports_field_statistics(tmp_path):
 
 def test_summary_reports_the_forward_parts_and_system_blocks(tmp_path, caplog):
     """forward_parts splits the forward stage into its spans, which -v logs, and
-    system_blocks holds the sizes of the coupled systems solved: two parity
-    classes with every sphere on the plane z = 0, one otherwise, none for a
-    lone array."""
+    system_blocks holds the sizes of the coupled systems solved: one per
+    mirror class, eight for a pair mirrored across one coordinate plane and
+    lying on the other two, none for a lone array."""
     import logging
 
     with caplog.at_level(logging.INFO, logger="mshoa"):
@@ -413,11 +415,13 @@ def test_summary_reports_the_forward_parts_and_system_blocks(tmp_path, caplog):
     assert 0.5 * meta["stages"]["forward"] <= sum(parts.values()) <= meta["stages"]["forward"]
     logged = {r.getMessage().split(":")[0] for r in caplog.records if r.getMessage().startswith("forward ")}
     assert logged == {f"forward {name}" for name in parts}
-    assert meta["system_blocks"] == [2 * 21, 2 * 15]  # n + m even / odd at n_fwd 5, two spheres
+    # the pair is one orbit under y -> -y, and x -> -x and z -> -z fix each sphere: its 36
+    # harmonics at n_fwd 5 split by their x and z signs into 12 / 9 / 9 / 6, once per y sign
+    assert meta["system_blocks"] == [12, 9, 12, 9, 9, 6, 9, 6]
     off_plane = run_experiment(validate_config(TINY.replace("axis: y", "axis: z")), tmp_path / "z")
-    assert off_plane.system_blocks == [2 * 36]
+    assert off_plane.system_blocks == [12, 12, 9, 9, 9, 9, 6, 6]  # split by x and y signs, once per z sign
     hoa = run_experiment(validate_config(TINY_HOA), tmp_path / "hoa")
-    assert hoa.system_blocks == [42, 30] and hoa.forward_parts["residual"] == 0.0
+    assert hoa.system_blocks == meta["system_blocks"] and hoa.forward_parts["residual"] == 0.0
     lone = run_experiment(validate_config(LONE_HOA), tmp_path / "lone")
     assert lone.system_blocks is None and lone.forward_parts["solve"] == 0.0
 

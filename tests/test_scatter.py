@@ -10,7 +10,7 @@ from mshoa.scatter import (
     eval_total_field,
     forward_operator,
     forward_solve,
-    parity_classes,
+    mirror_classes,
     rigid_scatter_gain,
     surface_response_matrix,
 )
@@ -19,13 +19,15 @@ from tests.oracles import (
     coupled_system_matrix,
     eval_radial_derivative,
     local_incident_matrix,
+    mirror_class_bases,
+    reflection_matrix,
     single_sphere_total_field,
 )
 
 
 def _scene(centers, radius=0.08, caps=20, freq=2000.0, n_in=12, n_fwd=8, **kw):
     return SceneConfig(
-        spheres=[RsmaSpec.fibonacci(c, radius, caps) for c in centers],
+        spheres=[RsmaSpec.fibonacci(c, r, caps) for c, r in zip(centers, np.broadcast_to(radius, len(centers)))],
         source=kw.pop("source", IncidentSource(kind="plane_wave", direction=[0.3, -0.2, 0.9])),
         frequency=freq,
         n_in=n_in,
@@ -246,14 +248,12 @@ def test_forward_operator_shape_and_guards():
         op.apply(bad)
 
 
-def _grid4(lift=0.0, **kw):
-    """A 2 x 2 planar grid: 12 ordered sphere pairs over 8 distinct displacements.
+_GRID4 = [[x, y, 0.0] for x in (-0.125, 0.125) for y in (-0.125, 0.125)]
 
-    ``lift`` raises the last sphere off the plane z = 0, which leaves one parity class.
-    """
-    centers = [[x, y, 0.0] for x in (-0.125, 0.125) for y in (-0.125, 0.125)]
-    centers[-1][2] = lift
-    return _scene(centers, **kw)
+
+def _grid4(**kw):
+    """A 2 x 2 planar grid: 12 ordered sphere pairs over 8 distinct displacements."""
+    return _scene(_GRID4, **kw)
 
 
 def test_forward_operator_holds_one_system_one_block_and_t_f():
@@ -275,19 +275,45 @@ def test_forward_operator_holds_one_system_one_block_and_t_f():
     assert peak <= budget
 
 
-def _assert_column_scaled_system(scene, systems):
-    """Each parity class's system is the rows and columns of its class in the
-    whole I - SR G (unit diagonal, block (s, t) -SR(c_s - c_t) diag(G_t)),
-    equal bit for bit; the entries the classes leave out are roundoff."""
+def _projected_systems(scene):
+    """The oracle's whole I - SR G projected on each mirror class's dense basis, W^T (I - SR G) W."""
     whole = coupled_system_matrix(scene)
-    kept = np.zeros(whole.shape, dtype=bool)
-    lf = num_coeffs(scene.n_fwd)
-    for system, (local, _) in zip(systems, parity_classes(scene), strict=True):
-        rows = (lf * np.arange(scene.num_spheres)[:, None] + local).ravel()
-        np.testing.assert_array_equal(system, whole[np.ix_(rows, rows)])
+    bases = [mirror_class_bases(scene, cls)[0] for cls in mirror_classes(scene)]
+    return [w.T @ whole @ w for w in bases], whole, bases
+
+
+def _assert_projected_system(scene, systems):
+    """The classes split the unknowns and the incident coefficients into
+    orthonormal sets on which each mirror plane's reflection is one sign, the
+    same for both, so the whole system couples no two classes; and each class
+    system is the whole I - SR G projected on its class."""
+    projected, whole, bases = _projected_systems(scene)
+    unknowns = np.hstack(bases)
+    np.testing.assert_allclose(unknowns.T @ unknowns, np.eye(len(whole)), atol=1e-15)
+    classes = mirror_classes(scene)
+    assert sum(cls.incident.size for cls in classes) == num_coeffs(scene.n_in)
+    lf, place = num_coeffs(scene.n_fwd), {tuple(s.center): i for i, s in enumerate(scene.spheres)}
+    for axis in range(3):
+        images = [place.get(tuple(np.where(np.arange(3) == axis, -1, 1) * s.center)) for s in scene.spheres]
+        if None in images or any(scene.spheres[i].radius != s.radius for i, s in zip(images, scene.spheres)):
+            continue  # not a mirror plane of the scene
+        local, incident = reflection_matrix(scene.n_fwd, axis), reflection_matrix(scene.n_in, axis)
+        reflect = np.zeros((len(whole), len(whole)), dtype=complex)
+        for s, image in enumerate(images):
+            reflect[image * lf : (image + 1) * lf, s * lf : (s + 1) * lf] = local
+        for w, cls in zip(bases, classes):
+            u = mirror_class_bases(scene, cls)[1]
+            sign = 1.0 if np.allclose(reflect @ w, w, atol=1e-12) else -1.0
+            np.testing.assert_allclose(reflect @ w, sign * w, atol=1e-12)
+            np.testing.assert_allclose(incident @ u, sign * u, atol=1e-12)
+    for system, reference in zip(systems, projected, strict=True):
         assert system.flags.f_contiguous
-        kept[np.ix_(rows, rows)] = True
-    assert np.max(np.abs(whole[~kept]), initial=0.0) <= 1e-13 * np.max(np.abs(whole))
+        assert _rel_gap(system, reference) <= 1e-13
+    coupling = unknowns.T @ whole @ unknowns
+    sizes = np.cumsum([0] + [len(system) for system in systems])
+    for first, last in zip(sizes, sizes[1:]):
+        coupling[first:last, first:last] = 0.0
+    assert np.max(np.abs(coupling), initial=0.0) <= 1e-13 * np.max(np.abs(whole))
 
 
 def _count_sr(monkeypatch):
@@ -311,8 +337,9 @@ def test_system_translates_each_distinct_displacement_once(monkeypatch):
     systems = assemble_system_matrix(scene)
     assert len(shifts) == len(set(shifts)) == 8
     monkeypatch.undo()
-    assert [len(system) for system in systems] == [4 * 15, 4 * 10]  # n + m even / odd at n_fwd 4
-    _assert_column_scaled_system(scene, systems)
+    # one orbit of four spheres, each fixed only by z -> -z: half of its 25 harmonics per class
+    assert [len(system) for system in systems] == [15, 10] * 4
+    _assert_projected_system(scene, systems)
 
 
 def test_system_reuses_a_displacement_only_from_a_source_of_equal_radius(monkeypatch):
@@ -331,7 +358,7 @@ def test_system_reuses_a_displacement_only_from_a_source_of_equal_radius(monkeyp
     systems = assemble_system_matrix(scene)
     assert len(shifts) == 5 and len(set(shifts)) == 4
     monkeypatch.undo()
-    _assert_column_scaled_system(scene, systems)
+    _assert_projected_system(scene, systems)
 
 
 @pytest.mark.filterwarnings("ignore:Diagonal number:scipy.linalg.LinAlgWarning")  # the exactly singular case
@@ -362,15 +389,35 @@ def test_coupled_solve_rejects_non_finite_and_singular_systems():
         )
 
 
-@pytest.mark.parametrize("lift, sizes", [(0.0, [4 * 15, 4 * 10]), (0.05, [4 * 25])], ids=["planar", "lifted"])
-def test_parity_split_matches_the_whole_system(lift, sizes):
-    """On a planar grid the coupled system splits into its n + m even and odd
-    classes; one sphere 0.05 off the plane leaves one class.  Either way T_F,
-    the vector solve and the rcond match a dense solve of the whole system."""
+_MIRROR_SCENES = {  # centers, radius or radii, number of mirror classes
+    # all three planes: one orbit of four spheres
+    "planar": (_GRID4, 0.08, 8),
+    # only y -> -y: a mirrored pair and a sphere on the plane, all off z = 0
+    "one_plane": ([[0.0, -0.2, 0.1], [0.0, 0.2, 0.1], [0.15, 0.0, 0.3]], 0.08, 2),
+    # a grid in the plane y = 0, off z = 0 yet split by all three planes; -0.0 equals 0.0
+    "xz_grid": ([[x, np.copysign(0.0, x), z] for x in (-0.125, 0.125) for z in (-0.125, 0.125)], 0.08, 8),
+    # the pair's y mirror fails on the radii: x and z, which fix both spheres, remain
+    "unequal_radii": ([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], [0.08, 0.06], 4),
+    # one center 1 ulp off the y mirror: x and z remain
+    "ulp_off": ([[0.0, -0.125, 0.0], [0.0, np.nextafter(0.125, 1.0), 0.0]], 0.08, 4),
+    # one sphere 0.05 off the plane: no mirror plane, one class
+    "lifted": (_GRID4[:3] + [[0.125, 0.125, 0.05]], 0.08, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_MIRROR_SCENES))
+def test_parity_split_matches_the_whole_system(name):
+    """However many mirror planes a scene has, the coupled systems are the
+    whole system's projections on its mirror classes, and T_F, the vector
+    solve and the rcond match dense solves of the whole and of its
+    projection: the rcond combines dense estimates of the oracle's class
+    systems, and bounds the exact one of their block-diagonal whole."""
     import scipy.linalg as sla
 
-    scene = _grid4(lift=lift, caps=14, n_in=8, n_fwd=4)
-    assert [scene.num_spheres * local.size for local, _ in parity_classes(scene)] == sizes
+    centers, radius, count = _MIRROR_SCENES[name]
+    scene = _scene(centers, radius=radius, caps=14, n_in=8, n_fwd=4)
+    assert len(mirror_classes(scene)) == count
+    _assert_projected_system(scene, assemble_system_matrix(scene))
     whole = coupled_system_matrix(scene)
     a_local = local_incident_matrix(scene)
     op = forward_operator(scene)
@@ -382,7 +429,14 @@ def test_parity_split_matches_the_whole_system(lift, sizes):
     b = np.concatenate([rad.values for rad in forward_solve(scene, a_in).radiating])
     assert _rel_gap(b, b_ref) <= 1e-13
 
-    lu, _ = sla.lu_factor(whole)
-    anorm = np.max(np.sum(np.abs(whole), axis=0))
-    rcond, info = sla.get_lapack_funcs("gecon", (lu,))(lu, anorm, norm="1")
-    assert info == 0 and op.rcond == pytest.approx(rcond, rel=1e-10)
+    # the block-diagonal whole's 1-norm and its inverse's are the largest class's
+    projected = _projected_systems(scene)[0]
+    norms = [np.linalg.norm(system, 1) for system in projected]
+    inverse_norms = []
+    for system, norm in zip(projected, norms):
+        rcond, info = sla.get_lapack_funcs("gecon", (system,))(sla.lu_factor(system)[0], norm, norm="1")
+        assert info == 0
+        inverse_norms.append(1.0 / (rcond * norm))
+    assert op.rcond == pytest.approx(1.0 / (max(norms) * max(inverse_norms)), rel=1e-10)
+    exact = 1.0 / (max(norms) * max(np.linalg.norm(np.linalg.inv(system), 1) for system in projected))
+    assert op.rcond >= exact * (1.0 - 1e-12)  # an estimate of ||M^-1||_1 never exceeds it
