@@ -15,6 +15,7 @@ config hash) before the data rows.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -33,34 +34,35 @@ class MatrixFormatError(ValueError):
 
 
 def export_matrix(path, matrix: np.ndarray) -> None:
-    matrix = np.ascontiguousarray(np.asarray(matrix, dtype=np.complex128))
+    """Write ``matrix`` from its own buffer: no copy when it is already C-ordered little-endian complex128."""
+    matrix = np.ascontiguousarray(np.asarray(matrix, dtype="<c16"))
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, DTYPE_COMPLEX128, *matrix.shape))
-        fh.write(matrix.astype("<c16", copy=False).tobytes())
+        fh.write(matrix.data)
 
 
 def import_matrix(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise MatrixFormatError(f"{path}: truncated header")
-    magic, version, dtype, rows, cols = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise MatrixFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise MatrixFormatError(f"{path}: unsupported version {version}")
-    if dtype != DTYPE_COMPLEX128:
-        raise MatrixFormatError(f"{path}: unsupported dtype tag {dtype}")
-    if max(rows, cols) > np.iinfo(np.intp).max // 16:  # passes the size check when the other is 0
-        raise MatrixFormatError(f"{path}: dimensions {rows} x {cols} exceed what an array can hold")
-    expected = _HEADER.size + rows * cols * 16
-    if len(data) != expected:
-        raise MatrixFormatError(
-            f"{path}: payload size mismatch ({len(data)} bytes, expected {expected})"
-        )
-    flat = np.frombuffer(data, dtype="<c16", offset=_HEADER.size)
-    return flat.reshape(rows, cols).astype(np.complex128)
+    """Read a matrix file into one array, its size checked against the file's before it is allocated."""
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise MatrixFormatError(f"{path}: truncated header")
+        magic, version, dtype, rows, cols = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise MatrixFormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise MatrixFormatError(f"{path}: unsupported version {version}")
+        if dtype != DTYPE_COMPLEX128:
+            raise MatrixFormatError(f"{path}: unsupported dtype tag {dtype}")
+        if max(rows, cols) > np.iinfo(np.intp).max // 16:  # passes the size check when the other is 0
+            raise MatrixFormatError(f"{path}: dimensions {rows} x {cols} exceed what an array can hold")
+        size, expected = os.fstat(fh.fileno()).st_size, _HEADER.size + rows * cols * 16
+        if size != expected:
+            raise MatrixFormatError(f"{path}: payload size mismatch ({size} bytes, expected {expected})")
+        flat = np.fromfile(fh, dtype="<c16", count=rows * cols)
+    return flat.reshape(rows, cols).astype(np.complex128, copy=False)
 
 
 def _grid_header(spec: GridSpec, config_hash: str) -> list[str]:

@@ -235,7 +235,7 @@ def run_experiment(
         forward_parts=parts,
         peak_rss_mb=dict(zip(STAGES, peaks)),
         system_rcond=rcond,
-        system_blocks=None if rcond is None else [cls.size for cls in mirror_classes(scene)],
+        system_blocks=None if rcond is None else [cls.size for cls in mirror_classes(scene)[0]],
         capsule_residual=capsule_residual,
         config_hash=chash,
         search={

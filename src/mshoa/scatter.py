@@ -29,9 +29,8 @@ log = logging.getLogger(__name__)
 
 RESIDUAL_SAMPLES = 16  # capsules per sphere on which the coupled T_F is checked against the multipole sum
 FORWARD_PARTS = ("translation", "solve", "capsule", "residual")  # the timed parts of a forward build
-# T_F rows filled per step, and the slab width of the pair transform: a step's
-# products land in their target through temporaries, and ones this small
-# reuse free heap instead of growing it
+# T_F rows filled per step: a step's class products land in T_F through
+# temporaries, and ones this small reuse free heap instead of growing it
 FILL_ROWS = 64
 SQRT_HALF = np.sqrt(0.5)
 
@@ -96,42 +95,23 @@ def _scatter_gains(scene: SceneConfig) -> np.ndarray:
     return np.concatenate([rigid_scatter_gain(scene.k, sph.radius, scene.n_fwd) for sph in scene.spheres])
 
 
-def _pair_indices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of every (n, m) with m > 0, and of its (n, -m)."""
-    n = degrees_upto(n_max)
-    m = np.arange(n.size) - n * n - n
-    plus = np.flatnonzero(m > 0)
-    return plus, plus - 2 * m[plus]
-
-
-def _to_pairs(a: np.ndarray, n_max: int, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """``a`` with its coefficient index ``axis`` taken to the +-m pair basis, into ``out`` (default: ``a``); returns it.
+def _to_pairs(a: np.ndarray, n_max: int, axis: int = -1) -> np.ndarray:
+    """``a`` with its coefficient index ``axis`` taken to the +-m pair basis, in place; returns ``a``.
 
     The pair basis holds e_{n,0} and, for m > 0, (e_{n,m} + e_{n,-m}) / sqrt 2
     at index (n, m) and (e_{n,m} - e_{n,-m}) / sqrt 2 at index (n, -m).  The
     change of basis is real, symmetric and orthogonal, so it is its own
-    inverse: applying it again takes pair coordinates back.  With ``out``,
-    ``a`` is left as scratch.
+    inverse: applying it again takes pair coordinates back.  It runs one
+    degree at a time on slices of a view with the coefficient axis first,
+    so its only temporaries are one degree's sums and differences.
     """
-
-    def coefficients_first(x):  # a view of x with the coefficient axis first and one more after it
-        x = np.moveaxis(x, axis, 0)
-        return x[:, None] if x.ndim == 1 else x
-
-    plus, minus = _pair_indices(n_max)
-    view, target = coefficients_first(a), coefficients_first(a if out is None else out)
-    if out is not None:
-        zero = np.arange(n_max + 1) * np.arange(1, n_max + 2)  # (n, 0) at n^2 + n
-        target[zero] = view[zero]
-    for first in range(0, view.shape[1], FILL_ROWS):  # in slabs of the next axis
-        slab = slice(first, first + FILL_ROWS)
-        p, q = view[plus, slab], view[minus, slab]
-        p *= SQRT_HALF
-        q *= SQRT_HALF
-        target[plus, slab] = p + q
-        p -= q
-        target[minus, slab] = p
-    return a if out is None else out
+    coefficients = np.moveaxis(a, axis, 0)
+    for n in range(1, n_max + 1):  # m = 1..n at n^2 + n + m, and m = -1..-n below n^2 + n
+        plus, minus = coefficients[n * n + n + 1 : (n + 1) ** 2], coefficients[n * n + n - 1 : n * n - 1 : -1]
+        plus *= SQRT_HALF
+        minus *= SQRT_HALF
+        plus[...], minus[...] = plus + minus, plus - minus
+    return a
 
 
 def _reflection_signs(n_max: int) -> np.ndarray:
@@ -187,18 +167,19 @@ class MirrorClass:
     under the scene's mirror planes are the class's.  ``members`` gives, per
     sphere, where its orbit's unknowns sit in the class system (``rows``),
     which of the sphere's pair-basis coefficients they are (``local``) and
-    the weight each takes at that sphere (``weight``): the class's basis
-    vector for orbit coefficient j is the sum over the orbit's spheres of
-    weight[j] times that sphere's pair-basis coefficient local[j].
+    the class's sign at that sphere (``sign``): the class's basis vector for
+    orbit coefficient j is the sum over the orbit's spheres of sign times
+    flips[local[j]] times that sphere's pair-basis coefficient local[j],
+    with ``flips`` the sphere's reflection signs from :func:`mirror_classes`.
     """
 
     incident: np.ndarray
-    members: list  # per sphere: (rows, local, weight)
+    members: list  # per sphere: (rows, local, sign)
     size: int  # unknowns
 
 
-def mirror_classes(scene: SceneConfig) -> list[MirrorClass]:
-    """The independent blocks of the coupled system, one per sign pattern of the scene's mirror planes.
+def mirror_classes(scene: SceneConfig) -> tuple[list[MirrorClass], np.ndarray]:
+    """The coupled system's independent blocks, one per sign pattern of the scene's mirror planes, and the flips.
 
     Every reflection in a mirror plane (see :func:`_mirror_orbits`) maps the
     scene onto itself, and in the per-sphere pair basis of :func:`_to_pairs`
@@ -207,13 +188,20 @@ def mirror_classes(scene: SceneConfig) -> list[MirrorClass]:
     sign patterns.  With p mirror planes there are 2^p classes.  An orbit
     enters a class through the harmonics whose signs under the planes that
     fix its spheres are the class's, each as the signed, normalised sum over
-    the orbit: weight (class sign x harmonic sign) per plane crossed, over
-    sqrt(orbit size).  These basis vectors are orthonormal, so each class
-    system is unitarily equivalent to its block of I - SR G.  A scene
-    without mirror planes has one class holding every index.
+    the orbit.  Sphere s's weight in it is its class sign, the product of
+    the class's signs over the planes that take the orbit's first sphere to
+    s, over sqrt(orbit size), times its flips: the product of those planes'
+    harmonic signs, the same in every class.  These basis vectors are
+    orthonormal, so each class system is unitarily equivalent to its block
+    of I - SR G.  A scene without mirror planes has one class holding every
+    index.  The flips are returned once for all classes, shape (sphere,
+    (n, m)) at n_fwd, and every per-sphere operator is multiplied by its
+    sphere's flips once before the class signs are applied.
     """
     planes, orbits = _mirror_orbits(scene)
-    local_signs, incident_signs = _reflection_signs(scene.n_fwd)[planes], _reflection_signs(scene.n_in)[planes]
+    harmonic_signs = _reflection_signs(scene.n_fwd)
+    flips = np.array([np.prod(harmonic_signs[axes], axis=0) for _, axes in sorted(itertools.chain(*orbits))])
+    local_signs, incident_signs = harmonic_signs[planes], _reflection_signs(scene.n_in)[planes]
     classes = []
     for character in itertools.product((1, -1), repeat=len(planes)):
         signs = np.array(character, dtype=int).reshape(-1, 1)
@@ -224,12 +212,11 @@ def mirror_classes(scene: SceneConfig) -> list[MirrorClass]:
             local = np.flatnonzero(np.all(local_signs[fixed] == signs[fixed], axis=0))
             rows, size = slice(size, size + local.size), size + local.size
             for s, axes in orbit:
-                crossed = [planes.index(axis) for axis in axes]
-                weight = np.prod(signs[crossed] * local_signs[crossed][:, local], axis=0) / np.sqrt(len(orbit))
-                members[s] = (rows, local, weight)
+                sign = np.prod([character[planes.index(axis)] for axis in axes]) / np.sqrt(len(orbit))
+                members[s] = (rows, local, sign)
         incident = np.flatnonzero(np.all(incident_signs == signs, axis=0))
         classes.append(MirrorClass(incident=incident, members=members, size=size))
-    return classes
+    return classes, flips
 
 
 def _class_arrays(shapes: list[tuple[int, int]]) -> list[np.ndarray]:
@@ -255,16 +242,16 @@ def assemble_system_matrix(scene: SceneConfig) -> list[np.ndarray]:
     scaled by G_t.  The system is returned projected on each
     :func:`mirror_classes` class, as one Fortran-ordered array per class, as
     LAPACK factors it in place: every sphere pair's block, taken to the pair
-    basis, adds its class rows and columns, weighted, to the block of the
-    two spheres' orbits.  Each distinct pair of displacement c_s - c_t
-    (equal bit for bit) and source radius is translated once, and serves
-    every sphere pair that repeats it: a regular grid repeats its
-    displacements.
+    basis and multiplied by the two spheres' flips, adds its class rows and
+    columns, times the two class signs, to the block of the two spheres'
+    orbits.  Each distinct pair of displacement c_s - c_t (equal bit for
+    bit) and source radius is translated once, and serves every sphere pair
+    that repeats it: a regular grid repeats its displacements.
     """
     from .translation import sr_translation
 
     k, n_fwd = scene.k, scene.n_fwd
-    classes = mirror_classes(scene)
+    classes, flips = mirror_classes(scene)
     gains = _scatter_gains(scene).reshape(scene.num_spheres, -1)
     systems = _class_arrays([(cls.size, cls.size) for cls in classes])
     for system in systems:
@@ -281,9 +268,10 @@ def assemble_system_matrix(scene: SceneConfig) -> list[np.ndarray]:
         block *= -gains[t]
         _to_pairs(_to_pairs(block, n_fwd, axis=0), n_fwd, axis=1)
         for s, t in pairs:
+            flipped = block * np.outer(flips[s], flips[t])
             for system, cls in zip(systems, classes):
-                (rows, local, weight), (columns, source, source_weight) = cls.members[s], cls.members[t]
-                system[rows, columns] += block[np.ix_(local, source)] * np.outer(weight, source_weight)
+                (rows, local, sign), (columns, source, source_sign) = cls.members[s], cls.members[t]
+                system[rows, columns] += flipped[local][:, source] * (sign * source_sign)
     return systems
 
 
@@ -296,15 +284,15 @@ def _local_incident_block(scene: SceneConfig) -> list[np.ndarray]:
     times that map's class rows and columns in the pair basis."""
     from .translation import rr_translation
 
-    classes = mirror_classes(scene)
+    classes, _ = mirror_classes(scene)
     blocks = _class_arrays([(cls.size, cls.incident.size) for cls in classes])
     for orbit in _mirror_orbits(scene)[1]:
         first = orbit[0][0]
         matrix = rr_translation(scene.spheres[first].center, scene.k, scene.n_in, scene.n_fwd)
         _to_pairs(_to_pairs(matrix, scene.n_fwd, axis=0), scene.n_in, axis=1)
         for block, cls in zip(blocks, classes):
-            rows, local, weight = cls.members[first]
-            np.multiply(matrix[np.ix_(local, cls.incident)], len(orbit) * weight[:, None], out=block[rows])
+            rows, local, sign = cls.members[first]
+            np.multiply(matrix[np.ix_(local, cls.incident)], len(orbit) * sign, out=block[rows])
     return blocks
 
 
@@ -365,7 +353,7 @@ def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None, _par
     """
     if a_in.n_max != scene.n_in:
         raise ValueError(f"incident coefficients must be truncated at {scene.n_in}")
-    classes = mirror_classes(scene)
+    classes, flips = mirror_classes(scene)
     with _timed(_parts, "translation"):
         blocks = _local_incident_block(scene) if _local is None else _local
         incident = _to_pairs(a_in.values.copy(), scene.n_in)
@@ -376,8 +364,9 @@ def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None, _par
         c, rcond = _solve_coupled(systems, a_local)
         b = np.zeros((scene.num_spheres, num_coeffs(scene.n_fwd)), dtype=complex)  # one row per sphere
         for cls, c_class in zip(classes, c):
-            for b_s, (rows, local, weight) in zip(b, cls.members):
-                b_s[local] += weight * c_class[rows]
+            for b_s, (rows, local, sign) in zip(b, cls.members):
+                b_s[local] += sign * c_class[rows]
+        b *= flips
         _to_pairs(b, scene.n_fwd)
         b *= _scatter_gains(scene).reshape(scene.num_spheres, -1)
     rad = [CoefficientVector(k=scene.k, n_max=scene.n_fwd, values=b_s) for b_s in b]
@@ -420,22 +409,24 @@ def _singular_bases(scene: SceneConfig, points: np.ndarray) -> np.ndarray:
 
 
 def _multipole_field(
-    scene: SceneConfig, classes: list, points: np.ndarray, blocks: list, singular: np.ndarray
+    scene: SceneConfig, classes: list, flips: np.ndarray, points: np.ndarray, blocks: list, singular: np.ndarray
 ) -> np.ndarray:
     """The incident regular series plus every sphere's singular series at ``points``.
 
     Row p, column j is R(p) e_j + sum_t S_t(p) b_t[:, j], with ``blocks``
     holding the radiating coefficients b of the incident basis per class of
-    ``classes``, the scene's :func:`mirror_classes`: class c's block gives
-    the pair-basis incident columns ``incident`` and the class unknowns,
-    which make up each sphere's b_t through its ``members`` entry.  ``singular`` is
-    :func:`_singular_bases` at ``points``, and is taken to the pair basis in
+    ``classes`` and ``flips``, the scene's :func:`mirror_classes`: class c's
+    block gives the pair-basis incident columns ``incident`` and the class
+    unknowns, which make up each sphere's b_t through its ``members`` entry
+    and its flips.  ``singular`` is :func:`_singular_bases` at ``points``,
+    and is taken to the pair basis and multiplied by each sphere's flips in
     place; when it is scaled by the gains, ``blocks`` may hold the local
     fields c, with b = gains * c, so no copy of c is made.  The spheres of an
-    orbit share their class unknowns, so their weighted bases are summed
-    before the one product per orbit and class.
+    orbit share their class unknowns, so their bases, times their class
+    signs, are summed before the one product per orbit and class.
     """
     _to_pairs(singular, scene.n_fwd)
+    singular *= flips[:, None, :]
     out = np.zeros((len(points), num_coeffs(scene.n_in)), dtype=complex)  # pair-basis columns
     for orbit in _mirror_orbits(scene)[1]:
         for block, cls in zip(blocks, classes):
@@ -447,7 +438,7 @@ def _multipole_field(
     return out
 
 
-def _capsule_residual(scene: SceneConfig, classes: list, matrix: np.ndarray, c: list, gains: np.ndarray) -> float:
+def _capsule_residual(scene: SceneConfig, classes: list, flips: np.ndarray, matrix: np.ndarray, c: list) -> float:
     """Max-abs gap of ``matrix`` to :func:`_multipole_field` of ``c`` over its max, on sampled capsules.
 
     The sample is RESIDUAL_SAMPLES capsules per sphere, a fixed stride
@@ -455,13 +446,13 @@ def _capsule_residual(scene: SceneConfig, classes: list, matrix: np.ndarray, c: 
     the capsule form's one approximation: the field a sphere feels is cut
     off at degree n_fwd.
     """
-    gap, top, start = 0.0, 0.0, 0
+    gap, top, start, gains = 0.0, 0.0, 0, _scatter_gains(scene).reshape(scene.num_spheres, 1, -1)
     for sphere in scene.spheres:
         rows = np.arange(0, sphere.num_capsules, -(-sphere.num_capsules // RESIDUAL_SAMPLES))
         points = sphere.capsule_positions()[rows]
         singular = _singular_bases(scene, points)
-        singular *= gains.reshape(scene.num_spheres, 1, -1)
-        reference = _multipole_field(scene, classes, points, c, singular)
+        singular *= gains
+        reference = _multipole_field(scene, classes, flips, points, c, singular)
         gap = max(gap, np.max(np.abs(matrix[start + rows] - reference)))
         top = max(top, np.max(np.abs(reference)))
         start += sphere.num_capsules
@@ -479,59 +470,58 @@ def forward_operator(
     class systems, those blocks and T_F are the only arrays of their size.
     Sphere s's capsule rows of T_F are then its rigid-surface response times
     c_s, ``surface_response_matrix`` at n_fwd (Gumerov & Duraiswami, 2004,
-    ch. 4), taken to the pair basis and weighted by s's class entries, class
-    by class into the class's pair-basis columns; a row chunk's columns go
-    back to the standard basis once every class has filled it.  A sample of
-    the rows is checked against the full multipole sum
-    (``capsule_residual``).  Without coupling each sphere scatters its local
-    incident field alone: its T-matrix (the diagonal ``rigid_scatter_gain``)
-    times its local incident coefficients, with no system to solve, and T_F
-    is the incident regular series plus every sphere's singular series at
-    the capsules, summed a few capsules at a time.  ``_local`` is the scene's :func:`_local_incident_block`
+    ch. 4), taken to the pair basis and multiplied by s's flips once, then
+    by s's class sign, class by class into a row chunk of T_F at the class's
+    pair-basis columns; the chunk's columns go back to the standard basis in
+    place once every class has filled it.  A sample of the rows is checked
+    against the full multipole sum (``capsule_residual``).  Without
+    coupling each sphere scatters its local incident field alone: its
+    T-matrix (the diagonal ``rigid_scatter_gain``) times its local incident
+    coefficients, with no system to solve, and T_F is the incident regular
+    series plus every sphere's singular series at the capsules, summed a few
+    capsules at a time.  ``_local`` is the scene's :func:`_local_incident_block`
     when the caller has already built it; it is overwritten.  ``_parts``
     gathers the seconds spent per forward part (see :data:`FORWARD_PARTS`).
     """
     k, n_fwd = scene.k, scene.n_fwd
     with _timed(_parts, "translation"):
-        classes, gains = mirror_classes(scene), _scatter_gains(scene)
+        classes, flips = mirror_classes(scene)
         blocks = _local_incident_block(scene) if _local is None else _local
         systems = assemble_system_matrix(scene) if include_coupling else None
     with _timed(_parts, "solve"):
         if include_coupling:
             blocks, rcond = _solve_coupled(systems, blocks)  # c
         else:  # b = G a_local, one orbit at a time: its spheres share their radius
-            rcond = None
+            rcond, gains = None, _scatter_gains(scene).reshape(scene.num_spheres, -1)
             for orbit in _mirror_orbits(scene)[1]:
-                sphere_gains = gains.reshape(scene.num_spheres, -1)[orbit[0][0]]
+                sphere_gains = gains[orbit[0][0]]
                 for block, cls in zip(blocks, classes):
                     rows, local, _ = cls.members[orbit[0][0]]
                     block[rows] *= sphere_gains[local, None]
         del systems  # the LU factors: freed before T_F is allocated
     with _timed(_parts, "capsule"):
         matrix = np.empty((scene.total_capsules, num_coeffs(scene.n_in)), dtype=complex)
-        if include_coupling:
-            chunk = np.empty((FILL_ROWS, matrix.shape[1]), dtype=complex)  # a row chunk's pair-basis columns
         start = 0
         for s, sphere in enumerate(scene.spheres):
             rows = matrix[start : start + sphere.num_capsules]
             if include_coupling:
                 response = _to_pairs(surface_response_matrix(sphere, k, n_fwd), n_fwd)
+                response *= flips[s]
                 for first in range(0, sphere.num_capsules, FILL_ROWS):
-                    part = response[first : first + FILL_ROWS]
-                    pairs = chunk[: len(part)]
-                    for block, cls in zip(blocks, classes):
-                        class_rows, local, weight = cls.members[s]
-                        pairs[:, cls.incident] = (part[:, local] * weight) @ block[class_rows]
-                    _to_pairs(pairs, scene.n_in, out=rows[first : first + FILL_ROWS])
+                    part, chunk = response[first : first + FILL_ROWS], rows[first : first + FILL_ROWS]
+                    for block, cls in zip(blocks, classes):  # their incident columns cover every column
+                        class_rows, local, sign = cls.members[s]
+                        chunk[:, cls.incident] = (part[:, local] * sign) @ block[class_rows]
+                    _to_pairs(chunk, scene.n_in)
             else:  # a step's bases at every center are the size of the coupled fill's chunk
                 step = max(1, FILL_ROWS * matrix.shape[1] // (scene.num_spheres * num_coeffs(n_fwd)))
                 for first in range(0, sphere.num_capsules, step):
                     points = sphere.capsule_positions()[first : first + step]
                     singular = _singular_bases(scene, points)
-                    rows[first : first + step] = _multipole_field(scene, classes, points, blocks, singular)
+                    rows[first : first + step] = _multipole_field(scene, classes, flips, points, blocks, singular)
             start += sphere.num_capsules
     residual = None
     if include_coupling:
         with _timed(_parts, "residual"):
-            residual = _capsule_residual(scene, classes, matrix, blocks, gains)
+            residual = _capsule_residual(scene, classes, flips, matrix, blocks)
     return ForwardOperator(scene=scene, matrix=matrix, rcond=rcond, capsule_residual=residual)

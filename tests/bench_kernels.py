@@ -13,15 +13,18 @@ translation from degree 45 to 16 per sphere, S|R translations from degree
 4 kHz; ``hoa_search_linear2`` writes 200 x 200 pixel grids.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg.blas import zherk
 
 from mshoa.basis import CoefficientVector, norm_legendre_triangle, num_coeffs, sph_harm_matrix
+from mshoa.config import load_config
 from mshoa.encode import Encoder
 from mshoa.fields import FieldGrid, GridSpec, reconstruct_field
 from mshoa.matio import write_field_csv
-from mshoa.scatter import _solve_coupled, surface_response_matrix
+from mshoa.scatter import _solve_coupled, _to_pairs, assemble_system_matrix, surface_response_matrix
 from mshoa.scene import RsmaSpec
 from mshoa.translation import _coaxial_matrix, rotation_blocks
 
@@ -123,6 +126,23 @@ def test_coupled_solve(benchmark, shapes):
         return (systems, [np.asfortranarray(_complex(rng, shape)) for shape in shapes]), {}
 
     benchmark.pedantic(_solve_coupled, setup=fresh, rounds=3)
+
+
+@pytest.mark.parametrize(
+    "shape, axis", [((64, num_coeffs(45)), -1), ((num_coeffs(16), num_coeffs(45)), 1)], ids=["tf_chunk", "rr_block"]
+)
+def test_to_pairs(benchmark, shape, axis):
+    """The pair transform of ``forward_planar9``'s degree-45 incident columns,
+    in place: a 64-row chunk of T_F, and one sphere's R|R block."""
+    a = _complex(np.random.default_rng(8), shape)
+    benchmark(_to_pairs, a, 45, axis=axis)
+
+
+def test_assemble_system_matrix(benchmark):
+    """``forward_planar9``'s eight mirror-class systems: 24 distinct S|R
+    builds, their pair transforms and the projection of its 72 sphere pairs."""
+    scene = load_config(Path(__file__).parents[1] / "configs" / "cartesian9_mshoa.yaml").scene
+    benchmark(assemble_system_matrix, scene)
 
 
 @pytest.mark.parametrize("points", [252, 4096], ids=["capsules", "pixel_chunk"])

@@ -5,9 +5,12 @@ closed-form counterpart of something ``mshoa`` computes another way, or a
 physical check (the rigid-boundary residual) that only the tests evaluate.
 The coupled system is built whole, I - SR G with every S|R translation
 built anew, and the mirror classes the library solves instead are given as
-dense bases, with reflections fitted from the harmonics themselves, so a
-test can check that each class is closed under the scene's reflections and
-that its system is the whole system's projection.
+dense bases, each unknown's from its class sign times its sphere's
+reflection signs on the oracle's own pair-basis matrix, with reflections
+fitted from the harmonics themselves, so a test can check that each class
+is closed under the scene's reflections and that its system is the whole
+system's projection.  The same pair-basis matrix checks the library's
+in-place pair transform along any axis.
 """
 
 from pathlib import Path
@@ -162,18 +165,20 @@ def pair_basis(n_max: int) -> np.ndarray:
     return basis
 
 
-def mirror_class_bases(scene, cls) -> tuple[np.ndarray, np.ndarray]:
+def mirror_class_bases(scene, cls, flips) -> tuple[np.ndarray, np.ndarray]:
     """A mirror class's bases as dense columns: of the stacked unknowns and of the incident coefficients.
 
-    Unknown j of the class is the sum over its orbit's spheres of
-    weight[j] times that sphere's pair-basis vector local[j]; incident
-    column j is the pair-basis vector incident[j].
+    Unknown j of the class is the sum over its orbit's spheres of sign
+    times flips[s][local[j]] times that sphere's pair-basis vector
+    local[j], with ``flips`` the spheres' reflection signs that
+    ``mirror_classes`` returns with the classes; incident column j is the
+    pair-basis vector incident[j].
     """
     lf = num_coeffs(scene.n_fwd)
     local_pairs = pair_basis(scene.n_fwd)
     unknowns = np.zeros((scene.num_spheres * lf, cls.size))
-    for s, (rows, local, weight) in enumerate(cls.members):
-        unknowns[s * lf : (s + 1) * lf, rows] = local_pairs[:, local] * weight
+    for s, (rows, local, sign) in enumerate(cls.members):
+        unknowns[s * lf : (s + 1) * lf, rows] = local_pairs[:, local] * (sign * flips[s][local])
     return unknowns, pair_basis(scene.n_in)[:, cls.incident]
 
 

@@ -33,6 +33,29 @@ def test_matrix_roundtrip_bit_exact(tmp_path, rng):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_matrix_io_makes_no_whole_matrix_copy(tmp_path, rng):
+    """Export writes the matrix's own buffer, and import allocates the matrix
+    once, straight from the file: traced peaks of under 10 % and at most
+    1.1x its bytes, with a bit-exact round trip."""
+    import tracemalloc
+
+    m = rng.normal(size=(600, 500)) + 1j * rng.normal(size=(600, 500))
+    path = tmp_path / "m.bin"
+    tracemalloc.start()
+    try:
+        export_matrix(path, m)
+        export_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back = import_matrix(path)
+        import_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert export_peak < 0.1 * m.nbytes
+    assert import_peak <= 1.1 * m.nbytes
+    assert back.dtype == np.complex128 and back.tobytes() == m.tobytes()
+
+
 def test_matrix_rejects_non_2d(tmp_path):
     with pytest.raises(ValueError):
         export_matrix(tmp_path / "m.bin", np.zeros(3))

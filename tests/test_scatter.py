@@ -6,6 +6,7 @@ import pytest
 from mshoa.basis import num_coeffs, regular_basis_matrix, sph_bessel_j, sph_hankel1
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig, SceneError
 from mshoa.scatter import (
+    _to_pairs,
     assemble_system_matrix,
     eval_total_field,
     forward_operator,
@@ -20,6 +21,7 @@ from tests.oracles import (
     eval_radial_derivative,
     local_incident_matrix,
     mirror_class_bases,
+    pair_basis,
     reflection_matrix,
     single_sphere_total_field,
 )
@@ -34,6 +36,24 @@ def _scene(centers, radius=0.08, caps=20, freq=2000.0, n_in=12, n_fwd=8, **kw):
         n_fwd=n_fwd,
         **kw,
     )
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 16, 45])
+@pytest.mark.parametrize(
+    "leading, trailing, axis",
+    [((), (), 0), ((), (7,), 0), ((5,), (), 1), ((3, 4), (), -1)],
+    ids=["vector", "2d_axis0", "2d_axis1", "3d_last"],
+)
+def test_pair_transform_matches_the_dense_pair_basis(rng, n_max, leading, trailing, axis):
+    """The in-place pair transform along any axis is the oracle's pair-basis
+    matrix applied along that axis, returns the array it was given, and is
+    its own inverse."""
+    a = rng.standard_normal((*leading, num_coeffs(n_max), *trailing)) * (1 + 0.5j)
+    expected = np.moveaxis(np.tensordot(pair_basis(n_max), np.moveaxis(a, axis, 0), axes=1), 0, axis)
+    pairs = a.copy()
+    assert _to_pairs(pairs, n_max, axis=axis) is pairs
+    np.testing.assert_allclose(pairs, expected, rtol=0, atol=2e-15 * np.max(np.abs(a)))
+    np.testing.assert_allclose(_to_pairs(pairs, n_max, axis=axis), a, rtol=0, atol=2e-15 * np.max(np.abs(a)))
 
 
 def test_rigid_scatter_gain_values():
@@ -278,7 +298,8 @@ def test_forward_operator_holds_one_system_one_block_and_t_f():
 def _projected_systems(scene):
     """The oracle's whole I - SR G projected on each mirror class's dense basis, W^T (I - SR G) W."""
     whole = coupled_system_matrix(scene)
-    bases = [mirror_class_bases(scene, cls)[0] for cls in mirror_classes(scene)]
+    classes, flips = mirror_classes(scene)
+    bases = [mirror_class_bases(scene, cls, flips)[0] for cls in classes]
     return [w.T @ whole @ w for w in bases], whole, bases
 
 
@@ -290,7 +311,7 @@ def _assert_projected_system(scene, systems):
     projected, whole, bases = _projected_systems(scene)
     unknowns = np.hstack(bases)
     np.testing.assert_allclose(unknowns.T @ unknowns, np.eye(len(whole)), atol=1e-15)
-    classes = mirror_classes(scene)
+    classes, flips = mirror_classes(scene)
     assert sum(cls.incident.size for cls in classes) == num_coeffs(scene.n_in)
     lf, place = num_coeffs(scene.n_fwd), {tuple(s.center): i for i, s in enumerate(scene.spheres)}
     for axis in range(3):
@@ -302,7 +323,7 @@ def _assert_projected_system(scene, systems):
         for s, image in enumerate(images):
             reflect[image * lf : (image + 1) * lf, s * lf : (s + 1) * lf] = local
         for w, cls in zip(bases, classes):
-            u = mirror_class_bases(scene, cls)[1]
+            u = mirror_class_bases(scene, cls, flips)[1]
             sign = 1.0 if np.allclose(reflect @ w, w, atol=1e-12) else -1.0
             np.testing.assert_allclose(reflect @ w, sign * w, atol=1e-12)
             np.testing.assert_allclose(incident @ u, sign * u, atol=1e-12)
@@ -416,7 +437,7 @@ def test_parity_split_matches_the_whole_system(name):
 
     centers, radius, count = _MIRROR_SCENES[name]
     scene = _scene(centers, radius=radius, caps=14, n_in=8, n_fwd=4)
-    assert len(mirror_classes(scene)) == count
+    assert len(mirror_classes(scene)[0]) == count
     _assert_projected_system(scene, assemble_system_matrix(scene))
     whole = coupled_system_matrix(scene)
     a_local = local_incident_matrix(scene)
