@@ -134,7 +134,7 @@ def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward, parts=
             export_matrix(export_forward, model.matrix)
         with _timed(parts, "capsule"):
             pressures, rcond = model.apply(scene.incident_coeffs()), model.rcond
-    else:  # the capture reads the local incident block that the operator then scales in place
+    else:  # the capture reads the local incident block that the operator then radiates in place
         with _timed(parts, "translation"):
             local = _local_incident_block(scene)
         pressures, rcond = _full_capture(scene, scene.capsule_positions(), parts, local)

@@ -91,8 +91,8 @@ def rigid_scatter_gain(k: float, radius: float, n_c: int) -> np.ndarray:
 
 
 def _scatter_gains(scene: SceneConfig) -> np.ndarray:
-    """Every sphere's :func:`rigid_scatter_gain` at ``n_fwd``, stacked as the system's unknowns are."""
-    return np.concatenate([rigid_scatter_gain(scene.k, sph.radius, scene.n_fwd) for sph in scene.spheres])
+    """Every sphere's :func:`rigid_scatter_gain` at ``n_fwd``, one row per sphere."""
+    return np.array([rigid_scatter_gain(scene.k, sph.radius, scene.n_fwd) for sph in scene.spheres])
 
 
 def _to_pairs(a: np.ndarray, n_max: int, axis: int = -1) -> np.ndarray:
@@ -252,7 +252,7 @@ def assemble_system_matrix(scene: SceneConfig) -> list[np.ndarray]:
 
     k, n_fwd = scene.k, scene.n_fwd
     classes, flips = mirror_classes(scene)
-    gains = _scatter_gains(scene).reshape(scene.num_spheres, -1)
+    gains = _scatter_gains(scene)
     systems = _class_arrays([(cls.size, cls.size) for cls in classes])
     for system in systems:
         system[:] = 0.0
@@ -368,7 +368,7 @@ def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None, _par
                 b_s[local] += sign * c_class[rows]
         b *= flips
         _to_pairs(b, scene.n_fwd)
-        b *= _scatter_gains(scene).reshape(scene.num_spheres, -1)
+        b *= _scatter_gains(scene)
     rad = [CoefficientVector(k=scene.k, n_max=scene.n_fwd, values=b_s) for b_s in b]
     return ScatterSolution(radiating=rad, rcond=rcond)
 
@@ -396,40 +396,36 @@ def eval_total_field(
     return out
 
 
-def _singular_bases(scene: SceneConfig, points: np.ndarray) -> np.ndarray:
-    """Every sphere's singular basis at ``points``, shape (sphere, point, (n, m)).
+def _radiate(scene: SceneConfig, classes: list, blocks: list) -> list:
+    """Class blocks of local fields x, from :func:`mirror_classes`, turned into the radiating b = G x in place.
 
-    One evaluation at the points' offsets from all the centers, not one per
-    sphere.
+    One orbit at a time: its spheres share their radius, and so their gains.
     """
-    centers = np.array([s.center for s in scene.spheres])
-    offsets = (points[None, :, :] - centers[:, None, :]).reshape(-1, 3)
-    singular = singular_basis_matrix(scene.n_fwd, scene.k, offsets, [0.0, 0.0, 0.0])
-    return singular.reshape(len(centers), len(points), -1)
+    gains = _scatter_gains(scene)
+    for orbit in _mirror_orbits(scene)[1]:
+        for block, cls in zip(blocks, classes):
+            rows, local, _ = cls.members[orbit[0][0]]
+            block[rows] *= gains[orbit[0][0]][local, None]
+    return blocks
 
 
-def _multipole_field(
-    scene: SceneConfig, classes: list, flips: np.ndarray, points: np.ndarray, blocks: list, singular: np.ndarray
-) -> np.ndarray:
+def _multipole_field(scene: SceneConfig, classes: list, flips: np.ndarray, points: np.ndarray, b: list) -> np.ndarray:
     """The incident regular series plus every sphere's singular series at ``points``.
 
-    Row p, column j is R(p) e_j + sum_t S_t(p) b_t[:, j], with ``blocks``
-    holding the radiating coefficients b of the incident basis per class of
-    ``classes`` and ``flips``, the scene's :func:`mirror_classes`: class c's
-    block gives the pair-basis incident columns ``incident`` and the class
-    unknowns, which make up each sphere's b_t through its ``members`` entry
-    and its flips.  ``singular`` is :func:`_singular_bases` at ``points``,
-    and is taken to the pair basis and multiplied by each sphere's flips in
-    place; when it is scaled by the gains, ``blocks`` may hold the local
-    fields c, with b = gains * c, so no copy of c is made.  The spheres of an
-    orbit share their class unknowns, so their bases, times their class
-    signs, are summed before the one product per orbit and class.
+    Row p, column j is R(p) e_j + sum_t S_t(p) b_t[:, j], for ``b`` the
+    radiating coefficients of the incident basis held as the class blocks of
+    ``classes`` and ``flips`` (:func:`mirror_classes`).  An orbit's spheres
+    share their class unknowns, so their bases, times their class signs, are
+    summed before one product per orbit and class.
     """
+    offsets = points[None, :, :] - np.array([s.center for s in scene.spheres])[:, None, :]  # (sphere, point, 3)
+    singular = singular_basis_matrix(scene.n_fwd, scene.k, offsets.reshape(-1, 3), [0.0, 0.0, 0.0])
+    singular = singular.reshape(*offsets.shape[:2], -1)
     _to_pairs(singular, scene.n_fwd)
     singular *= flips[:, None, :]
     out = np.zeros((len(points), num_coeffs(scene.n_in)), dtype=complex)  # pair-basis columns
     for orbit in _mirror_orbits(scene)[1]:
-        for block, cls in zip(blocks, classes):
+        for block, cls in zip(b, classes):
             rows, local, _ = cls.members[orbit[0][0]]
             summed = sum(singular[t][:, local] * cls.members[t][2] for t, _ in orbit)
             out[:, cls.incident] += summed @ block[rows]
@@ -438,90 +434,69 @@ def _multipole_field(
     return out
 
 
-def _capsule_residual(scene: SceneConfig, classes: list, flips: np.ndarray, matrix: np.ndarray, c: list) -> float:
-    """Max-abs gap of ``matrix`` to :func:`_multipole_field` of ``c`` over its max, on sampled capsules.
+def _capsule_residual(scene: SceneConfig, classes: list, flips: np.ndarray, matrix: np.ndarray, b: list) -> float:
+    """Max-abs gap of ``matrix`` to :func:`_multipole_field` of ``b`` over its max, on sampled capsules.
 
     The sample is RESIDUAL_SAMPLES capsules per sphere, a fixed stride
     through its Fibonacci order, checked one sphere at a time.  The gap is
     the capsule form's one approximation: the field a sphere feels is cut
     off at degree n_fwd.
     """
-    gap, top, start, gains = 0.0, 0.0, 0, _scatter_gains(scene).reshape(scene.num_spheres, 1, -1)
+    gap, top, start = 0.0, 0.0, 0
     for sphere in scene.spheres:
         rows = np.arange(0, sphere.num_capsules, -(-sphere.num_capsules // RESIDUAL_SAMPLES))
-        points = sphere.capsule_positions()[rows]
-        singular = _singular_bases(scene, points)
-        singular *= gains
-        reference = _multipole_field(scene, classes, flips, points, c, singular)
+        reference = _multipole_field(scene, classes, flips, sphere.capsule_positions()[rows], b)
         gap = max(gap, np.max(np.abs(matrix[start + rows] - reference)))
         top = max(top, np.max(np.abs(reference)))
         start += sphere.num_capsules
     return float(gap / top)
 
 
-def forward_operator(
-    scene: SceneConfig, include_coupling: bool = True, _local=None, _parts=None
-) -> ForwardOperator:
+def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=None, _parts=None) -> ForwardOperator:
     """Assemble the dense capsule-pressure response to every incident basis.
 
-    Every sphere's local incident map (its R|R translation) fills one
-    right-hand-side block per :func:`mirror_classes` class, which the
-    coupled solve overwrites with the field each sphere feels, c, so the
-    class systems, those blocks and T_F are the only arrays of their size.
-    Sphere s's capsule rows of T_F are then its rigid-surface response times
-    c_s, ``surface_response_matrix`` at n_fwd (Gumerov & Duraiswami, 2004,
-    ch. 4), taken to the pair basis and multiplied by s's flips once, then
-    by s's class sign, class by class into a row chunk of T_F at the class's
-    pair-basis columns; the chunk's columns go back to the standard basis in
-    place once every class has filled it.  A sample of the rows is checked
-    against the full multipole sum (``capsule_residual``).  Without
-    coupling each sphere scatters its local incident field alone: its
-    T-matrix (the diagonal ``rigid_scatter_gain``) times its local incident
-    coefficients, with no system to solve, and T_F is the incident regular
-    series plus every sphere's singular series at the capsules, summed a few
-    capsules at a time.  ``_local`` is the scene's :func:`_local_incident_block`
+    Without coupling each sphere scatters its local incident field alone,
+    and T_F is the multipole sum at the capsules; a step's bases at every
+    center are the size of the coupled fill's row chunk.  With coupling,
+    sphere s's capsule rows are its rigid-surface response times the field
+    it feels, c_s (Gumerov & Duraiswami, 2004, ch. 4), and a sample of them
+    is checked against the multipole sum of the radiated c
+    (``capsule_residual``).  The solve overwrites the right-hand-side blocks
+    with c, so the class systems, those blocks and T_F are the only arrays
+    of their size.  ``_local`` is the scene's :func:`_local_incident_block`
     when the caller has already built it; it is overwritten.  ``_parts``
     gathers the seconds spent per forward part (see :data:`FORWARD_PARTS`).
     """
-    k, n_fwd = scene.k, scene.n_fwd
+    matrix_shape = (scene.total_capsules, num_coeffs(scene.n_in))
     with _timed(_parts, "translation"):
         classes, flips = mirror_classes(scene)
         blocks = _local_incident_block(scene) if _local is None else _local
-        systems = assemble_system_matrix(scene) if include_coupling else None
-    with _timed(_parts, "solve"):
         if include_coupling:
-            blocks, rcond = _solve_coupled(systems, blocks)  # c
-        else:  # b = G a_local, one orbit at a time: its spheres share their radius
-            rcond, gains = None, _scatter_gains(scene).reshape(scene.num_spheres, -1)
-            for orbit in _mirror_orbits(scene)[1]:
-                sphere_gains = gains[orbit[0][0]]
-                for block, cls in zip(blocks, classes):
-                    rows, local, _ = cls.members[orbit[0][0]]
-                    block[rows] *= sphere_gains[local, None]
+            systems = assemble_system_matrix(scene)
+    if not include_coupling:
+        with _timed(_parts, "capsule"):
+            matrix, b = np.empty(matrix_shape, dtype=complex), _radiate(scene, classes, blocks)
+            points = scene.capsule_positions()
+            step = max(1, FILL_ROWS * matrix.shape[1] // (scene.num_spheres * num_coeffs(scene.n_fwd)))
+            for first in range(0, len(points), step):
+                matrix[first : first + step] = _multipole_field(scene, classes, flips, points[first : first + step], b)
+        return ForwardOperator(scene=scene, matrix=matrix)
+    with _timed(_parts, "solve"):
+        c, rcond = _solve_coupled(systems, blocks)
         del systems  # the LU factors: freed before T_F is allocated
     with _timed(_parts, "capsule"):
-        matrix = np.empty((scene.total_capsules, num_coeffs(scene.n_in)), dtype=complex)
-        start = 0
+        matrix, start = np.empty(matrix_shape, dtype=complex), 0
         for s, sphere in enumerate(scene.spheres):
             rows = matrix[start : start + sphere.num_capsules]
-            if include_coupling:
-                response = _to_pairs(surface_response_matrix(sphere, k, n_fwd), n_fwd)
-                response *= flips[s]
-                for first in range(0, sphere.num_capsules, FILL_ROWS):
-                    part, chunk = response[first : first + FILL_ROWS], rows[first : first + FILL_ROWS]
-                    for block, cls in zip(blocks, classes):  # their incident columns cover every column
-                        class_rows, local, sign = cls.members[s]
-                        chunk[:, cls.incident] = (part[:, local] * sign) @ block[class_rows]
-                    _to_pairs(chunk, scene.n_in)
-            else:  # a step's bases at every center are the size of the coupled fill's chunk
-                step = max(1, FILL_ROWS * matrix.shape[1] // (scene.num_spheres * num_coeffs(n_fwd)))
-                for first in range(0, sphere.num_capsules, step):
-                    points = sphere.capsule_positions()[first : first + step]
-                    singular = _singular_bases(scene, points)
-                    rows[first : first + step] = _multipole_field(scene, classes, flips, points, blocks, singular)
+            response = _to_pairs(surface_response_matrix(sphere, scene.k, scene.n_fwd), scene.n_fwd)
+            response *= flips[s]
+            for first in range(0, sphere.num_capsules, FILL_ROWS):
+                part, chunk = response[first : first + FILL_ROWS], rows[first : first + FILL_ROWS]
+                for block, cls in zip(c, classes):  # their incident columns cover every column
+                    class_rows, local, sign = cls.members[s]
+                    chunk[:, cls.incident] = (part[:, local] * sign) @ block[class_rows]
+                _to_pairs(chunk, scene.n_in)
             start += sphere.num_capsules
-    residual = None
-    if include_coupling:
-        with _timed(_parts, "residual"):
-            residual = _capsule_residual(scene, classes, flips, matrix, blocks)
+    with _timed(_parts, "residual"):
+        residual = _capsule_residual(scene, classes, flips, matrix, _radiate(scene, classes, c))
     return ForwardOperator(scene=scene, matrix=matrix, rcond=rcond, capsule_residual=residual)

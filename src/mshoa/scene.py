@@ -54,6 +54,8 @@ class RsmaSpec:
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float).reshape(3)
+        if not np.all(np.isfinite(self.center)):
+            raise SceneError(f"sphere center must be finite, got {self.center}")
         self.capsule_dirs = np.atleast_2d(np.asarray(self.capsule_dirs, dtype=float))
         if self.radius <= 0:
             raise SceneError(f"sphere radius must be positive, got {self.radius}")
@@ -91,6 +93,8 @@ class IncidentSource:
             if self.direction is None:
                 raise SceneError("plane_wave source needs a direction")
             self.direction = np.asarray(self.direction, dtype=float).reshape(3)
+            if not np.all(np.isfinite(self.direction)):
+                raise SceneError(f"plane_wave direction must be finite, got {self.direction}")
             n = np.linalg.norm(self.direction)
             if abs(n - 1.0) > 1e-9:
                 if n == 0:
@@ -100,6 +104,8 @@ class IncidentSource:
             if self.position is None:
                 raise SceneError("monopole source needs a position")
             self.position = np.asarray(self.position, dtype=float).reshape(3)
+            if not np.all(np.isfinite(self.position)):
+                raise SceneError(f"monopole position must be finite, got {self.position}")
             if np.linalg.norm(self.position) == 0.0:
                 raise SceneError("monopole source cannot sit at the origin")
         else:

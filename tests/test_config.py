@@ -214,6 +214,25 @@ def test_any_grid_parses_to_pixels_or_is_a_config_error(grid):
     assert min(cfg.grid.shape) >= 1 and cfg.grid.shape[0] * cfg.grid.shape[1] <= MAX_PIXELS
 
 
+NON_FINITE = {  # a NaN or infinite 3-vector, by the field that holds it
+    "center": MINIMAL.replace(
+        "layout: {type: linear, count: 2, spacing: 0.25, axis: y}",
+        "spheres: [{center: [0, .nan, 0], radius: 0.08, capsules: 8}]",
+    ).replace("  radius: 0.08\n  capsules: 32\n", ""),
+    "position": MINIMAL.replace("kind: plane_wave, direction: [0, 0, 1]", "kind: monopole, position: [.nan, 5, 5]"),
+    "direction": MINIMAL.replace("direction: [0, 0, 1]", "direction: [.inf, 0, 1]"),
+}
+
+
+@pytest.mark.parametrize("field", NON_FINITE)
+def test_non_finite_vectors_are_config_errors(field):
+    """A sphere center, monopole position or plane-wave direction holding NaN or
+    inf is rejected; the direction before it is normalised, which would turn
+    an inf into NaN."""
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        validate_config(NON_FINITE[field])
+
+
 def test_spheres_and_layout_are_exclusive():
     bad = MINIMAL.replace(
         "layout: {type: linear, count: 2, spacing: 0.25, axis: y}",

@@ -11,6 +11,7 @@ from mshoa.config import validate_config
 from mshoa.matio import export_matrix, import_matrix
 from mshoa.runner import run_experiment
 from tests.oracles import read_field_csv
+from tests.test_config import NON_FINITE
 
 TINY = """
 scene:
@@ -338,6 +339,19 @@ def test_cli_rejects_bad_config(tmp_path):
             assert res.exit_code == 2, (text, res.output)
             assert "config error" in res.output and word in res.output
         assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("field", NON_FINITE)
+def test_cli_run_rejects_a_non_finite_vector(tmp_path, field):
+    """A NaN or inf sphere center, source position or direction exits 2 with a
+    config error, not 1 with a traceback or 0 with NaN grids."""
+    bad, out = tmp_path / "bad.yaml", tmp_path / "out"
+    bad.write_text(NON_FINITE[field])
+    res = CliRunner().invoke(main, ["run", str(bad), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+    assert "config error" in res.output and f"{field} must be finite" in res.output
+    assert not out.exists()
 
 
 def test_cli_bad_forward_file(tmp_path):

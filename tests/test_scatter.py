@@ -6,6 +6,10 @@ import pytest
 from mshoa.basis import num_coeffs, regular_basis_matrix, sph_bessel_j, sph_hankel1
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig, SceneError
 from mshoa.scatter import (
+    _local_incident_block,
+    _multipole_field,
+    _radiate,
+    _solve_coupled,
     _to_pairs,
     assemble_system_matrix,
     eval_total_field,
@@ -247,6 +251,25 @@ def test_capsule_form_converges_to_the_multipole_sum():
         oracle = eval_total_field(scene, forward_solve(scene, a_in), a_in, scene.capsule_positions())
         gaps.append(_rel_gap(op.apply(a_in), oracle))
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+@pytest.mark.parametrize("lift, count", [(0.0, 8), (0.05, 1)], ids=["planar", "lifted"])
+def test_multipole_field_of_radiated_c_is_the_total_field(rng, lift, count):
+    """The two storage forms of b give one field: the multipole evaluator fed
+    the radiated class blocks of the coupled c, times an incident vector,
+    equals eval_total_field of the vector solve's per-sphere b, at points
+    just off the capsules, with every mirror plane of the 2 x 2 grid and
+    with none once one sphere is lifted off it."""
+    from mshoa.basis import CoefficientVector
+
+    scene = _scene(_GRID4[:3] + [[0.125, 0.125, lift]], caps=14, n_in=8, n_fwd=6)
+    classes, flips = mirror_classes(scene)
+    assert len(classes) == count
+    c, _ = _solve_coupled(assemble_system_matrix(scene), _local_incident_block(scene))
+    points = np.vstack([s.center + 1.01 * s.radius * s.capsule_dirs for s in scene.spheres])
+    a_in = CoefficientVector(k=scene.k, n_max=scene.n_in, values=rng.standard_normal((num_coeffs(scene.n_in), 2)) @ [1, 1j])
+    field = _multipole_field(scene, classes, flips, points, _radiate(scene, classes, c)) @ a_in.values
+    assert _rel_gap(field, eval_total_field(scene, forward_solve(scene, a_in), a_in, points)) <= 1e-12
 
 
 def test_eval_rejects_interior_points():

@@ -8,6 +8,7 @@ package's ``__all__`` is the entry-point list README documents.
 
 import importlib
 import inspect
+import json
 import pkgutil
 import re
 import sys
@@ -22,6 +23,7 @@ from mshoa.runner import run_experiment
 from tests.test_runner import LONE_HOA, TINY, TINY_HOA, TINY_SINGLE
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 TINY_CARTESIAN = TINY.replace(
     "layout: {type: linear, count: 2, spacing: 0.25, axis: y}",
@@ -92,3 +94,21 @@ def test_exports_are_the_documented_entry_points():
     documented = re.findall(r"\w+", re.sub(r"#[^\n]*", "", block))
     assert sorted(mshoa.__all__) == sorted(documented)
     assert all(hasattr(mshoa, name) for name in documented)
+
+
+def test_benchmark_traced_names_are_public_functions():
+    """Every per-layer benchmark metric ``<module>.<function>.<stat>`` of an
+    ``mshoa`` module names a public function defined in that module, the
+    ones the benchmark's tracer wraps; renaming or privatising one makes a
+    traced benchmark run fail on the metric."""
+    modules = {info.name for info in pkgutil.iter_modules(mshoa.__path__)}
+    metrics = [entry["name"].split(".") for entry in json.loads(BENCHMARK.read_text())["per_layer"]]
+    traced = sorted({(parts[0], parts[1]) for parts in metrics if len(parts) == 3 and parts[0] in modules})
+    assert traced
+    missing = []
+    for module_name, name in traced:
+        module = importlib.import_module(f"mshoa.{module_name}")
+        obj = getattr(module, name, None)
+        if name.startswith("_") or not inspect.isfunction(obj) or obj.__module__ != module.__name__:
+            missing.append(f"{module_name}.{name}")
+    assert not missing, f"benchmark metrics naming no public function of their module: {missing}"
