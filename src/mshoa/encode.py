@@ -166,5 +166,5 @@ def hoa_encoder(sphere: RsmaSpec, k: float, n_c: int) -> Encoder:
 
 
 def mshoa_encoder(forward: ForwardOperator) -> Encoder:
-    """Encoder inverting the full (or, uncoupled, the single-scattering) forward operator."""
+    """Encoder inverting the full (or, for Single, the uncoupled) forward operator."""
     return Encoder(forward=forward.matrix, k=forward.scene.k)

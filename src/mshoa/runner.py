@@ -134,7 +134,7 @@ def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward, parts=
             export_matrix(export_forward, model.matrix)
         with _timed(parts, "capsule"):
             pressures, rcond = model.apply(scene.incident_coeffs()), model.rcond
-    else:  # the capture reads the local incident block that the operator then radiates in place
+    else:  # the capture's vector solve and the uncoupled operator read one local incident block
         with _timed(parts, "translation"):
             local = _local_incident_block(scene)
         pressures, rcond = _full_capture(scene, scene.capsule_positions(), parts, local)
@@ -180,10 +180,13 @@ def run_experiment(
 
     if cfg.method != "MSHOA" and (export_forward, import_forward) != (None, None):
         raise ConfigError(f"only MSHOA exports or imports a forward operator, not {cfg.method}")
+    scene = cfg.scene
+    mask = sphere_mask(cfg.grid, scene.spheres)
+    if mask.all():
+        raise ConfigError("every pixel of the grid lies inside a sphere: there is no field to compare")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash
-    scene = cfg.scene
 
     parts = dict.fromkeys(FORWARD_PARTS, 0.0)
     if cfg.method == "HOA":
@@ -201,7 +204,6 @@ def run_experiment(
     end_stage()
 
     truth = ground_truth_field(scene.source, scene.k, cfg.grid)
-    mask = sphere_mask(cfg.grid, scene.spheres)
     search = regularization_search(
         candidates, block, truth, mask=mask, threshold=cfg.threshold_db, center=center
     )

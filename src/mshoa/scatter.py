@@ -396,36 +396,24 @@ def eval_total_field(
     return out
 
 
-def _radiate(scene: SceneConfig, classes: list, blocks: list) -> list:
-    """Class blocks of local fields x, from :func:`mirror_classes`, turned into the radiating b = G x in place.
-
-    One orbit at a time: its spheres share their radius, and so their gains.
-    """
-    gains = _scatter_gains(scene)
-    for orbit in _mirror_orbits(scene)[1]:
-        for block, cls in zip(blocks, classes):
-            rows, local, _ = cls.members[orbit[0][0]]
-            block[rows] *= gains[orbit[0][0]][local, None]
-    return blocks
-
-
-def _multipole_field(scene: SceneConfig, classes: list, flips: np.ndarray, points: np.ndarray, b: list) -> np.ndarray:
+def _multipole_field(scene: SceneConfig, classes: list, weights: np.ndarray, points: np.ndarray, c: list) -> np.ndarray:
     """The incident regular series plus every sphere's singular series at ``points``.
 
-    Row p, column j is R(p) e_j + sum_t S_t(p) b_t[:, j], for ``b`` the
-    radiating coefficients of the incident basis held as the class blocks of
-    ``classes`` and ``flips`` (:func:`mirror_classes`).  An orbit's spheres
-    share their class unknowns, so their bases, times their class signs, are
-    summed before one product per orbit and class.
+    Row p, column j is R(p) e_j + sum_t S_t(p) G_t c_t[:, j], for ``c`` the
+    local fields of the incident basis held as the class blocks of
+    ``classes`` (:func:`mirror_classes`) and ``weights`` each sphere's flips
+    times its scattering gains G_t, by which its singular basis is scaled.
+    An orbit's spheres share their class unknowns, so their bases, times
+    their class signs, are summed before one product per orbit and class.
     """
     offsets = points[None, :, :] - np.array([s.center for s in scene.spheres])[:, None, :]  # (sphere, point, 3)
     singular = singular_basis_matrix(scene.n_fwd, scene.k, offsets.reshape(-1, 3), [0.0, 0.0, 0.0])
     singular = singular.reshape(*offsets.shape[:2], -1)
     _to_pairs(singular, scene.n_fwd)
-    singular *= flips[:, None, :]
+    singular *= weights[:, None, :]
     out = np.zeros((len(points), num_coeffs(scene.n_in)), dtype=complex)  # pair-basis columns
     for orbit in _mirror_orbits(scene)[1]:
-        for block, cls in zip(b, classes):
+        for block, cls in zip(c, classes):
             rows, local, _ = cls.members[orbit[0][0]]
             summed = sum(singular[t][:, local] * cls.members[t][2] for t, _ in orbit)
             out[:, cls.incident] += summed @ block[rows]
@@ -434,18 +422,18 @@ def _multipole_field(scene: SceneConfig, classes: list, flips: np.ndarray, point
     return out
 
 
-def _capsule_residual(scene: SceneConfig, classes: list, flips: np.ndarray, matrix: np.ndarray, b: list) -> float:
-    """Max-abs gap of ``matrix`` to :func:`_multipole_field` of ``b`` over its max, on sampled capsules.
+def _capsule_residual(scene: SceneConfig, classes: list, flips: np.ndarray, matrix: np.ndarray, c: list) -> float:
+    """Max-abs gap of ``matrix`` to :func:`_multipole_field` of the local fields ``c`` over its max, on sampled capsules.
 
     The sample is RESIDUAL_SAMPLES capsules per sphere, a fixed stride
     through its Fibonacci order, checked one sphere at a time.  The gap is
     the capsule form's one approximation: the field a sphere feels is cut
     off at degree n_fwd.
     """
-    gap, top, start = 0.0, 0.0, 0
+    weights, gap, top, start = flips * _scatter_gains(scene), 0.0, 0.0, 0
     for sphere in scene.spheres:
         rows = np.arange(0, sphere.num_capsules, -(-sphere.num_capsules // RESIDUAL_SAMPLES))
-        reference = _multipole_field(scene, classes, flips, sphere.capsule_positions()[rows], b)
+        reference = _multipole_field(scene, classes, weights, sphere.capsule_positions()[rows], c)
         gap = max(gap, np.max(np.abs(matrix[start + rows] - reference)))
         top = max(top, np.max(np.abs(reference)))
         start += sphere.num_capsules
@@ -455,37 +443,30 @@ def _capsule_residual(scene: SceneConfig, classes: list, flips: np.ndarray, matr
 def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=None, _parts=None) -> ForwardOperator:
     """Assemble the dense capsule-pressure response to every incident basis.
 
-    Without coupling each sphere scatters its local incident field alone,
-    and T_F is the multipole sum at the capsules; a step's bases at every
-    center are the size of the coupled fill's row chunk.  With coupling,
-    sphere s's capsule rows are its rigid-surface response times the field
-    it feels, c_s (Gumerov & Duraiswami, 2004, ch. 4), and a sample of them
-    is checked against the multipole sum of the radiated c
-    (``capsule_residual``).  The solve overwrites the right-hand-side blocks
-    with c, so the class systems, those blocks and T_F are the only arrays
-    of their size.  ``_local`` is the scene's :func:`_local_incident_block`
-    when the caller has already built it; it is overwritten.  ``_parts``
-    gathers the seconds spent per forward part (see :data:`FORWARD_PARTS`).
+    Sphere s's capsule rows are its rigid-surface response times the local
+    field it is given, Lambda_s c_s (Gumerov & Duraiswami, 2004, ch. 4).
+    With coupling, c_s is the field it feels, solved for in place of the
+    right-hand-side blocks, and a sample of the rows is checked against the
+    multipole sum of the radiated c (``capsule_residual``); the class
+    systems, those blocks and T_F are the only arrays of their size.
+    Without coupling the solve is skipped and c_s is the incident field
+    alone, a_s: each sphere in the incident wave by itself.  ``_local`` is
+    the scene's :func:`_local_incident_block` when the caller has already
+    built it; the coupled build overwrites it.  ``_parts`` gathers the
+    seconds spent per forward part (see :data:`FORWARD_PARTS`).
     """
-    matrix_shape = (scene.total_capsules, num_coeffs(scene.n_in))
+    rcond = residual = None
     with _timed(_parts, "translation"):
         classes, flips = mirror_classes(scene)
-        blocks = _local_incident_block(scene) if _local is None else _local
+        c = _local_incident_block(scene) if _local is None else _local
         if include_coupling:
             systems = assemble_system_matrix(scene)
-    if not include_coupling:
-        with _timed(_parts, "capsule"):
-            matrix, b = np.empty(matrix_shape, dtype=complex), _radiate(scene, classes, blocks)
-            points = scene.capsule_positions()
-            step = max(1, FILL_ROWS * matrix.shape[1] // (scene.num_spheres * num_coeffs(scene.n_fwd)))
-            for first in range(0, len(points), step):
-                matrix[first : first + step] = _multipole_field(scene, classes, flips, points[first : first + step], b)
-        return ForwardOperator(scene=scene, matrix=matrix)
-    with _timed(_parts, "solve"):
-        c, rcond = _solve_coupled(systems, blocks)
-        del systems  # the LU factors: freed before T_F is allocated
+    if include_coupling:
+        with _timed(_parts, "solve"):
+            c, rcond = _solve_coupled(systems, c)
+            del systems  # the LU factors: freed before T_F is allocated
     with _timed(_parts, "capsule"):
-        matrix, start = np.empty(matrix_shape, dtype=complex), 0
+        matrix, start = np.empty((scene.total_capsules, num_coeffs(scene.n_in)), dtype=complex), 0
         for s, sphere in enumerate(scene.spheres):
             rows = matrix[start : start + sphere.num_capsules]
             response = _to_pairs(surface_response_matrix(sphere, scene.k, scene.n_fwd), scene.n_fwd)
@@ -497,6 +478,7 @@ def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=N
                     chunk[:, cls.incident] = (part[:, local] * sign) @ block[class_rows]
                 _to_pairs(chunk, scene.n_in)
             start += sphere.num_capsules
-    with _timed(_parts, "residual"):
-        residual = _capsule_residual(scene, classes, flips, matrix, _radiate(scene, classes, c))
+    if include_coupling:
+        with _timed(_parts, "residual"):
+            residual = _capsule_residual(scene, classes, flips, matrix, c)
     return ForwardOperator(scene=scene, matrix=matrix, rcond=rcond, capsule_residual=residual)

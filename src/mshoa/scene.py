@@ -95,11 +95,11 @@ class IncidentSource:
             self.direction = np.asarray(self.direction, dtype=float).reshape(3)
             if not np.all(np.isfinite(self.direction)):
                 raise SceneError(f"plane_wave direction must be finite, got {self.direction}")
-            n = np.linalg.norm(self.direction)
-            if abs(n - 1.0) > 1e-9:
-                if n == 0:
-                    raise SceneError("plane_wave direction must be nonzero")
-                self.direction = self.direction / n
+            scale = np.max(np.abs(self.direction))  # divided out first, so the norm neither overflows nor underflows
+            if scale == 0.0:
+                raise SceneError("plane_wave direction must be nonzero")
+            self.direction = self.direction / scale
+            self.direction /= np.linalg.norm(self.direction)
         elif self.kind == "monopole":
             if self.position is None:
                 raise SceneError("monopole source needs a position")

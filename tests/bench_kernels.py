@@ -27,6 +27,7 @@ from mshoa.matio import write_field_csv
 from mshoa.scatter import (
     RESIDUAL_SAMPLES,
     _multipole_field,
+    _scatter_gains,
     _solve_coupled,
     _to_pairs,
     assemble_system_matrix,
@@ -153,21 +154,17 @@ def test_assemble_system_matrix(benchmark):
     benchmark(assemble_system_matrix, scene)
 
 
-@pytest.mark.parametrize("step", [52, "residual"], ids=["single_step", "residual_sample"])
-def test_multipole_field(benchmark, step):
+def test_multipole_field(benchmark):
     """The multipole evaluator on ``cartesian9``'s eight classes (n_fwd 16,
-    n_in 45): one step of Single's uncoupled T_F, 52 capsules against the
-    bases at all 9 centers, and one sphere's residual sample of 16 capsules."""
-    scene = load_config(Path(__file__).parents[1] / "configs" / "cartesian9_single.yaml").scene
+    n_in 45): one sphere's residual sample of 16 capsules against the bases
+    at all 9 centers."""
+    scene = load_config(Path(__file__).parents[1] / "configs" / "cartesian9_mshoa.yaml").scene
     classes, flips = mirror_classes(scene)
     rng = np.random.default_rng(9)
-    b = [np.asfortranarray(_complex(rng, (cls.size, cls.incident.size))) for cls in classes]
+    c = [np.asfortranarray(_complex(rng, (cls.size, cls.incident.size))) for cls in classes]
     sphere = scene.spheres[0]
-    if step == "residual":
-        points = sphere.capsule_positions()[:: -(-sphere.num_capsules // RESIDUAL_SAMPLES)]
-    else:
-        points = scene.capsule_positions()[:step]
-    benchmark(_multipole_field, scene, classes, flips, points, b)
+    points = sphere.capsule_positions()[:: -(-sphere.num_capsules // RESIDUAL_SAMPLES)]
+    benchmark(_multipole_field, scene, classes, flips * _scatter_gains(scene), points, c)
 
 
 @pytest.mark.parametrize("points", [252, 4096], ids=["capsules", "pixel_chunk"])

@@ -354,6 +354,19 @@ def test_cli_run_rejects_a_non_finite_vector(tmp_path, field):
     assert not out.exists()
 
 
+def test_cli_run_rejects_a_grid_inside_the_spheres(tmp_path):
+    """A grid whose every pixel lies inside a sphere has no field to score: the
+    run exits 2 with a config error before any stage runs or any file is written."""
+    bad, out = tmp_path / "bad.yaml", tmp_path / "out"
+    grid = "grid: {plane: xy, extent: [0.8, 0.8], resolution: 0.05}"
+    bad.write_text(TINY.replace(grid, "grid: {extent: [0.04, 0.04], resolution: 0.01, center: [0, 0.125]}"))
+    res = CliRunner().invoke(main, ["run", str(bad), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+    assert "config error" in res.output and "inside a sphere" in res.output
+    assert not out.exists()
+
+
 def test_cli_bad_forward_file(tmp_path):
     runner = CliRunner()
     cfg_path = tmp_path / "cfg.yaml"

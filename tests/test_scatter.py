@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from mshoa.basis import num_coeffs, regular_basis_matrix, sph_bessel_j, sph_hankel1
+from mshoa.basis import num_coeffs, sph_bessel_j, sph_hankel1
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig, SceneError
 from mshoa.scatter import (
     _local_incident_block,
     _multipole_field,
-    _radiate,
+    _scatter_gains,
     _solve_coupled,
     _to_pairs,
     assemble_system_matrix,
@@ -40,6 +40,9 @@ def _scene(centers, radius=0.08, caps=20, freq=2000.0, n_in=12, n_fwd=8, **kw):
         n_fwd=n_fwd,
         **kw,
     )
+
+
+_GRID4 = [[x, y, 0.0] for x in (-0.125, 0.125) for y in (-0.125, 0.125)]
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 16, 45])
@@ -168,37 +171,26 @@ def test_widely_separated_spheres_decouple():
     assert rel < 1e-6
 
 
-def _reference_operator(scene, system, a_local):
-    """Capsule pressures per incident basis from a dense solve of ``system``."""
-    import scipy.linalg as sla
-
-    from mshoa.basis import singular_basis_matrix
-
-    b_all = sla.solve(system, a_local)
-    caps = scene.capsule_positions()
-    sing = np.hstack(
-        [singular_basis_matrix(scene.n_fwd, scene.k, caps, s.center) for s in scene.spheres]
-    )
-    return sing @ b_all + regular_basis_matrix(scene.n_in, scene.k, caps, [0.0, 0.0, 0.0])
-
-
-def test_uncoupled_operator_matches_the_diagonal_system_solve():
-    """Each sphere's T-matrix times its local incident coefficients gives the
-    operator that solving the block-diagonal system diag(1/gain) B = A gives."""
-    from mshoa.translation import rr_translation
-
-    scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]])
-    k = scene.k
-    a_local = np.vstack(
-        [rr_translation(s.center, k, scene.n_in, scene.n_fwd) for s in scene.spheres]
-    )
-    system = np.diag(
-        np.concatenate([1.0 / rigid_scatter_gain(k, s.radius, scene.n_fwd) for s in scene.spheres])
-    )
-    reference = _reference_operator(scene, system, a_local)
+@pytest.mark.parametrize(
+    "centers, count",
+    [
+        ([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], 8),
+        ([[0.0, -0.125, 0.0], [0.05, 0.125, 0.05]], 1),
+        (_GRID4, 8),
+    ],
+    ids=["pair", "lifted_pair", "grid4"],
+)
+def test_uncoupled_operator_is_each_surface_response_times_its_incident_field(centers, count):
+    """Without coupling each sphere is alone in the incident wave: its capsule
+    rows are Lambda_s a_s, the surface response times its local incident
+    coefficients, however many mirror classes the scene splits into."""
+    scene = _scene(centers, caps=14)
+    assert len(mirror_classes(scene)[0]) == count
+    a_local = np.split(local_incident_matrix(scene), scene.num_spheres)
+    reference = np.vstack([surface_response_matrix(s, scene.k, scene.n_fwd) @ a_s for s, a_s in zip(scene.spheres, a_local)])
     op = forward_operator(scene, include_coupling=False)
-    assert np.max(np.abs(op.matrix - reference)) / np.max(np.abs(reference)) <= 1e-13
-    assert op.rcond is None  # no system was solved
+    assert _rel_gap(op.matrix, reference) <= 1e-13
+    assert op.rcond is None and op.capsule_residual is None  # no system was solved
     assert forward_operator(scene).rcond > 0
 
 
@@ -256,10 +248,11 @@ def test_capsule_form_converges_to_the_multipole_sum():
 @pytest.mark.parametrize("lift, count", [(0.0, 8), (0.05, 1)], ids=["planar", "lifted"])
 def test_multipole_field_of_radiated_c_is_the_total_field(rng, lift, count):
     """The two storage forms of b give one field: the multipole evaluator fed
-    the radiated class blocks of the coupled c, times an incident vector,
-    equals eval_total_field of the vector solve's per-sphere b, at points
-    just off the capsules, with every mirror plane of the 2 x 2 grid and
-    with none once one sphere is lifted off it."""
+    the class blocks of the coupled c, radiated by the singular bases'
+    weights of flips times gains, times an incident vector, equals
+    eval_total_field of the vector solve's per-sphere b, at points just off
+    the capsules, with every mirror plane of the 2 x 2 grid and with none
+    once one sphere is lifted off it."""
     from mshoa.basis import CoefficientVector
 
     scene = _scene(_GRID4[:3] + [[0.125, 0.125, lift]], caps=14, n_in=8, n_fwd=6)
@@ -268,7 +261,7 @@ def test_multipole_field_of_radiated_c_is_the_total_field(rng, lift, count):
     c, _ = _solve_coupled(assemble_system_matrix(scene), _local_incident_block(scene))
     points = np.vstack([s.center + 1.01 * s.radius * s.capsule_dirs for s in scene.spheres])
     a_in = CoefficientVector(k=scene.k, n_max=scene.n_in, values=rng.standard_normal((num_coeffs(scene.n_in), 2)) @ [1, 1j])
-    field = _multipole_field(scene, classes, flips, points, _radiate(scene, classes, c)) @ a_in.values
+    field = _multipole_field(scene, classes, flips * _scatter_gains(scene), points, c) @ a_in.values
     assert _rel_gap(field, eval_total_field(scene, forward_solve(scene, a_in), a_in, points)) <= 1e-12
 
 
@@ -289,9 +282,6 @@ def test_forward_operator_shape_and_guards():
     bad = CoefficientVector(k=scene.k, n_max=scene.n_in + 1, values=np.zeros(num_coeffs(scene.n_in + 1)))
     with pytest.raises(ValueError):
         op.apply(bad)
-
-
-_GRID4 = [[x, y, 0.0] for x in (-0.125, 0.125) for y in (-0.125, 0.125)]
 
 
 def _grid4(**kw):

@@ -123,6 +123,26 @@ def test_source_validation():
     src = IncidentSource(kind="monopole", position=[1.0, 0.0, 0.0])
     with pytest.raises(SceneError):
         src.field_at(2.0, np.array([[1.0, 0.0, 0.0]]))
+    with pytest.raises(SceneError, match="nonzero"):
+        IncidentSource(kind="plane_wave", direction=[0.0, -0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "direction, along",
+    [
+        ([1e308, 1e308, 0.0], [1.0, 1.0, 0.0]),  # its norm overflows
+        ([1e-200, 1e-200, 0.0], [1.0, 1.0, 0.0]),  # its norm underflows to 0
+        ([3e-160, 4e-160, 0.0], [0.6, 0.8, 0.0]),  # its squares are subnormal
+        ([0.6, 0.8, 0.0], [0.6, 0.8, 0.0]),
+        ([5e-324, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ],
+    ids=["huge", "tiny", "subnormal_squares", "unit", "smallest"],
+)
+def test_plane_wave_direction_is_normalised_at_any_scale(direction, along):
+    """A finite nonzero direction becomes the unit vector along it, whatever its magnitude."""
+    unit = IncidentSource(kind="plane_wave", direction=direction).direction
+    assert abs(np.linalg.norm(unit) - 1.0) <= 1e-15
+    np.testing.assert_allclose(unit, np.array(along) / np.linalg.norm(along), rtol=0, atol=1e-15)
 
 
 def test_cartesian_layout_positions():
