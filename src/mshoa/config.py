@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import yaml
 
-from .fields import DEFAULT_THRESHOLD_DB, GridSpec
+from .fields import DEFAULT_THRESHOLD_DB, GridSpec, sphere_mask
 from .scene import IncidentSource, RsmaSpec, SceneConfig, SceneError, layout_cartesian
 
 METHODS = ("HOA", "Single", "MSHOA")
@@ -77,6 +77,8 @@ class ExperimentConfig:
             self.hoa = replace(self.hoa, sphere_index=nearest)
         if self.hoa.sphere_index >= len(spheres):
             raise ConfigError(f"hoa.sphere_index {self.hoa.sphere_index} out of range")
+        if sphere_mask(self.grid, spheres).all():
+            raise ConfigError("every pixel of the grid lies inside a sphere: there is no field to compare")
 
     @property
     def config_hash(self) -> str:

@@ -11,16 +11,52 @@ import scipy.linalg as sla
 from scipy.linalg.blas import zhemv, zherk
 
 from .basis import CoefficientVector, num_coeffs
-from .scatter import ForwardOperator, surface_response_matrix
+from .scatter import ForwardOperator, _timed, surface_response_matrix
 from .scene import RsmaSpec
 
 log = logging.getLogger(__name__)
 
 PANEL = 64  # Gram columns copied to the lower triangle per step
+ENCODE_PARTS = ("gram", "scale", "solves")  # the timed parts of the encode stage
 
 
 class EncoderError(RuntimeError):
     """Encoding failed: singular normal equations or an SVD that did not converge."""
+
+
+@dataclass
+class DenseModel:
+    """A forward model F held as its matrix: HOA's surface response, or an imported T_F.
+
+    Its columns are in the standard (n, m) order, so its first (n+1)²
+    columns are the model at degree n.
+    """
+
+    matrix: np.ndarray = field(repr=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+    def apply(self, coeffs: CoefficientVector) -> np.ndarray:
+        """F a: the pressures of incident coefficients ``coeffs``."""
+        return self.matrix @ coeffs.values
+
+    def gram(self, size: int, dual: bool) -> np.ndarray:
+        """conj(F_sᴴF_s), or conj(F_sF_sᴴ) when ``dual``, of F_s = F[:, :size], in the upper triangle of a Fortran-ordered array.
+
+        One Hermitian rank-k update forms it: ``zherk`` reads F's row-major
+        memory as the column-major Fᵀ without a copy, hence the conjugates.
+        """
+        return zherk(1.0, self.matrix[:, :size].T, trans=2 if dual else 0)
+
+    def adjoint(self, y: np.ndarray, size: int) -> np.ndarray:
+        """F_sᴴ y, for F_s = F[:, :size]."""
+        return (y.conj() @ self.matrix[:, :size]).conj()
+
+    def to_standard(self, x: np.ndarray) -> np.ndarray:
+        """``x`` itself: the model's columns are in the standard order."""
+        return x
 
 
 @dataclass
@@ -32,18 +68,25 @@ class Encoder:
     *Rank-Deficient and Discrete Ill-Posed Problems*, 1998):
     (F_sᴴF_s + σI)⁻¹F_sᴴp, or, when F_s has fewer rows (capsules) than
     columns, the same estimate F_sᴴ(F_sF_sᴴ + σI)⁻¹p by the push-through
-    identity (Golub & Van Loan, *Matrix Computations*, §6.1).  Each Gram is
-    formed once, on first use, by one Hermitian rank-k update, and each σ then
-    costs one Cholesky factorisation in the Gram's own memory: the lower
-    triangle and the diagonal take the shifted matrix and then its factor,
-    and the diagonal is restored, so the upper triangle always holds the
-    Gram and no copy of it is made.  σ = 0 is the minimum-norm least-squares
-    solution pinv(F_s) p and forms no Gram.  No capsules-to-coefficients
-    matrix is formed.
+    identity (Golub & Van Loan, *Matrix Computations*, §6.1).  The model
+    ``forward`` supplies the Gram of either side, conjugated and in the
+    upper triangle of a Fortran-ordered array, and F_sᴴy, both in its own
+    column basis, and maps a solution from that basis to the standard
+    (n, m) order: a :class:`DenseModel` from its matrix, a
+    :class:`~mshoa.scatter.ForwardOperator` from its mirror-class factors,
+    whole-degree only.  Each Gram is formed once, on first use, and each σ
+    then costs one Cholesky factorisation in the Gram's own memory: the
+    lower triangle and the diagonal take the shifted matrix and then its
+    factor, and the diagonal is restored, so the upper triangle always holds
+    the Gram and no copy of it is made.  σ = 0 is the minimum-norm
+    least-squares solution pinv(F_s) p of F's matrix and forms no Gram.  No
+    capsules-to-coefficients matrix is formed.  ``parts`` gathers the
+    seconds spent per :data:`ENCODE_PARTS`.
     """
 
-    forward: np.ndarray = field(repr=False)  # F, capsules x (n_out+1)^2
+    forward: DenseModel | ForwardOperator = field(repr=False)  # F, capsules x (n_out+1)^2
     k: float
+    parts: dict = field(default_factory=lambda: dict.fromkeys(ENCODE_PARTS, 0.0), init=False)
     # conj(F_sᴴF_s) under None, s the largest primal size asked for so far;
     # conj(F_sF_sᴴ) under s for a dual s; in the upper triangles, the lower ones are scratch
     _grams: dict = field(default_factory=dict, init=False, repr=False)
@@ -59,31 +102,28 @@ class Encoder:
         The one place the side is chosen: dual when F_s has fewer rows than
         columns.  The primal Gram is formed at the first size asked for and
         sliced for smaller ones, so a caller asks for its largest first.
-        Both Grams are conjugated, because ``zherk`` reads F's row-major
-        memory as the column-major Fᵀ without a copy; only their upper
-        triangles are filled.
         """
-        f_s = self.forward[:, :size]
-        if self.forward.shape[0] < size:
-            if size not in self._grams:  # conj(F_s) F_sᵀ
-                self._grams[size] = zherk(1.0, f_s.T, trans=2)
-            return True, self._grams[size]
-        if len(self._grams.get(None, ())) < size:  # F_sᵀ conj(F_s)
-            self._grams[None] = zherk(1.0, f_s.T, trans=0)
-        return False, self._grams[None][:size, :size]
+        dual = self.forward.shape[0] < size
+        key = size if dual else None
+        if key not in self._grams or not dual and len(self._grams[key]) < size:
+            with _timed(self.parts, "gram", "encode"):
+                self._grams[key] = self.forward.gram(size, dual)
+        gram = self._grams[key]
+        return dual, gram if dual else gram[:size, :size]
 
     @property
     def scale(self) -> float:
         """‖F‖₂², the largest eigenvalue of FᴴF and of FFᴴ: the unit of a σ search grid."""
         _, gram = self._gram(self.forward.shape[1])  # the Gram a full-degree σ > 0 solve uses
         size = gram.shape[0]
-        if size < 3:  # below ARPACK's smallest complex problem
-            return float(sla.eigvalsh(gram, lower=False)[-1])
-        from scipy.sparse.linalg import LinearOperator, eigsh  # ~40 ms to import; only a σ search needs it
+        with _timed(self.parts, "scale", "encode"):
+            if size < 3:  # below ARPACK's smallest complex problem
+                return float(sla.eigvalsh(gram, lower=False)[-1])
+            from scipy.sparse.linalg import LinearOperator, eigsh  # ~40 ms to import; only a σ search needs it
 
-        hermitian = LinearOperator(gram.shape, matvec=lambda x: zhemv(1.0, gram, x), dtype=complex)
-        start = np.random.default_rng(0).standard_normal(size)  # reproducible
-        return float(eigsh(hermitian, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)[0])
+            hermitian = LinearOperator(gram.shape, matvec=lambda x: zhemv(1.0, gram, x), dtype=complex)
+            start = np.random.default_rng(0).standard_normal(size)  # reproducible
+            return float(eigsh(hermitian, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)[0])
 
     def apply(self, pressures: np.ndarray, sigmas, n_outs=None) -> CoefficientVector:
         """Coefficients of ``pressures``: an (L, n) block, one column per candidate.
@@ -108,32 +148,35 @@ class Encoder:
             raise ValueError("regularization must be non-negative")
         if np.any(n_outs < 0) or np.any(n_outs > n_out):
             raise ValueError(f"candidate truncation outside 0..{n_out}")
+        order = np.argsort(-n_outs, kind="stable")  # largest degree first: see _gram
+        for j in order[sigmas[order] > 0]:
+            self._gram(num_coeffs(n_outs[j]))
         conj_p = pressures.conj()
         block = np.zeros((num_coeffs(n_out), sigmas.size), dtype=complex)
-        for j in np.argsort(-n_outs, kind="stable"):  # largest degree first: see _gram
-            sigma, size = sigmas[j], num_coeffs(n_outs[j])
-            f_s = self.forward[:, :size]
-            if sigma == 0.0:
+        with _timed(self.parts, "solves", "encode"):
+            for j in order:
+                sigma, size = sigmas[j], num_coeffs(n_outs[j])
+                if sigma == 0.0:
+                    try:
+                        block[:size, j] = np.linalg.pinv(self.forward.matrix[:, :size]) @ pressures
+                    except np.linalg.LinAlgError as exc:  # e.g. a forward model holding nan from overflowed h_n
+                        raise EncoderError(f"pseudo-inverse failed: {exc}")
+                    continue
+                dual, gram = self._gram(size)
+                diagonal = gram.diagonal().copy()
                 try:
-                    block[:size, j] = np.linalg.pinv(f_s) @ pressures
-                except np.linalg.LinAlgError as exc:  # e.g. a forward model holding nan from overflowed h_n
-                    raise EncoderError(f"pseudo-inverse failed: {exc}")
-                continue
-            dual, gram = self._gram(size)
-            diagonal = gram.diagonal().copy()
-            try:
-                shifted = _shifted_lower(gram, diagonal + sigma)
-                factor = sla.cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
-                # the Grams are conjugated, so each solve runs on conjugates: conj(x) = Fᵀ conj(y), etc.
-                if dual:
-                    conj_x = sla.cho_solve(factor, conj_p, check_finite=False) @ f_s
-                else:
-                    conj_x = sla.cho_solve(factor, conj_p @ f_s, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise EncoderError(f"normal-equations factorisation failed: {exc}")
-            finally:
-                np.fill_diagonal(gram, diagonal)  # the upper triangle is the Gram again
-            block[:size, j] = conj_x.conj()
+                    shifted = _shifted_lower(gram, diagonal + sigma)
+                    factor = sla.cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
+                    # the Grams are conjugated, so each solve runs on conjugates: conj(x) = conj(Gram)⁻¹ conj(Fᴴp), etc.
+                    if dual:
+                        x = self.forward.adjoint(sla.cho_solve(factor, conj_p, check_finite=False).conj(), size)
+                    else:
+                        x = sla.cho_solve(factor, self.forward.adjoint(pressures, size).conj(), check_finite=False).conj()
+                except np.linalg.LinAlgError as exc:
+                    raise EncoderError(f"normal-equations factorisation failed: {exc}")
+                finally:
+                    np.fill_diagonal(gram, diagonal)  # the upper triangle is the Gram again
+                block[:size, j] = self.forward.to_standard(x)
         return CoefficientVector(k=self.k, n_max=n_out, values=block)
 
 
@@ -162,9 +205,9 @@ def hoa_encoder(sphere: RsmaSpec, k: float, n_c: int) -> Encoder:
             sphere.num_capsules,
             num_coeffs(n_c),
         )
-    return Encoder(forward=lam, k=k)
+    return Encoder(forward=DenseModel(lam), k=k)
 
 
 def mshoa_encoder(forward: ForwardOperator) -> Encoder:
-    """Encoder inverting the full (or, for Single, the uncoupled) forward operator."""
-    return Encoder(forward=forward.matrix, k=forward.scene.k)
+    """Encoder inverting the full (or, for Single, the uncoupled) forward operator, from its factors."""
+    return Encoder(forward=forward, k=forward.scene.k)

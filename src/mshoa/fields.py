@@ -150,8 +150,9 @@ def sphere_mask(spec: GridSpec, spheres: Sequence[RsmaSpec]) -> np.ndarray:
     """Pixels strictly inside any sphere, shape (rows, cols)."""
     pts = spec.points()
     inside = np.zeros(pts.shape[0], dtype=bool)
-    for s in spheres:
-        inside |= np.linalg.norm(pts - s.center[None, :], axis=1) < s.radius
+    with np.errstate(over="ignore"):  # a distance that overflows is inf: outside
+        for s in spheres:
+            inside |= np.linalg.norm(pts - s.center[None, :], axis=1) < s.radius
     return inside.reshape(spec.shape)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .basis import num_coeffs
 from .config import ConfigError, ExperimentConfig
-from .encode import Encoder, hoa_encoder, mshoa_encoder
+from .encode import DenseModel, Encoder, hoa_encoder, mshoa_encoder
 from .fields import (
     ground_truth_field,
     reconstruct_field,
@@ -29,7 +29,6 @@ from .matio import (
 )
 from .scatter import (
     FORWARD_PARTS,
-    ForwardOperator,
     _local_incident_block,
     _timed,
     eval_total_field,
@@ -59,6 +58,7 @@ class RunSummary:
     wall_time_s: float
     stages: dict  # seconds spent in each of STAGES; they add up to wall_time_s
     forward_parts: dict  # seconds of the forward stage spent in each of FORWARD_PARTS
+    encode_parts: dict  # seconds of the encode stage spent in each of ENCODE_PARTS
     peak_rss_mb: dict  # the process's peak resident set (MB) so far at the end of each of STAGES
     system_rcond: float | None  # of the coupled scattering system solved, as its mirror classes; None if none was
     system_blocks: list | None  # the sizes of its mirror-class blocks; None if no system was solved
@@ -120,26 +120,33 @@ def _hoa_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
 def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward, parts=None) -> _Encoding:
     """Full multiple-scattering (MSHOA) or single-scattering encoding of the true capture.
 
-    MSHOA reads the capture off the T_F it inverts; Single inverts the
-    uncoupled operator, so it takes the capture from one coupled vector solve.
-    Reading or writing a T_F file is not a forward part.
+    MSHOA reads the capture off the T_F it inverts, both from T_F's factors,
+    except in a run that exports or imports T_F: that run encodes the filled
+    or imported matrix as a dense model, so an export run and a run importing
+    its file give the same bytes.  Single inverts the uncoupled operator, so
+    it takes the capture from one coupled vector solve.  Reading or writing
+    a T_F file is not a forward part.
     """
     scene = cfg.scene
-    if cfg.method == "MSHOA":
-        if import_forward is None:
-            model = forward_operator(scene, _parts=parts)
-        else:
-            model = _import_forward(cfg, import_forward)
-        if export_forward is not None:
-            export_matrix(export_forward, model.matrix)
-        with _timed(parts, "capsule"):
-            pressures, rcond = model.apply(scene.incident_coeffs()), model.rcond
-    else:  # the capture's vector solve and the uncoupled operator read one local incident block
+    if cfg.method == "Single":  # the capture's vector solve and the uncoupled operator read one local incident block
         with _timed(parts, "translation"):
             local = _local_incident_block(scene)
         pressures, rcond = _full_capture(scene, scene.capsule_positions(), parts, local)
         model = forward_operator(scene, include_coupling=False, _local=local, _parts=parts)
-    return _Encoding(mshoa_encoder(model), pressures, rcond=rcond, capsule_residual=model.capsule_residual)
+        return _Encoding(mshoa_encoder(model), pressures, rcond=rcond)
+    if import_forward is None:
+        model = forward_operator(scene, _parts=parts)
+        health = {"rcond": model.rcond, "capsule_residual": model.capsule_residual}
+    else:
+        model, health = _import_forward(cfg, import_forward), {}
+    if export_forward is not None:
+        with _timed(parts, "capsule"):
+            model = DenseModel(model.matrix)
+        export_matrix(export_forward, model.matrix)
+    with _timed(parts, "capsule"):
+        pressures = model.apply(scene.incident_coeffs())
+    encoder = Encoder(forward=model, k=scene.k) if isinstance(model, DenseModel) else mshoa_encoder(model)
+    return _Encoding(encoder, pressures, **health)
 
 
 def _sigma_grid(search, encoder: Encoder) -> list[float]:
@@ -148,7 +155,7 @@ def _sigma_grid(search, encoder: Encoder) -> list[float]:
     return sorted(map(float, grid), reverse=True)
 
 
-def _import_forward(cfg: ExperimentConfig, path) -> ForwardOperator:
+def _import_forward(cfg: ExperimentConfig, path) -> DenseModel:
     """A previously exported forward operator, checked against the scene's shape."""
     matrix = import_matrix(path)
     expected = (cfg.scene.total_capsules, num_coeffs(cfg.scene.n_in))
@@ -157,7 +164,7 @@ def _import_forward(cfg: ExperimentConfig, path) -> ForwardOperator:
             f"{path}: forward matrix has shape {matrix.shape}, the scene needs "
             f"{expected} (capsules x incident coefficients)"
         )
-    return ForwardOperator(scene=cfg.scene, matrix=matrix)
+    return DenseModel(matrix)
 
 
 def run_experiment(
@@ -182,8 +189,6 @@ def run_experiment(
         raise ConfigError(f"only MSHOA exports or imports a forward operator, not {cfg.method}")
     scene = cfg.scene
     mask = sphere_mask(cfg.grid, scene.spheres)
-    if mask.all():
-        raise ConfigError("every pixel of the grid lies inside a sphere: there is no field to compare")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash
@@ -199,7 +204,7 @@ def run_experiment(
     sigmas = [cfg.sigma] if cfg.sigma_search is None else _sigma_grid(cfg.sigma_search, enc.encoder)
     block = enc.encoder.apply(enc.pressures, sigmas=sigmas, n_outs=enc.n_outs)
     candidates = enc.n_outs if by_degree else sigmas
-    center, rcond, capsule_residual = enc.center, enc.rcond, enc.capsule_residual
+    center, rcond, capsule_residual, encode_parts = enc.center, enc.rcond, enc.capsule_residual, enc.encoder.parts
     del enc  # frees the encoder's forward model and Gram before the pixel passes
     end_stage()
 
@@ -235,6 +240,7 @@ def run_experiment(
         wall_time_s=marks[-1] - marks[0],
         stages={stage: end - start for stage, start, end in zip(STAGES, marks, marks[1:])},
         forward_parts=parts,
+        encode_parts=encode_parts,
         peak_rss_mb=dict(zip(STAGES, peaks)),
         system_rcond=rcond,
         system_blocks=None if rcond is None else [cls.size for cls in mirror_classes(scene)[0]],

@@ -29,9 +29,12 @@ log = logging.getLogger(__name__)
 
 RESIDUAL_SAMPLES = 16  # capsules per sphere on which the coupled T_F is checked against the multipole sum
 FORWARD_PARTS = ("translation", "solve", "capsule", "residual")  # the timed parts of a forward build
-# T_F rows filled per step: a step's class products land in T_F through
-# temporaries, and ones this small reuse free heap instead of growing it
+# T_F rows filled per step when T_F is asked for: a step's class products land
+# in T_F through temporaries, and ones this small reuse free heap instead of growing it
 FILL_ROWS = 64
+# points per step of a total-field evaluation: a step's basis arrays have this
+# many rows, and smaller steps repeat the basis set-up more often
+CAPTURE_POINTS = 512
 SQRT_HALF = np.sqrt(0.5)
 
 
@@ -49,19 +52,136 @@ class ScatterSolution:
 
 @dataclass
 class ForwardOperator:
-    """Dense map from incident coefficients to total pressure at all capsules."""
+    """The map T_F from incident coefficients to total pressure at all capsules, held as its factors.
+
+    In the +-m pair basis the field each sphere feels is block-diagonal by
+    :func:`mirror_classes` class, so T_F = Lambda_hat (+)_k C_k, and no dense
+    T_F is held.  ``c`` holds the class blocks C_k: the local fields of each
+    class's incident pair-basis columns (MSHOA's coupled solution, or
+    Single's local incident maps).  ``responses`` holds each sphere's surface
+    response in its flipped pair basis, Lambda_hat_s (:func:`forward_operator`).
+    The model's own column basis is the incident pair basis in class order:
+    the columns of the first class's ``incident``, then the next class's, and
+    so on; :meth:`to_standard` takes coefficients from it to the standard
+    (n, m) order.  :attr:`matrix` fills T_F in the standard order on demand.
+    """
 
     scene: SceneConfig
-    matrix: np.ndarray = field(repr=False)
+    classes: list[MirrorClass] = field(repr=False)
+    c: list[np.ndarray] = field(repr=False)  # per class: (class unknowns, class incident columns), Fortran-ordered
+    responses: list[np.ndarray] = field(repr=False)  # per sphere: (capsules, (n_fwd+1)^2)
     rcond: float | None = None  # of the coupled system solved to build it; None if none was
     capsule_residual: float | None = None  # sampled gap to the multipole sum; None if not built from c
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(capsules, (n_in+1)^2), the shape of T_F."""
+        return self.scene.total_capsules, num_coeffs(self.scene.n_in)
+
+    def _rows(self, s: int, which, out: np.ndarray) -> np.ndarray:
+        """Sphere s's capsule rows ``which`` of T_F in the standard order, written into ``out``."""
+        part = self.responses[s][which]
+        for block, cls in zip(self.c, self.classes):  # their incident columns cover every column
+            rows, local, sign = cls.members[s]
+            out[:, cls.incident] = (part[:, local] * sign) @ block[rows]
+        return _to_pairs(out, self.scene.n_in)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """T_F in the standard (n, m) order, filled FILL_ROWS capsule rows at a time."""
+        matrix, start = np.empty(self.shape, dtype=complex), 0
+        for s, response in enumerate(self.responses):
+            rows, start = matrix[start : start + len(response)], start + len(response)
+            for first in range(0, len(response), FILL_ROWS):
+                chunk = slice(first, first + FILL_ROWS)
+                self._rows(s, chunk, rows[chunk])
+        return matrix
+
     def apply(self, coeffs: CoefficientVector) -> np.ndarray:
+        """T_F a: each sphere's response times the field it feels, Lambda_hat_s u_s, from the class blocks."""
         if coeffs.n_max != self.scene.n_in:
             raise ValueError(
                 f"expected incident truncation {self.scene.n_in}, got {coeffs.n_max}"
             )
-        return self.matrix @ coeffs.values
+        incident = _to_pairs(np.array(coeffs.values, dtype=complex), self.scene.n_in)
+        felt = _on_spheres(self.scene, self.classes, [block @ incident[cls.incident] for block, cls in zip(self.c, self.classes)])
+        return np.concatenate([response @ u for response, u in zip(self.responses, felt)])
+
+    def _whole(self, size: int) -> None:
+        if size != self.shape[1]:
+            raise ValueError(f"a forward operator's model solves all {self.shape[1]} columns, not the first {size}")
+
+    def adjoint(self, y: np.ndarray, size: int) -> np.ndarray:
+        """T_F^H y in the model's column basis (see the class notes); ``size`` must be every column.
+
+        Per sphere v_s = Lambda_hat_s^H y_s; class k then gathers the signed
+        v_s of its rows and applies C_k^H.
+        """
+        self._whole(size)
+        bounds = np.cumsum([0] + [len(response) for response in self.responses])
+        v = [(y[first:last].conj() @ response).conj() for response, first, last in zip(self.responses, bounds, bounds[1:])]
+        out = []
+        for block, cls in zip(self.c, self.classes):
+            w = np.zeros(len(block), dtype=complex)
+            for v_s, (rows, local, sign) in zip(v, cls.members):
+                w[rows] += sign * v_s[local]
+            out.append((w.conj() @ block).conj())
+        return np.concatenate(out)
+
+    def to_standard(self, x: np.ndarray) -> np.ndarray:
+        """Model-basis coefficients ``x`` (see the class notes) in the standard (n, m) order."""
+        out = np.empty_like(x)
+        out[np.concatenate([cls.incident for cls in self.classes])] = x
+        return _to_pairs(out, self.scene.n_in)
+
+    def gram(self, size: int, dual: bool) -> np.ndarray:
+        """conj(F^H F), or conj(F F^H) when ``dual``, for F = T_F in the model's
+        column basis: the upper triangle of one Fortran-ordered array, whose
+        lower triangle is scratch.  ``size`` must be every column.
+
+        Primal: block (k, l) of F^H F is the sum over orbits o of
+        C_k[r_k(o)]^H M_kl(o) C_l[r_l(o)], where M_kl(o) sums over the
+        orbit's spheres s the two class signs times H_s[loc_k(o), loc_l(o)],
+        H_s = Lambda_hat_s^H Lambda_hat_s, and (r, loc, sign) is
+        ``members[s]``.  Only the blocks k <= l are formed, as C_k^T conj(Y)
+        with Y the M_kl(o) C_l[r_l(o)] stacked in class k's rows, in one
+        reused buffer.  Dual: F F^H = Lambda_hat B Lambda_hat^H, where block
+        (s, t) of B, the Gram of the spheres' local fields, sums over classes
+        the two class signs times (C_k C_k^H)[r_k(s), r_k(t)] at the harmonics
+        loc_k(s) x loc_k(t); only the sphere blocks s <= t are formed.
+        Neither side holds T_F.
+        """
+        self._whole(size)
+        classes, blocks = self.classes, self.c
+        if dual:
+            capsules, harmonics = self.shape[0], num_coeffs(self.scene.n_fwd)
+            gram = np.zeros((capsules, capsules), dtype=complex, order="F")
+            class_grams = [block @ block.conj().T for block in blocks]  # C_k C_k^H
+            bounds = np.cumsum([0] + [len(response) for response in self.responses])
+            felt = np.empty((harmonics, harmonics), dtype=complex)  # block (s, t) of B
+            for t, response_t in enumerate(self.responses):
+                for s, response_s in enumerate(self.responses[: t + 1]):
+                    felt[:] = 0.0
+                    for class_gram, cls in zip(class_grams, classes):
+                        (rows_s, local_s, sign_s), (rows_t, local_t, sign_t) = cls.members[s], cls.members[t]
+                        felt[np.ix_(local_s, local_t)] += class_gram[rows_s, rows_t] * (sign_s * sign_t)
+                    x = response_s @ felt
+                    np.matmul(np.conjugate(x, out=x), response_t.T, out=gram[bounds[s] : bounds[s + 1], bounds[t] : bounds[t + 1]])
+            return gram
+        gram = np.zeros((size, size), dtype=complex, order="F")
+        hermitian = [response.conj().T @ response for response in self.responses]
+        orbits = [[s for s, _ in orbit] for orbit in _mirror_orbits(self.scene)[1]]
+        columns = np.cumsum([0] + [cls.incident.size for cls in classes])
+        buffer = np.empty(max(cls.size for cls in classes) * max(block.shape[1] for block in blocks), dtype=complex)
+        for l, (block_l, cls_l) in enumerate(zip(blocks, classes)):
+            for k, (block_k, cls_k) in enumerate(zip(blocks[: l + 1], classes)):
+                y = buffer[: cls_k.size * block_l.shape[1]].reshape(cls_k.size, block_l.shape[1])
+                for orbit in orbits:
+                    (rows_k, local_k, _), (rows_l, local_l, _) = cls_k.members[orbit[0]], cls_l.members[orbit[0]]
+                    m = sum(hermitian[s][np.ix_(local_k, local_l)] * (cls_k.members[s][2] * cls_l.members[s][2]) for s in orbit)
+                    np.matmul(m, block_l[rows_l], out=y[rows_k])
+                np.matmul(block_k.T, np.conjugate(y, out=y), out=gram[columns[k] : columns[k + 1], columns[l] : columns[l + 1]])
+        return gram
 
 
 def surface_response_matrix(sphere: RsmaSpec, k: float, n_c: int) -> np.ndarray:
@@ -330,15 +450,29 @@ def _solve_coupled(systems: list[np.ndarray], rhss: list[np.ndarray]) -> tuple[l
     return solutions, float(rcond)
 
 
+def _on_spheres(scene: SceneConfig, classes: list, vectors: list) -> np.ndarray:
+    """Per-sphere pair-basis vectors, one row per sphere, from one class vector per class.
+
+    Each sphere's row gathers, at its class harmonics ``local``, its class
+    sign times the class vector's ``rows``; multiplied by the sphere's flips
+    it is the sphere's coefficients in its pair basis.
+    """
+    out = np.zeros((scene.num_spheres, num_coeffs(scene.n_fwd)), dtype=complex)
+    for cls, vector in zip(classes, vectors):
+        for out_s, (rows, local, sign) in zip(out, cls.members):
+            out_s[local] += sign * vector[rows]
+    return out
+
+
 @contextmanager
-def _timed(parts: dict | None, name: str) -> Iterator[None]:
-    """Log the seconds the block takes as forward part ``name``, and add them to ``parts[name]``."""
+def _timed(parts: dict | None, name: str, stage: str = "forward") -> Iterator[None]:
+    """Log the seconds the block takes as part ``name`` of ``stage``, and add them to ``parts[name]``."""
     start = time.perf_counter()
     yield
     seconds = time.perf_counter() - start
     if parts is not None:
         parts[name] = parts.get(name, 0.0) + seconds
-    log.info("forward %s: %.3f s", name, seconds)
+    log.info("%s %s: %.3f s", stage, name, seconds)
 
 
 def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None, _parts=None) -> ScatterSolution:
@@ -362,10 +496,7 @@ def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None, _par
         systems = assemble_system_matrix(scene)
     with _timed(_parts, "solve"):
         c, rcond = _solve_coupled(systems, a_local)
-        b = np.zeros((scene.num_spheres, num_coeffs(scene.n_fwd)), dtype=complex)  # one row per sphere
-        for cls, c_class in zip(classes, c):
-            for b_s, (rows, local, sign) in zip(b, cls.members):
-                b_s[local] += sign * c_class[rows]
+        b = _on_spheres(scene, classes, c)
         b *= flips
         _to_pairs(b, scene.n_fwd)
         b *= _scatter_gains(scene)
@@ -387,12 +518,20 @@ def eval_total_field(
     a_in: CoefficientVector,
     points: np.ndarray,
 ) -> np.ndarray:
-    """Total pressure (scattered contributions + incident) at exterior points."""
+    """Total pressure (scattered contributions + incident) at exterior points.
+
+    The points are taken CAPTURE_POINTS at a time, so a capture at every
+    capsule never holds a basis array of T_F's shape.
+    """
     points = _check_exterior(scene, points)
     k = scene.k
-    out = regular_basis_matrix(a_in.n_max, k, points, [0.0, 0.0, 0.0]) @ a_in.values
-    for sph, rad in zip(scene.spheres, solution.radiating):
-        out = out + singular_basis_matrix(rad.n_max, k, points, sph.center) @ rad.values
+    out = np.empty(len(points), dtype=complex)
+    for first in range(0, len(points), CAPTURE_POINTS):
+        chunk = points[first : first + CAPTURE_POINTS]
+        part = regular_basis_matrix(a_in.n_max, k, chunk, [0.0, 0.0, 0.0]) @ a_in.values
+        for sph, rad in zip(scene.spheres, solution.radiating):
+            part = part + singular_basis_matrix(rad.n_max, k, chunk, sph.center) @ rad.values
+        out[first : first + CAPTURE_POINTS] = part
     return out
 
 
@@ -422,40 +561,43 @@ def _multipole_field(scene: SceneConfig, classes: list, weights: np.ndarray, poi
     return out
 
 
-def _capsule_residual(scene: SceneConfig, classes: list, flips: np.ndarray, matrix: np.ndarray, c: list) -> float:
-    """Max-abs gap of ``matrix`` to :func:`_multipole_field` of the local fields ``c`` over its max, on sampled capsules.
+def _capsule_residual(op: ForwardOperator, flips: np.ndarray) -> float:
+    """Max-abs gap of T_F to :func:`_multipole_field` of the local fields ``op.c`` over its max, on sampled capsules.
 
     The sample is RESIDUAL_SAMPLES capsules per sphere, a fixed stride
-    through its Fibonacci order, checked one sphere at a time.  The gap is
-    the capsule form's one approximation: the field a sphere feels is cut
-    off at degree n_fwd.
+    through its Fibonacci order, checked one sphere at a time; its T_F rows
+    come from the factors by the products that fill :attr:`ForwardOperator.matrix`.
+    The gap is the capsule form's one approximation: the field a sphere
+    feels is cut off at degree n_fwd.
     """
-    weights, gap, top, start = flips * _scatter_gains(scene), 0.0, 0.0, 0
-    for sphere in scene.spheres:
+    scene = op.scene
+    weights, gap, top = flips * _scatter_gains(scene), 0.0, 0.0
+    for s, sphere in enumerate(scene.spheres):
         rows = np.arange(0, sphere.num_capsules, -(-sphere.num_capsules // RESIDUAL_SAMPLES))
-        reference = _multipole_field(scene, classes, weights, sphere.capsule_positions()[rows], c)
-        gap = max(gap, np.max(np.abs(matrix[start + rows] - reference)))
+        reference = _multipole_field(scene, op.classes, weights, sphere.capsule_positions()[rows], op.c)
+        sampled = op._rows(s, rows, np.empty_like(reference))
+        gap = max(gap, np.max(np.abs(sampled - reference)))
         top = max(top, np.max(np.abs(reference)))
-        start += sphere.num_capsules
     return float(gap / top)
 
 
 def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=None, _parts=None) -> ForwardOperator:
-    """Assemble the dense capsule-pressure response to every incident basis.
+    """The capsule-pressure response to every incident basis, T_F, as its factors.
 
     Sphere s's capsule rows are its rigid-surface response times the local
     field it is given, Lambda_s c_s (Gumerov & Duraiswami, 2004, ch. 4).
     With coupling, c_s is the field it feels, solved for in place of the
     right-hand-side blocks, and a sample of the rows is checked against the
     multipole sum of the radiated c (``capsule_residual``); the class
-    systems, those blocks and T_F are the only arrays of their size.
-    Without coupling the solve is skipped and c_s is the incident field
-    alone, a_s: each sphere in the incident wave by itself.  ``_local`` is
-    the scene's :func:`_local_incident_block` when the caller has already
-    built it; the coupled build overwrites it.  ``_parts`` gathers the
-    seconds spent per forward part (see :data:`FORWARD_PARTS`).
+    systems and those blocks are the only arrays of their size, and no
+    array of T_F's shape is made.  Without coupling the solve is skipped
+    and c_s is the incident field alone, a_s: each sphere in the incident
+    wave by itself.  ``_local`` is the scene's :func:`_local_incident_block`
+    when the caller has already built it; the coupled build overwrites it.
+    ``_parts`` gathers the seconds spent per forward part (see
+    :data:`FORWARD_PARTS`).
     """
-    rcond = residual = None
+    rcond = None
     with _timed(_parts, "translation"):
         classes, flips = mirror_classes(scene)
         c = _local_incident_block(scene) if _local is None else _local
@@ -464,21 +606,15 @@ def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=N
     if include_coupling:
         with _timed(_parts, "solve"):
             c, rcond = _solve_coupled(systems, c)
-            del systems  # the LU factors: freed before T_F is allocated
+            del systems  # the LU factors
     with _timed(_parts, "capsule"):
-        matrix, start = np.empty((scene.total_capsules, num_coeffs(scene.n_in)), dtype=complex), 0
-        for s, sphere in enumerate(scene.spheres):
-            rows = matrix[start : start + sphere.num_capsules]
+        responses = []
+        for sphere, sphere_flips in zip(scene.spheres, flips):
             response = _to_pairs(surface_response_matrix(sphere, scene.k, scene.n_fwd), scene.n_fwd)
-            response *= flips[s]
-            for first in range(0, sphere.num_capsules, FILL_ROWS):
-                part, chunk = response[first : first + FILL_ROWS], rows[first : first + FILL_ROWS]
-                for block, cls in zip(c, classes):  # their incident columns cover every column
-                    class_rows, local, sign = cls.members[s]
-                    chunk[:, cls.incident] = (part[:, local] * sign) @ block[class_rows]
-                _to_pairs(chunk, scene.n_in)
-            start += sphere.num_capsules
+            response *= sphere_flips
+            responses.append(response)
+    op = ForwardOperator(scene=scene, classes=classes, c=c, responses=responses, rcond=rcond)
     if include_coupling:
         with _timed(_parts, "residual"):
-            residual = _capsule_residual(scene, classes, flips, matrix, c)
-    return ForwardOperator(scene=scene, matrix=matrix, rcond=rcond, capsule_residual=residual)
+            op.capsule_residual = _capsule_residual(op, flips)
+    return op

@@ -21,7 +21,7 @@ from scipy.linalg.blas import zherk
 
 from mshoa.basis import CoefficientVector, norm_legendre_triangle, num_coeffs, sph_harm_matrix
 from mshoa.config import load_config
-from mshoa.encode import Encoder
+from mshoa.encode import DenseModel, Encoder
 from mshoa.fields import FieldGrid, GridSpec, reconstruct_field
 from mshoa.matio import write_field_csv
 from mshoa.scatter import (
@@ -31,6 +31,7 @@ from mshoa.scatter import (
     _solve_coupled,
     _to_pairs,
     assemble_system_matrix,
+    forward_operator,
     mirror_classes,
     surface_response_matrix,
 )
@@ -60,11 +61,19 @@ def test_gram_gemm(benchmark, planar9_shaped):
     benchmark(lambda: f.conj().T @ f)
 
 
+def test_gram_class_blocks(benchmark):
+    """``forward_planar9``'s primal Gram from T_F's factors: the 36 class blocks
+    k <= l of its eight mirror classes, as the encoder forms it."""
+    scene = load_config(Path(__file__).parents[1] / "configs" / "cartesian9_mshoa.yaml").scene
+    op = forward_operator(scene)
+    benchmark(op.gram, op.shape[1], False)
+
+
 @pytest.mark.parametrize("capsules", [324, 1000], ids=["dual", "primal"])
 def test_sigma_solve(benchmark, capsules):
     """One σ candidate of a 676-coefficient encoder, its Gram already formed."""
     rng = np.random.default_rng(1)
-    enc = Encoder(forward=_complex(rng, (capsules, num_coeffs(25))), k=K)
+    enc = Encoder(forward=DenseModel(_complex(rng, (capsules, num_coeffs(25)))), k=K)
     sigma = 1e-8 * enc.scale
     p = _complex(rng, capsules)
     benchmark(enc.apply, p, sigmas=[sigma])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mshoa.basis import num_coeffs
-from mshoa.encode import Encoder, EncoderError, hoa_encoder, mshoa_encoder
-from mshoa.scatter import forward_operator, surface_response_matrix
+from mshoa.encode import DenseModel, Encoder, EncoderError, hoa_encoder, mshoa_encoder
+from mshoa.scatter import ForwardOperator, forward_operator, surface_response_matrix
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig
 
 
@@ -76,18 +76,15 @@ def test_single_equals_mshoa_for_one_sphere():
 
 
 def _count_grams(monkeypatch):
-    """Record the shape of every Gram an encoder forms."""
-    from mshoa import encode
-
+    """Record the shape of every Gram an encoder's model forms, dense or factored."""
     shapes = []
-    herk = encode.zherk
+    for model in (DenseModel, ForwardOperator):
+        def counting_gram(self, *args, _gram=model.gram, **kwargs):
+            gram = _gram(self, *args, **kwargs)
+            shapes.append(gram.shape)
+            return gram
 
-    def counting_herk(*args, **kwargs):
-        gram = herk(*args, **kwargs)
-        shapes.append(gram.shape)
-        return gram
-
-    monkeypatch.setattr(encode, "zherk", counting_herk)
+        monkeypatch.setattr(model, "gram", counting_gram)
     return shapes
 
 
@@ -121,7 +118,7 @@ def test_shared_gram_matches_normal_equations(rng, monkeypatch):
             err = np.linalg.norm(column - reference) / np.linalg.norm(reference)
             # at 1e-8 the normal-equations reference itself carries ~cond * eps error
             assert err <= (1e-8 if factor == 0 or factor >= 1e-6 else 1e-7)
-    lone = Encoder(forward=f[:, :1], k=scene.k)  # too small for ARPACK
+    lone = Encoder(forward=DenseModel(f[:, :1]), k=scene.k)  # too small for ARPACK
     assert lone.scale == pytest.approx(np.linalg.norm(f[:, 0]) ** 2, rel=1e-12)
 
 
@@ -153,6 +150,56 @@ def test_truncation_candidates_match_lower_degree_encoders(rng, monkeypatch):
             alone = hoa_encoder(sphere, k, n_c).apply(p, sigmas=sigma).values[:, 0]
             np.testing.assert_allclose(column[: alone.size], alone, rtol=0, atol=1e-12 * np.abs(alone).max())
             assert not column[alone.size :].any()
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["MSHOA", "Single"])
+@pytest.mark.parametrize("caps", [60, 6], ids=["primal", "dual"])
+@pytest.mark.parametrize(
+    "centers",
+    [[[x, y, 0.0] for x in (-0.125, 0.125) for y in (-0.125, 0.125)], [[0.0, -0.125, 0.0], [0.05, 0.125, 0.05]]],
+    ids=["three_planes", "no_plane"],
+)
+def test_factored_encoder_matches_the_dense_encoder(rng, centers, caps, coupling):
+    """The encoder of T_F's factors and the encoder of the filled T_F agree at
+    every point of a 9-point sigma grid: scale to 1e-13, and each solution to
+    1e-14 times max(1, scale / sigma), the roundoff of normal equations whose
+    condition number is at most scale / sigma."""
+    op = forward_operator(_scene(centers, caps=caps, n_in=6, n_fwd=4), include_coupling=coupling)
+    factored, dense = mshoa_encoder(op), Encoder(forward=DenseModel(op.matrix), k=op.scene.k)
+    assert factored.scale == pytest.approx(dense.scale, rel=1e-13)
+    sigmas = dense.scale * np.logspace(-8, 2, 9)
+    p = rng.standard_normal((op.shape[0], 2)) @ [1, 1j]
+    ours, reference = factored.apply(p, sigmas).values, dense.apply(p, sigmas).values
+    for column, expected, sigma in zip(ours.T, reference.T, sigmas):
+        gap = np.max(np.abs(column - expected)) / np.max(np.abs(expected))
+        assert gap <= 1e-14 * max(1.0, dense.scale / sigma)
+    with pytest.raises(ValueError):  # a factored model solves at its full degree only
+        factored.apply(p, sigmas=1.0, n_outs=[op.scene.n_in - 1])
+
+
+@pytest.mark.parametrize("method", ["MSHOA", "Single"])
+def test_grid_encoding_holds_less_than_t_f(method):
+    """A primal scene of many capsules (a 3 x 3 grid of 400 each, 3600 rows
+    against 169 columns) builds its operator, its capture, its encoder and
+    one solve within a traced peak below the bytes of T_F alone: no array of
+    T_F's shape is made."""
+    import tracemalloc
+
+    from mshoa import runner
+    from mshoa.config import ExperimentConfig
+    from mshoa.scene import layout_cartesian
+
+    scene = _scene(layout_cartesian(3, 3, 0.25), caps=400, n_in=12, n_fwd=6)
+    cfg = ExperimentConfig(scene=scene, method=method, sigma=1e-8)
+    runner._grid_encoding(cfg, None, None)  # fill the translation caches outside the trace
+    tracemalloc.start()
+    try:
+        encoding = runner._grid_encoding(cfg, None, None)
+        encoding.encoder.apply(encoding.pressures, sigmas=cfg.sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * scene.total_capsules * num_coeffs(scene.n_in)
 
 
 def test_encoder_metadata_and_apply(rng):

@@ -1,13 +1,14 @@
 """End-to-end experiment runs, output artifacts, determinism, and the CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from mshoa.cli import main
-from mshoa.config import validate_config
+from mshoa.config import load_config, validate_config
 from mshoa.matio import export_matrix, import_matrix
 from mshoa.runner import run_experiment
 from tests.oracles import read_field_csv
@@ -106,14 +107,39 @@ def test_determinism_across_reruns(tmp_path):
 
 
 def test_forward_export_import_reuse(tmp_path):
+    """The exported file is the operator's filled T_F, bit for bit, and a run
+    that imports it reproduces the exporting run's maps byte for byte."""
+    from mshoa.scatter import forward_operator
+
     cfg = validate_config(TINY)
     mat_path = tmp_path / "forward.bin"
     out1 = tmp_path / "first"
     out2 = tmp_path / "second"
     run_experiment(cfg, out1, export_forward=mat_path)
-    assert mat_path.exists()
+    assert np.array_equal(import_matrix(mat_path), forward_operator(cfg.scene).matrix)
     run_experiment(cfg, out2, import_forward=mat_path)
-    assert _artifacts(out1)["sdr_map.csv"] == _artifacts(out2)["sdr_map.csv"]
+    for name in ("ground_truth.csv", "estimated.csv", "sdr_map.csv"):
+        assert _artifacts(out1)[name] == _artifacts(out2)[name]
+
+
+SCALED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("scaled_*.yaml"))
+
+
+@pytest.mark.parametrize("config", SCALED_CONFIGS, ids=[path.stem for path in SCALED_CONFIGS])
+def test_factored_encoder_chooses_what_the_dense_encoder_chooses(tmp_path, monkeypatch, config):
+    """On every reduced-scale config, the encoder of T_F's factors and the
+    encoder of the filled T_F choose the same sigma index or n_c from the same
+    SSA curve, and the chosen sigma differs by roundoff in ||T_F||_2^2."""
+    from mshoa import runner
+    from mshoa.encode import DenseModel, Encoder
+
+    cfg = load_config(config)
+    factored = run_experiment(cfg, tmp_path / "factored")
+    monkeypatch.setattr(runner, "mshoa_encoder", lambda op: Encoder(forward=DenseModel(op.matrix), k=op.scene.k))
+    dense = run_experiment(cfg, tmp_path / "dense")
+    assert factored.search["index"] == dense.search["index"] and factored.n_c == dense.n_c
+    assert factored.search["ssa"] == dense.search["ssa"] and factored.ssa == dense.ssa
+    assert factored.sigma == pytest.approx(dense.sigma, rel=1e-12)
 
 
 def test_single_run_builds_only_the_uncoupled_operator(tmp_path, monkeypatch):
@@ -356,14 +382,16 @@ def test_cli_run_rejects_a_non_finite_vector(tmp_path, field):
 
 def test_cli_run_rejects_a_grid_inside_the_spheres(tmp_path):
     """A grid whose every pixel lies inside a sphere has no field to score: the
-    run exits 2 with a config error before any stage runs or any file is written."""
+    configuration is invalid, so validate and run both exit 2 with a config
+    error, and run before any stage runs or any file is written."""
     bad, out = tmp_path / "bad.yaml", tmp_path / "out"
     grid = "grid: {plane: xy, extent: [0.8, 0.8], resolution: 0.05}"
     bad.write_text(TINY.replace(grid, "grid: {extent: [0.04, 0.04], resolution: 0.01, center: [0, 0.125]}"))
-    res = CliRunner().invoke(main, ["run", str(bad), "--out", str(out)])
-    assert res.exit_code == 2, res.output
-    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
-    assert "config error" in res.output and "inside a sphere" in res.output
+    for command in (["validate", str(bad)], ["run", str(bad), "--out", str(out)]):
+        res = CliRunner().invoke(main, command)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+        assert res.output.startswith("config error:") and "inside a sphere" in res.output
     assert not out.exists()
 
 
@@ -451,6 +479,25 @@ def test_summary_reports_the_forward_parts_and_system_blocks(tmp_path, caplog):
     assert hoa.system_blocks == meta["system_blocks"] and hoa.forward_parts["residual"] == 0.0
     lone = run_experiment(validate_config(LONE_HOA), tmp_path / "lone")
     assert lone.system_blocks is None and lone.forward_parts["solve"] == 0.0
+
+
+def test_summary_reports_the_encode_parts(tmp_path, caplog):
+    """encode_parts splits the encode stage into the Gram build, the sigma
+    grid's scale and the candidate solves, which -v logs; a fixed sigma
+    spends nothing on the scale."""
+    import logging
+
+    with caplog.at_level(logging.INFO, logger="mshoa"):
+        run_experiment(validate_config(TINY.replace("sigma: 1e-9", "sigma_search: {points: 3}")), tmp_path / "search")
+    meta = json.loads((tmp_path / "search" / "summary.json").read_text())
+    parts = meta["encode_parts"]
+    assert list(parts) == ["gram", "scale", "solves"]
+    assert all(seconds > 0 for seconds in parts.values())
+    assert 0.5 * meta["stages"]["encode"] <= sum(parts.values()) <= meta["stages"]["encode"]
+    logged = {r.getMessage().split(":")[0] for r in caplog.records if r.getMessage().startswith("encode ")}
+    assert logged == {f"encode {name}" for name in parts}
+    fixed = run_experiment(validate_config(TINY), tmp_path / "fixed").encode_parts
+    assert fixed["scale"] == 0.0 and fixed["gram"] > 0 and fixed["solves"] > 0
 
 
 def test_summary_records_the_search_curve(tmp_path):

@@ -474,3 +474,45 @@ def test_parity_split_matches_the_whole_system(name):
     assert op.rcond == pytest.approx(1.0 / (max(norms) * max(inverse_norms)), rel=1e-10)
     exact = 1.0 / (max(norms) * max(np.linalg.norm(np.linalg.inv(system), 1) for system in projected))
     assert op.rcond >= exact * (1.0 - 1e-12)  # an estimate of ||M^-1||_1 never exceeds it
+
+
+_MODEL_SCENES = {  # centers, number of mirror classes
+    "three_planes": (_GRID4, 8),
+    "one_plane": (_MIRROR_SCENES["one_plane"][0], 2),
+    "no_plane": ([[0.0, -0.125, 0.0], [0.05, 0.125, 0.05]], 1),  # the lifted pair
+    "lone": ([[0.0, 0.0, 0.0]], 8),  # one orbit of one sphere, fixed by every plane
+}
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["MSHOA", "Single"])
+@pytest.mark.parametrize("caps", [60, 6], ids=["primal", "dual"])
+@pytest.mark.parametrize("name", list(_MODEL_SCENES))
+def test_factors_give_the_gram_adjoint_and_capture_of_the_filled_matrix(rng, name, caps, coupling):
+    """T_F's factors give the encoder what the filled T_F gives, to 1e-13 of
+    the largest entry: the conjugated Gram of the smaller side (upper
+    triangle, Fortran-ordered), T_F^H y in the model's column basis, whose
+    columns to_standard maps onto the standard order, and the capture T_F a."""
+    from scipy.linalg.blas import zherk
+
+    centers, count = _MODEL_SCENES[name]
+    scene = _scene(centers, caps=caps, n_in=6, n_fwd=4)
+    op = forward_operator(scene, include_coupling=coupling)
+    assert len(op.classes) == count
+    f = op.matrix
+    assert f.shape == op.shape
+    q, size = f.shape
+    dual = q < size
+    assert dual == (caps == 6)
+    columns = np.column_stack([op.to_standard(e) for e in np.eye(size, dtype=complex)])
+    np.testing.assert_allclose(columns.T @ columns, np.eye(size), atol=1e-15)  # a real orthogonal change of basis
+    model = f @ columns  # T_F in the model's column basis
+    gram = op.gram(size, dual)
+    assert gram.flags.f_contiguous and gram.shape == (min(q, size),) * 2
+    upper = np.triu_indices(len(gram))
+    assert _rel_gap(gram[upper], zherk(1.0, model.T, trans=2 if dual else 0)[upper]) <= 1e-13
+    y = rng.standard_normal((q, 2)) @ [1, 1j]
+    assert _rel_gap(op.adjoint(y, size), model.conj().T @ y) <= 1e-13
+    a_in = scene.incident_coeffs()
+    assert _rel_gap(op.apply(a_in), f @ a_in.values) <= 1e-13
+    with pytest.raises(ValueError):  # the class basis has no degree slices
+        op.gram(size - 1, dual)
