@@ -77,6 +77,16 @@ class ExperimentConfig:
             self.hoa = replace(self.hoa, sphere_index=nearest)
         if self.hoa.sphere_index >= len(spheres):
             raise ConfigError(f"hoa.sphere_index {self.hoa.sphere_index} out of range")
+        source = self.scene.source
+        if source.kind == "monopole" and not (self.method == "HOA" and len(spheres) == 1):
+            # the incident series about the origin converges only for |r| < |position|;
+            # a lone HOA array expands about its own centre
+            reach, distance = max(np.linalg.norm(s.center) + s.radius for s in spheres), np.linalg.norm(source.position)
+            if distance <= reach:
+                raise ConfigError(
+                    f"the monopole source, {distance:g} m from the origin, lies within the arrays' enclosing radius "
+                    f"{reach:g} m: the incident series about the origin diverges on the spheres"
+                )
         if sphere_mask(self.grid, spheres).all():
             raise ConfigError("every pixel of the grid lies inside a sphere: there is no field to compare")
 

@@ -44,9 +44,9 @@ class SolverError(RuntimeError):
 
 @dataclass
 class ScatterSolution:
-    """Per-sphere radiating (B) coefficients of a coupled solve."""
+    """The radiating (B) coefficients of a coupled solve, and the solve's rcond."""
 
-    radiating: list[CoefficientVector]
+    radiating: np.ndarray  # (spheres, (n_fwd+1)^2): sphere s's b_s about its center, one row per sphere
     rcond: float
 
 
@@ -71,40 +71,39 @@ class ForwardOperator:
     c: list[np.ndarray] = field(repr=False)  # per class: (class unknowns, class incident columns), Fortran-ordered
     responses: list[np.ndarray] = field(repr=False)  # per sphere: (capsules, (n_fwd+1)^2)
     rcond: float | None = None  # of the coupled system solved to build it; None if none was
-    capsule_residual: float | None = None  # sampled gap to the multipole sum; None if not built from c
+    capsule_residual: float | None = None  # sampled gap of the capture T_F a to the multipole sum; None if not built from c
 
     @property
     def shape(self) -> tuple[int, int]:
         """(capsules, (n_in+1)^2), the shape of T_F."""
         return self.scene.total_capsules, num_coeffs(self.scene.n_in)
 
-    def _rows(self, s: int, which, out: np.ndarray) -> np.ndarray:
-        """Sphere s's capsule rows ``which`` of T_F in the standard order, written into ``out``."""
-        part = self.responses[s][which]
-        for block, cls in zip(self.c, self.classes):  # their incident columns cover every column
-            rows, local, sign = cls.members[s]
-            out[:, cls.incident] = (part[:, local] * sign) @ block[rows]
-        return _to_pairs(out, self.scene.n_in)
-
     @property
     def matrix(self) -> np.ndarray:
         """T_F in the standard (n, m) order, filled FILL_ROWS capsule rows at a time."""
         matrix, start = np.empty(self.shape, dtype=complex), 0
         for s, response in enumerate(self.responses):
-            rows, start = matrix[start : start + len(response)], start + len(response)
+            sphere_rows, start = matrix[start : start + len(response)], start + len(response)
             for first in range(0, len(response), FILL_ROWS):
-                chunk = slice(first, first + FILL_ROWS)
-                self._rows(s, chunk, rows[chunk])
+                part, out = response[first : first + FILL_ROWS], sphere_rows[first : first + FILL_ROWS]
+                for block, cls in zip(self.c, self.classes):  # their incident columns cover every column
+                    rows, local, sign = cls.members[s]
+                    out[:, cls.incident] = (part[:, local] * sign) @ block[rows]
+                _to_pairs(out, self.scene.n_in)
         return matrix
 
-    def apply(self, coeffs: CoefficientVector) -> np.ndarray:
-        """T_F a: each sphere's response times the field it feels, Lambda_hat_s u_s, from the class blocks."""
+    def _felt(self, coeffs: CoefficientVector) -> list[np.ndarray]:
+        """C_k a_k per class: the class vectors of the fields the spheres feel in the incident field ``coeffs``."""
         if coeffs.n_max != self.scene.n_in:
             raise ValueError(
                 f"expected incident truncation {self.scene.n_in}, got {coeffs.n_max}"
             )
         incident = _to_pairs(np.array(coeffs.values, dtype=complex), self.scene.n_in)
-        felt = _on_spheres(self.scene, self.classes, [block @ incident[cls.incident] for block, cls in zip(self.c, self.classes)])
+        return [block @ incident[cls.incident] for block, cls in zip(self.c, self.classes)]
+
+    def apply(self, coeffs: CoefficientVector) -> np.ndarray:
+        """T_F a: each sphere's response times the field it feels, Lambda_hat_s u_s, from the class blocks."""
+        felt = _on_spheres(self.scene, self.classes, self._felt(coeffs))
         return np.concatenate([response @ u for response, u in zip(self.responses, felt)])
 
     def _whole(self, size: int) -> None:
@@ -464,6 +463,20 @@ def _on_spheres(scene: SceneConfig, classes: list, vectors: list) -> np.ndarray:
     return out
 
 
+def _radiating(scene: SceneConfig, classes: list, flips: np.ndarray, vectors: list) -> np.ndarray:
+    """Every sphere's radiating coefficients b_s = G_s c_s in the standard order, one row per sphere.
+
+    ``vectors`` holds one class vector per class of the fields c the spheres
+    feel (:func:`_on_spheres`); ``flips`` are the spheres' reflection signs
+    from :func:`mirror_classes`.
+    """
+    b = _on_spheres(scene, classes, vectors)
+    b *= flips
+    _to_pairs(b, scene.n_fwd)
+    b *= _scatter_gains(scene)
+    return b
+
+
 @contextmanager
 def _timed(parts: dict | None, name: str, stage: str = "forward") -> Iterator[None]:
     """Log the seconds the block takes as part ``name`` of ``stage``, and add them to ``parts[name]``."""
@@ -496,12 +509,8 @@ def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None, _par
         systems = assemble_system_matrix(scene)
     with _timed(_parts, "solve"):
         c, rcond = _solve_coupled(systems, a_local)
-        b = _on_spheres(scene, classes, c)
-        b *= flips
-        _to_pairs(b, scene.n_fwd)
-        b *= _scatter_gains(scene)
-    rad = [CoefficientVector(k=scene.k, n_max=scene.n_fwd, values=b_s) for b_s in b]
-    return ScatterSolution(radiating=rad, rcond=rcond)
+        b = _radiating(scene, classes, flips, c)
+    return ScatterSolution(radiating=b, rcond=rcond)
 
 
 def _check_exterior(scene: SceneConfig, points: np.ndarray):
@@ -529,56 +538,29 @@ def eval_total_field(
     for first in range(0, len(points), CAPTURE_POINTS):
         chunk = points[first : first + CAPTURE_POINTS]
         part = regular_basis_matrix(a_in.n_max, k, chunk, [0.0, 0.0, 0.0]) @ a_in.values
-        for sph, rad in zip(scene.spheres, solution.radiating):
-            part = part + singular_basis_matrix(rad.n_max, k, chunk, sph.center) @ rad.values
+        for sph, b_s in zip(scene.spheres, solution.radiating):
+            part = part + singular_basis_matrix(scene.n_fwd, k, chunk, sph.center) @ b_s
         out[first : first + CAPTURE_POINTS] = part
     return out
 
 
-def _multipole_field(scene: SceneConfig, classes: list, weights: np.ndarray, points: np.ndarray, c: list) -> np.ndarray:
-    """The incident regular series plus every sphere's singular series at ``points``.
-
-    Row p, column j is R(p) e_j + sum_t S_t(p) G_t c_t[:, j], for ``c`` the
-    local fields of the incident basis held as the class blocks of
-    ``classes`` (:func:`mirror_classes`) and ``weights`` each sphere's flips
-    times its scattering gains G_t, by which its singular basis is scaled.
-    An orbit's spheres share their class unknowns, so their bases, times
-    their class signs, are summed before one product per orbit and class.
-    """
-    offsets = points[None, :, :] - np.array([s.center for s in scene.spheres])[:, None, :]  # (sphere, point, 3)
-    singular = singular_basis_matrix(scene.n_fwd, scene.k, offsets.reshape(-1, 3), [0.0, 0.0, 0.0])
-    singular = singular.reshape(*offsets.shape[:2], -1)
-    _to_pairs(singular, scene.n_fwd)
-    singular *= weights[:, None, :]
-    out = np.zeros((len(points), num_coeffs(scene.n_in)), dtype=complex)  # pair-basis columns
-    for orbit in _mirror_orbits(scene)[1]:
-        for block, cls in zip(c, classes):
-            rows, local, _ = cls.members[orbit[0][0]]
-            summed = sum(singular[t][:, local] * cls.members[t][2] for t, _ in orbit)
-            out[:, cls.incident] += summed @ block[rows]
-    _to_pairs(out, scene.n_in)
-    out += regular_basis_matrix(scene.n_in, scene.k, points, [0.0, 0.0, 0.0])
-    return out
-
-
 def _capsule_residual(op: ForwardOperator, flips: np.ndarray) -> float:
-    """Max-abs gap of T_F to :func:`_multipole_field` of the local fields ``op.c`` over its max, on sampled capsules.
+    """Max-abs gap of the capture T_F a to the multipole sum of its radiating coefficients, over the sum's max.
 
-    The sample is RESIDUAL_SAMPLES capsules per sphere, a fixed stride
-    through its Fibonacci order, checked one sphere at a time; its T_F rows
-    come from the factors by the products that fill :attr:`ForwardOperator.matrix`.
-    The gap is the capsule form's one approximation: the field a sphere
-    feels is cut off at degree n_fwd.
+    a is the scene's incident field, and b = G (c a) radiates from the
+    solved class blocks ``op.c`` (:func:`_radiating`); :func:`eval_total_field`
+    sums R a + sum_t S_t b_t at RESIDUAL_SAMPLES capsules per sphere, a fixed
+    stride through its Fibonacci order.  The gap is what the capsule form
+    approximates: the field a sphere feels is cut off at degree n_fwd, and
+    the incident series about the origin is read where it may not converge.
     """
     scene = op.scene
-    weights, gap, top = flips * _scatter_gains(scene), 0.0, 0.0
-    for s, sphere in enumerate(scene.spheres):
-        rows = np.arange(0, sphere.num_capsules, -(-sphere.num_capsules // RESIDUAL_SAMPLES))
-        reference = _multipole_field(scene, op.classes, weights, sphere.capsule_positions()[rows], op.c)
-        sampled = op._rows(s, rows, np.empty_like(reference))
-        gap = max(gap, np.max(np.abs(sampled - reference)))
-        top = max(top, np.max(np.abs(reference)))
-    return float(gap / top)
+    a_in = scene.incident_coeffs()
+    b = _radiating(scene, op.classes, flips, op._felt(a_in))
+    counts = [sphere.num_capsules for sphere in scene.spheres]
+    rows = np.concatenate([start + np.arange(0, q, -(-q // RESIDUAL_SAMPLES)) for start, q in zip(np.cumsum([0] + counts), counts)])
+    reference = eval_total_field(scene, ScatterSolution(b, op.rcond), a_in, scene.capsule_positions()[rows])
+    return float(np.max(np.abs(op.apply(a_in)[rows] - reference)) / np.max(np.abs(reference)))
 
 
 def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=None, _parts=None) -> ForwardOperator:
@@ -587,8 +569,9 @@ def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=N
     Sphere s's capsule rows are its rigid-surface response times the local
     field it is given, Lambda_s c_s (Gumerov & Duraiswami, 2004, ch. 4).
     With coupling, c_s is the field it feels, solved for in place of the
-    right-hand-side blocks, and a sample of the rows is checked against the
-    multipole sum of the radiated c (``capsule_residual``); the class
+    right-hand-side blocks, and the capture T_F a is checked on a sample of
+    the rows against the multipole sum it stands for (``capsule_residual``,
+    from :func:`_capsule_residual`); the class
     systems and those blocks are the only arrays of their size, and no
     array of T_F's shape is made.  Without coupling the solve is skipped
     and c_s is the incident field alone, a_s: each sphere in the incident

@@ -25,9 +25,7 @@ from mshoa.encode import DenseModel, Encoder
 from mshoa.fields import FieldGrid, GridSpec, reconstruct_field
 from mshoa.matio import write_field_csv
 from mshoa.scatter import (
-    RESIDUAL_SAMPLES,
-    _multipole_field,
-    _scatter_gains,
+    _capsule_residual,
     _solve_coupled,
     _to_pairs,
     assemble_system_matrix,
@@ -163,17 +161,14 @@ def test_assemble_system_matrix(benchmark):
     benchmark(assemble_system_matrix, scene)
 
 
-def test_multipole_field(benchmark):
-    """The multipole evaluator on ``cartesian9``'s eight classes (n_fwd 16,
-    n_in 45): one sphere's residual sample of 16 capsules against the bases
-    at all 9 centers."""
+def test_capsule_residual(benchmark):
+    """MSHOA's capsule check on ``cartesian9``'s eight classes (n_fwd 16,
+    n_in 45): the capture T_F a from the factors, the radiate step from the
+    solved class blocks, and eval_total_field at 16 capsules of each of the
+    9 spheres."""
     scene = load_config(Path(__file__).parents[1] / "configs" / "cartesian9_mshoa.yaml").scene
-    classes, flips = mirror_classes(scene)
-    rng = np.random.default_rng(9)
-    c = [np.asfortranarray(_complex(rng, (cls.size, cls.incident.size))) for cls in classes]
-    sphere = scene.spheres[0]
-    points = sphere.capsule_positions()[:: -(-sphere.num_capsules // RESIDUAL_SAMPLES)]
-    benchmark(_multipole_field, scene, classes, flips * _scatter_gains(scene), points, c)
+    op = forward_operator(scene)
+    benchmark(_capsule_residual, op, mirror_classes(scene)[1])
 
 
 @pytest.mark.parametrize("points", [252, 4096], ids=["capsules", "pixel_chunk"])

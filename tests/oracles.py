@@ -216,9 +216,9 @@ def eval_radial_derivative(scene, solution, a_in, sphere_index: int, direction: 
     k = scene.k
     grad = basis_gradient_matrix("regular", a_in.n_max, k, point, [0.0, 0.0, 0.0])[0]
     total = (a_in.values[:, None] * grad).sum(axis=0)
-    for c, rad in zip(scene.spheres, solution.radiating):
-        g = basis_gradient_matrix("singular", rad.n_max, k, point, c.center)[0]
-        total = total + (rad.values[:, None] * g).sum(axis=0)
+    for c, b in zip(scene.spheres, solution.radiating):
+        g = basis_gradient_matrix("singular", scene.n_fwd, k, point, c.center)[0]
+        total = total + (b[:, None] * g).sum(axis=0)
     return complex(total @ direction)
 
 

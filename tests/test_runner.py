@@ -247,9 +247,11 @@ def test_system_rcond_is_the_coupled_system_of_every_method(tmp_path):
 
 def test_capsule_residual_recomputed_from_the_multipole_sum(tmp_path):
     """summary.json's capsule_residual is the max-abs gap, over the max, between
-    T_F = Lambda_s c_s and the regular plus singular series at up to 16
-    capsules of each sphere, a stride through its Fibonacci order.  Only MSHOA
-    builds T_F from c: the other methods and an imported T_F report null."""
+    the capture MSHOA encodes, T_F a = Lambda_s (c a)_s, and the regular plus
+    singular series R a + sum_t S_t G_t (c a)_t it stands for, at up to 16
+    capsules of each sphere, a stride through its Fibonacci order; here c a
+    comes from a dense solve.  Only MSHOA builds T_F from c: the other methods
+    and an imported T_F report null."""
     import scipy.linalg as sla
 
     from mshoa.basis import regular_basis_matrix, singular_basis_matrix
@@ -260,19 +262,18 @@ def test_capsule_residual_recomputed_from_the_multipole_sum(tmp_path):
     run_experiment(cfg, tmp_path / "mshoa", export_forward=tmp_path / "forward.bin")
     reported = json.loads((tmp_path / "mshoa" / "summary.json").read_text())["capsule_residual"]
     scene = cfg.scene
-    k, n = scene.k, scene.n_fwd
-    c = np.split(sla.solve(coupled_system_matrix(scene), local_incident_matrix(scene)), scene.num_spheres)
+    k, n, a = scene.k, scene.n_fwd, scene.incident_coeffs().values
+    c = np.split(sla.solve(coupled_system_matrix(scene), local_incident_matrix(scene) @ a), scene.num_spheres)
     worst, top = 0.0, 0.0
     for sphere, c_s in zip(scene.spheres, c):
         rows = np.arange(0, sphere.num_capsules, int(np.ceil(sphere.num_capsules / 16)))
         assert len(rows) <= 16
         caps = sphere.capsule_positions()[rows]
-        t_f = surface_response_matrix(sphere, k, n)[rows] @ c_s
-        total = regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0])
+        capture = surface_response_matrix(sphere, k, n)[rows] @ c_s
+        total = regular_basis_matrix(scene.n_in, k, caps, [0.0, 0.0, 0.0]) @ a
         for other, c_t in zip(scene.spheres, c):
-            b_t = rigid_scatter_gain(k, other.radius, n)[:, None] * c_t
-            total += singular_basis_matrix(n, k, caps, other.center) @ b_t
-        worst, top = max(worst, np.max(np.abs(t_f - total))), max(top, np.max(np.abs(total)))
+            total += singular_basis_matrix(n, k, caps, other.center) @ (rigid_scatter_gain(k, other.radius, n) * c_t)
+        worst, top = max(worst, np.max(np.abs(capture - total))), max(top, np.max(np.abs(total)))
     assert 0 < reported == pytest.approx(worst / top, rel=1e-6)
     imported = run_experiment(cfg, tmp_path / "imported", import_forward=tmp_path / "forward.bin")
     assert imported.capsule_residual is None
@@ -280,6 +281,25 @@ def test_capsule_residual_recomputed_from_the_multipole_sum(tmp_path):
         out = tmp_path / f"other{i}"
         run_experiment(validate_config(text), out)
         assert json.loads((out / "summary.json").read_text())["capsule_residual"] is None
+
+
+def test_capsule_residual_sees_a_diverging_incident_series():
+    """The check reads the source: the same T_F, checked against a monopole
+    inside the pair's enclosing radius, where the incident series about the
+    origin diverges on the spheres, reports a gap over 100 times the gap
+    against a distant one (0.29 against 4.3e-4 at n_in 12).  The scene is
+    built directly, as the configuration rejects that source."""
+    from dataclasses import replace
+
+    from mshoa.scatter import _capsule_residual, forward_operator, mirror_classes
+    from mshoa.scene import IncidentSource
+
+    scene = replace(validate_config(TINY).scene, n_in=12)
+    far, near = (replace(scene, source=IncidentSource(kind="monopole", position=[0.0, 0.0, z])) for z in (3.0, 0.15))
+    op = forward_operator(far)
+    flips = mirror_classes(far)[1]
+    assert op.capsule_residual == _capsule_residual(op, flips)
+    assert _capsule_residual(replace(op, scene=near), flips) > 100 * op.capsule_residual
 
 
 def test_plane_wave_amplitude_scales_truth_and_capture_not_the_ssa(tmp_path):
@@ -393,6 +413,34 @@ def test_cli_run_rejects_a_grid_inside_the_spheres(tmp_path):
         assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
         assert res.output.startswith("config error:") and "inside a sphere" in res.output
     assert not out.exists()
+
+
+def test_cli_rejects_a_monopole_inside_the_arrays_enclosing_radius(tmp_path):
+    """The incident series about the origin converges only for |r| < |source|.
+    A monopole at (0, 0, 0.15) lies outside both spheres of the pair but
+    inside their enclosing radius, 0.125 + 0.08 m: for every method, validate
+    and run exit 2 with a config error, and run writes nothing.  HOA on a lone
+    array expands about its own centre, so it takes that source; MSHOA on the
+    same lone array does not."""
+    source = "source: {kind: monopole, position: [0, 0, 0.15]}"
+    near = {name: text.replace("source: {kind: monopole, position: [5, 5, 5]}", source) for name, text in
+            (("MSHOA", TINY), ("Single", TINY_SINGLE), ("HOA", TINY_HOA))}
+    lone_hoa = LONE_HOA.replace("center: [0, 0, 0]", "center: [0, 0.125, 0]").replace(
+        "source: {kind: plane_wave, direction: [0, 1, 0]}", source
+    )
+    near["lone MSHOA"] = lone_hoa.replace("method: HOA", "method: MSHOA").replace("hoa: {n_c_min: 1, n_c_max: 8}\n", "")
+    bad, out = tmp_path / "bad.yaml", tmp_path / "out"
+    for name, text in near.items():
+        bad.write_text(text)
+        for command in (["validate", str(bad)], ["run", str(bad), "--out", str(out)]):
+            res = CliRunner().invoke(main, command)
+            assert res.exit_code == 2, (name, res.output)
+            assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+            assert res.output.startswith("config error:") and "enclosing radius" in res.output
+        assert not out.exists()
+    bad.write_text(lone_hoa)
+    res = CliRunner().invoke(main, ["validate", str(bad)])
+    assert res.exit_code == 0 and res.output.startswith("ok: HOA, 1 spheres"), res.output
 
 
 def test_cli_bad_forward_file(tmp_path):

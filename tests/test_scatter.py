@@ -6,10 +6,7 @@ import pytest
 from mshoa.basis import num_coeffs, sph_bessel_j, sph_hankel1
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig, SceneError
 from mshoa.scatter import (
-    _local_incident_block,
-    _multipole_field,
-    _scatter_gains,
-    _solve_coupled,
+    _radiating,
     _to_pairs,
     assemble_system_matrix,
     eval_total_field,
@@ -116,10 +113,8 @@ def test_forward_solve_linearity(rng):
         k=scene.k, n_max=scene.n_in, values=a1.values + alpha * v2
     )
     s1, s2, sc = (forward_solve(scene, a) for a in (a1, a2, combo))
-    for b1, b2, bc in zip(s1.radiating, s2.radiating, sc.radiating):
-        np.testing.assert_allclose(
-            bc.values, b1.values + alpha * b2.values, atol=1e-12
-        )
+    assert s1.radiating.shape == (2, num_coeffs(scene.n_fwd))
+    np.testing.assert_allclose(sc.radiating, s1.radiating + alpha * s2.radiating, atol=1e-12)
 
 
 def test_rigid_boundary_condition(rng):
@@ -217,7 +212,7 @@ def test_forward_operator_matches_solve_route():
     sol = forward_solve(scene, a_in)
     via_solve = np.concatenate(
         [
-            surface_response_matrix(s, scene.k, scene.n_fwd) @ (b.values / rigid_scatter_gain(scene.k, s.radius, scene.n_fwd))
+            surface_response_matrix(s, scene.k, scene.n_fwd) @ (b / rigid_scatter_gain(scene.k, s.radius, scene.n_fwd))
             for s, b in zip(scene.spheres, sol.radiating)
         ]
     )
@@ -243,26 +238,6 @@ def test_capsule_form_converges_to_the_multipole_sum():
         oracle = eval_total_field(scene, forward_solve(scene, a_in), a_in, scene.capsule_positions())
         gaps.append(_rel_gap(op.apply(a_in), oracle))
     assert gaps[0] > gaps[1] > gaps[2]
-
-
-@pytest.mark.parametrize("lift, count", [(0.0, 8), (0.05, 1)], ids=["planar", "lifted"])
-def test_multipole_field_of_radiated_c_is_the_total_field(rng, lift, count):
-    """The two storage forms of b give one field: the multipole evaluator fed
-    the class blocks of the coupled c, radiated by the singular bases'
-    weights of flips times gains, times an incident vector, equals
-    eval_total_field of the vector solve's per-sphere b, at points just off
-    the capsules, with every mirror plane of the 2 x 2 grid and with none
-    once one sphere is lifted off it."""
-    from mshoa.basis import CoefficientVector
-
-    scene = _scene(_GRID4[:3] + [[0.125, 0.125, lift]], caps=14, n_in=8, n_fwd=6)
-    classes, flips = mirror_classes(scene)
-    assert len(classes) == count
-    c, _ = _solve_coupled(assemble_system_matrix(scene), _local_incident_block(scene))
-    points = np.vstack([s.center + 1.01 * s.radius * s.capsule_dirs for s in scene.spheres])
-    a_in = CoefficientVector(k=scene.k, n_max=scene.n_in, values=rng.standard_normal((num_coeffs(scene.n_in), 2)) @ [1, 1j])
-    field = _multipole_field(scene, classes, flips * _scatter_gains(scene), points, c) @ a_in.values
-    assert _rel_gap(field, eval_total_field(scene, forward_solve(scene, a_in), a_in, points)) <= 1e-12
 
 
 def test_eval_rejects_interior_points():
@@ -460,7 +435,7 @@ def test_parity_split_matches_the_whole_system(name):
     a_in = scene.incident_coeffs()
     gains = np.concatenate([rigid_scatter_gain(scene.k, s.radius, scene.n_fwd) for s in scene.spheres])
     b_ref = gains * sla.solve(whole, a_local @ a_in.values)
-    b = np.concatenate([rad.values for rad in forward_solve(scene, a_in).radiating])
+    b = forward_solve(scene, a_in).radiating.ravel()
     assert _rel_gap(b, b_ref) <= 1e-13
 
     # the block-diagonal whole's 1-norm and its inverse's are the largest class's
@@ -482,6 +457,30 @@ _MODEL_SCENES = {  # centers, number of mirror classes
     "no_plane": ([[0.0, -0.125, 0.0], [0.05, 0.125, 0.05]], 1),  # the lifted pair
     "lone": ([[0.0, 0.0, 0.0]], 8),  # one orbit of one sphere, fixed by every plane
 }
+
+
+@pytest.mark.parametrize("name", list(_MODEL_SCENES))
+def test_radiating_from_the_class_blocks_is_the_solved_b(rng, name):
+    """The one radiate step, fed the operator's solved class blocks times an
+    incident vector a, gives the per-sphere b = G c of the vector solve and of
+    a dense solve of the whole (I - SR G) c = a_local, to 1e-13 of the largest
+    entry, with 3, 1 and 0 mirror planes and on a lone sphere."""
+    import scipy.linalg as sla
+
+    from mshoa.basis import CoefficientVector
+
+    centers, count = _MODEL_SCENES[name]
+    scene = _scene(centers, caps=14, n_in=8, n_fwd=6)
+    op = forward_operator(scene)
+    classes, flips = mirror_classes(scene)
+    assert len(classes) == count
+    a_in = CoefficientVector(k=scene.k, n_max=scene.n_in, values=rng.standard_normal((num_coeffs(scene.n_in), 2)) @ [1, 1j])
+    b = _radiating(scene, classes, flips, op._felt(a_in))
+    assert b.shape == (scene.num_spheres, num_coeffs(scene.n_fwd))
+    gains = np.concatenate([rigid_scatter_gain(scene.k, s.radius, scene.n_fwd) for s in scene.spheres])
+    dense = gains * sla.solve(coupled_system_matrix(scene), local_incident_matrix(scene) @ a_in.values)
+    assert _rel_gap(b, forward_solve(scene, a_in).radiating) <= 1e-13
+    assert _rel_gap(b.ravel(), dense) <= 1e-13
 
 
 @pytest.mark.parametrize("coupling", [True, False], ids=["MSHOA", "Single"])
