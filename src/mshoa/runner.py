@@ -29,7 +29,6 @@ from .matio import (
 )
 from .scatter import (
     FORWARD_PARTS,
-    _local_incident_block,
     _timed,
     eval_total_field,
     forward_operator,
@@ -62,7 +61,7 @@ class RunSummary:
     peak_rss_mb: dict  # the process's peak resident set (MB) so far at the end of each of STAGES
     system_rcond: float | None  # of the coupled scattering system solved, as its mirror classes; None if none was
     system_blocks: list | None  # the sizes of its mirror-class blocks; None if no system was solved
-    capsule_residual: float | None  # MSHOA's sampled T_F check against the multipole sum; None otherwise
+    capsule_residual: float | None  # MSHOA's and Single's sampled capture check against the multipole sum; None otherwise
     config_hash: str
     search: dict  # candidates in search order, the SSA of each, the chosen index, at_edge
 
@@ -76,26 +75,15 @@ class _Encoding:
     n_outs: list | None = None  # truncation candidates (HOA, at the fixed cfg.sigma)
     center: tuple | np.ndarray = (0.0, 0.0, 0.0)  # expansion center of the coefficients
     rcond: float | None = None  # of the coupled scattering system solved, if any
-    capsule_residual: float | None = None  # of a T_F built here from the coupled solve
-
-
-def _full_capture(scene, points, parts=None, local=None) -> tuple[np.ndarray, float]:
-    """Pressure at ``points`` with every sphere present, and the rcond of the coupled solve.
-
-    ``local`` is the scene's local incident block, if already built.
-    """
-    with _timed(parts, "capsule"):
-        a_in = scene.incident_coeffs()
-    sol = forward_solve(scene, a_in, _local=local, _parts=parts)
-    with _timed(parts, "capsule"):
-        return eval_total_field(scene, sol, a_in, points), sol.rcond
+    capsule_residual: float | None = None  # of a capture read off a T_F built here
 
 
 def _hoa_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
     """Conventional encoding of one array's capsules within the full scene.
 
     The capsule pressures are the physical capture (all spheres present, full
-    multiple scattering); the encoder models only the chosen sphere.
+    multiple scattering): one coupled vector solve, then the multipole sum at
+    the array's capsules.  The encoder models only the chosen sphere.
     """
     scene = cfg.scene
     k = scene.k
@@ -108,7 +96,10 @@ def _hoa_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
             a_ref = scene.source.coefficients(k, n_ref, center=sphere.center)
             pressures, rcond = surface_response_matrix(sphere, k, n_ref) @ a_ref.values, None
     else:
-        pressures, rcond = _full_capture(scene, sphere.capsule_positions(), parts)
+        a_in = scene.incident_coeffs()
+        sol = forward_solve(scene, a_in, _parts=parts)
+        with _timed(parts, "capsule"):
+            pressures, rcond = eval_total_field(scene, sol, a_in, sphere.capsule_positions()), sol.rcond
 
     candidates = list(range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1))  # ties go to the smaller n_c
     # one encoder at the largest n_c: the first (n_c+1)^2 columns of its response are the response at n_c
@@ -120,33 +111,29 @@ def _hoa_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
 def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward, parts=None) -> _Encoding:
     """Full multiple-scattering (MSHOA) or single-scattering encoding of the true capture.
 
-    MSHOA reads the capture off the T_F it inverts, both from T_F's factors,
-    except in a run that exports or imports T_F: that run encodes the filled
-    or imported matrix as a dense model, so an export run and a run importing
-    its file give the same bytes.  Single inverts the uncoupled operator, so
-    it takes the capture from one coupled vector solve.  Reading or writing
-    a T_F file is not a forward part.
+    Both encode the capture Lambda_s (c a)_s that the build of the T_F they
+    invert reads off its factors: MSHOA's coupled T_F holds the solved c,
+    and Single's uncoupled one takes c a from one coupled vector solve.  A
+    run that exports or imports T_F encodes the filled or imported matrix as
+    a dense model and reads the capture off it, so an export run and a run
+    importing its file give the same bytes.  Reading or writing a T_F file
+    is not a forward part.
     """
     scene = cfg.scene
-    if cfg.method == "Single":  # the capture's vector solve and the uncoupled operator read one local incident block
-        with _timed(parts, "translation"):
-            local = _local_incident_block(scene)
-        pressures, rcond = _full_capture(scene, scene.capsule_positions(), parts, local)
-        model = forward_operator(scene, include_coupling=False, _local=local, _parts=parts)
-        return _Encoding(mshoa_encoder(model), pressures, rcond=rcond)
     if import_forward is None:
-        model = forward_operator(scene, _parts=parts)
-        health = {"rcond": model.rcond, "capsule_residual": model.capsule_residual}
+        model = forward_operator(scene, include_coupling=cfg.method == "MSHOA", _parts=parts)
+        pressures, health = model.capture, {"rcond": model.rcond, "capsule_residual": model.capsule_residual}
     else:
         model, health = _import_forward(cfg, import_forward), {}
     if export_forward is not None:
         with _timed(parts, "capsule"):
             model = DenseModel(model.matrix)
         export_matrix(export_forward, model.matrix)
-    with _timed(parts, "capsule"):
-        pressures = model.apply(scene.incident_coeffs())
-    encoder = Encoder(forward=model, k=scene.k) if isinstance(model, DenseModel) else mshoa_encoder(model)
-    return _Encoding(encoder, pressures, **health)
+    if isinstance(model, DenseModel):
+        with _timed(parts, "capsule"):
+            pressures = model.apply(scene.incident_coeffs())
+        return _Encoding(Encoder(forward=model, k=scene.k), pressures, **health)
+    return _Encoding(mshoa_encoder(model), pressures, **health)
 
 
 def _sigma_grid(search, encoder: Encoder) -> list[float]:

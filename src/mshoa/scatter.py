@@ -27,14 +27,8 @@ from .scene import RsmaSpec, SceneConfig, SceneError
 
 log = logging.getLogger(__name__)
 
-RESIDUAL_SAMPLES = 16  # capsules per sphere on which the coupled T_F is checked against the multipole sum
+RESIDUAL_SAMPLES = 16  # capsules per sphere on which the capture is checked against the multipole sum
 FORWARD_PARTS = ("translation", "solve", "capsule", "residual")  # the timed parts of a forward build
-# T_F rows filled per step when T_F is asked for: a step's class products land
-# in T_F through temporaries, and ones this small reuse free heap instead of growing it
-FILL_ROWS = 64
-# points per step of a total-field evaluation: a step's basis arrays have this
-# many rows, and smaller steps repeat the basis set-up more often
-CAPTURE_POINTS = 512
 SQRT_HALF = np.sqrt(0.5)
 
 
@@ -70,8 +64,9 @@ class ForwardOperator:
     classes: list[MirrorClass] = field(repr=False)
     c: list[np.ndarray] = field(repr=False)  # per class: (class unknowns, class incident columns), Fortran-ordered
     responses: list[np.ndarray] = field(repr=False)  # per sphere: (capsules, (n_fwd+1)^2)
-    rcond: float | None = None  # of the coupled system solved to build it; None if none was
-    capsule_residual: float | None = None  # sampled gap of the capture T_F a to the multipole sum; None if not built from c
+    rcond: float | None = None  # of the coupled system solved to build it or its capture
+    capture: np.ndarray | None = field(default=None, repr=False)  # the scene's capsule pressures, Lambda_s (c a)_s
+    capsule_residual: float | None = None  # the capture's sampled gap to the multipole sum
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -80,31 +75,20 @@ class ForwardOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """T_F in the standard (n, m) order, filled FILL_ROWS capsule rows at a time."""
+        """T_F in the standard (n, m) order, filled one sphere's capsule rows at a time."""
         matrix, start = np.empty(self.shape, dtype=complex), 0
         for s, response in enumerate(self.responses):
-            sphere_rows, start = matrix[start : start + len(response)], start + len(response)
-            for first in range(0, len(response), FILL_ROWS):
-                part, out = response[first : first + FILL_ROWS], sphere_rows[first : first + FILL_ROWS]
-                for block, cls in zip(self.c, self.classes):  # their incident columns cover every column
-                    rows, local, sign = cls.members[s]
-                    out[:, cls.incident] = (part[:, local] * sign) @ block[rows]
-                _to_pairs(out, self.scene.n_in)
+            out, start = matrix[start : start + len(response)], start + len(response)
+            for block, cls in zip(self.c, self.classes):  # their incident columns cover every column
+                rows, local, sign = cls.members[s]
+                out[:, cls.incident] = (response[:, local] * sign) @ block[rows]
+            _to_pairs(out, self.scene.n_in)
         return matrix
 
-    def _felt(self, coeffs: CoefficientVector) -> list[np.ndarray]:
-        """C_k a_k per class: the class vectors of the fields the spheres feel in the incident field ``coeffs``."""
-        if coeffs.n_max != self.scene.n_in:
-            raise ValueError(
-                f"expected incident truncation {self.scene.n_in}, got {coeffs.n_max}"
-            )
-        incident = _to_pairs(np.array(coeffs.values, dtype=complex), self.scene.n_in)
-        return [block @ incident[cls.incident] for block, cls in zip(self.c, self.classes)]
-
-    def apply(self, coeffs: CoefficientVector) -> np.ndarray:
-        """T_F a: each sphere's response times the field it feels, Lambda_hat_s u_s, from the class blocks."""
-        felt = _on_spheres(self.scene, self.classes, self._felt(coeffs))
-        return np.concatenate([response @ u for response, u in zip(self.responses, felt)])
+    def pressures(self, felt: list[np.ndarray]) -> np.ndarray:
+        """Capsule pressures Lambda_hat_s u_s of the fields u the spheres feel, given as one class vector per class."""
+        u = _on_spheres(self.scene, self.classes, felt)
+        return np.concatenate([response @ u_s for response, u_s in zip(self.responses, u)])
 
     def _whole(self, size: int) -> None:
         if size != self.shape[1]:
@@ -415,6 +399,16 @@ def _local_incident_block(scene: SceneConfig) -> list[np.ndarray]:
     return blocks
 
 
+def _apply_blocks(blocks: list[np.ndarray], classes: list[MirrorClass], coeffs: CoefficientVector, n_in: int) -> list[np.ndarray]:
+    """C_k a_k per class: the class block times the class's incident pair-basis
+    coefficients of ``coeffs``; from a ForwardOperator's ``c``, the class
+    vectors of the fields it gives the spheres in the incident field ``coeffs``."""
+    if coeffs.n_max != n_in:
+        raise ValueError(f"expected incident truncation {n_in}, got {coeffs.n_max}")
+    incident = _to_pairs(np.array(coeffs.values, dtype=complex), n_in)
+    return [block @ incident[cls.incident] for block, cls in zip(blocks, classes)]
+
+
 def _solve_coupled(systems: list[np.ndarray], rhss: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
     """Solve ``systems[c] @ x_c = rhss[c]`` for every class c: (the x_c, the 1-norm rcond estimate).
 
@@ -488,37 +482,33 @@ def _timed(parts: dict | None, name: str, stage: str = "forward") -> Iterator[No
     log.info("%s %s: %.3f s", stage, name, seconds)
 
 
-def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _local=None, _parts=None) -> ScatterSolution:
+def _solve_felt(scene: SceneConfig, local: list[np.ndarray], parts: dict | None = None) -> tuple[list[np.ndarray], float]:
+    """The fields the spheres feel, c, per class, and the rcond: the class
+    systems of :func:`assemble_system_matrix` solved against the local
+    incident fields ``local`` (class blocks or class vectors), which the
+    solution overwrites (:func:`_solve_coupled`)."""
+    with _timed(parts, "translation"):
+        systems = assemble_system_matrix(scene)
+    with _timed(parts, "solve"):
+        return _solve_coupled(systems, local)
+
+
+def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _parts=None) -> ScatterSolution:
     """Solve the coupled scattering problem for one incident expansion.
 
     The system is solved for the field each sphere feels, c, one
     :func:`mirror_classes` class at a time, against the class's incident
     coefficients in the pair basis; the radiating coefficients are b = G c.
-    ``_local`` is the scene's :func:`_local_incident_block` when the caller
-    has already built it, and is left as it is.  ``_parts`` gathers the
-    seconds spent per forward part (see :data:`FORWARD_PARTS`).
+    No surface response is built.  ``_parts`` gathers the seconds spent per
+    forward part (see :data:`FORWARD_PARTS`).
     """
-    if a_in.n_max != scene.n_in:
-        raise ValueError(f"incident coefficients must be truncated at {scene.n_in}")
     classes, flips = mirror_classes(scene)
     with _timed(_parts, "translation"):
-        blocks = _local_incident_block(scene) if _local is None else _local
-        incident = _to_pairs(a_in.values.copy(), scene.n_in)
-        a_local = [block @ incident[cls.incident] for block, cls in zip(blocks, classes)]
-        del blocks
-        systems = assemble_system_matrix(scene)
+        a_local = _apply_blocks(_local_incident_block(scene), classes, a_in, scene.n_in)
+    c, rcond = _solve_felt(scene, a_local, _parts)
     with _timed(_parts, "solve"):
-        c, rcond = _solve_coupled(systems, a_local)
         b = _radiating(scene, classes, flips, c)
     return ScatterSolution(radiating=b, rcond=rcond)
-
-
-def _check_exterior(scene: SceneConfig, points: np.ndarray):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    for i, s in enumerate(scene.spheres):
-        if np.any(np.linalg.norm(points - s.center[None, :], axis=1) < s.radius * (1 - 1e-12)):
-            raise SceneError(f"evaluation point inside sphere {i}")
-    return points
 
 
 def eval_total_field(
@@ -527,77 +517,71 @@ def eval_total_field(
     a_in: CoefficientVector,
     points: np.ndarray,
 ) -> np.ndarray:
-    """Total pressure (scattered contributions + incident) at exterior points.
-
-    The points are taken CAPTURE_POINTS at a time, so a capture at every
-    capsule never holds a basis array of T_F's shape.
-    """
-    points = _check_exterior(scene, points)
-    k = scene.k
-    out = np.empty(len(points), dtype=complex)
-    for first in range(0, len(points), CAPTURE_POINTS):
-        chunk = points[first : first + CAPTURE_POINTS]
-        part = regular_basis_matrix(a_in.n_max, k, chunk, [0.0, 0.0, 0.0]) @ a_in.values
-        for sph, b_s in zip(scene.spheres, solution.radiating):
-            part = part + singular_basis_matrix(scene.n_fwd, k, chunk, sph.center) @ b_s
-        out[first : first + CAPTURE_POINTS] = part
-    return out
+    """Total pressure (scattered contributions + incident) at exterior points."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    for i, s in enumerate(scene.spheres):
+        if np.any(np.linalg.norm(points - s.center[None, :], axis=1) < s.radius * (1 - 1e-12)):
+            raise SceneError(f"evaluation point inside sphere {i}")
+    total = regular_basis_matrix(a_in.n_max, scene.k, points, [0.0, 0.0, 0.0]) @ a_in.values
+    for sph, b_s in zip(scene.spheres, solution.radiating):
+        total = total + singular_basis_matrix(scene.n_fwd, scene.k, points, sph.center) @ b_s
+    return total
 
 
-def _capsule_residual(op: ForwardOperator, flips: np.ndarray) -> float:
-    """Max-abs gap of the capture T_F a to the multipole sum of its radiating coefficients, over the sum's max.
+def _capsule_residual(op: ForwardOperator, felt: list[np.ndarray], flips: np.ndarray) -> float:
+    """Max-abs gap of the capture Lambda_s (c a)_s to the multipole sum it stands for, over the sum's max.
 
-    a is the scene's incident field, and b = G (c a) radiates from the
-    solved class blocks ``op.c`` (:func:`_radiating`); :func:`eval_total_field`
-    sums R a + sum_t S_t b_t at RESIDUAL_SAMPLES capsules per sphere, a fixed
-    stride through its Fibonacci order.  The gap is what the capsule form
-    approximates: the field a sphere feels is cut off at degree n_fwd, and
-    the incident series about the origin is read where it may not converge.
+    a is the scene's incident field and ``felt`` holds c a, one class vector
+    per class; b = G (c a) radiates from it (:func:`_radiating`), and
+    :func:`eval_total_field` sums R a + sum_t S_t b_t at RESIDUAL_SAMPLES
+    capsules per sphere, a fixed stride through its Fibonacci order.  The
+    gap is what the capsule form approximates: the field a sphere feels is
+    cut off at degree n_fwd, and the incident series about the origin is
+    read where it may not converge.
     """
     scene = op.scene
-    a_in = scene.incident_coeffs()
-    b = _radiating(scene, op.classes, flips, op._felt(a_in))
+    b = _radiating(scene, op.classes, flips, felt)
     counts = [sphere.num_capsules for sphere in scene.spheres]
     rows = np.concatenate([start + np.arange(0, q, -(-q // RESIDUAL_SAMPLES)) for start, q in zip(np.cumsum([0] + counts), counts)])
-    reference = eval_total_field(scene, ScatterSolution(b, op.rcond), a_in, scene.capsule_positions()[rows])
-    return float(np.max(np.abs(op.apply(a_in)[rows] - reference)) / np.max(np.abs(reference)))
+    reference = eval_total_field(scene, ScatterSolution(b, op.rcond), scene.incident_coeffs(), scene.capsule_positions()[rows])
+    return float(np.max(np.abs(op.pressures(felt)[rows] - reference)) / np.max(np.abs(reference)))
 
 
-def forward_operator(scene: SceneConfig, include_coupling: bool = True, _local=None, _parts=None) -> ForwardOperator:
-    """The capsule-pressure response to every incident basis, T_F, as its factors.
+def forward_operator(scene: SceneConfig, include_coupling: bool = True, _parts=None) -> ForwardOperator:
+    """The capsule-pressure response to every incident basis, T_F, as its factors, and the scene's capture.
 
     Sphere s's capsule rows are its rigid-surface response times the local
     field it is given, Lambda_s c_s (Gumerov & Duraiswami, 2004, ch. 4).
     With coupling, c_s is the field it feels, solved for in place of the
-    right-hand-side blocks, and the capture T_F a is checked on a sample of
-    the rows against the multipole sum it stands for (``capsule_residual``,
-    from :func:`_capsule_residual`); the class
-    systems and those blocks are the only arrays of their size, and no
-    array of T_F's shape is made.  Without coupling the solve is skipped
-    and c_s is the incident field alone, a_s: each sphere in the incident
-    wave by itself.  ``_local`` is the scene's :func:`_local_incident_block`
-    when the caller has already built it; the coupled build overwrites it.
-    ``_parts`` gathers the seconds spent per forward part (see
-    :data:`FORWARD_PARTS`).
+    right-hand-side blocks; the class systems and those blocks are the only
+    arrays of their size, and no array of T_F's shape is made.  Without
+    coupling the solve is skipped and c_s is the incident field alone, a_s:
+    each sphere in the incident wave by itself.  Either way ``capture`` is
+    what the capsules record with every sphere present, the responses times
+    c a for the scene's incident field a, and ``capsule_residual`` checks it
+    (:func:`_capsule_residual`).  With coupling c a is the solved blocks
+    times a; without, one coupled vector solve against the a_s gives it,
+    before the responses are built, so the class systems and the responses
+    are never held together.  ``_parts`` gathers the seconds spent per
+    forward part (see :data:`FORWARD_PARTS`).
     """
-    rcond = None
     with _timed(_parts, "translation"):
         classes, flips = mirror_classes(scene)
-        c = _local_incident_block(scene) if _local is None else _local
-        if include_coupling:
-            systems = assemble_system_matrix(scene)
+        c = _local_incident_block(scene)
+    a_in = scene.incident_coeffs()
     if include_coupling:
-        with _timed(_parts, "solve"):
-            c, rcond = _solve_coupled(systems, c)
-            del systems  # the LU factors
+        c, rcond = _solve_felt(scene, c, _parts)
+        felt = _apply_blocks(c, classes, a_in, scene.n_in)
+    else:
+        felt, rcond = _solve_felt(scene, _apply_blocks(c, classes, a_in, scene.n_in), _parts)
     with _timed(_parts, "capsule"):
         responses = []
         for sphere, sphere_flips in zip(scene.spheres, flips):
             response = _to_pairs(surface_response_matrix(sphere, scene.k, scene.n_fwd), scene.n_fwd)
             response *= sphere_flips
             responses.append(response)
-    op = ForwardOperator(scene=scene, classes=classes, c=c, responses=responses, rcond=rcond)
-    if include_coupling:
-        with _timed(_parts, "residual"):
-            op.capsule_residual = _capsule_residual(op, flips)
+        op = ForwardOperator(scene=scene, classes=classes, c=c, responses=responses, rcond=rcond)
+        op.capture = op.pressures(felt)
+    with _timed(_parts, "residual"):
+        op.capsule_residual = _capsule_residual(op, felt, flips)
     return op

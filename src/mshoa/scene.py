@@ -89,6 +89,8 @@ class IncidentSource:
     amplitude: complex = 1.0 + 0j
 
     def __post_init__(self):
+        if self.amplitude == 0:  # a silent source leaves truth and estimate both 0, every pixel at the SDR cap
+            raise SceneError("source amplitude must be nonzero")
         if self.kind == "plane_wave":
             if self.direction is None:
                 raise SceneError("plane_wave source needs a direction")

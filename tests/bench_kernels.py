@@ -25,15 +25,14 @@ from mshoa.encode import DenseModel, Encoder
 from mshoa.fields import FieldGrid, GridSpec, reconstruct_field
 from mshoa.matio import write_field_csv
 from mshoa.scatter import (
+    _apply_blocks,
     _capsule_residual,
     _solve_coupled,
     _to_pairs,
     assemble_system_matrix,
     forward_operator,
     mirror_classes,
-    surface_response_matrix,
 )
-from mshoa.scene import RsmaSpec
 from mshoa.translation import _coaxial_matrix, rotation_blocks
 
 K = 2 * np.pi * 2000 / 343.0
@@ -112,13 +111,13 @@ def test_coaxial_matrix(benchmark, kind, dist, n_src, n_dst):
     benchmark(_coaxial_matrix, kind, dist, 2 * np.pi * 4000 / 343.0, n_src, n_dst)
 
 
-def test_capsule_block(benchmark):
-    """One sphere's rows of the coupled T_F, Lambda_s @ c_s: (252 x 289) @ (289 x 2116)."""
-    rng = np.random.default_rng(5)
-    lam = surface_response_matrix(RsmaSpec.fibonacci([0.0, 0.0, 0.0], 0.08, 252), 2 * np.pi * 4000 / 343.0, 16)
-    c = np.asfortranarray(_complex(rng, (9 * num_coeffs(16), num_coeffs(45))))  # the solved block, 9 spheres
-    out = np.empty((252, num_coeffs(45)), dtype=complex)
-    benchmark(np.matmul, lam, c[num_coeffs(16) : 2 * num_coeffs(16)], out=out)
+def test_forward_matrix(benchmark):
+    """``cartesian9``'s T_F filled from its factors, as an export writes it:
+    per sphere, the (252 x class harmonics) @ (class rows x class incident
+    columns) products of the eight classes, then the pair transform of its
+    252 x 2116 rows."""
+    op = forward_operator(load_config(Path(__file__).parents[1] / "configs" / "cartesian9_mshoa.yaml").scene)
+    benchmark(lambda: op.matrix)
 
 
 MIRROR8 = [(360, 276), (316, 276), (342, 276), (308, 253), (342, 276), (308, 253), (333, 253), (292, 253)]
@@ -145,11 +144,11 @@ def test_coupled_solve(benchmark, shapes):
 
 
 @pytest.mark.parametrize(
-    "shape, axis", [((64, num_coeffs(45)), -1), ((num_coeffs(16), num_coeffs(45)), 1)], ids=["tf_chunk", "rr_block"]
+    "shape, axis", [((252, num_coeffs(45)), -1), ((num_coeffs(16), num_coeffs(45)), 1)], ids=["tf_sphere", "rr_block"]
 )
 def test_to_pairs(benchmark, shape, axis):
     """The pair transform of ``forward_planar9``'s degree-45 incident columns,
-    in place: a 64-row chunk of T_F, and one sphere's R|R block."""
+    in place: one sphere's rows of T_F, and one sphere's R|R block."""
     a = _complex(np.random.default_rng(8), shape)
     benchmark(_to_pairs, a, 45, axis=axis)
 
@@ -162,13 +161,13 @@ def test_assemble_system_matrix(benchmark):
 
 
 def test_capsule_residual(benchmark):
-    """MSHOA's capsule check on ``cartesian9``'s eight classes (n_fwd 16,
-    n_in 45): the capture T_F a from the factors, the radiate step from the
-    solved class blocks, and eval_total_field at 16 capsules of each of the
-    9 spheres."""
+    """The capture check on ``cartesian9``'s eight classes (n_fwd 16, n_in 45):
+    the capture from the class vectors of c a, the radiate step, and
+    eval_total_field at 16 capsules of each of the 9 spheres."""
     scene = load_config(Path(__file__).parents[1] / "configs" / "cartesian9_mshoa.yaml").scene
     op = forward_operator(scene)
-    benchmark(_capsule_residual, op, mirror_classes(scene)[1])
+    felt = _apply_blocks(op.c, op.classes, scene.incident_coeffs(), scene.n_in)
+    benchmark(_capsule_residual, op, felt, mirror_classes(scene)[1])
 
 
 @pytest.mark.parametrize("points", [252, 4096], ids=["capsules", "pixel_chunk"])

@@ -159,7 +159,7 @@ def test_single_run_builds_only_the_uncoupled_operator(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "forward_operator", counting_build)
     monkeypatch.setattr(runner, "forward_solve", counting_solve)
     run_experiment(validate_config(TINY_SINGLE), tmp_path / "out")
-    assert calls == {"forward_operator": [False], "forward_solve": 1}
+    assert calls == {"forward_operator": [False], "forward_solve": 0}
 
 
 def test_single_run_builds_each_local_translation_once(tmp_path, monkeypatch):
@@ -247,11 +247,11 @@ def test_system_rcond_is_the_coupled_system_of_every_method(tmp_path):
 
 def test_capsule_residual_recomputed_from_the_multipole_sum(tmp_path):
     """summary.json's capsule_residual is the max-abs gap, over the max, between
-    the capture MSHOA encodes, T_F a = Lambda_s (c a)_s, and the regular plus
+    the capture MSHOA and Single encode, Lambda_s (c a)_s, and the regular plus
     singular series R a + sum_t S_t G_t (c a)_t it stands for, at up to 16
     capsules of each sphere, a stride through its Fibonacci order; here c a
-    comes from a dense solve.  Only MSHOA builds T_F from c: the other methods
-    and an imported T_F report null."""
+    comes from a dense solve.  HOA, lone-array HOA and an imported T_F read
+    no capture off T_F's factors, and report null."""
     import scipy.linalg as sla
 
     from mshoa.basis import regular_basis_matrix, singular_basis_matrix
@@ -259,8 +259,6 @@ def test_capsule_residual_recomputed_from_the_multipole_sum(tmp_path):
     from tests.oracles import coupled_system_matrix, local_incident_matrix
 
     cfg = validate_config(TINY)
-    run_experiment(cfg, tmp_path / "mshoa", export_forward=tmp_path / "forward.bin")
-    reported = json.loads((tmp_path / "mshoa" / "summary.json").read_text())["capsule_residual"]
     scene = cfg.scene
     k, n, a = scene.k, scene.n_fwd, scene.incident_coeffs().values
     c = np.split(sla.solve(coupled_system_matrix(scene), local_incident_matrix(scene) @ a), scene.num_spheres)
@@ -274,10 +272,14 @@ def test_capsule_residual_recomputed_from_the_multipole_sum(tmp_path):
         for other, c_t in zip(scene.spheres, c):
             total += singular_basis_matrix(n, k, caps, other.center) @ (rigid_scatter_gain(k, other.radius, n) * c_t)
         worst, top = max(worst, np.max(np.abs(capture - total))), max(top, np.max(np.abs(total)))
-    assert 0 < reported == pytest.approx(worst / top, rel=1e-6)
+    run_experiment(cfg, tmp_path / "mshoa", export_forward=tmp_path / "forward.bin")
+    run_experiment(validate_config(TINY_SINGLE), tmp_path / "single")
+    for name in ("mshoa", "single"):
+        reported = json.loads((tmp_path / name / "summary.json").read_text())["capsule_residual"]
+        assert 0 < reported == pytest.approx(worst / top, rel=1e-6)
     imported = run_experiment(cfg, tmp_path / "imported", import_forward=tmp_path / "forward.bin")
     assert imported.capsule_residual is None
-    for i, text in enumerate((TINY_SINGLE, TINY_HOA, LONE_HOA)):
+    for i, text in enumerate((TINY_HOA, LONE_HOA)):
         out = tmp_path / f"other{i}"
         run_experiment(validate_config(text), out)
         assert json.loads((out / "summary.json").read_text())["capsule_residual"] is None
@@ -291,15 +293,19 @@ def test_capsule_residual_sees_a_diverging_incident_series():
     built directly, as the configuration rejects that source."""
     from dataclasses import replace
 
-    from mshoa.scatter import _capsule_residual, forward_operator, mirror_classes
+    from mshoa.scatter import _apply_blocks, _capsule_residual, forward_operator, mirror_classes
     from mshoa.scene import IncidentSource
 
     scene = replace(validate_config(TINY).scene, n_in=12)
     far, near = (replace(scene, source=IncidentSource(kind="monopole", position=[0.0, 0.0, z])) for z in (3.0, 0.15))
     op = forward_operator(far)
     flips = mirror_classes(far)[1]
-    assert op.capsule_residual == _capsule_residual(op, flips)
-    assert _capsule_residual(replace(op, scene=near), flips) > 100 * op.capsule_residual
+    residuals = [
+        _capsule_residual(replace(op, scene=s), _apply_blocks(op.c, op.classes, s.incident_coeffs(), s.n_in), flips)
+        for s in (far, near)
+    ]
+    assert op.capsule_residual == residuals[0]
+    assert residuals[1] > 100 * op.capsule_residual
 
 
 def test_plane_wave_amplitude_scales_truth_and_capture_not_the_ssa(tmp_path):
@@ -441,6 +447,25 @@ def test_cli_rejects_a_monopole_inside_the_arrays_enclosing_radius(tmp_path):
     bad.write_text(lone_hoa)
     res = CliRunner().invoke(main, ["validate", str(bad)])
     assert res.exit_code == 0 and res.output.startswith("ok: HOA, 1 spheres"), res.output
+
+
+def test_cli_rejects_a_silent_source(tmp_path):
+    """A source of amplitude 0 leaves truth and estimate both 0, so every pixel
+    would sit at the SDR cap and the capture check would divide 0 by 0: for a
+    monopole and a plane wave, amplitude 0 and [0, 0] make validate and run
+    exit 2 with a config error, and run writes nothing."""
+    plane = TINY.replace("kind: monopole, position: [5, 5, 5]", "kind: plane_wave, direction: [1, 1, 0.5]")
+    bad, out = tmp_path / "bad.yaml", tmp_path / "out"
+    for text in (TINY, plane):
+        for amplitude in ("0", "[0, 0]"):
+            bad.write_text(text.replace("]}\n  frequency", f"], amplitude: {amplitude}}}\n  frequency"))
+            assert "amplitude" in bad.read_text()
+            for command in (["validate", str(bad)], ["run", str(bad), "--out", str(out)]):
+                res = CliRunner().invoke(main, command)
+                assert res.exit_code == 2, res.output
+                assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+                assert res.output.startswith("config error:") and "amplitude must be nonzero" in res.output
+            assert not out.exists()
 
 
 def test_cli_bad_forward_file(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from mshoa.basis import num_coeffs, sph_bessel_j, sph_hankel1
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig, SceneError
 from mshoa.scatter import (
+    _apply_blocks,
     _radiating,
     _to_pairs,
     assemble_system_matrix,
@@ -185,8 +186,26 @@ def test_uncoupled_operator_is_each_surface_response_times_its_incident_field(ce
     reference = np.vstack([surface_response_matrix(s, scene.k, scene.n_fwd) @ a_s for s, a_s in zip(scene.spheres, a_local)])
     op = forward_operator(scene, include_coupling=False)
     assert _rel_gap(op.matrix, reference) <= 1e-13
-    assert op.rcond is None and op.capsule_residual is None  # no system was solved
-    assert forward_operator(scene).rcond > 0
+    assert op.rcond == forward_operator(scene).rcond > 0  # its capture solves the coupled system
+
+
+@pytest.mark.parametrize(
+    "centers",
+    [[[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], _GRID4, [[0.0, -0.125, 0.0], [0.05, 0.125, 0.05]]],
+    ids=["pair", "grid4", "no_plane"],
+)
+def test_single_capture_is_the_coupled_capture(centers):
+    """Single's uncoupled operator records the capture MSHOA's coupled one
+    encodes: one coupled vector solve against its local incident fields
+    gives c a, and its responses times c a equal T_F a to 1e-13 of the
+    largest entry.  The two solve one system, so their rcond is equal, and
+    their residual checks agree."""
+    source = IncidentSource(kind="monopole", position=[5.0, 5.0, 5.0])
+    scene = _scene(centers, caps=40, freq=1000.0, n_in=8, n_fwd=5, source=source)
+    single, coupled = forward_operator(scene, include_coupling=False), forward_operator(scene)
+    assert _rel_gap(single.capture, coupled.matrix @ scene.incident_coeffs().values) <= 1e-13
+    assert single.rcond == coupled.rcond
+    assert single.capsule_residual == pytest.approx(coupled.capsule_residual, rel=1e-6)
 
 
 def _reference_coupled_operator(scene, a_local):
@@ -216,7 +235,7 @@ def test_forward_operator_matches_solve_route():
             for s, b in zip(scene.spheres, sol.radiating)
         ]
     )
-    assert _rel_gap(op.apply(a_in), via_solve) <= 1e-13
+    assert _rel_gap(op.capture, via_solve) <= 1e-13
 
 
 def test_local_incident_at_forward_degree_matches_truncated_build():
@@ -236,7 +255,7 @@ def test_capsule_form_converges_to_the_multipole_sum():
         a_in = scene.incident_coeffs()
         op = forward_operator(scene)
         oracle = eval_total_field(scene, forward_solve(scene, a_in), a_in, scene.capsule_positions())
-        gaps.append(_rel_gap(op.apply(a_in), oracle))
+        gaps.append(_rel_gap(op.capture, oracle))
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -256,7 +275,7 @@ def test_forward_operator_shape_and_guards():
 
     bad = CoefficientVector(k=scene.k, n_max=scene.n_in + 1, values=np.zeros(num_coeffs(scene.n_in + 1)))
     with pytest.raises(ValueError):
-        op.apply(bad)
+        forward_solve(scene, bad)
 
 
 def _grid4(**kw):
@@ -475,7 +494,7 @@ def test_radiating_from_the_class_blocks_is_the_solved_b(rng, name):
     classes, flips = mirror_classes(scene)
     assert len(classes) == count
     a_in = CoefficientVector(k=scene.k, n_max=scene.n_in, values=rng.standard_normal((num_coeffs(scene.n_in), 2)) @ [1, 1j])
-    b = _radiating(scene, classes, flips, op._felt(a_in))
+    b = _radiating(scene, classes, flips, _apply_blocks(op.c, classes, a_in, scene.n_in))
     assert b.shape == (scene.num_spheres, num_coeffs(scene.n_fwd))
     gains = np.concatenate([rigid_scatter_gain(scene.k, s.radius, scene.n_fwd) for s in scene.spheres])
     dense = gains * sla.solve(coupled_system_matrix(scene), local_incident_matrix(scene) @ a_in.values)
@@ -490,7 +509,9 @@ def test_factors_give_the_gram_adjoint_and_capture_of_the_filled_matrix(rng, nam
     """T_F's factors give the encoder what the filled T_F gives, to 1e-13 of
     the largest entry: the conjugated Gram of the smaller side (upper
     triangle, Fortran-ordered), T_F^H y in the model's column basis, whose
-    columns to_standard maps onto the standard order, and the capture T_F a."""
+    columns to_standard maps onto the standard order, and T_F a, the pressures
+    of the fields the blocks give the spheres; the coupled build's capture is
+    that T_F a."""
     from scipy.linalg.blas import zherk
 
     centers, count = _MODEL_SCENES[name]
@@ -512,6 +533,8 @@ def test_factors_give_the_gram_adjoint_and_capture_of_the_filled_matrix(rng, nam
     y = rng.standard_normal((q, 2)) @ [1, 1j]
     assert _rel_gap(op.adjoint(y, size), model.conj().T @ y) <= 1e-13
     a_in = scene.incident_coeffs()
-    assert _rel_gap(op.apply(a_in), f @ a_in.values) <= 1e-13
+    assert _rel_gap(op.pressures(_apply_blocks(op.c, op.classes, a_in, scene.n_in)), f @ a_in.values) <= 1e-13
+    if coupling:
+        assert _rel_gap(op.capture, f @ a_in.values) <= 1e-13
     with pytest.raises(ValueError):  # the class basis has no degree slices
         op.gram(size - 1, dual)
