@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.blas import zhemv, zherk
+from scipy.linalg.lapack import zpotrf as potrf, zpotrs as potrs
 
 from .basis import CoefficientVector, num_coeffs
 from .scatter import ForwardOperator, _timed, surface_response_matrix
@@ -17,11 +17,13 @@ from .scene import RsmaSpec
 log = logging.getLogger(__name__)
 
 PANEL = 64  # Gram columns copied to the lower triangle per step
+CG_TOL = 2e-15  # a CG solve stops at ‖r‖ ≤ CG_TOL ‖Fᴴp‖
+CG_MAX_ITERATIONS = 500  # a CG solve that has not stopped by then fails
 ENCODE_PARTS = ("gram", "scale", "solves")  # the timed parts of the encode stage
 
 
 class EncoderError(RuntimeError):
-    """Encoding failed: singular normal equations or an SVD that did not converge."""
+    """Encoding failed: singular normal equations, an SVD or a CG that did not converge."""
 
 
 @dataclass
@@ -63,32 +65,39 @@ class DenseModel:
 class Encoder:
     """Ridge regression from capsule pressures to the coefficients of a forward model F.
 
-    A σ > 0 candidate of degree n inverts F_s, the first s = (n+1)² columns of
-    F, on the smaller side of its Tikhonov normal equations (Hansen,
-    *Rank-Deficient and Discrete Ill-Posed Problems*, 1998):
-    (F_sᴴF_s + σI)⁻¹F_sᴴp, or, when F_s has fewer rows (capsules) than
-    columns, the same estimate F_sᴴ(F_sF_sᴴ + σI)⁻¹p by the push-through
-    identity (Golub & Van Loan, *Matrix Computations*, §6.1).  The model
-    ``forward`` supplies the Gram of either side, conjugated and in the
-    upper triangle of a Fortran-ordered array, and F_sᴴy, both in its own
-    column basis, and maps a solution from that basis to the standard
-    (n, m) order: a :class:`DenseModel` from its matrix, a
-    :class:`~mshoa.scatter.ForwardOperator` from its mirror-class factors,
-    whole-degree only.  Each Gram is formed once, on first use, and each σ
-    then costs one Cholesky factorisation in the Gram's own memory: the
-    lower triangle and the diagonal take the shifted matrix and then its
-    factor, and the diagonal is restored, so the upper triangle always holds
-    the Gram and no copy of it is made.  σ = 0 is the minimum-norm
-    least-squares solution pinv(F_s) p of F's matrix and forms no Gram.  No
-    capsules-to-coefficients matrix is formed.  ``parts`` gathers the
-    seconds spent per :data:`ENCODE_PARTS`.
+    A σ > 0 candidate of degree n solves F_s's Tikhonov normal equations,
+    F_s the first s = (n+1)² columns of F (Hansen, *Rank-Deficient and
+    Discrete Ill-Posed Problems*, 1998): x = (F_sᴴF_s + σI)⁻¹F_sᴴp, on the
+    smaller side of F_s.  When F_s has fewer rows (capsules) than columns it
+    is solved as the same estimate F_sᴴ(F_sF_sᴴ + σI)⁻¹p by the push-through
+    identity (Golub & Van Loan, *Matrix Computations*, §6.1), which keeps it
+    in F_s's row space: the primal side would carry the rounding of F_sᴴp
+    along F_s's null space, times 1/σ.  A :class:`DenseModel` on either
+    side, and a :class:`~mshoa.scatter.ForwardOperator` on its dual side,
+    take one Cholesky factorisation per σ of that side's Gram, formed once
+    on first use, conjugated and in the upper triangle of a Fortran-ordered
+    array; each factorisation runs in its lower triangle, whose diagonal is
+    then restored, so no copy of the Gram is made.  A ForwardOperator on its
+    primal side (whole degree only) forms no Gram: conjugate gradients solve
+    the normal equations in its column basis, each product FᴴF v taken
+    through its factors, preconditioned by the diagonal class blocks of FᴴF,
+    each Cholesky-factored per σ (block Jacobi: Concus, Golub & Meurant,
+    SIAM J. Sci. Stat. Comput. 6, 1985).  Its candidates run in descending
+    σ, each started from the last one's solution, until ‖r‖ ≤
+    :data:`CG_TOL` ‖Fᴴp‖; past :data:`CG_MAX_ITERATIONS` the solve fails.
+    ``cg`` holds, per candidate of the last :meth:`apply`, the iterations
+    and the final relative residual of its CG, None for a candidate solved
+    otherwise.  σ = 0 is the minimum-norm least-squares solution pinv(F_s)
+    p of F's matrix and forms no Gram.  No capsules-to-coefficients matrix
+    is formed.  ``parts`` gathers the seconds spent per :data:`ENCODE_PARTS`.
     """
 
     forward: DenseModel | ForwardOperator = field(repr=False)  # F, capsules x (n_out+1)^2
     k: float
     parts: dict = field(default_factory=lambda: dict.fromkeys(ENCODE_PARTS, 0.0), init=False)
-    # conj(F_sᴴF_s) under None, s the largest primal size asked for so far;
-    # conj(F_sF_sᴴ) under s for a dual s; in the upper triangles, the lower ones are scratch
+    cg: list = field(default_factory=list, init=False)
+    # conj(F_sᴴF_s) under None, s the largest primal size asked for so far; conj(F_sF_sᴴ) under s
+    # for a dual s; in the upper triangles, the lower ones are scratch.  CG's class blocks under "classes".
     _grams: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -96,12 +105,18 @@ class Encoder:
         """The truncation degree of F's coefficients: F has (n_out+1)² columns."""
         return math.isqrt(self.forward.shape[1]) - 1
 
+    @property
+    def _iterative(self) -> bool:
+        """Whether the model is solved by CG: a ForwardOperator on its primal side."""
+        return isinstance(self.forward, ForwardOperator) and self.forward.shape[0] >= self.forward.shape[1]
+
     def _gram(self, size: int) -> tuple[bool, np.ndarray]:
         """Whether F_s = F[:, :size] is solved on its dual side, and that side's Gram.
 
-        The one place the side is chosen: dual when F_s has fewer rows than
-        columns.  The primal Gram is formed at the first size asked for and
-        sliced for smaller ones, so a caller asks for its largest first.
+        Dual when F_s has fewer rows than columns, the rule :attr:`_iterative`
+        applies to a ForwardOperator's one size.  The primal Gram is formed at
+        the first size asked for and sliced for smaller ones, so a caller asks
+        for its largest first.
         """
         dual = self.forward.shape[0] < size
         key = size if dual else None
@@ -111,17 +126,35 @@ class Encoder:
         gram = self._grams[key]
         return dual, gram if dual else gram[:size, :size]
 
+    def _class_grams(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """CG's preconditioner blocks, the diagonal class blocks G_kk of FᴴF, formed on first use, and their diagonals.
+
+        Each σ factors G_kk + σI in the block's lower triangle (:func:`_factored`),
+        so the upper triangle and the diagonal kept here hold G_kk.
+        """
+        if "classes" not in self._grams:
+            with _timed(self.parts, "gram", "encode"):
+                self._grams["classes"] = [(gram, gram.diagonal().copy()) for gram in self.forward.class_grams()]
+        return self._grams["classes"]
+
     @property
     def scale(self) -> float:
-        """‖F‖₂², the largest eigenvalue of FᴴF and of FFᴴ: the unit of a σ search grid."""
-        _, gram = self._gram(self.forward.shape[1])  # the Gram a full-degree σ > 0 solve uses
-        size = gram.shape[0]
+        """‖F‖₂², the largest eigenvalue of FᴴF and of FFᴴ: the unit of a σ search grid.
+
+        Lanczos (ARPACK) on the Gram of the side a full-degree σ > 0 solve
+        uses, or, for CG, on the product FᴴF v through the factors.
+        """
+        if self._iterative:
+            size, product = self.forward.shape[1], self.forward.normal
+        else:
+            _, gram = self._gram(self.forward.shape[1])
+            size, product = len(gram), lambda x: zhemv(1.0, gram, x)
         with _timed(self.parts, "scale", "encode"):
             if size < 3:  # below ARPACK's smallest complex problem
-                return float(sla.eigvalsh(gram, lower=False)[-1])
+                return float(np.linalg.eigvalsh(np.column_stack([product(e) for e in np.eye(size, dtype=complex)]))[-1])
             from scipy.sparse.linalg import LinearOperator, eigsh  # ~40 ms to import; only a σ search needs it
 
-            hermitian = LinearOperator(gram.shape, matvec=lambda x: zhemv(1.0, gram, x), dtype=complex)
+            hermitian = LinearOperator((size, size), matvec=product, dtype=complex)
             start = np.random.default_rng(0).standard_normal(size)  # reproducible
             return float(eigsh(hermitian, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)[0])
 
@@ -148,12 +181,20 @@ class Encoder:
             raise ValueError("regularization must be non-negative")
         if np.any(n_outs < 0) or np.any(n_outs > n_out):
             raise ValueError(f"candidate truncation outside 0..{n_out}")
-        order = np.argsort(-n_outs, kind="stable")  # largest degree first: see _gram
-        for j in order[sigmas[order] > 0]:
-            self._gram(num_coeffs(n_outs[j]))
-        conj_p = pressures.conj()
+        order = np.lexsort((-sigmas, -n_outs))  # largest degree first (see _gram), then largest σ
+        iterative = self._iterative and np.any(sigmas > 0)
+        if iterative:
+            if np.any(n_outs[sigmas > 0] != n_out):
+                raise ValueError(f"a forward operator's model solves all {self.forward.shape[1]} columns, not a lower degree")
+            self._class_grams()
+        else:
+            for j in order[sigmas[order] > 0]:
+                self._gram(num_coeffs(n_outs[j]))
+        self.cg = [None] * sigmas.size
         block = np.zeros((num_coeffs(n_out), sigmas.size), dtype=complex)
         with _timed(self.parts, "solves", "encode"):
+            if iterative:
+                rhs, x = self.forward.adjoint(pressures, self.forward.shape[1]), np.zeros(self.forward.shape[1], dtype=complex)
             for j in order:
                 sigma, size = sigmas[j], num_coeffs(n_outs[j])
                 if sigma == 0.0:
@@ -161,23 +202,68 @@ class Encoder:
                         block[:size, j] = np.linalg.pinv(self.forward.matrix[:, :size]) @ pressures
                     except np.linalg.LinAlgError as exc:  # e.g. a forward model holding nan from overflowed h_n
                         raise EncoderError(f"pseudo-inverse failed: {exc}")
-                    continue
-                dual, gram = self._gram(size)
-                diagonal = gram.diagonal().copy()
-                try:
-                    shifted = _shifted_lower(gram, diagonal + sigma)
-                    factor = sla.cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
-                    # the Grams are conjugated, so each solve runs on conjugates: conj(x) = conj(Gram)⁻¹ conj(Fᴴp), etc.
-                    if dual:
-                        x = self.forward.adjoint(sla.cho_solve(factor, conj_p, check_finite=False).conj(), size)
-                    else:
-                        x = sla.cho_solve(factor, self.forward.adjoint(pressures, size).conj(), check_finite=False).conj()
-                except np.linalg.LinAlgError as exc:
-                    raise EncoderError(f"normal-equations factorisation failed: {exc}")
-                finally:
-                    np.fill_diagonal(gram, diagonal)  # the upper triangle is the Gram again
-                block[:size, j] = self.forward.to_standard(x)
+                elif iterative:
+                    x, iterations, residual = self._cg(rhs, sigma, x)
+                    self.cg[j] = {"iterations": iterations, "residual": residual}
+                    log.info("CG at sigma %.6e: %d iterations, relative residual %.2e", sigma, iterations, residual)
+                    block[:, j] = self.forward.to_standard(x)
+                else:
+                    block[:size, j] = self.forward.to_standard(self._cholesky(pressures, sigma, size))
         return CoefficientVector(k=self.k, n_max=n_out, values=block)
+
+    def _cholesky(self, pressures: np.ndarray, sigma: float, size: int) -> np.ndarray:
+        """The solution at σ > 0 of the first ``size`` columns, by one Cholesky factorisation on their Gram's side."""
+        dual, gram = self._gram(size)
+        diagonal = gram.diagonal().copy()
+        try:
+            factor = _factored(gram, diagonal, sigma)
+            # the Grams are conjugated, so each solve runs on conjugates: conj(x) = conj(Gram)⁻¹ conj(Fᴴp), etc.
+            if dual:
+                return self.forward.adjoint(potrs(factor, pressures.conj(), lower=1)[0].conj(), size)
+            return potrs(factor, self.forward.adjoint(pressures, size).conj(), lower=1)[0].conj()
+        finally:
+            np.fill_diagonal(gram, diagonal)  # the upper triangle is the Gram again, for the scale's zhemv
+
+    def _cg(self, rhs: np.ndarray, sigma: float, x: np.ndarray) -> tuple[np.ndarray, int, float]:
+        """(FᴴF + σI)⁻¹ ``rhs`` for a ForwardOperator by block-Jacobi preconditioned CG from ``x``.
+
+        Returns the solution, the iterations taken and ‖r‖ / ‖rhs‖ of the
+        updated residual r that met the stopping rule.  Each class block
+        G_kk + σI is factored in place and applied by LAPACK ``potrs``
+        directly, without scipy's per-call checks.
+        """
+        factors = [_factored(gram, diagonal, sigma) for gram, diagonal in self._class_grams()]
+
+        def precondition(r):
+            return np.concatenate([potrs(f, r[cls], lower=1)[0] if len(f) else r[cls] for f, cls in zip(factors, self.forward.columns)])
+
+        norm = np.linalg.norm(rhs) or 1.0
+        r = rhs - self.forward.normal(x) - sigma * x
+        p = z = precondition(r)
+        rz = np.vdot(r, z).real
+        for iteration in range(CG_MAX_ITERATIONS + 1):
+            residual = float(np.linalg.norm(r) / norm)
+            if residual <= CG_TOL:
+                return x, iteration, residual
+            if iteration == CG_MAX_ITERATIONS or not np.isfinite(residual):
+                break
+            q = self.forward.normal(p) + sigma * p
+            alpha = rz / np.vdot(p, q).real
+            x, r = x + alpha * p, r - alpha * q
+            z = precondition(r)
+            rz, previous = np.vdot(r, z).real, rz
+            p = z + (rz / previous) * p
+        raise EncoderError(f"CG did not reach a relative residual of {CG_TOL:g} in {iteration} iterations (at {residual:.2e}, sigma {sigma:.3e})")
+
+
+def _factored(gram: np.ndarray, diagonal: np.ndarray, sigma: float) -> np.ndarray:
+    """The Cholesky factor of ``gram`` (Hermitian, held in its upper triangle) plus σI, with ``diagonal`` as its
+    diagonal, in its own lower triangle by LAPACK ``potrf`` (:func:`_shifted_lower`): in place when ``gram`` is
+    Fortran-contiguous.  A matrix that is not positive definite is an EncoderError."""
+    factor, info = potrf(_shifted_lower(gram, diagonal + sigma), lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise EncoderError(f"normal-equations factorisation failed (potrf info {info})")
+    return factor
 
 
 def _shifted_lower(gram: np.ndarray, diagonal: np.ndarray) -> np.ndarray:

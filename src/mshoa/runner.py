@@ -58,6 +58,7 @@ class RunSummary:
     stages: dict  # seconds spent in each of STAGES; they add up to wall_time_s
     forward_parts: dict  # seconds of the forward stage spent in each of FORWARD_PARTS
     encode_parts: dict  # seconds of the encode stage spent in each of ENCODE_PARTS
+    cg: list | None  # per candidate in search order: its CG's iterations and final relative residual, or None; None if no CG ran
     peak_rss_mb: dict  # the process's peak resident set (MB) so far at the end of each of STAGES
     system_rcond: float | None  # of the coupled scattering system solved, as its mirror classes; None if none was
     system_blocks: list | None  # the sizes of its mirror-class blocks; None if no system was solved
@@ -192,7 +193,8 @@ def run_experiment(
     block = enc.encoder.apply(enc.pressures, sigmas=sigmas, n_outs=enc.n_outs)
     candidates = enc.n_outs if by_degree else sigmas
     center, rcond, capsule_residual, encode_parts = enc.center, enc.rcond, enc.capsule_residual, enc.encoder.parts
-    del enc  # frees the encoder's forward model and Gram before the pixel passes
+    cg = enc.encoder.cg if any(enc.encoder.cg) else None
+    del enc  # frees the encoder's forward model and Gram or class blocks before the pixel passes
     end_stage()
 
     truth = ground_truth_field(scene.source, scene.k, cfg.grid)
@@ -228,6 +230,7 @@ def run_experiment(
         stages={stage: end - start for stage, start, end in zip(STAGES, marks, marks[1:])},
         forward_parts=parts,
         encode_parts=encode_parts,
+        cg=cg,
         peak_rss_mb=dict(zip(STAGES, peaks)),
         system_rcond=rcond,
         system_blocks=None if rcond is None else [cls.size for cls in mirror_classes(scene)[0]],

@@ -8,6 +8,7 @@ import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -52,18 +53,23 @@ class ForwardOperator:
     :func:`mirror_classes` class, so T_F = Lambda_hat (+)_k C_k, and no dense
     T_F is held.  ``c`` holds the class blocks C_k: the local fields of each
     class's incident pair-basis columns (MSHOA's coupled solution, or
-    Single's local incident maps).  ``responses`` holds each sphere's surface
-    response in its flipped pair basis, Lambda_hat_s (:func:`forward_operator`).
-    The model's own column basis is the incident pair basis in class order:
-    the columns of the first class's ``incident``, then the next class's, and
-    so on; :meth:`to_standard` takes coefficients from it to the standard
-    (n, m) order.  :attr:`matrix` fills T_F in the standard order on demand.
+    Single's local incident maps).  ``responses`` holds one surface response
+    in the pair basis per distinct (radius, capsule layout); sphere s's
+    Lambda_hat_s is ``responses[kinds[s]]`` with its columns times
+    ``flips[s]``, the sphere's reflection signs, so spheres that share a
+    response are served by one matrix product.  The model's own column
+    basis is the incident pair basis in class order: the columns of the
+    first class's ``incident``, then the next class's, and so on;
+    :meth:`to_standard` takes coefficients from it to the standard (n, m)
+    order.  :attr:`matrix` fills T_F in the standard order on demand.
     """
 
     scene: SceneConfig
     classes: list[MirrorClass] = field(repr=False)
     c: list[np.ndarray] = field(repr=False)  # per class: (class unknowns, class incident columns), Fortran-ordered
-    responses: list[np.ndarray] = field(repr=False)  # per sphere: (capsules, (n_fwd+1)^2)
+    responses: list[np.ndarray] = field(repr=False)  # per distinct (radius, capsule layout): (capsules, (n_fwd+1)^2)
+    kinds: list[int] = field(repr=False)  # per sphere: the index of its response
+    flips: np.ndarray = field(repr=False)  # (spheres, (n_fwd+1)^2): the reflection signs of mirror_classes
     rcond: float | None = None  # of the coupled system solved to build it or its capture
     capture: np.ndarray | None = field(default=None, repr=False)  # the scene's capsule pressures, Lambda_s (c a)_s
     capsule_residual: float | None = None  # the capture's sampled gap to the multipole sum
@@ -76,19 +82,43 @@ class ForwardOperator:
     @property
     def matrix(self) -> np.ndarray:
         """T_F in the standard (n, m) order, filled one sphere's capsule rows at a time."""
-        matrix, start = np.empty(self.shape, dtype=complex), 0
-        for s, response in enumerate(self.responses):
-            out, start = matrix[start : start + len(response)], start + len(response)
+        matrix = np.empty(self.shape, dtype=complex)
+        for s, capsules in enumerate(self._rows):
+            out, response = matrix[capsules], self.responses[self.kinds[s]]
             for block, cls in zip(self.c, self.classes):  # their incident columns cover every column
                 rows, local, sign = cls.members[s]
-                out[:, cls.incident] = (response[:, local] * sign) @ block[rows]
+                out[:, cls.incident] = (response[:, local] * (sign * self.flips[s, local])) @ block[rows]
             _to_pairs(out, self.scene.n_in)
         return matrix
 
+    @cached_property
+    def _rows(self) -> list[slice]:
+        """Each sphere's capsule rows."""
+        return _spans(sphere.num_capsules for sphere in self.scene.spheres)
+
+    @cached_property
+    def columns(self) -> list[slice]:
+        """Each class's columns in the model's column basis."""
+        return _spans(cls.incident.size for cls in self.classes)
+
+    def _shared(self) -> Iterator[tuple[np.ndarray, list[int]]]:
+        """Per distinct response: it and the spheres that share it."""
+        for kind, response in enumerate(self.responses):
+            yield response, [s for s, other in enumerate(self.kinds) if other == kind]
+
     def pressures(self, felt: list[np.ndarray]) -> np.ndarray:
-        """Capsule pressures Lambda_hat_s u_s of the fields u the spheres feel, given as one class vector per class."""
+        """Capsule pressures Lambda_hat_s u_s of the fields u the spheres feel, given as one class vector per class.
+
+        The spheres that share a response take one matrix product, with their
+        flipped u_s as its columns.
+        """
         u = _on_spheres(self.scene, self.classes, felt)
-        return np.concatenate([response @ u_s for response, u_s in zip(self.responses, u)])
+        u *= self.flips
+        out, rows = np.empty(self.shape[0], dtype=complex), self._rows
+        for response, spheres in self._shared():
+            for s, column in zip(spheres, (response @ u[spheres].T).T):
+                out[rows[s]] = column
+        return out
 
     def _whole(self, size: int) -> None:
         if size != self.shape[1]:
@@ -97,19 +127,20 @@ class ForwardOperator:
     def adjoint(self, y: np.ndarray, size: int) -> np.ndarray:
         """T_F^H y in the model's column basis (see the class notes); ``size`` must be every column.
 
-        Per sphere v_s = Lambda_hat_s^H y_s; class k then gathers the signed
-        v_s of its rows and applies C_k^H.
+        Per sphere v_s = Lambda_hat_s^H y_s, one matrix product per shared
+        response; class k then gathers the signed v_s of its rows and
+        applies C_k^H.
         """
         self._whole(size)
-        bounds = np.cumsum([0] + [len(response) for response in self.responses])
-        v = [(y[first:last].conj() @ response).conj() for response, first, last in zip(self.responses, bounds, bounds[1:])]
-        out = []
-        for block, cls in zip(self.c, self.classes):
-            w = np.zeros(len(block), dtype=complex)
-            for v_s, (rows, local, sign) in zip(v, cls.members):
-                w[rows] += sign * v_s[local]
-            out.append((w.conj() @ block).conj())
-        return np.concatenate(out)
+        v, rows = np.empty(self.flips.shape, dtype=complex), self._rows
+        for response, spheres in self._shared():
+            v[spheres] = (np.stack([y[rows[s]] for s in spheres]).conj() @ response).conj()
+        v *= self.flips
+        return np.concatenate([(w.conj() @ block).conj() for w, block in zip(_on_classes(self.classes, v), self.c)])
+
+    def normal(self, x: np.ndarray) -> np.ndarray:
+        """T_F^H T_F x in the model's column basis, through the factors: C_k x_k, then the pressures and their adjoint."""
+        return self.adjoint(self.pressures([block @ x[columns] for block, columns in zip(self.c, self.columns)]), len(x))
 
     def to_standard(self, x: np.ndarray) -> np.ndarray:
         """Model-basis coefficients ``x`` (see the class notes) in the standard (n, m) order."""
@@ -118,53 +149,71 @@ class ForwardOperator:
         return _to_pairs(out, self.scene.n_in)
 
     def gram(self, size: int, dual: bool) -> np.ndarray:
-        """conj(F^H F), or conj(F F^H) when ``dual``, for F = T_F in the model's
-        column basis: the upper triangle of one Fortran-ordered array, whose
-        lower triangle is scratch.  ``size`` must be every column.
+        """conj(F F^H) for F = T_F, the dual side only (the encoder solves the primal side by CG): the upper
+        triangle of one Fortran-ordered array, whose lower triangle is scratch.  ``size`` must be every column.
 
-        Primal: block (k, l) of F^H F is the sum over orbits o of
-        C_k[r_k(o)]^H M_kl(o) C_l[r_l(o)], where M_kl(o) sums over the
-        orbit's spheres s the two class signs times H_s[loc_k(o), loc_l(o)],
-        H_s = Lambda_hat_s^H Lambda_hat_s, and (r, loc, sign) is
-        ``members[s]``.  Only the blocks k <= l are formed, as C_k^T conj(Y)
-        with Y the M_kl(o) C_l[r_l(o)] stacked in class k's rows, in one
-        reused buffer.  Dual: F F^H = Lambda_hat B Lambda_hat^H, where block
-        (s, t) of B, the Gram of the spheres' local fields, sums over classes
-        the two class signs times (C_k C_k^H)[r_k(s), r_k(t)] at the harmonics
-        loc_k(s) x loc_k(t); only the sphere blocks s <= t are formed.
-        Neither side holds T_F.
+        F F^H = Lambda_hat B Lambda_hat^H, where block (s, t) of B, the Gram of
+        the spheres' local fields, sums over classes the two class signs times
+        C_k[r] C_k[r']^H at the harmonics loc_k(s) x loc_k(t), with (r, loc,
+        sign) = ``members[s]`` and r' the rows of t; the two spheres' flips
+        then sign its rows and columns, and their shared responses R give
+        R B_st R^H.  Spheres of one orbit share their class rows, so each
+        pair of orbits forms its C_k[r] C_k[r']^H once, for every sphere pair
+        it holds, and no whole C_k C_k^H is held.  Only the sphere blocks
+        s <= t are formed, and T_F is not held.
         """
         self._whole(size)
-        classes, blocks = self.classes, self.c
-        if dual:
-            capsules, harmonics = self.shape[0], num_coeffs(self.scene.n_fwd)
-            gram = np.zeros((capsules, capsules), dtype=complex, order="F")
-            class_grams = [block @ block.conj().T for block in blocks]  # C_k C_k^H
-            bounds = np.cumsum([0] + [len(response) for response in self.responses])
-            felt = np.empty((harmonics, harmonics), dtype=complex)  # block (s, t) of B
-            for t, response_t in enumerate(self.responses):
-                for s, response_s in enumerate(self.responses[: t + 1]):
-                    felt[:] = 0.0
-                    for class_gram, cls in zip(class_grams, classes):
-                        (rows_s, local_s, sign_s), (rows_t, local_t, sign_t) = cls.members[s], cls.members[t]
-                        felt[np.ix_(local_s, local_t)] += class_gram[rows_s, rows_t] * (sign_s * sign_t)
-                    x = response_s @ felt
-                    np.matmul(np.conjugate(x, out=x), response_t.T, out=gram[bounds[s] : bounds[s + 1], bounds[t] : bounds[t + 1]])
-            return gram
-        gram = np.zeros((size, size), dtype=complex, order="F")
-        hermitian = [response.conj().T @ response for response in self.responses]
+        if not dual:
+            raise ValueError("a forward operator's primal side has no Gram: the encoder solves it by CG")
+        capsules, harmonics, rows = self.shape[0], num_coeffs(self.scene.n_fwd), self._rows
+        gram = np.zeros((capsules, capsules), dtype=complex, order="F")
+        felt = np.empty((harmonics, harmonics), dtype=complex)  # block (s, t) of B
         orbits = [[s for s, _ in orbit] for orbit in _mirror_orbits(self.scene)[1]]
-        columns = np.cumsum([0] + [cls.incident.size for cls in classes])
-        buffer = np.empty(max(cls.size for cls in classes) * max(block.shape[1] for block in blocks), dtype=complex)
-        for l, (block_l, cls_l) in enumerate(zip(blocks, classes)):
-            for k, (block_k, cls_k) in enumerate(zip(blocks[: l + 1], classes)):
-                y = buffer[: cls_k.size * block_l.shape[1]].reshape(cls_k.size, block_l.shape[1])
-                for orbit in orbits:
-                    (rows_k, local_k, _), (rows_l, local_l, _) = cls_k.members[orbit[0]], cls_l.members[orbit[0]]
-                    m = sum(hermitian[s][np.ix_(local_k, local_l)] * (cls_k.members[s][2] * cls_l.members[s][2]) for s in orbit)
-                    np.matmul(m, block_l[rows_l], out=y[rows_k])
-                np.matmul(block_k.T, np.conjugate(y, out=y), out=gram[columns[k] : columns[k + 1], columns[l] : columns[l + 1]])
+        for first, second in itertools.product(orbits, repeat=2):
+            pairs = [(s, t) for s in first for t in second if s <= t]
+            if not pairs:
+                continue
+            crossed = [block[cls.members[first[0]][0]] @ block[cls.members[second[0]][0]].conj().T for block, cls in zip(self.c, self.classes)]
+            for s, t in pairs:
+                felt[:] = 0.0
+                for cross, cls in zip(crossed, self.classes):
+                    (_, local_s, sign_s), (_, local_t, sign_t) = cls.members[s], cls.members[t]
+                    felt[np.ix_(local_s, local_t)] += cross * (sign_s * sign_t)
+                felt *= self.flips[s][:, None]
+                felt *= self.flips[t]
+                x = self.responses[self.kinds[s]] @ felt
+                np.matmul(np.conjugate(x, out=x), self.responses[self.kinds[t]].T, out=gram[rows[s], rows[t]])
         return gram
+
+    def class_grams(self) -> list[np.ndarray]:
+        """The diagonal blocks G_kk of T_F^H T_F in the model's column basis, one per class, as Fortran-ordered views of one buffer.
+
+        G_kk = C_k^H Y with Y stacking, on each orbit's class rows r, M(o)
+        C_k[r], where M(o) sums over the orbit's spheres s the squared class
+        sign times H[loc, loc] with both sides times flips_s[loc], H =
+        R^H R the Gram of the sphere's unflipped response R, and (r, loc,
+        sign) = ``members[s]``.  The blocks between classes are not formed.
+        """
+        hermitian = [response.conj().T @ response for response in self.responses]
+        orbits = _mirror_orbits(self.scene)[1]
+        grams = _class_arrays([(block.shape[1],) * 2 for block in self.c])
+        for gram, block, cls in zip(grams, self.c, self.classes):
+            y = np.empty_like(block)
+            for orbit in orbits:
+                rows, local, _ = cls.members[orbit[0][0]]
+                m = sum(
+                    hermitian[self.kinds[s]][np.ix_(local, local)] * np.outer(self.flips[s, local], self.flips[s, local] * cls.members[s][2] ** 2)
+                    for s, _ in orbit
+                )
+                np.matmul(m, block[rows], out=y[rows])
+            np.matmul(block.conj().T, y, out=gram)
+        return grams
+
+
+def _spans(sizes) -> list[slice]:
+    """Consecutive slices of the given sizes, from 0."""
+    bounds = np.cumsum([0, *sizes])
+    return [slice(first, last) for first, last in zip(bounds, bounds[1:])]
 
 
 def surface_response_matrix(sphere: RsmaSpec, k: float, n_c: int) -> np.ndarray:
@@ -457,6 +506,15 @@ def _on_spheres(scene: SceneConfig, classes: list, vectors: list) -> np.ndarray:
     return out
 
 
+def _on_classes(classes: list, v: np.ndarray) -> list[np.ndarray]:
+    """One class vector per class from per-sphere pair-basis rows ``v``: the transpose of :func:`_on_spheres`."""
+    out = [np.zeros(cls.size, dtype=complex) for cls in classes]
+    for w, cls in zip(out, classes):
+        for v_s, (rows, local, sign) in zip(v, cls.members):
+            w[rows] += sign * v_s[local]
+    return out
+
+
 def _radiating(scene: SceneConfig, classes: list, flips: np.ndarray, vectors: list) -> np.ndarray:
     """Every sphere's radiating coefficients b_s = G_s c_s in the standard order, one row per sphere.
 
@@ -528,7 +586,7 @@ def eval_total_field(
     return total
 
 
-def _capsule_residual(op: ForwardOperator, felt: list[np.ndarray], flips: np.ndarray) -> float:
+def _capsule_residual(op: ForwardOperator, felt: list[np.ndarray]) -> float:
     """Max-abs gap of the capture Lambda_s (c a)_s to the multipole sum it stands for, over the sum's max.
 
     a is the scene's incident field and ``felt`` holds c a, one class vector
@@ -540,9 +598,8 @@ def _capsule_residual(op: ForwardOperator, felt: list[np.ndarray], flips: np.nda
     read where it may not converge.
     """
     scene = op.scene
-    b = _radiating(scene, op.classes, flips, felt)
-    counts = [sphere.num_capsules for sphere in scene.spheres]
-    rows = np.concatenate([start + np.arange(0, q, -(-q // RESIDUAL_SAMPLES)) for start, q in zip(np.cumsum([0] + counts), counts)])
+    b = _radiating(scene, op.classes, op.flips, felt)
+    rows = np.concatenate([np.arange(r.start, r.stop, -(-(r.stop - r.start) // RESIDUAL_SAMPLES)) for r in op._rows])
     reference = eval_total_field(scene, ScatterSolution(b, op.rcond), scene.incident_coeffs(), scene.capsule_positions()[rows])
     return float(np.max(np.abs(op.pressures(felt)[rows] - reference)) / np.max(np.abs(reference)))
 
@@ -575,13 +632,15 @@ def forward_operator(scene: SceneConfig, include_coupling: bool = True, _parts=N
     else:
         felt, rcond = _solve_felt(scene, _apply_blocks(c, classes, a_in, scene.n_in), _parts)
     with _timed(_parts, "capsule"):
-        responses = []
-        for sphere, sphere_flips in zip(scene.spheres, flips):
-            response = _to_pairs(surface_response_matrix(sphere, scene.k, scene.n_fwd), scene.n_fwd)
-            response *= sphere_flips
-            responses.append(response)
-        op = ForwardOperator(scene=scene, classes=classes, c=c, responses=responses, rcond=rcond)
+        responses, kinds, shared = [], [], {}  # shared: (radius, capsule layout) -> index into responses
+        for sphere in scene.spheres:
+            key = (sphere.radius, sphere.capsule_dirs.tobytes())
+            if key not in shared:
+                shared[key] = len(responses)
+                responses.append(_to_pairs(surface_response_matrix(sphere, scene.k, scene.n_fwd), scene.n_fwd))
+            kinds.append(shared[key])
+        op = ForwardOperator(scene=scene, classes=classes, c=c, responses=responses, kinds=kinds, flips=flips, rcond=rcond)
         op.capture = op.pressures(felt)
     with _timed(_parts, "residual"):
-        op.capsule_residual = _capsule_residual(op, felt, flips)
+        op.capsule_residual = _capsule_residual(op, felt)
     return op

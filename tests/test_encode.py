@@ -89,10 +89,11 @@ def _count_grams(monkeypatch):
 
 
 def test_shared_gram_matches_normal_equations(rng, monkeypatch):
-    """One Gram for every sigma reproduces (F^H F + sigma I)^-1 F^H p, and pinv(F) p at 0.
+    """One encoder for every sigma reproduces (F^H F + sigma I)^-1 F^H p, and pinv(F) p at 0.
 
     With 2 x 60 capsules F has more rows than its 81 columns and is solved
-    through F^H F; with 2 x 30 it has fewer, and is solved through F F^H.
+    through F^H F by CG on its factors, which forms no Gram; with 2 x 30 it
+    has fewer, and is solved through F F^H, whose one Gram serves every sigma.
     """
     grams = _count_grams(monkeypatch)
     for caps in (60, 30):
@@ -107,7 +108,7 @@ def test_shared_gram_matches_normal_equations(rng, monkeypatch):
         factors = np.array([1e2, 1e-1, 1e-4, 1e-6, 1e-8, 0.0])
         block = enc.apply(p, sigmas=enc.scale * factors)
         assert block.values.shape == (num_coeffs(scene.n_in), factors.size)
-        assert grams == [(min(q, size),) * 2]  # the scale's Gram, on the smaller side, serves every sigma
+        assert grams == ([] if q >= size else [(q, q)])  # the scale's dual Gram serves every sigma
         for column, factor in zip(block.values.T, factors):
             sigma = factor * enc.scale
             if sigma:
@@ -175,6 +176,44 @@ def test_factored_encoder_matches_the_dense_encoder(rng, centers, caps, coupling
         assert gap <= 1e-14 * max(1.0, dense.scale / sigma)
     with pytest.raises(ValueError):  # a factored model solves at its full degree only
         factored.apply(p, sigmas=1.0, n_outs=[op.scene.n_in - 1])
+
+
+@pytest.mark.parametrize("caps", [400, 30], ids=["primal", "dual"])
+def test_sigma_search_holds_less_than_one_gram(caps):
+    """A 9-point sigma search of a mirror-symmetric scene, the scale included,
+    stays within a traced peak below the bytes of one n x n Gram (169
+    columns): the primal side (3 x 3 arrays of 400 capsules) forms only the
+    diagonal class blocks of F^H F, an eighth of it, and the dual side (a pair
+    of 30) only the 60 x 60 Gram of F F^H."""
+    import tracemalloc
+
+    from mshoa.scene import layout_cartesian
+
+    centers = layout_cartesian(3, 3, 0.25) if caps == 400 else [[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]]
+    op = forward_operator(_scene(centers, caps=caps, n_in=12, n_fwd=6))
+    assert (op.shape[0] >= op.shape[1]) == (caps == 400)
+    mshoa_encoder(op).scale  # import the eigensolver outside the trace
+    tracemalloc.start()
+    try:
+        encoder = mshoa_encoder(op)
+        encoder.apply(op.capture, sigmas=encoder.scale * np.logspace(0, -8, 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * op.shape[1] ** 2
+
+
+@pytest.mark.parametrize("caps", [60, 30], ids=["primal", "dual"])
+def test_sigma_search_reruns_bit_for_bit(rng, caps):
+    """A sigma search run again, on the same operator or a rebuilt one, gives
+    the same scale and the same coefficients to the last bit."""
+    scene = _scene([[x, y, 0.0] for x in (-0.125, 0.125) for y in (-0.125, 0.125)], caps=caps)
+    p = rng.standard_normal((scene.total_capsules, 2)) @ [1, 1j]
+    runs = []
+    for op in (forward_operator(scene),) * 2 + (forward_operator(scene),):
+        encoder = mshoa_encoder(op)
+        runs.append((encoder.scale, encoder.apply(p, sigmas=encoder.scale * np.logspace(0, -8, 9)).values))
+    assert all(scale == runs[0][0] and np.array_equal(values, runs[0][1]) for scale, values in runs)
 
 
 @pytest.mark.parametrize("method", ["MSHOA", "Single"])

@@ -30,6 +30,7 @@ grid: {plane: xy, extent: [0.8, 0.8], resolution: 0.05}
 
 TINY_HOA = TINY.replace("method: MSHOA\nsigma: 1e-9", "method: HOA\nhoa: {n_c: 4}")
 TINY_SINGLE = TINY.replace("method: MSHOA", "method: Single")
+TINY_PRIMAL = TINY.replace("capsules: 40", "capsules: 60")  # 120 capsules for 81 coefficients: solved by CG
 
 LONE_HOA = """
 scene:
@@ -293,15 +294,14 @@ def test_capsule_residual_sees_a_diverging_incident_series():
     built directly, as the configuration rejects that source."""
     from dataclasses import replace
 
-    from mshoa.scatter import _apply_blocks, _capsule_residual, forward_operator, mirror_classes
+    from mshoa.scatter import _apply_blocks, _capsule_residual, forward_operator
     from mshoa.scene import IncidentSource
 
     scene = replace(validate_config(TINY).scene, n_in=12)
     far, near = (replace(scene, source=IncidentSource(kind="monopole", position=[0.0, 0.0, z])) for z in (3.0, 0.15))
     op = forward_operator(far)
-    flips = mirror_classes(far)[1]
     residuals = [
-        _capsule_residual(replace(op, scene=s), _apply_blocks(op.c, op.classes, s.incident_coeffs(), s.n_in), flips)
+        _capsule_residual(replace(op, scene=s), _apply_blocks(op.c, op.classes, s.incident_coeffs(), s.n_in))
         for s in (far, near)
     ]
     assert op.capsule_residual == residuals[0]
@@ -509,6 +509,47 @@ def test_cli_runtime_failures_exit_4(tmp_path, monkeypatch):
     res = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "oom")])
     assert res.exit_code == 4, res.output
     assert "out of memory" in res.output and "54.5 GiB" in res.output
+
+
+def test_cg_past_its_cap_exits_4(tmp_path, monkeypatch):
+    """A CG solve that has not met its stopping rule within CG_MAX_ITERATIONS
+    is an EncoderError, which the CLI reports as a runtime error, exit 4."""
+    from mshoa import encode
+    from mshoa.scatter import forward_operator
+
+    cfg = validate_config(TINY_PRIMAL)
+    op = forward_operator(cfg.scene)
+    encoder = encode.mshoa_encoder(op)
+    encoder.apply(op.capture, sigmas=cfg.sigma)
+    assert encoder.cg[0]["iterations"] > 1
+    monkeypatch.setattr(encode, "CG_MAX_ITERATIONS", 1)
+    with pytest.raises(encode.EncoderError, match="CG did not reach"):
+        encode.mshoa_encoder(op).apply(op.capture, sigmas=cfg.sigma)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(TINY_PRIMAL)
+    res = CliRunner().invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "capped")])
+    assert res.exit_code == 4, res.output
+    assert "runtime error" in res.output and "CG did not reach" in res.output
+    assert not (tmp_path / "capped" / "summary.json").exists()
+
+
+def test_summary_reports_each_cg_solve(tmp_path, caplog):
+    """summary.json gives each candidate's CG iterations and final relative
+    residual, in search order, and -v logs them; a run whose encoder solves
+    no CG (the dual side, HOA) writes null."""
+    import logging
+
+    from mshoa.encode import CG_TOL
+
+    with caplog.at_level(logging.INFO, logger="mshoa"):
+        run_experiment(validate_config(TINY_PRIMAL.replace("sigma: 1e-9", "sigma_search: {points: 3}")), tmp_path / "primal")
+    cg = json.loads((tmp_path / "primal" / "summary.json").read_text())["cg"]
+    assert len(cg) == 3 and all(solve["iterations"] >= 1 and 0 <= solve["residual"] <= CG_TOL for solve in cg)
+    logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("CG at sigma")]
+    assert [int(message.split(": ")[1].split()[0]) for message in logged] == [solve["iterations"] for solve in cg]
+    for text, name in ((TINY, "dual"), (TINY_HOA, "hoa")):
+        run_experiment(validate_config(text), tmp_path / name)
+        assert json.loads((tmp_path / name / "summary.json").read_text())["cg"] is None
 
 
 def test_summary_reports_field_statistics(tmp_path):

@@ -507,11 +507,13 @@ def test_radiating_from_the_class_blocks_is_the_solved_b(rng, name):
 @pytest.mark.parametrize("name", list(_MODEL_SCENES))
 def test_factors_give_the_gram_adjoint_and_capture_of_the_filled_matrix(rng, name, caps, coupling):
     """T_F's factors give the encoder what the filled T_F gives, to 1e-13 of
-    the largest entry: the conjugated Gram of the smaller side (upper
-    triangle, Fortran-ordered), T_F^H y in the model's column basis, whose
-    columns to_standard maps onto the standard order, and T_F a, the pressures
-    of the fields the blocks give the spheres; the coupled build's capture is
-    that T_F a."""
+    the largest entry: T_F^H y in the model's column basis, whose columns
+    to_standard maps onto the standard order; T_F^H T_F x, and the diagonal
+    class blocks of T_F^H T_F, each class's columns with themselves; on the
+    dual side the conjugated Gram T_F T_F^H (upper triangle, Fortran-ordered),
+    which the primal side does not form; and T_F a, the pressures of the
+    fields the blocks give the spheres; the coupled build's capture is that
+    T_F a."""
     from scipy.linalg.blas import zherk
 
     centers, count = _MODEL_SCENES[name]
@@ -526,15 +528,27 @@ def test_factors_give_the_gram_adjoint_and_capture_of_the_filled_matrix(rng, nam
     columns = np.column_stack([op.to_standard(e) for e in np.eye(size, dtype=complex)])
     np.testing.assert_allclose(columns.T @ columns, np.eye(size), atol=1e-15)  # a real orthogonal change of basis
     model = f @ columns  # T_F in the model's column basis
-    gram = op.gram(size, dual)
-    assert gram.flags.f_contiguous and gram.shape == (min(q, size),) * 2
-    upper = np.triu_indices(len(gram))
-    assert _rel_gap(gram[upper], zherk(1.0, model.T, trans=2 if dual else 0)[upper]) <= 1e-13
     y = rng.standard_normal((q, 2)) @ [1, 1j]
     assert _rel_gap(op.adjoint(y, size), model.conj().T @ y) <= 1e-13
+    normal = model.conj().T @ model
+    x = rng.standard_normal((size, 2)) @ [1, 1j]
+    assert _rel_gap(op.normal(x), normal @ x) <= 1e-13
+    blocks = op.class_grams()
+    assert [len(block) for block in blocks] == [cls.incident.size for cls in op.classes]
+    for block, span in zip(blocks, op.columns):
+        assert block.flags.f_contiguous
+        assert np.max(np.abs(block - normal[span, span])) <= 1e-13 * np.max(np.abs(normal))
+    if dual:
+        gram = op.gram(size, dual)
+        assert gram.flags.f_contiguous and gram.shape == (q, q)
+        upper = np.triu_indices(q)
+        assert _rel_gap(gram[upper], zherk(1.0, model.T, trans=2)[upper]) <= 1e-13
+    else:
+        with pytest.raises(ValueError):  # the primal side is solved by CG on the factors
+            op.gram(size, dual)
     a_in = scene.incident_coeffs()
     assert _rel_gap(op.pressures(_apply_blocks(op.c, op.classes, a_in, scene.n_in)), f @ a_in.values) <= 1e-13
     if coupling:
         assert _rel_gap(op.capture, f @ a_in.values) <= 1e-13
     with pytest.raises(ValueError):  # the class basis has no degree slices
-        op.gram(size - 1, dual)
+        op.adjoint(y, size - 1)
