@@ -28,11 +28,7 @@ class EncoderError(RuntimeError):
 
 @dataclass
 class DenseModel:
-    """A forward model F held as its matrix: HOA's surface response, or an imported T_F.
-
-    Its columns are in the standard (n, m) order, so its first (n+1)²
-    columns are the model at degree n.
-    """
+    """A forward model F held as its matrix: HOA's surface response (or its leading columns), or an imported T_F."""
 
     matrix: np.ndarray = field(repr=False)
 
@@ -44,17 +40,17 @@ class DenseModel:
         """F a: the pressures of incident coefficients ``coeffs``."""
         return self.matrix @ coeffs.values
 
-    def gram(self, size: int, dual: bool) -> np.ndarray:
-        """conj(F_sᴴF_s), or conj(F_sF_sᴴ) when ``dual``, of F_s = F[:, :size], in the upper triangle of a Fortran-ordered array.
+    def gram(self) -> np.ndarray:
+        """conj(FFᴴ), in the upper triangle of a Fortran-ordered array.
 
         One Hermitian rank-k update forms it: ``zherk`` reads F's row-major
-        memory as the column-major Fᵀ without a copy, hence the conjugates.
+        memory as the column-major Fᵀ, hence the conjugate.
         """
-        return zherk(1.0, self.matrix[:, :size].T, trans=2 if dual else 0)
+        return zherk(1.0, self.matrix.T, trans=2)
 
-    def adjoint(self, y: np.ndarray, size: int) -> np.ndarray:
-        """F_sᴴ y, for F_s = F[:, :size]."""
-        return (y.conj() @ self.matrix[:, :size]).conj()
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Fᴴ y."""
+        return (y.conj() @ self.matrix).conj()
 
     def to_standard(self, x: np.ndarray) -> np.ndarray:
         """``x`` itself: the model's columns are in the standard order."""
@@ -65,40 +61,40 @@ class DenseModel:
 class Encoder:
     """Ridge regression from capsule pressures to the coefficients of a forward model F.
 
-    A σ > 0 candidate of degree n solves F_s's Tikhonov normal equations,
-    F_s the first s = (n+1)² columns of F (Hansen, *Rank-Deficient and
-    Discrete Ill-Posed Problems*, 1998): x = (F_sᴴF_s + σI)⁻¹F_sᴴp, on the
-    smaller side of F_s.  When F_s has fewer rows (capsules) than columns it
-    is solved as the same estimate F_sᴴ(F_sF_sᴴ + σI)⁻¹p by the push-through
-    identity (Golub & Van Loan, *Matrix Computations*, §6.1), which keeps it
-    in F_s's row space: the primal side would carry the rounding of F_sᴴp
-    along F_s's null space, times 1/σ.  A :class:`DenseModel` on either
-    side, and a :class:`~mshoa.scatter.ForwardOperator` on its dual side,
-    take one Cholesky factorisation per σ of that side's Gram, formed once
-    on first use, conjugated and in the upper triangle of a Fortran-ordered
-    array; each factorisation runs in its lower triangle, whose diagonal is
-    then restored, so no copy of the Gram is made.  A ForwardOperator on its
-    primal side (whole degree only) forms no Gram: conjugate gradients solve
-    the normal equations in its column basis, each product FᴴF v taken
-    through its factors, preconditioned by the diagonal class blocks of FᴴF,
-    each Cholesky-factored per σ (block Jacobi: Concus, Golub & Meurant,
-    SIAM J. Sci. Stat. Comput. 6, 1985).  Its candidates run in descending
-    σ, each started from the last one's solution, until ‖r‖ ≤
-    :data:`CG_TOL` ‖Fᴴp‖; past :data:`CG_MAX_ITERATIONS` the solve fails.
-    ``cg`` holds, per candidate of the last :meth:`apply`, the iterations
-    and the final relative residual of its CG, None for a candidate solved
-    otherwise.  σ = 0 is the minimum-norm least-squares solution pinv(F_s)
-    p of F's matrix and forms no Gram.  No capsules-to-coefficients matrix
-    is formed.  ``parts`` gathers the seconds spent per :data:`ENCODE_PARTS`.
+    A σ > 0 candidate solves F's Tikhonov normal equations (Hansen,
+    *Rank-Deficient and Discrete Ill-Posed Problems*, 1998):
+    x = (FᴴF + σI)⁻¹Fᴴp, on the smaller side of F.  When F has fewer rows
+    (capsules) than columns (:attr:`_dual`) it is solved as the same
+    estimate Fᴴ(FFᴴ + σI)⁻¹p by the push-through identity (Golub & Van
+    Loan, *Matrix Computations*, §6.1), which keeps it in F's row space:
+    the primal side would carry the rounding of Fᴴp along F's null space,
+    times 1/σ.  A :class:`DenseModel` on either side, and a
+    :class:`~mshoa.scatter.ForwardOperator` on its dual side, take one
+    Cholesky factorisation per σ of that side's Gram, formed once on first
+    use, conjugated and in the upper triangle of a Fortran-ordered array;
+    each factorisation runs in its lower triangle, whose diagonal is then
+    restored, so no copy of the Gram is made.  A ForwardOperator on its
+    primal side forms no Gram: conjugate gradients solve the normal
+    equations in its column basis, each product FᴴF v taken through its
+    factors, preconditioned by the diagonal class blocks of FᴴF, each
+    Cholesky-factored per σ (block Jacobi: Concus, Golub & Meurant, SIAM J.
+    Sci. Stat. Comput. 6, 1985).  Its candidates run in descending σ, each
+    started from the last one's solution, until ‖r‖ ≤ :data:`CG_TOL` ‖Fᴴp‖;
+    past :data:`CG_MAX_ITERATIONS` the solve fails.  ``cg`` holds, per
+    candidate of the last :meth:`apply`, the iterations and the final
+    relative residual of its CG, None for a candidate solved otherwise.
+    σ = 0 is the minimum-norm least-squares solution pinv(F) p of F's
+    matrix and forms no Gram.  No capsules-to-coefficients matrix is
+    formed.  ``parts`` gathers the seconds spent per :data:`ENCODE_PARTS`.
     """
 
     forward: DenseModel | ForwardOperator = field(repr=False)  # F, capsules x (n_out+1)^2
     k: float
     parts: dict = field(default_factory=lambda: dict.fromkeys(ENCODE_PARTS, 0.0), init=False)
     cg: list = field(default_factory=list, init=False)
-    # conj(F_sᴴF_s) under None, s the largest primal size asked for so far; conj(F_sF_sᴴ) under s
-    # for a dual s; in the upper triangles, the lower ones are scratch.  CG's class blocks under "classes".
-    _grams: dict = field(default_factory=dict, init=False, repr=False)
+    # the Gram a Cholesky solve factors (upper triangle; the lower one is scratch), or CG's class
+    # blocks with their diagonals; None until first used (see _normal)
+    _normal_matrices: np.ndarray | list | None = field(default=None, init=False, repr=False)
 
     @property
     def n_out(self) -> int:
@@ -106,48 +102,38 @@ class Encoder:
         return math.isqrt(self.forward.shape[1]) - 1
 
     @property
+    def _dual(self) -> bool:
+        """Whether F is solved on its dual side: it has fewer rows (capsules) than columns."""
+        return self.forward.shape[0] < self.forward.shape[1]
+
+    @property
     def _iterative(self) -> bool:
-        """Whether the model is solved by CG: a ForwardOperator on its primal side."""
-        return isinstance(self.forward, ForwardOperator) and self.forward.shape[0] >= self.forward.shape[1]
+        """Whether F is solved by CG: a ForwardOperator on its primal side."""
+        return isinstance(self.forward, ForwardOperator) and not self._dual
 
-    def _gram(self, size: int) -> tuple[bool, np.ndarray]:
-        """Whether F_s = F[:, :size] is solved on its dual side, and that side's Gram.
-
-        Dual when F_s has fewer rows than columns, the rule :attr:`_iterative`
-        applies to a ForwardOperator's one size.  The primal Gram is formed at
-        the first size asked for and sliced for smaller ones, so a caller asks
-        for its largest first.
-        """
-        dual = self.forward.shape[0] < size
-        key = size if dual else None
-        if key not in self._grams or not dual and len(self._grams[key]) < size:
+    def _normal(self) -> np.ndarray | list[tuple[np.ndarray, np.ndarray]]:
+        """What the σ > 0 solves factor, formed on first use: for CG, the diagonal class blocks G_kk of FᴴF with
+        their diagonals (:func:`_factored` factors G_kk + σI in a block's lower triangle); otherwise the Gram of
+        F's side, conj(FFᴴ) from the model, or conj(FᴴF) by ``zherk`` on a DenseModel's primal side."""
+        if self._normal_matrices is None:
             with _timed(self.parts, "gram", "encode"):
-                self._grams[key] = self.forward.gram(size, dual)
-        gram = self._grams[key]
-        return dual, gram if dual else gram[:size, :size]
-
-    def _class_grams(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """CG's preconditioner blocks, the diagonal class blocks G_kk of FᴴF, formed on first use, and their diagonals.
-
-        Each σ factors G_kk + σI in the block's lower triangle (:func:`_factored`),
-        so the upper triangle and the diagonal kept here hold G_kk.
-        """
-        if "classes" not in self._grams:
-            with _timed(self.parts, "gram", "encode"):
-                self._grams["classes"] = [(gram, gram.diagonal().copy()) for gram in self.forward.class_grams()]
-        return self._grams["classes"]
+                if self._iterative:
+                    self._normal_matrices = [(gram, gram.diagonal().copy()) for gram in self.forward.class_grams()]
+                else:
+                    self._normal_matrices = self.forward.gram() if self._dual else zherk(1.0, self.forward.matrix.T)
+        return self._normal_matrices
 
     @property
     def scale(self) -> float:
         """‖F‖₂², the largest eigenvalue of FᴴF and of FFᴴ: the unit of a σ search grid.
 
-        Lanczos (ARPACK) on the Gram of the side a full-degree σ > 0 solve
-        uses, or, for CG, on the product FᴴF v through the factors.
+        Lanczos (ARPACK) on the Gram of the side a σ > 0 solve uses, or, for
+        CG, on the product FᴴF v through the factors.
         """
         if self._iterative:
             size, product = self.forward.shape[1], self.forward.normal
         else:
-            _, gram = self._gram(self.forward.shape[1])
+            gram = self._normal()
             size, product = len(gram), lambda x: zhemv(1.0, gram, x)
         with _timed(self.parts, "scale", "encode"):
             if size < 3:  # below ARPACK's smallest complex problem
@@ -158,69 +144,51 @@ class Encoder:
             start = np.random.default_rng(0).standard_normal(size)  # reproducible
             return float(eigsh(hermitian, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)[0])
 
-    def apply(self, pressures: np.ndarray, sigmas, n_outs=None) -> CoefficientVector:
-        """Coefficients of ``pressures``: an (L, n) block, one column per candidate.
-
-        ``sigmas`` and ``n_outs`` give each candidate's σ and truncation degree
-        (one value stands for every candidate; ``n_outs`` defaults to the
-        encoder's own).  A degree-n candidate inverts the first (n+1)² columns
-        of F, and its column is zero beyond them.
-        """
+    def apply(self, pressures: np.ndarray, sigmas) -> CoefficientVector:
+        """Coefficients of ``pressures`` at each σ of ``sigmas`` (one value or several): one column per σ."""
         pressures = np.asarray(pressures, dtype=complex).reshape(-1)
         if pressures.shape[0] != self.forward.shape[0]:
             raise ValueError(
                 f"expected {self.forward.shape[0]} capsule pressures, got "
                 f"{pressures.shape[0]}"
             )
-        n_out = self.n_out
-        sigmas, n_outs = np.broadcast_arrays(
-            np.atleast_1d(sigmas).astype(float),
-            np.atleast_1d(n_out if n_outs is None else n_outs).astype(int),
-        )
+        sigmas = np.atleast_1d(sigmas).astype(float)
         if np.any(sigmas < 0):
             raise ValueError("regularization must be non-negative")
-        if np.any(n_outs < 0) or np.any(n_outs > n_out):
-            raise ValueError(f"candidate truncation outside 0..{n_out}")
-        order = np.lexsort((-sigmas, -n_outs))  # largest degree first (see _gram), then largest σ
-        iterative = self._iterative and np.any(sigmas > 0)
-        if iterative:
-            if np.any(n_outs[sigmas > 0] != n_out):
-                raise ValueError(f"a forward operator's model solves all {self.forward.shape[1]} columns, not a lower degree")
-            self._class_grams()
-        else:
-            for j in order[sigmas[order] > 0]:
-                self._gram(num_coeffs(n_outs[j]))
+        regularized = np.any(sigmas > 0)
+        if regularized:
+            self._normal()
         self.cg = [None] * sigmas.size
-        block = np.zeros((num_coeffs(n_out), sigmas.size), dtype=complex)
+        block = np.empty((self.forward.shape[1], sigmas.size), dtype=complex)
         with _timed(self.parts, "solves", "encode"):
-            if iterative:
-                rhs, x = self.forward.adjoint(pressures, self.forward.shape[1]), np.zeros(self.forward.shape[1], dtype=complex)
-            for j in order:
-                sigma, size = sigmas[j], num_coeffs(n_outs[j])
+            if self._iterative and regularized:
+                rhs, x = self.forward.adjoint(pressures), np.zeros(self.forward.shape[1], dtype=complex)
+            for j in np.argsort(-sigmas, kind="stable"):  # largest σ first: each CG starts from the last solution
+                sigma = sigmas[j]
                 if sigma == 0.0:
                     try:
-                        block[:size, j] = np.linalg.pinv(self.forward.matrix[:, :size]) @ pressures
+                        block[:, j] = np.linalg.pinv(self.forward.matrix) @ pressures
                     except np.linalg.LinAlgError as exc:  # e.g. a forward model holding nan from overflowed h_n
                         raise EncoderError(f"pseudo-inverse failed: {exc}")
-                elif iterative:
+                elif self._iterative:
                     x, iterations, residual = self._cg(rhs, sigma, x)
                     self.cg[j] = {"iterations": iterations, "residual": residual}
                     log.info("CG at sigma %.6e: %d iterations, relative residual %.2e", sigma, iterations, residual)
                     block[:, j] = self.forward.to_standard(x)
                 else:
-                    block[:size, j] = self.forward.to_standard(self._cholesky(pressures, sigma, size))
-        return CoefficientVector(k=self.k, n_max=n_out, values=block)
+                    block[:, j] = self.forward.to_standard(self._cholesky(pressures, sigma))
+        return CoefficientVector(k=self.k, n_max=self.n_out, values=block)
 
-    def _cholesky(self, pressures: np.ndarray, sigma: float, size: int) -> np.ndarray:
-        """The solution at σ > 0 of the first ``size`` columns, by one Cholesky factorisation on their Gram's side."""
-        dual, gram = self._gram(size)
+    def _cholesky(self, pressures: np.ndarray, sigma: float) -> np.ndarray:
+        """The solution at σ > 0 by one Cholesky factorisation on the Gram of F's side."""
+        gram = self._normal()
         diagonal = gram.diagonal().copy()
         try:
             factor = _factored(gram, diagonal, sigma)
             # the Grams are conjugated, so each solve runs on conjugates: conj(x) = conj(Gram)⁻¹ conj(Fᴴp), etc.
-            if dual:
-                return self.forward.adjoint(potrs(factor, pressures.conj(), lower=1)[0].conj(), size)
-            return potrs(factor, self.forward.adjoint(pressures, size).conj(), lower=1)[0].conj()
+            if self._dual:
+                return self.forward.adjoint(potrs(factor, pressures.conj(), lower=1)[0].conj())
+            return potrs(factor, self.forward.adjoint(pressures).conj(), lower=1)[0].conj()
         finally:
             np.fill_diagonal(gram, diagonal)  # the upper triangle is the Gram again, for the scale's zhemv
 
@@ -232,7 +200,7 @@ class Encoder:
         G_kk + σI is factored in place and applied by LAPACK ``potrs``
         directly, without scipy's per-call checks.
         """
-        factors = [_factored(gram, diagonal, sigma) for gram, diagonal in self._class_grams()]
+        factors = [_factored(gram, diagonal, sigma) for gram, diagonal in self._normal()]
 
         def precondition(r):
             return np.concatenate([potrs(f, r[cls], lower=1)[0] if len(f) else r[cls] for f, cls in zip(factors, self.forward.columns)])
@@ -259,10 +227,12 @@ class Encoder:
 def _factored(gram: np.ndarray, diagonal: np.ndarray, sigma: float) -> np.ndarray:
     """The Cholesky factor of ``gram`` (Hermitian, held in its upper triangle) plus σI, with ``diagonal`` as its
     diagonal, in its own lower triangle by LAPACK ``potrf`` (:func:`_shifted_lower`): in place when ``gram`` is
-    Fortran-contiguous.  A matrix that is not positive definite is an EncoderError."""
+    Fortran-contiguous.  A matrix that is not positive definite, or not finite, is an EncoderError."""
     factor, info = potrf(_shifted_lower(gram, diagonal + sigma), lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise EncoderError(f"normal-equations factorisation failed (potrf info {info})")
+    if not np.isfinite(factor.diagonal()).all():  # potrf passes a nan diagonal with info 0
+        raise EncoderError("normal-equations factorisation failed: the factor is not finite")
     return factor
 
 

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import num_coeffs
+from .basis import CoefficientVector, num_coeffs
 from .config import ConfigError, ExperimentConfig
-from .encode import DenseModel, Encoder, hoa_encoder, mshoa_encoder
+from .encode import ENCODE_PARTS, DenseModel, Encoder, hoa_encoder, mshoa_encoder
 from .fields import (
     ground_truth_field,
     reconstruct_field,
@@ -73,7 +73,7 @@ class _Encoding:
 
     encoder: Encoder
     pressures: np.ndarray
-    n_outs: list | None = None  # truncation candidates (HOA, at the fixed cfg.sigma)
+    n_cs: list | None = None  # HOA's truncation candidates, at the fixed cfg.sigma; the encoder's is the largest
     center: tuple | np.ndarray = (0.0, 0.0, 0.0)  # expansion center of the coefficients
     rcond: float | None = None  # of the coupled scattering system solved, if any
     capsule_residual: float | None = None  # of a capture read off a T_F built here
@@ -103,10 +103,9 @@ def _hoa_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
             pressures, rcond = eval_total_field(scene, sol, a_in, sphere.capsule_positions()), sol.rcond
 
     candidates = list(range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1))  # ties go to the smaller n_c
-    # one encoder at the largest n_c: the first (n_c+1)^2 columns of its response are the response at n_c
     with _timed(parts, "capsule"):
         encoder = hoa_encoder(sphere, k, cfg.hoa.n_c_max)
-    return _Encoding(encoder, pressures, n_outs=candidates, center=sphere.center, rcond=rcond)
+    return _Encoding(encoder, pressures, n_cs=candidates, center=sphere.center, rcond=rcond)
 
 
 def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward, parts=None) -> _Encoding:
@@ -137,6 +136,23 @@ def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward, parts=
     return _Encoding(mshoa_encoder(model), pressures, **health)
 
 
+def _truncation_block(enc: _Encoding, sigma: float) -> tuple[CoefficientVector, dict]:
+    """HOA's n_c candidates at ``sigma``, one column each, and the encode parts they spent.
+
+    Each candidate is an encoder of a view of the first (n_c+1)^2 columns of
+    the encoder's response (at the largest n_c), dropped with its Gram before
+    the next; the largest degree runs first, so an overflowed degree fails at once.
+    """
+    response, parts = enc.encoder.forward.matrix, dict.fromkeys(ENCODE_PARTS, 0.0)
+    block = np.zeros((response.shape[1], len(enc.n_cs)), dtype=complex)
+    for j, n_c in reversed(list(enumerate(enc.n_cs))):
+        encoder = Encoder(forward=DenseModel(response[:, : num_coeffs(n_c)]), k=enc.encoder.k)
+        block[: num_coeffs(n_c), j] = encoder.apply(enc.pressures, sigma).values[:, 0]
+        parts = {part: seconds + encoder.parts[part] for part, seconds in parts.items()}
+        del encoder
+    return CoefficientVector(k=enc.encoder.k, n_max=enc.encoder.n_out, values=block), parts
+
+
 def _sigma_grid(search, encoder: Encoder) -> list[float]:
     """A search's σ candidates, its factors times ‖F‖₂², largest (most stable) first: ties go to it."""
     grid = encoder.scale * np.logspace(np.log10(search.min_factor), np.log10(search.max_factor), search.points)
@@ -152,6 +168,8 @@ def _import_forward(cfg: ExperimentConfig, path) -> DenseModel:
             f"{path}: forward matrix has shape {matrix.shape}, the scene needs "
             f"{expected} (capsules x incident coefficients)"
         )
+    if not np.isfinite(matrix).all():
+        raise MatrixFormatError(f"{path}: forward matrix holds a non-finite entry")
     return DenseModel(matrix)
 
 
@@ -188,12 +206,13 @@ def run_experiment(
         enc = _grid_encoding(cfg, export_forward, import_forward, parts)
     end_stage()
 
-    by_degree = enc.n_outs is not None
-    sigmas = [cfg.sigma] if cfg.sigma_search is None else _sigma_grid(cfg.sigma_search, enc.encoder)
-    block = enc.encoder.apply(enc.pressures, sigmas=sigmas, n_outs=enc.n_outs)
-    candidates = enc.n_outs if by_degree else sigmas
-    center, rcond, capsule_residual, encode_parts = enc.center, enc.rcond, enc.capsule_residual, enc.encoder.parts
-    cg = enc.encoder.cg if any(enc.encoder.cg) else None
+    by_degree = enc.n_cs is not None
+    if by_degree:
+        candidates, cg, (block, encode_parts) = enc.n_cs, [], _truncation_block(enc, cfg.sigma)
+    else:
+        candidates = [cfg.sigma] if cfg.sigma_search is None else _sigma_grid(cfg.sigma_search, enc.encoder)
+        block, encode_parts, cg = enc.encoder.apply(enc.pressures, candidates), enc.encoder.parts, enc.encoder.cg
+    center, rcond, capsule_residual = enc.center, enc.rcond, enc.capsule_residual
     del enc  # frees the encoder's forward model and Gram or class blocks before the pixel passes
     end_stage()
 
@@ -230,7 +249,7 @@ def run_experiment(
         stages={stage: end - start for stage, start, end in zip(STAGES, marks, marks[1:])},
         forward_parts=parts,
         encode_parts=encode_parts,
-        cg=cg,
+        cg=cg if any(cg) else None,
         peak_rss_mb=dict(zip(STAGES, peaks)),
         system_rcond=rcond,
         system_blocks=None if rcond is None else [cls.size for cls in mirror_classes(scene)[0]],

@@ -120,18 +120,13 @@ class ForwardOperator:
                 out[rows[s]] = column
         return out
 
-    def _whole(self, size: int) -> None:
-        if size != self.shape[1]:
-            raise ValueError(f"a forward operator's model solves all {self.shape[1]} columns, not the first {size}")
-
-    def adjoint(self, y: np.ndarray, size: int) -> np.ndarray:
-        """T_F^H y in the model's column basis (see the class notes); ``size`` must be every column.
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """T_F^H y in the model's column basis (see the class notes).
 
         Per sphere v_s = Lambda_hat_s^H y_s, one matrix product per shared
         response; class k then gathers the signed v_s of its rows and
         applies C_k^H.
         """
-        self._whole(size)
         v, rows = np.empty(self.flips.shape, dtype=complex), self._rows
         for response, spheres in self._shared():
             v[spheres] = (np.stack([y[rows[s]] for s in spheres]).conj() @ response).conj()
@@ -140,7 +135,7 @@ class ForwardOperator:
 
     def normal(self, x: np.ndarray) -> np.ndarray:
         """T_F^H T_F x in the model's column basis, through the factors: C_k x_k, then the pressures and their adjoint."""
-        return self.adjoint(self.pressures([block @ x[columns] for block, columns in zip(self.c, self.columns)]), len(x))
+        return self.adjoint(self.pressures([block @ x[columns] for block, columns in zip(self.c, self.columns)]))
 
     def to_standard(self, x: np.ndarray) -> np.ndarray:
         """Model-basis coefficients ``x`` (see the class notes) in the standard (n, m) order."""
@@ -148,9 +143,9 @@ class ForwardOperator:
         out[np.concatenate([cls.incident for cls in self.classes])] = x
         return _to_pairs(out, self.scene.n_in)
 
-    def gram(self, size: int, dual: bool) -> np.ndarray:
-        """conj(F F^H) for F = T_F, the dual side only (the encoder solves the primal side by CG): the upper
-        triangle of one Fortran-ordered array, whose lower triangle is scratch.  ``size`` must be every column.
+    def gram(self) -> np.ndarray:
+        """conj(F F^H) for F = T_F, the dual side's Gram (the encoder solves the primal side by CG): the upper
+        triangle of one Fortran-ordered array, whose lower triangle is scratch.
 
         F F^H = Lambda_hat B Lambda_hat^H, where block (s, t) of B, the Gram of
         the spheres' local fields, sums over classes the two class signs times
@@ -162,9 +157,6 @@ class ForwardOperator:
         it holds, and no whole C_k C_k^H is held.  Only the sphere blocks
         s <= t are formed, and T_F is not held.
         """
-        self._whole(size)
-        if not dual:
-            raise ValueError("a forward operator's primal side has no Gram: the encoder solves it by CG")
         capsules, harmonics, rows = self.shape[0], num_coeffs(self.scene.n_fwd), self._rows
         gram = np.zeros((capsules, capsules), dtype=complex, order="F")
         felt = np.empty((harmonics, harmonics), dtype=complex)  # block (s, t) of B

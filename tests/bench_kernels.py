@@ -21,9 +21,10 @@ from scipy.linalg.blas import zherk
 
 from mshoa.basis import CoefficientVector, norm_legendre_triangle, num_coeffs, sph_harm_matrix
 from mshoa.config import load_config
-from mshoa.encode import DenseModel, Encoder, mshoa_encoder
+from mshoa.encode import DenseModel, Encoder, hoa_encoder, mshoa_encoder
 from mshoa.fields import FieldGrid, GridSpec, reconstruct_field
 from mshoa.matio import write_field_csv
+from mshoa.runner import _Encoding, _truncation_block
 from mshoa.scatter import (
     _apply_blocks,
     _capsule_residual,
@@ -32,6 +33,7 @@ from mshoa.scatter import (
     assemble_system_matrix,
     forward_operator,
 )
+from mshoa.scene import RsmaSpec
 from mshoa.translation import _coaxial_matrix, rotation_blocks
 
 K = 2 * np.pi * 2000 / 343.0
@@ -89,6 +91,15 @@ def test_sigma_solve(benchmark):
     sigma = 1e-8 * enc.scale
     p = _complex(rng, 324)
     benchmark(enc.apply, p, sigmas=[sigma])
+
+
+def test_hoa_search(benchmark):
+    """``hoa_search_linear2``'s encode stage: n_c 1..14 at σ = 0 on one
+    162-capsule array, each candidate an encoder of a view of the degree-14
+    surface response's leading columns, solved by its pseudo-inverse."""
+    sphere = RsmaSpec.fibonacci([0.0, 0.125, 0.0], 0.08, 162)
+    encoding = _Encoding(hoa_encoder(sphere, K, 14), _complex(np.random.default_rng(9), 162), n_cs=list(range(1, 15)))
+    benchmark(_truncation_block, encoding, 0.0)
 
 
 @pytest.mark.parametrize(

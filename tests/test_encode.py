@@ -76,15 +76,21 @@ def test_single_equals_mshoa_for_one_sphere():
 
 
 def _count_grams(monkeypatch):
-    """Record the shape of every Gram an encoder's model forms, dense or factored."""
-    shapes = []
-    for model in (DenseModel, ForwardOperator):
-        def counting_gram(self, *args, _gram=model.gram, **kwargs):
-            gram = _gram(self, *args, **kwargs)
-            shapes.append(gram.shape)
-            return gram
+    """Record the shape of every Gram an encoder forms: a dense model's (by ``zherk``) or from T_F's factors."""
+    from mshoa import encode
 
-        monkeypatch.setattr(model, "gram", counting_gram)
+    shapes = []
+
+    def counting(form):
+        def gram(*args, **kwargs):
+            out = form(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        return gram
+
+    monkeypatch.setattr(encode, "zherk", counting(encode.zherk))
+    monkeypatch.setattr(ForwardOperator, "gram", counting(ForwardOperator.gram))
     return shapes
 
 
@@ -127,30 +133,26 @@ def test_unregularized_encoder_forms_no_gram(rng, monkeypatch):
     grams = _count_grams(monkeypatch)
     sphere = _sphere(100)
     p = rng.normal(size=100) + 1j * rng.normal(size=100)
-    hoa_encoder(sphere, 2 * np.pi * 2000 / 343.0, 11).apply(p, sigmas=0.0, n_outs=[2, 7, 11])
+    for n_c in (2, 7, 11):
+        hoa_encoder(sphere, 2 * np.pi * 2000 / 343.0, n_c).apply(p, sigmas=0.0)
     assert grams == []
 
 
-def test_truncation_candidates_match_lower_degree_encoders(rng, monkeypatch):
-    """A degree-n column of the n_c_max encoder is the degree-n encoder, zero-padded.
-
-    With 100 capsules the degree-11 candidate (144 coefficients) is solved on
-    the dual side and the lower ones on the primal side, whose one Gram is
-    formed at the largest primal degree, 7 (64 coefficients).
-    """
+def test_truncation_candidates_match_lower_degree_encoders(rng):
+    """An encoder of a view of the degree-11 response's first (n+1)^2 columns
+    is the degree-n encoder, bit for bit: on the primal side (n = 2, 7 on 100
+    capsules) and on the dual side (n = 11, 144 coefficients)."""
     sphere = _sphere(100)
     k = 2 * np.pi * 2000 / 343.0
     p = rng.normal(size=100) + 1j * rng.normal(size=100)
-    scale = np.linalg.norm(surface_response_matrix(sphere, k, 11), 2) ** 2
-    grams = _count_grams(monkeypatch)
+    response = surface_response_matrix(sphere, k, 11)
+    scale = np.linalg.norm(response, 2) ** 2
     for sigma in (0.0, 1e-6, 1e-4 * scale):
-        grams.clear()
-        block = hoa_encoder(sphere, k, 11).apply(p, sigmas=sigma, n_outs=[2, 7, 11]).values
-        assert sorted(grams) == ([] if sigma == 0 else [(64, 64), (100, 100)])
-        for column, n_c in zip(block.T, (2, 7, 11)):
-            alone = hoa_encoder(sphere, k, n_c).apply(p, sigmas=sigma).values[:, 0]
-            np.testing.assert_allclose(column[: alone.size], alone, rtol=0, atol=1e-12 * np.abs(alone).max())
-            assert not column[alone.size :].any()
+        for n_c in (2, 7, 11):
+            view = Encoder(forward=DenseModel(response[:, : num_coeffs(n_c)]), k=k)
+            assert view.n_out == n_c
+            alone = hoa_encoder(sphere, k, n_c).apply(p, sigmas=sigma).values
+            assert np.array_equal(view.apply(p, sigmas=sigma).values, alone)
 
 
 @pytest.mark.parametrize("coupling", [True, False], ids=["MSHOA", "Single"])
@@ -174,8 +176,6 @@ def test_factored_encoder_matches_the_dense_encoder(rng, centers, caps, coupling
     for column, expected, sigma in zip(ours.T, reference.T, sigmas):
         gap = np.max(np.abs(column - expected)) / np.max(np.abs(expected))
         assert gap <= 1e-14 * max(1.0, dense.scale / sigma)
-    with pytest.raises(ValueError):  # a factored model solves at its full degree only
-        factored.apply(p, sigmas=1.0, n_outs=[op.scene.n_in - 1])
 
 
 @pytest.mark.parametrize("caps", [400, 30], ids=["primal", "dual"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mshoa.basis import num_coeffs
 from mshoa.cli import main
 from mshoa.config import load_config, validate_config
 from mshoa.matio import export_matrix, import_matrix
@@ -95,6 +96,70 @@ def test_hoa_run_searches_lone_sphere_truncation(tmp_path):
     for n_c in (1, 8):
         fixed = validate_config(LONE_HOA.replace("n_c_min: 1, n_c_max: 8", f"n_c: {n_c}"))
         assert searched.ssa >= run_experiment(fixed, tmp_path / str(n_c)).ssa
+
+
+def _data_rows(path):
+    return [line for line in Path(path).read_text().splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-6])
+def test_hoa_truncation_search_matches_fixed_truncation_runs(tmp_path, monkeypatch, sigma):
+    """Every candidate of an n_c range is what a run at that fixed n_c dumps:
+    bit for bit at sigma = 0 (the pseudo-inverse), within 1e-12 relative at
+    sigma > 0, where n_c 1..5 (at most 36 coefficients) are solved on the
+    primal side of the 40-capsule array and n_c 6, 7 on the dual side.  The
+    chosen n_c's estimated.csv holds the fixed run's data rows."""
+    from mshoa import runner
+
+    blocks, search = [], runner.regularization_search
+
+    def recording_search(candidates, block, *args, **kwargs):
+        blocks.append(block.values.copy())
+        return search(candidates, block, *args, **kwargs)
+
+    text = TINY_HOA.replace("hoa: {n_c: 4}", f"sigma: {sigma}\nhoa: {{n_c_min: 1, n_c_max: 7}}")
+    monkeypatch.setattr(runner, "regularization_search", recording_search)
+    searched = run_experiment(validate_config(text), tmp_path / "range")
+    monkeypatch.undo()
+    for j, n_c in enumerate(range(1, 8)):
+        out = tmp_path / str(n_c)
+        run_experiment(validate_config(text.replace("n_c_min: 1, n_c_max: 7", f"n_c: {n_c}")), out, dump_coeffs=True)
+        fixed, column = import_matrix(out / "coefficients.bin")[0], blocks[0][:, j]
+        if sigma == 0.0:
+            assert np.array_equal(column[: fixed.size], fixed)
+        else:
+            assert np.max(np.abs(column[: fixed.size] - fixed)) <= 1e-12 * np.max(np.abs(fixed))
+        assert not column[fixed.size :].any()
+    chosen = tmp_path / str(searched.n_c)
+    assert _data_rows(tmp_path / "range" / "estimated.csv") == _data_rows(chosen / "estimated.csv")
+
+
+def test_hoa_truncation_search_holds_one_gram_at_a_time():
+    """A sigma > 0 range n_c 1..14 on a 162-capsule array peaks, traced, no
+    higher than its costliest candidate run alone, plus the block of 14
+    columns: each candidate's Gram (162^2 on the dual side, up to 144^2 on
+    the primal side) is dropped before the next one is formed."""
+    import tracemalloc
+
+    from mshoa import runner
+    from mshoa.encode import hoa_encoder
+    from mshoa.scene import RsmaSpec
+
+    sphere = RsmaSpec.fibonacci([0.0, 0.125, 0.0], 0.08, 162)
+    k = 2 * np.pi * 2000 / 343.0
+    pressures = np.random.default_rng(0).standard_normal((162, 2)) @ [1, 1j]
+    encoder = hoa_encoder(sphere, k, 14)
+
+    def peak(n_cs):
+        tracemalloc.start()
+        try:
+            runner._truncation_block(runner._Encoding(encoder, pressures, n_cs=n_cs), 1e-6)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = max(peak([n_c]) for n_c in range(1, 15))
+    assert peak(list(range(1, 15))) <= alone + 16 * num_coeffs(14) * 14 + 16 * 1024
 
 
 def test_determinism_across_reruns(tmp_path):
@@ -469,23 +534,33 @@ def test_cli_rejects_a_silent_source(tmp_path):
 
 
 def test_cli_bad_forward_file(tmp_path):
+    """A forward file that is no matrix, of the wrong shape or holding a nan
+    entry is a runtime error, exit 4; the nan at a fixed sigma and in a sigma
+    search alike."""
+    from mshoa.scatter import forward_operator
+
     runner = CliRunner()
-    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path, search_path = tmp_path / "cfg.yaml", tmp_path / "search.yaml"
     cfg_path.write_text(TINY)
+    search_path.write_text(TINY.replace("sigma: 1e-9", "sigma_search: {points: 3}"))
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"not a matrix file at all")
     # TINY needs 80 capsules x 81 incident coefficients
-    too_few_cols, too_few_rows = tmp_path / "80x10.bin", tmp_path / "70x81.bin"
+    too_few_cols, too_few_rows, nan = tmp_path / "80x10.bin", tmp_path / "70x81.bin", tmp_path / "nan.bin"
     export_matrix(too_few_cols, np.ones((80, 10), complex))
     export_matrix(too_few_rows, np.ones((70, 81), complex))
-    for bad in (garbage, too_few_cols, too_few_rows):
-        out = tmp_path / bad.stem
+    matrix = forward_operator(validate_config(TINY).scene).matrix
+    matrix[3, 5] = np.nan
+    export_matrix(nan, matrix)
+    for config, bad in ((cfg_path, garbage), (cfg_path, too_few_cols), (cfg_path, too_few_rows), (cfg_path, nan), (search_path, nan)):
+        out = tmp_path / f"{config.stem}_{bad.stem}"
         res = runner.invoke(
             main,
-            ["run", str(cfg_path), "--out", str(out), "--import-forward", str(bad)],
+            ["run", str(config), "--out", str(out), "--import-forward", str(bad)],
         )
         assert res.exit_code == 4, res.output
-        assert "runtime error" in res.output
+        assert "runtime error" in res.output and "Traceback" not in res.output
+        assert bad != nan or "non-finite" in res.output
         assert not (out / "summary.json").exists()
 
 
@@ -493,12 +568,14 @@ def test_cli_bad_forward_file(tmp_path):
 def test_cli_runtime_failures_exit_4(tmp_path, monkeypatch):
     runner = CliRunner()
     cfg_path = tmp_path / "cfg.yaml"
-    # degree 200 at kR = 1.47 overflows h'_n: the σ = 0 pseudo-inverse of a response holding nan fails
-    cfg_path.write_text(TINY_HOA.replace("hoa: {n_c: 4}", "hoa: {n_c_min: 1, n_c_max: 200}"))
-    res = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "nan")])
-    assert res.exit_code == 4, res.output
-    assert "runtime error" in res.output and "pseudo-inverse" in res.output
-    assert not (tmp_path / "nan" / "summary.json").exists()
+    # degree 200 at kR = 1.47 overflows h'_n: the σ = 0 pseudo-inverse of a response holding nan fails,
+    # and so does the σ > 0 Cholesky factorisation of its Gram
+    for sigma, message in (("", "pseudo-inverse"), ("sigma: 1e-6\n", "factorisation failed")):
+        cfg_path.write_text(TINY_HOA.replace("hoa: {n_c: 4}", f"{sigma}hoa: {{n_c_min: 1, n_c_max: 200}}"))
+        res = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "nan")])
+        assert res.exit_code == 4, res.output
+        assert "runtime error" in res.output and message in res.output
+        assert not (tmp_path / "nan" / "summary.json").exists()
 
     # a scene too large for memory (allocating for real would need tens of GiB)
     def out_of_memory(*args, **kwargs):
