@@ -54,7 +54,7 @@ def run(config_path, out_dir, export_forward, import_forward, dump_coeffs):
     except SolverError as exc:
         click.echo(f"solver error: {exc}", err=True)
         sys.exit(3)
-    except (EncoderError, MatrixFormatError) as exc:
+    except (EncoderError, MatrixFormatError, OSError) as exc:  # OSError: a file or directory the run cannot open
         click.echo(f"runtime error: {exc}", err=True)
         sys.exit(4)
     except MemoryError as exc:

@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import yaml
 
-from .fields import DEFAULT_THRESHOLD_DB, GridSpec, sphere_mask
+from .fields import DEFAULT_THRESHOLD_DB, SDR_CAP_DB, SDR_FLOOR_DB, GridSpec, sphere_mask
 from .scene import IncidentSource, RsmaSpec, SceneConfig, SceneError, layout_cartesian
 
 METHODS = ("HOA", "Single", "MSHOA")
@@ -62,6 +62,8 @@ class ExperimentConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.sigma is not None and self.sigma_search is not None:
             raise ConfigError("specify either 'sigma' or 'sigma_search', not both")
+        if not SDR_FLOOR_DB <= self.threshold_db < SDR_CAP_DB:  # sdr_map clips every pixel to [floor, cap]
+            raise ConfigError(f"threshold_db must lie in [{SDR_FLOOR_DB:g}, {SDR_CAP_DB:g}), got {self.threshold_db:g}")
         if self.sigma is not None and self.sigma < 0:
             raise ConfigError("sigma must be non-negative")
         if self.method == "HOA" and self.sigma_search is not None:
@@ -287,8 +289,11 @@ def validate_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})")
     return validate_config(text)
 
 

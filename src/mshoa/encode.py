@@ -36,10 +36,6 @@ class DenseModel:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def apply(self, coeffs: CoefficientVector) -> np.ndarray:
-        """F a: the pressures of incident coefficients ``coeffs``."""
-        return self.matrix @ coeffs.values
-
     def gram(self) -> np.ndarray:
         """conj(FFᴴ), in the upper triangle of a Fortran-ordered array.
 

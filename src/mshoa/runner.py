@@ -113,27 +113,23 @@ def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward, parts=
 
     Both encode the capture Lambda_s (c a)_s that the build of the T_F they
     invert reads off its factors: MSHOA's coupled T_F holds the solved c,
-    and Single's uncoupled one takes c a from one coupled vector solve.  A
-    run that exports or imports T_F encodes the filled or imported matrix as
-    a dense model and reads the capture off it, so an export run and a run
-    importing its file give the same bytes.  Reading or writing a T_F file
-    is not a forward part.
+    and Single's uncoupled one takes c a from one coupled vector solve.
+    Only an imported T_F is a dense model, whose capture is T_F a.  Writing
+    T_F, the filled matrix of the model held, changes no output and, like
+    reading it, is not a forward part.
     """
     scene = cfg.scene
-    if import_forward is None:
-        model = forward_operator(scene, include_coupling=cfg.method == "MSHOA", _parts=parts)
-        pressures, health = model.capture, {"rcond": model.rcond, "capsule_residual": model.capsule_residual}
+    if import_forward is not None:
+        model = _import_forward(cfg, import_forward)
+        with _timed(parts, "capsule"):
+            pressures = model.matrix @ scene.incident_coeffs().values
+        enc = _Encoding(Encoder(forward=model, k=scene.k), pressures)
     else:
-        model, health = _import_forward(cfg, import_forward), {}
+        model = forward_operator(scene, include_coupling=cfg.method == "MSHOA", _parts=parts)
+        enc = _Encoding(mshoa_encoder(model), model.capture, rcond=model.rcond, capsule_residual=model.capsule_residual)
     if export_forward is not None:
-        with _timed(parts, "capsule"):
-            model = DenseModel(model.matrix)
         export_matrix(export_forward, model.matrix)
-    if isinstance(model, DenseModel):
-        with _timed(parts, "capsule"):
-            pressures = model.apply(scene.incident_coeffs())
-        return _Encoding(Encoder(forward=model, k=scene.k), pressures, **health)
-    return _Encoding(mshoa_encoder(model), pressures, **health)
+    return enc
 
 
 def _truncation_block(enc: _Encoding, sigma: float) -> tuple[CoefficientVector, dict]:

@@ -173,19 +173,34 @@ def test_determinism_across_reruns(tmp_path):
 
 
 def test_forward_export_import_reuse(tmp_path):
-    """The exported file is the operator's filled T_F, bit for bit, and a run
-    that imports it reproduces the exporting run's maps byte for byte."""
+    """The exported file is the operator's filled T_F, bit for bit, and exporting
+    changes no output: the run encodes T_F's factors, CG included, as a plain
+    run does.  A run importing the file encodes the dense matrix, so it chooses
+    the same sigma (up to roundoff in ||T_F||_2^2 when it searches), index and
+    SSA, and its estimate differs by the CG-vs-dense gap; with both flags, the
+    imported file is written back unchanged."""
     from mshoa.scatter import forward_operator
 
-    cfg = validate_config(TINY)
-    mat_path = tmp_path / "forward.bin"
-    out1 = tmp_path / "first"
-    out2 = tmp_path / "second"
-    run_experiment(cfg, out1, export_forward=mat_path)
-    assert np.array_equal(import_matrix(mat_path), forward_operator(cfg.scene).matrix)
-    run_experiment(cfg, out2, import_forward=mat_path)
-    for name in ("ground_truth.csv", "estimated.csv", "sdr_map.csv"):
-        assert _artifacts(out1)[name] == _artifacts(out2)[name]
+    search = TINY.replace("sigma: 1e-9", "sigma_search: {points: 3}")
+    for case, text in (("dual", TINY), ("cg", TINY_PRIMAL), ("search", search)):
+        cfg, root = validate_config(text), tmp_path / case
+        forward, again = root / "forward.bin", root / "again.bin"
+        plain = run_experiment(cfg, root / "plain")
+        exported = run_experiment(cfg, root / "export", export_forward=forward)
+        assert np.array_equal(import_matrix(forward), forward_operator(cfg.scene).matrix)
+        assert (exported.sigma, exported.search, exported.cg) == (plain.sigma, plain.search, plain.cg)
+        assert (exported.cg is not None) == (case == "cg")
+        imported = run_experiment(cfg, root / "import", import_forward=forward, export_forward=again)
+        assert again.read_bytes() == forward.read_bytes()
+        assert imported.sigma == pytest.approx(plain.sigma, rel=1e-12)
+        assert imported.search["index"] == plain.search["index"]
+        assert (imported.search["ssa"], imported.ssa) == (plain.search["ssa"], plain.ssa)
+        files = {name: _artifacts(root / name) for name in ("plain", "export", "import")}
+        for name in ("ground_truth.csv", "estimated.csv", "sdr_map.csv"):
+            assert files["export"][name] == files["plain"][name], (case, name)
+        assert files["import"]["ground_truth.csv"] == files["plain"]["ground_truth.csv"]
+        estimate, reference = (read_field_csv(root / name / "estimated.csv")[0] for name in ("import", "plain"))
+        assert np.max(np.abs(estimate - reference)) <= 1e-8 * np.max(np.abs(reference)), case
 
 
 SCALED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("scaled_*.yaml"))
@@ -448,6 +463,10 @@ def test_cli_rejects_bad_config(tmp_path):
         (TINY.replace("axis: y", "axis: [1]"), "axis"),
         (TINY.replace("type: linear, count: 2", "type: cartesian, rows: 2, cols: 1").replace("axis: y", "plane: [1]"), "plane"),
         (TINY + "output: out\n", "output"),
+        # sdr_map clips every pixel to [-300, 150] dB: no pixel exceeds 150, and every one exceeds -300.5
+        (TINY + "threshold_db: 150\n", "threshold_db"),
+        (TINY + "threshold_db: 1e300\n", "threshold_db"),
+        (TINY + "threshold_db: -300.5\n", "threshold_db"),
     ]:
         bad.write_text(text)
         out = tmp_path / "out-malformed"
@@ -469,6 +488,33 @@ def test_cli_run_rejects_a_non_finite_vector(tmp_path, field):
     assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
     assert "config error" in res.output and f"{field} must be finite" in res.output
     assert not out.exists()
+
+
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path):
+    bad, out = tmp_path / "bad.yaml", tmp_path / "out"
+    bad.write_bytes(b"\xff\xfe\x00garbage")
+    for command in (["validate", str(bad)], ["run", str(bad), "--out", str(out)]):
+        res = CliRunner().invoke(main, command)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+        assert res.output.startswith("config error:") and str(bad) in res.output and "UTF-8" in res.output
+    assert not out.exists()
+
+
+def test_cli_unwritable_output_exits_4(tmp_path):
+    """An --out that names a file, and an --export-forward into a missing
+    directory, are runtime errors naming the path (exit 4), and no summary is written."""
+    cfg_path, taken = tmp_path / "cfg.yaml", tmp_path / "taken"
+    cfg_path.write_text(TINY)
+    taken.write_text("a file, not a directory")
+    missing = tmp_path / "missing" / "forward.bin"
+    out = tmp_path / "out"
+    for args, path in ((["--out", str(taken)], taken), (["--out", str(out), "--export-forward", str(missing)], missing)):
+        res = CliRunner().invoke(main, ["run", str(cfg_path), *args])
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+        assert res.output.startswith("runtime error:") and str(path) in res.output
+    assert not (out / "summary.json").exists() and not missing.exists()
 
 
 def test_cli_run_rejects_a_grid_inside_the_spheres(tmp_path):
