@@ -104,9 +104,7 @@ def norm_legendre_triangle(n_max: int, x: np.ndarray) -> np.ndarray:
         # sectorial Pbar_n^n, then the first off-sectorial Pbar_n^{n-1}
         out[t + n] = -np.sqrt((2 * n + 1) / (2.0 * n)) * s * out[prev + n - 1]
         out[t + n - 1] = np.sqrt(2 * n + 1.0) * x * out[prev + n - 1]
-        if n < 2:
-            continue
-        # upward in n for m = 0..n-2, one slice: rows (n-1, m) and (n-2, m)
+        # upward in n for m = 0..n-2 (none at n = 1), one slice: rows (n-1, m) and (n-2, m)
         m = np.arange(n - 1).reshape((-1,) + (1,) * x.ndim)
         a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
         b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))

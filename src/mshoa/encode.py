@@ -66,9 +66,10 @@ class Encoder:
     the primal side would carry the rounding of Fᴴp along F's null space,
     times 1/σ.  A :class:`DenseModel` on either side, and a
     :class:`~mshoa.scatter.ForwardOperator` on its dual side, take one
-    Cholesky factorisation per σ of that side's Gram, formed once on first
-    use, conjugated and in the upper triangle of a Fortran-ordered array;
-    each factorisation runs in its lower triangle, whose diagonal is then
+    Cholesky factorisation per σ of that side's Gram, formed on first use,
+    conjugated and in the upper triangle of a Fortran-ordered array, and
+    solve it against p or Fᴴp, formed once per :meth:`apply`; each
+    factorisation runs in its lower triangle, whose diagonal is then
     restored, so no copy of the Gram is made.  A ForwardOperator on its
     primal side forms no Gram: conjugate gradients solve the normal
     equations in its column basis, each product FᴴF v taken through its
@@ -88,9 +89,9 @@ class Encoder:
     k: float
     parts: dict = field(default_factory=lambda: dict.fromkeys(ENCODE_PARTS, 0.0), init=False)
     cg: list = field(default_factory=list, init=False)
-    # the Gram a Cholesky solve factors (upper triangle; the lower one is scratch), or CG's class
-    # blocks with their diagonals; None until first used (see _normal)
-    _normal_matrices: np.ndarray | list | None = field(default=None, init=False, repr=False)
+    # (block, diagonal) pairs: the one Gram a Cholesky solve factors, or CG's class blocks (upper
+    # triangle; the lower one is scratch); None until first used (see _normal)
+    _normal_matrices: list | None = field(default=None, init=False, repr=False)
 
     @property
     def n_out(self) -> int:
@@ -107,16 +108,17 @@ class Encoder:
         """Whether F is solved by CG: a ForwardOperator on its primal side."""
         return isinstance(self.forward, ForwardOperator) and not self._dual
 
-    def _normal(self) -> np.ndarray | list[tuple[np.ndarray, np.ndarray]]:
-        """What the σ > 0 solves factor, formed on first use: for CG, the diagonal class blocks G_kk of FᴴF with
-        their diagonals (:func:`_factored` factors G_kk + σI in a block's lower triangle); otherwise the Gram of
-        F's side, conj(FFᴴ) from the model, or conj(FᴴF) by ``zherk`` on a DenseModel's primal side."""
+    def _normal(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """What the σ > 0 solves factor, with their diagonals, formed on first use: for CG, the diagonal class
+        blocks G_kk of FᴴF; otherwise the one Gram of F's side, conj(FFᴴ) from the model, or conj(FᴴF) by
+        ``zherk`` on a DenseModel's primal side.  :func:`_factored` factors a block plus σI in its lower triangle."""
         if self._normal_matrices is None:
             with _timed(self.parts, "gram", "encode"):
                 if self._iterative:
-                    self._normal_matrices = [(gram, gram.diagonal().copy()) for gram in self.forward.class_grams()]
+                    grams = self.forward.class_grams()
                 else:
-                    self._normal_matrices = self.forward.gram() if self._dual else zherk(1.0, self.forward.matrix.T)
+                    grams = [self.forward.gram() if self._dual else zherk(1.0, self.forward.matrix.T)]
+                self._normal_matrices = [(gram, gram.diagonal().copy()) for gram in grams]
         return self._normal_matrices
 
     @property
@@ -129,7 +131,7 @@ class Encoder:
         if self._iterative:
             size, product = self.forward.shape[1], self.forward.normal
         else:
-            gram = self._normal()
+            gram = self._normal()[0][0]
             size, product = len(gram), lambda x: zhemv(1.0, gram, x)
         with _timed(self.parts, "scale", "encode"):
             if size < 3:  # below ARPACK's smallest complex problem
@@ -157,8 +159,9 @@ class Encoder:
         self.cg = [None] * sigmas.size
         block = np.empty((self.forward.shape[1], sigmas.size), dtype=complex)
         with _timed(self.parts, "solves", "encode"):
-            if self._iterative and regularized:
-                rhs, x = self.forward.adjoint(pressures), np.zeros(self.forward.shape[1], dtype=complex)
+            if regularized:  # the side's right-hand side, p or Fᴴp, for every σ > 0
+                rhs = pressures if self._dual else self.forward.adjoint(pressures)
+                x = np.zeros_like(rhs) if self._iterative else None
             for j in np.argsort(-sigmas, kind="stable"):  # largest σ first: each CG starts from the last solution
                 sigma = sigmas[j]
                 if sigma == 0.0:
@@ -172,19 +175,16 @@ class Encoder:
                     log.info("CG at sigma %.6e: %d iterations, relative residual %.2e", sigma, iterations, residual)
                     block[:, j] = self.forward.to_standard(x)
                 else:
-                    block[:, j] = self.forward.to_standard(self._cholesky(pressures, sigma))
+                    block[:, j] = self.forward.to_standard(self._cholesky(rhs, sigma))
         return CoefficientVector(k=self.k, n_max=self.n_out, values=block)
 
-    def _cholesky(self, pressures: np.ndarray, sigma: float) -> np.ndarray:
-        """The solution at σ > 0 by one Cholesky factorisation on the Gram of F's side."""
-        gram = self._normal()
-        diagonal = gram.diagonal().copy()
+    def _cholesky(self, rhs: np.ndarray, sigma: float) -> np.ndarray:
+        """The solution at σ > 0 for the side's ``rhs`` (p or Fᴴp) by one Cholesky factorisation of its Gram."""
+        ((gram, diagonal),) = self._normal()
         try:
-            factor = _factored(gram, diagonal, sigma)
             # the Grams are conjugated, so each solve runs on conjugates: conj(x) = conj(Gram)⁻¹ conj(Fᴴp), etc.
-            if self._dual:
-                return self.forward.adjoint(potrs(factor, pressures.conj(), lower=1)[0].conj())
-            return potrs(factor, self.forward.adjoint(pressures).conj(), lower=1)[0].conj()
+            x = potrs(_factored(gram, diagonal, sigma), rhs.conj(), lower=1)[0].conj()
+            return self.forward.adjoint(x) if self._dual else x
         finally:
             np.fill_diagonal(gram, diagonal)  # the upper triangle is the Gram again, for the scale's zhemv
 

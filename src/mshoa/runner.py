@@ -108,22 +108,21 @@ def _hoa_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
     return _Encoding(encoder, pressures, n_cs=candidates, center=sphere.center, rcond=rcond)
 
 
-def _grid_encoding(cfg: ExperimentConfig, export_forward, import_forward, parts=None) -> _Encoding:
+def _grid_encoding(cfg: ExperimentConfig, export_forward, imported: DenseModel | None, parts=None) -> _Encoding:
     """Full multiple-scattering (MSHOA) or single-scattering encoding of the true capture.
 
     Both encode the capture Lambda_s (c a)_s that the build of the T_F they
     invert reads off its factors: MSHOA's coupled T_F holds the solved c,
     and Single's uncoupled one takes c a from one coupled vector solve.
-    Only an imported T_F is a dense model, whose capture is T_F a.  Writing
-    T_F, the filled matrix of the model held, changes no output and, like
-    reading it, is not a forward part.
+    Only an ``imported`` T_F is a dense model, whose capture is T_F a.
+    Writing T_F, the filled matrix of the model held, changes no output and,
+    like reading it, is not a forward part.
     """
     scene = cfg.scene
-    if import_forward is not None:
-        model = _import_forward(cfg, import_forward)
+    if imported is not None:
         with _timed(parts, "capsule"):
-            pressures = model.matrix @ scene.incident_coeffs().values
-        enc = _Encoding(Encoder(forward=model, k=scene.k), pressures)
+            pressures = imported.matrix @ scene.incident_coeffs().values
+        model, enc = imported, _Encoding(Encoder(forward=imported, k=scene.k), pressures)
     else:
         model = forward_operator(scene, include_coupling=cfg.method == "MSHOA", _parts=parts)
         enc = _Encoding(mshoa_encoder(model), model.capture, rcond=model.rcond, capsule_residual=model.capsule_residual)
@@ -180,6 +179,9 @@ def run_experiment(
 
     ``export_forward`` / ``import_forward`` save and reuse MSHOA's forward
     operator T_F; other methods encode with no such matrix and reject them.
+    A bad import file or a missing export directory fails before any
+    computing, and leaves no ``out_dir``.  A capture check below
+    ``threshold_db``, -20 log10 ``capsule_residual``, logs a warning.
     """
     marks, peaks = [time.perf_counter()], []  # the start, then the end of each of STAGES
 
@@ -189,9 +191,14 @@ def run_experiment(
 
     if cfg.method != "MSHOA" and (export_forward, import_forward) != (None, None):
         raise ConfigError(f"only MSHOA exports or imports a forward operator, not {cfg.method}")
+    imported = None if import_forward is None else _import_forward(cfg, import_forward)
+    out = Path(out_dir)
+    if export_forward is not None:
+        parent = Path(export_forward).parent
+        if not (parent.is_dir() or parent.resolve() in (out.resolve(), *out.resolve().parents)):  # out.mkdir makes it
+            raise FileNotFoundError(f"{export_forward}: the directory to export the forward operator into does not exist")
     scene = cfg.scene
     mask = sphere_mask(cfg.grid, scene.spheres)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash
 
@@ -199,8 +206,11 @@ def run_experiment(
     if cfg.method == "HOA":
         enc = _hoa_encoding(cfg, parts)
     else:
-        enc = _grid_encoding(cfg, export_forward, import_forward, parts)
+        enc = _grid_encoding(cfg, export_forward, imported, parts)
     end_stage()
+    if enc.capsule_residual is not None and enc.capsule_residual > 10.0 ** (-cfg.threshold_db / 20):
+        log.warning("the capture check reads %.1f dB (capsule_residual %.3g), below the %.0f dB SDR threshold",
+                    -20 * np.log10(enc.capsule_residual), enc.capsule_residual, cfg.threshold_db)
 
     by_degree = enc.n_cs is not None
     if by_degree:
@@ -209,7 +219,7 @@ def run_experiment(
         candidates = [cfg.sigma] if cfg.sigma_search is None else _sigma_grid(cfg.sigma_search, enc.encoder)
         block, encode_parts, cg = enc.encoder.apply(enc.pressures, candidates), enc.encoder.parts, enc.encoder.cg
     center, rcond, capsule_residual = enc.center, enc.rcond, enc.capsule_residual
-    del enc  # frees the encoder's forward model and Gram or class blocks before the pixel passes
+    del enc, imported  # frees the encoder's forward model and Gram or class blocks before the pixel passes
     end_stage()
 
     truth = ground_truth_field(scene.source, scene.k, cfg.grid)

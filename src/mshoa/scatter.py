@@ -593,7 +593,7 @@ def _capsule_residual(op: ForwardOperator, felt: list[np.ndarray]) -> float:
     b = _radiating(scene, op.classes, op.flips, felt)
     rows = np.concatenate([np.arange(r.start, r.stop, -(-(r.stop - r.start) // RESIDUAL_SAMPLES)) for r in op._rows])
     reference = eval_total_field(scene, ScatterSolution(b, op.rcond), scene.incident_coeffs(), scene.capsule_positions()[rows])
-    return float(np.max(np.abs(op.pressures(felt)[rows] - reference)) / np.max(np.abs(reference)))
+    return float(np.max(np.abs(op.capture[rows] - reference)) / np.max(np.abs(reference)))
 
 
 def forward_operator(scene: SceneConfig, include_coupling: bool = True, _parts=None) -> ForwardOperator:

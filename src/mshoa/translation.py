@@ -124,21 +124,12 @@ def _translation(kind: str, t, k: float, n_src: int, n_dst: int) -> np.ndarray:
     if k <= 0:
         raise ValueError(f"wavenumber must be positive, got {k}")
     dist = float(np.linalg.norm(t))
-    if dist == 0.0:
-        if kind == "SR":
-            raise DegenerateDisplacementError(
-                "S|R translation requires a nonzero displacement"
-            )
-        entries = np.zeros((num_coeffs(n_dst), num_coeffs(n_src)), dtype=complex)
-        ncom = num_coeffs(min(n_src, n_dst))
-        entries[:ncom, :ncom] = np.eye(ncom)
-        return entries
-
-    that = t / dist
-    entries = _coaxial_matrix(kind, dist, k, n_src, n_dst)
-    if abs(that[2] - 1.0) >= 1e-15:
+    if dist == 0.0 and kind == "SR":
+        raise DegenerateDisplacementError("S|R translation requires a nonzero displacement")
+    entries = _coaxial_matrix(kind, dist, k, n_src, n_dst)  # at dist 0 (R|R) the recurrences give the identity
+    if dist > 0.0 and abs(t[2] / dist - 1.0) >= 1e-15:
         # conjugate by the block-diagonal rotation, D^H coax D, one degree at a time
-        _, theta, phi = cart_to_sph(that)
+        _, theta, phi = cart_to_sph(t / dist)
         for n, d in enumerate(rotation_blocks(max(n_src, n_dst), theta, phi)):
             sl = slice(n * n, (n + 1) ** 2)
             if n <= n_src:

@@ -231,3 +231,8 @@ def read_field_csv(path) -> tuple[np.ndarray, list[str]]:
         elif line.strip():
             rows.append([complex(tok) for tok in line.split(",")])
     return np.array(rows, dtype=complex), header
+
+
+def capture_warnings(caplog) -> list[str]:
+    """The messages of a run's warnings that its capture check reads below the SDR threshold."""
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("the capture check reads")]

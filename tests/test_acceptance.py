@@ -38,7 +38,7 @@ from mshoa.scatter import (
 )
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig, plane_wave_coeffs
 from mshoa.translation import rr_translation, sr_translation
-from tests.oracles import eval_radial_derivative, read_field_csv, single_sphere_total_field
+from tests.oracles import capture_warnings, eval_radial_derivative, read_field_csv, single_sphere_total_field
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -323,7 +323,7 @@ def test_criterion_7_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_full_scale_linear_grid_ordering(tmp_path):
+def test_full_scale_linear_grid_ordering(tmp_path, caplog):
     summaries = {}
     for name in ("mshoa", "single", "hoa"):
         cfg = load_config(f"{CONFIG_DIR}/linear6_{name}.yaml")
@@ -331,6 +331,7 @@ def test_full_scale_linear_grid_ordering(tmp_path):
     s_ms, s_si, s_ho = (summaries[n].ssa for n in ("mshoa", "single", "hoa"))
     assert s_ms > s_si
     assert s_ms > s_ho
+    assert not capture_warnings(caplog)
 
     sdr, _ = read_field_csv(tmp_path / "mshoa" / "sdr_map.csv")
     cfg = load_config(f"{CONFIG_DIR}/linear6_mshoa.yaml")
@@ -349,7 +350,7 @@ def test_full_scale_linear_grid_ordering(tmp_path):
 
 
 @pytest.mark.slow
-def test_full_scale_cartesian_grid_ordering(tmp_path):
+def test_full_scale_cartesian_grid_ordering(tmp_path, caplog):
     s_ms = run_experiment(
         load_config(f"{CONFIG_DIR}/cartesian9_mshoa.yaml"), tmp_path / "m"
     ).ssa
@@ -357,3 +358,4 @@ def test_full_scale_cartesian_grid_ordering(tmp_path):
         load_config(f"{CONFIG_DIR}/cartesian9_single.yaml"), tmp_path / "s"
     ).ssa
     assert s_ms > s_si
+    assert not capture_warnings(caplog)

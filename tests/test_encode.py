@@ -129,6 +129,24 @@ def test_shared_gram_matches_normal_equations(rng, monkeypatch):
     assert lone.scale == pytest.approx(np.linalg.norm(f[:, 0]) ** 2, rel=1e-12)
 
 
+def test_dense_primal_model_forms_its_right_hand_side_once(rng, monkeypatch):
+    """A dense model with more capsules than coefficients (2 x 60 capsules,
+    81 coefficients, TINY_PRIMAL's shape) forms F^H p once per apply, for all
+    three of its sigmas, and each column still solves the normal equations."""
+    f = forward_operator(_scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], caps=60)).matrix
+    assert f.shape == (120, 81)
+    calls, adjoint = [], DenseModel.adjoint
+    monkeypatch.setattr(DenseModel, "adjoint", lambda self, y: calls.append(len(y)) or adjoint(self, y))
+    enc = Encoder(forward=DenseModel(f), k=1.0)
+    p = rng.normal(size=len(f)) + 1j * rng.normal(size=len(f))
+    sigmas = enc.scale * np.array([1e-2, 1e-4, 1e-6])
+    block = enc.apply(p, sigmas)
+    assert calls == [len(f)]
+    for column, sigma in zip(block.values.T, sigmas):
+        reference = np.linalg.solve(f.conj().T @ f + sigma * np.eye(f.shape[1]), f.conj().T @ p)
+        assert np.linalg.norm(column - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
 def test_unregularized_encoder_forms_no_gram(rng, monkeypatch):
     grams = _count_grams(monkeypatch)
     sphere = _sphere(100)

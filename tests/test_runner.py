@@ -12,7 +12,7 @@ from mshoa.cli import main
 from mshoa.config import load_config, validate_config
 from mshoa.matio import export_matrix, import_matrix
 from mshoa.runner import run_experiment
-from tests.oracles import read_field_csv
+from tests.oracles import capture_warnings, read_field_csv
 from tests.test_config import NON_FINITE
 
 TINY = """
@@ -207,20 +207,42 @@ SCALED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glo
 
 
 @pytest.mark.parametrize("config", SCALED_CONFIGS, ids=[path.stem for path in SCALED_CONFIGS])
-def test_factored_encoder_chooses_what_the_dense_encoder_chooses(tmp_path, monkeypatch, config):
+def test_factored_encoder_chooses_what_the_dense_encoder_chooses(tmp_path, monkeypatch, caplog, config):
     """On every reduced-scale config, the encoder of T_F's factors and the
     encoder of the filled T_F choose the same sigma index or n_c from the same
-    SSA curve, and the chosen sigma differs by roundoff in ||T_F||_2^2."""
+    SSA curve, and the chosen sigma differs by roundoff in ||T_F||_2^2.  No
+    config's capture check warns."""
     from mshoa import runner
     from mshoa.encode import DenseModel, Encoder
 
     cfg = load_config(config)
     factored = run_experiment(cfg, tmp_path / "factored")
+    assert not capture_warnings(caplog)
     monkeypatch.setattr(runner, "mshoa_encoder", lambda op: Encoder(forward=DenseModel(op.matrix), k=op.scene.k))
     dense = run_experiment(cfg, tmp_path / "dense")
     assert factored.search["index"] == dense.search["index"] and factored.n_c == dense.n_c
     assert factored.search["ssa"] == dense.search["ssa"] and factored.ssa == dense.ssa
     assert factored.sigma == pytest.approx(dense.sigma, rel=1e-12)
+
+
+def test_capture_check_below_the_threshold_warns(tmp_path, caplog):
+    """A capture whose check, -20 log10 capsule_residual, is below the run's
+    threshold_db is logged as a warning, and the run still completes:
+    scaled_linear2_mshoa at 20 Hz reads 355 (-51 dB).  TINY reads 3.4e-4
+    (69 dB, above its 30 dB) and stays silent, and so does HOA, which has no
+    such check."""
+    text = (Path(__file__).resolve().parent.parent / "configs" / "scaled_linear2_mshoa.yaml").read_text()
+    low = validate_config(text.replace("frequency: 2000", "frequency: 20"))
+    summary = run_experiment(low, tmp_path / "low")
+    assert summary.capsule_residual > 100 and summary.ssa == 0.0
+    (warning,) = capture_warnings(caplog)
+    assert "-51.0 dB" in warning and "30 dB" in warning
+    assert [r.levelname for r in caplog.records if r.getMessage() == warning] == ["WARNING"]
+    caplog.clear()
+    quiet = run_experiment(validate_config(TINY), tmp_path / "tiny")
+    assert 1e-4 < quiet.capsule_residual < 10 ** (-quiet.threshold_db / 20)
+    run_experiment(validate_config(TINY_HOA), tmp_path / "hoa")
+    assert not capture_warnings(caplog)
 
 
 def test_single_run_builds_only_the_uncoupled_operator(tmp_path, monkeypatch):
@@ -380,10 +402,10 @@ def test_capsule_residual_sees_a_diverging_incident_series():
     scene = replace(validate_config(TINY).scene, n_in=12)
     far, near = (replace(scene, source=IncidentSource(kind="monopole", position=[0.0, 0.0, z])) for z in (3.0, 0.15))
     op = forward_operator(far)
-    residuals = [
-        _capsule_residual(replace(op, scene=s), _apply_blocks(op.c, op.classes, s.incident_coeffs(), s.n_in))
-        for s in (far, near)
-    ]
+    residuals = []
+    for s in (far, near):
+        felt = _apply_blocks(op.c, op.classes, s.incident_coeffs(), s.n_in)
+        residuals.append(_capsule_residual(replace(op, scene=s, capture=op.pressures(felt)), felt))
     assert op.capsule_residual == residuals[0]
     assert residuals[1] > 100 * op.capsule_residual
 
@@ -501,9 +523,15 @@ def test_cli_rejects_a_config_that_is_not_utf8(tmp_path):
     assert not out.exists()
 
 
-def test_cli_unwritable_output_exits_4(tmp_path):
+def test_cli_unwritable_output_exits_4(tmp_path, monkeypatch):
     """An --out that names a file, and an --export-forward into a missing
-    directory, are runtime errors naming the path (exit 4), and no summary is written."""
+    directory, are runtime errors naming the path (exit 4), and no summary is
+    written; the missing directory is found before the forward build, and
+    leaves no output directory."""
+    import mshoa.runner
+
+    builds = []
+    monkeypatch.setattr(mshoa.runner, "forward_operator", lambda *args, **kwargs: builds.append(args))
     cfg_path, taken = tmp_path / "cfg.yaml", tmp_path / "taken"
     cfg_path.write_text(TINY)
     taken.write_text("a file, not a directory")
@@ -514,7 +542,20 @@ def test_cli_unwritable_output_exits_4(tmp_path):
         assert res.exit_code == 4, res.output
         assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
         assert res.output.startswith("runtime error:") and str(path) in res.output
-    assert not (out / "summary.json").exists() and not missing.exists()
+    assert not out.exists() and not missing.exists() and builds == []
+
+
+def test_cli_exports_into_the_directory_the_run_makes(tmp_path, monkeypatch):
+    """An --export-forward into the --out directory, or into a parent of it,
+    that does not exist yet is no missing directory: the run makes it, exits 0
+    and writes T_F there."""
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.yaml").write_text(TINY)
+    for out, forward in (("o", "o/T_F.bin"), ("p/run", "p/T_F.bin")):
+        res = CliRunner().invoke(main, ["run", "cfg.yaml", "--out", out, "--export-forward", forward])
+        assert res.exit_code == 0, res.output
+        assert import_matrix(forward).shape == (80, 81)  # TINY's T_F
+        assert (Path(out) / "summary.json").exists()
 
 
 def test_cli_run_rejects_a_grid_inside_the_spheres(tmp_path):
@@ -580,17 +621,19 @@ def test_cli_rejects_a_silent_source(tmp_path):
 
 
 def test_cli_bad_forward_file(tmp_path):
-    """A forward file that is no matrix, of the wrong shape or holding a nan
-    entry is a runtime error, exit 4; the nan at a fixed sigma and in a sigma
-    search alike."""
+    """A forward file that is no matrix, too short, of the wrong shape or
+    holding a nan entry is a runtime error, exit 4, found before any
+    computing, so no output directory is left; the nan at a fixed sigma and
+    in a sigma search alike."""
     from mshoa.scatter import forward_operator
 
     runner = CliRunner()
     cfg_path, search_path = tmp_path / "cfg.yaml", tmp_path / "search.yaml"
     cfg_path.write_text(TINY)
     search_path.write_text(TINY.replace("sigma: 1e-9", "sigma_search: {points: 3}"))
-    garbage = tmp_path / "garbage.bin"
+    garbage, short = tmp_path / "garbage.bin", tmp_path / "short.bin"
     garbage.write_bytes(b"not a matrix file at all")
+    short.write_bytes(b"MSHOAMT")
     # TINY needs 80 capsules x 81 incident coefficients
     too_few_cols, too_few_rows, nan = tmp_path / "80x10.bin", tmp_path / "70x81.bin", tmp_path / "nan.bin"
     export_matrix(too_few_cols, np.ones((80, 10), complex))
@@ -598,7 +641,8 @@ def test_cli_bad_forward_file(tmp_path):
     matrix = forward_operator(validate_config(TINY).scene).matrix
     matrix[3, 5] = np.nan
     export_matrix(nan, matrix)
-    for config, bad in ((cfg_path, garbage), (cfg_path, too_few_cols), (cfg_path, too_few_rows), (cfg_path, nan), (search_path, nan)):
+    cases = ((cfg_path, garbage), (cfg_path, short), (cfg_path, too_few_cols), (cfg_path, too_few_rows), (cfg_path, nan), (search_path, nan))
+    for config, bad in cases:
         out = tmp_path / f"{config.stem}_{bad.stem}"
         res = runner.invoke(
             main,
@@ -607,7 +651,7 @@ def test_cli_bad_forward_file(tmp_path):
         assert res.exit_code == 4, res.output
         assert "runtime error" in res.output and "Traceback" not in res.output
         assert bad != nan or "non-finite" in res.output
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # from the overflowed radial functions

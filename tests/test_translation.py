@@ -86,11 +86,16 @@ def test_high_order_sr_entry_against_mpmath():
 
 
 def test_zero_translation_is_identity():
+    """R|R by zero is the coaxial recurrences at kd = 0: exactly the identity
+    on the common degrees and zero beyond, at the shapes the builds use
+    ((n_src, n_dst) = (45, 16), (55, 20)) and their transposes."""
     t = rr_translation([0.0, 0.0, 0.0], 2.0, 4, 4)
     np.testing.assert_array_equal(t, np.eye(num_coeffs(4)))
-    rect = rr_translation([0.0, 0.0, 0.0], 2.0, 2, 5)
-    assert np.array_equal(rect[:9, :9], np.eye(9))
-    assert not rect[9:, :].any()
+    for n_src, n_dst in ((2, 5), (45, 16), (16, 45), (55, 20), (25, 12), (5, 8)):
+        common = num_coeffs(min(n_src, n_dst))
+        identity = np.zeros((num_coeffs(n_dst), num_coeffs(n_src)))
+        identity[:common, :common] = np.eye(common)
+        assert np.array_equal(rr_translation([0.0, 0.0, 0.0], 2.0, n_src, n_dst), identity)
 
 
 def test_sr_zero_displacement_rejected():
