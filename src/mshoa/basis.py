@@ -1,5 +1,9 @@
 """Special functions, complex spherical harmonics, and spherical basis functions.
 
+The radial functions j_n, y_n and h_n = j_n + i y_n are evaluated at every
+order 0..N at once, by three-term recurrences run in their stable direction
+(:func:`sph_bessel_j_upto`, :func:`sph_hankel1_upto`).
+
 Coefficient packing is 0-based: the (n, m) weight of an expansion lives at
 index l = n^2 + n + m, so a series truncated at degree N has (N+1)^2 entries.
 
@@ -10,10 +14,10 @@ phi = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
 SQRT_4PI = np.sqrt(4.0 * np.pi)
 
@@ -66,18 +70,135 @@ class CoefficientVector:
 # radial functions
 # ---------------------------------------------------------------------------
 
-def sph_bessel_j(n, x, derivative: bool = False):
-    """Spherical Bessel function j_n(x) (or its derivative)."""
-    return spherical_jn(n, x, derivative=derivative)
+def sph_bessel_j_upto(n_max: int, x, derivative: bool = False) -> np.ndarray:
+    """j_0 .. j_{n_max} (or their derivatives) at ``x >= 0``: shape (n_max+1,) + shape of ``x``.
+
+    Each order comes from its neighbours by the three-term recurrence
+    f_{n+1} = (2n+1)/x f_n - f_{n-1} (Gautschi, SIAM Review 9, 1967; Gumerov
+    & Duraiswami 2004, section 2.1), in the direction in which it is stable:
+    upward from j_0 = sin x / x and j_{-1} = cos x / x at the orders n < x,
+    where j_n oscillates, and, at n >= x, where j_n falls off, as
+    j_n = r_n j_{n-1} with the ratios r_n = j_n / j_{n-1} = x / (2n+1 - x r_{n+1})
+    of the downward continued fraction, started from r = 0 beyond order
+    :func:`_ratio_start`.  Derivatives are f_n' = f_{n-1} - (n+1)/x f_n,
+    j_0' = -j_1 and j_1'(0) = 1/3.
+    """
+    if np.any(np.asarray(x) < 0):
+        raise BasisDomainError("j_n is evaluated for x >= 0")
+    if not derivative:
+        return _orders(_bessel_j_scalar, _bessel_j_rows, n_max, x)
+    x = np.asarray(x, dtype=float)
+    limit = (np.arange(n_max + 1) == 1).reshape((-1,) + (1,) * x.ndim) / 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 reads the limit
+        return np.where(x == 0, limit, _derivative(_orders(_bessel_j_scalar, _bessel_j_rows, n_max + 1, x), x))
 
 
-def sph_hankel1(n, x, derivative: bool = False):
-    """Spherical Hankel function of the first kind, h_n = j_n + i*y_n."""
-    if np.any(np.asarray(x) <= 0):
+def sph_hankel1_upto(n_max: int, x, derivative: bool = False) -> np.ndarray:
+    """h_0 .. h_{n_max} (or their derivatives) at ``x > 0``, h_n = j_n + i y_n: shape (n_max+1,) + shape of ``x``.
+
+    y_n runs upward from y_0 = -cos x / x and y_{-1} = sin x / x at every
+    order, where it grows; past the double range it is not finite.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
         raise BasisDomainError("h_n requires x > 0")
-    return spherical_jn(n, x, derivative=derivative) + 1j * spherical_yn(
-        n, x, derivative=derivative
-    )
+    j = _orders(_bessel_j_scalar, _bessel_j_rows, n_max + derivative, x)
+    y = _orders(_bessel_y, _bessel_y, n_max + derivative, x)
+    h = np.empty((n_max + 1,) + x.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # an order past the double range is not finite
+        h.real, h.imag = (_derivative(j, x), _derivative(y, x)) if derivative else (j, y)
+    return h
+
+
+def _ratio_start(n_max: int) -> int:
+    """The order whose ratio r is taken as 0 to start the continued fraction for orders up to ``n_max``.
+
+    Started m orders beyond order n, the ratio at n is off by about
+    (j/y)(n + m) / (j/y)(n) relative.  That is largest at n ~ x, where it is
+    exp(-(2/3)(2m)^(3/2) / sqrt x) (Debye), below 1e-17 for m > 7.5 x^(1/3);
+    only arguments x <= n_max take ratios, so starting 10 + 8 n_max^(1/3)
+    beyond n_max covers them all.
+    """
+    return n_max + 10 + int(8 * np.cbrt(n_max))
+
+
+def _orders(scalar, rows, n_max: int, x) -> np.ndarray:
+    """Orders 0..n_max of one radial function at ``x``, rows first: by ``scalar`` at one argument, given as a
+    Python float, where a numpy loop over orders would cost more than the arithmetic, else by ``rows`` on the
+    arguments sorted ascending."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return np.array(scalar(n_max, float(x)))
+    flat = x.ravel()
+    order = np.argsort(flat, kind="stable")
+    out = np.empty((n_max + 1, flat.size))
+    out[:, order] = rows(n_max, flat[order])
+    return out.reshape((n_max + 1,) + x.shape)
+
+
+def _bessel_j_scalar(n_max: int, x: float) -> list[float]:
+    """j_0 .. j_{n_max} at one x >= 0 (see :func:`sph_bessel_j_upto`)."""
+    sin, cos = float(np.sin(x)), float(np.cos(x))  # numpy's, as the array path takes them
+    j = [sin / x if x else 1.0]
+    older = cos / x if x else 0.0  # j_{-1}
+    top = max(0, min(n_max, math.ceil(x) - 1))  # the orders n < x run upward
+    for n in range(1, top + 1):
+        j.append((2 * n - 1) / x * j[-1] - older)
+        older = j[-2]
+    ratios, r = [], 0.0
+    for n in range(_ratio_start(n_max), top, -1):
+        r = x / (2 * n + 1 - x * r)
+        if n <= n_max:
+            ratios.append(r)
+    for r in reversed(ratios):
+        j.append(r * j[-1])
+    return j
+
+
+def _bessel_j_rows(n_max: int, x: np.ndarray) -> np.ndarray:
+    """j_0 .. j_{n_max} at ascending x >= 0, one row per order: upward on the points beyond each order, the
+    ratios on the rest (see :func:`sph_bessel_j_upto`)."""
+    rows = np.empty((n_max + 1, x.size))
+    np.divide(np.sin(x), x, out=rows[0], where=x > 0)
+    rows[0, x == 0] = 1.0
+    beyond = np.searchsorted(x, np.arange(n_max + 1), side="right")  # beyond[n]: the first point with x > n
+    for n in range(1, n_max + 1):
+        a = beyond[n]
+        if a == x.size:
+            break
+        older = np.cos(x[a:]) / x[a:] if n == 1 else rows[n - 2, a:]
+        rows[n, a:] = (2 * n - 1) / x[a:] * rows[n - 1, a:] - older
+    r = np.zeros(beyond[n_max])
+    for n in range(_ratio_start(n_max), 0, -1):  # the ratios r_n at the points x <= n, in the rows of order n
+        a = beyond[min(n, n_max)]
+        if a == 0:
+            break
+        r = x[:a] / (2 * n + 1 - x[:a] * r[:a])
+        if n <= n_max:
+            rows[n, :a] = r
+    for n in range(1, n_max + 1):
+        rows[n, : beyond[n]] *= rows[n - 1, : beyond[n]]
+    return rows
+
+
+def _bessel_y(n_max: int, x) -> list:
+    """y_0 .. y_{n_max} upward at x > 0, one argument or an array of them: one entry per order."""
+    y, older = [-np.cos(x) / x], np.sin(x) / x  # y_0, y_{-1}
+    with np.errstate(over="ignore", invalid="ignore"):  # an order past the double range is not finite
+        for n in range(1, n_max + 1):
+            y.append((2 * n - 1) / x * y[-1] - older)
+            older = y[-2]
+    return y
+
+
+def _derivative(f: np.ndarray, x) -> np.ndarray:
+    """f_0' .. f_{n_max}' from the orders 0..n_max+1 of j or y at ``x`` (rows first): f_0' = -f_1 and
+    f_n' = f_{n-1} - (n+1)/x f_n."""
+    d = np.empty_like(f[:-1])
+    d[0] = -f[1]
+    n = np.arange(2, len(f)).reshape((-1,) + (1,) * np.ndim(x))
+    d[1:] = f[:-2] - n / x * f[1:-1]
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +277,11 @@ def cart_to_sph(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 def _basis_matrix(n_max: int, k: float, points: np.ndarray, center, radial) -> np.ndarray:
-    """radial(n, kr) Y_n^m about ``center`` for every (n, m), shape (P, (n_max+1)^2)."""
+    """f_n(kr) Y_n^m about ``center`` for every (n, m), shape (P, (n_max+1)^2), with radial(n_max, kr) the orders of f."""
     rel = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center, float)
     r, theta, phi = cart_to_sph(rel)
     ymat = sph_harm_matrix(n_max, theta, phi)
-    fr = radial(np.arange(n_max + 1)[:, None], k * r[None, :])  # (n, P)
+    fr = radial(n_max, k * r)  # (n, P)
     for n in range(n_max + 1):  # in place, one degree at a time: no second (P, L) buffer
         ymat[:, n * n : (n + 1) ** 2] *= fr[n][:, None]
     return ymat
@@ -171,7 +292,7 @@ def regular_basis_matrix(n_max: int, k: float, points: np.ndarray, center) -> np
 
     Returns shape (P, (n_max+1)^2).
     """
-    return _basis_matrix(n_max, k, points, center, spherical_jn)
+    return _basis_matrix(n_max, k, points, center, sph_bessel_j_upto)
 
 
 def triangle_indices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +323,7 @@ def regular_real_table(n_max: int, k: float, points: np.ndarray, center) -> tupl
     # complex keys sort and compare as exact (kr, cos theta) pairs
     keys, key = np.unique(k * r + 1j * cos_theta, return_inverse=True)
     radii, at_radius = np.unique(keys.real, return_inverse=True)
-    bessel = spherical_jn(np.arange(n_max + 1)[:, None], radii)[:, at_radius]  # (n, keys)
+    bessel = sph_bessel_j_upto(n_max, radii)[:, at_radius]  # (n, keys)
     factors = norm_legendre_triangle(n_max, np.ascontiguousarray(keys.imag))  # (T, keys)
     for n in range(n_max + 1):
         factors[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2] *= bessel[n]
@@ -245,4 +366,4 @@ def singular_basis_matrix(n_max: int, k: float, points: np.ndarray, center) -> n
 
     A point at ``center`` is outside the domain of h_n (BasisDomainError).
     """
-    return _basis_matrix(n_max, k, points, center, sph_hankel1)
+    return _basis_matrix(n_max, k, points, center, sph_hankel1_upto)

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import zhemv, zherk
 from scipy.linalg.lapack import zpotrf as potrf, zpotrs as potrs
 
@@ -19,11 +20,17 @@ log = logging.getLogger(__name__)
 PANEL = 64  # Gram columns copied to the lower triangle per step
 CG_TOL = 2e-15  # a CG solve stops at ‖r‖ ≤ CG_TOL ‖Fᴴp‖
 CG_MAX_ITERATIONS = 500  # a CG solve that has not stopped by then fails
+# A scale whose Lanczos has not stopped by then fails.  The most steps taken on
+# any of configs/ is 93 (cartesian9_single, where ARPACK took 111 products).
+# Spectra piled up at the top (uniform or sqrt density, the top pair 0 to 1e-10
+# apart) take up to 212, 406 and 560 steps at sizes 300, 1000 and 2116.  At the
+# cap the basis holds 1000 x 2116 complex, 34 MB, half of cartesian9's Gram.
+LANCZOS_MAX_STEPS = 1000
 ENCODE_PARTS = ("gram", "scale", "solves")  # the timed parts of the encode stage
 
 
 class EncoderError(RuntimeError):
-    """Encoding failed: singular normal equations, an SVD or a CG that did not converge."""
+    """Encoding failed: singular normal equations, an SVD, or a CG or Lanczos that did not converge."""
 
 
 @dataclass
@@ -36,13 +43,19 @@ class DenseModel:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def gram(self) -> np.ndarray:
-        """conj(FFᴴ), in the upper triangle of a Fortran-ordered array.
+    def gram(self, primal: bool = False) -> np.ndarray:
+        """conj(FFᴴ), or conj(FᴴF) if ``primal``, in the upper triangle of a Fortran-ordered array.
 
-        One Hermitian rank-k update forms it: ``zherk`` reads F's row-major
-        memory as the column-major Fᵀ, hence the conjugate.
+        One Hermitian rank-k update forms it from F's memory as it lies, with
+        no copy of F: ``zherk`` reads a row-major F as the column-major Fᵀ,
+        whose update is the conjugate, and a column-major F (HOA's response,
+        each leading block of whose columns is column-major too) as itself,
+        whose update is then conjugated in place.
         """
-        return zherk(1.0, self.matrix.T, trans=2)
+        if self.matrix.flags.c_contiguous:
+            return zherk(1.0, self.matrix.T, trans=0 if primal else 2)
+        gram = zherk(1.0, self.matrix, trans=2 if primal else 0)
+        return np.conjugate(gram, out=gram)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Fᴴ y."""
@@ -110,14 +123,14 @@ class Encoder:
 
     def _normal(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """What the σ > 0 solves factor, with their diagonals, formed on first use: for CG, the diagonal class
-        blocks G_kk of FᴴF; otherwise the one Gram of F's side, conj(FFᴴ) from the model, or conj(FᴴF) by
-        ``zherk`` on a DenseModel's primal side.  :func:`_factored` factors a block plus σI in its lower triangle."""
+        blocks G_kk of FᴴF; otherwise the model's one Gram of F's side, conj(FFᴴ) or, on a DenseModel's primal
+        side, conj(FᴴF).  :func:`_factored` factors a block plus σI in its lower triangle."""
         if self._normal_matrices is None:
             with _timed(self.parts, "gram", "encode"):
                 if self._iterative:
                     grams = self.forward.class_grams()
                 else:
-                    grams = [self.forward.gram() if self._dual else zherk(1.0, self.forward.matrix.T)]
+                    grams = [self.forward.gram() if self._dual else self.forward.gram(primal=True)]
                 self._normal_matrices = [(gram, gram.diagonal().copy()) for gram in grams]
         return self._normal_matrices
 
@@ -125,8 +138,8 @@ class Encoder:
     def scale(self) -> float:
         """‖F‖₂², the largest eigenvalue of FᴴF and of FFᴴ: the unit of a σ search grid.
 
-        Lanczos (ARPACK) on the Gram of the side a σ > 0 solve uses, or, for
-        CG, on the product FᴴF v through the factors.
+        :func:`largest_eigenvalue` of the Gram of the side a σ > 0 solve
+        uses, by ``zhemv``, or, for CG, of the product FᴴF v through the factors.
         """
         if self._iterative:
             size, product = self.forward.shape[1], self.forward.normal
@@ -134,13 +147,7 @@ class Encoder:
             gram = self._normal()[0][0]
             size, product = len(gram), lambda x: zhemv(1.0, gram, x)
         with _timed(self.parts, "scale", "encode"):
-            if size < 3:  # below ARPACK's smallest complex problem
-                return float(np.linalg.eigvalsh(np.column_stack([product(e) for e in np.eye(size, dtype=complex)]))[-1])
-            from scipy.sparse.linalg import LinearOperator, eigsh  # ~40 ms to import; only a σ search needs it
-
-            hermitian = LinearOperator((size, size), matvec=product, dtype=complex)
-            start = np.random.default_rng(0).standard_normal(size)  # reproducible
-            return float(eigsh(hermitian, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)[0])
+            return largest_eigenvalue(product, size)
 
     def apply(self, pressures: np.ndarray, sigmas) -> CoefficientVector:
         """Coefficients of ``pressures`` at each σ of ``sigmas`` (one value or several): one column per σ."""
@@ -220,6 +227,43 @@ class Encoder:
         raise EncoderError(f"CG did not reach a relative residual of {CG_TOL:g} in {iteration} iterations (at {residual:.2e}, sigma {sigma:.3e})")
 
 
+def largest_eigenvalue(product, size: int) -> float:
+    """The largest eigenvalue of a Hermitian positive semidefinite operator, ``product(v)`` on vectors of ``size``.
+
+    Lanczos (Golub & Van Loan, *Matrix Computations*, §10.1) from a seeded
+    real Gaussian start, so a rerun gives the same bits, with each new vector
+    orthogonalised once more against every earlier one (full
+    reorthogonalisation), in a basis that grows with the steps taken.  It
+    stops at ARPACK's test for ``tol=0``: the top Ritz value θ of the
+    tridiagonal T_j has the residual β_j |s_j| ≤ eps θ, s_j the last entry of
+    its eigenvector; an invariant Krylov space (β_j = 0) passes it, and so does
+    one that spans the whole space.  Past :data:`LANCZOS_MAX_STEPS`: an EncoderError.
+    """
+    steps = min(size, LANCZOS_MAX_STEPS)
+    start = np.random.default_rng(0).standard_normal(size).astype(complex)
+    basis = np.empty((min(steps, 32), size), dtype=complex)
+    basis[0] = start / np.linalg.norm(start)
+    alphas, betas = [], []
+    for j in range(steps):
+        w = product(basis[j])
+        alphas.append(np.vdot(basis[j], w).real)
+        w -= alphas[j] * basis[j]
+        if j:
+            w -= betas[j - 1] * basis[j - 1]
+        w -= basis[: j + 1].T @ (basis[: j + 1] @ w.conj()).conj()
+        beta = float(np.linalg.norm(w))
+        theta, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(j, j))
+        if beta * abs(s[j, 0]) <= np.finfo(float).eps * theta[0] or j + 1 == size:
+            return float(theta[0])
+        if j + 1 == steps:
+            break
+        if j + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty((min(len(basis), steps - len(basis)), size), dtype=complex)])
+        betas.append(beta)
+        basis[j + 1] = w / beta
+    raise EncoderError(f"Lanczos did not find the largest eigenvalue in {LANCZOS_MAX_STEPS} steps (size {size})")
+
+
 def _factored(gram: np.ndarray, diagonal: np.ndarray, sigma: float) -> np.ndarray:
     """The Cholesky factor of ``gram`` (Hermitian, held in its upper triangle) plus σI, with ``diagonal`` as its
     diagonal, in its own lower triangle by LAPACK ``potrf`` (:func:`_shifted_lower`): in place when ``gram`` is
@@ -249,8 +293,9 @@ def _shifted_lower(gram: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
 
 
 def hoa_encoder(sphere: RsmaSpec, k: float, n_c: int) -> Encoder:
-    """Conventional encoder for one rigid spherical array."""
-    lam = surface_response_matrix(sphere, k, n_c)
+    """Conventional encoder for one rigid spherical array, its response held column-major, so that the encoder
+    of a lower degree is that of a leading block of its columns, which forms its Gram without a copy."""
+    lam = np.asfortranarray(surface_response_matrix(sphere, k, n_c))
     if sphere.num_capsules < num_coeffs(n_c):
         log.warning(
             "encoder underdetermined: %d capsules for %d coefficients",

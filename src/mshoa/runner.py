@@ -134,9 +134,11 @@ def _grid_encoding(cfg: ExperimentConfig, export_forward, imported: DenseModel |
 def _truncation_block(enc: _Encoding, sigma: float) -> tuple[CoefficientVector, dict]:
     """HOA's n_c candidates at ``sigma``, one column each, and the encode parts they spent.
 
-    Each candidate is an encoder of a view of the first (n_c+1)^2 columns of
-    the encoder's response (at the largest n_c), dropped with its Gram before
-    the next; the largest degree runs first, so an overflowed degree fails at once.
+    Each candidate is an encoder of the first (n_c+1)^2 columns of the
+    encoder's column-major response (at the largest n_c), a view that its
+    Gram reads in place, dropped with that Gram before the next; the largest
+    degree runs first, so an overflowed degree fails at once and the search
+    peaks there.
     """
     response, parts = enc.encoder.forward.matrix, dict.fromkeys(ENCODE_PARTS, 0.0)
     block = np.zeros((response.shape[1], len(enc.n_cs)), dtype=complex)

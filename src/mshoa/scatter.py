@@ -19,8 +19,8 @@ from .basis import (
     num_coeffs,
     regular_basis_matrix,
     singular_basis_matrix,
-    sph_bessel_j,
-    sph_hankel1,
+    sph_bessel_j_upto,
+    sph_hankel1_upto,
     sph_harm_matrix,
     cart_to_sph,
 )
@@ -219,7 +219,7 @@ def surface_response_matrix(sphere: RsmaSpec, k: float, n_c: int) -> np.ndarray:
         raise ValueError("kR must be positive")
     _, theta, phi = cart_to_sph(sphere.capsule_dirs)
     y = sph_harm_matrix(n_c, theta, phi)
-    hp = sph_hankel1(np.arange(n_c + 1), kr, derivative=True)
+    hp = sph_hankel1_upto(n_c, kr, derivative=True)
     gain = 1j / (kr * kr * hp[degrees_upto(n_c)])
     y *= gain[None, :]
     return y
@@ -228,9 +228,7 @@ def surface_response_matrix(sphere: RsmaSpec, k: float, n_c: int) -> np.ndarray:
 def rigid_scatter_gain(k: float, radius: float, n_c: int) -> np.ndarray:
     """Per-mode scattering gain -j'_n(ka)/h'_n(ka), repeated over orders."""
     ka = k * radius
-    ratio = -sph_bessel_j(np.arange(n_c + 1), ka, derivative=True) / sph_hankel1(
-        np.arange(n_c + 1), ka, derivative=True
-    )
+    ratio = -sph_bessel_j_upto(n_c, ka, derivative=True) / sph_hankel1_upto(n_c, ka, derivative=True)
     return ratio[degrees_upto(n_c)]
 
 

@@ -12,7 +12,7 @@ from .basis import (
     cart_to_sph,
     num_coeffs,
     sph_harm_matrix,
-    sph_hankel1,
+    sph_hankel1_upto,
     degrees_upto,
 )
 
@@ -155,7 +155,7 @@ def monopole_coeffs(position, amplitude: complex, k: float, n_max: int) -> Coeff
         raise SceneError("monopole position cannot coincide with the expansion center")
     _, theta, phi = cart_to_sph(position)
     y = sph_harm_matrix(n_max, [theta], [phi])[0]
-    hn = sph_hankel1(np.arange(n_max + 1), k * r0)
+    hn = sph_hankel1_upto(n_max, k * r0)
     values = amplitude * 1j * k * hn[degrees_upto(n_max)] * np.conj(y)
     return CoefficientVector(k=k, n_max=n_max, values=values)
 

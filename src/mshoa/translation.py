@@ -26,9 +26,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
-from .basis import cart_to_sph, num_coeffs
+from .basis import cart_to_sph, num_coeffs, sph_bessel_j_upto, sph_hankel1_upto
 
 
 class DegenerateDisplacementError(ValueError):
@@ -48,9 +47,7 @@ def _coaxial_matrix(kind: str, dist: float, k: float, n_src: int, n_dst: int) ->
     m_max = min(n_dst, n_src)
     ps = np.arange(p_max + 1)
     x = k * dist
-    fp = spherical_jn(ps, x)
-    if kind == "SR":
-        fp = fp + 1j * spherical_yn(ps, x)
+    fp = sph_hankel1_upto(p_max, x) if kind == "SR" else sph_bessel_j_upto(p_max, x)
 
     ms = np.arange(m_max + 1)[:, None]
     # a[m, n] = sqrt((n+1+m)(n+1-m)/((2n+1)(2n+3))) for n >= m, zero below

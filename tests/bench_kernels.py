@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import zherk
 
-from mshoa.basis import CoefficientVector, norm_legendre_triangle, num_coeffs, sph_harm_matrix
+from mshoa.basis import CoefficientVector, norm_legendre_triangle, num_coeffs, regular_real_table, sph_harm_matrix
 from mshoa.config import load_config
 from mshoa.encode import DenseModel, Encoder, hoa_encoder, mshoa_encoder
 from mshoa.fields import FieldGrid, GridSpec, reconstruct_field
@@ -93,6 +93,17 @@ def test_sigma_solve(benchmark):
     benchmark(enc.apply, p, sigmas=[sigma])
 
 
+@pytest.mark.parametrize("config", ["scaled_linear2_mshoa", "cartesian9_mshoa"], ids=["dual_324", "factored_cartesian9"])
+def test_sigma_grid_scale(benchmark, config):
+    """The unit of a σ grid, ‖F‖₂², by Lanczos: on ``sweep_linear2``'s scene,
+    324 capsules for 676 coefficients, through ``zhemv`` on its 324² dual Gram
+    (formed beforehand), and on ``cartesian9``'s primal side through the
+    product FᴴF x of its factors."""
+    enc = mshoa_encoder(forward_operator(load_config(Path(__file__).parents[1] / "configs" / f"{config}.yaml").scene))
+    enc._normal()
+    benchmark(lambda: enc.scale)
+
+
 def test_hoa_search(benchmark):
     """``hoa_search_linear2``'s encode stage: n_c 1..14 at σ = 0 on one
     162-capsule array, each candidate an encoder of a view of the degree-14
@@ -123,6 +134,16 @@ def test_reconstruct_field(benchmark, n_max, columns, spec, center):
     benchmark(reconstruct_field, coeffs, K, spec, center)
 
 
+def test_regular_real_table(benchmark):
+    """The keyed radial–Legendre table at degree 45 on a 64 x 64 patch of the
+    plane through the center (4096 pixels): its spherical Bessel functions,
+    every order at each distinct kr by one recurrence, its Legendre rows and
+    the cos m φ / sin m φ sweep."""
+    u = np.linspace(0.05, 1.0, 64)
+    points = np.stack(np.meshgrid(u, u, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
+    benchmark(regular_real_table, 45, K, points, (0.0, 0.0, 0.0))
+
+
 def test_sph_harm_matrix(benchmark):
     rng = np.random.default_rng(3)
     theta, phi = rng.uniform(0, np.pi, 4096), rng.uniform(0, 2 * np.pi, 4096)
@@ -133,7 +154,8 @@ def test_sph_harm_matrix(benchmark):
     "kind, dist, n_src, n_dst", [("RR", 0.354, 45, 16), ("SR", 0.25, 16, 16)], ids=["rr_45_16", "sr_16_16"]
 )
 def test_coaxial_matrix(benchmark, kind, dist, n_src, n_dst):
-    """One coaxial translation block of ``forward_planar9`` (before its rotation)."""
+    """One coaxial translation block of ``forward_planar9`` (before its rotation),
+    its radial functions (orders 0..61 of j_n or h_n at one kd) included."""
     benchmark(_coaxial_matrix, kind, dist, 2 * np.pi * 4000 / 343.0, n_src, n_dst)
 
 

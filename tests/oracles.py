@@ -26,11 +26,24 @@ from mshoa.basis import (
     num_coeffs,
     regular_basis_matrix,
     singular_basis_matrix,
+    sph_bessel_j_upto,
+    sph_hankel1_upto,
     sph_harm_matrix,
 )
 from mshoa.scatter import rigid_scatter_gain
 from mshoa.scene import SceneError
 from mshoa.translation import rr_translation, sr_translation
+
+
+def sph_bessel_j(n, x, derivative: bool = False):
+    """The library's spherical Bessel function j_n(x) (or its derivative) at an
+    order ``n``, or at an array of orders and one ``x``: one row of its all-orders evaluator."""
+    return sph_bessel_j_upto(int(np.max(n)), x, derivative)[n]
+
+
+def sph_hankel1(n, x, derivative: bool = False):
+    """The library's spherical Hankel function h_n = j_n + i y_n (or its derivative), ``n`` as in :func:`sph_bessel_j`."""
+    return sph_hankel1_upto(int(np.max(n)), x, derivative)[n]
 
 
 def pack_index(n: int, m: int) -> int:

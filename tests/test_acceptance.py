@@ -16,9 +16,7 @@ from mshoa.basis import (
     num_coeffs,
     regular_basis_matrix,
     singular_basis_matrix,
-    sph_bessel_j,
     sph_harm_matrix,
-    sph_hankel1,
 )
 from mshoa.config import load_config
 from mshoa.encode import hoa_encoder
@@ -38,7 +36,14 @@ from mshoa.scatter import (
 )
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig, plane_wave_coeffs
 from mshoa.translation import rr_translation, sr_translation
-from tests.oracles import capture_warnings, eval_radial_derivative, read_field_csv, single_sphere_total_field
+from tests.oracles import (
+    capture_warnings,
+    eval_radial_derivative,
+    read_field_csv,
+    single_sphere_total_field,
+    sph_bessel_j,
+    sph_hankel1,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mshoa.basis import num_coeffs
-from mshoa.encode import DenseModel, Encoder, EncoderError, hoa_encoder, mshoa_encoder
+from mshoa.encode import DenseModel, Encoder, EncoderError, hoa_encoder, largest_eigenvalue, mshoa_encoder
 from mshoa.scatter import ForwardOperator, forward_operator, surface_response_matrix
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig
 
@@ -125,8 +125,47 @@ def test_shared_gram_matches_normal_equations(rng, monkeypatch):
             err = np.linalg.norm(column - reference) / np.linalg.norm(reference)
             # at 1e-8 the normal-equations reference itself carries ~cond * eps error
             assert err <= (1e-8 if factor == 0 or factor >= 1e-6 else 1e-7)
-    lone = Encoder(forward=DenseModel(f[:, :1]), k=scene.k)  # too small for ARPACK
+    lone = Encoder(forward=DenseModel(f[:, :1]), k=scene.k)  # a 1 x 1 Gram on the primal side
     assert lone.scale == pytest.approx(np.linalg.norm(f[:, 0]) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 50])
+def test_lanczos_finds_the_largest_eigenvalue(rng, size):
+    """Lanczos on a Hermitian positive semidefinite matrix of any size, and on
+    a rank-1 one, whose Krylov space is invariant after two steps (a third
+    sees only rounding), gives eigvalsh's largest eigenvalue to 1e-14."""
+    a = rng.standard_normal((size, size + 2)) + 1j * rng.standard_normal((size, size + 2))
+    u = a[:, :1]
+    for matrix in (a @ a.conj().T, u @ u.conj().T):
+        steps = []
+        top = largest_eigenvalue(lambda v: steps.append(v) or matrix @ v, size)
+        assert top == pytest.approx(np.linalg.eigvalsh(matrix)[-1], rel=1e-14)
+        assert len(steps) <= size
+    assert len(steps) <= 3  # the rank-1 matrix
+    assert largest_eigenvalue(lambda v: 0.0 * v, 4) == 0.0
+
+
+def test_lanczos_finds_a_clustered_top_within_its_cap(rng):
+    """A spectrum piled up at the top, sqrt density on [0, 1) with the top
+    pair 1e-10 apart, is the hard case for the stopping rule: at size 300 it
+    takes about 200 steps, inside LANCZOS_MAX_STEPS, and still finds 1."""
+    size = 300
+    q = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))[0]
+    spectrum = 0.999 * np.sqrt(np.arange(size) / size)
+    spectrum[-2:] = 1 - 1e-10, 1.0
+    matrix = (q * spectrum) @ q.conj().T
+    steps = []
+    top = largest_eigenvalue(lambda v: steps.append(v) or matrix @ v, size)
+    assert top == pytest.approx(1.0, rel=1e-14)
+    assert 100 < len(steps) < size
+
+
+def test_lanczos_past_its_cap_is_an_encoder_error(monkeypatch):
+    from mshoa import encode
+
+    monkeypatch.setattr(encode, "LANCZOS_MAX_STEPS", 2)
+    with pytest.raises(EncoderError, match="Lanczos"):
+        largest_eigenvalue(lambda v: np.arange(10.0) * v, 10)
 
 
 def test_dense_primal_model_forms_its_right_hand_side_once(rng, monkeypatch):
@@ -157,13 +196,13 @@ def test_unregularized_encoder_forms_no_gram(rng, monkeypatch):
 
 
 def test_truncation_candidates_match_lower_degree_encoders(rng):
-    """An encoder of a view of the degree-11 response's first (n+1)^2 columns
-    is the degree-n encoder, bit for bit: on the primal side (n = 2, 7 on 100
-    capsules) and on the dual side (n = 11, 144 coefficients)."""
+    """An encoder of a view of the degree-11 encoder's response, its first
+    (n+1)^2 columns, is the degree-n encoder, bit for bit: on the primal side
+    (n = 2, 7 on 100 capsules) and on the dual side (n = 11, 144 coefficients)."""
     sphere = _sphere(100)
     k = 2 * np.pi * 2000 / 343.0
     p = rng.normal(size=100) + 1j * rng.normal(size=100)
-    response = surface_response_matrix(sphere, k, 11)
+    response = hoa_encoder(sphere, k, 11).forward.matrix
     scale = np.linalg.norm(response, 2) ** 2
     for sigma in (0.0, 1e-6, 1e-4 * scale):
         for n_c in (2, 7, 11):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mshoa.basis import num_coeffs, sph_bessel_j, sph_hankel1
+from mshoa.basis import num_coeffs
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig, SceneError
 from mshoa.scatter import (
     _apply_blocks,
@@ -26,6 +26,8 @@ from tests.oracles import (
     pair_basis,
     reflection_matrix,
     single_sphere_total_field,
+    sph_bessel_j,
+    sph_hankel1,
 )
 
 
