@@ -36,13 +36,8 @@ def main(verbose: bool):
 def run(config_path, out_dir, export_forward, import_forward, dump_coeffs):
     """Run the experiment described by CONFIG_PATH and write grids + summary."""
     try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    try:
         summary = run_experiment(
-            cfg,
+            load_config(config_path),
             out_dir,
             export_forward=export_forward,
             import_forward=import_forward,

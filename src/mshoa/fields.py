@@ -98,21 +98,18 @@ class FieldGrid:
 
 @dataclass
 class SdrReport:
-    """Per-pixel SDR in dB plus the sweet-spot area above the threshold."""
+    """Per-pixel SDR in dB, and the sweet-spot area: the unmasked pixels above the threshold :func:`sdr_map` was given."""
 
     sdr_map: np.ndarray = field(repr=False)
-    ssa: float = 0.0
-    threshold: float = DEFAULT_THRESHOLD_DB
-    mask: np.ndarray | None = field(default=None, repr=False)  # True = excluded
+    ssa: float
 
 
 def reconstruct_field(
     coeffs: CoefficientVector,
-    k: float,
     spec: GridSpec,
     center=(0.0, 0.0, 0.0),
 ) -> FieldGrid | list[FieldGrid]:
-    """Evaluate the regular-basis series of ``coeffs`` at every pixel center.
+    """Evaluate the regular-basis series of ``coeffs`` at every pixel center, at their wavenumber ``coeffs.k``.
 
     The coefficients are folded once into real-table weights
     (:func:`~mshoa.basis.real_table_weights`), and each chunk of pixels is one
@@ -133,7 +130,7 @@ def reconstruct_field(
     chunk = max(1, min(CHUNK_PIXELS, CHUNK_TABLE_ENTRIES // num_coeffs(coeffs.n_max)))
     for start in range(0, pts.shape[0], chunk):
         pixels = by_key[start : start + chunk]
-        table, rows = regular_real_table(coeffs.n_max, k, pts[pixels], center)
+        table, rows = regular_real_table(coeffs.n_max, coeffs.k, pts[pixels], center)
         out[pixels] = (table.T @ weights[rows].view(float)).view(complex)  # real, imaginary interleaved
     if coeffs.values.ndim == 1:
         return FieldGrid(spec=spec, values=out[:, 0].reshape(spec.shape))
@@ -180,7 +177,7 @@ def sdr_map(
     if mask is not None:
         good &= ~mask
     ssa = float(good.sum()) * truth.spec.pixel_area
-    return SdrReport(sdr_map=sdr, ssa=ssa, threshold=threshold, mask=mask)
+    return SdrReport(sdr_map=sdr, ssa=ssa)
 
 
 @dataclass
@@ -224,7 +221,7 @@ def regularization_search(
             f"{len(candidates)} candidates, coefficient shape {coeffs.values.shape}"
         )
     ssa, best = [], None
-    for estimated in reconstruct_field(coeffs, coeffs.k, truth.spec, center=center):
+    for estimated in reconstruct_field(coeffs, truth.spec, center=center):
         report = sdr_map(estimated, truth, mask=mask, threshold=threshold)
         ssa.append(report.ssa)
         if best is None or report.ssa > best.ssa:

@@ -98,9 +98,9 @@ def _hoa_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
             pressures, rcond = surface_response_matrix(sphere, k, n_ref) @ a_ref.values, None
     else:
         a_in = scene.incident_coeffs()
-        sol = forward_solve(scene, a_in, _parts=parts)
+        radiating, rcond = forward_solve(scene, a_in, _parts=parts)
         with _timed(parts, "capsule"):
-            pressures, rcond = eval_total_field(scene, sol, a_in, sphere.capsule_positions()), sol.rcond
+            pressures = eval_total_field(scene, radiating, a_in, sphere.capsule_positions())
 
     candidates = list(range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1))  # ties go to the smaller n_c
     with _timed(parts, "capsule"):
@@ -190,6 +190,7 @@ def run_experiment(
     def end_stage():
         marks.append(time.perf_counter())
         peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)  # Linux: KiB
+        log.info("stage %s: %.3f s, peak RSS %.1f MB", STAGES[len(peaks) - 1], marks[-1] - marks[-2], peaks[-1])
 
     if cfg.method != "MSHOA" and (export_forward, import_forward) != (None, None):
         raise ConfigError(f"only MSHOA exports or imports a forward operator, not {cfg.method}")
@@ -229,7 +230,7 @@ def run_experiment(
         candidates, block, truth, mask=mask, threshold=cfg.threshold_db, center=center
     )
     coeffs = block.column(search.index, n_max=search.chosen if by_degree else None)
-    estimated = reconstruct_field(coeffs, scene.k, cfg.grid, center=center)
+    estimated = reconstruct_field(coeffs, cfg.grid, center=center)
     sigma, n_c = (cfg.sigma, search.chosen) if by_degree else (search.chosen, None)
     end_stage()
 
@@ -241,7 +242,7 @@ def run_experiment(
         export_matrix(out / "coefficients.bin", coeffs.values[None, :])
     end_stage()
 
-    unmasked = report.sdr_map if report.mask is None else report.sdr_map[~report.mask]
+    unmasked = report.sdr_map[~mask]
     summary = RunSummary(
         method=cfg.method,
         frequency=cfg.scene.frequency,

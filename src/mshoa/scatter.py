@@ -25,6 +25,7 @@ from .basis import (
     cart_to_sph,
 )
 from .scene import RsmaSpec, SceneConfig, SceneError
+from .translation import rr_translation, sr_translation
 
 log = logging.getLogger(__name__)
 
@@ -35,14 +36,6 @@ SQRT_HALF = np.sqrt(0.5)
 
 class SolverError(RuntimeError):
     """Dense solve failed or the system is numerically singular."""
-
-
-@dataclass
-class ScatterSolution:
-    """The radiating (B) coefficients of a coupled solve, and the solve's rcond."""
-
-    radiating: np.ndarray  # (spheres, (n_fwd+1)^2): sphere s's b_s about its center, one row per sphere
-    rcond: float
 
 
 @dataclass
@@ -390,8 +383,6 @@ def assemble_system_matrix(scene: SceneConfig) -> list[np.ndarray]:
     bit) and source radius is translated once, and serves every sphere pair
     that repeats it: a regular grid repeats its displacements.
     """
-    from .translation import sr_translation
-
     k, n_fwd = scene.k, scene.n_fwd
     classes, flips = mirror_classes(scene)
     gains = _scatter_gains(scene)
@@ -424,8 +415,6 @@ def _local_incident_block(scene: SceneConfig) -> list[np.ndarray]:
     orbit's first map with the signs of the reflection, so only each orbit's
     first sphere is translated, and its block rows are sqrt(orbit size)
     times that map's class rows and columns in the pair basis."""
-    from .translation import rr_translation
-
     classes, _ = mirror_classes(scene)
     blocks = _class_arrays([(cls.size, cls.incident.size) for cls in classes])
     for orbit in _mirror_orbits(scene)[1]:
@@ -541,37 +530,42 @@ def _solve_felt(scene: SceneConfig, local: list[np.ndarray], parts: dict | None 
         return _solve_coupled(systems, local)
 
 
-def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _parts=None) -> ScatterSolution:
-    """Solve the coupled scattering problem for one incident expansion.
+def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _parts=None) -> tuple[np.ndarray, float]:
+    """Solve the coupled scattering problem for one incident expansion: (radiating, rcond).
 
     The system is solved for the field each sphere feels, c, one
     :func:`mirror_classes` class at a time, against the class's incident
-    coefficients in the pair basis; the radiating coefficients are b = G c.
-    No surface response is built.  ``_parts`` gathers the seconds spent per
-    forward part (see :data:`FORWARD_PARTS`).
+    coefficients in the pair basis; the radiating coefficients are b = G c,
+    returned as one (n_fwd+1)^2 row per sphere in the standard order, with
+    the system's rcond (:func:`_solve_coupled`).  No surface response is
+    built.  ``_parts`` gathers the seconds spent per forward part (see
+    :data:`FORWARD_PARTS`).
     """
     classes, flips = mirror_classes(scene)
     with _timed(_parts, "translation"):
         a_local = _apply_blocks(_local_incident_block(scene), classes, a_in, scene.n_in)
     c, rcond = _solve_felt(scene, a_local, _parts)
     with _timed(_parts, "solve"):
-        b = _radiating(scene, classes, flips, c)
-    return ScatterSolution(radiating=b, rcond=rcond)
+        return _radiating(scene, classes, flips, c), rcond
 
 
 def eval_total_field(
     scene: SceneConfig,
-    solution: ScatterSolution,
+    radiating: np.ndarray,
     a_in: CoefficientVector,
     points: np.ndarray,
 ) -> np.ndarray:
-    """Total pressure (scattered contributions + incident) at exterior points."""
+    """Total pressure at exterior points: the incident series ``a_in`` plus every sphere's radiating series.
+
+    ``radiating`` holds sphere s's b_s about its center in row s, (n_fwd+1)^2
+    coefficients in the standard order, as :func:`forward_solve` returns it.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     for i, s in enumerate(scene.spheres):
         if np.any(np.linalg.norm(points - s.center[None, :], axis=1) < s.radius * (1 - 1e-12)):
             raise SceneError(f"evaluation point inside sphere {i}")
     total = regular_basis_matrix(a_in.n_max, scene.k, points, [0.0, 0.0, 0.0]) @ a_in.values
-    for sph, b_s in zip(scene.spheres, solution.radiating):
+    for sph, b_s in zip(scene.spheres, radiating):
         total = total + singular_basis_matrix(scene.n_fwd, scene.k, points, sph.center) @ b_s
     return total
 
@@ -590,7 +584,7 @@ def _capsule_residual(op: ForwardOperator, felt: list[np.ndarray]) -> float:
     scene = op.scene
     b = _radiating(scene, op.classes, op.flips, felt)
     rows = np.concatenate([np.arange(r.start, r.stop, -(-(r.stop - r.start) // RESIDUAL_SAMPLES)) for r in op._rows])
-    reference = eval_total_field(scene, ScatterSolution(b, op.rcond), scene.incident_coeffs(), scene.capsule_positions()[rows])
+    reference = eval_total_field(scene, b, scene.incident_coeffs(), scene.capsule_positions()[rows])
     return float(np.max(np.abs(op.capture[rows] - reference)) / np.max(np.abs(reference)))
 
 

@@ -131,7 +131,7 @@ def test_reconstruct_field(benchmark, n_max, columns, spec, center):
     nearly every pixel is its own (kr, cos θ) key."""
     rng = np.random.default_rng(2)
     coeffs = CoefficientVector(k=K, n_max=n_max, values=_complex(rng, (num_coeffs(n_max), columns)))
-    benchmark(reconstruct_field, coeffs, K, spec, center)
+    benchmark(reconstruct_field, coeffs, spec, center)
 
 
 def test_regular_real_table(benchmark):

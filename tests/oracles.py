@@ -217,10 +217,12 @@ def single_sphere_total_field(coeffs, radius: float, k: float, points: np.ndarra
     return reg @ coeffs.values + sing @ (gain * coeffs.values)
 
 
-def eval_radial_derivative(scene, solution, a_in, sphere_index: int, direction: np.ndarray) -> complex:
+def eval_radial_derivative(scene, radiating, a_in, sphere_index: int, direction: np.ndarray) -> complex:
     """Normal derivative of the total field on a sphere surface point.
 
-    Vanishes for a converged solve (rigid boundary condition).
+    ``radiating`` holds each sphere's radiating coefficients, one row per
+    sphere, as ``forward_solve`` returns them.  Vanishes for a converged solve
+    (rigid boundary condition).
     """
     direction = np.asarray(direction, dtype=float).reshape(3)
     direction = direction / np.linalg.norm(direction)
@@ -229,7 +231,7 @@ def eval_radial_derivative(scene, solution, a_in, sphere_index: int, direction: 
     k = scene.k
     grad = basis_gradient_matrix("regular", a_in.n_max, k, point, [0.0, 0.0, 0.0])[0]
     total = (a_in.values[:, None] * grad).sum(axis=0)
-    for c, b in zip(scene.spheres, solution.radiating):
+    for c, b in zip(scene.spheres, radiating):
         g = basis_gradient_matrix("singular", scene.n_fwd, k, point, c.center)[0]
         total = total + (b[:, None] * g).sum(axis=0)
     return complex(total @ direction)

@@ -197,9 +197,9 @@ def test_reconstruct_chunking_consistent(rng, monkeypatch):
     cv = CoefficientVector(
         k=k, n_max=4, values=rng.normal(size=25) + 1j * rng.normal(size=25)
     )
-    a = reconstruct_field(cv, k, spec)
+    a = reconstruct_field(cv, spec)
     monkeypatch.setattr(fields_module, "CHUNK_PIXELS", 7)
-    b = reconstruct_field(cv, k, spec)
+    b = reconstruct_field(cv, spec)
     np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -224,13 +224,13 @@ def test_reconstruct_chunk_tables_stay_within_budget(rng, monkeypatch, n_max, pi
     for normal_offset, live in [(0.0, (n_max + 1) * (n_max + 2) // 2), (0.15, (n_max + 1) ** 2)]:
         spec = GridSpec(plane="xy", extent=(1.5, 1.2), resolution=0.02, normal_offset=normal_offset)  # 4500 pixels
         shapes.clear()
-        reconstruct_field(cv, 9.0, spec)
+        reconstruct_field(cv, spec)
         assert shapes[0][1] == pixels and sum(columns for _, columns in shapes) == 4500
         assert max(rows * columns for rows, columns in shapes) <= CHUNK_TABLE_ENTRIES
         assert {rows for rows, _ in shapes} == {live}
     shapes.clear()
     monkeypatch.setattr(fields_module, "CHUNK_PIXELS", 500)
-    reconstruct_field(cv, 9.0, spec)
+    reconstruct_field(cv, spec)
     assert max(columns for _, columns in shapes) == 500
 
 
@@ -248,10 +248,10 @@ def test_block_reconstructs_each_column(rng, monkeypatch):
         k=k, n_max=4, values=rng.normal(size=(25, 3)) + 1j * rng.normal(size=(25, 3))
     )
     monkeypatch.setattr(fields_module, "CHUNK_PIXELS", 7)
-    fields = reconstruct_field(block, k, spec)
+    fields = reconstruct_field(block, spec)
     assert len(fields) == 3
     for j, grid in enumerate(fields):
-        single = reconstruct_field(block.column(j), k, spec)
+        single = reconstruct_field(block.column(j), spec)
         err = np.linalg.norm(grid.values - single.values) / np.linalg.norm(single.values)
         assert err <= 1e-12
 
@@ -264,8 +264,8 @@ def test_zero_padded_column_is_the_lower_degree_field(rng):
     padded = np.zeros((36, 2), complex)
     padded[:9, 0] = low.values
     padded[:, 1] = rng.normal(size=36)
-    fields = reconstruct_field(CoefficientVector(k=k, n_max=5, values=padded), k, spec, center)
-    reference = reconstruct_field(low, k, spec, center).values
+    fields = reconstruct_field(CoefficientVector(k=k, n_max=5, values=padded), spec, center)
+    reference = reconstruct_field(low, spec, center).values
     err = np.linalg.norm(fields[0].values - reference) / np.linalg.norm(reference)
     assert err <= 1e-12
 
@@ -280,7 +280,7 @@ def _assert_matches_the_complex_basis(rng, spec, center, n_max, columns):
     """reconstruct_field of random coefficients against regular_basis_matrix @ c, to 1e-12."""
     shape = (n_max + 1) ** 2 if columns is None else ((n_max + 1) ** 2, columns)
     coeffs = CoefficientVector(k=9.0, n_max=n_max, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    fields = reconstruct_field(coeffs, 9.0, spec, center=center)
+    fields = reconstruct_field(coeffs, spec, center=center)
     fields = [fields] if columns is None else fields
     reference = regular_basis_matrix(n_max, 9.0, spec.points(), center)
     reference = reference @ coeffs.values.reshape(len(coeffs.values), -1)
@@ -342,7 +342,7 @@ def _tie_scene(columns):
     k = 9.0
     exact = np.zeros(9, complex)
     exact[0] = 1.0  # j_0(kr): nonzero on this grid
-    truth = reconstruct_field(CoefficientVector(k=k, n_max=2, values=exact), k, spec)
+    truth = reconstruct_field(CoefficientVector(k=k, n_max=2, values=exact), spec)
     block = CoefficientVector(k=k, n_max=2, values=np.outer(exact, columns))
     return block, truth
 

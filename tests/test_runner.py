@@ -276,16 +276,16 @@ def test_single_run_builds_each_local_translation_once(tmp_path, monkeypatch):
     """The uncoupled operator and the capture share one R|R per orbit of
     mirrored spheres: the pair is one orbit, so only its first sphere's
     R|R is built."""
-    from mshoa import translation
+    from mshoa import scatter
 
     built = []
-    rr = translation.rr_translation
+    rr = scatter.rr_translation
 
     def counting_rr(t, *args):
         built.append(tuple(t))
         return rr(t, *args)
 
-    monkeypatch.setattr(translation, "rr_translation", counting_rr)
+    monkeypatch.setattr(scatter, "rr_translation", counting_rr)
     cfg = validate_config(TINY_SINGLE)
     run_experiment(cfg, tmp_path / "out")
     assert built == [tuple(cfg.scene.spheres[0].center)]
@@ -824,6 +824,24 @@ def test_summary_reports_the_encode_parts(tmp_path, caplog):
     assert logged == {f"encode {name}" for name in parts}
     fixed = run_experiment(validate_config(TINY), tmp_path / "fixed").encode_parts
     assert fixed["scale"] == 0.0 and fixed["gram"] > 0 and fixed["solves"] > 0
+
+
+def test_verbose_logs_every_stage(tmp_path, caplog):
+    """-v logs one line per stage, in order, with the seconds summary.json
+    records for it (at the printed precision) and the peak RSS so far."""
+    import logging
+    import re
+
+    from mshoa.runner import STAGES
+
+    with caplog.at_level(logging.INFO, logger="mshoa"):
+        summary = run_experiment(validate_config(TINY), tmp_path / "out")
+    logged = [re.fullmatch(r"stage (\w+): ([\d.]+) s, peak RSS ([\d.]+) MB", r.getMessage()) for r in caplog.records]
+    logged = [match.groups() for match in logged if match]
+    assert [name for name, _, _ in logged] == list(STAGES)
+    for name, seconds, peak in logged:
+        assert seconds == f"{summary.stages[name]:.3f}"
+        assert peak == f"{summary.peak_rss_mb[name]:.1f}"
 
 
 def test_summary_records_the_search_curve(tmp_path):

@@ -6,6 +6,7 @@ implementations that only tests call live in ``tests/oracles.py``.  The
 package's ``__all__`` is the entry-point list README documents.
 """
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -19,7 +20,7 @@ from click.testing import CliRunner
 import mshoa
 from mshoa.cli import main
 from mshoa.config import validate_config
-from mshoa.runner import run_experiment
+from mshoa.runner import RunSummary, run_experiment
 from tests.test_runner import LONE_HOA, TINY, TINY_HOA, TINY_SINGLE
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -94,6 +95,14 @@ def test_exports_are_the_documented_entry_points():
     documented = re.findall(r"\w+", re.sub(r"#[^\n]*", "", block))
     assert sorted(mshoa.__all__) == sorted(documented)
     assert all(hasattr(mshoa, name) for name in documented)
+
+
+def test_summary_keys_are_the_documented_bullets():
+    """README's summary.json section holds one bullet per RunSummary field, in
+    field order, each opening with the key."""
+    section = README.read_text().split("### `summary.json`", 1)[1].split("\n#", 1)[0]
+    documented = re.findall(r"^- `(\w+)`:", section, re.M)
+    assert documented == [field.name for field in dataclasses.fields(RunSummary)]
 
 
 def test_benchmark_traced_names_are_public_functions():
