@@ -6,6 +6,7 @@ order 0..N at once, by three-term recurrences run in their stable direction
 
 Coefficient packing is 0-based: the (n, m) weight of an expansion lives at
 index l = n^2 + n + m, so a series truncated at degree N has (N+1)^2 entries.
+The +-m pair basis (:func:`_to_pairs`) packs the same way.
 
 Angle conventions: theta is the polar angle measured from +z in [0, pi],
 phi is the azimuth measured from +x in [0, 2*pi).  Points on the z-axis get
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SQRT_4PI = np.sqrt(4.0 * np.pi)
+SQRT_HALF = np.sqrt(0.5)
 
 
 class BasisDomainError(ValueError):
@@ -33,6 +35,31 @@ def num_coeffs(n_max: int) -> int:
 def degrees_upto(n_max: int) -> np.ndarray:
     """Array of length (n_max+1)^2 holding the degree n of each flat index."""
     return np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
+
+
+def _to_pairs(a: np.ndarray, n_max: int, axis: int = -1) -> np.ndarray:
+    """``a`` with its coefficient index ``axis`` taken to the +-m pair basis, in place; returns ``a``.
+
+    The pair basis holds e_{n,0} and, for m > 0, (e_{n,m} + e_{n,-m}) / sqrt 2
+    at index (n, m) and (e_{n,m} - e_{n,-m}) / sqrt 2 at index (n, -m).  The
+    change of basis is real, symmetric and orthogonal, so it is its own
+    inverse: applying it again takes pair coordinates back.  It runs one
+    degree at a time (:func:`_orders_to_pairs`) on slices of a view with the
+    coefficient axis first, so its only temporaries are one degree's sums
+    and differences.
+    """
+    coefficients = np.moveaxis(a, axis, 0)
+    for n in range(1, n_max + 1):
+        _orders_to_pairs(coefficients[n * n : (n + 1) ** 2], n)
+    return a
+
+
+def _orders_to_pairs(orders: np.ndarray, n: int) -> None:
+    """Degree ``n``'s orders m = -n..n, the first axis of ``orders``, taken to the pair basis in place."""
+    plus, minus = orders[n + 1 :], orders[:n][::-1]  # m = 1..n, and m = -1..-n
+    plus *= SQRT_HALF
+    minus *= SQRT_HALF
+    plus[...], minus[...] = plus + minus, plus - minus
 
 
 @dataclass

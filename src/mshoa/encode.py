@@ -126,7 +126,7 @@ class Encoder:
         blocks G_kk of FᴴF; otherwise the model's one Gram of F's side, conj(FFᴴ) or, on a DenseModel's primal
         side, conj(FᴴF).  :func:`_factored` factors a block plus σI in its lower triangle."""
         if self._normal_matrices is None:
-            with _timed(self.parts, "gram", "encode"):
+            with _timed(self.parts, "gram"):
                 if self._iterative:
                     grams = self.forward.class_grams()
                 else:
@@ -146,7 +146,7 @@ class Encoder:
         else:
             gram = self._normal()[0][0]
             size, product = len(gram), lambda x: zhemv(1.0, gram, x)
-        with _timed(self.parts, "scale", "encode"):
+        with _timed(self.parts, "scale"):
             return largest_eigenvalue(product, size)
 
     def apply(self, pressures: np.ndarray, sigmas) -> CoefficientVector:
@@ -165,7 +165,7 @@ class Encoder:
             self._normal()
         self.cg = [None] * sigmas.size
         block = np.empty((self.forward.shape[1], sigmas.size), dtype=complex)
-        with _timed(self.parts, "solves", "encode"):
+        with _timed(self.parts, "solves"):
             if regularized:  # the side's right-hand side, p or Fᴴp, for every σ > 0
                 rhs = pressures if self._dual else self.forward.adjoint(pressures)
                 x = np.zeros_like(rhs) if self._iterative else None

@@ -13,7 +13,7 @@ import numpy as np
 
 from .basis import CoefficientVector, num_coeffs
 from .config import ConfigError, ExperimentConfig
-from .encode import ENCODE_PARTS, DenseModel, Encoder, hoa_encoder, mshoa_encoder
+from .encode import ENCODE_PARTS, DenseModel, Encoder, hoa_encoder, mshoa_encoder, log as encode_log
 from .fields import (
     ground_truth_field,
     reconstruct_field,
@@ -33,6 +33,7 @@ from .scatter import (
     eval_total_field,
     forward_operator,
     forward_solve,
+    log as scatter_log,
     mirror_classes,
     surface_response_matrix,
 )
@@ -187,10 +188,13 @@ def run_experiment(
     """
     marks, peaks = [time.perf_counter()], []  # the start, then the end of each of STAGES
 
-    def end_stage():
+    def end_stage(parts=None, logger=log):  # logs each part of the stage, with its total, under ``logger``
         marks.append(time.perf_counter())
         peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)  # Linux: KiB
-        log.info("stage %s: %.3f s, peak RSS %.1f MB", STAGES[len(peaks) - 1], marks[-1] - marks[-2], peaks[-1])
+        stage = STAGES[len(peaks) - 1]
+        for name, seconds in (parts or {}).items():
+            logger.info("%s %s: %.3f s", stage, name, seconds)
+        log.info("stage %s: %.3f s, peak RSS %.1f MB", stage, marks[-1] - marks[-2], peaks[-1])
 
     if cfg.method != "MSHOA" and (export_forward, import_forward) != (None, None):
         raise ConfigError(f"only MSHOA exports or imports a forward operator, not {cfg.method}")
@@ -210,7 +214,7 @@ def run_experiment(
         enc = _hoa_encoding(cfg, parts)
     else:
         enc = _grid_encoding(cfg, export_forward, imported, parts)
-    end_stage()
+    end_stage(parts, scatter_log)
     if enc.capsule_residual is not None and enc.capsule_residual > 10.0 ** (-cfg.threshold_db / 20):
         log.warning("the capture check reads %.1f dB (capsule_residual %.3g), below the %.0f dB SDR threshold",
                     -20 * np.log10(enc.capsule_residual), enc.capsule_residual, cfg.threshold_db)
@@ -223,7 +227,7 @@ def run_experiment(
         block, encode_parts, cg = enc.encoder.apply(enc.pressures, candidates), enc.encoder.parts, enc.encoder.cg
     center, rcond, capsule_residual = enc.center, enc.rcond, enc.capsule_residual
     del enc, imported  # frees the encoder's forward model and Gram or class blocks before the pixel passes
-    end_stage()
+    end_stage(encode_parts, encode_log)
 
     truth = ground_truth_field(scene.source, scene.k, cfg.grid)
     search = regularization_search(

@@ -15,6 +15,7 @@ import scipy.linalg as sla
 
 from .basis import (
     CoefficientVector,
+    _to_pairs,
     degrees_upto,
     num_coeffs,
     regular_basis_matrix,
@@ -31,7 +32,6 @@ log = logging.getLogger(__name__)
 
 RESIDUAL_SAMPLES = 16  # capsules per sphere on which the capture is checked against the multipole sum
 FORWARD_PARTS = ("translation", "solve", "capsule", "residual")  # the timed parts of a forward build
-SQRT_HALF = np.sqrt(0.5)
 
 
 class SolverError(RuntimeError):
@@ -230,25 +230,6 @@ def _scatter_gains(scene: SceneConfig) -> np.ndarray:
     return np.array([rigid_scatter_gain(scene.k, sph.radius, scene.n_fwd) for sph in scene.spheres])
 
 
-def _to_pairs(a: np.ndarray, n_max: int, axis: int = -1) -> np.ndarray:
-    """``a`` with its coefficient index ``axis`` taken to the +-m pair basis, in place; returns ``a``.
-
-    The pair basis holds e_{n,0} and, for m > 0, (e_{n,m} + e_{n,-m}) / sqrt 2
-    at index (n, m) and (e_{n,m} - e_{n,-m}) / sqrt 2 at index (n, -m).  The
-    change of basis is real, symmetric and orthogonal, so it is its own
-    inverse: applying it again takes pair coordinates back.  It runs one
-    degree at a time on slices of a view with the coefficient axis first,
-    so its only temporaries are one degree's sums and differences.
-    """
-    coefficients = np.moveaxis(a, axis, 0)
-    for n in range(1, n_max + 1):  # m = 1..n at n^2 + n + m, and m = -1..-n below n^2 + n
-        plus, minus = coefficients[n * n + n + 1 : (n + 1) ** 2], coefficients[n * n + n - 1 : n * n - 1 : -1]
-        plus *= SQRT_HALF
-        minus *= SQRT_HALF
-        plus[...], minus[...] = plus + minus, plus - minus
-    return a
-
-
 def _reflection_signs(n_max: int) -> np.ndarray:
     """(3, L) signs of every pair-basis harmonic under the reflections x -> -x, y -> -y, z -> -z.
 
@@ -376,7 +357,7 @@ def assemble_system_matrix(scene: SceneConfig) -> list[np.ndarray]:
     singular-to-regular translation from sphere t to s with its columns
     scaled by G_t.  The system is returned projected on each
     :func:`mirror_classes` class, as one Fortran-ordered array per class, as
-    LAPACK factors it in place: every sphere pair's block, taken to the pair
+    LAPACK factors it in place: every sphere pair's block, built in the pair
     basis and multiplied by the two spheres' flips, adds its class rows and
     columns, times the two class signs, to the block of the two spheres'
     orbits.  Each distinct pair of displacement c_s - c_t (equal bit for
@@ -398,8 +379,7 @@ def assemble_system_matrix(scene: SceneConfig) -> list[np.ndarray]:
     for pairs in shared.values():
         s, t = pairs[0]
         block = sr_translation(scene.spheres[s].center - scene.spheres[t].center, k, n_fwd, n_fwd)
-        block *= -gains[t]
-        _to_pairs(_to_pairs(block, n_fwd, axis=0), n_fwd, axis=1)
+        block *= -gains[t]  # constant over each degree's orders, so the pair basis keeps it a column scale
         for s, t in pairs:
             flipped = block * np.outer(flips[s], flips[t])
             for system, cls in zip(systems, classes):
@@ -420,7 +400,6 @@ def _local_incident_block(scene: SceneConfig) -> list[np.ndarray]:
     for orbit in _mirror_orbits(scene)[1]:
         first = orbit[0][0]
         matrix = rr_translation(scene.spheres[first].center, scene.k, scene.n_in, scene.n_fwd)
-        _to_pairs(_to_pairs(matrix, scene.n_fwd, axis=0), scene.n_in, axis=1)
         for block, cls in zip(blocks, classes):
             rows, local, sign = cls.members[first]
             np.multiply(matrix[np.ix_(local, cls.incident)], len(orbit) * sign, out=block[rows])
@@ -454,10 +433,11 @@ def _solve_coupled(systems: list[np.ndarray], rhss: list[np.ndarray]) -> tuple[l
         if not len(system):
             solutions.append(rhs)
             continue
-        lange = sla.get_lapack_funcs("lange", (system,))
-        block_norm = lange("1", system)  # max column sum of |a_ij|, no |A| buffer
-        # a NaN or inf entry makes a norm non-finite: the finiteness checks without a boolean copy of either array
-        if not (np.isfinite(block_norm) and np.isfinite(lange("M", rhs.reshape(len(rhs), -1)))):
+        block_norm = _one_norm(system)
+        # a NaN or inf entry makes the norm, or an extreme of the float view, non-finite: no boolean copy is made;
+        # a class with no incident columns has an empty right-hand side, whose extremes are the initial 0
+        floats = np.ravel(rhs, order="K").view(float)
+        if not (np.isfinite(block_norm) and np.isfinite(floats.max(initial=0.0)) and np.isfinite(floats.min(initial=0.0))):
             raise SolverError("the coupled system or its right-hand side holds a non-finite entry")
         lu, piv = sla.lu_factor(system, overwrite_a=True, check_finite=False)
         gecon = sla.get_lapack_funcs("gecon", (lu,))
@@ -469,6 +449,12 @@ def _solve_coupled(systems: list[np.ndarray], rhss: list[np.ndarray]) -> tuple[l
     rcond = 1.0 / (anorm * inverse_norm)
     log.info("system blocks of size %s, rcond estimate %.3e", [len(system) for system in systems], rcond)
     return solutions, float(rcond)
+
+
+def _one_norm(system: np.ndarray) -> float:
+    """||system||_1, the largest column sum of |a_ij|, 64 columns at a time, so that no
+    |a_ij| buffer of the system's size is made; a NaN or inf entry makes it non-finite."""
+    return float(np.max([np.abs(system[:, j : j + 64]).sum(axis=0).max() for j in range(0, system.shape[1], 64)]))
 
 
 def _on_spheres(scene: SceneConfig, classes: list, vectors: list) -> np.ndarray:
@@ -509,14 +495,12 @@ def _radiating(scene: SceneConfig, classes: list, flips: np.ndarray, vectors: li
 
 
 @contextmanager
-def _timed(parts: dict | None, name: str, stage: str = "forward") -> Iterator[None]:
-    """Log the seconds the block takes as part ``name`` of ``stage``, and add them to ``parts[name]``."""
+def _timed(parts: dict | None, name: str) -> Iterator[None]:
+    """Add the seconds the block takes to ``parts[name]``; ``run_experiment`` logs each part's total once."""
     start = time.perf_counter()
     yield
-    seconds = time.perf_counter() - start
     if parts is not None:
-        parts[name] = parts.get(name, 0.0) + seconds
-    log.info("%s %s: %.3f s", stage, name, seconds)
+        parts[name] = parts.get(name, 0.0) + time.perf_counter() - start
 
 
 def _solve_felt(scene: SceneConfig, local: list[np.ndarray], parts: dict | None = None) -> tuple[list[np.ndarray], float]:

@@ -19,6 +19,13 @@ General displacements are handled by conjugating with per-degree
 spherical-harmonic rotation matrices (Wigner D), evaluated in closed form as
 the exponential of the tridiagonal angular-momentum matrix through its exact
 eigendecomposition (Feng et al., Phys. Rev. E 92, 043307, 2015).
+
+Both sides of every translation are in the +-m pair basis of
+:func:`mshoa.basis._to_pairs`, the basis the scatterers' mirror classes
+are built in.  A coaxial matrix is the same in either basis, since it
+gives +m and -m one coefficient; otherwise each degree's D_n is composed
+with the pair change P_n, which is real, symmetric and orthogonal, so the
+pair-basis matrix is (D_dst P)^H C (D_src P) with no pass of its own.
 """
 
 from __future__ import annotations
@@ -27,21 +34,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import cart_to_sph, num_coeffs, sph_bessel_j_upto, sph_hankel1_upto
+from .basis import _orders_to_pairs, cart_to_sph, degrees_upto, num_coeffs, sph_bessel_j_upto, sph_hankel1_upto
 
 
 class DegenerateDisplacementError(ValueError):
     """S|R translation with zero displacement has no valid region."""
 
 
-def _coaxial_matrix(kind: str, dist: float, k: float, n_src: int, n_dst: int) -> np.ndarray:
-    """Translation matrix for displacement ``dist`` along +z.
+def _coaxial_matrix(kind: str, dist: float, k: float, n_src: int, n_dst: int, columns=None) -> np.ndarray:
+    """Translation matrix for displacement ``dist`` along +z, or it times ``columns``.
 
     Column n of T^m[n', n] is held for every order m <= n at once, over
     n' = 0..p_max with p_max = n_src + n_dst.  Each step in n raises the orders below n by the degree
     recurrence and starts order n from the sectorial one of order n - 1.
     Column n is exact for n' <= p_max - n and kept zero beyond, so every
-    entry read (n <= n_src, n' <= n_dst) is exact.
+    entry read (n <= n_src, n' <= n_dst) is exact.  ``columns``, one
+    (2n+1)-square block B_n per source degree n, multiplies source degree
+    n's columns by B_n as they are written: only equal orders couple, so
+    entry (l, m) of column j of that product is T^|m|_{l,n} B_n[n+m, j],
+    and no dense product is formed.
     """
     p_max = n_dst + n_src
     m_max = min(n_dst, n_src)
@@ -56,9 +67,12 @@ def _coaxial_matrix(kind: str, dist: float, k: float, n_src: int, n_dst: int) ->
     col = np.zeros_like(prev)  # column n
     col[0] = (-1.0) ** ps * np.sqrt(2.0 * ps + 1.0) * fp  # T^0[n', 0]
 
-    # destination entries (l, m), l >= m, sorted by m: column n fills those with m <= n
-    mm, ll = np.nonzero(np.arange(n_dst + 1) >= ms)
-    filled = np.searchsorted(mm, np.arange(n_src + 1), side="right")
+    # destination rows (l, m), sorted by |m|: column n fills those with |m| <= n
+    ll = degrees_upto(n_dst)
+    mm = np.arange(ll.size) - ll * (ll + 1)
+    rows = np.argsort(np.abs(mm), kind="stable")
+    ll, mm = ll[rows], mm[rows]
+    filled = np.searchsorted(np.abs(mm), np.arange(n_src + 1), side="right")
     out = np.zeros((num_coeffs(n_dst), num_coeffs(n_src)), dtype=complex)
     for n in range(n_src + 1):
         if n > 0:
@@ -79,9 +93,12 @@ def _coaxial_matrix(kind: str, dist: float, k: float, n_src: int, n_dst: int) ->
                 col[n, q] = (beta_lo * prev[n - 1, q - 1] + beta_hi * prev[n - 1, q + 1]) / np.sqrt(
                     2.0 * n / (2.0 * n + 1.0)
                 )
-        m, l = mm[: filled[n]], ll[: filled[n]]
-        # coaxial coefficients are identical for +m and -m
-        out[l * l + l + m, n * n + n + m] = out[l * l + l - m, n * n + n - m] = col[m, l]
+        f = filled[n]
+        m, coefficients = mm[:f], col[np.abs(mm[:f]), ll[:f]]  # coaxial coefficients are identical for +m and -m
+        if columns is None:
+            out[rows[:f], n * n + n + m] = coefficients
+        else:
+            out[rows[:f], n * n : (n + 1) ** 2] = coefficients[:, None] * columns[n][n + m]
     return out
 
 
@@ -123,24 +140,26 @@ def _translation(kind: str, t, k: float, n_src: int, n_dst: int) -> np.ndarray:
     dist = float(np.linalg.norm(t))
     if dist == 0.0 and kind == "SR":
         raise DegenerateDisplacementError("S|R translation requires a nonzero displacement")
-    entries = _coaxial_matrix(kind, dist, k, n_src, n_dst)  # at dist 0 (R|R) the recurrences give the identity
-    if dist > 0.0 and abs(t[2] / dist - 1.0) >= 1e-15:
-        # conjugate by the block-diagonal rotation, D^H coax D, one degree at a time
-        _, theta, phi = cart_to_sph(t / dist)
-        for n, d in enumerate(rotation_blocks(max(n_src, n_dst), theta, phi)):
-            sl = slice(n * n, (n + 1) ** 2)
-            if n <= n_src:
-                entries[:, sl] = entries[:, sl] @ d
-            if n <= n_dst:
-                entries[sl, :] = d.conj().T @ entries[sl, :]
+    if dist == 0.0 or abs(t[2] / dist - 1.0) < 1e-15:
+        # coaxial, the same in the pair basis; at dist 0 (R|R) the recurrences give the identity
+        return _coaxial_matrix(kind, dist, k, n_src, n_dst)
+    # conjugate by the block-diagonal rotation composed with the pair change, (D P)^H coax (D P)
+    _, theta, phi = cart_to_sph(t / dist)
+    blocks = rotation_blocks(max(n_src, n_dst), theta, phi)
+    for n, d in enumerate(blocks):
+        _orders_to_pairs(d.T, n)  # D_n P_n: the pair change on D_n's columns
+    entries = _coaxial_matrix(kind, dist, k, n_src, n_dst, columns=blocks)
+    for n, d in enumerate(blocks[: n_dst + 1]):
+        sl = slice(n * n, (n + 1) ** 2)
+        entries[sl] = d.conj().T @ entries[sl]
     return entries
 
 
 def rr_translation(t, k: float, n_src: int, n_dst: int) -> np.ndarray:
-    """Regular-to-regular re-expansion about an origin displaced by ``t``: the (L_dst, L_src) matrix."""
+    """Regular-to-regular re-expansion about an origin displaced by ``t``: the (L_dst, L_src) pair-basis matrix."""
     return _translation("RR", t, k, n_src, n_dst)
 
 
 def sr_translation(t, k: float, n_src: int, n_dst: int) -> np.ndarray:
-    """Singular-to-regular re-expansion, valid for |r - c_dst| < |t|: the (L_dst, L_src) matrix."""
+    """Singular-to-regular re-expansion, valid for |r - c_dst| < |t|: the (L_dst, L_src) pair-basis matrix."""
     return _translation("SR", t, k, n_src, n_dst)

@@ -19,7 +19,14 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import zherk
 
-from mshoa.basis import CoefficientVector, norm_legendre_triangle, num_coeffs, regular_real_table, sph_harm_matrix
+from mshoa.basis import (
+    CoefficientVector,
+    _to_pairs,
+    norm_legendre_triangle,
+    num_coeffs,
+    regular_real_table,
+    sph_harm_matrix,
+)
 from mshoa.config import load_config
 from mshoa.encode import DenseModel, Encoder, hoa_encoder, mshoa_encoder
 from mshoa.fields import FieldGrid, GridSpec, reconstruct_field
@@ -29,12 +36,11 @@ from mshoa.scatter import (
     _apply_blocks,
     _capsule_residual,
     _solve_coupled,
-    _to_pairs,
     assemble_system_matrix,
     forward_operator,
 )
 from mshoa.scene import RsmaSpec
-from mshoa.translation import _coaxial_matrix, rotation_blocks
+from mshoa.translation import _coaxial_matrix, rotation_blocks, rr_translation, sr_translation
 
 K = 2 * np.pi * 2000 / 343.0
 GRID = GridSpec(plane="xy", extent=(2.0, 2.0), resolution=0.02)  # 10,000 pixels
@@ -154,9 +160,22 @@ def test_sph_harm_matrix(benchmark):
     "kind, dist, n_src, n_dst", [("RR", 0.354, 45, 16), ("SR", 0.25, 16, 16)], ids=["rr_45_16", "sr_16_16"]
 )
 def test_coaxial_matrix(benchmark, kind, dist, n_src, n_dst):
-    """One coaxial translation block of ``forward_planar9`` (before its rotation),
+    """One coaxial translation block of ``forward_planar9`` (unrotated),
     its radial functions (orders 0..61 of j_n or h_n at one kd) included."""
     benchmark(_coaxial_matrix, kind, dist, 2 * np.pi * 4000 / 343.0, n_src, n_dst)
+
+
+@pytest.mark.parametrize(
+    "translate, t, n_src, n_dst",
+    [(rr_translation, [0.25, 0.25, 0.0], 45, 16), (sr_translation, [0.25, 0.0, 0.0], 16, 16)],
+    ids=["rr_45_16", "sr_16_16"],
+)
+def test_translation(benchmark, translate, t, n_src, n_dst):
+    """One whole translation of ``forward_planar9`` in the pair basis: a corner
+    sphere's R|R map from the origin, and the S|R block between grid
+    neighbours 0.25 m apart.  The coaxial recurrence writes the source
+    columns already rotated; the rows take one matmul per degree."""
+    benchmark(translate, t, 2 * np.pi * 4000 / 343.0, n_src, n_dst)
 
 
 def test_forward_matrix(benchmark):
@@ -191,19 +210,16 @@ def test_coupled_solve(benchmark, shapes):
     benchmark.pedantic(_solve_coupled, setup=fresh, rounds=3)
 
 
-@pytest.mark.parametrize(
-    "shape, axis", [((252, num_coeffs(45)), -1), ((num_coeffs(16), num_coeffs(45)), 1)], ids=["tf_sphere", "rr_block"]
-)
-def test_to_pairs(benchmark, shape, axis):
+def test_to_pairs(benchmark):
     """The pair transform of ``forward_planar9``'s degree-45 incident columns,
-    in place: one sphere's rows of T_F, and one sphere's R|R block."""
-    a = _complex(np.random.default_rng(8), shape)
-    benchmark(_to_pairs, a, 45, axis=axis)
+    in place, on one sphere's rows of T_F."""
+    a = _complex(np.random.default_rng(8), (252, num_coeffs(45)))
+    benchmark(_to_pairs, a, 45)
 
 
 def test_assemble_system_matrix(benchmark):
     """``forward_planar9``'s eight mirror-class systems: 24 distinct S|R
-    builds, their pair transforms and the projection of its 72 sphere pairs."""
+    builds in the pair basis and the projection of its 72 sphere pairs."""
     scene = load_config(Path(__file__).parents[1] / "configs" / "cartesian9_mshoa.yaml").scene
     benchmark(assemble_system_matrix, scene)
 

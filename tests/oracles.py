@@ -10,7 +10,8 @@ reflection signs on the oracle's own pair-basis matrix, with reflections
 fitted from the harmonics themselves, so a test can check that each class
 is closed under the scene's reflections and that its system is the whole
 system's projection.  The same pair-basis matrix checks the library's
-in-place pair transform along any axis.
+in-place pair transform along any axis.  The library's translations are
+in the pair basis; the references here take them to the standard order.
 """
 
 from pathlib import Path
@@ -20,6 +21,7 @@ from scipy.special import spherical_jn, spherical_yn
 
 from mshoa.basis import (
     BasisDomainError,
+    _to_pairs,
     cart_to_sph,
     degrees_upto,
     norm_legendre_triangle,
@@ -128,20 +130,32 @@ def basis_gradient_matrix(kind: str, n_max: int, k: float, points: np.ndarray, c
     return radial + polar + azim
 
 
+def pairs_both_axes(matrix: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
+    """A (L_dst, L_src) translation ``matrix`` with the pair change applied in place to both axes: it takes a
+    standard-order matrix to the pair basis and, being its own inverse, a pair-basis one back."""
+    return _to_pairs(_to_pairs(matrix, n_dst, axis=0), n_src, axis=1)
+
+
+def standard_translation(translate, t, k: float, n_src: int, n_dst: int) -> np.ndarray:
+    """The library's ``translate`` (``rr_translation`` or ``sr_translation``) in the standard (n, m) order on both sides."""
+    return pairs_both_axes(translate(t, k, n_src, n_dst), n_src, n_dst)
+
+
 def coupled_system_matrix(scene) -> np.ndarray:
     """The whole coupled system I - SR G for the stacked local fields c, as one dense array.
 
-    Assembled block by block, every S|R translation built anew: block (s, t)
-    is -SR(c_s - c_t) diag(G_t) and the diagonal blocks are the identity.
-    The library solves only its projections on the scene's mirror classes
-    (:func:`mirror_class_bases`), W^T (I - SR G) W per class.
+    Assembled block by block, every S|R translation built anew and taken to
+    the standard order: block (s, t) is -SR(c_s - c_t) diag(G_t) and the
+    diagonal blocks are the identity.  The library solves only its
+    projections on the scene's mirror classes (:func:`mirror_class_bases`),
+    W^T (I - SR G) W per class.
     """
     k, n, lf = scene.k, scene.n_fwd, num_coeffs(scene.n_fwd)
     gains = [rigid_scatter_gain(k, s.radius, n) for s in scene.spheres]
     return np.block(
         [
             [
-                np.eye(lf) if a is b else -sr_translation(a.center - b.center, k, n, n) * gains[t][None, :]
+                np.eye(lf) if a is b else -standard_translation(sr_translation, a.center - b.center, k, n, n) * gains[t][None, :]
                 for t, b in enumerate(scene.spheres)
             ]
             for a in scene.spheres
@@ -196,10 +210,10 @@ def mirror_class_bases(scene, cls, flips) -> tuple[np.ndarray, np.ndarray]:
 
 
 def local_incident_matrix(scene, n_build=None) -> np.ndarray:
-    """Every sphere's R|R map to n_fwd stacked, built at ``n_build`` (default n_fwd) and truncated."""
+    """Every sphere's R|R map to n_fwd in the standard order stacked, built at ``n_build`` (default n_fwd) and truncated."""
     n_build = scene.n_fwd if n_build is None else n_build
     lf = num_coeffs(scene.n_fwd)
-    return np.vstack([rr_translation(s.center, scene.k, scene.n_in, n_build)[:lf] for s in scene.spheres])
+    return np.vstack([standard_translation(rr_translation, s.center, scene.k, scene.n_in, n_build)[:lf] for s in scene.spheres])
 
 
 def single_sphere_total_field(coeffs, radius: float, k: float, points: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ from tests.oracles import (
     single_sphere_total_field,
     sph_bessel_j,
     sph_hankel1,
+    standard_translation,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -103,7 +104,7 @@ def test_criterion_2_translation_oracle():
             khat = rng.normal(size=3)
             khat /= np.linalg.norm(khat)
             a = plane_wave_coeffs(khat, k, 36).values
-            moved = rr_translation(t, k, 36, 36) @ a
+            moved = standard_translation(rr_translation, t, k, 36, 36) @ a
             pts = t + 0.08 * dirs * rng.uniform(0.3, 1.0, (50, 1))
             direct = np.exp(1j * k * pts @ khat)
             series = regular_basis_matrix(36, k, pts, t) @ moved
@@ -113,7 +114,7 @@ def test_criterion_2_translation_oracle():
             a = rng.normal(size=num_coeffs(n_src)) + 1j * rng.normal(
                 size=num_coeffs(n_src)
             )
-            local = sr_translation(t, k, n_src, 30) @ a
+            local = standard_translation(sr_translation, t, k, n_src, 30) @ a
             pts = t + 0.2 * np.linalg.norm(t) * dirs
             direct = singular_basis_matrix(n_src, k, pts, np.zeros(3)) @ a
             series = regular_basis_matrix(30, k, pts, t) @ local

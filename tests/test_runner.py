@@ -826,6 +826,21 @@ def test_summary_reports_the_encode_parts(tmp_path, caplog):
     assert fixed["scale"] == 0.0 and fixed["gram"] > 0 and fixed["solves"] > 0
 
 
+def test_verbose_logs_each_part_once_under_its_module(tmp_path, caplog):
+    """-v logs one line per forward and encode part, with the total summary.json
+    records for it (at the printed precision): HOA's vector solve and its
+    capsule reads enter the solve and capsule parts more than once, and its
+    n_c search runs an encoder per candidate.  Forward parts log under
+    mshoa.scatter and encode parts under mshoa.encode."""
+    import logging
+
+    with caplog.at_level(logging.INFO, logger="mshoa"):
+        summary = run_experiment(load_config(SCALED_CONFIGS[0].with_name("scaled_linear2_hoa.yaml")), tmp_path / "out")
+    for stage, logger, parts in (("forward", "mshoa.scatter", summary.forward_parts), ("encode", "mshoa.encode", summary.encode_parts)):
+        logged = [(r.name, r.getMessage()) for r in caplog.records if r.getMessage().startswith(f"{stage} ")]
+        assert logged == [(logger, f"{stage} {name}: {seconds:.3f} s") for name, seconds in parts.items()]
+
+
 def test_verbose_logs_every_stage(tmp_path, caplog):
     """-v logs one line per stage, in order, with the seconds summary.json
     records for it (at the printed precision) and the peak RSS so far."""

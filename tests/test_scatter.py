@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from mshoa.basis import num_coeffs
+from mshoa.basis import _to_pairs, num_coeffs
 from mshoa.scene import IncidentSource, RsmaSpec, SceneConfig, SceneError
 from mshoa.scatter import (
     _apply_blocks,
     _radiating,
-    _to_pairs,
     assemble_system_matrix,
     eval_total_field,
     forward_operator,
@@ -267,6 +266,17 @@ def test_eval_rejects_interior_points():
     radiating, _ = forward_solve(scene, a_in)
     with pytest.raises(SceneError):
         eval_total_field(scene, radiating, a_in, np.array([[0.0, 0.0, 0.01]]))
+
+
+def test_coupled_build_with_a_class_of_no_incident_harmonics():
+    """Two spheres on the x-axis at n_in = n_fwd = 1: the class odd in x and y
+    has the local harmonic (1, 1) but no incident one, so its right-hand side
+    is (size, 0).  The coupled build solves it as empty and matches the dense
+    reference."""
+    scene = _scene([[-0.125, 0.0, 0.0], [0.125, 0.0, 0.0]], caps=10, n_in=1, n_fwd=1)
+    assert any(cls.size and not len(cls.incident) for cls in mirror_classes(scene)[0])
+    op = forward_operator(scene, include_coupling=True)
+    assert _rel_gap(op.matrix, _reference_coupled_operator(scene, local_incident_matrix(scene))) <= 1e-13
 
 
 def test_forward_operator_shape_and_guards():

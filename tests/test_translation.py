@@ -1,6 +1,8 @@
 """Re-expansion (translation) operators, checked against direct field evaluation
 and independent Gaunt-coefficient sums built from Wigner 3-j symbols."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import spherical_jn, spherical_yn
 
 from mshoa.basis import (
+    cart_to_sph,
     degrees_upto,
     num_coeffs,
     regular_basis_matrix,
@@ -22,6 +25,7 @@ from mshoa.translation import (
     sr_translation,
 )
 from tests.conftest import random_unit_vectors
+from tests.oracles import orders_upto, pack_index, pairs_both_axes, sph_harm, standard_translation
 
 
 # +z takes the coaxial shortcut, -z is the rotation with theta = pi, and the
@@ -34,33 +38,75 @@ def _random_singular_coeffs(rng, n_src):
     return v
 
 
-@pytest.mark.parametrize("kind", ["RR", "SR"])
-@pytest.mark.parametrize("n_src, n_dst", [(3, 4), (4, 3)])
-def test_coaxial_matrix_against_wigner_gaunt_sums(kind, n_src, n_dst):
-    """Whole coaxial matrices equal the Gaunt sums
-    T^m_{l,n} = 2 pi i^(l-n) sum_p i^p (2p+1) f_p(kd) G^m_{p,l,n}, with
-    G = (-1)^m sqrt(4 pi/(2p+1))/(2 pi) * int Y_p^0 Y_l^m Y_n^{-m} dOmega
-    from Wigner 3-j symbols, and orders that differ do not couple."""
+@lru_cache(maxsize=None)
+def _gaunt_integrals(n_src, n_dst):
+    """I[p, (l, m'), (n, m)] = int Y_p^(m'-m) Y_n^m conj(Y_l^m') dOmega, from Wigner 3-j
+    symbols as (-1)^m' gaunt(p, n, l, m' - m, m, -m'); zero unless p + l + n is
+    even, |l - n| <= p <= l + n and |m' - m| <= p."""
     from sympy.physics.wigner import gaunt
 
-    k, dist = 3.0, 0.7
+    out = np.zeros((n_src + n_dst + 1, num_coeffs(n_dst), num_coeffs(n_src)))
+    for l in range(n_dst + 1):
+        for mp in range(-l, l + 1):
+            for n in range(n_src + 1):
+                for m in range(-n, n + 1):
+                    for p in range(max(abs(l - n), abs(mp - m)), l + n + 1):
+                        if (p + l + n) % 2 == 0:
+                            out[p, pack_index(l, mp), pack_index(n, m)] = (-1) ** mp * float(gaunt(p, n, l, mp - m, m, -mp))
+    return out
+
+
+def _gaunt_translation(kind, t, k, n_src, n_dst):
+    """The translation by ``t`` in the standard order as Gaunt sums:
+    T_(l,m'),(n,m) = 4 pi sum_p i^(l+p-n) f_p(k|t|) conj(Y_p^(m'-m)(t/|t|)) I[p, (l,m'), (n,m)],
+    with f = j for R|R and f = h for S|R (the plane-wave expansion of
+    R_n^m(r + t) = j_n Y_n^m, read one harmonic at a time)."""
+    t = np.asarray(t, dtype=float)
+    dist = np.linalg.norm(t)
+    _, theta, phi = cart_to_sph(t / dist)
     ps = np.arange(n_src + n_dst + 1)
     fp = spherical_jn(ps, k * dist)
     if kind == "SR":
         fp = fp + 1j * spherical_yn(ps, k * dist)
-    ref = np.zeros((num_coeffs(n_dst), num_coeffs(n_src)), dtype=complex)
-    for l in range(n_dst + 1):
-        for n in range(n_src + 1):
-            for m in range(-min(l, n), min(l, n) + 1):
-                total = sum(
-                    1j**p * (2 * p + 1) * fp[p]
-                    * (-1) ** m * np.sqrt(4 * np.pi / (2 * p + 1)) / (2 * np.pi)
-                    * float(gaunt(p, l, n, 0, m, -m))
-                    for p in ps
-                )
-                ref[l * l + l + m, n * n + n + m] = 2 * np.pi * 1j ** (l - n) * total
+    l, n = degrees_upto(n_dst)[:, None], degrees_upto(n_src)[None, :]
+    mu = orders_upto(n_dst)[:, None] - orders_upto(n_src)[None, :]
+    total = np.zeros(mu.shape, dtype=complex)
+    for p in ps:
+        y = np.array([np.conj(sph_harm(p, int(m), theta, phi)) if abs(m) <= p else 0.0 for m in mu.ravel()])
+        total += np.array([1, 1j, -1, -1j])[(l + p - n) % 4] * fp[p] * y.reshape(mu.shape) * _gaunt_integrals(n_src, n_dst)[p]
+    return 4 * np.pi * total
+
+
+@pytest.mark.parametrize("kind", ["RR", "SR"])
+@pytest.mark.parametrize("n_src, n_dst", [(3, 4), (4, 3)])
+def test_coaxial_matrix_against_wigner_gaunt_sums(kind, n_src, n_dst):
+    """Whole coaxial matrices equal the Gaunt sums at t = d zhat, where only
+    Y_p^0(zhat) = sqrt((2p+1)/(4 pi)) is nonzero, so orders that differ do
+    not couple."""
+    k, dist = 3.0, 0.7
+    ref = _gaunt_translation(kind, [0.0, 0.0, dist], k, n_src, n_dst)
     got = _coaxial_matrix(kind, dist, k, n_src, n_dst)
     assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind, translate", [("RR", rr_translation), ("SR", sr_translation)], ids=["RR", "SR"])
+@pytest.mark.parametrize("n_src, n_dst", [(3, 4), (4, 3)])
+@pytest.mark.parametrize(
+    "t",
+    [[0.0, 0.0, 0.7], [0.0, 0.0, -0.7], [0.3, -0.4, 0.5], [0.5, 0.45, 0.0]],
+    ids=["plus_z", "minus_z", "general", "in_plane"],
+)
+def test_translations_are_the_pair_basis_gaunt_sums(kind, translate, n_src, n_dst, t):
+    """S|R and R|R are the Gaunt sums with the pair change on both axes, to
+    1e-13 of their largest entry, as the coaxial matrices are.  Along +z
+    that change is the whole conversion: a coaxial matrix gives +m and -m
+    one coefficient, so it is the same matrix in both bases."""
+    k = 3.0
+    ref = pairs_both_axes(_gaunt_translation(kind, t, k, n_src, n_dst), n_src, n_dst)
+    got = translate(t, k, n_src, n_dst)
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+    if t[0] == t[1] == 0 < t[2]:
+        np.testing.assert_array_equal(got, _coaxial_matrix(kind, t[2], k, n_src, n_dst))
 
 
 def test_high_order_sr_entry_against_mpmath():
@@ -128,7 +174,7 @@ def test_rr_preserves_plane_wave_field(rng):
     ts = np.vstack([rng.normal(size=(4, 3)) * 0.4, 0.3 * AXIAL])
     for khat, t in zip(random_unit_vectors(rng, len(ts)), ts):
         a = plane_wave_coeffs(khat, k, n_src)
-        moved = rr_translation(t, k, n_src, n_dst) @ a.values
+        moved = standard_translation(rr_translation, t, k, n_src, n_dst) @ a.values
         pts = t + 0.1 * random_unit_vectors(rng, 12) * rng.uniform(0.2, 1, (12, 1))
         direct = np.exp(1j * k * pts @ khat)
         series = regular_basis_matrix(n_dst, k, pts, t) @ moved
@@ -143,7 +189,7 @@ def test_sr_matches_direct_singular_field(rng):
     randoms = random_unit_vectors(rng, 3) * rng.uniform(0.8, 1.5, (3, 1))
     for t in np.vstack([randoms, 1.2 * AXIAL]):
         a = _random_singular_coeffs(rng, n_src)
-        local = sr_translation(t, k, n_src, n_dst) @ a
+        local = standard_translation(sr_translation, t, k, n_src, n_dst) @ a
         pts = t + 0.2 * np.linalg.norm(t) * random_unit_vectors(rng, 15)
         direct = singular_basis_matrix(n_src, k, pts, np.zeros(3)) @ a
         series = regular_basis_matrix(n_dst, k, pts, t) @ local
@@ -164,7 +210,7 @@ def test_rr_inverse_on_inner_block(rng):
 def test_rotation_blocks_are_unitary_and_consistent(rng):
     """D_n is unitary and satisfies Y(q v) = Y(v) D for q = Rz(phi) Ry(theta),
     including the poles theta = 0 and theta = pi."""
-    from mshoa.basis import cart_to_sph, sph_harm_matrix
+    from mshoa.basis import sph_harm_matrix
 
     for n_max, theta in [(5, 1.1), (45, 1.1), (5, 0.0), (45, 0.0), (5, np.pi), (45, np.pi)]:
         phi = rng.uniform(0, 2 * np.pi)
