@@ -37,26 +37,25 @@ def degrees_upto(n_max: int) -> np.ndarray:
     return np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
 
 
-def _to_pairs(a: np.ndarray, n_max: int, axis: int = -1) -> np.ndarray:
-    """``a`` with its coefficient index ``axis`` taken to the +-m pair basis, in place; returns ``a``.
+def _to_pairs(a: np.ndarray, n_max: int) -> np.ndarray:
+    """``a`` with its coefficient index, the last axis, taken to the +-m pair basis, in place; returns ``a``.
 
     The pair basis holds e_{n,0} and, for m > 0, (e_{n,m} + e_{n,-m}) / sqrt 2
     at index (n, m) and (e_{n,m} - e_{n,-m}) / sqrt 2 at index (n, -m).  The
     change of basis is real, symmetric and orthogonal, so it is its own
     inverse: applying it again takes pair coordinates back.  It runs one
-    degree at a time (:func:`_orders_to_pairs`) on slices of a view with the
-    coefficient axis first, so its only temporaries are one degree's sums
-    and differences.
+    degree at a time (:func:`_orders_to_pairs`) on slices of ``a``, so its
+    only temporaries are one degree's sums and differences.  Another axis
+    is transformed through a view that puts it last, such as ``a.T``.
     """
-    coefficients = np.moveaxis(a, axis, 0)
     for n in range(1, n_max + 1):
-        _orders_to_pairs(coefficients[n * n : (n + 1) ** 2], n)
+        _orders_to_pairs(a[..., n * n : (n + 1) ** 2], n)
     return a
 
 
 def _orders_to_pairs(orders: np.ndarray, n: int) -> None:
-    """Degree ``n``'s orders m = -n..n, the first axis of ``orders``, taken to the pair basis in place."""
-    plus, minus = orders[n + 1 :], orders[:n][::-1]  # m = 1..n, and m = -1..-n
+    """Degree ``n``'s orders m = -n..n, the last axis of ``orders``, taken to the pair basis in place."""
+    plus, minus = orders[..., n + 1 :], orders[..., :n][..., ::-1]  # m = 1..n, and m = -1..-n
     plus *= SQRT_HALF
     minus *= SQRT_HALF
     plus[...], minus[...] = plus + minus, plus - minus

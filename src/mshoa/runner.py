@@ -265,7 +265,7 @@ def run_experiment(
         cg=cg if any(cg) else None,
         peak_rss_mb=dict(zip(STAGES, peaks)),
         system_rcond=rcond,
-        system_blocks=None if rcond is None else [cls.size for cls in mirror_classes(scene)[0]],
+        system_blocks=None if rcond is None else [cls.size for cls in mirror_classes(scene).classes],
         capsule_residual=capsule_residual,
         config_hash=chash,
         search={

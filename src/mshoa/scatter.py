@@ -43,26 +43,25 @@ class ForwardOperator:
     """The map T_F from incident coefficients to total pressure at all capsules, held as its factors.
 
     In the +-m pair basis the field each sphere feels is block-diagonal by
-    :func:`mirror_classes` class, so T_F = Lambda_hat (+)_k C_k, and no dense
-    T_F is held.  ``c`` holds the class blocks C_k: the local fields of each
-    class's incident pair-basis columns (MSHOA's coupled solution, or
-    Single's local incident maps).  ``responses`` holds one surface response
-    in the pair basis per distinct (radius, capsule layout); sphere s's
-    Lambda_hat_s is ``responses[kinds[s]]`` with its columns times
-    ``flips[s]``, the sphere's reflection signs, so spheres that share a
-    response are served by one matrix product.  The model's own column
-    basis is the incident pair basis in class order: the columns of the
-    first class's ``incident``, then the next class's, and so on;
-    :meth:`to_standard` takes coefficients from it to the standard (n, m)
-    order.  :attr:`matrix` fills T_F in the standard order on demand.
+    class of ``mirror``, the symmetry its build found, so T_F = Lambda_hat
+    (+)_k C_k, and no dense T_F is held.  ``c`` holds the class blocks C_k:
+    the local fields of each class's incident pair-basis columns (MSHOA's
+    coupled solution, or Single's local incident maps).  ``responses`` holds
+    one surface response in the pair basis per distinct (radius, capsule
+    layout); sphere s's Lambda_hat_s is ``responses[kinds[s]]`` with its
+    columns times the sphere's flips, so spheres that share a response are
+    served by one matrix product.  The model's own column basis is the
+    incident pair basis in class order: the columns of the first class's
+    ``incident``, then the next class's, and so on; :meth:`to_standard`
+    takes coefficients from it to the standard (n, m) order.  :attr:`matrix`
+    fills T_F in the standard order on demand.
     """
 
     scene: SceneConfig
-    classes: list[MirrorClass] = field(repr=False)
+    mirror: Mirror = field(repr=False)  # the classes, flips and orbits of mirror_classes
     c: list[np.ndarray] = field(repr=False)  # per class: (class unknowns, class incident columns), Fortran-ordered
     responses: list[np.ndarray] = field(repr=False)  # per distinct (radius, capsule layout): (capsules, (n_fwd+1)^2)
     kinds: list[int] = field(repr=False)  # per sphere: the index of its response
-    flips: np.ndarray = field(repr=False)  # (spheres, (n_fwd+1)^2): the reflection signs of mirror_classes
     rcond: float | None = None  # of the coupled system solved to build it or its capture
     capture: np.ndarray | None = field(default=None, repr=False)  # the scene's capsule pressures, Lambda_s (c a)_s
     capsule_residual: float | None = None  # the capture's sampled gap to the multipole sum
@@ -75,12 +74,12 @@ class ForwardOperator:
     @property
     def matrix(self) -> np.ndarray:
         """T_F in the standard (n, m) order, filled one sphere's capsule rows at a time."""
-        matrix = np.empty(self.shape, dtype=complex)
+        matrix, flips = np.empty(self.shape, dtype=complex), self.mirror.flips
         for s, capsules in enumerate(self._rows):
             out, response = matrix[capsules], self.responses[self.kinds[s]]
-            for block, cls in zip(self.c, self.classes):  # their incident columns cover every column
+            for block, cls in zip(self.c, self.mirror.classes):  # their incident columns cover every column
                 rows, local, sign = cls.members[s]
-                out[:, cls.incident] = (response[:, local] * (sign * self.flips[s, local])) @ block[rows]
+                out[:, cls.incident] = (response[:, local] * (sign * flips[s, local])) @ block[rows]
             _to_pairs(out, self.scene.n_in)
         return matrix
 
@@ -92,7 +91,7 @@ class ForwardOperator:
     @cached_property
     def columns(self) -> list[slice]:
         """Each class's columns in the model's column basis."""
-        return _spans(cls.incident.size for cls in self.classes)
+        return _spans(cls.incident.size for cls in self.mirror.classes)
 
     def _shared(self) -> Iterator[tuple[np.ndarray, list[int]]]:
         """Per distinct response: it and the spheres that share it."""
@@ -105,8 +104,7 @@ class ForwardOperator:
         The spheres that share a response take one matrix product, with their
         flipped u_s as its columns.
         """
-        u = _on_spheres(self.scene, self.classes, felt)
-        u *= self.flips
+        u = _on_spheres(self.mirror, felt)
         out, rows = np.empty(self.shape[0], dtype=complex), self._rows
         for response, spheres in self._shared():
             for s, column in zip(spheres, (response @ u[spheres].T).T):
@@ -116,15 +114,14 @@ class ForwardOperator:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """T_F^H y in the model's column basis (see the class notes).
 
-        Per sphere v_s = Lambda_hat_s^H y_s, one matrix product per shared
-        response; class k then gathers the signed v_s of its rows and
-        applies C_k^H.
+        Per sphere v_s = R^H y_s for its unflipped response R, one matrix
+        product per shared response; class k then gathers the flipped, signed
+        v_s of its rows (:func:`_on_classes`) and applies C_k^H.
         """
-        v, rows = np.empty(self.flips.shape, dtype=complex), self._rows
+        v, rows = np.empty(self.mirror.flips.shape, dtype=complex), self._rows
         for response, spheres in self._shared():
             v[spheres] = (np.stack([y[rows[s]] for s in spheres]).conj() @ response).conj()
-        v *= self.flips
-        return np.concatenate([(w.conj() @ block).conj() for w, block in zip(_on_classes(self.classes, v), self.c)])
+        return np.concatenate([(w.conj() @ block).conj() for w, block in zip(_on_classes(self.mirror, v), self.c)])
 
     def normal(self, x: np.ndarray) -> np.ndarray:
         """T_F^H T_F x in the model's column basis, through the factors: C_k x_k, then the pressures and their adjoint."""
@@ -133,7 +130,7 @@ class ForwardOperator:
     def to_standard(self, x: np.ndarray) -> np.ndarray:
         """Model-basis coefficients ``x`` (see the class notes) in the standard (n, m) order."""
         out = np.empty_like(x)
-        out[np.concatenate([cls.incident for cls in self.classes])] = x
+        out[np.concatenate([cls.incident for cls in self.mirror.classes])] = x
         return _to_pairs(out, self.scene.n_in)
 
     def gram(self) -> np.ndarray:
@@ -150,22 +147,21 @@ class ForwardOperator:
         it holds, and no whole C_k C_k^H is held.  Only the sphere blocks
         s <= t are formed, and T_F is not held.
         """
-        capsules, harmonics, rows = self.shape[0], num_coeffs(self.scene.n_fwd), self._rows
+        capsules, rows, classes, flips = self.shape[0], self._rows, self.mirror.classes, self.mirror.flips
         gram = np.zeros((capsules, capsules), dtype=complex, order="F")
-        felt = np.empty((harmonics, harmonics), dtype=complex)  # block (s, t) of B
-        orbits = [[s for s, _ in orbit] for orbit in _mirror_orbits(self.scene)[1]]
-        for first, second in itertools.product(orbits, repeat=2):
+        felt = np.empty((flips.shape[1],) * 2, dtype=complex)  # block (s, t) of B
+        for first, second in itertools.product(self.mirror.orbits, repeat=2):
             pairs = [(s, t) for s in first for t in second if s <= t]
             if not pairs:
                 continue
-            crossed = [block[cls.members[first[0]][0]] @ block[cls.members[second[0]][0]].conj().T for block, cls in zip(self.c, self.classes)]
+            crossed = [block[cls.members[first[0]][0]] @ block[cls.members[second[0]][0]].conj().T for block, cls in zip(self.c, classes)]
             for s, t in pairs:
                 felt[:] = 0.0
-                for cross, cls in zip(crossed, self.classes):
+                for cross, cls in zip(crossed, classes):
                     (_, local_s, sign_s), (_, local_t, sign_t) = cls.members[s], cls.members[t]
                     felt[np.ix_(local_s, local_t)] += cross * (sign_s * sign_t)
-                felt *= self.flips[s][:, None]
-                felt *= self.flips[t]
+                felt *= flips[s][:, None]
+                felt *= flips[t]
                 x = self.responses[self.kinds[s]] @ felt
                 np.matmul(np.conjugate(x, out=x), self.responses[self.kinds[t]].T, out=gram[rows[s], rows[t]])
         return gram
@@ -179,16 +175,15 @@ class ForwardOperator:
         R^H R the Gram of the sphere's unflipped response R, and (r, loc,
         sign) = ``members[s]``.  The blocks between classes are not formed.
         """
-        hermitian = [response.conj().T @ response for response in self.responses]
-        orbits = _mirror_orbits(self.scene)[1]
+        hermitian, flips = [response.conj().T @ response for response in self.responses], self.mirror.flips
         grams = _class_arrays([(block.shape[1],) * 2 for block in self.c])
-        for gram, block, cls in zip(grams, self.c, self.classes):
+        for gram, block, cls in zip(grams, self.c, self.mirror.classes):
             y = np.empty_like(block)
-            for orbit in orbits:
-                rows, local, _ = cls.members[orbit[0][0]]
+            for orbit in self.mirror.orbits:
+                rows, local, _ = cls.members[orbit[0]]
                 m = sum(
-                    hermitian[self.kinds[s]][np.ix_(local, local)] * np.outer(self.flips[s, local], self.flips[s, local] * cls.members[s][2] ** 2)
-                    for s, _ in orbit
+                    hermitian[self.kinds[s]][np.ix_(local, local)] * np.outer(flips[s, local], flips[s, local] * cls.members[s][2] ** 2)
+                    for s in orbit
                 )
                 np.matmul(m, block[rows], out=y[rows])
             np.matmul(block.conj().T, y, out=gram)
@@ -286,7 +281,7 @@ class MirrorClass:
     the class's sign at that sphere (``sign``): the class's basis vector for
     orbit coefficient j is the sum over the orbit's spheres of sign times
     flips[local[j]] times that sphere's pair-basis coefficient local[j],
-    with ``flips`` the sphere's reflection signs from :func:`mirror_classes`.
+    with ``flips`` the sphere's reflection signs (:class:`Mirror`).
     """
 
     incident: np.ndarray
@@ -294,8 +289,17 @@ class MirrorClass:
     size: int  # unknowns
 
 
-def mirror_classes(scene: SceneConfig) -> tuple[list[MirrorClass], np.ndarray]:
-    """The coupled system's independent blocks, one per sign pattern of the scene's mirror planes, and the flips.
+@dataclass(frozen=True)
+class Mirror:
+    """The scene's mirror symmetry, which :func:`mirror_classes` finds once per forward build for every step."""
+
+    classes: list[MirrorClass]  # the coupled system's independent blocks
+    flips: np.ndarray  # (spheres, (n_fwd+1)^2): each sphere's reflection signs, the same in every class
+    orbits: list[list[int]]  # each orbit's spheres, its first sphere first
+
+
+def mirror_classes(scene: SceneConfig) -> Mirror:
+    """The scene's symmetry: the coupled system's blocks, one per sign pattern of its mirror planes, with the flips and orbits.
 
     Every reflection in a mirror plane (see :func:`_mirror_orbits`) maps the
     scene onto itself, and in the per-sphere pair basis of :func:`_to_pairs`
@@ -310,9 +314,9 @@ def mirror_classes(scene: SceneConfig) -> tuple[list[MirrorClass], np.ndarray]:
     harmonic signs, the same in every class.  These basis vectors are
     orthonormal, so each class system is unitarily equivalent to its block
     of I - SR G.  A scene without mirror planes has one class holding every
-    index.  The flips are returned once for all classes, shape (sphere,
-    (n, m)) at n_fwd, and every per-sphere operator is multiplied by its
-    sphere's flips once before the class signs are applied.
+    index.  The flips are held once for all classes: every per-sphere
+    operator is multiplied by its sphere's flips before the class signs are
+    applied, and :func:`_on_spheres` and :func:`_on_classes` flip the rows.
     """
     planes, orbits = _mirror_orbits(scene)
     harmonic_signs = _reflection_signs(scene.n_fwd)
@@ -332,7 +336,7 @@ def mirror_classes(scene: SceneConfig) -> tuple[list[MirrorClass], np.ndarray]:
                 members[s] = (rows, local, sign)
         incident = np.flatnonzero(np.all(incident_signs == signs, axis=0))
         classes.append(MirrorClass(incident=incident, members=members, size=size))
-    return classes, flips
+    return Mirror(classes, flips, [[s for s, _ in orbit] for orbit in orbits])
 
 
 def _class_arrays(shapes: list[tuple[int, int]]) -> list[np.ndarray]:
@@ -347,7 +351,7 @@ def _class_arrays(shapes: list[tuple[int, int]]) -> list[np.ndarray]:
     return [buffer[start : start + size].reshape(shape, order="F") for start, size, shape in zip(starts, sizes, shapes)]
 
 
-def assemble_system_matrix(scene: SceneConfig) -> list[np.ndarray]:
+def assemble_system_matrix(scene: SceneConfig, mirror: Mirror) -> list[np.ndarray]:
     """Coupled block system (I - SR G) c = a_local for the field each sphere feels.
 
     c_s holds the local coefficients of the total field incident on sphere s
@@ -355,19 +359,18 @@ def assemble_system_matrix(scene: SceneConfig) -> list[np.ndarray]:
     s radiates b_s = G_s c_s with G_s = diag(rigid_scatter_gain).  Diagonal
     blocks are the identity; the (s, t) off-diagonal block is minus the
     singular-to-regular translation from sphere t to s with its columns
-    scaled by G_t.  The system is returned projected on each
-    :func:`mirror_classes` class, as one Fortran-ordered array per class, as
-    LAPACK factors it in place: every sphere pair's block, built in the pair
-    basis and multiplied by the two spheres' flips, adds its class rows and
-    columns, times the two class signs, to the block of the two spheres'
-    orbits.  Each distinct pair of displacement c_s - c_t (equal bit for
+    scaled by G_t.  The system is returned projected on each class of
+    ``mirror`` (:func:`mirror_classes`), as one Fortran-ordered array per
+    class, as LAPACK factors it in place: every sphere pair's block, built
+    in the pair basis and multiplied by the two spheres' flips, adds its
+    class rows and columns, times the two class signs, to the block of the
+    two spheres' orbits.  Each distinct pair of displacement c_s - c_t (equal bit for
     bit) and source radius is translated once, and serves every sphere pair
     that repeats it: a regular grid repeats its displacements.
     """
-    k, n_fwd = scene.k, scene.n_fwd
-    classes, flips = mirror_classes(scene)
+    k, n_fwd, flips = scene.k, scene.n_fwd, mirror.flips
     gains = _scatter_gains(scene)
-    systems = _class_arrays([(cls.size, cls.size) for cls in classes])
+    systems = _class_arrays([(cls.size, cls.size) for cls in mirror.classes])
     for system in systems:
         system[:] = 0.0
         np.fill_diagonal(system, 1.0)
@@ -382,38 +385,37 @@ def assemble_system_matrix(scene: SceneConfig) -> list[np.ndarray]:
         block *= -gains[t]  # constant over each degree's orders, so the pair basis keeps it a column scale
         for s, t in pairs:
             flipped = block * np.outer(flips[s], flips[t])
-            for system, cls in zip(systems, classes):
+            for system, cls in zip(systems, mirror.classes):
                 (rows, local, sign), (columns, source, source_sign) = cls.members[s], cls.members[t]
                 system[rows, columns] += flipped[local][:, source] * (sign * source_sign)
     return systems
 
 
-def _local_incident_block(scene: SceneConfig) -> list[np.ndarray]:
+def _local_incident_block(scene: SceneConfig, mirror: Mirror) -> list[np.ndarray]:
     """Every sphere's local incident map (its R|R translation) projected on
-    each :func:`mirror_classes` class: one Fortran-ordered (class unknowns,
-    class incident columns) block per class.  A mirror image's map is its
-    orbit's first map with the signs of the reflection, so only each orbit's
-    first sphere is translated, and its block rows are sqrt(orbit size)
-    times that map's class rows and columns in the pair basis."""
-    classes, _ = mirror_classes(scene)
-    blocks = _class_arrays([(cls.size, cls.incident.size) for cls in classes])
-    for orbit in _mirror_orbits(scene)[1]:
-        first = orbit[0][0]
+    each class of ``mirror``: one Fortran-ordered (class unknowns, class
+    incident columns) block per class.  A mirror image's map is its orbit's
+    first map with the signs of the reflection, so only each orbit's first
+    sphere is translated, and its block rows are sqrt(orbit size) times that
+    map's class rows and columns in the pair basis."""
+    blocks = _class_arrays([(cls.size, cls.incident.size) for cls in mirror.classes])
+    for orbit in mirror.orbits:
+        first = orbit[0]
         matrix = rr_translation(scene.spheres[first].center, scene.k, scene.n_in, scene.n_fwd)
-        for block, cls in zip(blocks, classes):
+        for block, cls in zip(blocks, mirror.classes):
             rows, local, sign = cls.members[first]
             np.multiply(matrix[np.ix_(local, cls.incident)], len(orbit) * sign, out=block[rows])
     return blocks
 
 
-def _apply_blocks(blocks: list[np.ndarray], classes: list[MirrorClass], coeffs: CoefficientVector, n_in: int) -> list[np.ndarray]:
+def _apply_blocks(blocks: list[np.ndarray], mirror: Mirror, coeffs: CoefficientVector, n_in: int) -> list[np.ndarray]:
     """C_k a_k per class: the class block times the class's incident pair-basis
     coefficients of ``coeffs``; from a ForwardOperator's ``c``, the class
     vectors of the fields it gives the spheres in the incident field ``coeffs``."""
     if coeffs.n_max != n_in:
         raise ValueError(f"expected incident truncation {n_in}, got {coeffs.n_max}")
     incident = _to_pairs(np.array(coeffs.values, dtype=complex), n_in)
-    return [block @ incident[cls.incident] for block, cls in zip(blocks, classes)]
+    return [block @ incident[cls.incident] for block, cls in zip(blocks, mirror.classes)]
 
 
 def _solve_coupled(systems: list[np.ndarray], rhss: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
@@ -457,38 +459,37 @@ def _one_norm(system: np.ndarray) -> float:
     return float(np.max([np.abs(system[:, j : j + 64]).sum(axis=0).max() for j in range(0, system.shape[1], 64)]))
 
 
-def _on_spheres(scene: SceneConfig, classes: list, vectors: list) -> np.ndarray:
-    """Per-sphere pair-basis vectors, one row per sphere, from one class vector per class.
+def _on_spheres(mirror: Mirror, vectors: list) -> np.ndarray:
+    """Per-sphere pair-basis coefficients, one row per sphere, from one class vector per class.
 
     Each sphere's row gathers, at its class harmonics ``local``, its class
-    sign times the class vector's ``rows``; multiplied by the sphere's flips
-    it is the sphere's coefficients in its pair basis.
+    sign times the class vector's ``rows``, times the sphere's flips.  Class
+    vectors meet sphere rows only here and in :func:`_on_classes`.
     """
-    out = np.zeros((scene.num_spheres, num_coeffs(scene.n_fwd)), dtype=complex)
-    for cls, vector in zip(classes, vectors):
+    out = np.zeros(mirror.flips.shape, dtype=complex)
+    for cls, vector in zip(mirror.classes, vectors):
         for out_s, (rows, local, sign) in zip(out, cls.members):
             out_s[local] += sign * vector[rows]
+    out *= mirror.flips
     return out
 
 
-def _on_classes(classes: list, v: np.ndarray) -> list[np.ndarray]:
-    """One class vector per class from per-sphere pair-basis rows ``v``: the transpose of :func:`_on_spheres`."""
-    out = [np.zeros(cls.size, dtype=complex) for cls in classes]
-    for w, cls in zip(out, classes):
-        for v_s, (rows, local, sign) in zip(v, cls.members):
+def _on_classes(mirror: Mirror, v: np.ndarray) -> list[np.ndarray]:
+    """One class vector per class from per-sphere pair-basis rows ``v``, flipped first: the transpose of :func:`_on_spheres`."""
+    flipped, out = v * mirror.flips, [np.zeros(cls.size, dtype=complex) for cls in mirror.classes]
+    for w, cls in zip(out, mirror.classes):
+        for v_s, (rows, local, sign) in zip(flipped, cls.members):
             w[rows] += sign * v_s[local]
     return out
 
 
-def _radiating(scene: SceneConfig, classes: list, flips: np.ndarray, vectors: list) -> np.ndarray:
+def _radiating(scene: SceneConfig, mirror: Mirror, vectors: list) -> np.ndarray:
     """Every sphere's radiating coefficients b_s = G_s c_s in the standard order, one row per sphere.
 
     ``vectors`` holds one class vector per class of the fields c the spheres
-    feel (:func:`_on_spheres`); ``flips`` are the spheres' reflection signs
-    from :func:`mirror_classes`.
+    feel (:func:`_on_spheres`).
     """
-    b = _on_spheres(scene, classes, vectors)
-    b *= flips
+    b = _on_spheres(mirror, vectors)
     _to_pairs(b, scene.n_fwd)
     b *= _scatter_gains(scene)
     return b
@@ -503,13 +504,13 @@ def _timed(parts: dict | None, name: str) -> Iterator[None]:
         parts[name] = parts.get(name, 0.0) + time.perf_counter() - start
 
 
-def _solve_felt(scene: SceneConfig, local: list[np.ndarray], parts: dict | None = None) -> tuple[list[np.ndarray], float]:
+def _solve_felt(scene: SceneConfig, mirror: Mirror, local: list[np.ndarray], parts: dict | None = None) -> tuple[list[np.ndarray], float]:
     """The fields the spheres feel, c, per class, and the rcond: the class
     systems of :func:`assemble_system_matrix` solved against the local
     incident fields ``local`` (class blocks or class vectors), which the
     solution overwrites (:func:`_solve_coupled`)."""
     with _timed(parts, "translation"):
-        systems = assemble_system_matrix(scene)
+        systems = assemble_system_matrix(scene, mirror)
     with _timed(parts, "solve"):
         return _solve_coupled(systems, local)
 
@@ -525,12 +526,12 @@ def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _parts=None) -> t
     built.  ``_parts`` gathers the seconds spent per forward part (see
     :data:`FORWARD_PARTS`).
     """
-    classes, flips = mirror_classes(scene)
+    mirror = mirror_classes(scene)
     with _timed(_parts, "translation"):
-        a_local = _apply_blocks(_local_incident_block(scene), classes, a_in, scene.n_in)
-    c, rcond = _solve_felt(scene, a_local, _parts)
+        a_local = _apply_blocks(_local_incident_block(scene, mirror), mirror, a_in, scene.n_in)
+    c, rcond = _solve_felt(scene, mirror, a_local, _parts)
     with _timed(_parts, "solve"):
-        return _radiating(scene, classes, flips, c), rcond
+        return _radiating(scene, mirror, c), rcond
 
 
 def eval_total_field(
@@ -554,21 +555,21 @@ def eval_total_field(
     return total
 
 
-def _capsule_residual(op: ForwardOperator, felt: list[np.ndarray]) -> float:
+def _capsule_residual(op: ForwardOperator, felt: list[np.ndarray], a_in: CoefficientVector) -> float:
     """Max-abs gap of the capture Lambda_s (c a)_s to the multipole sum it stands for, over the sum's max.
 
-    a is the scene's incident field and ``felt`` holds c a, one class vector
-    per class; b = G (c a) radiates from it (:func:`_radiating`), and
-    :func:`eval_total_field` sums R a + sum_t S_t b_t at RESIDUAL_SAMPLES
+    a is the scene's incident field ``a_in`` and ``felt`` holds c a, one
+    class vector per class; b = G (c a) radiates from it (:func:`_radiating`),
+    and :func:`eval_total_field` sums R a + sum_t S_t b_t at RESIDUAL_SAMPLES
     capsules per sphere, a fixed stride through its Fibonacci order.  The
     gap is what the capsule form approximates: the field a sphere feels is
     cut off at degree n_fwd, and the incident series about the origin is
     read where it may not converge.
     """
     scene = op.scene
-    b = _radiating(scene, op.classes, op.flips, felt)
+    b = _radiating(scene, op.mirror, felt)
     rows = np.concatenate([np.arange(r.start, r.stop, -(-(r.stop - r.start) // RESIDUAL_SAMPLES)) for r in op._rows])
-    reference = eval_total_field(scene, b, scene.incident_coeffs(), scene.capsule_positions()[rows])
+    reference = eval_total_field(scene, b, a_in, scene.capsule_positions()[rows])
     return float(np.max(np.abs(op.capture[rows] - reference)) / np.max(np.abs(reference)))
 
 
@@ -591,14 +592,14 @@ def forward_operator(scene: SceneConfig, include_coupling: bool = True, _parts=N
     forward part (see :data:`FORWARD_PARTS`).
     """
     with _timed(_parts, "translation"):
-        classes, flips = mirror_classes(scene)
-        c = _local_incident_block(scene)
+        mirror = mirror_classes(scene)
+        c = _local_incident_block(scene, mirror)
     a_in = scene.incident_coeffs()
     if include_coupling:
-        c, rcond = _solve_felt(scene, c, _parts)
-        felt = _apply_blocks(c, classes, a_in, scene.n_in)
+        c, rcond = _solve_felt(scene, mirror, c, _parts)
+        felt = _apply_blocks(c, mirror, a_in, scene.n_in)
     else:
-        felt, rcond = _solve_felt(scene, _apply_blocks(c, classes, a_in, scene.n_in), _parts)
+        felt, rcond = _solve_felt(scene, mirror, _apply_blocks(c, mirror, a_in, scene.n_in), _parts)
     with _timed(_parts, "capsule"):
         responses, kinds, shared = [], [], {}  # shared: (radius, capsule layout) -> index into responses
         for sphere in scene.spheres:
@@ -607,8 +608,8 @@ def forward_operator(scene: SceneConfig, include_coupling: bool = True, _parts=N
                 shared[key] = len(responses)
                 responses.append(_to_pairs(surface_response_matrix(sphere, scene.k, scene.n_fwd), scene.n_fwd))
             kinds.append(shared[key])
-        op = ForwardOperator(scene=scene, classes=classes, c=c, responses=responses, kinds=kinds, flips=flips, rcond=rcond)
+        op = ForwardOperator(scene=scene, mirror=mirror, c=c, responses=responses, kinds=kinds, rcond=rcond)
         op.capture = op.pressures(felt)
     with _timed(_parts, "residual"):
-        op.capsule_residual = _capsule_residual(op, felt)
+        op.capsule_residual = _capsule_residual(op, felt, a_in)
     return op

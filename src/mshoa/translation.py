@@ -147,7 +147,7 @@ def _translation(kind: str, t, k: float, n_src: int, n_dst: int) -> np.ndarray:
     _, theta, phi = cart_to_sph(t / dist)
     blocks = rotation_blocks(max(n_src, n_dst), theta, phi)
     for n, d in enumerate(blocks):
-        _orders_to_pairs(d.T, n)  # D_n P_n: the pair change on D_n's columns
+        _orders_to_pairs(d, n)  # D_n P_n: the pair change on D_n's columns
     entries = _coaxial_matrix(kind, dist, k, n_src, n_dst, columns=blocks)
     for n, d in enumerate(blocks[: n_dst + 1]):
         sl = slice(n * n, (n + 1) ** 2)

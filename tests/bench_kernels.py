@@ -38,6 +38,7 @@ from mshoa.scatter import (
     _solve_coupled,
     assemble_system_matrix,
     forward_operator,
+    mirror_classes,
 )
 from mshoa.scene import RsmaSpec
 from mshoa.translation import _coaxial_matrix, rotation_blocks, rr_translation, sr_translation
@@ -221,7 +222,7 @@ def test_assemble_system_matrix(benchmark):
     """``forward_planar9``'s eight mirror-class systems: 24 distinct S|R
     builds in the pair basis and the projection of its 72 sphere pairs."""
     scene = load_config(Path(__file__).parents[1] / "configs" / "cartesian9_mshoa.yaml").scene
-    benchmark(assemble_system_matrix, scene)
+    benchmark(assemble_system_matrix, scene, mirror_classes(scene))
 
 
 def test_capsule_residual(benchmark):
@@ -230,8 +231,9 @@ def test_capsule_residual(benchmark):
     eval_total_field at 16 capsules of each of the 9 spheres."""
     scene = load_config(Path(__file__).parents[1] / "configs" / "cartesian9_mshoa.yaml").scene
     op = forward_operator(scene)
-    felt = _apply_blocks(op.c, op.classes, scene.incident_coeffs(), scene.n_in)
-    benchmark(_capsule_residual, op, felt)
+    a_in = scene.incident_coeffs()
+    felt = _apply_blocks(op.c, op.mirror, a_in, scene.n_in)
+    benchmark(_capsule_residual, op, felt, a_in)
 
 
 @pytest.mark.parametrize("points", [252, 4096], ids=["capsules", "pixel_chunk"])

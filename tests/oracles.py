@@ -133,7 +133,8 @@ def basis_gradient_matrix(kind: str, n_max: int, k: float, points: np.ndarray, c
 def pairs_both_axes(matrix: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
     """A (L_dst, L_src) translation ``matrix`` with the pair change applied in place to both axes: it takes a
     standard-order matrix to the pair basis and, being its own inverse, a pair-basis one back."""
-    return _to_pairs(_to_pairs(matrix, n_dst, axis=0), n_src, axis=1)
+    _to_pairs(matrix.T, n_dst)
+    return _to_pairs(matrix, n_src)
 
 
 def standard_translation(translate, t, k: float, n_src: int, n_dst: int) -> np.ndarray:
@@ -197,9 +198,9 @@ def mirror_class_bases(scene, cls, flips) -> tuple[np.ndarray, np.ndarray]:
 
     Unknown j of the class is the sum over its orbit's spheres of sign
     times flips[s][local[j]] times that sphere's pair-basis vector
-    local[j], with ``flips`` the spheres' reflection signs that
-    ``mirror_classes`` returns with the classes; incident column j is the
-    pair-basis vector incident[j].
+    local[j], with ``flips`` the spheres' reflection signs, the ``flips``
+    of the ``Mirror`` that ``mirror_classes`` returns; incident column j is
+    the pair-basis vector incident[j].
     """
     lf = num_coeffs(scene.n_fwd)
     local_pairs = pair_basis(scene.n_fwd)

@@ -411,8 +411,9 @@ def test_capsule_residual_sees_a_diverging_incident_series():
     op = forward_operator(far)
     residuals = []
     for s in (far, near):
-        felt = _apply_blocks(op.c, op.classes, s.incident_coeffs(), s.n_in)
-        residuals.append(_capsule_residual(replace(op, scene=s, capture=op.pressures(felt)), felt))
+        a_in = s.incident_coeffs()
+        felt = _apply_blocks(op.c, op.mirror, a_in, s.n_in)
+        residuals.append(_capsule_residual(replace(op, scene=s, capture=op.pressures(felt)), felt, a_in))
     assert op.capsule_residual == residuals[0]
     assert residuals[1] > 100 * op.capsule_residual
 

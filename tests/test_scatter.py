@@ -51,15 +51,17 @@ _GRID4 = [[x, y, 0.0] for x in (-0.125, 0.125) for y in (-0.125, 0.125)]
     ids=["vector", "2d_axis0", "2d_axis1", "3d_last"],
 )
 def test_pair_transform_matches_the_dense_pair_basis(rng, n_max, leading, trailing, axis):
-    """The in-place pair transform along any axis is the oracle's pair-basis
-    matrix applied along that axis, returns the array it was given, and is
-    its own inverse."""
+    """The in-place pair transform, on a view that puts any axis last, is the
+    oracle's pair-basis matrix applied along that axis, returns the array it
+    was given, and is its own inverse."""
     a = rng.standard_normal((*leading, num_coeffs(n_max), *trailing)) * (1 + 0.5j)
     expected = np.moveaxis(np.tensordot(pair_basis(n_max), np.moveaxis(a, axis, 0), axes=1), 0, axis)
     pairs = a.copy()
-    assert _to_pairs(pairs, n_max, axis=axis) is pairs
+    view = np.moveaxis(pairs, axis, -1)
+    assert _to_pairs(view, n_max) is view
     np.testing.assert_allclose(pairs, expected, rtol=0, atol=2e-15 * np.max(np.abs(a)))
-    np.testing.assert_allclose(_to_pairs(pairs, n_max, axis=axis), a, rtol=0, atol=2e-15 * np.max(np.abs(a)))
+    _to_pairs(view, n_max)
+    np.testing.assert_allclose(pairs, a, rtol=0, atol=2e-15 * np.max(np.abs(a)))
 
 
 def test_rigid_scatter_gain_values():
@@ -182,7 +184,7 @@ def test_uncoupled_operator_is_each_surface_response_times_its_incident_field(ce
     rows are Lambda_s a_s, the surface response times its local incident
     coefficients, however many mirror classes the scene splits into."""
     scene = _scene(centers, caps=14)
-    assert len(mirror_classes(scene)[0]) == count
+    assert len(mirror_classes(scene).classes) == count
     a_local = np.split(local_incident_matrix(scene), scene.num_spheres)
     reference = np.vstack([surface_response_matrix(s, scene.k, scene.n_fwd) @ a_s for s, a_s in zip(scene.spheres, a_local)])
     op = forward_operator(scene, include_coupling=False)
@@ -274,7 +276,7 @@ def test_coupled_build_with_a_class_of_no_incident_harmonics():
     is (size, 0).  The coupled build solves it as empty and matches the dense
     reference."""
     scene = _scene([[-0.125, 0.0, 0.0], [0.125, 0.0, 0.0]], caps=10, n_in=1, n_fwd=1)
-    assert any(cls.size and not len(cls.incident) for cls in mirror_classes(scene)[0])
+    assert any(cls.size and not len(cls.incident) for cls in mirror_classes(scene).classes)
     op = forward_operator(scene, include_coupling=True)
     assert _rel_gap(op.matrix, _reference_coupled_operator(scene, local_incident_matrix(scene))) <= 1e-13
 
@@ -288,6 +290,30 @@ def test_forward_operator_shape_and_guards():
     bad = CoefficientVector(k=scene.k, n_max=scene.n_in + 1, values=np.zeros(num_coeffs(scene.n_in + 1)))
     with pytest.raises(ValueError):
         forward_solve(scene, bad)
+
+
+@pytest.mark.parametrize("build", ["coupled", "uncoupled", "vector"])
+def test_a_build_finds_its_symmetry_once(monkeypatch, build):
+    """A forward build finds the scene's mirror orbits once and hands them to
+    every step: the coupled and uncoupled ``forward_operator``, followed by
+    its Gram and class Grams, and ``forward_solve``."""
+    from mshoa import scatter
+
+    calls, orbits = [], scatter._mirror_orbits
+
+    def counting_orbits(scene):
+        calls.append(scene)
+        return orbits(scene)
+
+    monkeypatch.setattr(scatter, "_mirror_orbits", counting_orbits)
+    scene = _grid4(caps=6, n_in=4, n_fwd=3)
+    if build == "vector":
+        forward_solve(scene, scene.incident_coeffs())
+    else:
+        op = forward_operator(scene, include_coupling=build == "coupled")
+        op.gram()
+        op.class_grams()
+    assert len(calls) == 1
 
 
 def _grid4(**kw):
@@ -317,8 +343,8 @@ def test_forward_operator_holds_one_system_one_block_and_t_f():
 def _projected_systems(scene):
     """The oracle's whole I - SR G projected on each mirror class's dense basis, W^T (I - SR G) W."""
     whole = coupled_system_matrix(scene)
-    classes, flips = mirror_classes(scene)
-    bases = [mirror_class_bases(scene, cls, flips)[0] for cls in classes]
+    mirror = mirror_classes(scene)
+    bases = [mirror_class_bases(scene, cls, mirror.flips)[0] for cls in mirror.classes]
     return [w.T @ whole @ w for w in bases], whole, bases
 
 
@@ -330,8 +356,8 @@ def _assert_projected_system(scene, systems):
     projected, whole, bases = _projected_systems(scene)
     unknowns = np.hstack(bases)
     np.testing.assert_allclose(unknowns.T @ unknowns, np.eye(len(whole)), atol=1e-15)
-    classes, flips = mirror_classes(scene)
-    assert sum(cls.incident.size for cls in classes) == num_coeffs(scene.n_in)
+    mirror = mirror_classes(scene)
+    assert sum(cls.incident.size for cls in mirror.classes) == num_coeffs(scene.n_in)
     lf, place = num_coeffs(scene.n_fwd), {tuple(s.center): i for i, s in enumerate(scene.spheres)}
     for axis in range(3):
         images = [place.get(tuple(np.where(np.arange(3) == axis, -1, 1) * s.center)) for s in scene.spheres]
@@ -341,8 +367,8 @@ def _assert_projected_system(scene, systems):
         reflect = np.zeros((len(whole), len(whole)), dtype=complex)
         for s, image in enumerate(images):
             reflect[image * lf : (image + 1) * lf, s * lf : (s + 1) * lf] = local
-        for w, cls in zip(bases, classes):
-            u = mirror_class_bases(scene, cls, flips)[1]
+        for w, cls in zip(bases, mirror.classes):
+            u = mirror_class_bases(scene, cls, mirror.flips)[1]
             sign = 1.0 if np.allclose(reflect @ w, w, atol=1e-12) else -1.0
             np.testing.assert_allclose(reflect @ w, sign * w, atol=1e-12)
             np.testing.assert_allclose(incident @ u, sign * u, atol=1e-12)
@@ -374,7 +400,7 @@ def _count_sr(monkeypatch):
 def test_system_translates_each_distinct_displacement_once(monkeypatch):
     shifts = _count_sr(monkeypatch)
     scene = _grid4(n_fwd=4)
-    systems = assemble_system_matrix(scene)
+    systems = assemble_system_matrix(scene, mirror_classes(scene))
     assert len(shifts) == len(set(shifts)) == 8
     monkeypatch.undo()
     # one orbit of four spheres, each fixed only by z -> -z: half of its 25 harmonics per class
@@ -395,7 +421,7 @@ def test_system_reuses_a_displacement_only_from_a_source_of_equal_radius(monkeyp
         n_in=8,
         n_fwd=4,
     )
-    systems = assemble_system_matrix(scene)
+    systems = assemble_system_matrix(scene, mirror_classes(scene))
     assert len(shifts) == 5 and len(set(shifts)) == 4
     monkeypatch.undo()
     _assert_projected_system(scene, systems)
@@ -456,8 +482,8 @@ def test_parity_split_matches_the_whole_system(name):
 
     centers, radius, count = _MIRROR_SCENES[name]
     scene = _scene(centers, radius=radius, caps=14, n_in=8, n_fwd=4)
-    assert len(mirror_classes(scene)[0]) == count
-    _assert_projected_system(scene, assemble_system_matrix(scene))
+    assert len(mirror_classes(scene).classes) == count
+    _assert_projected_system(scene, assemble_system_matrix(scene, mirror_classes(scene)))
     whole = coupled_system_matrix(scene)
     a_local = local_incident_matrix(scene)
     op = forward_operator(scene)
@@ -503,10 +529,9 @@ def test_radiating_from_the_class_blocks_is_the_solved_b(rng, name):
     centers, count = _MODEL_SCENES[name]
     scene = _scene(centers, caps=14, n_in=8, n_fwd=6)
     op = forward_operator(scene)
-    classes, flips = mirror_classes(scene)
-    assert len(classes) == count
+    assert len(op.mirror.classes) == count
     a_in = CoefficientVector(k=scene.k, n_max=scene.n_in, values=rng.standard_normal((num_coeffs(scene.n_in), 2)) @ [1, 1j])
-    b = _radiating(scene, classes, flips, _apply_blocks(op.c, classes, a_in, scene.n_in))
+    b = _radiating(scene, op.mirror, _apply_blocks(op.c, op.mirror, a_in, scene.n_in))
     assert b.shape == (scene.num_spheres, num_coeffs(scene.n_fwd))
     gains = np.concatenate([rigid_scatter_gain(scene.k, s.radius, scene.n_fwd) for s in scene.spheres])
     dense = gains * sla.solve(coupled_system_matrix(scene), local_incident_matrix(scene) @ a_in.values)
@@ -531,7 +556,7 @@ def test_factors_give_the_gram_adjoint_and_capture_of_the_filled_matrix(rng, nam
     centers, count = _MODEL_SCENES[name]
     scene = _scene(centers, caps=caps, n_in=6, n_fwd=4)
     op = forward_operator(scene, include_coupling=coupling)
-    assert len(op.classes) == count
+    assert len(op.mirror.classes) == count
     f = op.matrix
     assert f.shape == op.shape
     q, size = f.shape
@@ -546,7 +571,7 @@ def test_factors_give_the_gram_adjoint_and_capture_of_the_filled_matrix(rng, nam
     x = rng.standard_normal((size, 2)) @ [1, 1j]
     assert _rel_gap(op.normal(x), normal @ x) <= 1e-13
     blocks = op.class_grams()
-    assert [len(block) for block in blocks] == [cls.incident.size for cls in op.classes]
+    assert [len(block) for block in blocks] == [cls.incident.size for cls in op.mirror.classes]
     for block, span in zip(blocks, op.columns):
         assert block.flags.f_contiguous
         assert np.max(np.abs(block - normal[span, span])) <= 1e-13 * np.max(np.abs(normal))
@@ -556,6 +581,6 @@ def test_factors_give_the_gram_adjoint_and_capture_of_the_filled_matrix(rng, nam
         upper = np.triu_indices(q)
         assert _rel_gap(gram[upper], zherk(1.0, model.T, trans=2)[upper]) <= 1e-13
     a_in = scene.incident_coeffs()
-    assert _rel_gap(op.pressures(_apply_blocks(op.c, op.classes, a_in, scene.n_in)), f @ a_in.values) <= 1e-13
+    assert _rel_gap(op.pressures(_apply_blocks(op.c, op.mirror, a_in, scene.n_in)), f @ a_in.values) <= 1e-13
     if coupling:
         assert _rel_gap(op.capture, f @ a_in.values) <= 1e-13
