@@ -327,20 +327,85 @@ def triangle_indices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return n, np.arange(n.size) - n * (n + 1) // 2
 
 
-def regular_real_table(n_max: int, k: float, points: np.ndarray, center) -> tuple[np.ndarray, np.ndarray]:
-    """Real regular basis rows about ``center`` at ``points``, and the weight rows they take.
+@dataclass(frozen=True)
+class RealTableLayout:
+    """The rows of a :func:`regular_real_table` and their order, set once per reconstruction.
+
+    Table row i is weighed by row ``rows[i]`` of :func:`real_table_weights`.
+    The rows come in sign classes: under the reflection in the coordinate
+    axis ``mirror[b]`` that :func:`real_table_layout` was given (0, 1, 2 for
+    x, y, z) a row of class c keeps its sign if bit b of c is clear and
+    changes it if set, and class c spans
+    table rows ``bounds[c]:bounds[c + 1]``, its cosine rows before its sine
+    rows, each by m, then n.  ``cosines`` lists the Legendre-triangle row of
+    each cosine row, in table order.  ``runs[m]`` holds, per run of cosine
+    rows of one class and order m, its table rows, its places in
+    ``cosines``, its degrees n, and the table rows of the sine rows of the
+    same (n, m), None at m = 0.
+    """
+
+    rows: np.ndarray
+    bounds: np.ndarray
+    cosines: np.ndarray
+    runs: list
+
+
+def real_table_layout(n_max: int, mirror=(), through_center: bool = False) -> RealTableLayout:
+    """The rows of the real regular table up to degree ``n_max``, in classes by their signs under the reflections ``mirror``.
+
+    A reflection about the expansion center acts on each real row as a
+    sign, the real-table analogue of the pair-basis signs of the scattering
+    classes (Gumerov & Duraiswami, 2004, section 3.2): x -> -x takes phi to
+    pi - phi, so the cosine row of (n, m) gets (-1)^m and its sine row
+    -(-1)^m; y -> -y takes phi to -phi, so the cosine row gets + and the
+    sine row -; z -> -z takes cos theta to -cos theta, and both rows get
+    (-1)^(n+m).  ``through_center`` says that every point lies on the plane
+    z = c_z through the center, where cos theta = 0 and so Pbar_n^m, and
+    the whole row, vanishes for every odd n + m: those rows are left out,
+    with their weights.
+    """
+    degree, order = triangle_indices(n_max)
+    n, m, sine = np.tile(degree, 2), np.tile(order, 2), np.repeat([0, 1], degree.size)  # cosine rows, then sine rows
+    kept = (sine == 0) | (m > 0)
+    if through_center:
+        kept &= (n + m) % 2 == 0
+    odd = {0: m + sine, 1: sine, 2: n + m}  # each reflection's sign is (-1)^odd
+    sign_class = sum(((odd[axis] % 2) << bit for bit, axis in enumerate(mirror)), np.zeros_like(n))
+    rows = np.lexsort((n, m, sine, sign_class))
+    rows = rows[kept[rows]]
+    bounds = np.searchsorted(sign_class[rows], np.arange(2 ** len(mirror) + 1))
+    triangle = rows % degree.size
+    cosine = np.flatnonzero(sine[rows] == 0)
+    sine_at = np.zeros(degree.size, int)
+    sine_at[triangle[sine[rows] == 1]] = np.flatnonzero(sine[rows])  # the table row of each triangle row's sine row
+    run = (sign_class * (n_max + 1) + m)[rows[cosine]]
+    cuts = np.append(np.flatnonzero(np.diff(run, prepend=-1)), run.size)
+    runs = [[] for _ in range(n_max + 1)]
+    for low, high in zip(cuts, cuts[1:]):  # a run's table rows are consecutive, as are its sine rows
+        first, last = triangle[cosine[low]], triangle[cosine[high - 1]]
+        step = (degree[last] - degree[first]) // max(high - low - 1, 1) or 1  # n ascends by 2 where its parity is set
+        runs[order[first]].append((
+            slice(cosine[low], cosine[high - 1] + 1),
+            slice(low, high),
+            slice(degree[first], degree[last] + 1, step),
+            slice(sine_at[first], sine_at[last] + 1) if order[first] else None,
+        ))
+    return RealTableLayout(rows, bounds, triangle[cosine], runs)
+
+
+def regular_real_table(n_max: int, k: float, points: np.ndarray, center, layout: RealTableLayout) -> np.ndarray:
+    """The real regular basis rows of ``layout`` about ``center``, one column per point.
 
     R_n^m and R_n^-m share their real factor j_n(kr) Pbar_n^|m|(cos theta)
-    and differ only in cos m phi / sin m phi.  That factor is formed once per
-    distinct (kr, cos theta), the point's key, and gathered to the points;
-    cos theta is (z - c_z) / r, so on a plane through ``center`` it is
-    exactly 0.  A factor that is exactly zero at every key is left out,
-    with its weights: on such a plane, every odd n + m.  Returns
-    ``(table, rows)``: the table holds a cosine row for every kept (n, m), by
-    m then n, then a sine row for each of those with m > 0, one column per
-    point; ``rows`` indexes the matching rows of :func:`real_table_weights`,
-    so ``table.T @ real_table_weights(c, n_max)[rows]`` equals
-    ``regular_basis_matrix(...) @ c``.
+    and differ only in cos m phi / sin m phi.  The Bessel orders are
+    evaluated once per distinct kr and the Legendre triangle once per
+    distinct cos theta (one on a plane through the center, where it is 0).
+    Their product, the factor, is formed once per distinct (kr, cos theta),
+    the point's key, one run of the layout's cosine rows at a time, and
+    gathered to the points; the run then gives its sine rows, times
+    sin m phi, and takes cos m phi.  With ``rows = layout.rows``, ``table.T @ real_table_weights(c,
+    n_max)[rows]`` equals ``regular_basis_matrix(...) @ c`` when the rows
+    the layout leaves out vanish at the points.
     """
     rel = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center, float)
     x, y, z = rel[:, 0], rel[:, 1], rel[:, 2]
@@ -349,26 +414,22 @@ def regular_real_table(n_max: int, k: float, points: np.ndarray, center) -> tupl
     # complex keys sort and compare as exact (kr, cos theta) pairs
     keys, key = np.unique(k * r + 1j * cos_theta, return_inverse=True)
     radii, at_radius = np.unique(keys.real, return_inverse=True)
-    bessel = sph_bessel_j_upto(n_max, radii)[:, at_radius]  # (n, keys)
-    factors = norm_legendre_triangle(n_max, np.ascontiguousarray(keys.imag))  # (T, keys)
-    for n in range(n_max + 1):
-        factors[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2] *= bessel[n]
-    degree, order = triangle_indices(n_max)
-    by_order = np.lexsort((degree, order))  # triangle rows by m, then n
-    rows = by_order[factors.any(axis=1)[by_order]]
-    bounds = np.searchsorted(order[rows], np.arange(n_max + 2))  # order m's rows: bounds[m]:bounds[m + 1]
-    table = np.empty((2 * rows.size - bounds[1], r.size))
-    cosine, sine = table[: rows.size], table[rows.size - bounds[1] :]  # sine rows indexed like cosine ones
-    np.take(factors[rows], key, axis=1, out=cosine, mode="clip")  # "raise" would buffer ``out``
+    cosines, at_cosine = np.unique(keys.imag, return_inverse=True)
+    bessel = np.take(sph_bessel_j_upto(n_max, radii), at_radius, axis=1)  # (n, keys); take keeps rows contiguous
+    factors = norm_legendre_triangle(n_max, cosines)[layout.cosines].take(at_cosine, axis=1)  # (cosine rows, keys)
     rho = np.hypot(x, y)
     turn = np.divide(x + 1j * y, rho, out=np.ones(r.size, complex), where=rho > 0)  # e^{i phi}
-    phase = turn.copy()
-    for m in range(1, n_max + 1):  # order 0: cos 0 = 1 and no sine row
-        block = slice(bounds[m], bounds[m + 1])
-        np.multiply(cosine[block], phase.imag, out=sine[block])
-        cosine[block] *= phase.real
-        phase *= turn  # e^{i (m+1) phi}
-    return table, np.concatenate([rows, degree.size + rows[bounds[1] :]])
+    phase = np.ones(r.size, complex)  # e^{i m phi}
+    table = np.empty((layout.rows.size, r.size))
+    for runs in layout.runs:  # m = 0, 1, ..., n_max
+        for cosine, factor, degrees, sine in runs:
+            factors[factor] *= bessel[degrees]
+            np.take(factors[factor], key, axis=1, out=table[cosine], mode="clip")  # "raise" would buffer ``out``
+            if sine is not None:
+                np.multiply(table[cosine], phase.imag, out=table[sine])
+                table[cosine] *= phase.real
+        phase *= turn
+    return table
 
 
 def real_table_weights(values: np.ndarray, n_max: int) -> np.ndarray:

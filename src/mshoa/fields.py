@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import CoefficientVector, num_coeffs, real_table_weights, regular_real_table
+from .basis import CoefficientVector, num_coeffs, real_table_layout, real_table_weights, regular_real_table
 from .scene import IncidentSource, RsmaSpec
 
 SDR_CAP_DB = 150.0
@@ -111,30 +111,84 @@ def reconstruct_field(
 ) -> FieldGrid | list[FieldGrid]:
     """Evaluate the regular-basis series of ``coeffs`` at every pixel center, at their wavenumber ``coeffs.k``.
 
-    The coefficients are folded once into real-table weights
-    (:func:`~mshoa.basis.real_table_weights`), and each chunk of pixels is one
-    real table (:func:`~mshoa.basis.regular_real_table`) times its rows of
-    those weights, in one real matrix product.  The pixels are taken by
-    distance to ``center``, then height, so that pixels sharing a table's
-    (kr, cos theta) key share a chunk.  A chunk holds at most
-    ``CHUNK_PIXELS`` pixels, and fewer at high degree, so that its table,
-    of at most (n_max+1)^2 rows, has at most ``CHUNK_TABLE_ENTRIES``
+    The grid's reflections about ``center`` (:func:`_pixel_orbits`) split
+    the pixels into orbits, and only one pixel per orbit, its
+    representative, is tabled.  The coefficients are folded once into real
+    weights (:func:`~mshoa.basis.real_table_weights`), taken in the row
+    order of one :func:`~mshoa.basis.real_table_layout`, whose rows come
+    in classes by their signs under those reflections.  Each chunk of
+    representatives is one real table
+    (:func:`~mshoa.basis.regular_real_table`), and each sign class of its
+    rows is multiplied by its weight rows in one real matrix product.  An
+    image of a representative is that representative reflected, so its
+    field is the sum of the class products, each signed by the class's
+    signs under the reflections taking the representative to it, and it is
+    written straight into the image's pixel.  The representatives are taken
+    by distance to ``center``, then height, so that those sharing a
+    table's (kr, cos theta) key share a chunk.  A chunk holds at most
+    ``CHUNK_PIXELS`` representatives, and fewer at high degree, so that its
+    table, of at most (n_max+1)^2 rows, has at most ``CHUNK_TABLE_ENTRIES``
     entries.  A coefficient block gives one grid per column from that
     single pass.
     """
-    pts = spec.points()
-    rel = pts - np.asarray(center, float)
+    center = np.asarray(center, float)
+    mirror, images = _pixel_orbits(spec, center)
+    pts = spec.points()[images[0]]  # the representatives'
+    rel = pts - center
     by_key = np.lexsort((rel[:, 2], np.einsum("pi,pi->p", rel, rel)))
-    weights = real_table_weights(coeffs.values, coeffs.n_max)
-    out = np.empty((pts.shape[0], weights.shape[1]), dtype=complex)
+    pts, images = pts[by_key], images[:, by_key]
+    layout = real_table_layout(coeffs.n_max, mirror, through_center=not rel[:, 2].any())
+    weights = real_table_weights(coeffs.values, coeffs.n_max)[layout.rows].view(float)  # real, imaginary interleaved
+    # image b's sign for class c: -1 per reflection that image b takes and class c flips under
+    signs = np.array([[(-1.0) ** (b & c).bit_count() for c in range(len(images))] for b in range(len(images))])
+    out = np.empty((spec.shape[0] * spec.shape[1], weights.shape[1] // 2), dtype=complex)
     chunk = max(1, min(CHUNK_PIXELS, CHUNK_TABLE_ENTRIES // num_coeffs(coeffs.n_max)))
-    for start in range(0, pts.shape[0], chunk):
-        pixels = by_key[start : start + chunk]
-        table, rows = regular_real_table(coeffs.n_max, coeffs.k, pts[pixels], center)
-        out[pixels] = (table.T @ weights[rows].view(float)).view(complex)  # real, imaginary interleaved
+    products = np.empty((len(images), min(chunk, len(pts)), weights.shape[1]))
+    for start in range(0, len(pts), chunk):
+        pixels = images[:, start : start + chunk]
+        table = regular_real_table(coeffs.n_max, coeffs.k, pts[start : start + chunk], center, layout)
+        part = products[:, : pixels.shape[1]]
+        for product, low, high in zip(part, layout.bounds, layout.bounds[1:]):
+            np.matmul(table[low:high].T, weights[low:high], out=product)
+        del table  # before the next chunk's table is built
+        # a pixel on a mirror line is its own image under that reflection: the image with fewer reflections writes last
+        for image, field_values in zip(pixels[::-1], (signs[::-1] @ part.reshape(len(part), -1)).reshape(part.shape)):
+            out.view(float)[image] = field_values
     if coeffs.values.ndim == 1:
         return FieldGrid(spec=spec, values=out[:, 0].reshape(spec.shape))
     return [FieldGrid(spec=spec, values=column.reshape(spec.shape)) for column in out.T]
+
+
+def _pixel_orbits(spec: GridSpec, center: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """The grid's mirror axes about ``center``, and the orbit of each representative pixel.
+
+    An in-plane axis is a mirror axis when the window center equals
+    ``center``'s coordinate on it, compared with ``==``, and the window is a
+    whole number of pixels along it, so that pixels j and count - 1 - j
+    (by index) sit at mirrored coordinates.  The representatives are the
+    pixels in the first half, rounded up, of every mirrored index range: a
+    middle row or column of an odd count is its own image.  Returns the
+    mirror axes, as coordinate axes (0, 1, 2 for x, y, z), and a
+    (2^axes, representatives) array of flat pixel indices: row b holds each
+    representative reflected in mirror axis i for every bit i set in b, so
+    row 0 holds the representatives themselves.
+    """
+    shape = spec.shape
+    ax_u, ax_v, _ = _PLANE_AXES[spec.plane]
+    mirrored = [
+        dim
+        for dim, (axis, extent, middle) in enumerate(zip((ax_v, ax_u), spec.extent[::-1], spec.center[::-1]))
+        if middle == center[axis] and math.isclose(shape[dim] * spec.resolution, extent, rel_tol=1e-15)
+    ]
+    half = [(count + 1) // 2 if dim in mirrored else count for dim, count in enumerate(shape)]
+    images = []
+    for b in range(2 ** len(mirrored)):
+        index = list(np.indices(half).reshape(2, -1))
+        for bit, dim in enumerate(mirrored):
+            if b >> bit & 1:
+                index[dim] = shape[dim] - 1 - index[dim]
+        images.append(np.ravel_multi_index(index, shape))
+    return tuple((ax_v, ax_u)[dim] for dim in mirrored), np.array(images)
 
 
 def ground_truth_field(source: IncidentSource, k: float, spec: GridSpec) -> FieldGrid:

@@ -34,7 +34,6 @@ from .scatter import (
     forward_operator,
     forward_solve,
     log as scatter_log,
-    mirror_classes,
     surface_response_matrix,
 )
 
@@ -77,6 +76,7 @@ class _Encoding:
     n_cs: list | None = None  # HOA's truncation candidates, at the fixed cfg.sigma; the encoder's is the largest
     center: tuple | np.ndarray = (0.0, 0.0, 0.0)  # expansion center of the coefficients
     rcond: float | None = None  # of the coupled scattering system solved, if any
+    blocks: list | None = None  # the sizes of that system's mirror-class blocks
     capsule_residual: float | None = None  # of a capture read off a T_F built here
 
 
@@ -96,17 +96,18 @@ def _hoa_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
         n_ref = cfg.hoa.n_c_max + max(12, int(np.ceil(np.e * k * sphere.radius)))
         with _timed(parts, "capsule"):
             a_ref = scene.source.coefficients(k, n_ref, center=sphere.center)
-            pressures, rcond = surface_response_matrix(sphere, k, n_ref) @ a_ref.values, None
+            pressures, rcond, blocks = surface_response_matrix(sphere, k, n_ref) @ a_ref.values, None, None
     else:
         a_in = scene.incident_coeffs()
-        radiating, rcond = forward_solve(scene, a_in, _parts=parts)
+        radiating, rcond, mirror = forward_solve(scene, a_in, _parts=parts)
+        blocks = [cls.size for cls in mirror.classes]
         with _timed(parts, "capsule"):
             pressures = eval_total_field(scene, radiating, a_in, sphere.capsule_positions())
 
     candidates = list(range(cfg.hoa.n_c_min, cfg.hoa.n_c_max + 1))  # ties go to the smaller n_c
     with _timed(parts, "capsule"):
         encoder = hoa_encoder(sphere, k, cfg.hoa.n_c_max)
-    return _Encoding(encoder, pressures, n_cs=candidates, center=sphere.center, rcond=rcond)
+    return _Encoding(encoder, pressures, n_cs=candidates, center=sphere.center, rcond=rcond, blocks=blocks)
 
 
 def _grid_encoding(cfg: ExperimentConfig, export_forward, imported: DenseModel | None, parts=None) -> _Encoding:
@@ -126,7 +127,13 @@ def _grid_encoding(cfg: ExperimentConfig, export_forward, imported: DenseModel |
         model, enc = imported, _Encoding(Encoder(forward=imported, k=scene.k), pressures)
     else:
         model = forward_operator(scene, include_coupling=cfg.method == "MSHOA", _parts=parts)
-        enc = _Encoding(mshoa_encoder(model), model.capture, rcond=model.rcond, capsule_residual=model.capsule_residual)
+        enc = _Encoding(
+            mshoa_encoder(model),
+            model.capture,
+            rcond=model.rcond,
+            blocks=[cls.size for cls in model.mirror.classes],
+            capsule_residual=model.capsule_residual,
+        )
     if export_forward is not None:
         export_matrix(export_forward, model.matrix)
     return enc
@@ -225,7 +232,7 @@ def run_experiment(
     else:
         candidates = [cfg.sigma] if cfg.sigma_search is None else _sigma_grid(cfg.sigma_search, enc.encoder)
         block, encode_parts, cg = enc.encoder.apply(enc.pressures, candidates), enc.encoder.parts, enc.encoder.cg
-    center, rcond, capsule_residual = enc.center, enc.rcond, enc.capsule_residual
+    center, rcond, blocks, capsule_residual = enc.center, enc.rcond, enc.blocks, enc.capsule_residual
     del enc, imported  # frees the encoder's forward model and Gram or class blocks before the pixel passes
     end_stage(encode_parts, encode_log)
 
@@ -265,7 +272,7 @@ def run_experiment(
         cg=cg if any(cg) else None,
         peak_rss_mb=dict(zip(STAGES, peaks)),
         system_rcond=rcond,
-        system_blocks=None if rcond is None else [cls.size for cls in mirror_classes(scene).classes],
+        system_blocks=blocks,
         capsule_residual=capsule_residual,
         config_hash=chash,
         search={

@@ -515,15 +515,15 @@ def _solve_felt(scene: SceneConfig, mirror: Mirror, local: list[np.ndarray], par
         return _solve_coupled(systems, local)
 
 
-def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _parts=None) -> tuple[np.ndarray, float]:
-    """Solve the coupled scattering problem for one incident expansion: (radiating, rcond).
+def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _parts=None) -> tuple[np.ndarray, float, Mirror]:
+    """Solve the coupled scattering problem for one incident expansion: (radiating, rcond, mirror).
 
     The system is solved for the field each sphere feels, c, one
     :func:`mirror_classes` class at a time, against the class's incident
     coefficients in the pair basis; the radiating coefficients are b = G c,
     returned as one (n_fwd+1)^2 row per sphere in the standard order, with
-    the system's rcond (:func:`_solve_coupled`).  No surface response is
-    built.  ``_parts`` gathers the seconds spent per forward part (see
+    the system's rcond (:func:`_solve_coupled`) and the symmetry whose
+    classes it was solved in.  No surface response is built.  ``_parts`` gathers the seconds spent per forward part (see
     :data:`FORWARD_PARTS`).
     """
     mirror = mirror_classes(scene)
@@ -531,7 +531,7 @@ def forward_solve(scene: SceneConfig, a_in: CoefficientVector, _parts=None) -> t
         a_local = _apply_blocks(_local_incident_block(scene, mirror), mirror, a_in, scene.n_in)
     c, rcond = _solve_felt(scene, mirror, a_local, _parts)
     with _timed(_parts, "solve"):
-        return _radiating(scene, mirror, c), rcond
+        return _radiating(scene, mirror, c), rcond, mirror
 
 
 def eval_total_field(

@@ -147,7 +147,7 @@ def test_criterion_3_forward_physics():
         n_fwd=16,
     )
     a_in = lone.incident_coeffs()
-    radiating, _ = forward_solve(lone, a_in)
+    radiating = forward_solve(lone, a_in)[0]
     dirs = rng.normal(size=(30, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = 0.3 * dirs
@@ -171,7 +171,7 @@ def test_criterion_3_forward_physics():
             n_fwd=n_fwd,
         )
         ai = scene.incident_coeffs()
-        radiating, _ = forward_solve(scene, ai)
+        radiating = forward_solve(scene, ai)[0]
         residuals.append(
             max(
                 abs(eval_radial_derivative(scene, radiating, ai, sp, d)) / scene.k

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mshoa.fields as fields_module
-from mshoa.basis import CoefficientVector, regular_basis_matrix, regular_real_table, triangle_indices
+from mshoa.basis import (
+    CoefficientVector,
+    num_coeffs,
+    real_table_layout,
+    regular_basis_matrix,
+    regular_real_table,
+    triangle_indices,
+)
 from mshoa.fields import (
     CHUNK_TABLE_ENTRIES,
     SDR_CAP_DB,
@@ -209,28 +216,32 @@ def test_reconstruct_chunk_tables_stay_within_budget(rng, monkeypatch, n_max, pi
     holds more than CHUNK_TABLE_ENTRIES entries.  A chunk is sized for
     (n_max+1)^2 live rows, a cosine row per (n, m) and a sine row per m > 0:
     every row of a table off the plane through the center.  On that plane
-    the odd n + m rows drop, and (n_max+1)(n_max+2)/2 rows are left."""
+    the odd n + m rows drop, and (n_max+1)(n_max+2)/2 rows are left.  The
+    expansion center sits off the window center on both axes, so that no
+    pixel has a mirror image and every pixel is tabled."""
     shapes = []
 
-    def recording_table(n, k, pts, center):
-        table, rows = real_table(n, k, pts, center)
+    def recording_table(n, k, pts, center, layout):
+        table = real_table(n, k, pts, center, layout)
+        rows = layout.rows
         assert table.shape == (rows.size, len(pts))
         shapes.append(table.shape)
-        return table, rows
+        return table
 
     real_table = fields_module.regular_real_table
     monkeypatch.setattr(fields_module, "regular_real_table", recording_table)
     cv = CoefficientVector(k=9.0, n_max=n_max, values=rng.normal(size=(n_max + 1) ** 2) + 0j)
+    center = (0.01, -0.01, 0.0)
     for normal_offset, live in [(0.0, (n_max + 1) * (n_max + 2) // 2), (0.15, (n_max + 1) ** 2)]:
         spec = GridSpec(plane="xy", extent=(1.5, 1.2), resolution=0.02, normal_offset=normal_offset)  # 4500 pixels
         shapes.clear()
-        reconstruct_field(cv, spec)
+        reconstruct_field(cv, spec, center)
         assert shapes[0][1] == pixels and sum(columns for _, columns in shapes) == 4500
         assert max(rows * columns for rows, columns in shapes) <= CHUNK_TABLE_ENTRIES
         assert {rows for rows, _ in shapes} == {live}
     shapes.clear()
     monkeypatch.setattr(fields_module, "CHUNK_PIXELS", 500)
-    reconstruct_field(cv, spec)
+    reconstruct_field(cv, spec, center)
     assert max(columns for _, columns in shapes) == 500
 
 
@@ -276,6 +287,18 @@ _OFF_ORIGIN_CENTER = (0.1, 0.125, 0.05)
 _XZ_GRID = GridSpec(plane="xz", extent=(1.1, 1.3), resolution=0.1, center=(0.3, -0.2), normal_offset=0.15)
 
 
+def _record_tables(monkeypatch):
+    """Every (layout, pixel count) that reconstruct_field tables, as it tables them."""
+    tables, real_table = [], fields_module.regular_real_table
+
+    def recording_table(n, k, pts, center, layout):
+        tables.append((layout, len(pts)))
+        return real_table(n, k, pts, center, layout)
+
+    monkeypatch.setattr(fields_module, "regular_real_table", recording_table)
+    return tables
+
+
 def _assert_matches_the_complex_basis(rng, spec, center, n_max, columns):
     """reconstruct_field of random coefficients against regular_basis_matrix @ c, to 1e-12."""
     shape = (n_max + 1) ** 2 if columns is None else ((n_max + 1) ** 2, columns)
@@ -315,6 +338,49 @@ def test_reconstruct_through_the_center_matches_the_complex_basis(rng, monkeypat
     _assert_matches_the_complex_basis(rng, _THROUGH_CENTER, _OFF_ORIGIN_CENTER, 14, columns)
 
 
+_MIRROR_CENTER = (0.1, -0.2, 0.3)
+
+
+@pytest.mark.parametrize("plane", ["xy", "xz", "yz"])
+@pytest.mark.parametrize("centered", [(True, False), (False, True), (True, True), (False, False)], ids=["u", "v", "uv", "none"])
+@pytest.mark.parametrize("extent", [(0.9, 0.7), (1.0, 0.8)], ids=["odd", "even"])
+@pytest.mark.parametrize("normal", [0.0, 0.15], ids=["through_center", "off_center"])
+@pytest.mark.parametrize("columns", [None, 3], ids=["vector", "block"])
+def test_reconstruct_by_mirror_orbit_matches_the_complex_basis(rng, monkeypatch, plane, centered, extent, normal, columns):
+    """A window centered on the expansion center along u, v, both or neither
+    tables one pixel per orbit of its reflections, a middle row or column of
+    an odd count included once, and reproduces regular_basis_matrix @ c on
+    every plane, through the center or off it, at a nonzero normal_offset."""
+    u, v, n = fields_module._PLANE_AXES[plane]
+    window = tuple(_MIRROR_CENTER[axis] + (0.0 if on else 0.037) for axis, on in zip((u, v), centered))
+    spec = GridSpec(plane=plane, extent=extent, resolution=0.1, center=window, normal_offset=_MIRROR_CENTER[n] + normal)
+    tables = _record_tables(monkeypatch)
+    monkeypatch.setattr(fields_module, "CHUNK_PIXELS", 16)
+    _assert_matches_the_complex_basis(rng, spec, _MIRROR_CENTER, 8, columns)
+    rows, cols = spec.shape
+    assert sum(pixels for _, pixels in tables) == (-(-cols // 2) if centered[0] else cols) * (-(-rows // 2) if centered[1] else rows)
+    mirror, _ = fields_module._pixel_orbits(spec, np.array(_MIRROR_CENTER))
+    assert mirror == tuple(axis for axis, on in zip((v, u), centered[::-1]) if on)
+
+
+def test_a_window_of_part_pixels_is_not_mirrored(rng, monkeypatch):
+    """Centered on the expansion center, a window 9.5 pixels wide holds 9
+    pixels that are not symmetric about it: only its height is mirrored."""
+    spec = GridSpec(plane="xy", extent=(0.95, 0.7), resolution=0.1, center=_MIRROR_CENTER[:2], normal_offset=0.3)
+    tables = _record_tables(monkeypatch)
+    _assert_matches_the_complex_basis(rng, spec, _MIRROR_CENTER, 8, None)
+    assert [pixels for _, pixels in tables] == [9 * 4]
+    assert fields_module._pixel_orbits(spec, np.array(_MIRROR_CENTER))[0] == (1,)
+
+
+def test_a_centered_window_tables_one_pixel_per_orbit(rng, monkeypatch):
+    """75 x 60 pixels centered on the expansion center: ceil(75/2) ceil(60/2) = 1140 are tabled."""
+    tables = _record_tables(monkeypatch)
+    spec = GridSpec(plane="xy", extent=(0.75, 0.6), resolution=0.01)
+    reconstruct_field(CoefficientVector(k=9.0, n_max=4, values=rng.normal(size=(25, 2)) + 0j), spec)
+    assert sum(pixels for _, pixels in tables) == 1140
+
+
 @pytest.mark.parametrize(
     "spec, center, odd_rows_drop",
     [
@@ -324,16 +390,35 @@ def test_reconstruct_through_the_center_matches_the_complex_basis(rng, monkeypat
     ],
     ids=["through_center", "offset_plane", "xz_grid"],
 )
-def test_keyed_table_drops_exactly_the_rows_that_vanish(spec, center, odd_rows_drop):
+def test_keyed_table_drops_exactly_the_rows_that_vanish(monkeypatch, spec, center, odd_rows_drop):
     """On a plane through the center cos theta is exactly 0, where Pbar_n^m
     is exactly 0 for odd n + m: those rows, and no others, are left out.  On
     any other plane no row is.  A sine row is kept for every kept m > 0."""
     n_max = 8
-    table, rows = regular_real_table(n_max, 9.0, spec.points(), center)
+    tables = _record_tables(monkeypatch)
+    reconstruct_field(CoefficientVector(k=9.0, n_max=n_max, values=np.ones(num_coeffs(n_max))), spec, center)
     n, m = triangle_indices(n_max)
     kept = np.flatnonzero((n + m) % 2 == 0) if odd_rows_drop else np.arange(n.size)
-    np.testing.assert_array_equal(np.sort(rows), np.concatenate([kept, n.size + kept[m[kept] > 0]]))
-    assert table.shape == (rows.size, len(spec.points()))
+    for layout, _ in tables:
+        np.testing.assert_array_equal(np.sort(layout.rows), np.concatenate([kept, n.size + kept[m[kept] > 0]]))
+
+
+@pytest.mark.parametrize("mirror", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+def test_each_sign_class_is_one_block_of_rows(rng, mirror):
+    """At a point reflected about the center in each axis of ``mirror``, every
+    table row of class c is the row at the point itself times -1 for each
+    bit of c set, and the classes hold every row."""
+    n_max, center = 9, np.array([0.1, -0.2, 0.3])
+    layout = real_table_layout(n_max, mirror)
+    points = center + rng.uniform(-0.5, 0.5, size=(20, 3))
+    table = regular_real_table(n_max, 9.0, points, center, layout)
+    assert layout.bounds[-1] == table.shape[0] == (n_max + 1) ** 2
+    for bit, axis in enumerate(mirror):
+        reflected = points.copy()
+        reflected[:, axis] = 2 * center[axis] - points[:, axis]
+        image = regular_real_table(n_max, 9.0, reflected, center, layout)
+        for c, (low, high) in enumerate(zip(layout.bounds, layout.bounds[1:])):
+            np.testing.assert_allclose(image[low:high], (-1) ** (c >> bit & 1) * table[low:high], rtol=1e-12, atol=1e-14)
 
 
 def _tie_scene(columns):

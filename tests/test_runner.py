@@ -272,6 +272,23 @@ def test_single_run_builds_only_the_uncoupled_operator(tmp_path, monkeypatch):
     assert calls == {"forward_operator": [False], "forward_solve": 0}
 
 
+@pytest.mark.parametrize("config", [TINY, TINY_SINGLE, TINY_HOA], ids=["MSHOA", "Single", "HOA"])
+def test_a_run_finds_the_mirror_symmetry_once(tmp_path, monkeypatch, config):
+    """The forward build's mirror classes also give summary.json its
+    system_blocks: a run finds the scene's mirror orbits once."""
+    from mshoa import scatter
+
+    calls, orbits = [], scatter._mirror_orbits
+
+    def counting_orbits(scene):
+        calls.append(scene)
+        return orbits(scene)
+
+    monkeypatch.setattr(scatter, "_mirror_orbits", counting_orbits)
+    summary = run_experiment(validate_config(config), tmp_path / "out")
+    assert len(calls) == 1 and summary.system_blocks == [12, 9, 12, 9, 9, 6, 9, 6]
+
+
 def test_single_run_builds_each_local_translation_once(tmp_path, monkeypatch):
     """The uncoupled operator and the capture share one R|R per orbit of
     mirrored spheres: the pair is one orbit, so only its first sphere's
