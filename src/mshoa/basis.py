@@ -151,15 +151,13 @@ def _ratio_start(n_max: int) -> int:
 def _orders(scalar, rows, n_max: int, x) -> np.ndarray:
     """Orders 0..n_max of one radial function at ``x``, rows first: by ``scalar`` at one argument, given as a
     Python float, where a numpy loop over orders would cost more than the arithmetic, else by ``rows`` on the
-    arguments sorted ascending."""
+    arguments sorted ascending, gathered back by the inverse permutation (``take`` writes each row contiguously)."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return np.array(scalar(n_max, float(x)))
     flat = x.ravel()
     order = np.argsort(flat, kind="stable")
-    out = np.empty((n_max + 1, flat.size))
-    out[:, order] = rows(n_max, flat[order])
-    return out.reshape((n_max + 1,) + x.shape)
+    return np.take(rows(n_max, flat[order]), np.argsort(order), axis=1).reshape((n_max + 1,) + x.shape)
 
 
 def _bessel_j_scalar(n_max: int, x: float) -> list[float]:
@@ -398,33 +396,29 @@ def regular_real_table(n_max: int, k: float, points: np.ndarray, center, layout:
 
     R_n^m and R_n^-m share their real factor j_n(kr) Pbar_n^|m|(cos theta)
     and differ only in cos m phi / sin m phi.  The Bessel orders are
-    evaluated once per distinct kr and the Legendre triangle once per
+    evaluated at each point's kr, and the Legendre triangle once per
     distinct cos theta (one on a plane through the center, where it is 0).
-    Their product, the factor, is formed once per distinct (kr, cos theta),
-    the point's key, one run of the layout's cosine rows at a time, and
-    gathered to the points; the run then gives its sine rows, times
-    sin m phi, and takes cos m phi.  With ``rows = layout.rows``, ``table.T @ real_table_weights(c,
+    One run of the layout's cosine rows at a time, its Legendre rows are
+    gathered to the points and multiplied by their Bessel orders; the run
+    then gives its sine rows, times sin m phi, and takes cos m phi.  With
+    ``rows = layout.rows``, ``table.T @ real_table_weights(c,
     n_max)[rows]`` equals ``regular_basis_matrix(...) @ c`` when the rows
     the layout leaves out vanish at the points.
     """
     rel = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center, float)
     x, y, z = rel[:, 0], rel[:, 1], rel[:, 2]
     r = np.sqrt(x * x + y * y + z * z)
-    cos_theta = np.divide(z, r, out=np.ones_like(r), where=r > 0)
-    # complex keys sort and compare as exact (kr, cos theta) pairs
-    keys, key = np.unique(k * r + 1j * cos_theta, return_inverse=True)
-    radii, at_radius = np.unique(keys.real, return_inverse=True)
-    cosines, at_cosine = np.unique(keys.imag, return_inverse=True)
-    bessel = np.take(sph_bessel_j_upto(n_max, radii), at_radius, axis=1)  # (n, keys); take keeps rows contiguous
-    factors = norm_legendre_triangle(n_max, cosines)[layout.cosines].take(at_cosine, axis=1)  # (cosine rows, keys)
+    cosines, at_cosine = np.unique(np.divide(z, r, out=np.ones_like(r), where=r > 0), return_inverse=True)
+    bessel = sph_bessel_j_upto(n_max, k * r)  # (n, points)
+    legendre = norm_legendre_triangle(n_max, cosines)[layout.cosines]  # (cosine rows, cosines)
     rho = np.hypot(x, y)
     turn = np.divide(x + 1j * y, rho, out=np.ones(r.size, complex), where=rho > 0)  # e^{i phi}
     phase = np.ones(r.size, complex)  # e^{i m phi}
     table = np.empty((layout.rows.size, r.size))
     for runs in layout.runs:  # m = 0, 1, ..., n_max
-        for cosine, factor, degrees, sine in runs:
-            factors[factor] *= bessel[degrees]
-            np.take(factors[factor], key, axis=1, out=table[cosine], mode="clip")  # "raise" would buffer ``out``
+        for cosine, places, degrees, sine in runs:
+            np.take(legendre[places], at_cosine, axis=1, out=table[cosine], mode="clip")  # "raise" would buffer ``out``
+            table[cosine] *= bessel[degrees]
             if sine is not None:
                 np.multiply(table[cosine], phase.imag, out=table[sine])
                 table[cosine] *= phase.real

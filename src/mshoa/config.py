@@ -125,9 +125,9 @@ def _build(make, raw, context: str, converters: dict, required: tuple = ()):
 
 
 def _number(value, context: str) -> float:
-    """``value`` as a finite float; YAML reads '1e-6' (no dot) as a string."""
+    """``value`` as a finite float; YAML reads '1e-6' (no dot) as a string, and a bool (true) is no number."""
     try:
-        number = float(value)
+        number = np.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
         number = np.nan
     if not np.isfinite(number):
@@ -144,17 +144,10 @@ def _integer(value, context: str) -> int:
 
 def _complex(value, context: str) -> complex:
     """``value`` (a number or [re, im]) as a finite complex number."""
-    try:
-        if isinstance(value, (list, tuple)):
-            re, im = value
-            number = complex(float(re), float(im))
-        else:
-            number = complex(value)
-    except (TypeError, ValueError):
-        number = complex(np.nan)
-    if not np.isfinite(number):
+    parts = value if isinstance(value, (list, tuple)) else [value, 0]
+    if len(parts) != 2:
         raise ConfigError(f"{context} must be a finite number or [re, im], got {value!r}")
-    return number
+    return complex(*(_number(part, context) for part in parts))
 
 
 def _pair(value, context: str) -> tuple:
@@ -167,6 +160,8 @@ def _pair(value, context: str) -> tuple:
 
 def _vector3(value, context: str) -> np.ndarray:
     try:
+        if any(isinstance(v, bool) for v in np.ravel(np.array(value, dtype=object))):  # YAML's true reads as 1
+            raise TypeError
         v = np.asarray(value, dtype=float).reshape(3)
     except Exception:
         raise ConfigError(f"{context} must be a 3-vector, got {value!r}")

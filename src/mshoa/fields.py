@@ -123,21 +123,16 @@ def reconstruct_field(
     image of a representative is that representative reflected, so its
     field is the sum of the class products, each signed by the class's
     signs under the reflections taking the representative to it, and it is
-    written straight into the image's pixel.  The representatives are taken
-    by distance to ``center``, then height, so that those sharing a
-    table's (kr, cos theta) key share a chunk.  A chunk holds at most
-    ``CHUNK_PIXELS`` representatives, and fewer at high degree, so that its
-    table, of at most (n_max+1)^2 rows, has at most ``CHUNK_TABLE_ENTRIES``
-    entries.  A coefficient block gives one grid per column from that
-    single pass.
+    written straight into the image's pixel.  The representatives are
+    chunked in grid order, at most ``CHUNK_PIXELS`` per chunk, and fewer at
+    high degree, so that a table, of at most (n_max+1)^2 rows, has at most
+    ``CHUNK_TABLE_ENTRIES`` entries.  A coefficient block gives one grid per
+    column from that single pass.
     """
     center = np.asarray(center, float)
     mirror, images = _pixel_orbits(spec, center)
     pts = spec.points()[images[0]]  # the representatives'
-    rel = pts - center
-    by_key = np.lexsort((rel[:, 2], np.einsum("pi,pi->p", rel, rel)))
-    pts, images = pts[by_key], images[:, by_key]
-    layout = real_table_layout(coeffs.n_max, mirror, through_center=not rel[:, 2].any())
+    layout = real_table_layout(coeffs.n_max, mirror, through_center=not (pts[:, 2] - center[2]).any())
     weights = real_table_weights(coeffs.values, coeffs.n_max)[layout.rows].view(float)  # real, imaginary interleaved
     # image b's sign for class c: -1 per reflection that image b takes and class c flips under
     signs = np.array([[(-1.0) ** (b & c).bit_count() for c in range(len(images))] for b in range(len(images))])

@@ -547,7 +547,8 @@ def eval_total_field(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     for i, s in enumerate(scene.spheres):
-        if np.any(np.linalg.norm(points - s.center[None, :], axis=1) < s.radius * (1 - 1e-12)):
+        inside = s.radius - 1e-12 * (s.radius + np.abs(s.center).max())  # a capsule is rounded at the center's scale
+        if np.any(np.linalg.norm(points - s.center[None, :], axis=1) < inside):
             raise SceneError(f"evaluation point inside sphere {i}")
     total = regular_basis_matrix(a_in.n_max, scene.k, points, [0.0, 0.0, 0.0]) @ a_in.values
     for sph, b_s in zip(scene.spheres, radiating):

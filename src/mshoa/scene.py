@@ -108,8 +108,12 @@ class IncidentSource:
             self.position = np.asarray(self.position, dtype=float).reshape(3)
             if not np.all(np.isfinite(self.position)):
                 raise SceneError(f"monopole position must be finite, got {self.position}")
-            if np.linalg.norm(self.position) == 0.0:
+            with np.errstate(over="ignore"):  # the squares overflow beyond about 1e154 m
+                distance = np.linalg.norm(self.position)
+            if distance == 0.0:
                 raise SceneError("monopole source cannot sit at the origin")
+            if distance == np.inf:  # every series and distance of the run would overflow with it
+                raise SceneError(f"monopole position {self.position} is too far: its distance overflows a double")
         else:
             raise SceneError(f"unknown source kind {self.kind!r}")
 

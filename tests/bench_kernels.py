@@ -136,7 +136,7 @@ def test_reconstruct_field(benchmark, n_max, columns, spec, center):
     """The σ search's block, the final pass at degree 45, HOA's n_c block about
     its off-origin center (all three on a plane through the center, where the
     odd n + m rows drop), and a plane off the center, where no row drops and
-    nearly every pixel is its own (kr, cos θ) key.  The first two windows are
+    nearly every pixel has its own cos θ.  The first two windows are
     centered on the expansion center along both axes, so a quarter of their
     pixels are tabled, HOA's along x, so half are, and the last along
     neither."""
@@ -146,10 +146,10 @@ def test_reconstruct_field(benchmark, n_max, columns, spec, center):
 
 
 def test_regular_real_table(benchmark):
-    """The keyed radial–Legendre table at degree 45 on a 64 x 64 patch of the
+    """The radial–Legendre table at degree 45 on a 64 x 64 patch of the
     plane through the center (4096 pixels): its spherical Bessel functions,
-    every order at each distinct kr by one recurrence, its Legendre rows at
-    the one cos θ and the cos m φ / sin m φ runs."""
+    every order at each point's kr by one recurrence, its Legendre rows at
+    the one cos θ, gathered to the points, and the cos m φ / sin m φ runs."""
     u = np.linspace(0.05, 1.0, 64)
     points = np.stack(np.meshgrid(u, u, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
     benchmark(regular_real_table, 45, K, points, (0.0, 0.0, 0.0), real_table_layout(45, through_center=True))

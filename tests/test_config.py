@@ -176,6 +176,12 @@ def test_config_rejections():
         (MINIMAL.replace(layout, "layout: {type: cartesian, rows: 2, cols: 1, spacing: 0.25, plane: [1]}"), "plane"),
         (MINIMAL.replace(layout, "layout: {type: [1], count: 2, spacing: 0.25}"), "type"),
         (MINIMAL.replace("method: MSHOA", "method: [1]"), "method"),
+        # YAML's true, which Python would take as 1
+        (MINIMAL.replace("n_in: 10", "n_in: true"), "n_in must be a finite number, got True"),
+        (MINIMAL.replace("capsules: 32", "capsules: true"), "capsules must be a finite number, got True"),
+        (MINIMAL.replace("kind: plane_wave, direction: [0, 0, 1]", "kind: monopole, position: [true, 0, 0]"),
+         r"position must be a 3-vector, got \[True"),
+        (MINIMAL.replace("direction: [0, 0, 1]", "direction: [0, 0, 1], amplitude: true"), "amplitude must be a finite"),
         (MINIMAL + "grid: {plane: [1]}\n", "plane"),
         (MINIMAL.replace(layout, "spheres: [{center: [0, 0, 0], radius: 0.08, capsules: 0}]").replace(
             "  radius: 0.08\n  capsules: 32\n", ""), "capsule"),

@@ -390,7 +390,7 @@ def test_a_centered_window_tables_one_pixel_per_orbit(rng, monkeypatch):
     ],
     ids=["through_center", "offset_plane", "xz_grid"],
 )
-def test_keyed_table_drops_exactly_the_rows_that_vanish(monkeypatch, spec, center, odd_rows_drop):
+def test_real_table_drops_exactly_the_rows_that_vanish(monkeypatch, spec, center, odd_rows_drop):
     """On a plane through the center cos theta is exactly 0, where Pbar_n^m
     is exactly 0 for odd n + m: those rows, and no others, are left out.  On
     any other plane no row is.  A sine row is kept for every kept m > 0."""

@@ -514,6 +514,9 @@ def test_cli_rejects_bad_config(tmp_path):
         (TINY + "threshold_db: 150\n", "threshold_db"),
         (TINY + "threshold_db: 1e300\n", "threshold_db"),
         (TINY + "threshold_db: -300.5\n", "threshold_db"),
+        # a monopole whose distance from the origin overflows a double
+        (TINY.replace("position: [5, 5, 5]", "position: [1.0e+300, 0, 0]"), "too far"),
+        (TINY.replace("capsules: 40", "capsules: true"), "capsules"),
     ]:
         bad.write_text(text)
         out = tmp_path / "out-malformed"
@@ -643,6 +646,16 @@ def test_cli_rejects_a_silent_source(tmp_path):
                 assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
                 assert res.output.startswith("config error:") and "amplitude must be nonzero" in res.output
             assert not out.exists()
+
+
+def test_cli_runs_spheres_far_smaller_than_their_spacing(tmp_path):
+    """Spheres of radius 1e-9 m scatter next to nothing; their capsules, rounded at the
+    scale of the 0.125 m centres, are still on the spheres, so validate and run exit 0."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(TINY.replace("radius: 0.08", "radius: 1.0e-9"))
+    for command in (["validate", str(cfg_path)], ["run", str(cfg_path), "--out", str(tmp_path / "out")]):
+        res = CliRunner().invoke(main, command)
+        assert res.exit_code == 0, res.output
 
 
 def test_cli_bad_forward_file(tmp_path):

@@ -105,6 +105,19 @@ def test_single_sphere_pipeline_matches_closed_form(rng):
     assert np.max(np.abs(total - ref)) / np.max(np.abs(ref)) < 1e-12
 
 
+def test_a_small_spheres_own_capsules_are_not_inside_it():
+    """Capsules of a sphere of radius 1e-9 at |center| = 0.125 are rounded
+    by ~1e-17 m, far more than 1e-12 of the radius: they still pass the
+    inside check, and a point at half the radius still fails it."""
+    scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]], radius=1e-9, caps=162, n_in=4, n_fwd=2)
+    a_in = scene.incident_coeffs()
+    radiating = forward_solve(scene, a_in)[0]
+    for sphere in scene.spheres:
+        assert np.isfinite(eval_total_field(scene, radiating, a_in, sphere.capsule_positions())).all()
+    with pytest.raises(SceneError, match="inside sphere 1"):
+        eval_total_field(scene, radiating, a_in, scene.spheres[1].center + [0.5e-9, 0.0, 0.0])
+
+
 def test_forward_solve_linearity(rng):
     scene = _scene([[0.0, -0.125, 0.0], [0.0, 0.125, 0.0]])
     a1 = scene.incident_coeffs()
