@@ -11,7 +11,7 @@ import numpy as np
 import yaml
 
 from .fields import DEFAULT_THRESHOLD_DB, SDR_CAP_DB, SDR_FLOOR_DB, GridSpec, sphere_mask
-from .scene import IncidentSource, RsmaSpec, SceneConfig, SceneError, layout_cartesian
+from .scene import IncidentSource, RsmaSpec, SceneConfig, SceneError, check_surface_degree, layout_cartesian
 
 METHODS = ("HOA", "Single", "MSHOA")
 
@@ -89,8 +89,21 @@ class ExperimentConfig:
                     f"the monopole source, {distance:g} m from the origin, lies within the arrays' enclosing radius "
                     f"{reach:g} m: the incident series about the origin diverges on the spheres"
                 )
+        if self.method == "HOA":
+            try:
+                check_surface_degree(self.scene.k, spheres[self.hoa.sphere_index].radius, self.hoa_degree)
+            except SceneError as exc:
+                raise ConfigError(f"invalid HOA array: {exc}")
         if sphere_mask(self.grid, spheres).all():
             raise ConfigError("every pixel of the grid lies inside a sphere: there is no field to compare")
+
+    @property
+    def hoa_degree(self) -> int:
+        """HOA's highest capsule-response degree: n_c_max, or a lone array's reference expansion beyond it."""
+        n = self.hoa.n_c_max
+        if len(self.scene.spheres) == 1:  # the capture of a lone array is expanded generously about it
+            n += max(12, int(np.ceil(np.e * self.scene.k * self.scene.spheres[0].radius)))
+        return n
 
     @property
     def config_hash(self) -> str:

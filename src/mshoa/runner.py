@@ -92,8 +92,7 @@ def _hoa_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
     sphere = scene.spheres[cfg.hoa.sphere_index]
 
     if scene.num_spheres == 1:
-        # lone array: use a generous reference expansion for the capture
-        n_ref = cfg.hoa.n_c_max + max(12, int(np.ceil(np.e * k * sphere.radius)))
+        n_ref = cfg.hoa_degree  # lone array: a generous reference expansion for the capture
         with _timed(parts, "capsule"):
             a_ref = scene.source.coefficients(k, n_ref, center=sphere.center)
             pressures, rcond, blocks = surface_response_matrix(sphere, k, n_ref) @ a_ref.values, None, None

@@ -181,6 +181,21 @@ def layout_cartesian(rows: int, cols: int, spacing: float, plane: str = "xy") ->
     return centers
 
 
+def check_surface_degree(k: float, radius: float, n: int) -> None:
+    """Raise SceneError unless h'_0(ka) .. h'_n(ka) are finite: a run divides by each of them.
+
+    At a small ka, h'_n(ka) grows like (n + 1) (2n - 1)!! / (ka)^(n+2) and
+    leaves the double range from some degree on.
+    """
+    ka = k * radius
+    finite = np.isfinite(sph_hankel1_upto(n, ka, derivative=True))
+    if not finite.all():
+        raise SceneError(
+            f"sphere radius {radius:g} m is too small at this frequency: at ka = {ka:.3g}, h'_n(ka) overflows "
+            f"a double from degree {int(np.argmin(finite))} on, and the run divides by it up to degree {n}"
+        )
+
+
 def recommended_forward_truncation(k: float, radius: float) -> int:
     """Common rule of thumb floor(e * k * a) for the per-sphere truncation."""
     return int(math.floor(math.e * k * radius))
@@ -210,11 +225,19 @@ class SceneConfig:
             raise SceneError(
                 f"forward truncation {self.n_fwd} exceeds incident truncation {self.n_in}"
             )
-        for i, a in enumerate(self.spheres):
-            for j in range(i + 1, len(self.spheres)):
-                bb = self.spheres[j]
-                if np.linalg.norm(a.center - bb.center) <= a.radius + bb.radius:
-                    raise SceneError(f"spheres {i} and {j} overlap")
+        with np.errstate(over="ignore"):  # the squares overflow beyond about 1e154 m: such a distance reads inf
+            for i, a in enumerate(self.spheres):
+                if np.linalg.norm(a.center) == np.inf:  # every translation from it would overflow too
+                    raise SceneError(f"sphere {i}'s center {a.center} is too far: its distance overflows a double")
+                for j in range(i + 1, len(self.spheres)):
+                    bb = self.spheres[j]
+                    distance = np.linalg.norm(a.center - bb.center)
+                    if distance == np.inf:  # the translations between them would overflow
+                        raise SceneError(f"spheres {i} and {j} are too far apart: their distance overflows a double")
+                    if distance <= a.radius + bb.radius:
+                        raise SceneError(f"spheres {i} and {j} overlap")
+        for radius in sorted({s.radius for s in self.spheres}):
+            check_surface_degree(self.k, radius, self.n_fwd)
         if self.source.kind == "monopole":
             for i, s in enumerate(self.spheres):
                 if np.linalg.norm(self.source.position - s.center) <= s.radius:

@@ -31,7 +31,7 @@ from mshoa.basis import (
 from mshoa.config import load_config
 from mshoa.encode import DenseModel, Encoder, hoa_encoder, mshoa_encoder
 from mshoa.fields import FieldGrid, GridSpec, reconstruct_field
-from mshoa.matio import write_field_csv
+from mshoa.matio import write_field_csv, write_real_csv
 from mshoa.runner import _Encoding, _truncation_block
 from mshoa.scatter import (
     _apply_blocks,
@@ -255,3 +255,9 @@ def test_write_field_csv(benchmark, tmp_path):
     spec = GridSpec(plane="xy", extent=(2.0, 2.0), resolution=0.01)
     grid = FieldGrid(spec=spec, values=_complex(np.random.default_rng(4), spec.shape))
     benchmark(write_field_csv, tmp_path / "field.csv", grid, "0123456789abcdef")
+
+
+def test_write_real_csv(benchmark, tmp_path):
+    spec = GridSpec(plane="xy", extent=(2.0, 2.0), resolution=0.01)
+    values = np.random.default_rng(4).standard_normal(spec.shape)
+    benchmark(write_real_csv, tmp_path / "real.csv", values, spec, "0123456789abcdef")

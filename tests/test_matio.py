@@ -1,5 +1,9 @@
 """Binary matrix container and CSV grid round trips."""
 
+import math
+import struct
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +11,9 @@ from hypothesis import strategies as st
 
 from mshoa.fields import FieldGrid, GridSpec
 from mshoa.matio import (
+    _FAST_RANGE,
     _HEADER,
+    _decimal,
     DTYPE_COMPLEX128,
     MAGIC,
     VERSION,
@@ -189,3 +195,65 @@ def test_grid_csv_bytes_match_per_value_formatting(tmp_path, rng, shape):
     for name, grid in (("f.csv", values), ("r.csv", values.real)):
         text = (tmp_path / name).read_text()
         assert text == _per_value_csv(text.splitlines()[:3], grid)
+
+
+def _assert_writers_match_per_value(tmp_path, values):
+    """Both writers, on ``values`` as one grid row per row, write the bytes of per-value ``%.17g`` / ``%+.17g``."""
+    values = np.atleast_2d(np.asarray(values, dtype=complex))
+    rows, cols = values.shape
+    spec = GridSpec(plane="xy", extent=(0.5 * cols, 0.5 * rows), resolution=0.5)
+    assert spec.shape == values.shape
+    write_field_csv(tmp_path / "f.csv", FieldGrid(spec=spec, values=values), "cafe")
+    write_real_csv(tmp_path / "r.csv", values.real, spec, "cafe")
+    for name, grid in (("f.csv", values), ("r.csv", values.real)):
+        data = (tmp_path / name).read_bytes()
+        assert data == _per_value_csv(data.decode().splitlines()[:3], grid).encode()
+
+
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+_ANY_FLOAT = st.one_of(_BIT_PATTERNS, st.floats(allow_subnormal=True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=24), st.integers(1, 3))
+def test_grid_csv_bytes_match_per_value_formatting_for_any_float(tmp_path_factory, pairs, rows):
+    """Any float64 bit pattern, subnormals, infinities and nans included, is
+    written as per-value formatting writes it, by both writers."""
+    values = np.array([complex(*pair) for pair in pairs] * rows).reshape(rows, -1)
+    values.real, values.imag = np.array(pairs * rows).reshape(rows, -1, 2).transpose(2, 0, 1)  # keeps -0.0 and nan
+    _assert_writers_match_per_value(tmp_path_factory.mktemp("any"), values)
+
+
+def _boundaries() -> np.ndarray:
+    """Powers of ten from 1e-300 to 1e300, the fast path's range ends and two 17-digit ties,
+    each with the floats 1 ulp either side of it, and all of them negated."""
+    centres = [float(f"1e{k}") for k in range(-300, 301)] + list(_FAST_RANGE)
+    centres += [1234567890123456.25, 1234567890123456.75]  # 17 digits and a 5: ties, rounded to even
+    values = [math.nextafter(c, toward) for c in centres for toward in (0.0, math.inf)] + centres
+    return np.array(values + [-v for v in values])
+
+
+def test_grid_csv_bytes_match_per_value_formatting_at_boundaries(tmp_path):
+    """Powers of ten +-1 ulp (1e-4 and 1e17 switch between fixed and
+    scientific notation), the floats whose 17-digit rounding carries into the
+    next decade, the fast path's range ends and exact 17-digit ties, over
+    enough rows to span more than one formatting chunk."""
+    values = _boundaries()
+    shown = [(Fraction(v), Fraction(f"{v:.17g}")) for v in values if v > 0]
+    assert any(exact < text == Fraction(10) ** round(math.log10(text)) for exact, text in shown)  # carries
+    assert {1e-4, 1e17, 1234567890123456.25} <= set(values)
+    values = np.concatenate([values, np.zeros(-len(values) % 40)]).reshape(-1, 40)
+    _assert_writers_match_per_value(tmp_path, values + 1j * values[::-1])
+
+
+def test_digits_come_from_array_arithmetic_for_all_but_ties():
+    """Inside the fast range the boundary values get their 17 digits and
+    exponent from the array arithmetic, and they are those of ``%.16e``. Only
+    exact 17-digit ties go to Python, and 1e20: its product with the
+    double-double 1e-4 lands a hair below 1e16, so its range test reads low."""
+    values = _boundaries()
+    inside = values[(np.abs(values) > _FAST_RANGE[0]) & (np.abs(values) < _FAST_RANGE[1])]
+    digits, exponents, ok = _decimal(inside)
+    assert set(np.abs(inside[~ok])) <= {1234567890123456.25, 1234567890123456.75, 999999999999999.875, 1e20}
+    shown = [f"{d // 10**16}.{d % 10**16:016d}e{x:+03d}" for d, x in zip(digits[ok], exponents[ok])]
+    assert shown == [f"{v:.16e}" for v in np.abs(inside[ok])]

@@ -516,6 +516,11 @@ def test_cli_rejects_bad_config(tmp_path):
         (TINY + "threshold_db: -300.5\n", "threshold_db"),
         # a monopole whose distance from the origin overflows a double
         (TINY.replace("position: [5, 5, 5]", "position: [1.0e+300, 0, 0]"), "too far"),
+        # a sphere centre, or two spheres' gap, whose distance overflows: the spheres are named, not the monopole
+        (LONE_HOA.replace("[{center: [0, 0, 0]", "[{center: [1.0e+200, 0, 0]"), "sphere 0's center"),
+        (LONE_HOA.replace("[{center: [0, 0, 0]", "[{center: [1.0e+300, 0, 0]"), "sphere 0's center"),
+        (LONE_HOA.replace("[{center: [0, 0, 0]", "[{center: [1.0e+154, 0, 0], radius: 0.08, capsules: 162}, "
+                          "{center: [-1.0e+154, 0, 0]"), "too far apart"),
         (TINY.replace("capsules: 40", "capsules: true"), "capsules"),
     ]:
         bad.write_text(text)
@@ -658,6 +663,28 @@ def test_cli_runs_spheres_far_smaller_than_their_spacing(tmp_path):
         assert res.exit_code == 0, res.output
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        TINY.replace("radius: 0.08", "radius: 1.0e-40").replace("n_fwd: 5", "n_fwd: 8"),
+        TINY_HOA.replace("radius: 0.08", "radius: 1.0e-40").replace("n_c: 4", "n_c: 8"),
+        LONE_HOA.replace("radius: 0.08", "radius: 5.5e-22"),  # n_c_max 8 is finite, the reference degree 20 is not
+    ],
+    ids=["n_fwd", "hoa_n_c", "lone_hoa_reference"],
+)
+def test_cli_rejects_a_sphere_too_small_for_its_degrees(tmp_path, text):
+    """A radius at which h'_n(ka) overflows a double at a degree the run divides
+    by is a config error naming the radius and ka, from validate and run alike,
+    with no numpy warning on the way."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    for command in (["validate", str(bad)], ["run", str(bad), "--out", str(tmp_path / "out")]):
+        res = CliRunner().invoke(main, command)
+        assert res.exit_code == 2, res.output
+        assert "config error" in res.output and "too small" in res.output and "ka = " in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bad_forward_file(tmp_path):
     """A forward file that is no matrix, too short, of the wrong shape or
     holding a nan entry is a runtime error, exit 4, found before any
@@ -692,14 +719,23 @@ def test_cli_bad_forward_file(tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # from the overflowed radial functions
 def test_cli_runtime_failures_exit_4(tmp_path, monkeypatch):
+    from mshoa import encode
+
     runner = CliRunner()
     cfg_path = tmp_path / "cfg.yaml"
-    # degree 200 at kR = 1.47 overflows h'_n: the σ = 0 pseudo-inverse of a response holding nan fails,
-    # and so does the σ > 0 Cholesky factorisation of its Gram
+    # the σ = 0 pseudo-inverse of a response holding nan fails, and so does the σ > 0 Cholesky
+    # factorisation of its Gram (an h'_n that overflows is a config error, found before the run)
+    respond = encode.surface_response_matrix
+
+    def respond_nan(*args):
+        response = respond(*args)
+        response[0, -1] = np.nan
+        return response
+
+    monkeypatch.setattr(encode, "surface_response_matrix", respond_nan)
     for sigma, message in (("", "pseudo-inverse"), ("sigma: 1e-6\n", "factorisation failed")):
-        cfg_path.write_text(TINY_HOA.replace("hoa: {n_c: 4}", f"{sigma}hoa: {{n_c_min: 1, n_c_max: 200}}"))
+        cfg_path.write_text(TINY_HOA.replace("hoa: {n_c: 4}", f"{sigma}hoa: {{n_c_min: 1, n_c_max: 4}}"))
         res = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "nan")])
         assert res.exit_code == 4, res.output
         assert "runtime error" in res.output and message in res.output
