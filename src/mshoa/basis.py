@@ -15,7 +15,6 @@ phi = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,11 +111,11 @@ def sph_bessel_j_upto(n_max: int, x, derivative: bool = False) -> np.ndarray:
     if np.any(np.asarray(x) < 0):
         raise BasisDomainError("j_n is evaluated for x >= 0")
     if not derivative:
-        return _orders(_bessel_j_scalar, _bessel_j_rows, n_max, x)
+        return _orders(_bessel_j_rows, n_max, x)
     x = np.asarray(x, dtype=float)
     limit = (np.arange(n_max + 1) == 1).reshape((-1,) + (1,) * x.ndim) / 3.0
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 reads the limit
-        return np.where(x == 0, limit, _derivative(_orders(_bessel_j_scalar, _bessel_j_rows, n_max + 1, x), x))
+        return np.where(x == 0, limit, _derivative(_orders(_bessel_j_rows, n_max + 1, x), x))
 
 
 def sph_hankel1_upto(n_max: int, x, derivative: bool = False) -> np.ndarray:
@@ -128,8 +127,8 @@ def sph_hankel1_upto(n_max: int, x, derivative: bool = False) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise BasisDomainError("h_n requires x > 0")
-    j = _orders(_bessel_j_scalar, _bessel_j_rows, n_max + derivative, x)
-    y = _orders(_bessel_y, _bessel_y, n_max + derivative, x)
+    j = _orders(_bessel_j_rows, n_max + derivative, x)
+    y = _orders(_bessel_y, n_max + derivative, x)
     h = np.empty((n_max + 1,) + x.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an order past the double range is not finite
         h.real, h.imag = (_derivative(j, x), _derivative(y, x)) if derivative else (j, y)
@@ -148,35 +147,13 @@ def _ratio_start(n_max: int) -> int:
     return n_max + 10 + int(8 * np.cbrt(n_max))
 
 
-def _orders(scalar, rows, n_max: int, x) -> np.ndarray:
-    """Orders 0..n_max of one radial function at ``x``, rows first: by ``scalar`` at one argument, given as a
-    Python float, where a numpy loop over orders would cost more than the arithmetic, else by ``rows`` on the
-    arguments sorted ascending, gathered back by the inverse permutation (``take`` writes each row contiguously)."""
+def _orders(rows, n_max: int, x) -> np.ndarray:
+    """Orders 0..n_max of one radial function at ``x``, rows first: by ``rows`` on the arguments sorted
+    ascending, gathered back by the inverse permutation (``take`` writes each row contiguously)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return np.array(scalar(n_max, float(x)))
     flat = x.ravel()
     order = np.argsort(flat, kind="stable")
     return np.take(rows(n_max, flat[order]), np.argsort(order), axis=1).reshape((n_max + 1,) + x.shape)
-
-
-def _bessel_j_scalar(n_max: int, x: float) -> list[float]:
-    """j_0 .. j_{n_max} at one x >= 0 (see :func:`sph_bessel_j_upto`)."""
-    sin, cos = float(np.sin(x)), float(np.cos(x))  # numpy's, as the array path takes them
-    j = [sin / x if x else 1.0]
-    older = cos / x if x else 0.0  # j_{-1}
-    top = max(0, min(n_max, math.ceil(x) - 1))  # the orders n < x run upward
-    for n in range(1, top + 1):
-        j.append((2 * n - 1) / x * j[-1] - older)
-        older = j[-2]
-    ratios, r = [], 0.0
-    for n in range(_ratio_start(n_max), top, -1):
-        r = x / (2 * n + 1 - x * r)
-        if n <= n_max:
-            ratios.append(r)
-    for r in reversed(ratios):
-        j.append(r * j[-1])
-    return j
 
 
 def _bessel_j_rows(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -205,8 +182,8 @@ def _bessel_j_rows(n_max: int, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _bessel_y(n_max: int, x) -> list:
-    """y_0 .. y_{n_max} upward at x > 0, one argument or an array of them: one entry per order."""
+def _bessel_y(n_max: int, x: np.ndarray) -> list:
+    """y_0 .. y_{n_max} upward at x > 0: one array per order."""
     y, older = [-np.cos(x) / x], np.sin(x) / x  # y_0, y_{-1}
     with np.errstate(over="ignore", invalid="ignore"):  # an order past the double range is not finite
         for n in range(1, n_max + 1):

@@ -10,8 +10,9 @@ Matrix files are a bit-exact contract for reuse across runs:
     raw       rows*cols complex128 little-endian, row-major
 
 CSV grids carry a 3-line ``#`` header (plane/offset, extent/resolution/center,
-config hash) before the data rows. A cell is ``%.17g`` of its float, or
-``%.17g%+.17gj`` of a complex value, so it reads back bit-exact.
+config hash) before the data rows. A cell is ``%.16e`` of its float, or
+``%.16e%+.16ej`` of a complex value: 17 significant digits, so it reads back
+to the same float64 bits.
 """
 
 from __future__ import annotations
@@ -78,12 +79,9 @@ def _grid_header(spec: GridSpec, config_hash: str) -> list[str]:
 _FAST_RANGE = (1e-280, 1e280)  # |x| whose scaled products and splits stay far from overflow and subnormals
 _TIE_MARGIN = 1e-9  # a rounding fraction this close to 1/2 goes to Python; the fraction errs by less than 1e-14
 _CHUNK_FLOATS = 4096  # floats formatted per pass, which keeps the temporaries near 1 MB
-_E0 = 300  # the exponent tables run from -_E0 to _E0
-# Each float is laid out in a slot of 32 bytes, NUL where ``%g`` prints nothing, and handled as 4 little-endian
-# words, in which a left shift by 8 bits moves every byte one column right:
-#   0 separator | 1 sign | 2-6 "0.000" | 7-24 17 digits and a point | 25 "e" | 26 exponent sign | 28-30 its digits
-#   | 31 "j" after an imaginary part
-_SLOT = 32
+# Each float is laid out in a slot of 8 little-endian 32-bit words, NUL where ``%.16e`` prints nothing:
+#   0 separator, sign, lead digit, point | 1-4 the 16 digits after the point | 5 "e", exponent sign
+#   | 6 NUL, the exponent's 3 digits (the first NUL below 100) | 7 NUL, but "j" in the last byte after an imaginary part
 
 
 @functools.cache
@@ -96,46 +94,10 @@ def _pow10(p: int) -> tuple[float, float]:
 
 
 @functools.cache
-def _tables():
-    """Lookup tables of the slot layout, built on first use.
-
-    - ``quads``: the ASCII of 0000 to 9999, one 32-bit word each;
-    - ``trailing``: the trailing zeros of 0 to 9999, 4 for 0;
-    - ``notations`` and ``exponents``, by exponent X + _E0: the first
-      ``layouts`` row of X's notation less one, and the slot's last word
-      with X's printed digits, 0 in fixed notation;
-    - ``layouts``, by notation * 17 + digits printed - 1: the mask of the
-      digits in place (before the point), the mask of the digits one byte
-      right (after it), and the bytes of the point, "0.000" and "e+" or
-      "e-". Notations 0-16 are fixed with X = 0-16, 17-20 fixed with
-      X = -1 to -4, and 21 and 22 scientific with X < 0 and X > 0.
-    """
+def _quads() -> np.ndarray:
+    """The ASCII of 0000 to 9999, one little-endian 32-bit word each."""
     n = np.arange(10000)
-    quads = (n[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-    trailing = sum(n % place == 0 for place in (10, 100, 1000, 10000))
-    x = np.arange(-_E0, _E0 + 1)
-    fixed = (x >= -4) & (x < 17)
-    notations = np.where(fixed, np.where(x >= 0, x, 16 - x), np.where(x < 0, 21, 22)) * 17 - 1
-    exponents = np.zeros((len(x), 4), np.uint8)
-    exponents[:, :3] = quads[np.abs(x), 1:] * ~fixed[:, None]
-    exponents[np.abs(x) < 100, 0] = 0
-    layouts = np.zeros((3, 23, 17, _SLOT), np.uint8)
-    for notation in range(23):
-        x = notation if notation < 17 else 16 - notation if notation < 21 else 0
-        point = x if notation < 17 else -1 if notation < 21 else 0  # the point follows this digit
-        for shown in range(1, 18):
-            rows = layouts[:, notation, shown - 1]
-            kept = max(shown, point + 1)  # a whole number keeps its zeros
-            rows[0, 7 : 8 + min(point, kept - 1)] = 255
-            rows[1, 9 + point : 8 + kept] = 255
-            if 0 <= point < kept - 1:
-                rows[2, 8 + point] = ord(".")
-            if point < 0:
-                rows[2, 2 : 3 - x] = np.frombuffer(b"0.000"[: 1 - x], np.uint8)
-            if notation >= 21:
-                rows[2, 25:27] = np.frombuffer(b"e-" if notation == 21 else b"e+", np.uint8)
-    exponents = exponents.view("<u4").ravel().astype("<u8") << np.uint64(32)
-    return quads.view("<u4").ravel(), trailing, notations, exponents, layouts.reshape(3, -1, _SLOT)
+    return (n[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8).view("<u4").ravel()
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +127,7 @@ def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 17 digits D = round(|x| 10**(16 - X)) and the exponent X of ``%.17g``, and where they hold.
+    """The 17 digits D = round(|x| 10**(16 - X)) and the exponent X of ``%.16e``, and where they hold.
 
     The scaled value's fraction errs by less than 1e-14: 10**p as hi + lo
     and the product ax * lo each err by under 2**-106 of the scaled value
@@ -193,42 +155,27 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _format_floats(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """``%.17g`` of each float of ``x`` in its slot, a row of the returned bytes; separators are left NUL.
+    """``%.16e`` of each float of ``x`` in its slot, a row of the returned bytes; separators are left NUL.
 
     ``signs`` is the first word of each slot with its sign byte: "+" for
-    ``%+.17g``, else NUL. A float whose digits :func:`_decimal` cannot give
+    ``%+.16e``, else NUL. A float whose digits :func:`_decimal` cannot give
     is formatted by Python's own ``%``.
     """
     d, e, ok = _decimal(x)
-    e += _E0
-    quads, trailing, notations, exponents, layouts = _tables()
-    top = d // 10**16
-    high = (d - top * 10**16) // 10**8
-    low = d - top * 10**16 - high * 10**8
-    groups = (high // 10**4, high % 10**4, low // 10**4, low % 10**4)
-    digits = np.zeros((len(x), _SLOT // 4), "<u4")
-    digits.view(np.uint8)[:, 7] = top + ord("0")
-    for i, group in enumerate(groups):
-        digits[:, 2 + i] = quads.take(group)
-    zeros = trailing.take(groups[3])
-    for i in (2, 1, 0):  # a group of zeros adds the trailing zeros of the group before it
-        zeros += (zeros == 4 * (3 - i)) * trailing.take(groups[i])
-
-    in_place = digits.view("<u8")
-    moved = in_place << np.uint64(8)  # each byte one column right; a slot's last byte is NUL
-    moved.ravel()[1:] |= in_place.ravel()[:-1] >> np.uint64(56)
-    layout = notations.take(e) + (17 - zeros)
-    slots = layouts[0].take(layout, axis=0).view("<u8")
-    slots &= in_place
-    moved &= layouts[1].take(layout, axis=0).view("<u8")
-    slots |= moved
-    slots |= layouts[2].take(layout, axis=0).view("<u8")
-    slots[:, 0] |= np.where(np.signbit(x), np.uint64(ord("-") << 8), signs)
-    slots[:, 3] |= exponents.take(e)
-    slots = slots.view(np.uint8)
+    quads = _quads()
+    lead, rest = np.divmod(d, 10**16)
+    high, low = np.divmod(rest, 10**8)
+    words = np.zeros((len(x), 8), "<u4")
+    words[:, 0] = np.where(np.signbit(x), ord("-") << 8, signs) | (lead + ord("0")) << 16 | ord(".") << 24
+    for i, group in enumerate(np.divmod(high, 10**4) + np.divmod(low, 10**4)):
+        words[:, 1 + i] = quads.take(group)
+    words[:, 5] = np.where(e < 0, ord("-"), ord("+")) << 8 | ord("e")
+    e = np.abs(e)
+    words[:, 6] = quads.take(e) & np.where(e < 100, 0xFFFF0000, 0xFFFFFF00)  # no thousands digit, no hundreds below 100
+    slots = words.view(np.uint8)
 
     for i in np.flatnonzero(~ok):
-        text = (("%+.17g" if signs[i] else "%.17g") % float(x[i])).encode()
+        text = (("%+.16e" if signs[i] else "%.16e") % float(x[i])).encode()
         slots[i, 1:-1] = 0
         slots[i, 1 : 1 + len(text)] = np.frombuffer(text, np.uint8)
     return slots
@@ -237,15 +184,15 @@ def _format_floats(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
 def _write_grid(path, spec: GridSpec, config_hash: str, values: np.ndarray) -> None:
     """Header, then one CSV row per grid row, formatted and written a chunk of rows at a time.
 
-    ``values`` is float64 or complex128; a float is written ``%.17g`` and a
-    complex value ``%.17g%+.17gj``. Each float is laid out in its slot, and
+    ``values`` is float64 or complex128; a float is written ``%.16e`` and a
+    complex value ``%.16e%+.16ej``. Each float is laid out in its slot, and
     every NUL byte is dropped before a chunk is written.
     """
     rows, cols = values.shape
     per_value = 2 if np.iscomplexobj(values) else 1
     floats = np.ascontiguousarray(values).view(float).ravel()
     step = max(1, _CHUNK_FLOATS // (cols * per_value)) * cols * per_value
-    signs = np.zeros(min(step, len(floats)), "<u8")
+    signs = np.zeros(min(step, len(floats)), "<u4")
     if per_value == 2:
         signs[1::2] = ord("+") << 8  # the imaginary part is signed
     with open(path, "wb") as fh:

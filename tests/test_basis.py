@@ -119,16 +119,20 @@ def test_radial_functions_at_the_turning_point_against_mpmath():
             assert abs(value - exact) < 1e-14 * scale
 
 
-def test_radial_functions_at_one_argument_match_the_array_path():
-    """A scalar argument runs the orders on Python floats; it gives the same
-    bits as the same argument in an array, at every order."""
-    for x in (0.0, 1e-8, 0.5, 1.0, np.pi, 44.9999, 45.0, 61.0, 100.3, 150.0):
-        assert np.array_equal(sph_bessel_j_upto(61, x), sph_bessel_j_upto(61, np.array([x]))[:, 0])
-        assert np.array_equal(sph_bessel_j_upto(61, x, True), sph_bessel_j_upto(61, np.array([[x]]), True)[:, 0, 0])
-        if x > 0:
-            with np.errstate(over="ignore", invalid="ignore"):  # y_n overflows at 1e-8
-                one, row = sph_hankel1_upto(61, x, True), sph_hankel1_upto(61, np.array([x]), True)[:, 0]
-            assert np.array_equal(one, row, equal_nan=True)
+def test_radial_functions_at_one_argument_match_the_array_path(rng):
+    """Each point of a mixed 3000-point array, zero, tiny, order-crossing and
+    large arguments in random order, gets at every order the bits it gets
+    alone. The array path sorts its arguments, so this pins that no point
+    depends on its neighbours, and that one argument runs the same path."""
+    special = np.array([0.0, 1e-8, 0.5, 1.0, np.pi, 31.9999, 32.0, 61.0, 100.3, 150.0])
+    x = rng.permutation(np.concatenate([special, rng.uniform(0, 80, 1495), rng.exponential(5, 1495)]))
+    j, dj = sph_bessel_j_upto(32, x), sph_bessel_j_upto(32, special.reshape(-1, 1), True)[:, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # y_n overflows at 1e-8
+        dh = sph_hankel1_upto(32, x[x > 0], True)
+        alone = [sph_hankel1_upto(32, v, True) for v in x[x > 0]]
+    assert all(np.array_equal(sph_bessel_j_upto(32, v), j[:, i]) for i, v in enumerate(x))
+    assert all(np.array_equal(sph_bessel_j_upto(32, v, True), dj[:, i]) for i, v in enumerate(special))
+    assert all(np.array_equal(one, dh[:, i], equal_nan=True) for i, one in enumerate(alone))
 
 
 def test_wronskian_identity():

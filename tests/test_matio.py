@@ -172,9 +172,9 @@ def test_real_csv_header_and_values(tmp_path):
 def _per_value_csv(header, values):
     """The grid text as formatted one value at a time."""
     if np.iscomplexobj(values):
-        rows = [",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) for row in values]
+        rows = [",".join(f"{v.real:.16e}{v.imag:+.16e}j" for v in row) for row in values]
     else:
-        rows = [",".join(f"{v:.17g}" for v in row) for row in values]
+        rows = [",".join(f"{v:.16e}" for v in row) for row in values]
     return "\n".join(header + rows) + "\n"
 
 
@@ -198,7 +198,7 @@ def test_grid_csv_bytes_match_per_value_formatting(tmp_path, rng, shape):
 
 
 def _assert_writers_match_per_value(tmp_path, values):
-    """Both writers, on ``values`` as one grid row per row, write the bytes of per-value ``%.17g`` / ``%+.17g``."""
+    """Both writers, on ``values`` as one grid row per row, write the bytes of per-value ``%.16e`` / ``%+.16e``."""
     values = np.atleast_2d(np.asarray(values, dtype=complex))
     rows, cols = values.shape
     spec = GridSpec(plane="xy", extent=(0.5 * cols, 0.5 * rows), resolution=0.5)
@@ -234,12 +234,11 @@ def _boundaries() -> np.ndarray:
 
 
 def test_grid_csv_bytes_match_per_value_formatting_at_boundaries(tmp_path):
-    """Powers of ten +-1 ulp (1e-4 and 1e17 switch between fixed and
-    scientific notation), the floats whose 17-digit rounding carries into the
-    next decade, the fast path's range ends and exact 17-digit ties, over
-    enough rows to span more than one formatting chunk."""
+    """Powers of ten +-1 ulp, the floats whose 17-digit rounding carries
+    into the next decade, the fast path's range ends and exact 17-digit ties,
+    over enough rows to span more than one formatting chunk."""
     values = _boundaries()
-    shown = [(Fraction(v), Fraction(f"{v:.17g}")) for v in values if v > 0]
+    shown = [(Fraction(v), Fraction(f"{v:.16e}")) for v in values if v > 0]
     assert any(exact < text == Fraction(10) ** round(math.log10(text)) for exact, text in shown)  # carries
     assert {1e-4, 1e17, 1234567890123456.25} <= set(values)
     values = np.concatenate([values, np.zeros(-len(values) % 40)]).reshape(-1, 40)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mshoa.basis import num_coeffs
+from mshoa.basis import CoefficientVector, num_coeffs
 from mshoa.cli import main
 from mshoa.config import load_config, validate_config
+from mshoa.fields import ground_truth_field, reconstruct_field, sdr_map, sphere_mask
 from mshoa.matio import export_matrix, import_matrix
 from mshoa.runner import run_experiment
 from tests.oracles import capture_warnings, read_field_csv
@@ -75,6 +76,24 @@ def test_run_writes_all_artifacts(tmp_path):
     grid, header = read_field_csv(out / "estimated.csv")
     assert grid.shape == cfg.grid.shape
     assert f"config={cfg.config_hash}" in header[2]
+
+
+def test_csv_grids_read_back_to_the_fields_they_record(tmp_path):
+    """Whatever the cell format, each CSV grid of a run reads back to the
+    float64 bits of its field: ``estimated.csv`` to the reconstruction of the
+    dumped coefficients, ``ground_truth.csv`` to the incident field and
+    ``sdr_map.csv`` to the SDR map of the two."""
+    cfg = validate_config(TINY)
+    out = tmp_path / "out"
+    run_experiment(cfg, out, dump_coeffs=True)
+    scene = cfg.scene
+    coeffs = CoefficientVector(k=scene.k, n_max=scene.n_in, values=import_matrix(out / "coefficients.bin")[0])
+    estimated = reconstruct_field(coeffs, cfg.grid)
+    truth = ground_truth_field(scene.source, scene.k, cfg.grid)
+    report = sdr_map(estimated, truth, sphere_mask(cfg.grid, scene.spheres), cfg.threshold_db)
+    grids = {"estimated.csv": estimated.values, "ground_truth.csv": truth.values, "sdr_map.csv": report.sdr_map}
+    for name, values in grids.items():
+        assert np.array_equal(read_field_csv(out / name)[0], values), name
 
 
 def test_hoa_run_selects_truncation(tmp_path):
