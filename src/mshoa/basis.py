@@ -1,8 +1,8 @@
 """Special functions, complex spherical harmonics, and spherical basis functions.
 
-The radial functions j_n, y_n and h_n = j_n + i y_n are evaluated at every
-order 0..N at once, by three-term recurrences run in their stable direction
-(:func:`sph_bessel_j_upto`, :func:`sph_hankel1_upto`).
+The radial functions j_n and h_n = j_n + i y_n, and h'_n, whose real part is
+j'_n, are evaluated at every order 0..N at once, by three-term recurrences
+run in their stable direction (:func:`sph_bessel_j_upto`, :func:`sph_hankel1_upto`).
 
 Coefficient packing is 0-based: the (n, m) weight of an expansion lives at
 index l = n^2 + n + m, so a series truncated at degree N has (N+1)^2 entries.
@@ -95,8 +95,8 @@ class CoefficientVector:
 # radial functions
 # ---------------------------------------------------------------------------
 
-def sph_bessel_j_upto(n_max: int, x, derivative: bool = False) -> np.ndarray:
-    """j_0 .. j_{n_max} (or their derivatives) at ``x >= 0``: shape (n_max+1,) + shape of ``x``.
+def sph_bessel_j_upto(n_max: int, x) -> np.ndarray:
+    """j_0 .. j_{n_max} at ``x >= 0``: shape (n_max+1,) + shape of ``x``.
 
     Each order comes from its neighbours by the three-term recurrence
     f_{n+1} = (2n+1)/x f_n - f_{n-1} (Gautschi, SIAM Review 9, 1967; Gumerov
@@ -105,17 +105,12 @@ def sph_bessel_j_upto(n_max: int, x, derivative: bool = False) -> np.ndarray:
     where j_n oscillates, and, at n >= x, where j_n falls off, as
     j_n = r_n j_{n-1} with the ratios r_n = j_n / j_{n-1} = x / (2n+1 - x r_{n+1})
     of the downward continued fraction, started from r = 0 beyond order
-    :func:`_ratio_start`.  Derivatives are f_n' = f_{n-1} - (n+1)/x f_n,
-    j_0' = -j_1 and j_1'(0) = 1/3.
+    :func:`_ratio_start`.  The derivatives j'_n are the real part of
+    :func:`sph_hankel1_upto`'s.
     """
     if np.any(np.asarray(x) < 0):
         raise BasisDomainError("j_n is evaluated for x >= 0")
-    if not derivative:
-        return _orders(_bessel_j_rows, n_max, x)
-    x = np.asarray(x, dtype=float)
-    limit = (np.arange(n_max + 1) == 1).reshape((-1,) + (1,) * x.ndim) / 3.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 reads the limit
-        return np.where(x == 0, limit, _derivative(_orders(_bessel_j_rows, n_max + 1, x), x))
+    return _orders(_bessel_j_rows, n_max, x)
 
 
 def sph_hankel1_upto(n_max: int, x, derivative: bool = False) -> np.ndarray:

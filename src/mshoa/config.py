@@ -89,6 +89,12 @@ class ExperimentConfig:
                     f"the monopole source, {distance:g} m from the origin, lies within the arrays' enclosing radius "
                     f"{reach:g} m: the incident series about the origin diverges on the spheres"
                 )
+        if source.kind == "monopole":  # IncidentSource.field_at divides the true field by each pixel's distance to it
+            with np.errstate(over="ignore"):  # a distance that overflows is inf: not on the source
+                on = np.linalg.norm(self.grid.points() - source.position, axis=1) == 0.0
+            if on.any():
+                row, col = np.unravel_index(np.argmax(on), self.grid.shape)
+                raise ConfigError(f"the monopole source lies on the centre of pixel (row {row}, column {col}): its field is infinite there")
         if self.method == "HOA":
             try:
                 check_surface_degree(self.scene.k, spheres[self.hoa.sphere_index].radius, self.hoa_degree)

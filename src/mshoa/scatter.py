@@ -20,7 +20,6 @@ from .basis import (
     num_coeffs,
     regular_basis_matrix,
     singular_basis_matrix,
-    sph_bessel_j_upto,
     sph_hankel1_upto,
     sph_harm_matrix,
     cart_to_sph,
@@ -213,16 +212,15 @@ def surface_response_matrix(sphere: RsmaSpec, k: float, n_c: int) -> np.ndarray:
     return y
 
 
-def rigid_scatter_gain(k: float, radius: float, n_c: int) -> np.ndarray:
-    """Per-mode scattering gain -j'_n(ka)/h'_n(ka), repeated over orders."""
-    ka = k * radius
-    ratio = -sph_bessel_j_upto(n_c, ka, derivative=True) / sph_hankel1_upto(n_c, ka, derivative=True)
-    return ratio[degrees_upto(n_c)]
+def rigid_scatter_gain(k: float, radius, n_c: int) -> np.ndarray:
+    """Per-mode scattering gain -j'_n(ka)/h'_n(ka) = -Re h'_n(ka)/h'_n(ka), repeated over orders; a column per radius of an array."""
+    hp = sph_hankel1_upto(n_c, k * np.asarray(radius, dtype=float), derivative=True)
+    return (-hp.real / hp)[degrees_upto(n_c)]
 
 
 def _scatter_gains(scene: SceneConfig) -> np.ndarray:
     """Every sphere's :func:`rigid_scatter_gain` at ``n_fwd``, one row per sphere."""
-    return np.array([rigid_scatter_gain(scene.k, sph.radius, scene.n_fwd) for sph in scene.spheres])
+    return rigid_scatter_gain(scene.k, [sph.radius for sph in scene.spheres], scene.n_fwd).T
 
 
 def _reflection_signs(n_max: int) -> np.ndarray:

@@ -38,9 +38,11 @@ from mshoa.translation import rr_translation, sr_translation
 
 
 def sph_bessel_j(n, x, derivative: bool = False):
-    """The library's spherical Bessel function j_n(x) (or its derivative) at an
+    """The library's spherical Bessel function j_n(x) (or its derivative, Re h'_n(x), at x > 0) at an
     order ``n``, or at an array of orders and one ``x``: one row of its all-orders evaluator."""
-    return sph_bessel_j_upto(int(np.max(n)), x, derivative)[n]
+    if derivative:
+        return sph_hankel1(n, x, derivative).real
+    return sph_bessel_j_upto(int(np.max(n)), x)[n]
 
 
 def sph_hankel1(n, x, derivative: bool = False):

@@ -123,6 +123,7 @@ def test_config_rejections():
         (MINIMAL + "hoa: {n_c: 3, n_c_max: 5}\n", "n_c"),
         (MINIMAL + "hoa: {n_c: 3, n_c_min: 2}\n", "n_c"),
         (MINIMAL + "hoa: {sphere_index: 1.5}\n", "sphere_index"),
+        (MINIMAL + "sigma_search: {points: 0}\n", "points"),
         (MINIMAL + "sigma_search: {min_factor: 0}\n", "factor"),
         (MINIMAL + "sigma_search: {min_factor: -1e-8}\n", "factor"),
         (MINIMAL + "sigma_search: 5\n", "sigma_search"),

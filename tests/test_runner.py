@@ -550,6 +550,16 @@ def test_cli_rejects_bad_config(tmp_path):
             assert "config error" in res.output and word in res.output
         assert not (out / "summary.json").exists()
 
+    # a monopole on a pixel centre, (0.5, 0.5) on an 11 x 11 grid of 0.1 m pixels: the true field is infinite there
+    bad.write_text(TINY.replace("[5, 5, 5]", "[0.5, 0.5, 0]").replace(
+        "extent: [0.8, 0.8], resolution: 0.05", "extent: [1.1, 1.1], resolution: 0.1"))
+    out = tmp_path / "out-on-pixel"
+    for command in (["validate", str(bad)], ["run", str(bad), "--out", str(out)]):
+        res = runner.invoke(main, command)
+        assert res.exit_code == 2, res.output
+        assert "config error" in res.output and "pixel (row 10, column 10)" in res.output
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("field", NON_FINITE)
 def test_cli_run_rejects_a_non_finite_vector(tmp_path, field):
@@ -769,6 +779,26 @@ def test_cli_runtime_failures_exit_4(tmp_path, monkeypatch):
     res = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "oom")])
     assert res.exit_code == 4, res.output
     assert "out of memory" in res.output and "54.5 GiB" in res.output
+
+
+def test_cli_solver_failure_exits_3(tmp_path, monkeypatch):
+    """A class system holding a NaN is a SolverError, which the CLI reports as a solver error, exit 3."""
+    from mshoa import scatter
+
+    assemble = scatter.assemble_system_matrix
+
+    def assemble_nan(*args):
+        systems = assemble(*args)
+        systems[0][0, -1] = np.nan
+        return systems
+
+    monkeypatch.setattr(scatter, "assemble_system_matrix", assemble_nan)
+    cfg_path, out = tmp_path / "cfg.yaml", tmp_path / "out"
+    cfg_path.write_text(TINY)
+    res = CliRunner().invoke(main, ["run", str(cfg_path), "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "solver error" in res.output and "Traceback" not in res.output
+    assert not (out / "summary.json").exists()
 
 
 def test_cg_past_its_cap_exits_4(tmp_path, monkeypatch):
