@@ -179,8 +179,8 @@ def _bessel_j_rows(n_max: int, x: np.ndarray) -> np.ndarray:
 
 def _bessel_y(n_max: int, x: np.ndarray) -> list:
     """y_0 .. y_{n_max} upward at x > 0: one array per order."""
-    y, older = [-np.cos(x) / x], np.sin(x) / x  # y_0, y_{-1}
     with np.errstate(over="ignore", invalid="ignore"):  # an order past the double range is not finite
+        y, older = [-np.cos(x) / x], np.sin(x) / x  # y_0, y_{-1}; y_0 too at a subnormal x
         for n in range(1, n_max + 1):
             y.append((2 * n - 1) / x * y[-1] - older)
             older = y[-2]

@@ -25,6 +25,12 @@ def main(verbose: bool):
     )
 
 
+def _out_of_memory(exc: MemoryError):
+    detail = f" ({exc})" if str(exc) else ""
+    click.echo(f"runtime error: out of memory{detail}; try a smaller scene or grid", err=True)
+    sys.exit(4)
+
+
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", default="out", show_default=True, help="Output directory.")
@@ -53,9 +59,7 @@ def run(config_path, out_dir, export_forward, import_forward, dump_coeffs):
         click.echo(f"runtime error: {exc}", err=True)
         sys.exit(4)
     except MemoryError as exc:
-        detail = f" ({exc})" if str(exc) else ""
-        click.echo(f"runtime error: out of memory{detail}; try a smaller scene or grid", err=True)
-        sys.exit(4)
+        _out_of_memory(exc)
     click.echo(
         f"{summary.method} @ {summary.frequency:.0f} Hz: "
         f"SSA {summary.ssa:.4f} m^2 above {summary.threshold_db:.0f} dB "
@@ -73,6 +77,8 @@ def validate(config_path):
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
+    except MemoryError as exc:  # the checks build every pixel centre of the grid
+        _out_of_memory(exc)
     click.echo(
         f"ok: {cfg.method}, {cfg.scene.num_spheres} spheres, "
         f"{cfg.scene.total_capsules} capsules, f={cfg.scene.frequency:.0f} Hz, "

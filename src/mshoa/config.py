@@ -10,14 +10,17 @@ from functools import partial
 import numpy as np
 import yaml
 
-from .fields import DEFAULT_THRESHOLD_DB, SDR_CAP_DB, SDR_FLOOR_DB, GridSpec, sphere_mask
-from .scene import IncidentSource, RsmaSpec, SceneConfig, SceneError, check_surface_degree, layout_cartesian
+from .fields import DEFAULT_THRESHOLD_DB, SDR_CAP_DB, SDR_FLOOR_DB, GridSpec, _inside_spheres
+from .scene import MAX_DEGREE, IncidentSource, RsmaSpec, SceneConfig, SceneError, check_surface_degree, layout_cartesian
 
 METHODS = ("HOA", "Single", "MSHOA")
 
 
 class ConfigError(ValueError):
     """Unparseable or semantically invalid experiment configuration."""
+
+
+MAX_SIGMA_POINTS = 10**3  # each is a ridge solve and a pixel reconstruction; the configs use at most 21
 
 
 @dataclass
@@ -27,8 +30,8 @@ class SigmaSearch:
     max_factor: float = 1e2
 
     def __post_init__(self):
-        if self.points < 1:
-            raise ValueError(f"points must be at least 1, got {self.points}")
+        if not 1 <= self.points <= MAX_SIGMA_POINTS:
+            raise ValueError(f"points must be from 1 to {MAX_SIGMA_POINTS:,}, got {self.points:,}")
         if min(self.min_factor, self.max_factor) <= 0:
             raise ValueError("factors must be positive (the grid is logarithmic)")
 
@@ -54,7 +57,7 @@ class ExperimentConfig:
     threshold_db: float = DEFAULT_THRESHOLD_DB
     sigma: float | None = None
     sigma_search: SigmaSearch | None = None
-    hoa: HoaSettings = field(default_factory=HoaSettings)
+    hoa: HoaSettings | None = None  # HOA's alone, which defaults it; no other method encodes a single array
     raw: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -74,11 +77,25 @@ class ExperimentConfig:
             else:
                 self.sigma_search = SigmaSearch()
         spheres = self.scene.spheres
-        if self.hoa.sphere_index is None:
-            nearest = int(np.argmin([np.linalg.norm(s.center) for s in spheres]))
-            self.hoa = replace(self.hoa, sphere_index=nearest)
-        if self.hoa.sphere_index >= len(spheres):
-            raise ConfigError(f"hoa.sphere_index {self.hoa.sphere_index} out of range")
+        if self.method == "HOA":
+            if self.hoa is None:
+                self.hoa = HoaSettings()
+            if self.hoa.sphere_index is None:
+                nearest = int(np.argmin([np.linalg.norm(s.center) for s in spheres]))
+                self.hoa = replace(self.hoa, sphere_index=nearest)
+            if self.hoa.sphere_index >= len(spheres):
+                raise ConfigError(f"hoa.sphere_index {self.hoa.sphere_index} out of range")
+            if self.hoa_degree > MAX_DEGREE:
+                raise ConfigError(
+                    f"hoa.n_c_max {self.hoa.n_c_max:,} takes HOA's array to degree {self.hoa_degree:,} (a lone array "
+                    f"adds its reference expansion), more than the {MAX_DEGREE:,} allowed"
+                )
+            try:
+                check_surface_degree(self.scene.k, spheres[self.hoa.sphere_index].radius, self.hoa_degree)
+            except SceneError as exc:
+                raise ConfigError(f"invalid HOA array: {exc}")
+        elif self.hoa is not None:
+            raise ConfigError(f"'hoa' configures method HOA only, not {self.method}: remove it")
         source = self.scene.source
         if source.kind == "monopole" and not (self.method == "HOA" and len(spheres) == 1):
             # the incident series about the origin converges only for |r| < |position|;
@@ -89,18 +106,14 @@ class ExperimentConfig:
                     f"the monopole source, {distance:g} m from the origin, lies within the arrays' enclosing radius "
                     f"{reach:g} m: the incident series about the origin diverges on the spheres"
                 )
+        points = self.grid.points()  # one pass over the pixel centres serves both checks below
         if source.kind == "monopole":  # IncidentSource.field_at divides the true field by each pixel's distance to it
             with np.errstate(over="ignore"):  # a distance that overflows is inf: not on the source
-                on = np.linalg.norm(self.grid.points() - source.position, axis=1) == 0.0
+                on = np.linalg.norm(points - source.position, axis=1) == 0.0
             if on.any():
                 row, col = np.unravel_index(np.argmax(on), self.grid.shape)
                 raise ConfigError(f"the monopole source lies on the centre of pixel (row {row}, column {col}): its field is infinite there")
-        if self.method == "HOA":
-            try:
-                check_surface_degree(self.scene.k, spheres[self.hoa.sphere_index].radius, self.hoa_degree)
-            except SceneError as exc:
-                raise ConfigError(f"invalid HOA array: {exc}")
-        if sphere_mask(self.grid, spheres).all():
+        if _inside_spheres(points, spheres).all():
             raise ConfigError("every pixel of the grid lies inside a sphere: there is no field to compare")
 
     @property

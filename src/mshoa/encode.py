@@ -43,8 +43,9 @@ class DenseModel:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def gram(self, primal: bool = False) -> np.ndarray:
-        """conj(FFᴴ), or conj(FᴴF) if ``primal``, in the upper triangle of a Fortran-ordered array.
+    def gram(self) -> np.ndarray:
+        """The Gram of F's side, in the upper triangle of a Fortran-ordered array: conj(FFᴴ) if F has fewer
+        rows than columns (the encoder's dual side), else conj(FᴴF).
 
         One Hermitian rank-k update forms it from F's memory as it lies, with
         no copy of F: ``zherk`` reads a row-major F as the column-major Fᵀ,
@@ -52,6 +53,7 @@ class DenseModel:
         each leading block of whose columns is column-major too) as itself,
         whose update is then conjugated in place.
         """
+        primal = self.shape[0] >= self.shape[1]
         if self.matrix.flags.c_contiguous:
             return zherk(1.0, self.matrix.T, trans=0 if primal else 2)
         gram = zherk(1.0, self.matrix, trans=2 if primal else 0)
@@ -130,7 +132,7 @@ class Encoder:
                 if self._iterative:
                     grams = self.forward.class_grams()
                 else:
-                    grams = [self.forward.gram() if self._dual else self.forward.gram(primal=True)]
+                    grams = [self.forward.gram()]
                 self._normal_matrices = [(gram, gram.diagonal().copy()) for gram in grams]
         return self._normal_matrices
 

@@ -53,6 +53,13 @@ class GridSpec:
                 f"extent {self.extent} at resolution {self.resolution} gives "
                 f"{self.shape[0] * self.shape[1]:,} pixels, more than the {MAX_PIXELS:,} allowed"
             )
+        corner = [abs(c) + e / 2.0 for c, e in zip(self.center, self.extent)] + [self.normal_offset]
+        with np.errstate(over="ignore"):  # the squares overflow beyond about 1e154 m, as a pixel's basis would
+            if np.linalg.norm(corner) == np.inf:
+                raise ValueError(
+                    f"center {self.center}, extent {self.extent} and normal_offset {self.normal_offset} put the grid's "
+                    "far corner too far: its distance from the origin overflows a double"
+                )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -194,12 +201,16 @@ def ground_truth_field(source: IncidentSource, k: float, spec: GridSpec) -> Fiel
 
 def sphere_mask(spec: GridSpec, spheres: Sequence[RsmaSpec]) -> np.ndarray:
     """Pixels strictly inside any sphere, shape (rows, cols)."""
-    pts = spec.points()
-    inside = np.zeros(pts.shape[0], dtype=bool)
+    return _inside_spheres(spec.points(), spheres).reshape(spec.shape)
+
+
+def _inside_spheres(points: np.ndarray, spheres: Sequence[RsmaSpec]) -> np.ndarray:
+    """Which of ``points`` (N, 3) lie strictly inside any sphere, shape (N,)."""
+    inside = np.zeros(points.shape[0], dtype=bool)
     with np.errstate(over="ignore"):  # a distance that overflows is inf: outside
         for s in spheres:
-            inside |= np.linalg.norm(pts - s.center[None, :], axis=1) < s.radius
-    return inside.reshape(spec.shape)
+            inside |= np.linalg.norm(points - s.center[None, :], axis=1) < s.radius
+    return inside
 
 
 def sdr_map(

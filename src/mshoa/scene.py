@@ -25,6 +25,8 @@ class SceneError(ValueError):
 
 
 MAX_CAPSULES = 10**6  # per sphere; each capsule is a row of T_F, and the configs and the benchmark use at most 252
+MAX_SPHERES = 10**3  # per layout; the overlap check visits every pair, and the configs use at most 9
+MAX_DEGREE = 10**3  # of an expansion: (n+1)² = 1e6 coefficients at most; the configs use at most 55
 
 
 def fibonacci_grid(q: int) -> np.ndarray:
@@ -94,6 +96,8 @@ class IncidentSource:
         if self.kind == "plane_wave":
             if self.direction is None:
                 raise SceneError("plane_wave source needs a direction")
+            if self.position is not None:
+                raise SceneError("a plane_wave source has no position: remove it, or make the source a monopole")
             self.direction = np.asarray(self.direction, dtype=float).reshape(3)
             if not np.all(np.isfinite(self.direction)):
                 raise SceneError(f"plane_wave direction must be finite, got {self.direction}")
@@ -105,6 +109,8 @@ class IncidentSource:
         elif self.kind == "monopole":
             if self.position is None:
                 raise SceneError("monopole source needs a position")
+            if self.direction is not None:
+                raise SceneError("a monopole source has no direction: remove it, or make the source a plane_wave")
             self.position = np.asarray(self.position, dtype=float).reshape(3)
             if not np.all(np.isfinite(self.position)):
                 raise SceneError(f"monopole position must be finite, got {self.position}")
@@ -168,6 +174,8 @@ def layout_cartesian(rows: int, cols: int, spacing: float, plane: str = "xy") ->
     """rows x cols grid of centers in the given coordinate plane, origin-centered."""
     if rows < 1 or cols < 1:
         raise SceneError("grid needs at least one row and one column")
+    if rows * cols > MAX_SPHERES:
+        raise SceneError(f"a layout of {rows * cols:,} spheres is more than the {MAX_SPHERES:,} allowed")
     axes = {"xy": (0, 1), "yz": (1, 2), "xz": (0, 2)}
     if plane not in axes:
         raise SceneError(f"plane must be xy, yz or xz, got {plane!r}")
@@ -182,12 +190,17 @@ def layout_cartesian(rows: int, cols: int, spacing: float, plane: str = "xy") ->
 
 
 def check_surface_degree(k: float, radius: float, n: int) -> None:
-    """Raise SceneError unless h'_0(ka) .. h'_n(ka) are finite: a run divides by each of them.
+    """Raise SceneError unless (ka)² h'_0(ka) .. (ka)² h'_n(ka) are finite: a run divides by each of them.
 
     At a small ka, h'_n(ka) grows like (n + 1) (2n - 1)!! / (ka)^(n+2) and
-    leaves the double range from some degree on.
+    leaves the double range from some degree on; past about 1.3e154, (ka)² does.
     """
     ka = k * radius
+    if float(ka) * float(ka) == math.inf:  # Python floats: inf, with no warning
+        raise SceneError(
+            f"sphere radius {radius:g} m is too large at this frequency: at ka = {ka:.3g}, (ka)² overflows a double, "
+            f"and the run divides by (ka)² h'_n(ka)"
+        )
     finite = np.isfinite(sph_hankel1_upto(n, ka, derivative=True))
     if not finite.all():
         raise SceneError(
@@ -217,6 +230,13 @@ class SceneConfig:
             raise SceneError("scene needs at least one sphere")
         if self.frequency <= 0 or self.sound_speed <= 0:
             raise SceneError("frequency and sound speed must be positive")
+        if not 0.0 < self.k < math.inf:
+            raise SceneError(
+                f"frequency {self.frequency:g} Hz at sound speed {self.sound_speed:g} m/s gives the wavenumber "
+                f"2 pi f / c = {self.k:g}: it must be positive and finite"
+            )
+        if self.n_in > MAX_DEGREE:
+            raise SceneError(f"incident truncation n_in {self.n_in:,} is more than the {MAX_DEGREE:,} allowed")
         if self.n_fwd is None:
             self.n_fwd = min(self.n_in, recommended_forward_truncation(self.k, max(s.radius for s in self.spheres)))
         if self.n_fwd < 0 or self.n_in < 0:

@@ -26,6 +26,7 @@ scene:
   n_in: 10
 method: MSHOA
 """
+MINIMAL_HOA = MINIMAL.replace("method: MSHOA", "method: HOA")
 
 
 def test_minimal_config_defaults():
@@ -40,6 +41,8 @@ def test_minimal_config_defaults():
     # grid-search regularization is the default for the coupled methods
     assert cfg.sigma is None and cfg.sigma_search is not None
     assert cfg.sigma_search.points == 21
+    # only HOA encodes a single array, so a grid method holds no HOA settings
+    assert cfg.hoa is None
 
 
 def test_explicit_spheres_and_monopole():
@@ -67,7 +70,7 @@ threshold_db: 25
 
 
 def test_hoa_defaults_to_unregularized():
-    cfg = validate_config(MINIMAL.replace("method: MSHOA", "method: HOA"))
+    cfg = validate_config(MINIMAL_HOA)
     assert cfg.sigma == 0.0 and cfg.sigma_search is None
     assert (cfg.hoa.n_c_min, cfg.hoa.n_c_max) == (1, 14)
     # the encoded array defaults to the one nearest the origin (the first of a tie)
@@ -82,7 +85,7 @@ def test_hoa_defaults_to_unregularized():
     )
     assert off_centre.hoa.sphere_index == 1
     # a fixed truncation is the one-degree range
-    fixed = validate_config(MINIMAL.replace("method: MSHOA", "method: HOA") + "hoa: {n_c: 6}\n")
+    fixed = validate_config(MINIMAL_HOA + "hoa: {n_c: 6}\n")
     assert (fixed.hoa.n_c_min, fixed.hoa.n_c_max) == (6, 6)
 
 
@@ -109,20 +112,18 @@ def test_config_rejections():
     with pytest.raises(ConfigError, match="sigma"):
         validate_config(MINIMAL + "sigma: -1.0\n")
     with pytest.raises(ConfigError, match="sigma"):
-        validate_config(
-            MINIMAL.replace("method: MSHOA", "method: HOA") + "sigma_search: {points: 5}\n"
-        )
+        validate_config(MINIMAL_HOA + "sigma_search: {points: 5}\n")
     with pytest.raises(ConfigError, match="sphere_index"):
-        validate_config(MINIMAL + "hoa: {sphere_index: 5}\n")
+        validate_config(MINIMAL_HOA + "hoa: {sphere_index: 5}\n")
     layout = "layout: {type: linear, count: 2, spacing: 0.25, axis: y}"
     for text, msg in [
         # malformed values
-        (MINIMAL + "hoa: {n_c_min: 5, n_c_max: 3}\n", "n_c_min"),
-        (MINIMAL + "hoa: {n_c: -1}\n", "n_c"),
-        (MINIMAL + "hoa: {n_c: 2.7}\n", "n_c"),
-        (MINIMAL + "hoa: {n_c: 3, n_c_max: 5}\n", "n_c"),
-        (MINIMAL + "hoa: {n_c: 3, n_c_min: 2}\n", "n_c"),
-        (MINIMAL + "hoa: {sphere_index: 1.5}\n", "sphere_index"),
+        (MINIMAL_HOA + "hoa: {n_c_min: 5, n_c_max: 3}\n", "n_c_min"),
+        (MINIMAL_HOA + "hoa: {n_c: -1}\n", "n_c"),
+        (MINIMAL_HOA + "hoa: {n_c: 2.7}\n", "n_c"),
+        (MINIMAL_HOA + "hoa: {n_c: 3, n_c_max: 5}\n", "n_c"),
+        (MINIMAL_HOA + "hoa: {n_c: 3, n_c_min: 2}\n", "n_c"),
+        (MINIMAL_HOA + "hoa: {sphere_index: 1.5}\n", "sphere_index"),
         (MINIMAL + "sigma_search: {points: 0}\n", "points"),
         (MINIMAL + "sigma_search: {min_factor: 0}\n", "factor"),
         (MINIMAL + "sigma_search: {min_factor: -1e-8}\n", "factor"),
@@ -169,7 +170,7 @@ def test_config_rejections():
         (MINIMAL + "grid: {resolution: abc}\n", "resolution"),
         (MINIMAL + "grid: {normal_offset: [1]}\n", "normal_offset"),
         (MINIMAL + "sigma_search: {points: 3, max: 10}\n", "'max'"),
-        (MINIMAL + "hoa: {nc: 3}\n", "'nc'"),
+        (MINIMAL_HOA + "hoa: {nc: 3}\n", "'nc'"),
         (MINIMAL + "threads: 2\n", "'threads'"),
         (MINIMAL + "output: out\n", "'output'"),
         # values of the wrong type, not only of the wrong value
@@ -190,6 +191,12 @@ def test_config_rejections():
         (MINIMAL.replace("capsules: 32", "capsules: 10000000000"), "10,000,000,000 points"),
         (MINIMAL.replace(layout, "spheres: [{center: [0, 0, 0], radius: 0.08, capsules: 10000000000}]").replace(
             "  radius: 0.08\n  capsules: 32\n", ""), "10,000,000,000 points"),
+        # a setting the run would never read: HOA's on another method, the other source kind's geometry
+        (MINIMAL + "hoa: {n_c: 3}\n", "'hoa' configures method HOA only, not MSHOA"),
+        (MINIMAL.replace("method: MSHOA", "method: Single") + "hoa: {}\n", "'hoa' configures method HOA only, not Single"),
+        (MINIMAL.replace("kind: plane_wave, direction: [0, 0, 1]", "kind: monopole, position: [5, 5, 5], direction: [0, 0, 1]"),
+         "monopole source has no direction"),
+        (MINIMAL.replace("direction: [0, 0, 1]", "direction: [0, 0, 1], position: [5, 5, 5]"), "plane_wave source has no position"),
         # a layout needs the scene's radius and capsules, and explicit spheres take their own
         (MINIMAL.replace("  radius: 0.08\n", ""), "radius"),
         (MINIMAL.replace(layout, "spheres: [{center: [0, 0, 0], radius: 0.08, capsules: 8}]"), "layout"),
@@ -316,14 +323,13 @@ def test_spelled_out_defaults_parse_equal_to_the_bare_config():
         "grid: {plane: xy, extent: [2.0, 2.0], resolution: 0.005, center: [0.0, 0.0], normal_offset: 0}\n"
         "threshold_db: 30\n"
         "sigma_search: {points: 21, min_factor: 1e-8, max_factor: 1e2}\n"
-        "hoa: {sphere_index: 0, n_c_min: 1, n_c_max: 14}\n"
     )
     bare = MINIMAL.replace(", axis: y", "").replace("method: MSHOA\n", "")
     reference = _parsed(validate_config(MINIMAL))
     assert _parsed(validate_config(spelled)) == reference
     assert _parsed(validate_config(bare)) == reference
-    hoa = MINIMAL.replace("method: MSHOA", "method: HOA")
-    assert _parsed(validate_config(hoa + "sigma: 0\n")) == _parsed(validate_config(hoa))
+    spelled_hoa = MINIMAL_HOA + "sigma: 0\nhoa: {sphere_index: 0, n_c_min: 1, n_c_max: 14}\n"
+    assert _parsed(validate_config(spelled_hoa)) == _parsed(validate_config(MINIMAL_HOA))
     monopole = MINIMAL.replace("plane_wave, direction: [0, 0, 1]", "monopole, position: [5, 5, 5]")
     assert _parsed(validate_config(monopole.replace("5, 5]", "5, 5], amplitude: [1, 0]"))) == _parsed(
         validate_config(monopole)

@@ -541,6 +541,25 @@ def test_cli_rejects_bad_config(tmp_path):
         (LONE_HOA.replace("[{center: [0, 0, 0]", "[{center: [1.0e+154, 0, 0], radius: 0.08, capsules: 162}, "
                           "{center: [-1.0e+154, 0, 0]"), "too far apart"),
         (TINY.replace("capsules: 40", "capsules: true"), "capsules"),
+        # a setting the run would never read: HOA's on another method, the other source kind's geometry
+        (TINY + "hoa: {n_c: 3}\n", "'hoa' configures method HOA only, not MSHOA"),
+        (TINY_SINGLE + "hoa: {}\n", "'hoa' configures method HOA only, not Single"),
+        (TINY.replace("position: [5, 5, 5]", "position: [5, 5, 5], direction: [0, 0, 1]"), "has no direction"),
+        (TINY.replace("kind: monopole, position: [5, 5, 5]", "kind: plane_wave, direction: [0, 0, 1], position: [5, 5, 5]"),
+         "has no position"),
+        # sizes no run could allocate, and wavenumbers a run cannot divide by
+        (TINY.replace("n_in: 8", "n_in: 1.0e+20"), "n_in 100,000,000,000,000,000,000 is more than the 1,000 allowed"),
+        (TINY.replace("n_in: 8", "n_in: 1.0e+300"), "n_in"),
+        (TINY.replace("n_in: 8", f"n_in: {10**30}"), "n_in"),
+        (TINY.replace("sigma: 1e-9", "sigma_search: {points: 1.0e+20}"), "points must be from 1 to 1,000"),
+        (TINY.replace("count: 2", "count: 1.0e+20"), "layout of 100,000,000,000,000,000,000 spheres"),
+        (TINY_HOA.replace("n_c: 4", "n_c_max: 1.0e+20"), "hoa.n_c_max 100,000,000,000,000,000,000"),
+        (LONE_HOA.replace("frequency: 1000", "frequency: 1.0e+20"), "hoa.n_c_max 8 takes HOA's array to degree"),
+        (TINY.replace("frequency: 1000", "frequency: 5.0e-324"), "wavenumber"),
+        (TINY.replace("n_fwd: 5", "sound_speed: 5.0e-324"), "wavenumber"),
+        (TINY.replace("frequency: 1000", "frequency: 1.0e+300"), "(ka)² overflows"),
+        (LONE_HOA.replace("radius: 0.08", "radius: 5.0e-324"), "too small"),  # y_0 overflows with no warning
+        (TINY.replace(grid, "grid: {extent: [0.8, 0.8], resolution: 0.05, center: [1.0e+300, 0]}"), "far corner"),
     ]:
         bad.write_text(text)
         out = tmp_path / "out-malformed"
@@ -548,7 +567,7 @@ def test_cli_rejects_bad_config(tmp_path):
             res = runner.invoke(main, command)
             assert res.exit_code == 2, (text, res.output)
             assert "config error" in res.output and word in res.output
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     # a monopole on a pixel centre, (0.5, 0.5) on an 11 x 11 grid of 0.1 m pixels: the true field is infinite there
     bad.write_text(TINY.replace("[5, 5, 5]", "[0.5, 0.5, 0]").replace(
@@ -779,6 +798,14 @@ def test_cli_runtime_failures_exit_4(tmp_path, monkeypatch):
     res = runner.invoke(main, ["run", str(cfg_path), "--out", str(tmp_path / "oom")])
     assert res.exit_code == 4, res.output
     assert "out of memory" in res.output and "54.5 GiB" in res.output
+
+    # the checks of a grid near MAX_PIXELS build 2.4 GB of pixel centres: validate too exits 4, with no traceback
+    monkeypatch.setattr("mshoa.fields.GridSpec.points", out_of_memory)
+    for command in (["validate", str(cfg_path)], ["run", str(cfg_path), "--out", str(tmp_path / "oom-grid")]):
+        res = runner.invoke(main, command)
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit) and "out of memory" in res.output and "54.5 GiB" in res.output
+    assert not (tmp_path / "oom-grid").exists()
 
 
 def test_cli_solver_failure_exits_3(tmp_path, monkeypatch):
