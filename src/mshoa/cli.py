@@ -9,7 +9,6 @@ import click
 
 from .config import ConfigError, load_config
 from .encode import EncoderError
-from .matio import MatrixFormatError
 from .runner import run_experiment
 from .scatter import SolverError
 from .scene import SceneError
@@ -34,28 +33,18 @@ def _out_of_memory(exc: MemoryError):
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", default="out", show_default=True, help="Output directory.")
-@click.option("--export-forward", type=click.Path(dir_okay=False), default=None,
-              help="Write the MSHOA forward operator matrix to this path.")
-@click.option("--import-forward", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Reuse a previously exported MSHOA forward operator.")
 @click.option("--dump-coeffs", is_flag=True, help="Also write the estimated coefficients.")
-def run(config_path, out_dir, export_forward, import_forward, dump_coeffs):
+def run(config_path, out_dir, dump_coeffs):
     """Run the experiment described by CONFIG_PATH and write grids + summary."""
     try:
-        summary = run_experiment(
-            load_config(config_path),
-            out_dir,
-            export_forward=export_forward,
-            import_forward=import_forward,
-            dump_coeffs=dump_coeffs,
-        )
+        summary = run_experiment(load_config(config_path), out_dir, dump_coeffs=dump_coeffs)
     except (SceneError, ConfigError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     except SolverError as exc:
         click.echo(f"solver error: {exc}", err=True)
         sys.exit(3)
-    except (EncoderError, MatrixFormatError, OSError) as exc:  # OSError: a file or directory the run cannot open
+    except (EncoderError, OSError) as exc:  # OSError: a file or directory the run cannot open
         click.echo(f"runtime error: {exc}", err=True)
         sys.exit(4)
     except MemoryError as exc:

@@ -35,7 +35,7 @@ class EncoderError(RuntimeError):
 
 @dataclass
 class DenseModel:
-    """A forward model F held as its matrix: HOA's surface response (or its leading columns), or an imported T_F."""
+    """A forward model F held as its matrix: HOA's surface response, or its leading columns."""
 
     matrix: np.ndarray = field(repr=False)
 

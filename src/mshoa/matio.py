@@ -1,6 +1,7 @@
-"""Binary complex-matrix format and CSV grid export.
+"""Binary complex-matrix export and CSV grid export.
 
-Matrix files are a bit-exact contract for reuse across runs:
+``--dump-coeffs`` writes the estimated coefficients, bit for bit, as a
+one-row matrix file:
 
     8 bytes   magic  b"MSHOAMTX"
     u32 LE    version (1)
@@ -18,7 +19,6 @@ to the same float64 bits.
 from __future__ import annotations
 
 import functools
-import os
 import struct
 
 import numpy as np
@@ -31,10 +31,6 @@ DTYPE_COMPLEX128 = 1
 _HEADER = struct.Struct("<8sIIQQ")
 
 
-class MatrixFormatError(ValueError):
-    """Corrupt or incompatible matrix file."""
-
-
 def export_matrix(path, matrix: np.ndarray) -> None:
     """Write ``matrix`` from its own buffer: no copy when it is already C-ordered little-endian complex128."""
     matrix = np.ascontiguousarray(np.asarray(matrix, dtype="<c16"))
@@ -43,28 +39,6 @@ def export_matrix(path, matrix: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, DTYPE_COMPLEX128, *matrix.shape))
         fh.write(matrix.data)
-
-
-def import_matrix(path) -> np.ndarray:
-    """Read a matrix file into one array, its size checked against the file's before it is allocated."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise MatrixFormatError(f"{path}: truncated header")
-        magic, version, dtype, rows, cols = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise MatrixFormatError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise MatrixFormatError(f"{path}: unsupported version {version}")
-        if dtype != DTYPE_COMPLEX128:
-            raise MatrixFormatError(f"{path}: unsupported dtype tag {dtype}")
-        if max(rows, cols) > np.iinfo(np.intp).max // 16:  # passes the size check when the other is 0
-            raise MatrixFormatError(f"{path}: dimensions {rows} x {cols} exceed what an array can hold")
-        size, expected = os.fstat(fh.fileno()).st_size, _HEADER.size + rows * cols * 16
-        if size != expected:
-            raise MatrixFormatError(f"{path}: payload size mismatch ({size} bytes, expected {expected})")
-        flat = np.fromfile(fh, dtype="<c16", count=rows * cols)
-    return flat.reshape(rows, cols).astype(np.complex128, copy=False)
 
 
 def _grid_header(spec: GridSpec, config_hash: str) -> list[str]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import CoefficientVector, num_coeffs
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .encode import ENCODE_PARTS, DenseModel, Encoder, hoa_encoder, mshoa_encoder, log as encode_log
 from .fields import (
     ground_truth_field,
@@ -20,13 +20,7 @@ from .fields import (
     regularization_search,
     sphere_mask,
 )
-from .matio import (
-    MatrixFormatError,
-    export_matrix,
-    import_matrix,
-    write_field_csv,
-    write_real_csv,
-)
+from .matio import export_matrix, write_field_csv, write_real_csv
 from .scatter import (
     FORWARD_PARTS,
     _timed,
@@ -77,7 +71,7 @@ class _Encoding:
     center: tuple | np.ndarray = (0.0, 0.0, 0.0)  # expansion center of the coefficients
     rcond: float | None = None  # of the coupled scattering system solved, if any
     blocks: list | None = None  # the sizes of that system's mirror-class blocks
-    capsule_residual: float | None = None  # of a capture read off a T_F built here
+    capsule_residual: float | None = None  # MSHOA's and Single's capture check against the multipole sum
 
 
 def _hoa_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
@@ -109,33 +103,21 @@ def _hoa_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
     return _Encoding(encoder, pressures, n_cs=candidates, center=sphere.center, rcond=rcond, blocks=blocks)
 
 
-def _grid_encoding(cfg: ExperimentConfig, export_forward, imported: DenseModel | None, parts=None) -> _Encoding:
+def _grid_encoding(cfg: ExperimentConfig, parts=None) -> _Encoding:
     """Full multiple-scattering (MSHOA) or single-scattering encoding of the true capture.
 
     Both encode the capture Lambda_s (c a)_s that the build of the T_F they
     invert reads off its factors: MSHOA's coupled T_F holds the solved c,
     and Single's uncoupled one takes c a from one coupled vector solve.
-    Only an ``imported`` T_F is a dense model, whose capture is T_F a.
-    Writing T_F, the filled matrix of the model held, changes no output and,
-    like reading it, is not a forward part.
     """
-    scene = cfg.scene
-    if imported is not None:
-        with _timed(parts, "capsule"):
-            pressures = imported.matrix @ scene.incident_coeffs().values
-        model, enc = imported, _Encoding(Encoder(forward=imported, k=scene.k), pressures)
-    else:
-        model = forward_operator(scene, include_coupling=cfg.method == "MSHOA", _parts=parts)
-        enc = _Encoding(
-            mshoa_encoder(model),
-            model.capture,
-            rcond=model.rcond,
-            blocks=[cls.size for cls in model.mirror.classes],
-            capsule_residual=model.capsule_residual,
-        )
-    if export_forward is not None:
-        export_matrix(export_forward, model.matrix)
-    return enc
+    model = forward_operator(cfg.scene, include_coupling=cfg.method == "MSHOA", _parts=parts)
+    return _Encoding(
+        mshoa_encoder(model),
+        model.capture,
+        rcond=model.rcond,
+        blocks=[cls.size for cls in model.mirror.classes],
+        capsule_residual=model.capsule_residual,
+    )
 
 
 def _truncation_block(enc: _Encoding, sigma: float) -> tuple[CoefficientVector, dict]:
@@ -163,34 +145,12 @@ def _sigma_grid(search, encoder: Encoder) -> list[float]:
     return sorted(map(float, grid), reverse=True)
 
 
-def _import_forward(cfg: ExperimentConfig, path) -> DenseModel:
-    """A previously exported forward operator, checked against the scene's shape."""
-    matrix = import_matrix(path)
-    expected = (cfg.scene.total_capsules, num_coeffs(cfg.scene.n_in))
-    if matrix.shape != expected:
-        raise MatrixFormatError(
-            f"{path}: forward matrix has shape {matrix.shape}, the scene needs "
-            f"{expected} (capsules x incident coefficients)"
-        )
-    if not np.isfinite(matrix).all():
-        raise MatrixFormatError(f"{path}: forward matrix holds a non-finite entry")
-    return DenseModel(matrix)
-
-
-def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir,
-    export_forward=None,
-    import_forward=None,
-    dump_coeffs: bool = False,
-) -> RunSummary:
+def run_experiment(cfg: ExperimentConfig, out_dir, dump_coeffs: bool = False) -> RunSummary:
     """Run one configured experiment and write all output artifacts.
 
-    ``export_forward`` / ``import_forward`` save and reuse MSHOA's forward
-    operator T_F; other methods encode with no such matrix and reject them.
-    A bad import file or a missing export directory fails before any
-    computing, and leaves no ``out_dir``.  A capture check below
-    ``threshold_db``, -20 log10 ``capsule_residual``, logs a warning.
+    ``dump_coeffs`` also writes the chosen coefficients to
+    ``coefficients.bin``.  A capture check below ``threshold_db``,
+    -20 log10 ``capsule_residual``, logs a warning.
     """
     marks, peaks = [time.perf_counter()], []  # the start, then the end of each of STAGES
 
@@ -202,16 +162,9 @@ def run_experiment(
             logger.info("%s %s: %.3f s", stage, name, seconds)
         log.info("stage %s: %.3f s, peak RSS %.1f MB", stage, marks[-1] - marks[-2], peaks[-1])
 
-    if cfg.method != "MSHOA" and (export_forward, import_forward) != (None, None):
-        raise ConfigError(f"only MSHOA exports or imports a forward operator, not {cfg.method}")
-    imported = None if import_forward is None else _import_forward(cfg, import_forward)
-    out = Path(out_dir)
-    if export_forward is not None:
-        parent = Path(export_forward).parent
-        if not (parent.is_dir() or parent.resolve() in (out.resolve(), *out.resolve().parents)):  # out.mkdir makes it
-            raise FileNotFoundError(f"{export_forward}: the directory to export the forward operator into does not exist")
     scene = cfg.scene
     mask = sphere_mask(cfg.grid, scene.spheres)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash
 
@@ -219,7 +172,7 @@ def run_experiment(
     if cfg.method == "HOA":
         enc = _hoa_encoding(cfg, parts)
     else:
-        enc = _grid_encoding(cfg, export_forward, imported, parts)
+        enc = _grid_encoding(cfg, parts)
     end_stage(parts, scatter_log)
     if enc.capsule_residual is not None and enc.capsule_residual > 10.0 ** (-cfg.threshold_db / 20):
         log.warning("the capture check reads %.1f dB (capsule_residual %.3g), below the %.0f dB SDR threshold",
@@ -232,7 +185,7 @@ def run_experiment(
         candidates = [cfg.sigma] if cfg.sigma_search is None else _sigma_grid(cfg.sigma_search, enc.encoder)
         block, encode_parts, cg = enc.encoder.apply(enc.pressures, candidates), enc.encoder.parts, enc.encoder.cg
     center, rcond, blocks, capsule_residual = enc.center, enc.rcond, enc.blocks, enc.capsule_residual
-    del enc, imported  # frees the encoder's forward model and Gram or class blocks before the pixel passes
+    del enc  # frees the encoder's forward model and Gram or class blocks before the pixel passes
     end_stage(encode_parts, encode_log)
 
     truth = ground_truth_field(scene.source, scene.k, cfg.grid)

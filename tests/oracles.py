@@ -32,6 +32,7 @@ from mshoa.basis import (
     sph_hankel1_upto,
     sph_harm_matrix,
 )
+from mshoa.matio import _HEADER, DTYPE_COMPLEX128, MAGIC, VERSION
 from mshoa.scatter import rigid_scatter_gain
 from mshoa.scene import SceneError
 from mshoa.translation import rr_translation, sr_translation
@@ -263,6 +264,15 @@ def read_field_csv(path) -> tuple[np.ndarray, list[str]]:
         elif line.strip():
             rows.append([complex(tok) for tok in line.split(",")])
     return np.array(rows, dtype=complex), header
+
+
+def read_matrix(path) -> np.ndarray:
+    """Read back a matrix file such as ``coefficients.bin``, asserting its magic, version, dtype tag and payload size."""
+    data = Path(path).read_bytes()
+    magic, version, dtype, rows, cols = _HEADER.unpack_from(data)
+    assert (magic, version, dtype) == (MAGIC, VERSION, DTYPE_COMPLEX128), (magic, version, dtype)
+    assert len(data) == _HEADER.size + 16 * rows * cols, (len(data), rows, cols)
+    return np.frombuffer(data, dtype="<c16", offset=_HEADER.size).reshape(rows, cols).astype(complex)
 
 
 def capture_warnings(caplog) -> list[str]:

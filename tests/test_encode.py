@@ -287,10 +287,10 @@ def test_grid_encoding_holds_less_than_t_f(method):
 
     scene = _scene(layout_cartesian(3, 3, 0.25), caps=400, n_in=12, n_fwd=6)
     cfg = ExperimentConfig(scene=scene, method=method, sigma=1e-8)
-    runner._grid_encoding(cfg, None, None)  # fill the translation caches outside the trace
+    runner._grid_encoding(cfg)  # fill the translation caches outside the trace
     tracemalloc.start()
     try:
-        encoding = runner._grid_encoding(cfg, None, None)
+        encoding = runner._grid_encoding(cfg)
         encoding.encoder.apply(encoding.pressures, sigmas=cfg.sigma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -6,31 +6,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mshoa.fields import FieldGrid, GridSpec
-from mshoa.matio import (
-    _FAST_RANGE,
-    _HEADER,
-    _decimal,
-    DTYPE_COMPLEX128,
-    MAGIC,
-    VERSION,
-    MatrixFormatError,
-    export_matrix,
-    import_matrix,
-    write_field_csv,
-    write_real_csv,
-)
-from tests.oracles import read_field_csv
+from mshoa.matio import _FAST_RANGE, _decimal, export_matrix, write_field_csv, write_real_csv
+from tests.oracles import read_field_csv, read_matrix
 
 
 def test_matrix_roundtrip_bit_exact(tmp_path, rng):
     m = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
     path = tmp_path / "m.bin"
     export_matrix(path, m)
-    back = import_matrix(path)
+    back = read_matrix(path)
     assert back.dtype == np.complex128
     np.testing.assert_array_equal(back, m)
     # byte-stable: exporting the same matrix twice writes identical files
@@ -40,9 +28,8 @@ def test_matrix_roundtrip_bit_exact(tmp_path, rng):
 
 
 def test_matrix_io_makes_no_whole_matrix_copy(tmp_path, rng):
-    """Export writes the matrix's own buffer, and import allocates the matrix
-    once, straight from the file: traced peaks of under 10 % and at most
-    1.1x its bytes, with a bit-exact round trip."""
+    """Export writes the matrix's own buffer: a traced peak of under 10 % of
+    its bytes, with a bit-exact round trip."""
     import tracemalloc
 
     m = rng.normal(size=(600, 500)) + 1j * rng.normal(size=(600, 500))
@@ -51,98 +38,15 @@ def test_matrix_io_makes_no_whole_matrix_copy(tmp_path, rng):
     try:
         export_matrix(path, m)
         export_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        back = import_matrix(path)
-        import_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert export_peak < 0.1 * m.nbytes
-    assert import_peak <= 1.1 * m.nbytes
-    assert back.dtype == np.complex128 and back.tobytes() == m.tobytes()
+    assert read_matrix(path).tobytes() == m.tobytes()
 
 
 def test_matrix_rejects_non_2d(tmp_path):
     with pytest.raises(ValueError):
         export_matrix(tmp_path / "m.bin", np.zeros(3))
-
-
-def test_matrix_header_errors(tmp_path, rng):
-    m = rng.normal(size=(3, 3)).astype(complex)
-    good = tmp_path / "good.bin"
-    export_matrix(good, m)
-    data = bytearray(good.read_bytes())
-
-    bad_magic = tmp_path / "magic.bin"
-    bad_magic.write_bytes(b"NOTMYFMT" + bytes(data[8:]))
-    with pytest.raises(MatrixFormatError, match="magic"):
-        import_matrix(bad_magic)
-
-    bad_version = tmp_path / "ver.bin"
-    corrupt = bytearray(data)
-    corrupt[8] = 99
-    bad_version.write_bytes(bytes(corrupt))
-    with pytest.raises(MatrixFormatError, match="version"):
-        import_matrix(bad_version)
-
-    bad_dtype = tmp_path / "dtype.bin"
-    corrupt = bytearray(data)
-    corrupt[12] = 7
-    bad_dtype.write_bytes(bytes(corrupt))
-    with pytest.raises(MatrixFormatError, match="dtype"):
-        import_matrix(bad_dtype)
-
-    truncated = tmp_path / "trunc.bin"
-    truncated.write_bytes(bytes(data[:-8]))
-    with pytest.raises(MatrixFormatError, match="size"):
-        import_matrix(truncated)
-
-    tiny = tmp_path / "tiny.bin"
-    tiny.write_bytes(MAGIC[:4])
-    with pytest.raises(MatrixFormatError, match="truncated"):
-        import_matrix(tiny)
-
-
-_U32 = st.integers(0, 2**32 - 1)
-_DIM = st.one_of(st.integers(0, 4), st.sampled_from([2**59, 2**63 - 1, 2**64 - 1]), st.integers(0, 2**64 - 1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    magic=st.one_of(st.just(MAGIC), st.binary(min_size=8, max_size=8)),
-    version=st.one_of(st.just(VERSION), _U32),
-    dtype=st.one_of(st.just(DTYPE_COMPLEX128), _U32),
-    rows=_DIM,
-    cols=_DIM,
-    header_bytes=st.one_of(st.just(_HEADER.size), st.integers(0, _HEADER.size)),
-    surplus=st.one_of(st.just(0), st.integers(-40, 40)),
-)
-@example(MAGIC, VERSION, DTYPE_COMPLEX128, 0, 2**64 - 1, _HEADER.size, 0)  # no payload: passes the size check
-def test_any_malformed_file_raises_matrix_format_error(
-    tmp_path_factory, magic, version, dtype, rows, cols, header_bytes, surplus
-):
-    """Any magic, version or dtype tag, dimensions up to 2^64 - 1, and a file
-    cut short or running on: a well-formed file imports with its header's
-    shape, and every other one raises MatrixFormatError, never another error."""
-    announced = rows * cols * 16
-    payload = bytes(range(256)) * 2
-    payload = payload[: max(0, announced + surplus)] if announced <= 256 else payload[: max(0, surplus)]
-    data = _HEADER.pack(magic, version, dtype, rows, cols)[:header_bytes]
-    data += payload if header_bytes == _HEADER.size else b""
-    path = tmp_path_factory.getbasetemp() / "any_header.bin"
-    path.write_bytes(data)
-    well_formed = (
-        (magic, version, dtype, header_bytes) == (MAGIC, VERSION, DTYPE_COMPLEX128, _HEADER.size)
-        and len(payload) == announced
-        and max(rows, cols) * 16 <= np.iinfo(np.intp).max
-    )
-    try:
-        matrix = import_matrix(path)
-    except MatrixFormatError:
-        assert not well_formed
-    else:
-        assert well_formed and matrix.shape == (rows, cols)
-        assert matrix.astype("<c16").tobytes() == payload
 
 
 def test_field_csv_roundtrip(tmp_path, rng):

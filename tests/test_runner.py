@@ -11,9 +11,8 @@ from mshoa.basis import CoefficientVector, num_coeffs
 from mshoa.cli import main
 from mshoa.config import load_config, validate_config
 from mshoa.fields import ground_truth_field, reconstruct_field, sdr_map, sphere_mask
-from mshoa.matio import export_matrix, import_matrix
 from mshoa.runner import run_experiment
-from tests.oracles import capture_warnings, read_field_csv
+from tests.oracles import capture_warnings, read_field_csv, read_matrix
 from tests.test_config import NON_FINITE
 
 TINY = """
@@ -71,7 +70,7 @@ def test_run_writes_all_artifacts(tmp_path):
     assert meta["ssa"] == summary.ssa
     assert meta["config_hash"] == cfg.config_hash
     assert "threads" not in meta
-    coeffs = import_matrix(out / "coefficients.bin")
+    coeffs = read_matrix(out / "coefficients.bin")
     assert coeffs.shape == (1, (cfg.scene.n_in + 1) ** 2)
     grid, header = read_field_csv(out / "estimated.csv")
     assert grid.shape == cfg.grid.shape
@@ -87,7 +86,7 @@ def test_csv_grids_read_back_to_the_fields_they_record(tmp_path):
     out = tmp_path / "out"
     run_experiment(cfg, out, dump_coeffs=True)
     scene = cfg.scene
-    coeffs = CoefficientVector(k=scene.k, n_max=scene.n_in, values=import_matrix(out / "coefficients.bin")[0])
+    coeffs = CoefficientVector(k=scene.k, n_max=scene.n_in, values=read_matrix(out / "coefficients.bin")[0])
     estimated = reconstruct_field(coeffs, cfg.grid)
     truth = ground_truth_field(scene.source, scene.k, cfg.grid)
     report = sdr_map(estimated, truth, sphere_mask(cfg.grid, scene.spheres), cfg.threshold_db)
@@ -143,7 +142,7 @@ def test_hoa_truncation_search_matches_fixed_truncation_runs(tmp_path, monkeypat
     for j, n_c in enumerate(range(1, 8)):
         out = tmp_path / str(n_c)
         run_experiment(validate_config(text.replace("n_c_min: 1, n_c_max: 7", f"n_c: {n_c}")), out, dump_coeffs=True)
-        fixed, column = import_matrix(out / "coefficients.bin")[0], blocks[0][:, j]
+        fixed, column = read_matrix(out / "coefficients.bin")[0], blocks[0][:, j]
         if sigma == 0.0:
             assert np.array_equal(column[: fixed.size], fixed)
         else:
@@ -193,37 +192,6 @@ def test_determinism_across_reruns(tmp_path):
     fa, fb = _artifacts(a), _artifacts(b)
     for name in ("ground_truth.csv", "estimated.csv", "sdr_map.csv"):
         assert fa[name] == fb[name]
-
-
-def test_forward_export_import_reuse(tmp_path):
-    """The exported file is the operator's filled T_F, bit for bit, and exporting
-    changes no output: the run encodes T_F's factors, CG included, as a plain
-    run does.  A run importing the file encodes the dense matrix, so it chooses
-    the same sigma (up to roundoff in ||T_F||_2^2 when it searches), index and
-    SSA, and its estimate differs by the CG-vs-dense gap; with both flags, the
-    imported file is written back unchanged."""
-    from mshoa.scatter import forward_operator
-
-    search = TINY.replace("sigma: 1e-9", "sigma_search: {points: 3}")
-    for case, text in (("dual", TINY), ("cg", TINY_PRIMAL), ("search", search)):
-        cfg, root = validate_config(text), tmp_path / case
-        forward, again = root / "forward.bin", root / "again.bin"
-        plain = run_experiment(cfg, root / "plain")
-        exported = run_experiment(cfg, root / "export", export_forward=forward)
-        assert np.array_equal(import_matrix(forward), forward_operator(cfg.scene).matrix)
-        assert (exported.sigma, exported.search, exported.cg) == (plain.sigma, plain.search, plain.cg)
-        assert (exported.cg is not None) == (case == "cg")
-        imported = run_experiment(cfg, root / "import", import_forward=forward, export_forward=again)
-        assert again.read_bytes() == forward.read_bytes()
-        assert imported.sigma == pytest.approx(plain.sigma, rel=1e-12)
-        assert imported.search["index"] == plain.search["index"]
-        assert (imported.search["ssa"], imported.ssa) == (plain.search["ssa"], plain.ssa)
-        files = {name: _artifacts(root / name) for name in ("plain", "export", "import")}
-        for name in ("ground_truth.csv", "estimated.csv", "sdr_map.csv"):
-            assert files["export"][name] == files["plain"][name], (case, name)
-        assert files["import"]["ground_truth.csv"] == files["plain"]["ground_truth.csv"]
-        estimate, reference = (read_field_csv(root / name / "estimated.csv")[0] for name in ("import", "plain"))
-        assert np.max(np.abs(estimate - reference)) <= 1e-8 * np.max(np.abs(reference)), case
 
 
 SCALED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("scaled_*.yaml"))
@@ -346,7 +314,7 @@ def test_single_encoding_holds_no_more_than_the_coupled_build():
         .replace("n_in: 8\n  n_fwd: 5", "n_in: 12\n  n_fwd: 10")
     )
     peaks = []
-    for build in (lambda: forward_operator(cfg.scene), lambda: runner._grid_encoding(cfg, None, None)):
+    for build in (lambda: forward_operator(cfg.scene), lambda: runner._grid_encoding(cfg)):
         build()  # fill the translation caches outside the trace
         tracemalloc.start()
         try:
@@ -396,8 +364,8 @@ def test_capsule_residual_recomputed_from_the_multipole_sum(tmp_path):
     the capture MSHOA and Single encode, Lambda_s (c a)_s, and the regular plus
     singular series R a + sum_t S_t G_t (c a)_t it stands for, at up to 16
     capsules of each sphere, a stride through its Fibonacci order; here c a
-    comes from a dense solve.  HOA, lone-array HOA and an imported T_F read
-    no capture off T_F's factors, and report null."""
+    comes from a dense solve.  HOA and lone-array HOA read no capture off
+    T_F's factors, and report null."""
     import scipy.linalg as sla
 
     from mshoa.basis import regular_basis_matrix, singular_basis_matrix
@@ -418,13 +386,11 @@ def test_capsule_residual_recomputed_from_the_multipole_sum(tmp_path):
         for other, c_t in zip(scene.spheres, c):
             total += singular_basis_matrix(n, k, caps, other.center) @ (rigid_scatter_gain(k, other.radius, n) * c_t)
         worst, top = max(worst, np.max(np.abs(capture - total))), max(top, np.max(np.abs(total)))
-    run_experiment(cfg, tmp_path / "mshoa", export_forward=tmp_path / "forward.bin")
+    run_experiment(cfg, tmp_path / "mshoa")
     run_experiment(validate_config(TINY_SINGLE), tmp_path / "single")
     for name in ("mshoa", "single"):
         reported = json.loads((tmp_path / name / "summary.json").read_text())["capsule_residual"]
         assert 0 < reported == pytest.approx(worst / top, rel=1e-6)
-    imported = run_experiment(cfg, tmp_path / "imported", import_forward=tmp_path / "forward.bin")
-    assert imported.capsule_residual is None
     for i, text in enumerate((TINY_HOA, LONE_HOA)):
         out = tmp_path / f"other{i}"
         run_experiment(validate_config(text), out)
@@ -463,7 +429,7 @@ def test_plane_wave_amplitude_scales_truth_and_capture_not_the_ssa(tmp_path):
         summary = run_experiment(cfg, tmp_path / name, dump_coeffs=True)
         capture = cfg.scene.source.field_at(cfg.scene.k, cfg.scene.capsule_positions())
         truth, _ = read_field_csv(tmp_path / name / "ground_truth.csv")
-        coeffs = import_matrix(tmp_path / name / "coefficients.bin")
+        coeffs = read_matrix(tmp_path / name / "coefficients.bin")
         runs[name] = summary, cfg.scene.incident_coeffs().values, capture, truth, coeffs
     (unit, a1, p1, t1, x1), (loud, a5, p5, t5, x5) = runs["unit"], runs["loud"]
     np.testing.assert_allclose(a5, 5 * a1, rtol=1e-15)
@@ -471,22 +437,6 @@ def test_plane_wave_amplitude_scales_truth_and_capture_not_the_ssa(tmp_path):
     np.testing.assert_allclose(t5, 5 * t1, rtol=1e-15)
     np.testing.assert_allclose(x5, 5 * x1, rtol=1e-9)
     assert loud.ssa == unit.ssa and unit.ssa > 0
-
-
-@pytest.mark.parametrize("text", [TINY_HOA, TINY_SINGLE], ids=["HOA", "Single"])
-def test_forward_export_import_is_mshoa_only(tmp_path, text):
-    runner = CliRunner()
-    cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text(text)
-    matrix = tmp_path / "forward.bin"
-    export_matrix(matrix, np.ones((80, 81), complex))  # TINY's T_F shape
-    for flag, path in (("--export-forward", tmp_path / "new.bin"), ("--import-forward", matrix)):
-        out = tmp_path / flag.strip("-")
-        res = runner.invoke(main, ["run", str(cfg_path), "--out", str(out), flag, str(path)])
-        assert res.exit_code == 2, res.output
-        assert "config error" in res.output
-        assert not (out / "summary.json").exists()
-    assert not (tmp_path / "new.bin").exists()
 
 
 def test_cli_validate_and_run(tmp_path):
@@ -579,6 +529,18 @@ def test_cli_rejects_bad_config(tmp_path):
         assert "config error" in res.output and "pixel (row 10, column 10)" in res.output
     assert not out.exists()
 
+    # a stale script's --import-forward or --export-forward, options no run takes, is a usage error
+    bad.write_text(TINY)
+    matrix = tmp_path / "x.bin"
+    matrix.write_bytes(b"an existing file")
+    for flag in ("--import-forward", "--export-forward"):
+        out = tmp_path / "out-stale"
+        res = runner.invoke(main, ["run", str(bad), "--out", str(out), flag, str(matrix)])
+        assert res.exit_code == 2, (flag, res.output)
+        assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+        assert "No such option" in res.output and flag in res.output
+        assert not out.exists() and matrix.read_bytes() == b"an existing file"
+
 
 @pytest.mark.parametrize("field", NON_FINITE)
 def test_cli_run_rejects_a_non_finite_vector(tmp_path, field):
@@ -605,10 +567,8 @@ def test_cli_rejects_a_config_that_is_not_utf8(tmp_path):
 
 
 def test_cli_unwritable_output_exits_4(tmp_path, monkeypatch):
-    """An --out that names a file, and an --export-forward into a missing
-    directory, are runtime errors naming the path (exit 4), and no summary is
-    written; the missing directory is found before the forward build, and
-    leaves no output directory."""
+    """An --out that names a file is a runtime error naming the path (exit 4),
+    found before the forward build, and no summary is written."""
     import mshoa.runner
 
     builds = []
@@ -616,27 +576,11 @@ def test_cli_unwritable_output_exits_4(tmp_path, monkeypatch):
     cfg_path, taken = tmp_path / "cfg.yaml", tmp_path / "taken"
     cfg_path.write_text(TINY)
     taken.write_text("a file, not a directory")
-    missing = tmp_path / "missing" / "forward.bin"
-    out = tmp_path / "out"
-    for args, path in ((["--out", str(taken)], taken), (["--out", str(out), "--export-forward", str(missing)], missing)):
-        res = CliRunner().invoke(main, ["run", str(cfg_path), *args])
-        assert res.exit_code == 4, res.output
-        assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
-        assert res.output.startswith("runtime error:") and str(path) in res.output
-    assert not out.exists() and not missing.exists() and builds == []
-
-
-def test_cli_exports_into_the_directory_the_run_makes(tmp_path, monkeypatch):
-    """An --export-forward into the --out directory, or into a parent of it,
-    that does not exist yet is no missing directory: the run makes it, exits 0
-    and writes T_F there."""
-    monkeypatch.chdir(tmp_path)
-    Path("cfg.yaml").write_text(TINY)
-    for out, forward in (("o", "o/T_F.bin"), ("p/run", "p/T_F.bin")):
-        res = CliRunner().invoke(main, ["run", "cfg.yaml", "--out", out, "--export-forward", forward])
-        assert res.exit_code == 0, res.output
-        assert import_matrix(forward).shape == (80, 81)  # TINY's T_F
-        assert (Path(out) / "summary.json").exists()
+    res = CliRunner().invoke(main, ["run", str(cfg_path), "--out", str(taken)])
+    assert res.exit_code == 4, res.output
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+    assert res.output.startswith("runtime error:") and str(taken) in res.output
+    assert taken.read_text() == "a file, not a directory" and builds == []
 
 
 def test_cli_run_rejects_a_grid_inside_the_spheres(tmp_path):
@@ -731,40 +675,6 @@ def test_cli_rejects_a_sphere_too_small_for_its_degrees(tmp_path, text):
         assert res.exit_code == 2, res.output
         assert "config error" in res.output and "too small" in res.output and "ka = " in res.output
     assert not (tmp_path / "out").exists()
-
-
-def test_cli_bad_forward_file(tmp_path):
-    """A forward file that is no matrix, too short, of the wrong shape or
-    holding a nan entry is a runtime error, exit 4, found before any
-    computing, so no output directory is left; the nan at a fixed sigma and
-    in a sigma search alike."""
-    from mshoa.scatter import forward_operator
-
-    runner = CliRunner()
-    cfg_path, search_path = tmp_path / "cfg.yaml", tmp_path / "search.yaml"
-    cfg_path.write_text(TINY)
-    search_path.write_text(TINY.replace("sigma: 1e-9", "sigma_search: {points: 3}"))
-    garbage, short = tmp_path / "garbage.bin", tmp_path / "short.bin"
-    garbage.write_bytes(b"not a matrix file at all")
-    short.write_bytes(b"MSHOAMT")
-    # TINY needs 80 capsules x 81 incident coefficients
-    too_few_cols, too_few_rows, nan = tmp_path / "80x10.bin", tmp_path / "70x81.bin", tmp_path / "nan.bin"
-    export_matrix(too_few_cols, np.ones((80, 10), complex))
-    export_matrix(too_few_rows, np.ones((70, 81), complex))
-    matrix = forward_operator(validate_config(TINY).scene).matrix
-    matrix[3, 5] = np.nan
-    export_matrix(nan, matrix)
-    cases = ((cfg_path, garbage), (cfg_path, short), (cfg_path, too_few_cols), (cfg_path, too_few_rows), (cfg_path, nan), (search_path, nan))
-    for config, bad in cases:
-        out = tmp_path / f"{config.stem}_{bad.stem}"
-        res = runner.invoke(
-            main,
-            ["run", str(config), "--out", str(out), "--import-forward", str(bad)],
-        )
-        assert res.exit_code == 4, res.output
-        assert "runtime error" in res.output and "Traceback" not in res.output
-        assert bad != nan or "non-finite" in res.output
-        assert not out.exists()
 
 
 def test_cli_runtime_failures_exit_4(tmp_path, monkeypatch):

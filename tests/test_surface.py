@@ -59,14 +59,11 @@ def _public_code() -> dict:
 
 
 def _tiny_runs(tmp_path):
-    run_experiment(validate_config(TINY.replace("sigma: 1e-9", "sigma_search: {points: 3}")), tmp_path / "search")
-    run_experiment(validate_config(TINY_SINGLE), tmp_path / "single")
+    run_experiment(validate_config(TINY.replace("sigma: 1e-9", "sigma_search: {points: 3}")), tmp_path / "search", dump_coeffs=True)
+    run_experiment(validate_config(TINY_SINGLE.replace("sigma: 1e-9", "sigma: 0")), tmp_path / "single")  # σ = 0 fills T_F
     run_experiment(validate_config(TINY_HOA), tmp_path / "hoa")
     run_experiment(validate_config(LONE_HOA), tmp_path / "lone")
     run_experiment(validate_config(TINY_CARTESIAN), tmp_path / "cartesian")
-    forward = tmp_path / "forward.bin"
-    run_experiment(validate_config(TINY), tmp_path / "export", export_forward=forward)
-    run_experiment(validate_config(TINY), tmp_path / "import", import_forward=forward, dump_coeffs=True)
     config = tmp_path / "tiny.yaml"
     config.write_text(TINY)
     assert CliRunner().invoke(main, ["validate", str(config)]).exit_code == 0
