@@ -44,6 +44,44 @@ def test_matrix_io_makes_no_whole_matrix_copy(tmp_path, rng):
     assert read_matrix(path).tobytes() == m.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 16), (7, 5)], ids=["1x1", "1x16", "7x5"])
+def test_matrix_header_is_the_documented_layout(tmp_path, rng, shape):
+    """The file is the module docstring's layout, read here field by field:
+    b"MSHOAMTX", version 1 and dtype tag 1 as u32 LE, rows and cols as u64 LE,
+    then rows*cols little-endian complex128 values, row-major, and nothing more."""
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    path = tmp_path / "m.bin"
+    export_matrix(path, m)
+    data = path.read_bytes()
+    assert data[:8] == b"MSHOAMTX"
+    assert struct.unpack("<II", data[8:16]) == (1, 1)
+    assert struct.unpack("<QQ", data[16:32]) == shape
+    assert len(data) == 32 + 16 * m.size
+    assert np.array_equal(np.frombuffer(data[32:], dtype="<c16").reshape(shape), m)
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [
+        lambda m: m.real.copy(),
+        lambda m: m.astype(np.complex64),
+        lambda m: m.astype(">c16"),
+        lambda m: np.asfortranarray(m),
+    ],
+    ids=["float64", "complex64", "big-endian", "fortran-order"],
+)
+def test_matrix_export_writes_any_2d_input_as_complex128(tmp_path, rng, convert):
+    """A real, single-precision, big-endian or column-major matrix is written
+    as the C-ordered little-endian complex128 of its values, bit for bit."""
+    m = convert(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+    path = tmp_path / "m.bin"
+    export_matrix(path, m)
+    reference = tmp_path / "reference.bin"
+    export_matrix(reference, np.ascontiguousarray(m, dtype="<c16"))
+    assert path.read_bytes() == reference.read_bytes()
+    np.testing.assert_array_equal(read_matrix(path), np.asarray(m, dtype=complex))
+
+
 def test_matrix_rejects_non_2d(tmp_path):
     with pytest.raises(ValueError):
         export_matrix(tmp_path / "m.bin", np.zeros(3))

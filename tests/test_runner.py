@@ -529,17 +529,23 @@ def test_cli_rejects_bad_config(tmp_path):
         assert "config error" in res.output and "pixel (row 10, column 10)" in res.output
     assert not out.exists()
 
-    # a stale script's --import-forward or --export-forward, options no run takes, is a usage error
-    bad.write_text(TINY)
-    matrix = tmp_path / "x.bin"
+
+@pytest.mark.parametrize("flag", ["--import-forward", "--export-forward"])
+def test_cli_rejects_a_removed_forward_option(tmp_path, flag):
+    """A stale script's --import-forward or --export-forward, options no run
+    takes, is a usage error (exit 2) with no traceback: no output directory is
+    made, the named file is left as it was, and ``run --help`` lists neither."""
+    runner = CliRunner()
+    cfg_path, matrix, out = tmp_path / "cfg.yaml", tmp_path / "x.bin", tmp_path / "out-stale"
+    cfg_path.write_text(TINY)
     matrix.write_bytes(b"an existing file")
-    for flag in ("--import-forward", "--export-forward"):
-        out = tmp_path / "out-stale"
-        res = runner.invoke(main, ["run", str(bad), "--out", str(out), flag, str(matrix)])
-        assert res.exit_code == 2, (flag, res.output)
-        assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
-        assert "No such option" in res.output and flag in res.output
-        assert not out.exists() and matrix.read_bytes() == b"an existing file"
+    res = runner.invoke(main, ["run", str(cfg_path), "--out", str(out), flag, str(matrix)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+    assert "No such option" in res.output and flag in res.output
+    assert not out.exists() and matrix.read_bytes() == b"an existing file"
+    usage = runner.invoke(main, ["run", "--help"])
+    assert usage.exit_code == 0 and "--dump-coeffs" in usage.output and flag not in usage.output
 
 
 @pytest.mark.parametrize("field", NON_FINITE)
