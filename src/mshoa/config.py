@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import yaml
 
-from .fields import DEFAULT_THRESHOLD_DB, SDR_CAP_DB, SDR_FLOOR_DB, GridSpec, _inside_spheres
+from .fields import DEFAULT_THRESHOLD_DB, SDR_CAP_DB, SDR_FLOOR_DB, GridSpec, _compare_distances, _inside_spheres
 from .scene import MAX_DEGREE, IncidentSource, RsmaSpec, SceneConfig, SceneError, check_surface_degree, layout_cartesian
 
 METHODS = ("HOA", "Single", "MSHOA")
@@ -108,8 +108,7 @@ class ExperimentConfig:
                 )
         points = self.grid.points()  # one pass over the pixel centres serves both checks below
         if source.kind == "monopole":  # IncidentSource.field_at divides the true field by each pixel's distance to it
-            with np.errstate(over="ignore"):  # a distance that overflows is inf: not on the source
-                on = np.linalg.norm(points - source.position, axis=1) == 0.0
+            on = _compare_distances(points, source.position, np.equal, 0.0)  # a distance that overflows is inf: not on it
             if on.any():
                 row, col = np.unravel_index(np.argmax(on), self.grid.shape)
                 raise ConfigError(f"the monopole source lies on the centre of pixel (row {row}, column {col}): its field is infinite there")

@@ -35,9 +35,13 @@ class EncoderError(RuntimeError):
 
 @dataclass
 class DenseModel:
-    """A forward model F held as its matrix: HOA's surface response, or its leading columns."""
+    """A forward model F held as its matrix, column-major, so that a leading block of its columns is a view:
+    HOA's surface response, or its leading columns."""
 
     matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.matrix = np.asfortranarray(self.matrix)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -47,16 +51,10 @@ class DenseModel:
         """The Gram of F's side, in the upper triangle of a Fortran-ordered array: conj(FFᴴ) if F has fewer
         rows than columns (the encoder's dual side), else conj(FᴴF).
 
-        One Hermitian rank-k update forms it from F's memory as it lies, with
-        no copy of F: ``zherk`` reads a row-major F as the column-major Fᵀ,
-        whose update is the conjugate, and a column-major F (HOA's response,
-        each leading block of whose columns is column-major too) as itself,
-        whose update is then conjugated in place.
+        One Hermitian rank-k update, ``zherk``, forms FᴴF or FFᴴ from F's column-major memory with no
+        copy of F; the update is then conjugated in place.
         """
-        primal = self.shape[0] >= self.shape[1]
-        if self.matrix.flags.c_contiguous:
-            return zherk(1.0, self.matrix.T, trans=0 if primal else 2)
-        gram = zherk(1.0, self.matrix, trans=2 if primal else 0)
+        gram = zherk(1.0, self.matrix, trans=2 if self.shape[0] >= self.shape[1] else 0)
         return np.conjugate(gram, out=gram)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -96,8 +94,12 @@ class Encoder:
     candidate of the last :meth:`apply`, the iterations and the final
     relative residual of its CG, None for a candidate solved otherwise.
     σ = 0 is the minimum-norm least-squares solution pinv(F) p of F's
-    matrix and forms no Gram.  No capsules-to-coefficients matrix is
-    formed.  ``parts`` gathers the seconds spent per :data:`ENCODE_PARTS`.
+    matrix and forms no Gram.  A σ > 0 at or below the rounding of the
+    matrix it shifts, n·ε·(its largest diagonal entry) for a Gram of size n
+    (for CG, the largest such bound of its class blocks), leaves it as
+    singular as it was, and is solved as σ = 0.  No capsules-to-coefficients
+    matrix is formed.  ``parts`` gathers the seconds spent per
+    :data:`ENCODE_PARTS`.
     """
 
     forward: DenseModel | ForwardOperator = field(repr=False)  # F, capsules x (n_out+1)^2
@@ -162,9 +164,10 @@ class Encoder:
         sigmas = np.atleast_1d(sigmas).astype(float)
         if np.any(sigmas < 0):
             raise ValueError("regularization must be non-negative")
+        if np.any(sigmas > 0):  # one at or below the rounding of the matrix it shifts is solved as σ = 0 (see the class notes)
+            rounding = max(len(gram) * np.finfo(float).eps * diagonal.real.max(initial=0.0) for gram, diagonal in self._normal())
+            sigmas[sigmas <= rounding] = 0.0
         regularized = np.any(sigmas > 0)
-        if regularized:
-            self._normal()
         self.cg = [None] * sigmas.size
         block = np.empty((self.forward.shape[1], sigmas.size), dtype=complex)
         with _timed(self.parts, "solves"):
@@ -295,16 +298,15 @@ def _shifted_lower(gram: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
 
 
 def hoa_encoder(sphere: RsmaSpec, k: float, n_c: int) -> Encoder:
-    """Conventional encoder for one rigid spherical array, its response held column-major, so that the encoder
-    of a lower degree is that of a leading block of its columns, which forms its Gram without a copy."""
-    lam = np.asfortranarray(surface_response_matrix(sphere, k, n_c))
+    """Conventional encoder for one rigid spherical array, its response held column-major (:class:`DenseModel`),
+    so that the encoder of a lower degree is that of a leading block of its columns, which forms its Gram without a copy."""
     if sphere.num_capsules < num_coeffs(n_c):
         log.warning(
             "encoder underdetermined: %d capsules for %d coefficients",
             sphere.num_capsules,
             num_coeffs(n_c),
         )
-    return Encoder(forward=DenseModel(lam), k=k)
+    return Encoder(forward=DenseModel(surface_response_matrix(sphere, k, n_c)), k=k)
 
 
 def mshoa_encoder(forward: ForwardOperator) -> Encoder:

@@ -16,6 +16,7 @@ SDR_FLOOR_DB = -300.0
 DEFAULT_THRESHOLD_DB = 30.0
 MAX_PIXELS = 10**8  # 2.4 GB of pixel coordinates alone; the configs use 1e4 pixels, the benchmark 4e4
 CHUNK_PIXELS = 4096  # pixels per chunk of a reconstruction, at most
+DISTANCE_CHUNK = 1 << 14  # pixel centres per chunk of a distance test: about 1 MB of temporaries
 # Real-table entries per pixel chunk: 4096 pixels at degree 25, (25+1)(25+2) rows (23 MB)
 CHUNK_TABLE_ENTRIES = 702 * CHUNK_PIXELS
 
@@ -79,13 +80,12 @@ class GridSpec:
         v0 = self.center[1] - self.extent[1] / 2.0
         u = u0 + (np.arange(cols) + 0.5) * self.resolution
         v = v0 + (np.arange(rows) + 0.5) * self.resolution
-        uu, vv = np.meshgrid(u, v, indexing="xy")
         ax_u, ax_v, ax_n = _PLANE_AXES[self.plane]
-        pts = np.empty((rows * cols, 3))
-        pts[:, ax_u] = uu.ravel()
-        pts[:, ax_v] = vv.ravel()
-        pts[:, ax_n] = self.normal_offset
-        return pts
+        pts = np.empty((rows, cols, 3))  # filled by broadcasting: no (rows, cols) coordinate array is made
+        pts[:, :, ax_u] = u
+        pts[:, :, ax_v] = v[:, None]
+        pts[:, :, ax_n] = self.normal_offset
+        return pts.reshape(-1, 3)
 
 
 @dataclass
@@ -141,7 +141,7 @@ def reconstruct_field(
     pts = spec.points()[images[0]]  # the representatives'
     layout = real_table_layout(coeffs.n_max, mirror, through_center=not (pts[:, 2] - center[2]).any())
     weights = real_table_weights(coeffs.values, coeffs.n_max)[layout.rows].view(float)  # real, imaginary interleaved
-    # image b's sign for class c: -1 per reflection that image b takes and class c flips under
+    # image b's sign for class c: -1 per reflection that image b takes and class c changes sign under
     signs = np.array([[(-1.0) ** (b & c).bit_count() for c in range(len(images))] for b in range(len(images))])
     out = np.empty((spec.shape[0] * spec.shape[1], weights.shape[1] // 2), dtype=complex)
     chunk = max(1, min(CHUNK_PIXELS, CHUNK_TABLE_ENTRIES // num_coeffs(coeffs.n_max)))
@@ -207,10 +207,20 @@ def sphere_mask(spec: GridSpec, spheres: Sequence[RsmaSpec]) -> np.ndarray:
 def _inside_spheres(points: np.ndarray, spheres: Sequence[RsmaSpec]) -> np.ndarray:
     """Which of ``points`` (N, 3) lie strictly inside any sphere, shape (N,)."""
     inside = np.zeros(points.shape[0], dtype=bool)
-    with np.errstate(over="ignore"):  # a distance that overflows is inf: outside
-        for s in spheres:
-            inside |= np.linalg.norm(points - s.center[None, :], axis=1) < s.radius
+    for s in spheres:
+        inside |= _compare_distances(points, s.center, np.less, s.radius)  # a distance that overflows is inf: outside
     return inside
+
+
+def _compare_distances(points: np.ndarray, centre, compare, bound: float) -> np.ndarray:
+    """``compare(norm(points - centre, axis=1), bound)`` for ``points`` (N, 3), shape (N,), taken DISTANCE_CHUNK
+    points at a time, so that its temporaries stay small whatever N; a distance that overflows is inf."""
+    out = np.empty(points.shape[0], dtype=bool)
+    with np.errstate(over="ignore"):
+        for start in range(0, points.shape[0], DISTANCE_CHUNK):
+            rows = slice(start, start + DISTANCE_CHUNK)
+            out[rows] = compare(np.linalg.norm(points[rows] - centre, axis=1), bound)
+    return out
 
 
 def sdr_map(

@@ -47,17 +47,16 @@ class ForwardOperator:
     the local fields of each class's incident pair-basis columns (MSHOA's
     coupled solution, or Single's local incident maps).  ``responses`` holds
     one surface response in the pair basis per distinct (radius, capsule
-    layout); sphere s's Lambda_hat_s is ``responses[kinds[s]]`` with its
-    columns times the sphere's flips, so spheres that share a response are
-    served by one matrix product.  The model's own column basis is the
-    incident pair basis in class order: the columns of the first class's
-    ``incident``, then the next class's, and so on; :meth:`to_standard`
-    takes coefficients from it to the standard (n, m) order.  :attr:`matrix`
-    fills T_F in the standard order on demand.
+    layout); sphere s's Lambda_hat_s is ``responses[kinds[s]]``, so spheres
+    that share a response are served by one matrix product.  The model's own
+    column basis is the incident pair basis in class order: the columns of
+    the first class's ``incident``, then the next class's, and so on;
+    :meth:`to_standard` takes coefficients from it to the standard (n, m)
+    order.  :attr:`matrix` fills T_F in the standard order on demand.
     """
 
     scene: SceneConfig
-    mirror: Mirror = field(repr=False)  # the classes, flips and orbits of mirror_classes
+    mirror: Mirror = field(repr=False)  # the classes and orbits of mirror_classes
     c: list[np.ndarray] = field(repr=False)  # per class: (class unknowns, class incident columns), Fortran-ordered
     responses: list[np.ndarray] = field(repr=False)  # per distinct (radius, capsule layout): (capsules, (n_fwd+1)^2)
     kinds: list[int] = field(repr=False)  # per sphere: the index of its response
@@ -73,12 +72,12 @@ class ForwardOperator:
     @property
     def matrix(self) -> np.ndarray:
         """T_F in the standard (n, m) order, filled one sphere's capsule rows at a time."""
-        matrix, flips = np.empty(self.shape, dtype=complex), self.mirror.flips
+        matrix = np.empty(self.shape, dtype=complex)
         for s, capsules in enumerate(self._rows):
             out, response = matrix[capsules], self.responses[self.kinds[s]]
             for block, cls in zip(self.c, self.mirror.classes):  # their incident columns cover every column
-                rows, local, sign = cls.members[s]
-                out[:, cls.incident] = (response[:, local] * (sign * flips[s, local])) @ block[rows]
+                rows, local, weights = cls.members[s]
+                out[:, cls.incident] = (response[:, local] * weights) @ block[rows]
             _to_pairs(out, self.scene.n_in)
         return matrix
 
@@ -101,9 +100,9 @@ class ForwardOperator:
         """Capsule pressures Lambda_hat_s u_s of the fields u the spheres feel, given as one class vector per class.
 
         The spheres that share a response take one matrix product, with their
-        flipped u_s as its columns.
+        u_s as its columns.
         """
-        u = _on_spheres(self.mirror, felt)
+        u = _on_spheres(self.scene, self.mirror, felt)
         out, rows = np.empty(self.shape[0], dtype=complex), self._rows
         for response, spheres in self._shared():
             for s, column in zip(spheres, (response @ u[spheres].T).T):
@@ -113,11 +112,11 @@ class ForwardOperator:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """T_F^H y in the model's column basis (see the class notes).
 
-        Per sphere v_s = R^H y_s for its unflipped response R, one matrix
-        product per shared response; class k then gathers the flipped, signed
-        v_s of its rows (:func:`_on_classes`) and applies C_k^H.
+        Per sphere v_s = R^H y_s for its response R, one matrix product per
+        shared response; class k then gathers the weighted v_s of its rows
+        (:func:`_on_classes`) and applies C_k^H.
         """
-        v, rows = np.empty(self.mirror.flips.shape, dtype=complex), self._rows
+        v, rows = np.empty((self.scene.num_spheres, num_coeffs(self.scene.n_fwd)), dtype=complex), self._rows
         for response, spheres in self._shared():
             v[spheres] = (np.stack([y[rows[s]] for s in spheres]).conj() @ response).conj()
         return np.concatenate([(w.conj() @ block).conj() for w, block in zip(_on_classes(self.mirror, v), self.c)])
@@ -137,18 +136,17 @@ class ForwardOperator:
         triangle of one Fortran-ordered array, whose lower triangle is scratch.
 
         F F^H = Lambda_hat B Lambda_hat^H, where block (s, t) of B, the Gram of
-        the spheres' local fields, sums over classes the two class signs times
-        C_k[r] C_k[r']^H at the harmonics loc_k(s) x loc_k(t), with (r, loc,
-        sign) = ``members[s]`` and r' the rows of t; the two spheres' flips
-        then sign its rows and columns, and their shared responses R give
-        R B_st R^H.  Spheres of one orbit share their class rows, so each
-        pair of orbits forms its C_k[r] C_k[r']^H once, for every sphere pair
-        it holds, and no whole C_k C_k^H is held.  Only the sphere blocks
-        s <= t are formed, and T_F is not held.
+        the spheres' local fields, sums over classes C_k[r] C_k[r']^H times the
+        outer product of the two spheres' weights, at the harmonics loc_k(s) x
+        loc_k(t), with (r, loc, weights) = ``members[s]`` and r' the rows of t;
+        their shared responses R give R B_st R^H.  Spheres of one orbit share
+        their class rows, so each pair of orbits forms its C_k[r] C_k[r']^H
+        once, for every sphere pair it holds, and no whole C_k C_k^H is held.
+        Only the sphere blocks s <= t are formed, and T_F is not held.
         """
-        capsules, rows, classes, flips = self.shape[0], self._rows, self.mirror.classes, self.mirror.flips
+        capsules, rows, classes = self.shape[0], self._rows, self.mirror.classes
         gram = np.zeros((capsules, capsules), dtype=complex, order="F")
-        felt = np.empty((flips.shape[1],) * 2, dtype=complex)  # block (s, t) of B
+        felt = np.empty((num_coeffs(self.scene.n_fwd),) * 2, dtype=complex)  # block (s, t) of B
         for first, second in itertools.product(self.mirror.orbits, repeat=2):
             pairs = [(s, t) for s in first for t in second if s <= t]
             if not pairs:
@@ -157,10 +155,8 @@ class ForwardOperator:
             for s, t in pairs:
                 felt[:] = 0.0
                 for cross, cls in zip(crossed, classes):
-                    (_, local_s, sign_s), (_, local_t, sign_t) = cls.members[s], cls.members[t]
-                    felt[np.ix_(local_s, local_t)] += cross * (sign_s * sign_t)
-                felt *= flips[s][:, None]
-                felt *= flips[t]
+                    (_, local_s, weights_s), (_, local_t, weights_t) = cls.members[s], cls.members[t]
+                    felt[np.ix_(local_s, local_t)] += cross * np.outer(weights_s, weights_t)
                 x = self.responses[self.kinds[s]] @ felt
                 np.matmul(np.conjugate(x, out=x), self.responses[self.kinds[t]].T, out=gram[rows[s], rows[t]])
         return gram
@@ -169,21 +165,18 @@ class ForwardOperator:
         """The diagonal blocks G_kk of T_F^H T_F in the model's column basis, one per class, as Fortran-ordered views of one buffer.
 
         G_kk = C_k^H Y with Y stacking, on each orbit's class rows r, M(o)
-        C_k[r], where M(o) sums over the orbit's spheres s the squared class
-        sign times H[loc, loc] with both sides times flips_s[loc], H =
-        R^H R the Gram of the sphere's unflipped response R, and (r, loc,
-        sign) = ``members[s]``.  The blocks between classes are not formed.
+        C_k[r], where M(o) sums over the orbit's spheres s H[loc, loc] times
+        the outer product of the sphere's weights with themselves, H = R^H R
+        the Gram of the sphere's response R, and (r, loc, weights) =
+        ``members[s]``.  The blocks between classes are not formed.
         """
-        hermitian, flips = [response.conj().T @ response for response in self.responses], self.mirror.flips
+        hermitian = [response.conj().T @ response for response in self.responses]
         grams = _class_arrays([(block.shape[1],) * 2 for block in self.c])
         for gram, block, cls in zip(grams, self.c, self.mirror.classes):
             y = np.empty_like(block)
             for orbit in self.mirror.orbits:
                 rows, local, _ = cls.members[orbit[0]]
-                m = sum(
-                    hermitian[self.kinds[s]][np.ix_(local, local)] * np.outer(flips[s, local], flips[s, local] * cls.members[s][2] ** 2)
-                    for s in orbit
-                )
+                m = sum(hermitian[self.kinds[s]][np.ix_(local, local)] * np.outer(cls.members[s][2], cls.members[s][2]) for s in orbit)
                 np.matmul(m, block[rows], out=y[rows])
             np.matmul(block.conj().T, y, out=gram)
         return grams
@@ -276,14 +269,13 @@ class MirrorClass:
     under the scene's mirror planes are the class's.  ``members`` gives, per
     sphere, where its orbit's unknowns sit in the class system (``rows``),
     which of the sphere's pair-basis coefficients they are (``local``) and
-    the class's sign at that sphere (``sign``): the class's basis vector for
-    orbit coefficient j is the sum over the orbit's spheres of sign times
-    flips[local[j]] times that sphere's pair-basis coefficient local[j],
-    with ``flips`` the sphere's reflection signs (:class:`Mirror`).
+    the sphere's weight at each of them (``weights``): the class's basis
+    vector for orbit coefficient j is the sum over the orbit's spheres of
+    weights[j] times that sphere's pair-basis coefficient local[j].
     """
 
     incident: np.ndarray
-    members: list  # per sphere: (rows, local, sign)
+    members: list  # per sphere: (rows, local, weights)
     size: int  # unknowns
 
 
@@ -292,12 +284,11 @@ class Mirror:
     """The scene's mirror symmetry, which :func:`mirror_classes` finds once per forward build for every step."""
 
     classes: list[MirrorClass]  # the coupled system's independent blocks
-    flips: np.ndarray  # (spheres, (n_fwd+1)^2): each sphere's reflection signs, the same in every class
     orbits: list[list[int]]  # each orbit's spheres, its first sphere first
 
 
 def mirror_classes(scene: SceneConfig) -> Mirror:
-    """The scene's symmetry: the coupled system's blocks, one per sign pattern of its mirror planes, with the flips and orbits.
+    """The scene's symmetry: the coupled system's blocks, one per sign pattern of its mirror planes, and its orbits.
 
     Every reflection in a mirror plane (see :func:`_mirror_orbits`) maps the
     scene onto itself, and in the per-sphere pair basis of :func:`_to_pairs`
@@ -306,19 +297,16 @@ def mirror_classes(scene: SceneConfig) -> Mirror:
     sign patterns.  With p mirror planes there are 2^p classes.  An orbit
     enters a class through the harmonics whose signs under the planes that
     fix its spheres are the class's, each as the signed, normalised sum over
-    the orbit.  Sphere s's weight in it is its class sign, the product of
-    the class's signs over the planes that take the orbit's first sphere to
-    s, over sqrt(orbit size), times its flips: the product of those planes'
-    harmonic signs, the same in every class.  These basis vectors are
-    orthonormal, so each class system is unitarily equivalent to its block
-    of I - SR G.  A scene without mirror planes has one class holding every
-    index.  The flips are held once for all classes: every per-sphere
-    operator is multiplied by its sphere's flips before the class signs are
-    applied, and :func:`_on_spheres` and :func:`_on_classes` flip the rows.
+    the orbit.  Sphere s's weight at a harmonic is its class sign, the
+    product of the class's signs over the planes that take the orbit's first
+    sphere to s, over sqrt(orbit size), times the product of those planes'
+    signs at the harmonic; an orbit's first sphere takes no plane, so its
+    weights are its class sign.  These basis vectors are orthonormal, so
+    each class system is unitarily equivalent to its block of I - SR G.  A
+    scene without mirror planes has one class holding every index.
     """
     planes, orbits = _mirror_orbits(scene)
     harmonic_signs = _reflection_signs(scene.n_fwd)
-    flips = np.array([np.prod(harmonic_signs[axes], axis=0) for _, axes in sorted(itertools.chain(*orbits))])
     local_signs, incident_signs = harmonic_signs[planes], _reflection_signs(scene.n_in)[planes]
     classes = []
     for character in itertools.product((1, -1), repeat=len(planes)):
@@ -331,10 +319,10 @@ def mirror_classes(scene: SceneConfig) -> Mirror:
             rows, size = slice(size, size + local.size), size + local.size
             for s, axes in orbit:
                 sign = np.prod([character[planes.index(axis)] for axis in axes]) / np.sqrt(len(orbit))
-                members[s] = (rows, local, sign)
+                members[s] = (rows, local, sign * np.prod(harmonic_signs[axes][:, local], axis=0))
         incident = np.flatnonzero(np.all(incident_signs == signs, axis=0))
         classes.append(MirrorClass(incident=incident, members=members, size=size))
-    return Mirror(classes, flips, [[s for s, _ in orbit] for orbit in orbits])
+    return Mirror(classes, [[s for s, _ in orbit] for orbit in orbits])
 
 
 def _class_arrays(shapes: list[tuple[int, int]]) -> list[np.ndarray]:
@@ -360,13 +348,13 @@ def assemble_system_matrix(scene: SceneConfig, mirror: Mirror) -> list[np.ndarra
     scaled by G_t.  The system is returned projected on each class of
     ``mirror`` (:func:`mirror_classes`), as one Fortran-ordered array per
     class, as LAPACK factors it in place: every sphere pair's block, built
-    in the pair basis and multiplied by the two spheres' flips, adds its
-    class rows and columns, times the two class signs, to the block of the
-    two spheres' orbits.  Each distinct pair of displacement c_s - c_t (equal bit for
+    in the pair basis, adds its class rows and columns, times the outer
+    product of the two spheres' weights, to the block of the two spheres'
+    orbits.  Each distinct pair of displacement c_s - c_t (equal bit for
     bit) and source radius is translated once, and serves every sphere pair
     that repeats it: a regular grid repeats its displacements.
     """
-    k, n_fwd, flips = scene.k, scene.n_fwd, mirror.flips
+    k, n_fwd = scene.k, scene.n_fwd
     gains = _scatter_gains(scene)
     systems = _class_arrays([(cls.size, cls.size) for cls in mirror.classes])
     for system in systems:
@@ -382,10 +370,9 @@ def assemble_system_matrix(scene: SceneConfig, mirror: Mirror) -> list[np.ndarra
         block = sr_translation(scene.spheres[s].center - scene.spheres[t].center, k, n_fwd, n_fwd)
         block *= -gains[t]  # constant over each degree's orders, so the pair basis keeps it a column scale
         for s, t in pairs:
-            flipped = block * np.outer(flips[s], flips[t])
             for system, cls in zip(systems, mirror.classes):
-                (rows, local, sign), (columns, source, source_sign) = cls.members[s], cls.members[t]
-                system[rows, columns] += flipped[local][:, source] * (sign * source_sign)
+                (rows, local, weights), (columns, source, source_weights) = cls.members[s], cls.members[t]
+                system[rows, columns] += block[np.ix_(local, source)] * np.outer(weights, source_weights)
     return systems
 
 
@@ -394,15 +381,16 @@ def _local_incident_block(scene: SceneConfig, mirror: Mirror) -> list[np.ndarray
     each class of ``mirror``: one Fortran-ordered (class unknowns, class
     incident columns) block per class.  A mirror image's map is its orbit's
     first map with the signs of the reflection, so only each orbit's first
-    sphere is translated, and its block rows are sqrt(orbit size) times that
-    map's class rows and columns in the pair basis."""
+    sphere is translated, and its block rows are that map's class rows and
+    columns in the pair basis times orbit size times the sphere's weights,
+    all 1/sqrt(orbit size): sqrt(orbit size) times the map."""
     blocks = _class_arrays([(cls.size, cls.incident.size) for cls in mirror.classes])
     for orbit in mirror.orbits:
         first = orbit[0]
         matrix = rr_translation(scene.spheres[first].center, scene.k, scene.n_in, scene.n_fwd)
         for block, cls in zip(blocks, mirror.classes):
-            rows, local, sign = cls.members[first]
-            np.multiply(matrix[np.ix_(local, cls.incident)], len(orbit) * sign, out=block[rows])
+            rows, local, weights = cls.members[first]
+            np.multiply(matrix[np.ix_(local, cls.incident)], (len(orbit) * weights)[:, None], out=block[rows])
     return blocks
 
 
@@ -457,27 +445,26 @@ def _one_norm(system: np.ndarray) -> float:
     return float(np.max([np.abs(system[:, j : j + 64]).sum(axis=0).max() for j in range(0, system.shape[1], 64)]))
 
 
-def _on_spheres(mirror: Mirror, vectors: list) -> np.ndarray:
+def _on_spheres(scene: SceneConfig, mirror: Mirror, vectors: list) -> np.ndarray:
     """Per-sphere pair-basis coefficients, one row per sphere, from one class vector per class.
 
-    Each sphere's row gathers, at its class harmonics ``local``, its class
-    sign times the class vector's ``rows``, times the sphere's flips.  Class
-    vectors meet sphere rows only here and in :func:`_on_classes`.
+    Each sphere's row gathers, at its class harmonics ``local``, its weights
+    times the class vector's ``rows``.  Class vectors meet sphere rows only
+    here and in :func:`_on_classes`.
     """
-    out = np.zeros(mirror.flips.shape, dtype=complex)
+    out = np.zeros((scene.num_spheres, num_coeffs(scene.n_fwd)), dtype=complex)
     for cls, vector in zip(mirror.classes, vectors):
-        for out_s, (rows, local, sign) in zip(out, cls.members):
-            out_s[local] += sign * vector[rows]
-    out *= mirror.flips
+        for out_s, (rows, local, weights) in zip(out, cls.members):
+            out_s[local] += weights * vector[rows]
     return out
 
 
 def _on_classes(mirror: Mirror, v: np.ndarray) -> list[np.ndarray]:
-    """One class vector per class from per-sphere pair-basis rows ``v``, flipped first: the transpose of :func:`_on_spheres`."""
-    flipped, out = v * mirror.flips, [np.zeros(cls.size, dtype=complex) for cls in mirror.classes]
+    """One class vector per class from per-sphere pair-basis rows ``v``: the transpose of :func:`_on_spheres`."""
+    out = [np.zeros(cls.size, dtype=complex) for cls in mirror.classes]
     for w, cls in zip(out, mirror.classes):
-        for v_s, (rows, local, sign) in zip(flipped, cls.members):
-            w[rows] += sign * v_s[local]
+        for v_s, (rows, local, weights) in zip(v, cls.members):
+            w[rows] += weights * v_s[local]
     return out
 
 
@@ -487,7 +474,7 @@ def _radiating(scene: SceneConfig, mirror: Mirror, vectors: list) -> np.ndarray:
     ``vectors`` holds one class vector per class of the fields c the spheres
     feel (:func:`_on_spheres`).
     """
-    b = _on_spheres(mirror, vectors)
+    b = _on_spheres(scene, mirror, vectors)
     _to_pairs(b, scene.n_fwd)
     b *= _scatter_gains(scene)
     return b

@@ -198,6 +198,35 @@ def test_sphere_mask_marks_interior():
     assert mask.any() and not mask.all()
 
 
+def test_sphere_mask_peak_memory_stays_near_the_centres():
+    """On a 1000 x 1000 grid the mask's traced peak stays within 32 B per pixel:
+    the centres take 24, and the distance tests run in chunks."""
+    import tracemalloc
+
+    spec = _grid(res=0.002, extent=(2.0, 2.0))
+    spheres = [RsmaSpec.fibonacci([0.0, y, 0.0], 0.08, 12) for y in (-0.125, 0.125)]
+    tracemalloc.start()
+    try:
+        mask = sphere_mask(spec, spheres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.shape == (1000, 1000) and mask.any()
+    assert peak <= 32 * mask.size
+
+
+def test_chunked_sphere_mask_matches_one_pass(monkeypatch):
+    """Chunks that split the grid anywhere give the one-pass ``norm(...) < radius`` mask, bit for bit."""
+    spec = _grid(res=0.05)
+    spheres = [RsmaSpec.fibonacci([0.1 * x, -0.05, 0.0], 0.2, 8) for x in (-1, 2)]
+    pts = spec.points()
+    expected = np.zeros(len(pts), dtype=bool)
+    for sphere in spheres:
+        expected |= np.linalg.norm(pts - sphere.center[None, :], axis=1) < sphere.radius
+    monkeypatch.setattr(fields_module, "DISTANCE_CHUNK", 7)
+    np.testing.assert_array_equal(sphere_mask(spec, spheres), expected.reshape(spec.shape))
+
+
 def test_reconstruct_chunking_consistent(rng, monkeypatch):
     spec = _grid(res=0.07)
     k = 9.0

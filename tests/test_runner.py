@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from mshoa.basis import CoefficientVector, num_coeffs
@@ -14,6 +15,7 @@ from mshoa.fields import ground_truth_field, reconstruct_field, sdr_map, sphere_
 from mshoa.runner import run_experiment
 from tests.oracles import capture_warnings, read_field_csv, read_matrix
 from tests.test_config import NON_FINITE
+from tests.test_exit_codes import BASES
 
 TINY = """
 scene:
@@ -931,3 +933,27 @@ def test_summary_records_the_search_curve(tmp_path):
     # a fixed value is a one-candidate search, never at an edge
     fixed = run_experiment(validate_config(TINY_HOA), tmp_path / "hoa").search
     assert fixed == {"candidates": [4], "ssa": [fixed["ssa"][0]], "index": 0, "at_edge": False}
+
+
+@pytest.mark.parametrize("base", ["tiny", "primal", "single"])
+def test_cli_sigma_below_the_grams_rounding_runs_as_sigma_zero(tmp_path, base):
+    """A σ > 0 at or below the rounding of the Gram it shifts, or of CG's class
+    blocks (``primal``), is solved as σ = 0: it exits 0 and writes the σ = 0
+    run's estimate, bit for bit, under its own config hash.  On the fuzzer's
+    Single base (a 24² dual Gram whose largest diagonal entry is 0.103) these
+    σ once made Cholesky fail (exit 4)."""
+
+    def run(sigma):
+        if base != "single":
+            text = (TINY if base == "tiny" else TINY_PRIMAL).replace("sigma: 1e-9", f"sigma: {sigma}")
+        else:
+            text = yaml.safe_dump({**BASES["Single"], "sigma": float(sigma)})
+        cfg_path, out = tmp_path / f"{sigma}.yaml", tmp_path / f"out_{sigma}"
+        cfg_path.write_text(text)
+        res = CliRunner().invoke(main, ["run", str(cfg_path), "--out", str(out)])
+        assert res.exit_code == 0, (sigma, res.output)
+        return [line for line in (out / "estimated.csv").read_bytes().splitlines(keepends=True) if not line.startswith(b"# config=")]
+
+    exact = run("0")
+    for sigma in ("1e-20", "1e-30", "1e-300", "5e-324"):
+        assert run(sigma) == exact, sigma

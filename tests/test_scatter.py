@@ -366,7 +366,7 @@ def _projected_systems(scene):
     """The oracle's whole I - SR G projected on each mirror class's dense basis, W^T (I - SR G) W."""
     whole = coupled_system_matrix(scene)
     mirror = mirror_classes(scene)
-    bases = [mirror_class_bases(scene, cls, mirror.flips)[0] for cls in mirror.classes]
+    bases = [mirror_class_bases(scene, cls)[0] for cls in mirror.classes]
     return [w.T @ whole @ w for w in bases], whole, bases
 
 
@@ -390,7 +390,7 @@ def _assert_projected_system(scene, systems):
         for s, image in enumerate(images):
             reflect[image * lf : (image + 1) * lf, s * lf : (s + 1) * lf] = local
         for w, cls in zip(bases, mirror.classes):
-            u = mirror_class_bases(scene, cls, mirror.flips)[1]
+            u = mirror_class_bases(scene, cls)[1]
             sign = 1.0 if np.allclose(reflect @ w, w, atol=1e-12) else -1.0
             np.testing.assert_allclose(reflect @ w, sign * w, atol=1e-12)
             np.testing.assert_allclose(incident @ u, sign * u, atol=1e-12)
